@@ -9,7 +9,7 @@
 //!
 //! * `--smoke` — quick gate for CI: all mutation checks, a short fuzz
 //!   campaign, and a subset of the workload suite and of the engine
-//!   differential (naive vs fast vs event, byte-diffed).
+//!   differential (naive vs skip, byte-diffed).
 //! * default (full) — all mutation checks, >=120 fuzzed configurations,
 //!   the complete 16-workload suite, and the full engine differential.
 //! * `--seed N` — override the fuzz campaign seed (default 1).
@@ -170,10 +170,10 @@ fn main() -> ExitCode {
 
     stop_if_interrupted("workload-suite");
 
-    // 4. Engine differential: the same suite cases under all three
+    // 4. Engine differential: the same suite cases under both
     //    execution engines, byte-diffed against the naive reference
     //    (stats digest, audit log, shaper grant ledgers).
-    println!("\n== engine differential (naive vs fast vs event, {label}) ==");
+    println!("\n== engine differential (naive vs skip, {label}) ==");
     let suite = mitts_workloads::Benchmark::ALL;
     let suite = if args.smoke { &suite[..4] } else { &suite[..] };
     for (name, result) in engine_differential_checks(cycles, suite) {

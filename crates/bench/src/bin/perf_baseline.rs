@@ -1,15 +1,13 @@
 //! Wall-clock baseline of the simulator itself: naive cycle-by-cycle
-//! execution vs quiescence fast-forward vs the event-driven kernel
-//! (`System::advance` under each `Engine`), on three representative
-//! workloads plus one offline GA `quick()` tune.
+//! execution vs the skip engine (`System::advance` under each `Engine`),
+//! on three representative workloads plus one offline GA `quick()` tune.
 //!
 //! Emits `BENCH_sim.json` in the current directory — one record per
 //! (scenario, mode): `{"bench": ..., "cycles_per_sec": ..., "wall_ms": ...}`
 //! (`cycles_per_sec` is omitted for records that aggregate multiple
 //! simulations, like the GA tune) — and prints a speedup table. Exits
-//! non-zero if fast-forward is more than 2x slower than naive anywhere,
-//! or if the event engine is more than 2x slower than fast-forward
-//! anywhere (the `scripts/check.sh` gates).
+//! non-zero if the skip engine is more than 2x slower than naive
+//! anywhere (the `scripts/check.sh` gate).
 //!
 //! Also times an identical experiment list through the supervised pool
 //! (`mitts_bench::pool`) at 1 worker vs N (records `sweep_pool_jobs1` /
@@ -42,6 +40,7 @@ use mitts_bench::tracetool::summarize;
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
 use mitts_sim::config::{CacheConfig, SystemConfig};
+use mitts_sim::obs::json::escape;
 use mitts_sim::obs::{write_chrome_trace, MetricsRegistry, RingSink, TrackLayout};
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
@@ -66,7 +65,7 @@ fn base_for(core: usize) -> u64 {
 /// it bounds every skip to 64 cycles and its full conservation scan
 /// dominates the wall clock of *both* modes. Long experiment runs audit
 /// sparsely, which is what this benchmark models — the same config is
-/// applied to the naive and fast arms, so the ratio stays honest.
+/// applied to the naive and skip arms, so the ratio stays honest.
 fn scenario_config(cores: usize) -> SystemConfig {
     let mut cfg = SystemConfig::multi_program(cores);
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
@@ -77,7 +76,7 @@ fn scenario_config(cores: usize) -> SystemConfig {
 /// Low MLP: one pointer-chasing core alone on the channel, restricted to
 /// a single L1 MSHR — one outstanding miss at a time, the definition of
 /// MLP = 1 (the `lat_mem_rd` shape). Almost every cycle is a
-/// memory-latency bubble the fast path can skip.
+/// memory-latency bubble the skip engine can skip.
 fn pointer_chase() -> AppProfile {
     AppProfile {
         name: "pointer_chase".to_owned(),
@@ -172,8 +171,7 @@ impl Record {
 fn mode_suffix(engine: Engine) -> &'static str {
     match engine {
         Engine::Naive => "naive",
-        Engine::Fast => "fast",
-        Engine::Event => "event",
+        Engine::Skip => "skip",
     }
 }
 
@@ -188,10 +186,6 @@ fn time_scenario(s: &Scenario, engine: Engine) -> Record {
         Some(sys.now() as f64 / secs),
         wall.as_secs_f64() * 1e3,
     )
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -232,45 +226,26 @@ fn main() {
         extra: vec![("available_parallelism", host_par.to_string())],
     });
     println!(
-        "{:<34} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "scenario", "naive ms", "fast ms", "event ms", "fast", "event"
+        "{:<34} {:>12} {:>12} {:>9}",
+        "scenario", "naive ms", "skip ms", "skip"
     );
     for s in &scenarios {
         let naive = time_scenario(s, Engine::Naive);
-        let fast = time_scenario(s, Engine::Fast);
-        let event = time_scenario(s, Engine::Event);
-        let (naive_ms, fast_ms, event_ms) = (
-            naive.wall_ms.expect("timed"),
-            fast.wall_ms.expect("timed"),
-            event.wall_ms.expect("timed"),
-        );
-        let fast_speedup = naive_ms / fast_ms.max(1e-9);
-        let event_speedup = naive_ms / event_ms.max(1e-9);
-        println!(
-            "{:<34} {:>12.1} {:>12.1} {:>12.1} {:>8.2}x {:>8.2}x",
-            s.name, naive_ms, fast_ms, event_ms, fast_speedup, event_speedup
-        );
-        if fast_ms > 2.0 * naive_ms {
-            eprintln!("REGRESSION: {} fast-forward is {fast_speedup:.2}x of naive wall-clock", s.name);
-            regression = true;
-        }
-        // Event-vs-fast gate: the event kernel must never cost more than
-        // 2x the quiescence fast-forward wall clock (aspirationally it is
-        // >=5x *faster* on the saturated mix; the hard gate only catches
-        // regressions, mirroring the fast-vs-naive smoke gate above).
-        if event_ms > 2.0 * fast_ms {
-            let ratio = event_ms / fast_ms.max(1e-9);
-            eprintln!("REGRESSION: {} event engine is {ratio:.2}x of fast-forward wall-clock", s.name);
+        let skip = time_scenario(s, Engine::Skip);
+        let (naive_ms, skip_ms) = (naive.wall_ms.expect("timed"), skip.wall_ms.expect("timed"));
+        let speedup = naive_ms / skip_ms.max(1e-9);
+        println!("{:<34} {:>12.1} {:>12.1} {:>8.2}x", s.name, naive_ms, skip_ms, speedup);
+        if skip_ms > 2.0 * naive_ms {
+            eprintln!("REGRESSION: {} skip engine is {speedup:.2}x of naive wall-clock", s.name);
             regression = true;
         }
         records.push(naive);
-        records.push(fast);
-        records.push(event);
+        records.push(skip);
     }
 
     // One offline GA quick() tune, timed end-to-end: the consumer the
-    // fast path exists for. Fitness evaluations build their own systems
-    // (fast-forward on by default), so this measures the shipped config.
+    // skip engine exists for. Fitness evaluations build their own systems
+    // (skip engine by default), so this measures the shipped config.
     let ga_params = if smoke {
         GaParams { population: 4, generations: 2, ..GaParams::quick() }
     } else {
@@ -312,7 +287,7 @@ fn main() {
                     Experiment::new(
                         format!("sweep{i}"),
                         Arc::new(move || {
-                            let mut sys = build_bw_saturated(Engine::Event);
+                            let mut sys = build_bw_saturated(Engine::Skip);
                             let _ = sys.run_until_instructions(instructions, cap);
                             let mut t =
                                 mitts_bench::Table::new("sweep", &["exp", "cycles"]);
@@ -375,7 +350,7 @@ fn main() {
                 bench: "sweep_pool_jobs_parallel".to_owned(),
                 cycles_per_sec: None,
                 wall_ms: None,
-                extra: vec![("skipped", format!("\"{}\"", json_escape(&reason)))],
+                extra: vec![("skipped", escape(&reason))],
             });
         }
     }
@@ -390,12 +365,12 @@ fn main() {
     let reps = 5;
     let run_mixed = |traced: bool| -> (f64, Cycle) {
         let mut sys = if traced {
-            mixed_shaped_builder(Engine::Event)
+            mixed_shaped_builder(Engine::Skip)
                 .trace_sink(Box::new(RingSink::new(8192)))
                 .sample_every(4096)
                 .build()
         } else {
-            build_mixed_shaped(Engine::Event)
+            build_mixed_shaped(Engine::Skip)
         };
         let start = Instant::now();
         let _ = sys.run_until_instructions(mixed.instructions, mixed.cap);
@@ -407,7 +382,7 @@ fn main() {
     // flight-recorder ring — `mitts-capacity` runs hundreds of these.
     let run_metrics = || -> (f64, Cycle) {
         let registry = Rc::new(RefCell::new(MetricsRegistry::new()));
-        let mut sys = mixed_shaped_builder(Engine::Event)
+        let mut sys = mixed_shaped_builder(Engine::Skip)
             .trace_sink(Box::new(Rc::clone(&registry)))
             .sample_every(4096)
             .build();
@@ -479,7 +454,7 @@ fn main() {
     // cross-checked against the machine's own mem_latency_sum here too.
     {
         let sink = Rc::new(RefCell::new(RingSink::new(1 << 22)));
-        let mut sys = mixed_shaped_builder(Engine::Event)
+        let mut sys = mixed_shaped_builder(Engine::Skip)
             .trace_sink(Box::new(Rc::clone(&sink)))
             .sample_every(2048)
             .build();
@@ -529,7 +504,7 @@ fn main() {
 
     let mut json = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
-        let _ = write!(json, "  {{\"bench\": \"{}\"", json_escape(&r.bench));
+        let _ = write!(json, "  {{\"bench\": {}", escape(&r.bench));
         if let Some(cps) = r.cycles_per_sec {
             let _ = write!(json, ", \"cycles_per_sec\": {cps:.1}");
         }

@@ -15,10 +15,9 @@
 //! * [`run_fuzz`] — a deterministic config+workload fuzzer with greedy
 //!   input shrinking, so a conformance failure is reported as a minimal
 //!   reproducible case;
-//! * [`engine_differential`] — the same case executed under all three
-//!   engines (`Engine::Naive` / `Engine::Fast` / `Engine::Event`), with
-//!   stats, audit logs, and shaper grant ledgers byte-diffed against the
-//!   naive reference. The fuzzer runs this on every drawn case, so every
+//! * [`engine_differential`] — the same case executed under both engines
+//!   (`Engine::Naive` / `Engine::Skip`), with stats, audit logs, and
+//!   shaper grant ledgers byte-diffed against the naive reference. The fuzzer runs this on every drawn case, so every
 //!   fuzzed configuration doubles as an engine-equivalence witness.
 
 use std::cell::RefCell;
@@ -507,29 +506,26 @@ fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     out
 }
 
-/// Byte-diffs `case` across all three engines against the naive
-/// reference.
+/// Byte-diffs `case` under the skip engine against the naive reference.
 ///
 /// # Errors
 ///
-/// Returns the first diverging line (engine, line number, both sides)
-/// if any skipping engine's digest differs from naive's.
+/// Returns the first diverging line (line number, both sides) if the
+/// skip engine's digest differs from naive's.
 pub fn engine_differential(case: &ConformCase) -> Result<(), String> {
     let reference = engine_digest(case, Engine::Naive);
-    for engine in [Engine::Fast, Engine::Event] {
-        let digest = engine_digest(case, engine);
-        if digest != reference {
-            let (line, (want, got)) = reference
-                .lines()
-                .zip(digest.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b)
-                .map(|(i, (a, b))| (i + 1, (a.to_owned(), b.to_owned())))
-                .unwrap_or((0, ("<digest lengths differ>".into(), String::new())));
-            return Err(format!(
-                "{engine:?} diverged from Naive at digest line {line}:\n  naive: {want}\n  {engine:?}: {got}"
-            ));
-        }
+    let digest = engine_digest(case, Engine::Skip);
+    if digest != reference {
+        let (line, (want, got)) = reference
+            .lines()
+            .zip(digest.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, (a, b))| (i + 1, (a.to_owned(), b.to_owned())))
+            .unwrap_or((0, ("<digest lengths differ>".into(), String::new())));
+        return Err(format!(
+            "Skip diverged from Naive at digest line {line}:\n  naive: {want}\n  skip:  {got}"
+        ));
     }
     Ok(())
 }
@@ -831,7 +827,7 @@ pub struct FuzzStats {
 ///
 /// Every case runs twice over: once under the oracles (on the default
 /// engine) and once through [`engine_differential`], so a fuzz campaign
-/// simultaneously checks spec conformance and naive/fast/event
+/// simultaneously checks spec conformance and naive/skip
 /// bit-equivalence.
 ///
 /// # Errors
@@ -1020,7 +1016,7 @@ pub fn workload_checks(cycles: Cycle) -> Vec<WorkloadCheck> {
         .collect()
 }
 
-/// Runs the engine differential (naive vs fast vs event, byte-diffed)
+/// Runs the engine differential (naive vs skip, byte-diffed)
 /// over the same suite cases as [`workload_checks`] for each of
 /// `benches`, in parallel on the shared work-stealing loop. Returns one
 /// `(name, result)` per benchmark, in input order.
@@ -1102,8 +1098,8 @@ mod tests {
     }
 
     /// One fixed BLISS + CBS + regulator + MITTS mix, byte-diffed across
-    /// naive/fast/event: the new baseline scheduler and both closed-form
-    /// shapers must be bit-exact in every engine, including the raw
+    /// naive/skip: the new baseline scheduler and both closed-form
+    /// shapers must be bit-exact in either engine, including the raw
     /// shaper snapshot bytes in the digest.
     fn bliss_cbs_case() -> ConformCase {
         ConformCase {

@@ -224,9 +224,9 @@ pub fn shared_config(cores: usize, llc_bytes: usize) -> SystemConfig {
 }
 
 /// Execution engine for experiment runs, selected by `MITTS_ENGINE`
-/// (`naive` / `fast` / `event`; unset = the builder default, the event
-/// kernel). All engines are bit-identical in results — `scripts/check.sh`
-/// leans on this to byte-diff whole sweep artifact trees across engines.
+/// (`naive` / `skip`; unset = the builder default, the skip engine).
+/// Both engines are bit-identical in results — `scripts/check.sh` leans
+/// on this to byte-diff whole sweep artifact trees across engines.
 ///
 /// # Panics
 ///
@@ -234,13 +234,20 @@ pub fn shared_config(cores: usize, llc_bytes: usize) -> SystemConfig {
 /// falling back to the default would invalidate a differential run.
 pub fn engine_from_env() -> Engine {
     match std::env::var("MITTS_ENGINE") {
-        Ok(v) => match v.as_str() {
-            "naive" => Engine::Naive,
-            "fast" => Engine::Fast,
-            "event" => Engine::Event,
-            other => panic!("MITTS_ENGINE must be naive, fast, or event (got {other:?})"),
-        },
-        Err(_) => Engine::Event,
+        Ok(v) => parse_engine(&v)
+            .unwrap_or_else(|| panic!("MITTS_ENGINE must be naive or skip (got {v:?})")),
+        Err(_) => Engine::Skip,
+    }
+}
+
+/// Parses an engine name: `naive` or `skip`. The retired engine names
+/// `fast` and `event` are deprecated aliases of `skip`: they produced
+/// byte-identical results, so older scripts keep working unchanged.
+fn parse_engine(name: &str) -> Option<Engine> {
+    match name {
+        "naive" => Some(Engine::Naive),
+        "skip" | "fast" | "event" => Some(Engine::Skip),
+        _ => None,
     }
 }
 
@@ -691,6 +698,15 @@ pub fn single_program_static_ipc(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_engine_accepts_both_engines_and_the_retired_aliases() {
+        assert_eq!(parse_engine("naive"), Some(Engine::Naive));
+        for skip in ["skip", "fast", "event"] {
+            assert_eq!(parse_engine(skip), Some(Engine::Skip), "{skip}");
+        }
+        assert_eq!(parse_engine("Skip"), None);
+    }
 
     #[test]
     fn scale_presets_are_ordered() {

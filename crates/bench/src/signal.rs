@@ -78,6 +78,10 @@ mod tests {
             raise(SIGINT);
         }
         assert!(interrupted(), "first Ctrl-C must request a graceful stop");
+        // Clear the flag again: the pool tests running beside this one in
+        // the same process poll it and would read their sweeps as
+        // interrupted.
+        SIGINT_COUNT.store(0, Ordering::SeqCst);
         // Deliberately not raising a second SIGINT: that would _exit the
         // test process. The second stage is exercised end to end by the
         // kill-and-resume smoke in scripts/check.sh.

@@ -343,7 +343,7 @@ impl SourceShaper for MittsShaper {
         if bin >= self.credits.len() {
             return; // stale token from before a reconfiguration; ignore
         }
-        // The shaper is ticked lazily (quiescence fast-forward), so a
+        // The shaper is ticked lazily (the skip engine jumps over dead windows), so a
         // period boundary may have passed since the last `tick`. The
         // hardware replenishes at the boundary itself, so feedback landing
         // after it must see the new period's credits — otherwise the

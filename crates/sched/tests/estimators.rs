@@ -4,8 +4,8 @@
 //! The contract (see `Scheduler::next_event` in `mitts_sim::mc`): between
 //! `now` (exclusive) and the returned cycle (exclusive), running `tick`
 //! once per cycle on a quiescent system must be equivalent to a single
-//! `note_idle_cycles` call. The skipping engines (`Engine::Fast`,
-//! `Engine::Event`) lean on this to jump over scheduler ticks, so an
+//! `note_idle_cycles` call. The skip engine (`Engine::Skip`) leans on
+//! this to jump over scheduler ticks, so an
 //! estimator that returns a cycle *later* than the policy's first real
 //! behaviour change silently corrupts a run.
 //!

@@ -897,7 +897,7 @@ impl InvariantAuditor {
     }
 
     /// The next audit-interval boundary strictly after `now`, if auditing
-    /// is enabled. The fast-forward engine never skips past this cycle, so
+    /// is enabled. The skip engine never skips past this cycle, so
     /// audit passes land exactly where per-cycle ticking would put them
     /// (and skips are bounded to at most one interval).
     pub(crate) fn next_audit_boundary(&self, now: Cycle) -> Option<Cycle> {
@@ -1349,7 +1349,7 @@ mod tests {
 
     // ---- Estimator bound properties -------------------------------------
     //
-    // The skipping engines trust these `next_*` estimators to be
+    // The skip engine trusts these `next_*` estimators to be
     // conservative: early is fine (the engine just re-probes), late means
     // a skipped state change. Each property brute-forces the window
     // `(now, estimate)` against the real per-cycle behaviour.

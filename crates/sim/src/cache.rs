@@ -170,7 +170,7 @@ impl Cache {
     /// raw stamps. Raw stamps count every `access`/`fill` *call* —
     /// including misses retried while an MSHR is full — so their
     /// absolute values depend on how the run was driven (the naive
-    /// engine retries on cycles the skipping engines elide). Only the
+    /// engine retries on cycles the skip engine elides). Only the
     /// relative order is architectural, and ranking preserves it
     /// exactly, keeping snapshot bytes engine-independent. The
     /// `tick`/`hits`/`misses` call counters are execution diagnostics

@@ -83,7 +83,7 @@ impl CoreCounters {
 }
 
 /// How a core would spend a cycle if no external event (a fill, an
-/// unfreeze) reaches it — the classification the fast-forward engine uses
+/// unfreeze) reaches it — the classification the skip engine uses
 /// to decide whether a cycle can be skipped and which counters a skipped
 /// cycle must still bump (see [`Core::note_idle_cycles`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

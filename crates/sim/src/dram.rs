@@ -220,7 +220,7 @@ impl<T: Copy> Dram<T> {
     /// Earliest cycle `t >= now` at which [`Dram::can_start`] would accept
     /// `addr`, assuming no intervening `start` calls mutate bank state.
     ///
-    /// This is the per-bank timing deadline the fast-forward engine feeds
+    /// This is the per-bank timing deadline the skip engine feeds
     /// into its `min(next events)` computation: within the window
     /// `[now, earliest_start)` the bank is guaranteed busy, so a pending
     /// transaction on it cannot dispatch and the cycles may be skipped.

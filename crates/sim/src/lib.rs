@@ -39,7 +39,6 @@ pub mod cache;
 pub mod config;
 pub mod core;
 pub mod dram;
-pub mod events;
 pub mod fsio;
 pub mod histogram;
 pub mod mc;
@@ -65,7 +64,6 @@ pub use oracle::{
     DramOracle, OracleKind, OracleViolation, PickOracle, PickPolicy, ShaperOracle, ShaperSpec,
     SpecFeedback, SpecPolicy,
 };
-pub use events::{EventQueue, EventSource};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{geomean, SlowdownReport};
 pub use system::{Engine, System, SystemBuilder};

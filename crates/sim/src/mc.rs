@@ -238,7 +238,7 @@ pub trait Scheduler {
     /// enqueue/pick/complete) and imposes no wake-up of its own.
     ///
     /// The default is the conservative `Some(now + 1)`: a policy that has
-    /// not been audited for skip-safety never lets the fast-forward engine
+    /// not been audited for skip-safety never lets the skip engine
     /// jump over its ticks. Overriding this is a contract: between `now`
     /// (exclusive) and the returned cycle (exclusive), running `tick` once
     /// per cycle on a quiescent system must be equivalent to a single
@@ -615,7 +615,7 @@ impl MemoryController {
     }
 
     /// Replays `cycles` skipped cycles' worth of FIFO rejections. The
-    /// event engine may skip windows where the LLC's controller backlog
+    /// skip engine may skip windows where the LLC's controller backlog
     /// is stuck behind a full FIFO; each such cycle the LLC would have
     /// retried the backlog head exactly once and been rejected, so the
     /// skip must account the same number of rejections. Only legal when
@@ -630,7 +630,7 @@ impl MemoryController {
 
     /// Whether a [`MemoryController::tick`] at this instant would move
     /// transactions from the global FIFO into the scheduling queue (work
-    /// the fast-forward engine must not skip).
+    /// the skip engine must not skip).
     pub fn would_refill_queue(&self) -> bool {
         !self.fifo.is_empty() && self.queue.len() < self.queue_depth
     }

@@ -65,7 +65,7 @@ pub trait SourceShaper {
     fn note_stall_cycle(&mut self);
 
     /// Records `cycles` consecutive stalled cycles in one call (used by
-    /// the fast-forward engine when it skips a dead window during which
+    /// the skip engine when it skips a dead window during which
     /// the per-cycle loop would have called
     /// [`SourceShaper::note_stall_cycle`] each cycle *without* consulting
     /// [`SourceShaper::try_issue`] — the throttle-blocked and
@@ -94,7 +94,7 @@ pub trait SourceShaper {
     /// possible grant is not.
     ///
     /// The default is the conservative `Some(now + 1)`: shapers that have
-    /// not been audited for skip-safety never let the fast-forward engine
+    /// not been audited for skip-safety never let the skip engine
     /// jump over a pending request.
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)

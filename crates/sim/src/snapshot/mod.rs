@@ -12,8 +12,8 @@
 //! it, rebuild an identically configured system via
 //! [`crate::system::SystemBuilder::resume_from`], and the resumed run
 //! produces **bit-identical** statistics, grant ledgers, audit logs, and
-//! trace-event streams versus the uninterrupted run — in both naive and
-//! fast-forward execution modes.
+//! trace-event streams versus the uninterrupted run — under both the
+//! naive and the skip engine.
 //!
 //! # What is (and is not) captured
 //!

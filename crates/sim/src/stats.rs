@@ -213,7 +213,7 @@ impl CoreSnapshot {
 /// end of a run. Unlike [`CoreStats`] (which carries histograms and is
 /// only `PartialEq`-less), every field here is an integer so two runs can
 /// be asserted bit-identical — the equivalence oracle for the naive
-/// versus fast-forward execution modes.
+/// versus skip engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreSystemStats {
     /// Core pipeline counters (cycles, instructions, stalls, ...).
@@ -265,8 +265,8 @@ pub struct ChannelSystemStats {
     pub queue_occupancy_sum: u64,
 }
 
-/// Whole-system digest used to assert that two execution modes (naive
-/// cycle-by-cycle versus quiescence fast-forward) produced bit-identical
+/// Whole-system digest used to assert that the two engines (naive
+/// cycle-by-cycle versus skip) produced bit-identical
 /// results. Implements `Eq` so tests can `assert_eq!` entire runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemStats {

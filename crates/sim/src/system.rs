@@ -19,7 +19,6 @@ use crate::cache::{AccessResult, Cache, MshrFile, MshrOutcome};
 use crate::config::{ConfigError, SystemConfig};
 use crate::core::{Core, CoreCounters, CoreIdleClass, MemIssue, MemPort};
 use crate::dram::Dram;
-use crate::events::{EventQueue, EventSource};
 use crate::mc::{
     CoreSignals, CoreThrottle, FcfsScheduler, McResponse, MemoryController, Scheduler,
     SourceControl, TxnId,
@@ -56,7 +55,7 @@ struct PendingMiss {
 
 /// What the demand-issue stage did for a core on its last real tick.
 ///
-/// The fast-forward engine needs this to know *why* a miss-queue head is
+/// The skip engine needs this to know *why* a miss-queue head is
 /// not moving: a denial that waiting can cure (shaper credits age in,
 /// a throttle gap expires) yields a wake-up event, while anything else
 /// forces per-cycle execution. The shaper's
@@ -118,31 +117,60 @@ impl IssueOutcome {
 
 /// Which execution engine advances the system.
 ///
-/// All three produce bit-identical architectural results — statistics,
-/// grant ledgers, audit logs, trace-event streams, sample rows — and may
-/// be flipped mid-run with [`System::set_engine`]. They differ only in
-/// how many cycles they *execute*:
+/// Both produce bit-identical architectural results — statistics, grant
+/// ledgers, audit logs, trace-event streams, sample rows — and may be
+/// flipped mid-run with [`System::set_engine`]. They differ only in how
+/// many cycles they *execute*:
 ///
 /// * [`Engine::Naive`] ticks every cycle. The reference for equivalence
-///   testing and the escape hatch while debugging the engines themselves.
-/// * [`Engine::Fast`] is PR 2's quiescence fast-forward: after each real
-///   tick it probes whether *nothing* in the system can act before some
-///   future cycle and jumps there, replaying the skipped window's counter
-///   updates in batch.
-/// * [`Engine::Event`] (the default) is the discrete-event kernel: each
-///   component posts its next wake-up into a calendar queue
-///   ([`crate::events::EventQueue`]) and the engine jumps to the earliest
-///   one. It additionally skips saturated windows the quiescence probe
-///   must execute — a controller backlog stuck behind a full FIFO — by
-///   replaying the per-cycle rejection the LLC would have recorded.
+///   testing and the escape hatch while debugging the skip engine.
+/// * [`Engine::Skip`] (the default): after each real tick, the skip
+///   probe folds every component's next-event estimate to a minimum and
+///   the engine jumps there, replaying the skipped window's counter
+///   updates in batch. Besides fully quiescent windows it skips
+///   a controller backlog stuck behind a full FIFO, replaying the
+///   per-cycle rejection the LLC would have recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Execute every cycle.
     Naive,
-    /// Quiescence fast-forward (PR 2).
-    Fast,
-    /// Calendar-queue event-driven kernel.
-    Event,
+    /// Jump over windows the skip probe proves dead.
+    Skip,
+}
+
+/// Why `System::probe` refused to skip: the first component with
+/// same-cycle work that batch replay cannot account for. The probe checks
+/// the variants in declaration order, the three `Core*` ones core by core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SkipBlocker {
+    /// The LLC→controller backlog head would enter a FIFO with room.
+    BacklogRetryWouldSucceed,
+    /// An after-LLC shaper gate holds deferred lines.
+    LlcDeferred,
+    /// A controller would move FIFO entries into its transaction queue.
+    McWouldRefillQueue,
+    /// A core has dirty evictions queued for the LLC.
+    CoreWbQueue,
+    /// A core can issue or retire instructions this cycle.
+    CoreBusy,
+    /// A core's miss-queue head would retry an issue whose outcome the
+    /// probe cannot predict (it was granted, found no port or no FIFO
+    /// room, or had no request on the last tick).
+    CoreMissQueueIssue,
+}
+
+impl SkipBlocker {
+    /// Stable snake-case name, as reported by [`System::skip_blocker`].
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            SkipBlocker::BacklogRetryWouldSucceed => "backlog_retry_would_succeed",
+            SkipBlocker::LlcDeferred => "llc_deferred",
+            SkipBlocker::McWouldRefillQueue => "mc_would_refill_queue",
+            SkipBlocker::CoreWbQueue => "core_wb_queue",
+            SkipBlocker::CoreBusy => "core_busy",
+            SkipBlocker::CoreMissQueueIssue => "core_miss_queue_issue",
+        }
+    }
 }
 
 /// Prefixes [`SnapshotError::Mismatch`] reasons with the component
@@ -396,7 +424,7 @@ impl SystemBuilder {
             traces: (0..cores).map(|_| None).collect(),
             shapers: (0..cores).map(|_| None).collect(),
             schedulers: (0..channels).map(|_| None).collect(),
-            engine: Engine::Event,
+            engine: Engine::Skip,
             trace_sink: None,
             sample_every: None,
             pick_snapshots: false,
@@ -427,26 +455,18 @@ impl SystemBuilder {
     /// Enables time-series sampling every `interval` cycles: per-core IPC
     /// and stall deltas, shaper credit occupancy, MC queue depths, and
     /// DRAM bus/row statistics, as epoch-delta rows (see
-    /// [`System::samples`]). Boundaries clamp fast-forward skips, so rows
-    /// are bit-identical between naive and fast-forwarded runs.
+    /// [`System::samples`]). Boundaries clamp skips, so rows are
+    /// bit-identical between naive and skipping runs.
     pub fn sample_every(mut self, interval: Cycle) -> Self {
         self.sample_every = Some(interval.max(1));
         self
     }
 
-    /// Selects the execution engine (see [`Engine`]; the event-driven
-    /// kernel is the default). All engines are bit-identical in results;
-    /// they differ in how many cycles they execute.
+    /// Selects the execution engine (see [`Engine`]; the skip engine is
+    /// the default). Both engines are bit-identical in results; they
+    /// differ in how many cycles they execute.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Compatibility selector predating [`SystemBuilder::engine`]:
-    /// `true` selects [`Engine::Fast`] (quiescence fast-forward), `false`
-    /// the naive cycle-by-cycle reference.
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.engine = if enabled { Engine::Fast } else { Engine::Naive };
         self
     }
 
@@ -604,7 +624,6 @@ impl SystemBuilder {
             audit_last_instr: vec![0; n],
             faults: ActiveFaults::default(),
             engine: self.engine,
-            events: EventQueue::new(),
             skipped_cycles: 0,
             fills_scratch: Vec::new(),
             notes_scratch: Vec::new(),
@@ -651,10 +670,7 @@ pub struct System {
     /// Execution engine (the naive mode is the reference for equivalence
     /// tests; see [`Engine`]).
     engine: Engine,
-    /// Calendar of component wake-ups, reseeded from component state by
-    /// the event engine each time it looks for a skippable window.
-    events: EventQueue,
-    /// Total cycles jumped over by the fast-forward/event engines.
+    /// Total cycles jumped over by the skip engine.
     skipped_cycles: u64,
     /// Reusable per-tick buffers (the tick hot path must not allocate).
     fills_scratch: Vec<CoreFill>,
@@ -850,10 +866,9 @@ impl System {
         self.faults.inject(plan);
     }
 
-    /// Switches the execution engine at runtime. Safe mid-run: every
-    /// engine leaves the system in the same settled end-of-cycle state
-    /// after each advance, and the event engine's calendar is reseeded
-    /// from component state on its next use.
+    /// Switches the execution engine at runtime. Safe mid-run: both
+    /// engines leave the system in the same settled end-of-cycle state
+    /// after each advance, and the skip probe keeps no state of its own.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }
@@ -863,19 +878,8 @@ impl System {
         self.engine
     }
 
-    /// Compatibility switch predating [`System::set_engine`]: `true`
-    /// selects [`Engine::Fast`], `false` [`Engine::Naive`].
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.engine = if enabled { Engine::Fast } else { Engine::Naive };
-    }
-
-    /// Whether a skipping engine (fast-forward or event) is active.
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.engine != Engine::Naive
-    }
-
-    /// Total cycles the fast-forward engine has jumped over (0 in naive
-    /// mode). A diagnostic for the speedup achieved, not a statistic —
+    /// Total cycles the skip engine has jumped over (0 in naive mode).
+    /// A diagnostic for the speedup achieved, not a statistic —
     /// skipped cycles are fully accounted in every counter.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
@@ -894,8 +898,7 @@ impl System {
     ///
     /// The contract: resume the snapshot into an identically built system
     /// (see [`SystemBuilder::resume_from`]) and the continued run is
-    /// bit-identical to an uninterrupted one, in both naive and
-    /// fast-forward modes.
+    /// bit-identical to an uninterrupted one, under either engine.
     ///
     /// # Errors
     ///
@@ -976,12 +979,6 @@ impl System {
             // engine-dependent staleness (how far back the last
             // executed tick was depends on how the run was driven).
             self.source_ctl.save_state(e);
-            // The event engine's calendar queue is deliberately NOT
-            // serialised: it is probe-local scratch, rebased and reseeded
-            // from component state before every use, and persisting it
-            // would make snapshot bytes depend on which engine produced
-            // them (snapshots must be byte-identical across engines and
-            // across mid-run engine flips).
         });
         Ok(w.finish())
     }
@@ -1070,8 +1067,6 @@ impl System {
                 *s = CoreSignals::default();
             }
             self.source_ctl.load_state(&mut d)?;
-            // Engine scratch: the event queue reseeds on the next probe.
-            self.events.rebase(self.now);
             d.finish()?;
         }
         Ok(())
@@ -1347,8 +1342,8 @@ impl System {
     }
 
     /// Advances the system by at least one cycle: runs one real tick, then
-    /// (in fast-forward mode) jumps `now` over any provably dead window to
-    /// the next event. Returns the new `now`.
+    /// (under [`Engine::Skip`]) jumps `now` over any provably dead window
+    /// to the next event. Returns the new `now`.
     pub fn advance(&mut self) -> Cycle {
         self.advance_bounded(Cycle::MAX)
     }
@@ -1359,13 +1354,19 @@ impl System {
         self.now
     }
 
-    /// After a real tick, lets the active engine jump `now` over a
-    /// provably dead window (no-op for [`Engine::Naive`]).
+    /// After a real tick, jumps `now` to the probe's target, bounded by
+    /// `limit` (a `run_cycles` end, or the instruction-run cycle cap).
+    /// No-op under [`Engine::Naive`] or once the watchdog has declared a
+    /// stall (a stalled system is inspected per cycle).
     fn post_tick_forward(&mut self, limit: Cycle) {
-        match self.engine {
-            Engine::Naive => {}
-            Engine::Fast => self.try_fast_forward(limit),
-            Engine::Event => self.try_event_forward(limit),
+        if self.engine == Engine::Naive || self.auditor.stall().is_some() {
+            return;
+        }
+        if let Ok(target) = self.probe() {
+            let target = target.min(limit);
+            if target > self.now {
+                self.skip_to(target);
+            }
         }
     }
 
@@ -1539,7 +1540,7 @@ impl System {
             unit.shaper.borrow_mut().tick(now);
 
             // Demand issue (head of miss queue) through the shaper. The
-            // outcome is recorded so the fast-forward engine knows whether
+            // outcome is recorded so the skip engine knows whether
             // a stuck head is waiting on something time can cure.
             unit.last_outcome = if ports_left == 0 {
                 IssueOutcome::NoPorts
@@ -1725,250 +1726,55 @@ impl System {
         self.obs.record_sample(now, &cores, &chans);
     }
 
-    /// Jumps `now` over a provably dead window, if one exists. `limit`
-    /// bounds the jump (a `run_cycles` end, or the instruction-run cycle
-    /// cap). No-op when fast-forward is off or the watchdog has already
-    /// declared a stall (a stalled system is inspected per cycle).
-    fn try_fast_forward(&mut self, limit: Cycle) {
-        if self.auditor.stall().is_some() {
-            return;
-        }
-        if let Some(target) = self.quiescent_until() {
-            let target = target.min(limit);
-            if target > self.now {
-                self.skip_to(target);
-            }
-        }
-    }
-
-    /// The event engine's forward step: reseed the calendar queue from
-    /// every component's wake-up estimate, then jump to the earliest
-    /// scheduled event. Compared with the quiescence probe it additionally
-    /// skips windows where the only per-cycle activity is the LLC backlog
-    /// retrying (and being rejected by) a full controller FIFO — the
-    /// saturated steady state — replaying those rejections in batch.
-    fn try_event_forward(&mut self, limit: Cycle) {
-        if self.auditor.stall().is_some() {
-            return;
-        }
-        let mut queue = std::mem::take(&mut self.events);
-        queue.rebase(self.now);
-        let skippable = self.collect_wakeups(&mut queue);
-        // Sampled (the probe is per-tick hot and tier-1 release builds
-        // keep debug assertions on): the diagnostic twin must agree.
-        if cfg!(debug_assertions) && self.now & 0x3FF == 0 {
-            assert_eq!(
-                skippable,
-                self.skip_blocker().is_none(),
-                "collect_wakeups and skip_blocker must agree on skippability"
-            );
-        }
-        let target =
-            if skippable { queue.pop_earliest().map(|(cycle, _)| cycle) } else { None };
-        self.events = queue;
-        if let Some(target) = target {
-            let target = target.min(limit);
-            if target > self.now {
-                self.skip_to(target);
-            }
-        }
-    }
-
-    /// Diagnostic twin of [`System::collect_wakeups`]'s blocker checks:
-    /// names the first
-    /// component with same-cycle work that forbids an event-engine skip,
-    /// or `None` when the window starting at `now` is skippable. Useful
-    /// for understanding why a workload resists fast-forwarding.
-    pub fn skip_blocker(&self) -> Option<&'static str> {
-        let resume = self.now;
-        if let Some(head) = self.llc.mc_backlog.front() {
-            let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
-            if self.channels[ch].mc.fifo_has_room() {
-                // The retry would succeed on the next tick.
-                return Some("backlog_retry_would_succeed");
-            }
-        }
-        if self.llc.deferred.iter().any(|q| !q.is_empty()) {
-            return Some("llc_deferred");
-        }
-        for ch in &self.channels {
-            if ch.mc.would_refill_queue() {
-                return Some("mc_would_refill_queue");
-            }
-        }
-        for unit in &self.cores {
-            if !unit.wb_queue.is_empty() {
-                return Some("core_wb_queue");
-            }
-            if unit.effective_idle_class(resume) == CoreIdleClass::Busy {
-                return Some("core_busy");
-            }
-            if !unit.miss_queue.is_empty() {
-                match unit.last_outcome {
-                    // Denials that waiting can cure have wake-up events;
-                    // the skipped retries are replayed by `skip_to`.
-                    IssueOutcome::ShaperDenied
-                    | IssueOutcome::ThrottleBlocked
-                    | IssueOutcome::FaultDenied => {}
-                    // Granted / NoRequest / NoPorts / McBackpressure
-                    // with a pending head: the next tick issues with an
-                    // unpredictable outcome.
-                    _ => return Some("core_miss_queue_issue"),
-                }
-            }
-        }
-        None
-    }
-
-    /// Single probe pass of the event engine: checks every blocker and
-    /// seeds `queue` with every component's next wake-up as it walks.
-    /// Returns `false` (abandoning the partially seeded queue) when some
-    /// component has same-cycle work that batch replay cannot account.
+    /// The skip probe. Called with the state *settled at the end of cycle
+    /// `self.now - 1`*, it returns the earliest cycle at which any
+    /// component can act — the cycle the next real tick must run — or the
+    /// first [`SkipBlocker`] with same-cycle work that batch replay cannot
+    /// account for. [`Engine::Skip`] jumps over `[self.now, target - 1]`.
     ///
-    /// The blocker set mirrors [`System::quiescent_until`] with one
-    /// relaxation — a non-empty controller backlog is skippable when its
-    /// head faces a full FIFO, because each stuck cycle performs exactly
-    /// one failed retry (replayed by
-    /// [`MemoryController::note_rejected_cycles`]) and the FIFO cannot
-    /// gain room before a dispatch event fires. The wake-up estimates
-    /// (and their gating on the last issue outcome) are exactly the ones
-    /// `quiescent_until` consults; each may err early, never late.
-    /// [`System::skip_blocker`] is the diagnostic twin of the blocker
-    /// checks (kept in sync by a debug assertion in the probe).
-    fn collect_wakeups(&self, queue: &mut EventQueue) -> bool {
-        let resume = self.now;
-        let now_q = self.now - 1;
-        if let Some(head) = self.llc.mc_backlog.front() {
-            let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
-            if self.channels[ch].mc.fifo_has_room() {
-                // The retry would succeed on the next tick.
-                return false;
-            }
-        }
-        if self.llc.deferred.iter().any(|q| !q.is_empty()) {
-            return false;
-        }
-        for (i, unit) in self.cores.iter().enumerate() {
-            if !unit.wb_queue.is_empty() {
-                return false;
-            }
-            match unit.effective_idle_class(resume) {
-                CoreIdleClass::Busy => return false,
-                CoreIdleClass::Frozen => {
-                    queue.schedule(unit.core.frozen_until(), EventSource::Frozen { core: i });
-                }
-                CoreIdleClass::MemBlocked | CoreIdleClass::PortBlocked => {}
-            }
-            if let Some(&(ready, _)) = unit.hit_pipe.front() {
-                queue.schedule(ready, EventSource::HitPipe { core: i });
-            }
-            if !unit.miss_queue.is_empty() {
-                match unit.last_outcome {
-                    IssueOutcome::ShaperDenied => {
-                        if let Some(c) = unit.shaper.borrow().next_grant_event(now_q) {
-                            queue.schedule(c, EventSource::ShaperGrant { core: i });
-                        }
-                    }
-                    IssueOutcome::ThrottleBlocked => {
-                        let t = self.source_ctl.throttle(unit.id);
-                        if let (Some(gap), Some(last)) = (t.min_issue_gap, unit.last_issue) {
-                            let expiry = last + gap as Cycle;
-                            if expiry >= resume {
-                                queue.schedule(expiry, EventSource::ThrottleGap { core: i });
-                            }
-                            // An expired gap means the block is the
-                            // inflight cap, cured only by a fill
-                            // (downstream events cover it).
-                        }
-                    }
-                    // Fault denials never expire on their own; the fault
-                    // and watchdog events below bound the wait.
-                    IssueOutcome::FaultDenied => {}
-                    // Granted / NoRequest / NoPorts / McBackpressure
-                    // with a pending head: the next tick issues with an
-                    // unpredictable outcome.
-                    _ => return false,
-                }
-            }
-        }
-        if let Some(ready) = self.llc.lookups.iter().map(|l| l.ready_at).min() {
-            queue.schedule(ready, EventSource::LlcLookup);
-        }
-        for (c, ch) in self.channels.iter().enumerate() {
-            if ch.mc.would_refill_queue() {
-                return false;
-            }
-            if let Some(t) = ch.dram.next_completion() {
-                queue.schedule(t, EventSource::DramCompletion { channel: c });
-            }
-            if let Some(t) = ch.mc.next_dispatch_opportunity(resume, &ch.dram) {
-                queue.schedule(t, EventSource::McDispatch { channel: c });
-            }
-            if let Some(t) = ch.scheduler.next_event(now_q) {
-                queue.schedule(t, EventSource::Scheduler { channel: c });
-            }
-        }
-        if self.faults.is_active() {
-            if let Some(t) = self.faults.next_event(now_q) {
-                queue.schedule(t, EventSource::Fault);
-            }
-        }
-        if let Some(t) = self.auditor.next_audit_boundary(now_q) {
-            queue.schedule(t, EventSource::AuditBoundary);
-        }
-        if let Some(t) = self.auditor.next_watchdog_event(now_q) {
-            queue.schedule(t, EventSource::Watchdog);
-        }
-        // Sampling boundaries are real ticks, like audit boundaries: the
-        // sampler's rows must be bit-identical to a naive run's.
-        if let Some(t) = self.obs.next_sample_boundary(now_q) {
-            queue.schedule(t, EventSource::SampleBoundary);
-        }
-        true
-    }
-
-    /// If the system is quiescent — no component would change
-    /// architectural state before some future cycle — returns the earliest
-    /// cycle at which anything can happen (the cycle the next real tick
-    /// must run). Returns `None` when any component has same-cycle work.
-    ///
-    /// Called with the state *settled at the end of cycle `self.now - 1`*;
-    /// the candidate skip window is `[self.now, target - 1]`. Every event
-    /// estimate is clamped to at least `self.now`, so an event in the past
-    /// or present simply means "no skip". Estimates may err early (the
-    /// wake-up tick re-evaluates and may skip again) but never late — the
+    /// The target is a plain minimum over every component's next-event
+    /// estimate, each clamped to at least `self.now`: an event in the
+    /// past or present simply means "no skip", and so does having no
+    /// pending event at all. Estimates may err early (the wake-up tick
+    /// re-evaluates and may skip again) but never late — the
     /// one-cycle-granularity invariant: a skip must be indistinguishable,
     /// counter for counter, from executing that many no-op ticks.
-    fn quiescent_until(&self) -> Option<Cycle> {
+    ///
+    /// A non-empty LLC→controller backlog does not block when its head
+    /// faces a full FIFO: each stuck cycle performs exactly one failed
+    /// retry (replayed by [`MemoryController::note_rejected_cycles`]) and
+    /// the FIFO cannot gain room before a dispatch event fires.
+    ///
+    /// # Errors
+    ///
+    /// The first blocker found, in [`SkipBlocker`] declaration order.
+    pub(crate) fn probe(&self) -> Result<Cycle, SkipBlocker> {
         let resume = self.now;
-        let now_q = self.now - 1;
+        let now_q = self.now.saturating_sub(1);
 
-        // Work queued for this very cycle makes the system non-quiescent.
-        if !self.llc.mc_backlog.is_empty() {
-            return None;
+        if let Some(head) = self.llc.mc_backlog.front() {
+            let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
+            if self.channels[ch].mc.fifo_has_room() {
+                return Err(SkipBlocker::BacklogRetryWouldSucceed);
+            }
         }
         if self.llc.deferred.iter().any(|q| !q.is_empty()) {
-            return None;
+            return Err(SkipBlocker::LlcDeferred);
         }
-        for ch in &self.channels {
-            if ch.mc.would_refill_queue() {
-                return None;
-            }
+        if self.channels.iter().any(|ch| ch.mc.would_refill_queue()) {
+            return Err(SkipBlocker::McWouldRefillQueue);
         }
 
         let mut next: Option<Cycle> = None;
-        let mut event = |c: Cycle| {
-            let c = c.max(resume);
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        };
+        let mut wake = |c: Cycle| next = Some(next.map_or(c, |n| n.min(c)));
 
         for unit in &self.cores {
             if !unit.wb_queue.is_empty() {
-                return None;
+                return Err(SkipBlocker::CoreWbQueue);
             }
             match unit.effective_idle_class(resume) {
-                CoreIdleClass::Busy => return None,
-                CoreIdleClass::Frozen => event(unit.core.frozen_until()),
+                CoreIdleClass::Busy => return Err(SkipBlocker::CoreBusy),
+                CoreIdleClass::Frozen => wake(unit.core.frozen_until()),
                 // Both wait on a fill (ROB head / L1 MSHR), and every
                 // fill path has a downstream event.
                 CoreIdleClass::MemBlocked | CoreIdleClass::PortBlocked => {}
@@ -1976,7 +1782,7 @@ impl System {
             // The ROB-head load may itself be an L1 hit in flight through
             // the hit pipe; its completion is a mandatory wake-up.
             if let Some(&(ready, _)) = unit.hit_pipe.front() {
-                event(ready);
+                wake(ready);
             }
             if !unit.miss_queue.is_empty() {
                 match unit.last_outcome {
@@ -1986,7 +1792,7 @@ impl System {
                         // `None` means waiting alone never helps (only the
                         // watchdog can intervene, and it has an event).
                         if let Some(c) = unit.shaper.borrow().next_grant_event(now_q) {
-                            event(c);
+                            wake(c);
                         }
                     }
                     IssueOutcome::ThrottleBlocked => {
@@ -1994,57 +1800,66 @@ impl System {
                         if let (Some(gap), Some(last)) = (t.min_issue_gap, unit.last_issue) {
                             let expiry = last + gap as Cycle;
                             if expiry >= resume {
-                                event(expiry);
+                                wake(expiry);
                             }
                             // An expired gap means the block is the
                             // inflight cap, cured only by a fill
                             // (downstream events cover it).
                         }
                     }
-                    IssueOutcome::FaultDenied => {
-                        // Injected faults never expire; the fault-plan and
-                        // watchdog events below bound the wait.
-                    }
+                    // Injected faults never expire; the fault-plan and
+                    // watchdog events below bound the wait.
+                    IssueOutcome::FaultDenied => {}
                     // Granted / NoRequest / NoPorts / McBackpressure
                     // with a pending head: the next tick would attempt an
                     // issue whose outcome we cannot predict without
                     // mutating the shaper.
-                    _ => return None,
+                    _ => return Err(SkipBlocker::CoreMissQueueIssue),
                 }
             }
         }
 
         for lk in &self.llc.lookups {
-            event(lk.ready_at);
+            wake(lk.ready_at);
         }
         for ch in &self.channels {
             if let Some(c) = ch.dram.next_completion() {
-                event(c);
+                wake(c);
             }
             if let Some(c) = ch.mc.next_dispatch_opportunity(resume, &ch.dram) {
-                event(c);
+                wake(c);
             }
             if let Some(c) = ch.scheduler.next_event(now_q) {
-                event(c);
+                wake(c);
             }
         }
         if self.faults.is_active() {
             if let Some(c) = self.faults.next_event(now_q) {
-                event(c);
+                wake(c);
             }
         }
         if let Some(c) = self.auditor.next_audit_boundary(now_q) {
-            event(c);
+            wake(c);
         }
         if let Some(c) = self.auditor.next_watchdog_event(now_q) {
-            event(c);
+            wake(c);
         }
         // Sampling boundaries are real ticks, like audit boundaries: the
         // sampler's rows must be bit-identical to a naive run's.
         if let Some(c) = self.obs.next_sample_boundary(now_q) {
-            event(c);
+            wake(c);
         }
-        next
+        Ok(next.map_or(resume, |n| n.max(resume)))
+    }
+
+    /// Names the blocker that keeps the window starting at `now` from
+    /// being skipped (one of `backlog_retry_would_succeed`,
+    /// `llc_deferred`, `mc_would_refill_queue`, `core_wb_queue`,
+    /// `core_busy`, `core_miss_queue_issue`), or `None` when it is
+    /// skippable. Useful for
+    /// understanding why a workload resists skipping.
+    pub fn skip_blocker(&self) -> Option<&'static str> {
+        self.probe().err().map(SkipBlocker::name)
     }
 
     /// Replays the skipped window `[self.now, target - 1]` as batch
@@ -2088,10 +1903,9 @@ impl System {
         }
         let n = self.cores.len().max(1);
         self.rr_offset = (self.rr_offset + (k as usize % n)) % n;
-        // Event-engine relaxation: a backlog stuck behind a full FIFO
-        // would have retried its head (one rejection) every skipped
-        // cycle. The quiescence engine never skips with a non-empty
-        // backlog, so this replay only fires under `Engine::Event`.
+        // Backlog relaxation: the probe only skips a non-empty backlog
+        // whose head faces a full FIFO, and that head would have retried
+        // (one rejection) every skipped cycle.
         if let Some(head) = self.llc.mc_backlog.front() {
             let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
             self.channels[ch].mc.note_rejected_cycles(k);
@@ -2892,51 +2706,51 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_matches_naive_run_cycles() {
+    fn skip_matches_naive_run_cycles() {
         // A latency-bound stream: long memory-blocked windows the engine
         // should skip, with bit-identical statistics.
-        let run = |ff: bool| {
+        let run = |engine: Engine| {
             let mut sys = SystemBuilder::new(SystemConfig::single_program())
                 .trace(0, Box::new(StrideTrace::new(200, 64, 16 << 20)))
-                .fast_forward(ff)
+                .engine(engine)
                 .build();
             sys.run_cycles(30_000);
             (sys.system_stats(), sys.skipped_cycles())
         };
-        let (naive, skipped_naive) = run(false);
-        let (fast, skipped_fast) = run(true);
+        let (naive, skipped_naive) = run(Engine::Naive);
+        let (skip, skipped_skip) = run(Engine::Skip);
         assert_eq!(skipped_naive, 0);
-        assert!(skipped_fast > 0, "latency-bound run must skip some cycles");
-        assert_eq!(naive, fast);
+        assert!(skipped_skip > 0, "latency-bound run must skip some cycles");
+        assert_eq!(naive, skip);
     }
 
     #[test]
-    fn fast_forward_matches_naive_with_throttles_and_shaper() {
-        let run = |ff: bool| {
+    fn skip_matches_naive_with_throttles_and_shaper() {
+        let run = |engine: Engine| {
             let mut cfg = SystemConfig::multi_program(2);
             cfg.cores = 2;
             let mut sys = SystemBuilder::new(cfg)
                 .trace(0, Box::new(StrideTrace::new(60, 64, 16 << 20)))
                 .trace(1, Box::new(StrideTrace::new(60, 64, 16 << 20).with_base(1 << 32)))
                 .shaper(0, Rc::new(RefCell::new(StaticRateShaper::new(90))))
-                .fast_forward(ff)
+                .engine(engine)
                 .build();
             sys.source_control_mut().throttle_mut(CoreId::new(1)).min_issue_gap = Some(50);
             sys.run_cycles(40_000);
             (sys.system_stats(), sys.skipped_cycles())
         };
-        let (naive, _) = run(false);
-        let (fast, skipped) = run(true);
+        let (naive, _) = run(Engine::Naive);
+        let (skip, skipped) = run(Engine::Skip);
         assert!(skipped > 0, "shaper-denied windows must be skipped");
-        assert_eq!(naive, fast);
+        assert_eq!(naive, skip);
     }
 
     #[test]
-    fn fast_forward_matches_naive_run_until_instructions() {
-        let run = |ff: bool| {
+    fn skip_matches_naive_run_until_instructions() {
+        let run = |engine: Engine| {
             let mut sys = SystemBuilder::new(SystemConfig::single_program())
                 .trace(0, Box::new(StrideTrace::new(150, 64, 16 << 20)))
-                .fast_forward(ff)
+                .engine(engine)
                 .build();
             let outcome = sys.run_until_instructions(5_000, 200_000);
             (outcome, sys.system_stats())
@@ -2946,22 +2760,107 @@ mod tests {
             RunOutcome::CycleLimit { cycles, lagging } => ("limit", *cycles, lagging.clone()),
             RunOutcome::Stalled(r) => ("stalled", r.detected_at, Vec::new()),
         };
-        let (naive_outcome, naive) = run(false);
-        let (fast_outcome, fast) = run(true);
-        assert_eq!(key(&naive_outcome), key(&fast_outcome));
-        assert_eq!(naive, fast);
+        let (naive_outcome, naive) = run(Engine::Naive);
+        let (skip_outcome, skip) = run(Engine::Skip);
+        assert_eq!(key(&naive_outcome), key(&skip_outcome));
+        assert_eq!(naive, skip);
     }
 
     #[test]
-    fn fast_forward_matches_naive_under_freeze() {
-        let run = |ff: bool| {
+    fn skip_matches_naive_under_freeze() {
+        let run = |engine: Engine| {
             let mut sys = SystemBuilder::new(SystemConfig::single_program())
-                .fast_forward(ff)
+                .engine(engine)
                 .build();
             sys.freeze_core(0, 900);
             sys.run_cycles(2_000);
             sys.system_stats()
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(Engine::Naive), run(Engine::Skip));
+    }
+
+    #[test]
+    fn backlog_behind_a_full_fifo_is_skipped_and_replayed() {
+        // Four streaming cores with 2 L1 MSHRs each keep 8 misses in
+        // flight against 6 controller slots (4 queued + a 2-entry FIFO),
+        // so the LLC→MC backlog stays non-empty while every core waits on
+        // a fill. Only the probe's backlog relaxation skips those windows.
+        let build = |engine: Engine| {
+            let mut cfg = SystemConfig::multi_program(4);
+            cfg.l1.mshrs = 2;
+            cfg.mc.txn_queue_depth = 4;
+            cfg.mc.global_fifo_depth = 2;
+            let mut b = SystemBuilder::new(cfg).engine(engine);
+            for i in 0..4 {
+                let trace = StrideTrace::new(1, 64, 16 << 20).with_base((i as u64) << 32);
+                b = b.trace(i, Box::new(trace));
+            }
+            b.build()
+        };
+        const END: Cycle = 40_000;
+        let mut naive = build(Engine::Naive);
+        naive.run_cycles(END);
+
+        // `advance()` split at the probe, to see the state a skip starts from.
+        let mut sys = build(Engine::Skip);
+        let mut relaxed_skips = 0;
+        while sys.now() < END {
+            sys.tick();
+            let stuck = sys.llc.mc_backlog.front().is_some_and(|head| {
+                let ch =
+                    System::channel_of(sys.channel_row_bytes, sys.channels.len(), head.line_addr);
+                !sys.channels[ch].mc.fifo_has_room()
+            });
+            let start = sys.now();
+            sys.post_tick_forward(END);
+            if stuck && sys.now() - start > 1 {
+                relaxed_skips += 1;
+            }
+        }
+        assert!(relaxed_skips > 0, "no multi-cycle skip started behind a full FIFO");
+        let stats = sys.system_stats();
+        assert!(stats.channels[0].fifo_rejections > 0, "the FIFO never rejected a retry");
+        assert_eq!(naive.system_stats(), stats);
+    }
+
+    #[test]
+    fn skip_blocker_names_are_the_published_metric_keys() {
+        // Each variant's expected name; the match has no wildcard, so a
+        // new variant fails to compile until it is named here.
+        let expected = |b: SkipBlocker| match b {
+            SkipBlocker::BacklogRetryWouldSucceed => "backlog_retry_would_succeed",
+            SkipBlocker::LlcDeferred => "llc_deferred",
+            SkipBlocker::McWouldRefillQueue => "mc_would_refill_queue",
+            SkipBlocker::CoreWbQueue => "core_wb_queue",
+            SkipBlocker::CoreBusy => "core_busy",
+            SkipBlocker::CoreMissQueueIssue => "core_miss_queue_issue",
+        };
+        let all = [
+            SkipBlocker::BacklogRetryWouldSucceed,
+            SkipBlocker::LlcDeferred,
+            SkipBlocker::McWouldRefillQueue,
+            SkipBlocker::CoreWbQueue,
+            SkipBlocker::CoreBusy,
+            SkipBlocker::CoreMissQueueIssue,
+        ];
+        for b in all {
+            assert_eq!(b.name(), expected(b));
+        }
+        // The `system.blocker.*` keys of the benchmark's blocker
+        // histogram, `none` being the skippable (`Ok`) case.
+        let mut names: Vec<&str> = all.iter().map(|b| b.name()).collect();
+        names.push("none");
+        names.sort_unstable();
+        let mut keys = vec![
+            "none",
+            "core_busy",
+            "core_miss_queue_issue",
+            "core_wb_queue",
+            "mc_would_refill_queue",
+            "llc_deferred",
+            "backlog_retry_would_succeed",
+        ];
+        keys.sort_unstable();
+        assert_eq!(names, keys);
     }
 }

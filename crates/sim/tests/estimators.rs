@@ -1,5 +1,5 @@
 //! Property tests pinning the `next_event()` estimator contracts the
-//! skipping engines (`Engine::Fast`, `Engine::Event`) are built on.
+//! skip engine (`Engine::Skip`) is built on.
 //!
 //! Every estimator answers the same question — "from `now`, what is the
 //! earliest cycle at which this component's state could change in a way

@@ -1,8 +1,6 @@
-//! Naive vs fast-forward vs event-engine equivalence over the full
-//! bundled surface.
+//! Naive vs skip-engine equivalence over the full bundled surface.
 //!
-//! The quiescence fast-forward (`Engine::Fast`) and the calendar-queue
-//! event kernel (`Engine::Event`) in `System::advance` are only sound if
+//! The skip engine (`Engine::Skip`) in `System::advance` is only sound if
 //! a skip over `[now, target)` is indistinguishable, counter for
 //! counter, from executing that many no-op ticks. The unit tests in
 //! `crates/sim/src/system.rs` prove this for hand-built stride traces;
@@ -29,9 +27,6 @@ use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
 
-/// The three engines, reference first: every test compares the skipping
-/// engines' results against `ENGINES[0]`'s.
-const ENGINES: [Engine; 3] = [Engine::Naive, Engine::Fast, Engine::Event];
 
 /// Disjoint address-space base for core `i`.
 fn base_for(core: usize) -> u64 {
@@ -52,37 +47,22 @@ fn build_system(benches: &[Benchmark], scheduler: &str, engine: Engine) -> Syste
     b.build()
 }
 
-/// Runs naive, fast-forward, and event twins for `cycles`, asserts
-/// identical stats, and returns them in [`ENGINES`] order.
-fn assert_equivalent_run(
-    benches: &[Benchmark],
-    scheduler: &str,
-    cycles: Cycle,
-) -> [System; 3] {
-    let systems = ENGINES.map(|engine| {
+/// Runs naive and skip twins for `cycles`, asserts identical stats, and
+/// returns the skip engine's skipped-cycle count.
+fn assert_equivalent_run(benches: &[Benchmark], scheduler: &str, cycles: Cycle) -> u64 {
+    let [naive, skip] = [Engine::Naive, Engine::Skip].map(|engine| {
         let mut sys = build_system(benches, scheduler, engine);
         sys.run_cycles(cycles);
         assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
         sys
     });
-    let [naive, fast, event] = &systems;
     assert_eq!(naive.skipped_cycles(), 0, "naive mode must never skip");
-    for (engine, sys) in ENGINES.iter().zip(&systems).skip(1) {
-        assert_eq!(
-            naive.system_stats(),
-            sys.system_stats(),
-            "stats diverged for {benches:?} under {scheduler} ({engine:?})"
-        );
-    }
-    // The event engine's blocker set is a relaxation of the quiescence
-    // probe's, so it can never skip less.
-    assert!(
-        event.skipped_cycles() >= fast.skipped_cycles(),
-        "event engine skipped {} < fast-forward {} for {benches:?} under {scheduler}",
-        event.skipped_cycles(),
-        fast.skipped_cycles()
+    assert_eq!(
+        naive.system_stats(),
+        skip.system_stats(),
+        "stats diverged for {benches:?} under {scheduler}"
     );
-    systems
+    skip.skipped_cycles()
 }
 
 /// Collapses a [`RunOutcome`] to a comparable key (`RunOutcome` is not
@@ -97,18 +77,14 @@ fn outcome_key(o: &RunOutcome) -> (&'static str, Cycle, Vec<usize>) {
 
 #[test]
 fn every_bundled_benchmark_matches_naive() {
-    let mut total_skipped = [0u64; 3];
+    let mut total_skipped = 0;
     for &bench in &Benchmark::ALL {
-        let systems = assert_equivalent_run(&[bench], "FR-FCFS", 20_000);
-        for (t, sys) in total_skipped.iter_mut().zip(&systems) {
-            *t += sys.skipped_cycles();
-        }
+        total_skipped += assert_equivalent_run(&[bench], "FR-FCFS", 20_000);
     }
-    // The point of the skipping engines: across the workload suite some
-    // runs must actually have skipped (compute phases, shaper stalls,
-    // DRAM latency bubbles).
-    assert!(total_skipped[1] > 0, "fast-forward never engaged on any bundled workload");
-    assert!(total_skipped[2] > 0, "event engine never engaged on any bundled workload");
+    // The point of the skip engine: across the workload suite some runs
+    // must actually have skipped (compute phases, shaper stalls, DRAM
+    // latency bubbles).
+    assert!(total_skipped > 0, "skip engine never engaged on any bundled workload");
 }
 
 #[test]
@@ -126,7 +102,7 @@ fn every_scheduler_matches_naive() {
 #[test]
 fn mitts_shaper_grant_ledgers_match_naive() {
     // Sparse credits with a long replenishment period force real deny
-    // phases, so the skipping engines must replay denied cycles exactly.
+    // phases, so the skip engine must replay denied cycles exactly.
     let make_cfg = || {
         let mut credits = vec![0u32; BinSpec::paper_default().bins()];
         credits[2] = 6;
@@ -135,7 +111,7 @@ fn mitts_shaper_grant_ledgers_match_naive() {
         BinConfig::new(BinSpec::paper_default(), credits, 3_000).unwrap()
     };
     // Single core: the shaped hog's deny phases are then system-wide
-    // quiescence, which the skipping engines must skip and replay exactly.
+    // quiescence, which the skip engine must skip and replay exactly.
     let build = |engine: Engine| {
         let shaper = Rc::new(RefCell::new(MittsShaper::new(make_cfg())));
         let mut cfg = SystemConfig::multi_program(1);
@@ -149,25 +125,16 @@ fn mitts_shaper_grant_ledgers_match_naive() {
     };
     let (mut naive, naive_shaper) = build(Engine::Naive);
     naive.run_cycles(30_000);
-    for engine in [Engine::Fast, Engine::Event] {
-        let (mut sys, shaper) = build(engine);
-        sys.run_cycles(30_000);
-        assert!(
-            sys.skipped_cycles() > 0,
-            "shaped run should have skippable deny spans ({engine:?})"
-        );
-        assert_eq!(naive.system_stats(), sys.system_stats(), "{engine:?} stats diverged");
-        // The ledger the tuner reads must be bit-identical too: per-bin
-        // grants, live credits, and every counter including denies.
-        let (n, s) = (naive_shaper.borrow(), shaper.borrow());
-        assert_eq!(
-            n.grants_per_bin(),
-            s.grants_per_bin(),
-            "per-bin grant ledger diverged ({engine:?})"
-        );
-        assert_eq!(n.live_credits(), s.live_credits(), "live credits diverged ({engine:?})");
-        assert_eq!(n.counters(), s.counters(), "shaper counters diverged ({engine:?})");
-    }
+    let (mut sys, shaper) = build(Engine::Skip);
+    sys.run_cycles(30_000);
+    assert!(sys.skipped_cycles() > 0, "shaped run should have skippable deny spans");
+    assert_eq!(naive.system_stats(), sys.system_stats(), "stats diverged");
+    // The ledger the tuner reads must be bit-identical too: per-bin
+    // grants, live credits, and every counter including denies.
+    let (n, s) = (naive_shaper.borrow(), shaper.borrow());
+    assert_eq!(n.grants_per_bin(), s.grants_per_bin(), "per-bin grant ledger diverged");
+    assert_eq!(n.live_credits(), s.live_credits(), "live credits diverged");
+    assert_eq!(n.counters(), s.counters(), "shaper counters diverged");
 }
 
 #[test]
@@ -185,17 +152,15 @@ fn throttled_sources_match_naive() {
     };
     let naive = run(Engine::Naive);
     assert!(naive.audit_log().is_empty());
-    for engine in [Engine::Fast, Engine::Event] {
-        let sys = run(engine);
-        assert_eq!(naive.system_stats(), sys.system_stats(), "{engine:?} stats diverged");
-        assert!(sys.audit_log().is_empty());
-    }
+    let sys = run(Engine::Skip);
+    assert_eq!(naive.system_stats(), sys.system_stats(), "stats diverged");
+    assert!(sys.audit_log().is_empty());
 }
 
 #[test]
 fn fault_plans_match_naive() {
     // Two plans, per the hardening contract: delayed responses are
-    // events the skipping engines must honor exactly (a skip over a
+    // events the skip engine must honor exactly (a skip over a
     // release cycle would deliver the line late and shift every counter
     // after it), and drops + port stalls change issue outcomes mid-run.
     let plans: [FaultPlan; 2] = [
@@ -212,18 +177,14 @@ fn fault_plans_match_naive() {
             sys.run_cycles(20_000);
             sys
         };
-        let naive = run(Engine::Naive);
-        for engine in [Engine::Fast, Engine::Event] {
-            let sys = run(engine);
-            // Fault runs may log violations (that's what the auditor is
-            // for) — but all modes must log identically many and count
-            // identical passes, which system_stats covers.
-            assert_eq!(
-                naive.system_stats(),
-                sys.system_stats(),
-                "stats diverged under fault plan {plan:?} ({engine:?})"
-            );
-        }
+        // Fault runs may log violations (that's what the auditor is
+        // for) — but both engines must log identically many and count
+        // identical passes, which system_stats covers.
+        assert_eq!(
+            run(Engine::Naive).system_stats(),
+            run(Engine::Skip).system_stats(),
+            "stats diverged under fault plan {plan:?}"
+        );
     }
 }
 
@@ -242,15 +203,13 @@ fn run_until_instructions_outcomes_match_naive() {
             (outcome, sys)
         };
         let (naive_outcome, naive) = run(Engine::Naive);
-        for engine in [Engine::Fast, Engine::Event] {
-            let (outcome, sys) = run(engine);
-            assert_eq!(
-                outcome_key(&naive_outcome),
-                outcome_key(&outcome),
-                "outcome diverged for {bench:?} ({engine:?})"
-            );
-            assert_eq!(naive.system_stats(), sys.system_stats(), "{engine:?} stats diverged");
-        }
+        let (outcome, sys) = run(Engine::Skip);
+        assert_eq!(
+            outcome_key(&naive_outcome),
+            outcome_key(&outcome),
+            "outcome diverged for {bench:?}"
+        );
+        assert_eq!(naive.system_stats(), sys.system_stats(), "stats diverged for {bench:?}");
     }
 }
 
@@ -306,45 +265,41 @@ fn trace_event_streams_and_samples_match_naive() {
         let (ne, ns, _, nsys) = traced_run(benches, Engine::Naive, 20_000);
         assert!(!ne.is_empty(), "no events traced for {benches:?}");
         assert!(!ns.is_empty(), "no samples recorded for {benches:?}");
-        for engine in [Engine::Fast, Engine::Event] {
-            let (fe, fs, skipped, fsys) = traced_run(benches, engine, 20_000);
-            total_skipped += skipped;
-            if ne != fe {
-                let idx = ne
-                    .iter()
-                    .zip(&fe)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(ne.len().min(fe.len()));
-                panic!(
-                    "event streams diverged for {benches:?} ({engine:?}) at index {idx} \
-                     (naive {} vs {} events):\n  naive: {:?}\n  other: {:?}",
-                    ne.len(),
-                    fe.len(),
-                    ne.get(idx),
-                    fe.get(idx)
-                );
-            }
-            assert_eq!(ns, fs, "sample rows diverged for {benches:?} ({engine:?})");
-            assert_eq!(nsys.system_stats(), fsys.system_stats());
-            // The decomposition invariant, in every mode: per-stage
-            // latencies summed over all Fill events telescope to exactly
-            // the cores' aggregate mem_latency_sum, and fills to
-            // mem_latency_count.
-            for (sys, events) in [(&nsys, &ne), (&fsys, &fe)] {
-                let stats = sys.system_stats();
-                let (want_count, want_sum) =
-                    stats.cores.iter().fold((0u64, 0u64), |(n, s), c| {
-                        (n + c.mem_latency_count, s + c.mem_latency_sum)
-                    });
-                let (fills, lat_sum) =
-                    events.iter().fold((0u64, 0u64), |(n, s), ev| match ev {
-                        TraceEvent::Fill { lat, .. } => (n + 1, s + lat.total()),
-                        _ => (n, s),
-                    });
-                assert_eq!(fills, want_count, "fill count diverged {benches:?}");
-                assert_eq!(lat_sum, want_sum, "latency sum diverged {benches:?}");
-                assert_eq!(sys.observer().requests_dropped(), 0);
-            }
+        let (fe, fs, skipped, fsys) = traced_run(benches, Engine::Skip, 20_000);
+        total_skipped += skipped;
+        if ne != fe {
+            let idx = ne
+                .iter()
+                .zip(&fe)
+                .position(|(a, b)| a != b)
+                .unwrap_or(ne.len().min(fe.len()));
+            panic!(
+                "event streams diverged for {benches:?} at index {idx} \
+                 (naive {} vs {} events):\n  naive: {:?}\n  skip:  {:?}",
+                ne.len(),
+                fe.len(),
+                ne.get(idx),
+                fe.get(idx)
+            );
+        }
+        assert_eq!(ns, fs, "sample rows diverged for {benches:?}");
+        assert_eq!(nsys.system_stats(), fsys.system_stats());
+        // The decomposition invariant, under both engines: per-stage
+        // latencies summed over all Fill events telescope to exactly the
+        // cores' aggregate mem_latency_sum, and fills to
+        // mem_latency_count.
+        for (sys, events) in [(&nsys, &ne), (&fsys, &fe)] {
+            let stats = sys.system_stats();
+            let (want_count, want_sum) = stats.cores.iter().fold((0u64, 0u64), |(n, s), c| {
+                (n + c.mem_latency_count, s + c.mem_latency_sum)
+            });
+            let (fills, lat_sum) = events.iter().fold((0u64, 0u64), |(n, s), ev| match ev {
+                TraceEvent::Fill { lat, .. } => (n + 1, s + lat.total()),
+                _ => (n, s),
+            });
+            assert_eq!(fills, want_count, "fill count diverged {benches:?}");
+            assert_eq!(lat_sum, want_sum, "latency sum diverged {benches:?}");
+            assert_eq!(sys.observer().requests_dropped(), 0);
         }
     }
     assert!(total_skipped > 0, "skipping never engaged on any traced workload");
@@ -385,51 +340,44 @@ fn traced_mitts_shaper_streams_match_naive() {
         .filter(|e| matches!(e, TraceEvent::StallBegin { reason: StallReason::Shaper, .. }))
         .count();
     assert!(stalls > 0, "sparse credits must produce shaper stall episodes");
-    for engine in [Engine::Fast, Engine::Event] {
-        let (fe, fsys) = run(engine);
-        assert!(
-            fsys.skipped_cycles() > 0,
-            "shaped run should have skippable deny spans ({engine:?})"
-        );
-        assert_eq!(ne, fe, "shaped event streams diverged ({engine:?})");
-        assert_eq!(nsys.samples(), fsys.samples(), "shaped sample rows diverged ({engine:?})");
-    }
+    let (fe, fsys) = run(Engine::Skip);
+    assert!(fsys.skipped_cycles() > 0, "shaped run should have skippable deny spans");
+    assert_eq!(ne, fe, "shaped event streams diverged");
+    assert_eq!(nsys.samples(), fsys.samples(), "shaped sample rows diverged");
 }
 
 #[test]
 fn mid_run_mode_flip_matches_naive_tail() {
     // Engines can be switched live; a run that flips modes halfway must
-    // land on the same state as an all-naive run. Also exercises the
-    // legacy boolean toggle (`set_fast_forward`), which maps onto
-    // Naive/Fast.
+    // land on the same state as an all-naive run.
     let benches = [Benchmark::Streamcluster];
     let mut naive = build_system(&benches, "FR-FCFS", Engine::Naive);
     naive.run_cycles(24_000);
-    let mut mixed = build_system(&benches, "FR-FCFS", Engine::Fast);
+    let mut mixed = build_system(&benches, "FR-FCFS", Engine::Skip);
     mixed.run_cycles(12_000);
-    mixed.set_fast_forward(false);
+    mixed.set_engine(Engine::Naive);
     mixed.run_cycles(6_000);
-    mixed.set_fast_forward(true);
+    mixed.set_engine(Engine::Skip);
     mixed.run_cycles(6_000);
     assert_eq!(naive.system_stats(), mixed.system_stats());
 }
 
 #[test]
 fn mid_run_engine_cycle_matches_naive() {
-    // Rotate through all three engines mid-run, twice, with uneven
+    // Alternate the engines mid-run, three times each, with uneven
     // segment lengths (so flips land inside skippable windows, not on
     // neat boundaries), and require the final state to match all-naive.
     let benches = [Benchmark::Libquantum, Benchmark::Mcf];
     let mut naive = build_system(&benches, "FR-FCFS", Engine::Naive);
     naive.run_cycles(30_000);
-    let mut mixed = build_system(&benches, "FR-FCFS", Engine::Event);
+    let mut mixed = build_system(&benches, "FR-FCFS", Engine::Skip);
     let segments: [(Engine, Cycle); 6] = [
-        (Engine::Event, 7_000),
+        (Engine::Skip, 7_000),
         (Engine::Naive, 3_500),
-        (Engine::Fast, 6_500),
-        (Engine::Event, 4_100),
-        (Engine::Fast, 3_900),
-        (Engine::Event, 5_000),
+        (Engine::Skip, 6_500),
+        (Engine::Naive, 4_100),
+        (Engine::Skip, 3_900),
+        (Engine::Naive, 5_000),
     ];
     for (engine, cycles) in segments {
         mixed.set_engine(engine);

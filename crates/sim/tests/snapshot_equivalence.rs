@@ -9,8 +9,8 @@
 //! * the runtime auditor's violation log,
 //! * the request-lifecycle trace-event stream and sampler rows.
 //!
-//! Every bundled benchmark is covered in all three engine modes (naive,
-//! fast-forward, event), plus shaped and multi-core/scheduler
+//! Every bundled benchmark is covered under both engines (naive, skip),
+//! plus shaped and multi-core/scheduler
 //! configurations, and a mismatched resume target must be refused loudly
 //! rather than limp on. Snapshots are also required to be *engine
 //! independent*: the same run snapshotted at the same cycle produces
@@ -182,22 +182,15 @@ fn every_bundled_workload_resumes_identically_naive() {
 }
 
 #[test]
-fn every_bundled_workload_resumes_identically_fast_forward() {
+fn every_bundled_workload_resumes_identically_skip() {
     for &bench in &Benchmark::ALL {
-        assert_resume_equivalent(&[bench], "FR-FCFS", Engine::Fast, false, 5_000, 10_000);
-    }
-}
-
-#[test]
-fn every_bundled_workload_resumes_identically_event() {
-    for &bench in &Benchmark::ALL {
-        assert_resume_equivalent(&[bench], "FR-FCFS", Engine::Event, false, 5_000, 10_000);
+        assert_resume_equivalent(&[bench], "FR-FCFS", Engine::Skip, false, 5_000, 10_000);
     }
 }
 
 #[test]
 fn shaped_mitts_runs_resume_identically_in_all_modes() {
-    for engine in [Engine::Naive, Engine::Fast, Engine::Event] {
+    for engine in [Engine::Naive, Engine::Skip] {
         assert_resume_equivalent(
             &[Benchmark::Libquantum],
             "FR-FCFS",
@@ -213,7 +206,7 @@ fn shaped_mitts_runs_resume_identically_in_all_modes() {
 fn multicore_shaped_mix_resumes_identically() {
     let benches =
         [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
-    for engine in [Engine::Naive, Engine::Fast, Engine::Event] {
+    for engine in [Engine::Naive, Engine::Skip] {
         assert_resume_equivalent(&benches, "TCM", engine, true, 6_000, 14_000);
     }
 }
@@ -226,7 +219,7 @@ fn snapshot_cycle_choice_does_not_matter() {
         assert_resume_equivalent(
             &[Benchmark::Omnetpp],
             "FR-FCFS",
-            Engine::Event,
+            Engine::Skip,
             false,
             snap_at,
             12_000,
@@ -236,9 +229,9 @@ fn snapshot_cycle_choice_does_not_matter() {
 
 #[test]
 fn snapshot_bytes_are_engine_independent() {
-    // The event queue is probe-local scratch, deliberately *not*
-    // serialized: the same run snapshotted at the same cycle must
-    // produce byte-identical snapshots under every engine, so archived
+    // Nothing engine-specific is serialized (`skipped_cycles` is left
+    // out on purpose): the same run snapshotted at the same cycle must
+    // produce byte-identical snapshots under either engine, so archived
     // snapshots stay valid across engine choices (and mid-run flips).
     let benches = [Benchmark::Mcf, Benchmark::Libquantum];
     let snap_for = |engine: Engine| {
@@ -247,18 +240,16 @@ fn snapshot_bytes_are_engine_independent() {
         rig.sys.snapshot().unwrap()
     };
     let naive = snap_for(Engine::Naive);
-    for engine in [Engine::Fast, Engine::Event] {
-        let other = snap_for(engine);
-        // Section-by-section first, so a divergence names the component.
-        for name in naive.section_names() {
-            assert_eq!(
-                naive.section(name).unwrap(),
-                other.section(name).unwrap(),
-                "snapshot section {name:?} diverged under {engine:?}"
-            );
-        }
-        assert_eq!(naive.to_bytes(), other.to_bytes(), "snapshot bytes diverged ({engine:?})");
+    let skip = snap_for(Engine::Skip);
+    // Section-by-section first, so a divergence names the component.
+    for name in naive.section_names() {
+        assert_eq!(
+            naive.section(name).unwrap(),
+            skip.section(name).unwrap(),
+            "snapshot section {name:?} diverged"
+        );
     }
+    assert_eq!(naive.to_bytes(), skip.to_bytes(), "snapshot bytes diverged");
 }
 
 #[test]
@@ -271,11 +262,11 @@ fn snapshots_resume_across_engines() {
     reference.sys.run_cycles(16_000);
     let want = reference.sys.system_stats();
 
-    for producer in [Engine::Naive, Engine::Fast, Engine::Event] {
+    for producer in [Engine::Naive, Engine::Skip] {
         let mut rig = build(&benches, "FR-FCFS", producer, false);
         rig.sys.run_cycles(6_000);
         let snap = rig.sys.snapshot().unwrap();
-        for consumer in [Engine::Naive, Engine::Fast, Engine::Event] {
+        for consumer in [Engine::Naive, Engine::Skip] {
             let mut resumed = resume(&benches, "FR-FCFS", consumer, false, &snap)
                 .expect("cross-engine resume must be accepted");
             resumed.sys.run_cycles(10_000);

@@ -12,25 +12,24 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Fast-forward equivalence: naive and skip-ahead execution must produce
+# Skip-engine equivalence: naive and skip execution must produce
 # bit-identical stats, grant ledgers, and run outcomes.
 cargo test -q -p mitts-sim --test fast_forward
 
-# Perf smoke: fails if fast-forward is >2x slower than naive anywhere,
-# if the event kernel is >2x slower than fast-forward, if lifecycle
-# tracing costs >15% over the untraced shaped mix, or (on multi-core
-# hosts) if the parallel sweep pool is <1.2x faster than the serial pool
-# on a CPU-bound experiment set. Also writes the traced-run artifacts
-# consumed below.
+# Perf smoke: fails if the skip engine is >2x slower than naive anywhere,
+# if lifecycle tracing costs >15% over the untraced shaped mix, or (on
+# multi-core hosts) if the parallel sweep pool is <1.2x faster than the
+# serial pool on a CPU-bound experiment set. Also writes the traced-run
+# artifacts consumed below.
 scripts/bench.sh --smoke
 
-# The committed perf baseline must carry the event-engine arm for every
-# timed scenario — a refresh that drops the third arm fails the gate.
-for row in low_mlp_chase_event bw_saturated_libquantum_x4_event mixed_shaped_4prog_event; do
+# The committed perf baseline must carry the skip-engine arm for every
+# timed scenario — a refresh that drops it fails the gate.
+for row in low_mlp_chase_skip bw_saturated_libquantum_x4_skip mixed_shaped_4prog_skip; do
   grep -q "\"$row\"" BENCH_sim.json \
     || { echo "BENCH_sim.json is missing the $row record"; exit 1; }
 done
-echo "BENCH_sim.json: event-engine rows present"
+echo "BENCH_sim.json: skip-engine rows present"
 
 # Tracing smoke gate: summarize the shaped 4-program trace the perf
 # smoke just wrote; mitts-trace exits non-zero unless the per-stage
@@ -46,7 +45,7 @@ echo "mitts-trace --json: summary parses and crosscheck is ok"
 
 # Conformance smoke gate: seeded mutation checks (each oracle must catch
 # every perturbation of its constants), a short fuzz campaign (every
-# fuzzed case also byte-diffed naive vs fast vs event), a workload
+# fuzzed case also byte-diffed naive vs skip), a workload
 # subset under the shaper/DRAM/scheduler/network-calculus oracles, the
 # per-case engine differential, and the capacity-probe differential
 # (engines x metrics on/off). Exits non-zero on any violation,
@@ -85,8 +84,8 @@ echo "capacity smoke: report validated; frontier CSV identical at jobs=4 and job
 # Snapshot-resume equivalence gate: run to C, snapshot, resume into a
 # fresh twin — stats, shaper grant ledgers, audit logs, trace events,
 # and sampler rows must be bit-identical to the uninterrupted run, for
-# every bundled workload (incl. a shaped MITTS run) in both naive and
-# fast-forward modes.
+# every bundled workload (incl. a shaped MITTS run) under both the naive
+# and the skip engine.
 cargo test -q -p mitts-sim --test snapshot_equivalence
 cargo test -q -p mitts-sim --test snapshot_components
 
@@ -130,25 +129,20 @@ diff -r "$CSV_PAR" "$CSV_SER" \
   || { echo "parallel sweep CSVs diverged from serial"; exit 1; }
 echo "parallel determinism: jobs=4 and jobs=1 artifacts are identical"
 
-# Engine differential gate: the same filtered sweep under each execution
-# engine (MITTS_ENGINE=naive / fast vs the default event kernel used by
-# every run above) must land byte-identical result artifacts — the
-# sweep-level third arm of the per-case differential mitts-conform runs.
-# The naive tree doubles as the cross-engine reference for the chaos
-# gate below.
-STATE_NAI="$GATE_TMP/nai" STATE_FST="$GATE_TMP/fst"
-mkdir -p "$STATE_NAI" "$STATE_FST"
+# Engine differential gate: the same filtered sweep under the naive
+# engine (MITTS_ENGINE=naive) must land byte-identical result artifacts
+# to the default skip engine used by every run above — the sweep-level
+# arm of the per-case differential mitts-conform runs. The naive tree
+# doubles as the cross-engine reference for the chaos gate below.
+STATE_NAI="$GATE_TMP/nai"
+mkdir -p "$STATE_NAI"
 MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE=naive MITTS_STATE_DIR="$STATE_NAI" \
   target/release/run_all a >/dev/null
-MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE=fast MITTS_STATE_DIR="$STATE_FST" \
-  target/release/run_all a >/dev/null
 diff -r "$STATE_NAI/results" "$STATE_SER/results" \
-  || { echo "naive-engine sweep artifacts diverged from the event kernel"; exit 1; }
-diff -r "$STATE_FST/results" "$STATE_SER/results" \
-  || { echo "fast-forward sweep artifacts diverged from the event kernel"; exit 1; }
-echo "engine differential: naive/fast/event sweep artifacts are identical"
+  || { echo "naive-engine sweep artifacts diverged from the skip engine"; exit 1; }
+echo "engine differential: naive/skip sweep artifacts are identical"
 
-# Chaos gate: run the same filtered sweep — on the default event kernel
+# Chaos gate: run the same filtered sweep — on the default skip engine
 # — under a seeded fault campaign (injected panics, heartbeat blackouts,
 # process kills) and keep resuming. The persisted round counter decays
 # the fault rate to zero, so the campaign must converge — and once it
@@ -179,7 +173,7 @@ done
 diff -r "$STATE_CHAOS/results" "$STATE_SER/results" \
   || { echo "chaos-campaign artifacts diverged from the clean serial run"; exit 1; }
 diff -r "$STATE_CHAOS/results" "$STATE_NAI/results" \
-  || { echo "event-kernel chaos artifacts diverged from the naive-engine reference"; exit 1; }
+  || { echo "skip-engine chaos artifacts diverged from the naive-engine reference"; exit 1; }
 echo "chaos gate: campaign converged to byte-identical artifacts (incl. cross-engine)"
 
 # fsck smoke gate: a clean completed sweep must check out clean, and a
