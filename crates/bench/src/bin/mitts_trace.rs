@@ -1,6 +1,6 @@
 //! `mitts-trace` — summarize a JSONL trace written by the simulator's
-//! observability layer (`SystemBuilder::trace_sink` + `JsonlSink`, or
-//! the `perf_baseline` smoke artifact at `target/obs_smoke.trace.jsonl`).
+//! observability layer (`SystemBuilder::trace_sink` + `JsonlSink`, or a
+//! `RingSink` whose events are written out with `to_json_line`).
 //!
 //! Prints top stall reasons per core, the shaper-grant bin histogram
 //! against the configured credits, p50/p95/p99 latency decomposition by

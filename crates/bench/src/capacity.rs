@@ -28,6 +28,7 @@ use std::rc::Rc;
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
 use mitts_sim::obs::{Breach, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict};
+use mitts_sim::rng::fnv1a;
 use mitts_sim::shaper::{CbsShaper, RegulatorShaper, StaticRateShaper};
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::trace::OpenLoopTrace;
@@ -736,16 +737,6 @@ pub fn validate_report(html: &str, expected_cells: usize) -> Result<(), String> 
 // Bit-exactness differential
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a byte slice (snapshot fingerprints in digests).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs one fixed capacity probe under `engine`, with the metrics
 /// registry installed or not. Returns the *simulation digest* (final
 /// cycle, stats, audit log — must be byte-identical across all engines
@@ -778,7 +769,7 @@ pub fn capacity_digest(engine: Engine, with_metrics: bool) -> (String, String) {
         // the run when installed.
         assert!(m.borrow().events_seen() > 0, "metrics sink saw no events");
     }
-    (out, format!("snapshot=fnv64:{:016x}", fnv64(&snap.to_bytes())))
+    (out, format!("snapshot=fnv64:{:016x}", fnv1a(&snap.to_bytes())))
 }
 
 /// Reports the first diverging line between two digests.

@@ -32,6 +32,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use mitts_sim::rng::{fnv1a, splitmix64};
+
 /// A deterministic, decaying fault plan for one sweep process.
 #[derive(Debug)]
 pub struct ChaosPlan {
@@ -40,21 +42,6 @@ pub struct ChaosPlan {
     /// At most one process kill fires per invocation, whichever trigger
     /// (finish-count or mid-run) is reached first.
     kill_armed: AtomicBool,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 impl ChaosPlan {
@@ -109,9 +96,9 @@ impl ChaosPlan {
         splitmix64(
             self.seed
                 ^ self.round.wrapping_mul(0x9E37_79B9)
-                ^ fnv1a(name).rotate_left(17)
+                ^ fnv1a(name.as_bytes()).rotate_left(17)
                 ^ (attempt as u64) << 7
-                ^ fnv1a(kind),
+                ^ fnv1a(kind.as_bytes()),
         ) % 1000
     }
 

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use mitts_sim::fsio::{self, is_tmp_litter, Fs};
 use mitts_sim::snapshot::{crc32, Snapshot};
 
-use crate::journal::{json_field, line_valid};
+use crate::journal::{line_valid, parse_finish};
 use crate::lease::{self, LeaseConfig};
 
 /// What [`check`] did (or would do) about a finding.
@@ -221,13 +221,8 @@ impl Fsck {
             }
             self.fs.write_atomic_str(&path, &fixed)?;
         }
-        for line in &valid_lines {
-            if json_field(line, "event").as_deref() == Some("finish") {
-                if let Some(name) = json_field(line, "name") {
-                    let crc = json_field(line, "artifact_crc").and_then(|c| c.parse().ok());
-                    finished.insert(name, crc);
-                }
-            }
+        for (name, crc) in valid_lines.iter().filter_map(|line| parse_finish(line)) {
+            finished.insert(name, crc.and_then(|c| c.parse().ok()));
         }
         Ok(finished)
     }
@@ -418,12 +413,17 @@ mod tests {
         report.findings.iter().map(|f| f.class).collect()
     }
 
+    /// Names that attack the journal codec and its line framing.
+    const NASTY: [&str; 3] = ["q\"uote", "new\nline\u{1}", "x,\"crc\":7}"];
+
     #[test]
     fn clean_state_dir_is_clean() {
         let dir = scratch("clean");
         let mut j = Journal::open(&dir, false).unwrap();
-        j.record_start("a", 1, "w0");
-        j.record_finish("a", "table a\n").unwrap();
+        for name in ["a"].into_iter().chain(NASTY) {
+            j.record_start(name, 1, "w0");
+            j.record_finish(name, &format!("table {name}\n")).unwrap();
+        }
         drop(j);
         let report = check(&dir, false).unwrap();
         assert!(report.clean(), "unexpected findings: {:?}", report.findings);
@@ -537,8 +537,8 @@ mod tests {
     fn corrupt_journal_line_is_dropped_on_repair() {
         let dir = scratch("corruptline");
         let mut j = Journal::open(&dir, false).unwrap();
-        j.record_finish("a", "table a\n").unwrap();
-        j.record_finish("b", "table b\n").unwrap();
+        j.record_finish(NASTY[0], "table a\n").unwrap();
+        j.record_finish(NASTY[2], "table b\n").unwrap();
         let path = j.journal_path();
         drop(j);
         // Flip a byte in the middle of the first line.
@@ -551,7 +551,7 @@ mod tests {
         assert_eq!(text.lines().count(), 1, "only the valid line survives: {text}");
         // The journal reader agrees with fsck's rewrite.
         let j = Journal::open(&dir, true).unwrap();
-        assert_eq!(j.completed().len(), 1);
+        assert_eq!(j.completed().into_iter().collect::<Vec<_>>(), [NASTY[2]]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

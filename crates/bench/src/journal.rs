@@ -17,6 +17,9 @@
 //! the CRC the finish record captured — a crash between steps leaves at
 //! worst a `start` with no `finish` (rerun), and at-rest corruption of
 //! an artifact demotes it back to incomplete instead of being served.
+//! Each record is one JSON object written with
+//! [`mitts_sim::obs::json::push_escaped`] and read back with
+//! [`mitts_sim::obs::json::parse`], the codec the trace tools share.
 //!
 //! All persistence goes through the [`mitts_sim::fsio`] facade, so the
 //! whole protocol runs under storage fault injection and the
@@ -44,6 +47,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use mitts_sim::fsio::{self, Fs};
+use mitts_sim::obs::json::{self, push_escaped, JsonValue};
 use mitts_sim::snapshot::crc32;
 use mitts_tuner::{GaResult, GeneticTuner, Genome};
 
@@ -154,18 +158,12 @@ impl Journal {
             return done;
         };
         for line in text.lines() {
-            if !line_valid(line) {
-                continue;
-            }
-            if json_field(line, "event").as_deref() != Some("finish") {
-                continue;
-            }
-            let Some(name) = json_field(line, "name") else { continue };
+            let Some((name, artifact_crc)) = parse_finish(line) else { continue };
             let path = self.artifact_path(&name);
             let Ok(bytes) = self.fs.read(&path) else { continue };
             // Old finish records without an artifact CRC are trusted on
             // existence alone; new ones must match bit for bit.
-            let crc_ok = match json_field(line, "artifact_crc") {
+            let crc_ok = match artifact_crc {
                 Some(want) => want.parse::<u32>().map(|w| w == crc32(&bytes)).unwrap_or(false),
                 None => true,
             };
@@ -177,13 +175,15 @@ impl Journal {
     }
 
     fn append(&mut self, event: &str, name: &str, extra: &[(&str, &str)]) {
-        let mut body = format!(
-            "{{\"event\":\"{}\",\"name\":\"{}\"",
-            json_escape(event),
-            json_escape(name)
-        );
+        let mut body = String::from("{\"event\":");
+        push_escaped(&mut body, event);
+        body.push_str(",\"name\":");
+        push_escaped(&mut body, name);
         for (k, v) in extra {
-            body.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+            body.push(',');
+            push_escaped(&mut body, k);
+            body.push(':');
+            push_escaped(&mut body, v);
         }
         body.push('}');
         let line = seal_line(&body);
@@ -263,48 +263,19 @@ pub(crate) fn line_valid(line: &str) -> bool {
     crc32(body.as_bytes()) == want
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The `(name, artifact_crc)` of a `finish` line that passes
+/// [`line_valid`], `None` for any other line. The CRC is absent in
+/// records older than the field.
+pub(crate) fn parse_finish(line: &str) -> Option<(String, Option<String>)> {
+    if !line_valid(line) {
+        return None;
     }
-    out
-}
-
-/// Extracts a string field from one of *our* journal lines. Not a JSON
-/// parser — it only needs to read back what [`Journal::append`] wrote.
-pub(crate) fn json_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
+    let record = json::parse(line).ok()?;
+    let field = |key| record.get(key).and_then(JsonValue::as_str);
+    if field("event")? != "finish" {
+        return None;
     }
-    None
+    Some((field("name")?.to_owned(), field("artifact_crc").map(str::to_owned)))
 }
 
 /// Runs a GA search with per-generation checkpointing when
@@ -459,11 +430,26 @@ mod tests {
 
     #[test]
     fn journal_lines_round_trip_special_characters() {
-        let nasty = "quote \" backslash \\ newline \n tab \t";
-        let line = format!("{{\"event\":\"fail\",\"reason\":\"{}\"}}", json_escape(nasty));
-        assert_eq!(json_field(&line, "reason").as_deref(), Some(nasty));
-        assert_eq!(json_field(&line, "event").as_deref(), Some("fail"));
-        assert_eq!(json_field(&line, "missing"), None);
+        let dir = scratch("nasty");
+        let nasty = "quote \" backslash \\ newline \n tab \t ctl \u{1} ,\"crc\":7}";
+        let mut j = Journal::open(&dir, false).unwrap();
+        j.record_fail(nasty, 2, nasty);
+        j.record_finish(nasty, "table\n").unwrap();
+        let text = std::fs::read_to_string(j.journal_path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "escaping keeps one record per line");
+        assert!(lines.iter().all(|l| line_valid(l)));
+        let fail = json::parse(lines[0]).expect("valid record");
+        for key in ["name", "reason"] {
+            assert_eq!(fail.get(key).and_then(JsonValue::as_str), Some(nasty));
+        }
+        assert_eq!(fail.get("event").and_then(JsonValue::as_str), Some("fail"));
+        assert_eq!(parse_finish(lines[0]), None, "a fail record is not a finish");
+        let (name, crc) = parse_finish(lines[1]).expect("finish record");
+        assert_eq!(name, nasty);
+        assert_eq!(crc, Some(crc32(b"table\n").to_string()));
+        assert!(j.completed().contains(nasty));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,10 +9,13 @@
 //! {"owner":"12345-w2-9f3a","seq":7,"ts":1754700000123}
 //! ```
 //!
-//! * **Claim** — `create_new` (O_EXCL) makes initial acquisition atomic
-//!   even across processes; the record and its directory entry are
-//!   fsynced before the claim counts, so a claim that survives a crash
-//!   is readable and one that doesn't is absent.
+//! * **Claim** — [`Fs::publish_new`] writes and fsyncs the record under a
+//!   temporary name, then hard-links it into place with no-clobber
+//!   semantics, so initial acquisition is atomic even across processes
+//!   and a lease file is never visible empty or half-written: a rival
+//!   claimant sees no lease or the complete record, never a torn one it
+//!   would take for stale. A claim that survives a crash is readable
+//!   and one that doesn't is absent.
 //! * **Heartbeat** — the owning worker rewrites the record (atomic
 //!   temp + rename) with a bumped `seq` and fresh `ts` every
 //!   [`LeaseConfig::heartbeat`]. A renewal first re-reads the file and
@@ -35,18 +38,20 @@
 //! produce identical bytes, never a second completion.
 //!
 //! All lease I/O goes through the [`mitts_sim::fsio`] facade, so the
-//! protocol runs under storage fault injection: a short write tears the
-//! claim record, which every reader parses as an empty-owner stale
-//! lease and reclaims; directory-fsync failures are counted by the
-//! facade instead of silently discarded.
+//! protocol runs under storage fault injection: a short write or fsync
+//! error fails the claim before it is published; bitrot at rest
+//! leaves an unparseable record, which every reader takes for an
+//! empty-owner stale lease and reclaims; directory-fsync failures are counted by the
+//! facade instead of silently discarded. Records are encoded and read
+//! with [`mitts_sim::obs::json`], the journal's codec.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use mitts_sim::fsio::{self, Fs};
-
-use crate::journal::{json_escape, json_field};
+use mitts_sim::obs::json::{self, push_escaped, JsonValue};
 
 /// Lease timing policy.
 #[derive(Debug, Clone, Copy)]
@@ -89,19 +94,19 @@ pub struct LeaseRecord {
 
 impl LeaseRecord {
     fn render(&self) -> String {
-        format!(
-            "{{\"owner\":\"{}\",\"seq\":{},\"ts\":{}}}\n",
-            json_escape(&self.owner),
-            self.seq,
-            self.ts_ms
-        )
+        let mut out = String::from("{\"owner\":");
+        push_escaped(&mut out, &self.owner);
+        let _ = writeln!(out, ",\"seq\":{},\"ts\":{}}}", self.seq, self.ts_ms);
+        out
     }
 
     fn parse(text: &str) -> Option<LeaseRecord> {
-        let owner = json_field(text, "owner")?;
-        let seq = unquoted_u64(text, "seq")?;
-        let ts_ms = unquoted_u64(text, "ts")?;
-        Some(LeaseRecord { owner, seq, ts_ms })
+        let record = json::parse(text).ok()?;
+        Some(LeaseRecord {
+            owner: record.get("owner").and_then(JsonValue::as_str)?.to_owned(),
+            seq: record.get("seq").and_then(JsonValue::as_u64)?,
+            ts_ms: record.get("ts").and_then(JsonValue::as_u64)?,
+        })
     }
 
     /// Whether this record is older than `ttl` at wall-clock `now_ms`.
@@ -110,15 +115,6 @@ impl LeaseRecord {
     pub fn is_stale(&self, ttl: Duration, now_ms: u64) -> bool {
         now_ms.saturating_sub(self.ts_ms) > ttl.as_millis() as u64
     }
-}
-
-/// Extracts an unquoted integer field from one of our JSON lines.
-fn unquoted_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String =
-        line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 /// Milliseconds since the Unix epoch.
@@ -193,9 +189,9 @@ impl Lease {
     }
 
     /// Attempts to claim `name` for `owner` on `fs`. Creation is atomic
-    /// (`create_new`); an existing fresh lease yields [`Claim::Held`]; a
-    /// stale one is taken over by atomic replacement with read-back
-    /// verification.
+    /// ([`Fs::publish_new`]); an existing fresh lease yields
+    /// [`Claim::Held`]; a stale one is taken over by atomic replacement
+    /// with read-back verification.
     pub fn acquire_with(
         fs: Fs,
         leases_dir: &Path,
@@ -206,28 +202,19 @@ impl Lease {
         fs.create_dir_all(leases_dir)?;
         let path = lease_path(leases_dir, name);
         let record = LeaseRecord { owner: owner.to_owned(), seq: 1, ts_ms: now_ms() };
-        match fs.create_new(&path, record.render().as_bytes()) {
-            Ok(()) => {
-                if let Err(e) = fs.sync(&path) {
-                    // The claim may or may not be durable; give it up so
-                    // no worker trusts a maybe-lost record.
-                    let _ = fs.remove_file(&path);
-                    return Err(e);
-                }
-                // Directory durability is best-effort (counted): a claim
-                // whose entry is lost in a crash is simply absent on
-                // restart, which costs a rerun, never a wrong result.
-                fs.fsync_dir_best_effort(leases_dir);
-                Ok(Claim::Acquired(Lease {
-                    path,
-                    owner: owner.to_owned(),
-                    seq: record.seq,
-                    fs,
-                }))
-            }
+        // Directory durability is best-effort (counted): a claim whose
+        // entry is lost in a crash is simply absent on restart, which
+        // costs a rerun, never a wrong result.
+        match fs.publish_new(&path, record.render().as_bytes()) {
+            Ok(()) => Ok(Claim::Acquired(Lease {
+                path,
+                owner: owner.to_owned(),
+                seq: record.seq,
+                fs,
+            })),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
                 let Some(current) = read_lease_with(&fs, &path)? else {
-                    // Vanished between create_new and read (owner
+                    // Vanished between publish and read (owner
                     // released): try again from scratch, once.
                     return Lease::acquire_with(fs, leases_dir, name, owner, cfg);
                 };
@@ -260,9 +247,7 @@ impl Lease {
                     None => Lease::acquire_with(fs, leases_dir, name, owner, cfg),
                 }
             }
-            // A short write can leave a torn claim file behind the
-            // error; it parses as an empty-owner stale record and is
-            // reclaimed by the next acquisition attempt.
+            // A failed publish leaves no lease file behind.
             Err(e) => Err(e),
         }
     }
@@ -319,6 +304,14 @@ mod tests {
     fn record_round_trips() {
         let r = LeaseRecord { owner: "1-w0-abc".into(), seq: 12, ts_ms: 1700000000123 };
         assert_eq!(LeaseRecord::parse(&r.render()), Some(r));
+    }
+
+    #[test]
+    fn record_encodes_to_the_fixture_bytes() {
+        let r = LeaseRecord { owner: "7-w0-\"q\\\n\u{1}".into(), seq: 1, ts_ms: 1_792_141_061_366 };
+        let fixture = include_str!("../tests/fixtures/fixture.lease");
+        assert_eq!(r.render(), fixture);
+        assert_eq!(LeaseRecord::parse(fixture), Some(r));
     }
 
     #[test]

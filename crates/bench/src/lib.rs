@@ -4,7 +4,7 @@
 //!
 //! One module per figure/table of the paper's evaluation section; each
 //! exposes `run(&Scale) -> Table` (printed by its binary and exercised at
-//! reduced scale by the Criterion bench and the integration tests).
+//! reduced scale by the integration tests).
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
 

@@ -36,7 +36,7 @@ use mitts_workloads::Benchmark;
 /// Experiment scale: work quanta, caps, and search budgets.
 ///
 /// The paper runs 200 M ROI cycles with a 30×20 GA; reproduction runs
-/// are scaled down. `smoke` is for `cargo bench`/CI and tests, `quick`
+/// are scaled down. `smoke` is for CI and tests, `quick`
 /// for the default figure binaries, `full` approaches the paper's
 /// budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +62,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny budget for benches, CI, and unit tests.
+    /// Tiny budget for CI and unit tests.
     pub fn smoke() -> Self {
         let online =
             OnlineParams { epoch: 4_000, population: 5, generations: 3, ..OnlineParams::default() };

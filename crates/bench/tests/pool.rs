@@ -1,14 +1,16 @@
 //! Integration gate over the supervised parallel sweep engine: lease
 //! lifecycle (stale-lease reclamation, heartbeat renewal under a slow
-//! experiment, clean loss when racing another claimant), deterministic
-//! parallel output, and chaos-under-heartbeat-delay convergence. The
-//! full kill-and-resume chaos campaign runs as a subprocess loop in
-//! `scripts/check.sh`.
+//! experiment, clean loss when racing another claimant, no takeover of
+//! a claim caught mid-write), deterministic parallel output, and
+//! chaos-under-heartbeat-delay convergence. The full kill-and-resume
+//! chaos campaign runs as a subprocess loop in `scripts/check.sh`.
 
 use std::collections::BTreeSet;
+use std::fs::OpenOptions;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use mitts_bench::chaos::ChaosPlan;
@@ -16,6 +18,7 @@ use mitts_bench::journal::Journal;
 use mitts_bench::lease::{self, Claim, Lease, LeaseConfig};
 use mitts_bench::pool::{run_sweep, Experiment, Outcome, PoolConfig, SweepOptions};
 use mitts_bench::Table;
+use mitts_sim::fsio::{Fs, FsBackend};
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mitts-pooltest-{tag}-{}", std::process::id()));
@@ -193,6 +196,98 @@ fn heartbeat_renewal_keeps_a_slow_experiment_owned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The host filesystem, except that the first `create_new` stops
+/// between creating its file and writing the bytes — the window in which
+/// a claim written that way exists but is still empty — until the test
+/// lets it go.
+#[derive(Debug)]
+struct PausedCreate {
+    inner: Fs,
+    armed: AtomicBool,
+    /// Both parties pass once the paused file exists.
+    created: Barrier,
+    /// Both parties pass once the paused write may finish.
+    resume: Barrier,
+}
+
+impl FsBackend for PausedCreate {
+    fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if !self.armed.swap(false, Ordering::SeqCst) {
+            return self.inner.create_new(path, bytes);
+        }
+        let mut file = OpenOptions::new().write(true).create_new(true).open(path)?;
+        self.created.wait();
+        self.resume.wait();
+        file.write_all(bytes)
+    }
+    fn link_new(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.link_new(from, to)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        self.inner.sync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.inner.fsync_dir(dir)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.inner.read_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+#[test]
+fn a_claim_caught_mid_write_is_never_taken_over() {
+    let dir = tmp("midwrite");
+    let backend = Arc::new(PausedCreate {
+        inner: Fs::real(),
+        armed: AtomicBool::new(true),
+        created: Barrier::new(2),
+        resume: Barrier::new(2),
+    });
+    let fs = Fs::with_backend(Arc::clone(&backend) as Arc<dyn FsBackend>);
+    let cfg = LeaseConfig::with_ttl(Duration::from_secs(30));
+    // The first claimant stops inside its first create; the second
+    // claims in full inside that window; then the first one finishes.
+    let claims = std::thread::scope(|s| {
+        let first = s.spawn(|| Lease::acquire_with(fs.clone(), &dir, "e0", "first", &cfg));
+        backend.created.wait();
+        let second = Lease::acquire_with(fs.clone(), &dir, "e0", "second", &cfg);
+        backend.resume.wait();
+        [first.join().unwrap().unwrap(), second.unwrap()]
+    });
+    let winners: Vec<&str> = claims
+        .iter()
+        .filter_map(|c| match c {
+            Claim::Acquired(l) => Some(l.owner()),
+            Claim::Held { .. } => None,
+        })
+        .collect();
+    assert_eq!(winners.len(), 1, "exactly one claimant may own the lease: {winners:?}");
+    let on_disk = lease::read_lease(&lease::lease_path(&dir, "e0")).unwrap().unwrap();
+    assert_eq!(on_disk.owner, winners[0], "the lease file names the winner");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn two_sweeps_racing_one_journal_run_each_experiment_exactly_once() {
     let dir = tmp("race");
@@ -200,12 +295,29 @@ fn two_sweeps_racing_one_journal_run_each_experiment_exactly_once() {
     let names: Vec<String> = (0..6).map(|i| format!("race{i}")).collect();
     let runs: Vec<Arc<AtomicUsize>> =
         names.iter().map(|_| Arc::new(AtomicUsize::new(0))).collect();
-    let make = |tag: &str| -> Vec<Experiment> {
-        let _ = tag;
+    // Both sweeps run two workers. The first four experiments hold their
+    // worker until all four workers are inside one, so every claim of
+    // that round is made while the other sweep holds live leases.
+    let all_workers_busy = Arc::new(Barrier::new(4));
+    let make = || -> Vec<Experiment> {
         names
             .iter()
             .zip(&runs)
-            .map(|(n, r)| counted(n, r, Duration::from_millis(40)))
+            .enumerate()
+            .map(|(i, (n, r))| {
+                let (runs, label) = (Arc::clone(r), n.clone());
+                let gate = (i < 4).then(|| Arc::clone(&all_workers_busy));
+                Experiment::new(
+                    n.as_str(),
+                    Arc::new(move || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        if let Some(gate) = &gate {
+                            gate.wait();
+                        }
+                        vec![demo_table(&label)]
+                    }),
+                )
+            })
             .collect()
     };
     let sweep = |experiments: Vec<Experiment>, dir: &Path| {
@@ -221,8 +333,8 @@ fn two_sweeps_racing_one_journal_run_each_experiment_exactly_once() {
         (report, statuses)
     };
     let (ra, rb) = std::thread::scope(|s| {
-        let a = s.spawn(|| sweep(make("a"), &dir));
-        let b = s.spawn(|| sweep(make("b"), &dir));
+        let a = s.spawn(|| sweep(make(), &dir));
+        let b = s.spawn(|| sweep(make(), &dir));
         (a.join().unwrap(), b.join().unwrap())
     });
     for (name, r) in names.iter().zip(&runs) {

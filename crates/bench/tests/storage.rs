@@ -14,14 +14,24 @@
 //! The torn-tail proptest attacks the same invariant from the byte
 //! level: an arbitrary byte-prefix cut of a real journal file must
 //! recover to a usable journal whose completed-set is still truthful.
+//!
+//! The fixture tests pin the on-disk record format: a journal and a
+//! lease file committed under `tests/fixtures/` must still read back,
+//! and the same records written today must be the same bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mitts_bench::lease::{self, LeaseRecord};
 use mitts_bench::{fsck, journal::Journal};
 use mitts_sim::fsio::{CrashVariant, Fs};
 use proptest::prelude::*;
+
+/// Experiment names that attack the journal's JSON codec and line
+/// framing: a quote, a newline, control characters, and a `,"crc":`
+/// substring that mimics the per-line CRC member.
+const NASTY: [&str; 3] = ["q\"uote", "new\nline\ttab\u{1}", "x,\"crc\":123}"];
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -117,9 +127,9 @@ proptest! {
     fn torn_journal_byte_prefix_recovers_or_is_detected(cut_seed in any::<u64>()) {
         let dir = scratch("torn");
         let truth: BTreeMap<&str, &str> = [
-            ("a", "alpha table\n"),
-            ("b", "beta table\n"),
-            ("c", "gamma table\n"),
+            (NASTY[0], "alpha table\n"),
+            (NASTY[1], "beta table\n"),
+            (NASTY[2], "gamma table\n"),
         ]
         .into_iter()
         .collect();
@@ -152,4 +162,69 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The record sequence that wrote `tests/fixtures/journal.jsonl`. Names,
+/// workers and reasons carry quotes, newlines, control characters, a
+/// `,"crc":` substring and non-ASCII text.
+fn write_fixture_records(j: &mut Journal) {
+    j.record_start("fig12", 1, "w0");
+    j.record_finish("fig12", "table fig12\n").unwrap();
+    j.record_fail("q\"uote", 1, "panicked: \"boom\"\n\tat line 3\u{1}");
+    j.record_start("new\nline", 2, "4242-w1-9f3a");
+    j.record_finish("new\nline", "table new line\n").unwrap();
+    j.record_lease_lost("ctl\u{1}\u{1f}", "w\\1");
+    j.record_quarantine("x,\"crc\":123}", "reason with ,\"crc\":9 inside");
+    j.record_finish("x,\"crc\":123}", "table crc\n").unwrap();
+    j.record_interrupted("ünï—code");
+    j.record_finish("ünï—code", "table unicode\n").unwrap();
+}
+
+/// The experiments the fixture journal finished, with their artifacts.
+const FIXTURE_FINISHED: [(&str, &str); 4] = [
+    ("fig12", "table fig12\n"),
+    ("new\nline", "table new line\n"),
+    ("x,\"crc\":123}", "table crc\n"),
+    ("ünï—code", "table unicode\n"),
+];
+
+#[test]
+fn fixture_journal_reads_back_and_is_rewritten_byte_for_byte() {
+    let fixture = include_str!("fixtures/journal.jsonl");
+
+    let dir = scratch("fixture-read");
+    let j = Journal::open(&dir, false).unwrap();
+    std::fs::write(j.journal_path(), fixture).unwrap();
+    for (name, table) in FIXTURE_FINISHED {
+        std::fs::write(j.artifact_path(name), table).unwrap();
+    }
+    let want: BTreeSet<String> = FIXTURE_FINISHED.iter().map(|(n, _)| n.to_string()).collect();
+    assert_eq!(j.completed(), want, "every finish in the fixture journal is recovered");
+    let report = fsck::check(&dir, false).unwrap();
+    assert!(report.clean(), "fixture state dir must check clean: {:?}", report.findings);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch("fixture-write");
+    let mut j = Journal::open(&dir, false).unwrap();
+    write_fixture_records(&mut j);
+    assert_eq!(
+        std::fs::read_to_string(j.journal_path()).unwrap(),
+        fixture,
+        "the same records must encode to the fixture's bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fixture_lease_reads_back() {
+    let dir = scratch("fixture-lease");
+    let path = lease::lease_path(&dir, "fixture");
+    std::fs::write(&path, include_str!("fixtures/fixture.lease")).unwrap();
+    let want = LeaseRecord {
+        owner: "7-w0-\"q\\\n\u{1}".to_owned(),
+        seq: 1,
+        ts_ms: 1_792_141_061_366,
+    };
+    assert_eq!(lease::read_lease(&path).unwrap(), Some(want));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,11 +2,11 @@
 //! pluggable backends for storage fault injection and crash-consistency
 //! checking.
 //!
-//! Every artifact the workspace persists (snapshots, CSV tables,
-//! `BENCH_sim.json`, trace exports, journal records, lease files, GA
-//! checkpoints) goes through an [`Fs`] handle, so one layer owns the
-//! atomic-write protocol (temp file + fsync + rename + directory fsync)
-//! and one layer can be swapped to prove the recovery paths work.
+//! Every artifact the workspace persists (snapshots, CSV tables, capacity
+//! reports, trace exports, journal records, lease files, GA checkpoints)
+//! goes through an [`Fs`] handle, so one layer owns the atomic-write
+//! protocols (temp file + fsync + rename, or no-clobber link, + directory
+//! fsync) and one layer can be swapped to prove the recovery paths work.
 //!
 //! Three backends implement the same primitive ops ([`FsBackend`]):
 //!
@@ -44,6 +44,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::rng::{fnv1a, splitmix64};
+
 /// The primitive persistence operations every backend implements.
 ///
 /// The ops are deliberately coarse (whole-buffer writes, path-addressed
@@ -54,6 +56,10 @@ pub trait FsBackend: Send + Sync + fmt::Debug {
     /// Creates `path` exclusively (fails if it exists) with `bytes`.
     /// The data is *not* durable until [`FsBackend::sync`].
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Hard-links the file at `from` as `to`, failing with
+    /// `AlreadyExists` if `to` exists (no-clobber). The new entry is not
+    /// durable until the directory is fsynced.
+    fn link_new(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Appends `bytes` to `path`, creating it if absent. O_APPEND
     /// semantics: concurrent appenders interleave whole buffers.
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
@@ -184,6 +190,11 @@ impl Fs {
         self.backend.create_new(path, bytes)
     }
 
+    /// Hard-links `from` as `to` unless `to` exists.
+    pub fn link_new(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.backend.link_new(from, to)
+    }
+
     /// Appends `bytes` to `path`, creating it if absent.
     pub fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.backend.append(path, bytes)
@@ -272,31 +283,54 @@ impl Fs {
     /// never permanently wedge the writer.
     pub fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = tmp_path(path);
-        let result = (|| {
-            match self.create_new(&tmp, bytes) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    // A live writer can never collide (the temp name is
-                    // pid + per-process sequence), so an existing file
-                    // is stale litter from a crashed run with a recycled
-                    // pid: remove it and claim the name.
-                    self.remove_file(&tmp)?;
-                    self.create_new(&tmp, bytes)?;
-                }
-                Err(e) => return Err(e),
-            }
-            self.sync(&tmp)?;
-            self.rename(&tmp, path)?;
-            if let Some(parent) = path.parent() {
-                let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-                self.fsync_dir_best_effort(dir);
-            }
-            Ok(())
-        })();
+        let result = self.write_synced_tmp(&tmp, bytes).and_then(|()| self.rename(&tmp, path));
         if result.is_err() {
             let _ = self.remove_file(&tmp);
         }
-        result
+        result?;
+        self.fsync_parent_best_effort(path);
+        Ok(())
+    }
+
+    /// Writes `bytes` to `path` only if nothing is there yet, and never
+    /// lets a reader see it empty or partial: the bytes are written and
+    /// fsync'd under a sibling temporary name, then hard-linked into
+    /// place with no-clobber semantics. Of several concurrent publishers
+    /// exactly one succeeds; the others get `AlreadyExists` and leave no
+    /// trace. The containing directory is fsync'd best-effort, as in
+    /// [`Fs::write_atomic`].
+    pub fn publish_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let tmp = tmp_path(path);
+        let result = self.write_synced_tmp(&tmp, bytes).and_then(|()| self.link_new(&tmp, path));
+        let _ = self.remove_file(&tmp);
+        result?;
+        self.fsync_parent_best_effort(path);
+        Ok(())
+    }
+
+    /// Creates the temporary file `tmp` with `bytes` and fsyncs it.
+    fn write_synced_tmp(&self, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
+        match self.create_new(tmp, bytes) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                // A live writer can never collide (the temp name is
+                // pid + per-process sequence), so an existing file is
+                // stale litter from a crashed run with a recycled pid:
+                // remove it and claim the name.
+                self.remove_file(tmp)?;
+                self.create_new(tmp, bytes)?;
+            }
+            Err(e) => return Err(e),
+        }
+        self.sync(tmp)
+    }
+
+    /// Makes a new entry for `path` durable, best-effort and counted.
+    fn fsync_parent_best_effort(&self, path: &Path) {
+        if let Some(parent) = path.parent() {
+            let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
+            self.fsync_dir_best_effort(dir);
+        }
     }
 
     /// Convenience wrapper for textual artifacts.
@@ -383,6 +417,10 @@ impl FsBackend for RealFs {
         f.write_all(bytes)
     }
 
+    fn link_new(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::hard_link(from, to)
+    }
+
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let mut f = OpenOptions::new().create(true).append(true).open(path)?;
         f.write_all(bytes)
@@ -432,21 +470,6 @@ impl FsBackend for RealFs {
 // ---------------------------------------------------------------------
 // Fault-injecting backend
 // ---------------------------------------------------------------------
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// The fault-decision key of a path: its file name with the atomic-write
 /// temp decoration stripped, so every attempt at one destination rolls
@@ -515,15 +538,15 @@ impl FsFaultPlan {
     fn roll(&self, key: &str, kind: &str, n: u64) -> u64 {
         splitmix64(
             self.seed
-                ^ fnv1a(key).rotate_left(17)
-                ^ fnv1a(kind)
+                ^ fnv1a(key.as_bytes()).rotate_left(17)
+                ^ fnv1a(kind.as_bytes())
                 ^ n.wrapping_mul(0x9E37_79B9),
         ) % 1000
     }
 
     /// Secondary hash for fault parameters (offsets, cut points).
     fn param(&self, key: &str, kind: &str, n: u64) -> u64 {
-        splitmix64(self.roll(key, kind, n) ^ self.seed.rotate_left(31) ^ fnv1a(key))
+        splitmix64(self.roll(key, kind, n) ^ self.seed.rotate_left(31) ^ fnv1a(key.as_bytes()))
     }
 
     /// Short write: persist only `Some(cut)` bytes of a `len`-byte write,
@@ -618,6 +641,10 @@ impl FsBackend for FaultFs {
         Ok(())
     }
 
+    fn link_new(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.link_new(from, to)
+    }
+
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let key = fault_key(path);
         let n = self.bump(&key, "append");
@@ -707,6 +734,13 @@ pub enum FsOp {
         /// Bytes written.
         bytes: Vec<u8>,
     },
+    /// No-clobber hard link.
+    Link {
+        /// Existing path.
+        from: PathBuf,
+        /// New entry.
+        to: PathBuf,
+    },
     /// Append (creating if absent).
     Append {
         /// Destination path.
@@ -775,6 +809,16 @@ impl Model {
                 self.next_id += 1;
                 self.files.insert(id, FileData { content: bytes.clone(), synced_len: 0 });
                 self.entries.insert(path.clone(), id);
+            }
+            FsOp::Link { from, to } => {
+                if self.entries.contains_key(to) {
+                    return Err(io::Error::new(io::ErrorKind::AlreadyExists, "exists"));
+                }
+                let id = *self
+                    .entries
+                    .get(from)
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
+                self.entries.insert(to.clone(), id);
             }
             FsOp::Append { path, bytes } => {
                 let id = match self.entries.get(path) {
@@ -864,6 +908,10 @@ impl ReplayFs {
 impl FsBackend for ReplayFs {
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.log(FsOp::CreateNew { path: path.to_path_buf(), bytes: bytes.to_vec() })
+    }
+
+    fn link_new(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.log(FsOp::Link { from: from.to_path_buf(), to: to.to_path_buf() })
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -988,9 +1036,8 @@ impl ReplayHandle {
                     if span == 0 {
                         f.content.len()
                     } else {
-                        f.synced_len
-                            + (splitmix64(seed ^ fnv1a(&path.to_string_lossy())) % (span as u64 + 1))
-                                as usize
+                        let roll = splitmix64(seed ^ fnv1a(path.to_string_lossy().as_bytes()));
+                        f.synced_len + (roll % (span as u64 + 1)) as usize
                     }
                 }
             };
@@ -1082,6 +1129,28 @@ mod tests {
         }
         fs.write_atomic_str(&path, "fresh").expect("stale litter must not wedge the writer");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "fresh");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_new_never_clobbers_and_leaves_no_litter() {
+        let dir = tmp_dir("publish");
+        let path = dir.join("claim.lease");
+        let fs = Fs::real();
+        fs.publish_new(&path, b"first").unwrap();
+        let err = fs.publish_new(&path, b"second").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        assert_eq!(fs.read_dir(&dir).unwrap(), vec![path.clone()], "no temp litter");
+
+        // On the replay model the published entry is durable once the
+        // directory is fsynced, with its full synced contents.
+        let root = PathBuf::from("/s");
+        let (fs, handle) = Fs::replay();
+        fs.publish_new(&root.join("a.lease"), b"claim").unwrap();
+        let floor = dir.join("floor");
+        handle.materialize(handle.op_count(), CrashVariant::Floor, &root, &floor).unwrap();
+        assert_eq!(std::fs::read(floor.join("a.lease")).unwrap(), b"claim");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,6 +6,29 @@
 //! xoshiro256\*\* (public-domain algorithm by Blackman & Vigna) seeded via
 //! SplitMix64, the standard pairing.
 
+/// The SplitMix64 increment (the golden ratio in 64-bit fixed point).
+const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step: advances `x` by the golden-ratio increment and
+/// returns its finalised mix. Stateless, so a pure hash of its input —
+/// the seeded fault plans derive every decision from it.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over `bytes`: the keying hash of the fault plans and
+/// the digest of snapshot fingerprints.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
 /// A small, fast, deterministic PRNG (xoshiro256\*\*).
 ///
 /// Not cryptographically secure; intended only for workload synthesis and
@@ -32,11 +55,9 @@ impl Rng {
     pub fn seeded(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            let z = splitmix64(sm);
+            sm = sm.wrapping_add(SPLITMIX64_GAMMA);
+            z
         };
         Rng { s: [next(), next(), next(), next()] }
     }
@@ -140,6 +161,21 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_helpers_match_the_reference_vectors() {
+        // SplitMix64 seeded with 0, and FNV-1a's published test vectors.
+        assert_eq!(Rng::seeded(0).s, [
+            0xe220_a839_7b1d_cdaf,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+            0xf88b_b8a8_724c_81ec,
+        ]);
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn same_seed_same_stream() {

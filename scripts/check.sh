@@ -16,32 +16,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 # bit-identical stats, grant ledgers, and run outcomes.
 cargo test -q -p mitts-sim --test fast_forward
 
-# Perf smoke: fails if the skip engine is >2x slower than naive anywhere,
-# if lifecycle tracing costs >15% over the untraced shaped mix, or (on
-# multi-core hosts) if the parallel sweep pool is <1.2x faster than the
-# serial pool on a CPU-bound experiment set. Also writes the traced-run
-# artifacts consumed below.
-scripts/bench.sh --smoke
+# Performance gate: one traced pass of perfbench, the benchmark of record
+# (perfbench/README.md). It exits non-zero unless every check holds: the
+# skip engine's digests equal the naive engine's, traced reps equal
+# untraced ones, and the journaled capacity frontier equals the
+# unjournaled one. Building it here also catches a crate change that
+# breaks the benchmark's build.
+PERF_LOG="$GATE_TMP/perfbench.log"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --seconds 1 --trace 1 > "$PERF_LOG" \
+  || { tail -n 20 "$PERF_LOG"; echo "perfbench: a check failed"; exit 1; }
+grep '^attempted' "$PERF_LOG"
 
-# The committed perf baseline must carry the skip-engine arm for every
-# timed scenario — a refresh that drops it fails the gate.
-for row in low_mlp_chase_skip bw_saturated_libquantum_x4_skip mixed_shaped_4prog_skip; do
-  grep -q "\"$row\"" BENCH_sim.json \
-    || { echo "BENCH_sim.json is missing the $row record"; exit 1; }
-done
-echo "BENCH_sim.json: skip-engine rows present"
-
-# Tracing smoke gate: summarize the shaped 4-program trace the perf
-# smoke just wrote; mitts-trace exits non-zero unless the per-stage
-# latency decomposition telescopes exactly to the run's mem_latency_sum.
-# The --json arm re-parses the same trace and must emit one valid JSON
-# document under the same health contract.
-cargo build --release -p mitts-bench --bin mitts-trace
-target/release/mitts-trace target/obs_smoke.trace.jsonl | tail -n 3
-target/release/mitts-trace --json target/obs_smoke.trace.jsonl \
-  | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["crosscheck"] == "ok", d["crosscheck"]' \
-  || { echo "mitts-trace --json emitted an invalid or unhealthy summary"; exit 1; }
-echo "mitts-trace --json: summary parses and crosscheck is ok"
+# Parallel pool gate: on a multi-core host the capacity sweep's workers
+# must be busy for at least 60% of its wall time. At jobs = 2 that is
+# the same condition as a 1.2x speedup over one worker.
+tail -n 1 "$PERF_LOG" | python3 -c '
+import json, sys
+m = json.load(sys.stdin)["metrics"]
+par = m["capacity_x15.host.available_parallelism"]["value"]
+busy = m["capacity_x15.pool.busy_frac"]["value"]
+if par >= 2 and busy < 0.6:
+    sys.exit(f"pool gate: capacity_x15.pool.busy_frac {busy:.2f} < 0.6 on {par:.0f} CPUs")
+print(f"pool gate: capacity_x15.pool.busy_frac {busy:.2f} on {par:.0f} CPUs")
+'
 
 # Conformance smoke gate: seeded mutation checks (each oracle must catch
 # every perturbation of its constants), a short fuzz campaign (every
