@@ -597,8 +597,9 @@ fn netcalc_mutation_case() -> ConformCase {
     }
 }
 
-/// Runs every seeded mutation (at least three per oracle) against
-/// [`mutation_case`] and reports which were detected. The baseline
+/// Runs every seeded mutation (at least three per oracle) against one
+/// contentious deterministic case (two memory-heavy programs through
+/// active shapers) and reports which were detected. The baseline
 /// (unmutated) case is checked first and must be clean — a dirty
 /// baseline would make every "detection" meaningless.
 ///

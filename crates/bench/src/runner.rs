@@ -442,20 +442,6 @@ impl WorkMeasurement {
     pub fn ipcs(&self) -> Vec<f64> {
         self.cycles.iter().map(|&c| self.work as f64 / c).collect()
     }
-
-    /// Short status label for experiment tables: `ok`, `cap(k)` with the
-    /// number of unfinished cores, or `stall@<cycle>`.
-    pub fn status_label(&self) -> String {
-        if let Some(report) = &self.stall {
-            return format!("stall@{}", report.stalled_since);
-        }
-        let lagging = self.finished.iter().filter(|&&f| !f).count();
-        if lagging == 0 {
-            "ok".to_owned()
-        } else {
-            format!("cap({lagging})")
-        }
-    }
 }
 
 /// Times every core over `work` instructions, starting `settle_work`

@@ -11,9 +11,12 @@
 //! * [`InvariantAuditor`] — hooked into `System::tick`, it checks
 //!   conservation laws every [`AuditConfig::interval`] cycles (every
 //!   shaper grant is eventually matched by an L1 fill, MSHR files never
-//!   leak, per-bin credits stay within `[0, max]`, DRAM bank timing is
-//!   ordered, counters are monotone) and records [`AuditViolation`]s
-//!   instead of panicking.
+//!   leak, per-bin credits stay within `[0, max]`, DRAM byte/burst
+//!   accounting balances, counters are monotone) and records
+//!   [`AuditViolation`]s instead of panicking. It also replays every DRAM
+//!   dispatch, as it happens, through its own [`DramOracle`], the
+//!   simulator's one DDR3 legality checker (the same oracle
+//!   `mitts-conform` runs over trace streams).
 //! * The **forward-progress watchdog** — detects livelock/deadlock (no
 //!   core retires and no fill completes for
 //!   [`WatchdogConfig::global_stall_cycles`]) and produces a structured
@@ -29,8 +32,10 @@
 
 use std::collections::VecDeque;
 
-use crate::config::ConfigError;
-use crate::types::{Addr, Cycle};
+use crate::config::{ConfigError, SystemConfig};
+use crate::mc::DispatchRecord;
+use crate::oracle::DramOracle;
+use crate::types::{Addr, Cycle, MemCmd};
 
 // ---------------------------------------------------------------------------
 // Structured errors
@@ -164,7 +169,8 @@ pub enum Invariant {
     MshrLeak,
     /// A shaper reported a per-bin credit outside `[0, max]`.
     CreditBounds,
-    /// DRAM command timestamps violated tRCD/tRP/tRAS/tRRD ordering.
+    /// A DRAM dispatch broke DDR3 legality (command timing, row state,
+    /// address map, bus occupancy or refresh), as found by [`DramOracle`].
     DramTiming,
     /// DRAM byte/burst accounting no longer matches services performed.
     DramConservation,
@@ -489,6 +495,8 @@ impl std::fmt::Display for RunOutcome {
 
 /// One injectable fault. Each variant exercises a different checker: the
 /// tests in `crates/sim/tests/hardening.rs` prove every class is caught.
+/// The DDR3 check has no fault class; its unit tests feed the auditor
+/// illegal dispatch records directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Silently discard the next `count` DRAM read responses from cycle
@@ -762,6 +770,8 @@ struct CoreProgress {
 pub struct InvariantAuditor {
     audit: AuditConfig,
     watchdog: WatchdogConfig,
+    /// Shadow DDR3 state machine every dispatch is replayed against.
+    dram: DramOracle,
     violations: Vec<AuditViolation>,
     dropped: u64,
     passes: u64,
@@ -774,11 +784,13 @@ pub struct InvariantAuditor {
 }
 
 impl InvariantAuditor {
-    /// Creates auditor state for `cores` cores from the configuration.
-    pub fn new(config: &HardeningConfig, cores: usize) -> Self {
+    /// Creates auditor state for the configured cores, hardening settings
+    /// and DRAM geometry.
+    pub fn new(config: &SystemConfig) -> Self {
         InvariantAuditor {
-            audit: config.audit.clone(),
-            watchdog: config.watchdog.clone(),
+            audit: config.hardening.audit.clone(),
+            watchdog: config.hardening.watchdog.clone(),
+            dram: DramOracle::from_system_config(config),
             violations: Vec::new(),
             dropped: 0,
             passes: 0,
@@ -787,7 +799,7 @@ impl InvariantAuditor {
             last_totals: (0, 0),
             cores: vec![
                 CoreProgress { last_instructions: 0, last_change_at: 0, starve_reported: false };
-                cores
+                config.cores
             ],
             stall: None,
         }
@@ -831,6 +843,27 @@ impl InvariantAuditor {
             self.violations.push(violation);
         } else {
             self.dropped += 1;
+        }
+    }
+
+    /// Replays channel `channel`'s dispatch records through the DDR3
+    /// oracle and records each finding as [`Invariant::DramTiming`] at its
+    /// dispatch cycle. Does nothing unless auditing is enabled.
+    pub(crate) fn check_dispatches(&mut self, channel: usize, records: &[DispatchRecord]) {
+        if !self.audit.enabled {
+            return;
+        }
+        for r in records {
+            let write = r.txn.cmd == MemCmd::Write;
+            self.dram.check(r.at, channel, r.txn.addr, write, &r.timing);
+        }
+        for v in self.dram.take_violations() {
+            self.record(AuditViolation {
+                cycle: v.at,
+                invariant: Invariant::DramTiming,
+                core: None,
+                detail: format!("channel {channel}: {}", v.detail),
+            });
         }
     }
 
@@ -960,8 +993,9 @@ impl InvariantAuditor {
 
     /// Encodes auditor and watchdog state, including the recorded
     /// violation log (so downstream consumers tailing the log resume
-    /// consistently). The stall report is deliberately not included: the
-    /// system refuses to snapshot a stalled run.
+    /// consistently) and the DDR3 oracle's shadow. The stall report is
+    /// deliberately not included: the system refuses to snapshot a
+    /// stalled run.
     pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         debug_assert!(self.stall.is_none(), "stalled systems refuse to snapshot");
         enc.usize(self.violations.len());
@@ -983,6 +1017,7 @@ impl InvariantAuditor {
             enc.u64(p.last_change_at);
             enc.bool(p.starve_reported);
         }
+        self.dram.save_state(enc);
     }
 
     pub(crate) fn load_state(
@@ -1019,6 +1054,7 @@ impl InvariantAuditor {
             p.last_change_at = dec.u64()?;
             p.starve_reported = dec.bool()?;
         }
+        self.dram.load_state(dec)?;
         self.stall = None;
         Ok(())
     }
@@ -1113,26 +1149,132 @@ impl GrantLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::{DramServiceTiming, RowOutcome};
+    use crate::mc::Transaction;
+    use crate::types::CoreId;
+
+    fn auditor(cfg: &HardeningConfig, cores: usize) -> InvariantAuditor {
+        InvariantAuditor::new(&SystemConfig {
+            cores,
+            hardening: cfg.clone(),
+            ..SystemConfig::multi_program(cores)
+        })
+    }
+
+    /// A read of line 0 (channel 0, bank 0, row 0) dispatched at `at`,
+    /// stamped with `timing`.
+    fn read_of_line_zero(at: Cycle, timing: DramServiceTiming) -> DispatchRecord {
+        let txn = Transaction {
+            id: at,
+            core: CoreId::new(0),
+            addr: 0,
+            cmd: MemCmd::Read,
+            enqueued_at: at,
+        };
+        DispatchRecord { txn, at, timing }
+    }
+
+    /// A legal row-miss record for line 0 dispatched at `at`.
+    fn legal_miss(cfg: &SystemConfig, at: Cycle) -> DramServiceTiming {
+        let t = cfg.dram.timing_cycles(cfg.core.freq_hz);
+        DramServiceTiming {
+            bank: 0,
+            row: 0,
+            outcome: RowOutcome::Miss,
+            act_at: Some(at),
+            pre_at: None,
+            col_at: at + t.t_rcd,
+            data_start: at + t.t_rcd + t.t_cl,
+            data_end: at + t.t_rcd + t.t_cl + t.burst,
+        }
+    }
+
+    #[test]
+    fn illegal_dispatches_are_recorded_as_dram_timing() {
+        let mut sys = SystemConfig::multi_program(1);
+        sys.hardening.audit.enabled = true;
+
+        // Column command one cycle before ACT + tRCD.
+        let mut a = InvariantAuditor::new(&sys);
+        let mut early = legal_miss(&sys, 10);
+        early.col_at -= 1;
+        early.data_start -= 1;
+        early.data_end -= 1;
+        a.check_dispatches(0, &[read_of_line_zero(10, early)]);
+        let v = a.violations();
+        assert!(!v.is_empty(), "an early column command must be flagged");
+        assert!(v.iter().all(|v| v.invariant == Invariant::DramTiming && v.cycle == 10));
+        assert!(v.iter().any(|v| v.detail.starts_with("channel 0: ") && v.detail.contains("tRCD")));
+
+        // A row hit claimed on a bank that has never been opened.
+        let mut a = InvariantAuditor::new(&sys);
+        let mut hit = legal_miss(&sys, 20);
+        hit.outcome = RowOutcome::Hit;
+        hit.act_at = None;
+        a.check_dispatches(0, &[read_of_line_zero(20, hit)]);
+        let v = a.violations();
+        assert!(v.iter().all(|v| v.invariant == Invariant::DramTiming && v.cycle == 20));
+        assert!(
+            v.iter()
+                .any(|v| v.detail.starts_with("channel 0: ") && v.detail.contains("implies miss")),
+            "a hit on a closed bank must be flagged: {v:?}"
+        );
+
+        // The same records are ignored when auditing is off.
+        let mut off = sys.clone();
+        off.hardening.audit.enabled = false;
+        let mut a = InvariantAuditor::new(&off);
+        a.check_dispatches(0, &[read_of_line_zero(20, hit)]);
+        assert!(a.violations().is_empty());
+    }
+
+    #[test]
+    fn a_flood_of_illegal_dispatches_stops_at_max_reports() {
+        let mut sys = SystemConfig::multi_program(1);
+        sys.hardening.audit.enabled = true;
+        sys.hardening.audit.max_reports = 3;
+        let mut a = InvariantAuditor::new(&sys);
+        let mut hit = legal_miss(&sys, 0);
+        hit.outcome = RowOutcome::Hit;
+        hit.act_at = None;
+        // Ten row hits on bank 0, each with its burst before tCL. The
+        // first also claims a hit on a closed bank: 11 findings, all
+        // inside the first refresh interval.
+        let flood: Vec<DispatchRecord> = (0..10)
+            .map(|i| {
+                let at = 1_000 * (i + 1);
+                let mut t = hit;
+                t.col_at = at;
+                t.data_start = at; // before tCL
+                t.data_end = at + (hit.data_end - hit.data_start);
+                read_of_line_zero(at, t)
+            })
+            .collect();
+        a.check_dispatches(0, &flood);
+        assert_eq!(a.violations().len(), 3);
+        assert!(a.violations().iter().all(|v| v.invariant == Invariant::DramTiming));
+        assert_eq!(a.dropped_violations(), 8);
+    }
 
     #[test]
     fn audit_due_follows_interval() {
         let mut cfg = HardeningConfig::default();
         cfg.audit.enabled = true;
         cfg.audit.interval = 10;
-        let a = InvariantAuditor::new(&cfg, 1);
+        let a = auditor(&cfg, 1);
         assert!(a.audit_due(0));
         assert!(!a.audit_due(5));
         assert!(a.audit_due(20));
         let mut off = cfg.clone();
         off.audit.enabled = false;
-        assert!(!InvariantAuditor::new(&off, 1).audit_due(0));
+        assert!(!auditor(&off, 1).audit_due(0));
     }
 
     #[test]
     fn record_caps_at_max_reports() {
         let mut cfg = HardeningConfig::default();
         cfg.audit.max_reports = 2;
-        let mut a = InvariantAuditor::new(&cfg, 1);
+        let mut a = auditor(&cfg, 1);
         for i in 0..5 {
             a.record(AuditViolation {
                 cycle: i,
@@ -1149,7 +1291,7 @@ mod tests {
     fn global_watchdog_fires_once_after_threshold() {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.global_stall_cycles = 100;
-        let mut a = InvariantAuditor::new(&cfg, 1);
+        let mut a = auditor(&cfg, 1);
         assert!(!a.observe_global(0, 10, 0, true));
         for now in 1..100 {
             assert!(!a.observe_global(now, 10, 0, true), "cycle {now} too early");
@@ -1178,7 +1320,7 @@ mod tests {
     fn frozen_cycles_do_not_count_as_stall() {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.global_stall_cycles = 50;
-        let mut a = InvariantAuditor::new(&cfg, 1);
+        let mut a = auditor(&cfg, 1);
         for now in 0..200 {
             assert!(!a.observe_global(now, 10, 0, false), "all-frozen must never stall");
         }
@@ -1188,7 +1330,7 @@ mod tests {
     fn core_starvation_reports_once_per_episode() {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.core_starve_cycles = 10;
-        let mut a = InvariantAuditor::new(&cfg, 1);
+        let mut a = auditor(&cfg, 1);
         assert!(!a.observe_core(0, 0, 5, false));
         for now in 1..10 {
             assert!(!a.observe_core(now, 0, 5, false));
@@ -1259,13 +1401,13 @@ mod tests {
         let mut cfg = HardeningConfig::default();
         cfg.audit.enabled = true;
         cfg.audit.interval = 64;
-        let a = InvariantAuditor::new(&cfg, 1);
+        let a = auditor(&cfg, 1);
         assert_eq!(a.next_audit_boundary(0), Some(64));
         assert_eq!(a.next_audit_boundary(63), Some(64));
         assert_eq!(a.next_audit_boundary(64), Some(128), "strictly after now");
         let mut off = cfg.clone();
         off.audit.enabled = false;
-        assert_eq!(InvariantAuditor::new(&off, 1).next_audit_boundary(0), None);
+        assert_eq!(auditor(&off, 1).next_audit_boundary(0), None);
     }
 
     #[test]
@@ -1273,7 +1415,7 @@ mod tests {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.global_stall_cycles = 100;
         cfg.watchdog.core_starve_cycles = 500;
-        let mut a = InvariantAuditor::new(&cfg, 2);
+        let mut a = auditor(&cfg, 2);
         // Fresh state: global deadline 100 is the earliest.
         assert_eq!(a.next_watchdog_event(0), Some(100));
         // Global progress at 90 pushes the global deadline to 190.
@@ -1289,7 +1431,7 @@ mod tests {
         assert_eq!(a.next_watchdog_event(501), None, "all deadlines consumed");
         let mut off = cfg.clone();
         off.watchdog.enabled = false;
-        assert_eq!(InvariantAuditor::new(&off, 2).next_watchdog_event(0), None);
+        assert_eq!(auditor(&off, 2).next_watchdog_event(0), None);
     }
 
     #[test]
@@ -1298,14 +1440,14 @@ mod tests {
         cfg.watchdog.global_stall_cycles = 100;
         cfg.watchdog.core_starve_cycles = 500;
         // Naive: observe an all-frozen window cycle by cycle.
-        let mut naive = InvariantAuditor::new(&cfg, 2);
+        let mut naive = auditor(&cfg, 2);
         for now in 1..=400 {
             assert!(!naive.observe_global(now, 7, 3, false));
             naive.observe_core(now, 0, 7, true);
             naive.observe_core(now, 1, 0, true);
         }
         // Fast: replay the same window in one call.
-        let mut fast = InvariantAuditor::new(&cfg, 2);
+        let mut fast = auditor(&cfg, 2);
         fast.replay_skipped(400, true, &[true, true]);
         assert_eq!(fast.last_progress_at(), naive.last_progress_at());
         assert_eq!(fast.next_watchdog_event(400), naive.next_watchdog_event(400));
@@ -1413,7 +1555,7 @@ mod tests {
             let mut cfg = HardeningConfig::default();
             cfg.audit.enabled = true;
             cfg.audit.interval = interval;
-            let a = InvariantAuditor::new(&cfg, 1);
+            let a = auditor(&cfg, 1);
             let b = a.next_audit_boundary(now).expect("auditing enabled");
             prop_assert!(b > now);
             prop_assert!(b <= now + interval);
@@ -1436,7 +1578,7 @@ mod tests {
             cfg.watchdog.enabled = true;
             cfg.watchdog.global_stall_cycles = global;
             cfg.watchdog.core_starve_cycles = starve;
-            let mut a = InvariantAuditor::new(&cfg, 2);
+            let mut a = auditor(&cfg, 2);
             // Warm-up: both cores retire until `progress_until`.
             for now in 1..=progress_until {
                 prop_assert!(!a.observe_global(now, now, now, true));

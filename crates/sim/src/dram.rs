@@ -92,7 +92,8 @@ pub enum RowOutcome {
 }
 
 /// Full derived command timing of one dispatched transaction, recorded by
-/// [`Dram::start`] for observability (the trace's `dram_dispatch` event).
+/// [`Dram::start`]. The auditor's DDR3 oracle checks it, and the trace
+/// emits it as a `dram_dispatch` event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramServiceTiming {
     /// Bank the access targeted.
@@ -113,6 +114,45 @@ pub struct DramServiceTiming {
     pub data_end: Cycle,
 }
 
+impl DramServiceTiming {
+    /// Encodes the record (checkpoint support).
+    pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+        enc.usize(self.bank);
+        enc.u64(self.row);
+        enc.u8(match self.outcome {
+            RowOutcome::Hit => 0,
+            RowOutcome::Miss => 1,
+            RowOutcome::Conflict => 2,
+        });
+        enc.opt_u64(self.act_at);
+        enc.opt_u64(self.pre_at);
+        enc.u64(self.col_at);
+        enc.u64(self.data_start);
+        enc.u64(self.data_end);
+    }
+
+    /// Decodes a record written by [`DramServiceTiming::save_state`].
+    pub(crate) fn load_state(
+        dec: &mut crate::snapshot::Dec<'_>,
+    ) -> Result<Self, crate::snapshot::SnapshotError> {
+        Ok(DramServiceTiming {
+            bank: dec.usize()?,
+            row: dec.u64()?,
+            outcome: match dec.u8()? {
+                0 => RowOutcome::Hit,
+                1 => RowOutcome::Miss,
+                2 => RowOutcome::Conflict,
+                _ => return Err(crate::snapshot::SnapshotError::corrupt("invalid row outcome tag")),
+            },
+            act_at: dec.opt_u64()?,
+            pre_at: dec.opt_u64()?,
+            col_at: dec.u64()?,
+            data_start: dec.u64()?,
+            data_end: dec.u64()?,
+        })
+    }
+}
+
 /// One service completed by the DRAM: data for reads, write-done for
 /// writes, tagged with the token the controller handed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +170,11 @@ pub struct DramCompletion<T> {
 /// The controller calls [`Dram::can_start`] / [`Dram::start`] to dispatch
 /// one transaction per cycle, and [`Dram::drain_completions`] to collect
 /// finished transactions.
+///
+/// The model does not check its own legality. Each dispatch's derived
+/// timing ([`Dram::last_service`]) is logged by the controller, and the
+/// invariant auditor replays it against [`crate::oracle::DramOracle`], an
+/// independent DDR3 shadow, whenever auditing is enabled.
 #[derive(Debug, Clone)]
 pub struct Dram<T> {
     timing: DramTimingCycles,
@@ -146,13 +191,8 @@ pub struct Dram<T> {
     /// Cycle after which a read burst may start following the last write
     /// (write-to-read turnaround).
     wtr_fence: Cycle,
-    /// Most recent ACT time (tRRD ordering audit).
-    last_act_at: Option<Cycle>,
     /// Derived command timing of the most recent [`Dram::start`].
     last_service: Option<DramServiceTiming>,
-    /// Bounded log of timing-order violations; the invariant auditor
-    /// drains it via [`Dram::take_timing_violations`].
-    timing_violations: Vec<String>,
     inflight: Vec<DramCompletion<T>>,
     // Statistics
     row_hits: u64,
@@ -181,9 +221,7 @@ impl<T: Copy> Dram<T> {
             },
             refreshes: 0,
             wtr_fence: 0,
-            last_act_at: None,
             last_service: None,
-            timing_violations: Vec::new(),
             inflight: Vec::new(),
             row_hits: 0,
             row_misses: 0,
@@ -277,19 +315,13 @@ impl<T: Copy> Dram<T> {
     /// Dispatches a transaction to its bank, computing when each implicit
     /// command may legally issue. Returns the completion time.
     ///
-    /// # Panics
-    ///
-    /// Panics (debug assertion) if called while the bank is still busy;
-    /// guard with [`Dram::can_start`].
+    /// Guard with [`Dram::can_start`]: dispatching to a busy bank is not
+    /// refused here, it is reported by the auditor's DDR3 oracle.
     pub fn start(&mut self, now: Cycle, addr: Addr, cmd: MemCmd, token: T) -> Cycle {
         self.apply_refresh(now);
         let coord = self.map.coord(addr);
         let t = self.timing;
-        let bus_free_before = self.bus_free_at;
-        let wtr_before = self.wtr_fence;
-        let prev_act = self.last_act_at;
         let bank = &mut self.banks[coord.bank];
-        debug_assert!(bank.ready_at <= now, "bank busy until {}", bank.ready_at);
 
         let row_hit = bank.open_row == Some(coord.row);
         let row_closed = bank.open_row.is_none();
@@ -339,56 +371,6 @@ impl<T: Copy> Dram<T> {
         // has issued; a follow-up row hit can pipeline behind this one,
         // while a conflict will be fenced by `precharge_ok_at`.
         bank.ready_at = col_ready + t.burst.max(4);
-        let precharge_ok_at = bank.precharge_ok_at;
-
-        // Timing-order audit: re-derive the sequencing constraints from the
-        // fences captured on entry so a refactor of the arithmetic above
-        // cannot silently break tRCD/tRP/tRRD/tRAS/tWTR ordering. Findings
-        // go to a bounded log the invariant auditor drains (no panics).
-        if self.timing_violations.len() < 16 {
-            let mut violated = |msg: String| self.timing_violations.push(msg);
-            if let Some(act_at) = act_time {
-                if act_at < now {
-                    violated(format!("ACT at {act_at} before dispatch at {now}"));
-                }
-                let min_col = if row_closed { now + t.t_rcd } else { now + t.t_rp + t.t_rcd };
-                if col_ready < min_col {
-                    violated(format!(
-                        "column command at {col_ready} violates tRP/tRCD (earliest {min_col})"
-                    ));
-                }
-                if let Some(prev) = prev_act {
-                    if act_at < prev + t.t_rrd {
-                        violated(format!(
-                            "ACT at {act_at} violates tRRD after ACT at {prev}"
-                        ));
-                    }
-                }
-                if precharge_ok_at < act_at + t.t_ras {
-                    violated(format!(
-                        "precharge fence {precharge_ok_at} violates tRAS after ACT at {act_at}"
-                    ));
-                }
-            }
-            if data_start < col_ready + cas {
-                violated(format!(
-                    "data burst at {data_start} before CAS latency from column at {col_ready}"
-                ));
-            }
-            if data_start < bus_free_before {
-                violated(format!(
-                    "data burst at {data_start} overlaps bus busy until {bus_free_before}"
-                ));
-            }
-            if cmd.is_read() && data_start < wtr_before {
-                violated(format!(
-                    "read burst at {data_start} violates tWTR fence {wtr_before}"
-                ));
-            }
-        }
-        if let Some(act_at) = act_time {
-            self.last_act_at = Some(act_at);
-        }
         self.last_service = Some(DramServiceTiming {
             bank: coord.bank,
             row: coord.row,
@@ -404,15 +386,9 @@ impl<T: Copy> Dram<T> {
         data_end
     }
 
-    /// Derived command timing of the most recent dispatch (observability).
+    /// Derived command timing of the most recent dispatch.
     pub fn last_service(&self) -> Option<DramServiceTiming> {
         self.last_service
-    }
-
-    /// Drains the bounded timing-order violation log (empty in a healthy
-    /// run). Called by the invariant auditor each pass.
-    pub fn take_timing_violations(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.timing_violations)
     }
 
     /// Checks byte/burst accounting against services performed: every
@@ -483,28 +459,9 @@ impl<T: Copy> Dram<T> {
         enc.u64(self.next_refresh);
         enc.u64(self.refreshes);
         enc.u64(self.wtr_fence);
-        enc.opt_u64(self.last_act_at);
-        match &self.last_service {
-            None => enc.bool(false),
-            Some(s) => {
-                enc.bool(true);
-                enc.usize(s.bank);
-                enc.u64(s.row);
-                enc.u8(match s.outcome {
-                    RowOutcome::Hit => 0,
-                    RowOutcome::Miss => 1,
-                    RowOutcome::Conflict => 2,
-                });
-                enc.opt_u64(s.act_at);
-                enc.opt_u64(s.pre_at);
-                enc.u64(s.col_at);
-                enc.u64(s.data_start);
-                enc.u64(s.data_end);
-            }
-        }
-        enc.usize(self.timing_violations.len());
-        for v in &self.timing_violations {
-            enc.str(v);
+        enc.bool(self.last_service.is_some());
+        if let Some(s) = &self.last_service {
+            s.save_state(enc);
         }
         enc.usize(self.inflight.len());
         for c in &self.inflight {
@@ -546,31 +503,8 @@ impl<T: Copy> Dram<T> {
         self.next_refresh = dec.u64()?;
         self.refreshes = dec.u64()?;
         self.wtr_fence = dec.u64()?;
-        self.last_act_at = dec.opt_u64()?;
-        self.last_service = if dec.bool()? {
-            Some(DramServiceTiming {
-                bank: dec.usize()?,
-                row: dec.u64()?,
-                outcome: match dec.u8()? {
-                    0 => RowOutcome::Hit,
-                    1 => RowOutcome::Miss,
-                    2 => RowOutcome::Conflict,
-                    _ => return Err(SnapshotError::corrupt("invalid row outcome tag")),
-                },
-                act_at: dec.opt_u64()?,
-                pre_at: dec.opt_u64()?,
-                col_at: dec.u64()?,
-                data_start: dec.u64()?,
-                data_end: dec.u64()?,
-            })
-        } else {
-            None
-        };
-        let violations = dec.usize()?;
-        self.timing_violations.clear();
-        for _ in 0..violations {
-            self.timing_violations.push(dec.str()?.to_owned());
-        }
+        self.last_service =
+            if dec.bool()? { Some(DramServiceTiming::load_state(dec)?) } else { None };
         let inflight = dec.usize()?;
         self.inflight.clear();
         for _ in 0..inflight {
@@ -749,8 +683,11 @@ mod tests {
     }
 
     #[test]
-    fn healthy_run_has_no_timing_violations_and_conserves() {
+    fn healthy_run_is_ddr3_legal_and_conserves() {
+        let cfg = DramConfig::default();
         let mut d = dram();
+        let mut oracle =
+            crate::oracle::DramOracle::new(d.timing(), cfg.banks, cfg.row_bytes as u64, 1);
         let mut now = 0;
         for i in 0..50u64 {
             // Mix of banks, rows, reads and writes.
@@ -760,9 +697,11 @@ mod tests {
             }
             let cmd = if i % 4 == 0 { MemCmd::Write } else { MemCmd::Read };
             d.start(now, addr, cmd, i as u32);
+            let svc = d.last_service().expect("service recorded");
+            oracle.check(now, 0, addr, !cmd.is_read(), &svc);
             now += 3;
         }
-        assert!(d.take_timing_violations().is_empty(), "legal schedule must audit clean");
+        assert!(oracle.violations().is_empty(), "legal schedule must audit clean");
         d.check_conservation().expect("byte/burst accounting must balance");
     }
 

@@ -342,8 +342,8 @@ impl Scheduler for FcfsScheduler {
 
 /// One dispatch captured by the controller's (opt-in) dispatch log: the
 /// transaction, when it left the queue, and the DRAM command timing the
-/// device derived for it. Consumed by the observer's `dram_dispatch`
-/// trace events.
+/// device derived for it. Checked by the auditor's DDR3 oracle and traced
+/// as `dram_dispatch` events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchRecord {
     /// The dispatched transaction.
@@ -424,7 +424,7 @@ pub struct MemoryController {
     /// per-tick completion drain does not allocate.
     completion_scratch: Vec<DramCompletion<TxnId>>,
     /// When true, every dispatch is appended to `dispatch_log` for the
-    /// observer to drain. Off by default (zero cost when tracing is off).
+    /// system to drain. Off unless auditing or tracing is on.
     log_dispatches: bool,
     dispatch_log: Vec<DispatchRecord>,
     /// When true, every scheduling decision is captured with its full
@@ -468,9 +468,10 @@ impl MemoryController {
         }
     }
 
-    /// Enables (or disables) the dispatch log. While enabled, the observer
-    /// must drain it every tick via
-    /// [`MemoryController::drain_dispatch_log_into`].
+    /// Enables (or disables) the dispatch log. While enabled, the caller
+    /// must read and clear it every tick via
+    /// [`MemoryController::dispatch_log`] and
+    /// [`MemoryController::clear_dispatch_log`].
     pub fn set_dispatch_logging(&mut self, on: bool) {
         self.log_dispatches = on;
         if !on {
@@ -478,10 +479,15 @@ impl MemoryController {
         }
     }
 
-    /// Moves all logged dispatches into `out` (appending), leaving the log
-    /// empty. Allocation-free once both vectors are warm.
-    pub fn drain_dispatch_log_into(&mut self, out: &mut Vec<DispatchRecord>) {
-        out.append(&mut self.dispatch_log);
+    /// Dispatches logged since the last
+    /// [`MemoryController::clear_dispatch_log`].
+    pub fn dispatch_log(&self) -> &[DispatchRecord] {
+        &self.dispatch_log
+    }
+
+    /// Empties the dispatch log (keeping its allocation).
+    pub fn clear_dispatch_log(&mut self) {
+        self.dispatch_log.clear();
     }
 
     /// Enables (or disables) pick-snapshot logging: while enabled, every
@@ -791,7 +797,7 @@ impl MemoryController {
         for r in &self.dispatch_log {
             enc_txn(enc, &r.txn);
             enc.u64(r.at);
-            enc_service_timing(enc, &r.timing);
+            r.timing.save_state(enc);
         }
         enc.bool(self.log_picks);
         enc.usize(self.pick_log.len());
@@ -861,7 +867,7 @@ impl MemoryController {
         for _ in 0..dl {
             let txn = dec_txn(dec)?;
             let at = dec.u64()?;
-            let timing = dec_service_timing(dec)?;
+            let timing = DramServiceTiming::load_state(dec)?;
             self.dispatch_log.push(DispatchRecord { txn, at, timing });
         }
         self.log_picks = dec.bool()?;
@@ -888,45 +894,6 @@ impl MemoryController {
         }
         Ok(())
     }
-}
-
-/// Encodes a [`DramServiceTiming`] (shared with the dispatch log).
-pub(crate) fn enc_service_timing(enc: &mut crate::snapshot::Enc, s: &DramServiceTiming) {
-    use crate::dram::RowOutcome;
-    enc.usize(s.bank);
-    enc.u64(s.row);
-    enc.u8(match s.outcome {
-        RowOutcome::Hit => 0,
-        RowOutcome::Miss => 1,
-        RowOutcome::Conflict => 2,
-    });
-    enc.opt_u64(s.act_at);
-    enc.opt_u64(s.pre_at);
-    enc.u64(s.col_at);
-    enc.u64(s.data_start);
-    enc.u64(s.data_end);
-}
-
-/// Decodes a [`DramServiceTiming`] written by [`enc_service_timing`].
-pub(crate) fn dec_service_timing(
-    dec: &mut crate::snapshot::Dec<'_>,
-) -> Result<DramServiceTiming, crate::snapshot::SnapshotError> {
-    use crate::dram::RowOutcome;
-    Ok(DramServiceTiming {
-        bank: dec.usize()?,
-        row: dec.u64()?,
-        outcome: match dec.u8()? {
-            0 => RowOutcome::Hit,
-            1 => RowOutcome::Miss,
-            2 => RowOutcome::Conflict,
-            _ => return Err(crate::snapshot::SnapshotError::corrupt("invalid row outcome tag")),
-        },
-        act_at: dec.opt_u64()?,
-        pre_at: dec.opt_u64()?,
-        col_at: dec.u64()?,
-        data_start: dec.u64()?,
-        data_end: dec.u64()?,
-    })
 }
 
 // `inflight` is declared here (after the impl that uses helpers) to keep

@@ -92,7 +92,6 @@ pub struct Observer {
     violations_seen: usize,
     /// The watchdog stall has been mirrored into the stream.
     stall_reported: bool,
-    dispatch_scratch: Vec<DispatchRecord>,
     pick_scratch: Vec<crate::mc::PickRecord>,
 }
 
@@ -140,7 +139,6 @@ impl Observer {
             reqs_dropped: 0,
             violations_seen: 0,
             stall_reported: false,
-            dispatch_scratch: Vec::new(),
             pick_scratch: Vec::new(),
         }
     }
@@ -346,17 +344,14 @@ impl Observer {
         self.emit(TraceEvent::McEnqueue { at: now, channel, core, line, write });
     }
 
-    /// Drains channel `channel`'s dispatch log: emits one
+    /// Traces channel `channel`'s dispatches for this tick: emits one
     /// [`TraceEvent::DramDispatch`] per dispatched transaction and stamps
     /// the matching memory-side timelines.
-    pub fn drain_dispatches(&mut self, channel: usize, mc: &mut MemoryController) {
+    pub fn on_dispatches(&mut self, channel: usize, records: &[DispatchRecord]) {
         if !self.lifecycle {
             return;
         }
-        let mut records = std::mem::take(&mut self.dispatch_scratch);
-        records.clear();
-        mc.drain_dispatch_log_into(&mut records);
-        for rec in &records {
+        for rec in records {
             if rec.txn.cmd == MemCmd::Read {
                 if let Some(req) = self
                     .mem_reqs
@@ -375,7 +370,6 @@ impl Observer {
                 timing: rec.timing,
             });
         }
-        self.dispatch_scratch = records;
     }
 
     /// Drains channel `channel`'s pick-snapshot log: emits one

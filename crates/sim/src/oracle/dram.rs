@@ -1,6 +1,11 @@
 //! DDR3 legality oracle: replays `dram_dispatch` records against the
 //! device timing constraints.
 //!
+//! It is the simulator's only DDR3 checker. The invariant auditor feeds it
+//! every dispatch whenever auditing is enabled (findings become
+//! `Invariant::DramTiming`), and `mitts-conform` runs it over the trace
+//! stream.
+//!
 //! [`DramOracle`] keeps its own per-channel shadow of the DDR3 state
 //! machine — open rows, precharge fences, rank ACT window, data-bus and
 //! write-to-read fences, refresh schedule — advanced **only by the
@@ -87,7 +92,7 @@ impl ShadowChannel {
 }
 
 /// Replays `dram_dispatch` events against DDR3 timing legality.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DramOracle {
     timing: DramTimingCycles,
     banks: usize,
@@ -133,9 +138,73 @@ impl DramOracle {
         &self.violations
     }
 
+    /// Removes and returns the violations found so far.
+    pub fn take_violations(&mut self) -> Vec<OracleViolation> {
+        std::mem::take(&mut self.violations)
+    }
+
     /// Number of dispatch records checked.
     pub fn dispatches_checked(&self) -> u64 {
         self.dispatches
+    }
+
+    /// Encodes the shadow DDR3 state and the dispatch count (checkpoint
+    /// support). Pending violations are not included: the auditor drains
+    /// them after every batch.
+    pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+        enc.u64(self.dispatches);
+        enc.usize(self.channels.len());
+        for ch in &self.channels {
+            enc.usize(ch.banks.len());
+            for b in &ch.banks {
+                enc.opt_u64(b.open_row);
+                enc.u64(b.ready_at);
+                enc.u64(b.precharge_ok_at);
+                enc.opt_u64(b.last_act);
+            }
+            enc.u64(ch.bus_free_at);
+            enc.u64(ch.wtr_fence);
+            enc.u64(ch.next_act_at);
+            enc.u64(ch.next_refresh);
+        }
+    }
+
+    /// Restores state written by [`DramOracle::save_state`]. A shadow of
+    /// another channel or bank count is a `Mismatch`.
+    pub fn load_state(
+        &mut self,
+        dec: &mut crate::snapshot::Dec<'_>,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        use crate::snapshot::SnapshotError;
+        self.dispatches = dec.u64()?;
+        let channels = dec.usize()?;
+        if channels != self.channels.len() {
+            return Err(SnapshotError::mismatch(format!(
+                "DRAM oracle shadows {channels} channels in the snapshot but {} configured",
+                self.channels.len()
+            )));
+        }
+        for ch in &mut self.channels {
+            let banks = dec.usize()?;
+            if banks != ch.banks.len() {
+                return Err(SnapshotError::mismatch(format!(
+                    "DRAM oracle shadows {banks} banks in the snapshot but {} configured",
+                    ch.banks.len()
+                )));
+            }
+            for b in &mut ch.banks {
+                b.open_row = dec.opt_u64()?;
+                b.ready_at = dec.u64()?;
+                b.precharge_ok_at = dec.u64()?;
+                b.last_act = dec.opt_u64()?;
+            }
+            ch.bus_free_at = dec.u64()?;
+            ch.wtr_fence = dec.u64()?;
+            ch.next_act_at = dec.u64()?;
+            ch.next_refresh = dec.u64()?;
+        }
+        self.violations.clear();
+        Ok(())
     }
 
     fn report(&mut self, at: Cycle, channel: usize, detail: String) {

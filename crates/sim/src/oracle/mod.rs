@@ -33,6 +33,11 @@
 //! `mitts-conform` binary (crate `mitts-bench`) runs them over seeded
 //! fuzzed configurations and over deliberately-mutated specs (to prove
 //! the oracles themselves detect divergence).
+//!
+//! [`DramOracle`] also runs inline: the invariant auditor
+//! ([`crate::audit::InvariantAuditor`]) owns one and feeds it every DRAM
+//! dispatch whenever auditing is enabled, so every audited run (tests,
+//! sweeps, perfbench) is DDR3-checked.
 
 mod dram;
 mod netcalc;

@@ -593,20 +593,17 @@ impl SystemBuilder {
             self.trace_sink,
             self.sample_every,
         );
-        if obs.lifecycle_enabled() {
-            for channel in &mut channels {
-                channel.mc.set_dispatch_logging(true);
-                if self.pick_snapshots {
-                    channel.mc.set_pick_logging(true);
-                }
-            }
-            if emit_config_events {
-                for (i, unit) in cores.iter().enumerate() {
-                    let sh = unit.shaper.borrow();
-                    let bins =
-                        sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect();
-                    obs.emit_shaper_config(0, i, sh.name(), bins);
-                }
+        let tracing = obs.lifecycle_enabled();
+        for channel in &mut channels {
+            // Dispatches feed the auditor's DDR3 oracle and the trace.
+            channel.mc.set_dispatch_logging(tracing || config.hardening.audit.enabled);
+            channel.mc.set_pick_logging(tracing && self.pick_snapshots);
+        }
+        if tracing && emit_config_events {
+            for (i, unit) in cores.iter().enumerate() {
+                let sh = unit.shaper.borrow();
+                let bins = sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect();
+                obs.emit_shaper_config(0, i, sh.name(), bins);
             }
         }
         let n = config.cores;
@@ -620,7 +617,7 @@ impl SystemBuilder {
             signals: vec![CoreSignals::default(); n],
             rr_offset: 0,
             llc_ports: config.llc_ports,
-            auditor: InvariantAuditor::new(&config.hardening, n),
+            auditor: InvariantAuditor::new(&config),
             audit_last_instr: vec![0; n],
             faults: ActiveFaults::default(),
             engine: self.engine,
@@ -1642,11 +1639,18 @@ impl System {
         }
         self.rr_offset = (self.rr_offset + 1) % n.max(1);
 
-        // 5. Memory controller dispatch (per channel).
+        // 5. Memory controller dispatch (per channel). Each channel's
+        //    dispatch log is read once: the auditor's DDR3 oracle checks the
+        //    records, then the observer traces them.
         for (ci, channel) in self.channels.iter_mut().enumerate() {
             channel.mc.tick(now, channel.scheduler.as_mut(), &mut channel.dram);
             self.obs.drain_picks(ci, &mut channel.mc);
-            self.obs.drain_dispatches(ci, &mut channel.mc);
+            let dispatches = channel.mc.dispatch_log();
+            if !dispatches.is_empty() {
+                self.auditor.check_dispatches(ci, dispatches);
+                self.obs.on_dispatches(ci, dispatches);
+                channel.mc.clear_dispatch_log();
+            }
         }
 
         // 6. Refresh per-core signals and run the scheduler's epoch hook.
@@ -2043,7 +2047,7 @@ impl System {
             }
         }
 
-        for (ci, channel) in self.channels.iter_mut().enumerate() {
+        for (ci, channel) in self.channels.iter().enumerate() {
             if let Some(at) = channel.mc.oldest_inflight_dispatch() {
                 let age = now.saturating_sub(at);
                 if age > cfg.max_mc_inflight_age {
@@ -2058,14 +2062,6 @@ impl System {
                         ),
                     });
                 }
-            }
-            for v in channel.dram.take_timing_violations() {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::DramTiming,
-                    core: None,
-                    detail: format!("channel {ci}: {v}"),
-                });
             }
             if let Err(e) = channel.dram.check_conservation() {
                 self.auditor.record(AuditViolation {

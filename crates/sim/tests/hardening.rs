@@ -156,7 +156,9 @@ fn stalled_llc_ports_trip_the_global_watchdog() {
 // ---------------------------------------------------------------------------
 
 /// Production-default hardening (thresholds untouched) with audit forced
-/// on, so these clean runs exercise the real shipping limits.
+/// on, so these clean runs exercise the real shipping limits. Auditing
+/// also replays every DRAM dispatch through the DDR3 oracle, so a clean
+/// log means every dispatch was DDR3-legal.
 fn default_audited_config() -> SystemConfig {
     let mut cfg = SystemConfig::multi_program(4);
     cfg.hardening.audit.enabled = true;

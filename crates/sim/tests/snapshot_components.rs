@@ -10,11 +10,12 @@
 
 use mitts_sim::config::{DramConfig, SystemConfig};
 use mitts_sim::dram::Dram;
+use mitts_sim::oracle::DramOracle;
 use mitts_sim::histogram::InterArrivalHistogram;
 use mitts_sim::rng::Rng;
 use mitts_sim::shaper::{ShapeDecision, SourceShaper, StaticRateShaper};
 use mitts_sim::snapshot::{Dec, Enc, Snapshot, SnapshotError};
-use mitts_sim::system::SystemBuilder;
+use mitts_sim::system::{System, SystemBuilder};
 use mitts_sim::trace::{StrideTrace, TraceSource};
 use mitts_sim::types::MemCmd;
 
@@ -143,6 +144,72 @@ fn dram_rejects_a_snapshot_with_different_bank_count() {
     assert!(matches!(err, SnapshotError::Mismatch(_)), "got {err:?}");
 }
 
+/// Dispatches `n` random requests on `dram` (row hits, misses, conflicts,
+/// reads and writes), feeding each dispatch record to every oracle.
+fn dispatch_random(
+    dram: &mut Dram<u64>,
+    now: &mut u64,
+    rng: &mut Rng,
+    n: u64,
+    oracles: &mut [&mut DramOracle],
+) {
+    for i in 0..n {
+        let addr = if rng.chance(0.5) { rng.below(4) * 64 } else { rng.below(1 << 18) * 64 };
+        let cmd = if rng.chance(0.3) { MemCmd::Write } else { MemCmd::Read };
+        while !dram.can_start(*now, addr) {
+            *now += 1;
+        }
+        dram.start(*now, addr, cmd, i);
+        let svc = dram.last_service().expect("service recorded");
+        for o in oracles.iter_mut() {
+            o.check(*now, 0, addr, !cmd.is_read(), &svc);
+        }
+        *now += 1 + rng.below(8);
+    }
+}
+
+#[test]
+fn dram_oracle_shadow_round_trips_mid_flight() {
+    // Refresh every ~720 cycles, so the shadow carries a live refresh
+    // schedule as well as open rows and bus/ACT fences.
+    let cfg = DramConfig { t_refi_ns: 300.0, ..DramConfig::default() };
+    let freq = 2.4e9;
+    let fresh = || DramOracle::new(cfg.timing_cycles(freq), cfg.banks, cfg.row_bytes as u64, 1);
+    let mut dram: Dram<u64> = Dram::new(&cfg, freq);
+    let (mut now, mut rng) = (0, Rng::seeded(0x5EED));
+    let mut oracle = fresh();
+    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut [&mut oracle]);
+    let mut twin = fresh();
+    round_trip(&oracle, &mut twin, |o, e| o.save_state(e), |o, d| o.load_state(d));
+    assert_eq!(oracle.dispatches_checked(), twin.dispatches_checked());
+    // Continue the same channel: the restored shadow must judge every
+    // later dispatch (row hits on rows opened before the snapshot
+    // included) exactly as the original does, and both find it legal.
+    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut [&mut oracle, &mut twin]);
+    assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
+    assert!(twin.violations().is_empty(), "restored shadow diverged: {:?}", twin.violations());
+    assert_eq!(twin.dispatches_checked(), 400);
+}
+
+#[test]
+fn dram_oracle_rejects_a_shadow_with_different_bank_count() {
+    let small = DramConfig { banks: 4, ..DramConfig::default() };
+    let big = DramConfig { banks: 8, ..DramConfig::default() };
+    let t = small.timing_cycles(2.4e9);
+    let mut e = Enc::new();
+    DramOracle::new(t, small.banks, small.row_bytes as u64, 1).save_state(&mut e);
+    let bytes = e.into_bytes();
+    let mut other = DramOracle::new(t, big.banks, big.row_bytes as u64, 1);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        other.load_state(&mut Dec::new(&bytes))
+    }));
+    match result {
+        Ok(Err(SnapshotError::Mismatch(_))) => {}
+        Ok(other) => panic!("a different bank count must be a Mismatch, got {other:?}"),
+        Err(_) => panic!("a different bank count caused a panic"),
+    }
+}
+
 #[test]
 fn static_rate_shaper_round_trips_with_live_budget() {
     let mut s = StaticRateShaper::new(10).with_budget(3, 500);
@@ -196,14 +263,44 @@ fn stride_trace_round_trips_its_cursor() {
     }
 }
 
-/// Builds a small running system and takes its snapshot.
-fn running_snapshot() -> Snapshot {
-    let mut sys = SystemBuilder::new(SystemConfig::multi_program(2))
+/// The small system [`running_snapshot`] snapshots, freshly built.
+fn small_system() -> System {
+    SystemBuilder::new(SystemConfig::multi_program(2))
         .trace(0, Box::new(StrideTrace::new(2, 64, 1 << 20)))
         .trace(1, Box::new(StrideTrace::new(5, 64, 1 << 18).with_write_every(3)))
-        .build();
+        .build()
+}
+
+/// Builds a small running system and takes its snapshot.
+fn running_snapshot() -> Snapshot {
+    let mut sys = small_system();
     sys.run_cycles(5_000);
     sys.snapshot().expect("a stride-traced system is snapshot-capable")
+}
+
+/// Rebuilds `snap` with section `name`'s payload cut to `keep` bytes and
+/// the CRCs recomputed, so the container itself parses and any error
+/// must come from the semantic layer (`restore`).
+fn with_section_cut(snap: &Snapshot, name: &str, keep: usize) -> Snapshot {
+    let mut writer = mitts_sim::snapshot::SnapshotWriter::new();
+    for section in snap.section_names() {
+        let payload = snap.section(section).unwrap();
+        let cut = if section == name { keep } else { payload.len() };
+        writer.section(section, |e| {
+            for &b in &payload[..cut] {
+                e.u8(b);
+            }
+        });
+    }
+    Snapshot::from_bytes(&writer.finish().to_bytes()).expect("recomputed CRCs must parse")
+}
+
+/// Restores `snap` into a fresh [`small_system`], turning a panic into a
+/// test failure.
+fn restore_small(snap: &Snapshot, what: &str) -> Result<(), SnapshotError> {
+    let mut sys = small_system();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.restore(snap)))
+        .unwrap_or_else(|_| panic!("{what} caused a panic instead of SnapshotError"))
 }
 
 #[test]
@@ -244,32 +341,24 @@ fn corrupted_snapshot_bytes_error_out_instead_of_panicking() {
 #[test]
 fn restoring_a_tampered_section_errors_out() {
     let snap = running_snapshot();
-    // Rebuild the container with the `core0` payload truncated by one
-    // byte *and* the CRCs recomputed, so the container itself parses and
-    // the error must come from the semantic layer (`restore`) — proving
-    // validation is not CRC-only.
-    let mut writer = mitts_sim::snapshot::SnapshotWriter::new();
-    for name in snap.section_names() {
-        let payload = snap.section(name).unwrap().to_vec();
-        let cut = if name == "core0" { payload.len() - 1 } else { payload.len() };
-        writer.section(name, |e| {
-            for &b in &payload[..cut] {
-                e.u8(b);
-            }
-        });
+    let len = snap.section("core0").unwrap().len();
+    let tampered = with_section_cut(&snap, "core0", len - 1);
+    restore_small(&tampered, "a truncated core0 section")
+        .expect_err("tampered core0 section restored without an error");
+}
+
+#[test]
+fn a_truncated_auditor_section_is_corrupt() {
+    // The auditor section carries the violation log, the watchdog state
+    // and the DDR3 oracle's shadow: every cut must be reported as corrupt.
+    let snap = running_snapshot();
+    let len = snap.section("audit").unwrap().len();
+    for keep in (0..len).step_by(len / 24 + 1).chain([len - 1]) {
+        let tampered = with_section_cut(&snap, "audit", keep);
+        match restore_small(&tampered, &format!("an auditor section cut to {keep} bytes")) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("auditor section cut to {keep}/{len} bytes: got {other:?}"),
+        }
     }
-    let tampered = writer.finish().to_bytes();
-    let reparsed = Snapshot::from_bytes(&tampered).expect("recomputed CRCs must parse");
-    let mut sys = SystemBuilder::new(SystemConfig::multi_program(2))
-        .trace(0, Box::new(StrideTrace::new(2, 64, 1 << 20)))
-        .trace(1, Box::new(StrideTrace::new(5, 64, 1 << 18).with_write_every(3)))
-        .build();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sys.restore(&reparsed)
-    }));
-    match result {
-        Ok(Err(_)) => {}
-        Ok(Ok(())) => panic!("tampered core0 section restored without an error"),
-        Err(_) => panic!("tampered core0 section caused a panic instead of SnapshotError"),
-    }
+    restore_small(&snap, "the pristine snapshot").expect("the uncut snapshot restores");
 }

@@ -22,8 +22,8 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
-use mitts_sim::config::{CacheConfig, SystemConfig};
-use mitts_sim::obs::RingSink;
+use mitts_sim::config::{CacheConfig, DramConfig, SystemConfig};
+use mitts_sim::obs::{RingSink, TraceEvent};
 use mitts_sim::snapshot::{Snapshot, SnapshotError};
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
@@ -50,12 +50,23 @@ struct Rig {
 }
 
 /// Builds a system for `benches` with a small LLC (so the bundled traces
-/// miss to DRAM), a ring trace sink, periodic sampling, and — when
-/// `shaped` — a sparse MITTS shaper on every core.
-fn build(benches: &[Benchmark], scheduler: &str, engine: Engine, shaped: bool) -> Rig {
+/// miss to DRAM), the given DRAM timing, auditing on, a ring trace sink,
+/// periodic sampling, and — when `shaped` — a sparse MITTS shaper on
+/// every core. With `snap` the system resumes from it instead of starting
+/// fresh.
+fn rig(
+    benches: &[Benchmark],
+    scheduler: &str,
+    engine: Engine,
+    shaped: bool,
+    dram: &DramConfig,
+    snap: Option<&Snapshot>,
+) -> Result<Rig, SnapshotError> {
     let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
     let mut cfg = SystemConfig::multi_program(benches.len());
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
+    cfg.dram = dram.clone();
+    cfg.hardening.audit.enabled = true;
     let mut b = SystemBuilder::new(cfg)
         .scheduler(make_baseline(scheduler, benches.len()).expect("known scheduler"))
         .trace_sink(Box::new(Rc::clone(&sink)))
@@ -70,7 +81,17 @@ fn build(benches: &[Benchmark], scheduler: &str, engine: Engine, shaped: bool) -
             b = b.shaper(i, sh);
         }
     }
-    Rig { sys: b.build(), shapers, sink }
+    let sys = match snap {
+        Some(snap) => b.resume_from(snap)?,
+        None => b.build(),
+    };
+    Ok(Rig { sys, shapers, sink })
+}
+
+/// A fresh [`rig`] with the default DRAM timing.
+fn build(benches: &[Benchmark], scheduler: &str, engine: Engine, shaped: bool) -> Rig {
+    rig(benches, scheduler, engine, shaped, &DramConfig::default(), None)
+        .expect("a fresh build has no snapshot to refuse")
 }
 
 /// Resumes `snap` into a twin built exactly like [`build`] would.
@@ -81,27 +102,11 @@ fn resume(
     shaped: bool,
     snap: &Snapshot,
 ) -> Result<Rig, SnapshotError> {
-    let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
-    let mut cfg = SystemConfig::multi_program(benches.len());
-    cfg.llc = CacheConfig::llc_with_size(256 << 10);
-    let mut b = SystemBuilder::new(cfg)
-        .scheduler(make_baseline(scheduler, benches.len()).expect("known scheduler"))
-        .trace_sink(Box::new(Rc::clone(&sink)))
-        .sample_every(1024)
-        .engine(engine);
-    let mut shapers = Vec::new();
-    for (i, &bench) in benches.iter().enumerate() {
-        b = b.trace(i, Box::new(bench.profile().trace(base_for(i), 0xF0 + i as u64)));
-        if shaped {
-            let sh = Rc::new(RefCell::new(MittsShaper::new(sparse_mitts_config())));
-            shapers.push(Rc::clone(&sh));
-            b = b.shaper(i, sh);
-        }
-    }
-    Ok(Rig { sys: b.resume_from(snap)?, shapers, sink })
+    rig(benches, scheduler, engine, shaped, &DramConfig::default(), Some(snap))
 }
 
-/// The full check: interrupted-and-resumed vs uninterrupted.
+/// The full check: interrupted-and-resumed vs uninterrupted, with the
+/// default DRAM timing.
 fn assert_resume_equivalent(
     benches: &[Benchmark],
     scheduler: &str,
@@ -110,15 +115,30 @@ fn assert_resume_equivalent(
     snap_at: Cycle,
     total: Cycle,
 ) {
+    let dram = DramConfig::default();
+    assert_resume_equivalent_on(&dram, benches, scheduler, engine, shaped, snap_at, total);
+}
+
+/// [`assert_resume_equivalent`] with the given DRAM timing. Returns the
+/// uninterrupted reference run.
+fn assert_resume_equivalent_on(
+    dram: &DramConfig,
+    benches: &[Benchmark],
+    scheduler: &str,
+    engine: Engine,
+    shaped: bool,
+    snap_at: Cycle,
+    total: Cycle,
+) -> Rig {
     // Uninterrupted reference: run to `snap_at`, snapshot, keep going.
-    let mut reference = build(benches, scheduler, engine, shaped);
+    let mut reference = rig(benches, scheduler, engine, shaped, dram, None).unwrap();
     reference.sys.run_cycles(snap_at);
     let snap = reference.sys.snapshot().expect("snapshot must be supported");
     reference.sys.run_cycles(total - snap_at);
     reference.sys.flush_trace();
 
     // Resumed twin: fresh components, state loaded from the snapshot.
-    let mut resumed = resume(benches, scheduler, engine, shaped, &snap)
+    let mut resumed = rig(benches, scheduler, engine, shaped, dram, Some(&snap))
         .expect("an identically-built twin must accept the snapshot");
     assert_eq!(resumed.sys.now(), snap_at, "resume must land on the snapshot cycle");
     resumed.sys.run_cycles(total - snap_at);
@@ -148,23 +168,25 @@ fn assert_resume_equivalent(
         assert_eq!(a.counters(), b.counters(), "core {i} counters diverged ({tag})");
     }
 
-    // 4. Trace-event streams. The resumed sink only sees post-resume
-    // events, so compare against the reference's suffix from `snap_at`.
-    let ref_sink = reference.sink.borrow();
-    let res_sink = resumed.sink.borrow();
-    assert_eq!(ref_sink.dropped(), 0, "reference sink overflowed; enlarge the ring");
-    assert_eq!(res_sink.dropped(), 0, "resumed sink overflowed; enlarge the ring");
-    let suffix: Vec<_> = ref_sink.events().filter(|e| e.at() >= snap_at).collect();
-    let resumed_events: Vec<_> = res_sink.events().collect();
-    assert_eq!(
-        suffix.len(),
-        resumed_events.len(),
-        "event counts diverged for {tag}: {} vs {}",
-        suffix.len(),
-        resumed_events.len()
-    );
-    for (i, (a, b)) in suffix.iter().zip(&resumed_events).enumerate() {
-        assert_eq!(a, b, "trace event {i} diverged for {tag}");
+    {
+        // 4. Trace-event streams. The resumed sink only sees post-resume
+        // events, so compare against the reference's suffix from `snap_at`.
+        let ref_sink = reference.sink.borrow();
+        let res_sink = resumed.sink.borrow();
+        assert_eq!(ref_sink.dropped(), 0, "reference sink overflowed; enlarge the ring");
+        assert_eq!(res_sink.dropped(), 0, "resumed sink overflowed; enlarge the ring");
+        let suffix: Vec<_> = ref_sink.events().filter(|e| e.at() >= snap_at).collect();
+        let resumed_events: Vec<_> = res_sink.events().collect();
+        assert_eq!(
+            suffix.len(),
+            resumed_events.len(),
+            "event counts diverged for {tag}: {} vs {}",
+            suffix.len(),
+            resumed_events.len()
+        );
+        for (i, (a, b)) in suffix.iter().zip(&resumed_events).enumerate() {
+            assert_eq!(a, b, "trace event {i} diverged for {tag}");
+        }
     }
 
     // 5. Sampler rows past the snapshot boundary.
@@ -172,6 +194,7 @@ fn assert_resume_equivalent(
         reference.sys.samples().iter().filter(|s| s.at >= snap_at).collect();
     let res_samples: Vec<_> = resumed.sys.samples().iter().collect();
     assert_eq!(ref_samples, res_samples, "sampler rows diverged for {tag}");
+    reference
 }
 
 #[test]
@@ -208,6 +231,43 @@ fn multicore_shaped_mix_resumes_identically() {
         [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
     for engine in [Engine::Naive, Engine::Skip] {
         assert_resume_equivalent(&benches, "TCM", engine, true, 6_000, 14_000);
+    }
+}
+
+#[test]
+fn snapshot_with_open_rows_and_a_pending_refresh_resumes_clean() {
+    // Refresh every 2 400 cycles. The snapshot at 7 000 lands after the
+    // boundary at 4 800 with rows reopened since, and before the refresh
+    // at 7 200: the auditor's DDR3 shadow must resume with those open
+    // rows and that refresh schedule, or the resumed run's row hits and
+    // fences would be flagged.
+    let dram = DramConfig { t_refi_ns: 1_000.0, ..DramConfig::default() };
+    let (snap_at, total) = (7_000, 14_000);
+    let t = dram.timing_cycles(SystemConfig::default().core.freq_hz);
+    let window_start = snap_at / t.t_refi * t.t_refi;
+    assert!(window_start < snap_at && window_start + t.t_refi > snap_at);
+    for engine in [Engine::Naive, Engine::Skip] {
+        let reference = assert_resume_equivalent_on(
+            &dram,
+            &[Benchmark::Libquantum],
+            "FR-FCFS",
+            engine,
+            false,
+            snap_at,
+            total,
+        );
+        let reopened = reference.sink.borrow().events().any(|e| {
+            matches!(e, TraceEvent::DramDispatch { at, .. } if (window_start..snap_at).contains(at))
+        });
+        assert!(reopened, "{engine:?}: no dispatch reopened a row before the snapshot");
+        let refreshes: u64 =
+            reference.sys.system_stats().channels.iter().map(|c| c.refreshes).sum();
+        assert!(refreshes * t.t_refi > snap_at, "{engine:?}: no refresh after the snapshot");
+        assert!(
+            reference.sys.audit_log().is_empty(),
+            "{engine:?}: {:#?}",
+            reference.sys.audit_log()
+        );
     }
 }
 

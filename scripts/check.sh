@@ -11,6 +11,8 @@ trap 'rm -rf "$GATE_TMP"' EXIT
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: a doc link to a deleted or private item fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Skip-engine equivalence: naive and skip execution must produce
 # bit-identical stats, grant ledgers, and run outcomes.
@@ -19,9 +21,13 @@ cargo test -q -p mitts-sim --test fast_forward
 # Performance gate: one traced pass of perfbench, the benchmark of record
 # (perfbench/README.md). It exits non-zero unless every check holds: the
 # skip engine's digests equal the naive engine's, traced reps equal
-# untraced ones, and the journaled capacity frontier equals the
-# unjournaled one. Building it here also catches a crate change that
-# breaks the benchmark's build.
+# untraced ones, the journaled capacity frontier equals the unjournaled
+# one, and every single-system rep ends with zero audit violations. The
+# auditor replays every DRAM dispatch through its DDR3 oracle, so that
+# last check covers DDR3 legality too; on all four workloads the oracle
+# runs, and the capacity probes' audit logs must agree across engines.
+# Building it here also catches a crate change that breaks the
+# benchmark's build.
 PERF_LOG="$GATE_TMP/perfbench.log"
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   --seconds 1 --trace 1 > "$PERF_LOG" \
