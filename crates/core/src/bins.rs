@@ -16,6 +16,10 @@ use mitts_sim::types::Cycle;
 /// credit registers (§III-E).
 pub const K_MAX: u32 = 1024;
 
+/// Maximum number of bins: the shaper resolves the eligible bin from a
+/// one-word bitmask of the non-empty bins. The paper's chip has 10.
+pub const MAX_BINS: usize = 64;
+
 /// Geometry of a bin array: how many bins and how wide each is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinSpec {
@@ -28,9 +32,10 @@ impl BinSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `bins == 0` or `interval == 0`.
+    /// Panics if `bins == 0`, `bins > MAX_BINS`, or `interval == 0`.
     pub fn new(bins: usize, interval: Cycle) -> Self {
         assert!(bins > 0, "need at least one bin");
+        assert!(bins <= MAX_BINS, "{bins} bins exceed the maximum of {MAX_BINS}");
         assert!(interval > 0, "bin interval must be positive");
         BinSpec { bins, interval }
     }
@@ -321,6 +326,9 @@ impl BinConfig {
         if credits.is_empty() {
             return Err("need at least one bin".to_owned());
         }
+        if credits.len() > MAX_BINS {
+            return Err(format!("{} bins exceed the maximum of {MAX_BINS}", credits.len()));
+        }
         if interval == 0 {
             return Err("interval must be positive".to_owned());
         }
@@ -544,6 +552,20 @@ mod tests {
         ] {
             assert!(BinConfig::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn bin_count_is_capped_at_the_mask_width() {
+        let credits = |n: usize| vec!["1"; n].join(",") + "@100";
+        assert_eq!(BinConfig::parse(&credits(MAX_BINS)).unwrap().spec().bins(), MAX_BINS);
+        let err = BinConfig::parse(&credits(MAX_BINS + 1)).unwrap_err();
+        assert!(err.contains("65 bins"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the maximum")]
+    fn bin_spec_rejects_more_bins_than_the_mask_holds() {
+        let _ = BinSpec::new(MAX_BINS + 1, 10);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct MittsShaper {
     /// Precomputed eligibility table: bit `j` set iff `credits[j] > 0`.
     /// Maintained incrementally on every credit mutation so `try_issue`
     /// resolves the eligible bin with one mask-and-count instead of a
-    /// per-issue scan (bins beyond 64 fall back to scanning).
+    /// per-issue scan ([`BinSpec`](crate::bins::BinSpec) caps bins at 64).
     nonzero_mask: u64,
     next_replenish: Cycle,
     last_issue: Option<Cycle>,
@@ -234,7 +234,6 @@ impl MittsShaper {
         self.nonzero_mask = self
             .credits
             .iter()
-            .take(64)
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .fold(0u64, |m, (j, _)| m | (1 << j));
@@ -242,59 +241,45 @@ impl MittsShaper {
 
     fn deduct_credit(&mut self, bin: usize) {
         self.credits[bin] -= 1;
-        if self.credits[bin] == 0 && bin < 64 {
+        if self.credits[bin] == 0 {
             self.nonzero_mask &= !(1u64 << bin);
         }
     }
 
     fn restore_credit(&mut self, bin: usize) {
-        if self.credits[bin] == 0 && bin < 64 {
+        if self.credits[bin] == 0 {
             self.nonzero_mask |= 1u64 << bin;
         }
         self.credits[bin] += 1;
     }
 
+    /// The bin a request in `request_bin` spends a credit from under the
+    /// credit policy: one mask-and-count over bits `0..=request_bin` of the
+    /// non-empty-bin set, picked from the top or bottom.
     fn eligible_bin(&self, request_bin: usize) -> Option<usize> {
-        if self.credits.len() <= 64 {
-            // O(1) via the eligibility mask: bits 0..=request_bin of the
-            // non-empty-bin set, picked from the top or bottom.
-            let below = if request_bin >= 63 {
-                u64::MAX
-            } else {
-                (1u64 << (request_bin + 1)) - 1
-            };
-            let eligible = self.nonzero_mask & below;
-            if eligible == 0 {
-                return None;
-            }
-            return Some(match self.policy {
-                CreditPolicy::CheapestEligible => 63 - eligible.leading_zeros() as usize,
-                CreditPolicy::MostExpensiveEligible => eligible.trailing_zeros() as usize,
-            });
+        let below = if request_bin >= 63 {
+            u64::MAX
+        } else {
+            (1u64 << (request_bin + 1)) - 1
+        };
+        let eligible = self.nonzero_mask & below;
+        if eligible == 0 {
+            return None;
         }
-        let range = 0..=request_bin;
-        match self.policy {
-            CreditPolicy::CheapestEligible => {
-                range.rev().find(|&j| self.credits[j] > 0)
-            }
-            CreditPolicy::MostExpensiveEligible => {
-                range.into_iter().find(|&j| self.credits[j] > 0)
-            }
-        }
+        Some(match self.policy {
+            CreditPolicy::CheapestEligible => 63 - eligible.leading_zeros() as usize,
+            CreditPolicy::MostExpensiveEligible => eligible.trailing_zeros() as usize,
+        })
     }
 
     /// The cheapest bin that still holds a live credit, if any. A denied
     /// request becomes grantable exactly when its aging gap reaches this
     /// bin's representative inter-arrival.
     fn lowest_nonzero_bin(&self) -> Option<usize> {
-        if self.credits.len() <= 64 {
-            if self.nonzero_mask == 0 {
-                None
-            } else {
-                Some(self.nonzero_mask.trailing_zeros() as usize)
-            }
+        if self.nonzero_mask == 0 {
+            None
         } else {
-            self.credits.iter().position(|&c| c > 0)
+            Some(self.nonzero_mask.trailing_zeros() as usize)
         }
     }
 

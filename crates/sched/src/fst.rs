@@ -70,12 +70,12 @@ impl Fst {
     /// Slowdown estimate for the window: `1 / (1 - stall_fraction)`,
     /// i.e. an application stalled on memory half the time is estimated
     /// to run 2× slower than alone.
-    fn estimate_slowdowns(&self, signals: &[CoreSignals]) -> Vec<f64> {
-        (0..self.cores)
-            .map(|i| {
-                let d_stall =
-                    signals[i].mem_stall_cycles.saturating_sub(self.prev[i].mem_stall_cycles);
-                let stall_frac = (d_stall as f64 / self.interval as f64).clamp(0.0, 0.95);
+    fn estimate_slowdowns(&self, window: &[CoreSignals]) -> Vec<f64> {
+        window
+            .iter()
+            .map(|w| {
+                let stall_frac =
+                    (w.mem_stall_cycles as f64 / self.interval as f64).clamp(0.0, 0.95);
                 1.0 / (1.0 - stall_frac)
             })
             .collect()
@@ -108,13 +108,10 @@ impl Scheduler for Fst {
         }
         self.next_eval = now + self.interval;
 
-        let slowdowns = self.estimate_slowdowns(signals);
-        // The most interfering application: highest memory traffic in the
-        // window among those not maximally throttled.
-        let traffic: Vec<u64> = (0..self.cores)
-            .map(|i| signals[i].llc_misses.saturating_sub(self.prev[i].llc_misses))
-            .collect();
+        let window: Vec<CoreSignals> =
+            (0..self.cores).map(|i| signals[i].delta(&self.prev[i])).collect();
         self.prev = signals.to_vec();
+        let slowdowns = self.estimate_slowdowns(&window);
 
         let max_s = slowdowns.iter().cloned().fold(f64::MIN, f64::max);
         let min_s = slowdowns.iter().cloned().fold(f64::MAX, f64::min).max(1.0);
@@ -125,7 +122,10 @@ impl Scheduler for Fst {
             // most slowed-down core by one level.
             if let Some(offender) = (0..self.cores)
                 .filter(|&i| self.levels[i] + 1 < GAP_LEVELS.len())
-                .max_by_key(|&i| traffic[i])
+                // The most interfering application: highest memory
+                // traffic in the window among those not maximally
+                // throttled.
+                .max_by_key(|&i| window[i].llc_misses)
             {
                 self.levels[offender] += 1;
             }
@@ -161,6 +161,7 @@ impl Scheduler for Fst {
         enc.u64(self.next_eval);
         enc.usizes(&self.levels);
         for s in &self.prev {
+            enc.u64(s.cycles);
             enc.u64(s.instructions);
             enc.u64(s.mem_stall_cycles);
             enc.u64(s.l1_misses);
@@ -193,6 +194,7 @@ impl Scheduler for Fst {
         }
         self.levels = levels;
         for s in &mut self.prev {
+            s.cycles = dec.u64()?;
             s.instructions = dec.u64()?;
             s.mem_stall_cycles = dec.u64()?;
             s.l1_misses = dec.u64()?;

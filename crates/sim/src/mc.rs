@@ -62,11 +62,18 @@ impl<'a> DramView<'a> {
     }
 }
 
-/// Per-core memory-behaviour signals sampled by the system and handed to
+/// One core's cumulative counters: the only per-core counter view. The
+/// system refreshes one per core every real tick and hands the table to
 /// schedulers, enabling application-aware policies (TCM clustering, FST
-/// slowdown estimation, MISE service rates).
-#[derive(Debug, Clone, Default)]
+/// slowdown estimation, MISE service rates); [`System::core_snapshot`]
+/// returns the same record, and [`CoreSignals::delta`] of two of them is
+/// the view over a window.
+///
+/// [`System::core_snapshot`]: crate::system::System::core_snapshot
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreSignals {
+    /// Cycles simulated so far.
+    pub cycles: u64,
     /// Instructions retired so far.
     pub instructions: u64,
     /// Cycles the core's ROB head was blocked on memory so far.
@@ -75,13 +82,28 @@ pub struct CoreSignals {
     pub l1_misses: u64,
     /// LLC misses attributed to this core so far (memory requests).
     pub llc_misses: u64,
-    /// Memory transactions completed for this core so far.
+    /// Memory transactions completed (L1 fills delivered) for this core so
+    /// far.
     pub mem_completed: u64,
-    /// Total queueing+service latency summed over completed transactions.
+    /// L1-miss-to-fill latency summed over completed transactions.
     pub mem_latency_sum: u64,
 }
 
 impl CoreSignals {
+    /// Element-wise difference `self - earlier` (saturating): the counts
+    /// over the window between two records.
+    pub fn delta(&self, earlier: &CoreSignals) -> CoreSignals {
+        CoreSignals {
+            cycles: self.cycles.saturating_sub(earlier.cycles),
+            instructions: self.instructions.saturating_sub(earlier.instructions),
+            mem_stall_cycles: self.mem_stall_cycles.saturating_sub(earlier.mem_stall_cycles),
+            l1_misses: self.l1_misses.saturating_sub(earlier.l1_misses),
+            llc_misses: self.llc_misses.saturating_sub(earlier.llc_misses),
+            mem_completed: self.mem_completed.saturating_sub(earlier.mem_completed),
+            mem_latency_sum: self.mem_latency_sum.saturating_sub(earlier.mem_latency_sum),
+        }
+    }
+
     /// Misses per kilo-instruction at the LLC (memory intensity metric used
     /// by TCM).
     pub fn mpki(&self) -> f64 {
@@ -90,6 +112,31 @@ impl CoreSignals {
         } else {
             self.llc_misses as f64 * 1000.0 / self.instructions as f64
         }
+    }
+
+    /// Instructions per cycle.
+    pub fn ipc(&self) -> f64 {
+        ratio(self.instructions, self.cycles)
+    }
+
+    /// Memory request service rate (fills per cycle) — the quantity
+    /// MISE's slowdown estimator is built on.
+    pub fn service_rate(&self) -> f64 {
+        ratio(self.mem_completed, self.cycles)
+    }
+
+    /// Fraction of cycles stalled on memory.
+    pub fn stall_fraction(&self) -> f64 {
+        ratio(self.mem_stall_cycles, self.cycles)
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -768,8 +815,11 @@ impl MemoryController {
     /// Encodes the complete controller state: FIFO, scheduling queue (in
     /// exact order — `pick` indices and `swap_remove` make order
     /// architecturally significant), in-flight book, id allocator,
-    /// priority override, statistics, and the opt-in logs (checkpoint
-    /// support).
+    /// priority override, and statistics (checkpoint support). The
+    /// dispatch and pick logs are not encoded: both are emptied within the
+    /// tick that fills them, and whether they are kept follows from how
+    /// the restoring system was built (auditing, trace sink, pick
+    /// snapshots), not from the snapshotted run.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.usize(self.fifo.len());
         for t in &self.fifo {
@@ -792,30 +842,6 @@ impl MemoryController {
         enc.u64(self.queue_occupancy_sum);
         enc.u64(self.ticks);
         enc.u64(self.fifo_rejections);
-        enc.bool(self.log_dispatches);
-        enc.usize(self.dispatch_log.len());
-        for r in &self.dispatch_log {
-            enc_txn(enc, &r.txn);
-            enc.u64(r.at);
-            r.timing.save_state(enc);
-        }
-        enc.bool(self.log_picks);
-        enc.usize(self.pick_log.len());
-        for r in &self.pick_log {
-            enc.u64(r.at);
-            enc.u64(r.chosen);
-            enc.opt_usize(r.priority);
-            enc.usize(r.candidates.len());
-            for c in &r.candidates {
-                enc.u64(c.id);
-                enc.usize(c.core);
-                enc.u64(c.line);
-                enc.bool(c.write);
-                enc.u64(c.enqueued_at);
-                enc.bool(c.startable);
-                enc.bool(c.row_hit);
-            }
-        }
     }
 
     /// Restores state written by [`MemoryController::save_state`].
@@ -861,37 +887,6 @@ impl MemoryController {
         self.queue_occupancy_sum = dec.u64()?;
         self.ticks = dec.u64()?;
         self.fifo_rejections = dec.u64()?;
-        self.log_dispatches = dec.bool()?;
-        let dl = dec.usize()?;
-        self.dispatch_log.clear();
-        for _ in 0..dl {
-            let txn = dec_txn(dec)?;
-            let at = dec.u64()?;
-            let timing = DramServiceTiming::load_state(dec)?;
-            self.dispatch_log.push(DispatchRecord { txn, at, timing });
-        }
-        self.log_picks = dec.bool()?;
-        let pl = dec.usize()?;
-        self.pick_log.clear();
-        for _ in 0..pl {
-            let at = dec.u64()?;
-            let chosen = dec.u64()?;
-            let priority = dec.opt_usize()?;
-            let cn = dec.usize()?;
-            let mut candidates = Vec::with_capacity(cn);
-            for _ in 0..cn {
-                candidates.push(PickCandidate {
-                    id: dec.u64()?,
-                    core: dec.usize()?,
-                    line: dec.u64()?,
-                    write: dec.bool()?,
-                    enqueued_at: dec.u64()?,
-                    startable: dec.bool()?,
-                    row_hit: dec.bool()?,
-                });
-            }
-            self.pick_log.push(PickRecord { at, chosen, priority, candidates });
-        }
         Ok(())
     }
 }
@@ -917,6 +912,33 @@ impl MemoryController {
 mod tests {
     use super::*;
     use crate::config::DramConfig;
+
+    #[test]
+    fn signals_delta_saturates() {
+        let a = CoreSignals { cycles: 10, instructions: 5, ..Default::default() };
+        let b = CoreSignals { cycles: 25, instructions: 15, ..Default::default() };
+        let d = b.delta(&a);
+        assert_eq!(d.cycles, 15);
+        assert_eq!(d.instructions, 10);
+        // Reversed order saturates to zero instead of wrapping.
+        let r = a.delta(&b);
+        assert_eq!(r.cycles, 0);
+    }
+
+    #[test]
+    fn signals_window_rates() {
+        let w = CoreSignals {
+            cycles: 100,
+            instructions: 250,
+            mem_stall_cycles: 40,
+            mem_completed: 10,
+            ..Default::default()
+        };
+        assert!((w.ipc() - 2.5).abs() < 1e-12);
+        assert!((w.service_rate() - 0.1).abs() < 1e-12);
+        assert!((w.stall_fraction() - 0.4).abs() < 1e-12);
+        assert_eq!(CoreSignals::default().ipc(), 0.0, "an empty window has no rate");
+    }
 
     fn setup() -> (MemoryController, Dram<TxnId>, FcfsScheduler) {
         (

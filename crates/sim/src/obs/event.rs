@@ -83,7 +83,7 @@ impl StageLatency {
 
 /// One time-series sample for one core (deltas since the previous sample
 /// boundary, except `credits` which is an instantaneous snapshot).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreSampleRow {
     /// Core index.
     pub core: usize,
@@ -105,7 +105,7 @@ pub struct CoreSampleRow {
 
 /// One time-series sample for one memory channel (deltas since the
 /// previous boundary; queue depths are instantaneous).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelSampleRow {
     /// Memory-channel index.
     pub channel: usize,
@@ -128,7 +128,7 @@ pub struct ChannelSampleRow {
 }
 
 /// One sampler epoch: everything measured at one sampling boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SampleRow {
     /// The boundary cycle (a multiple of the sampling interval).
     pub at: Cycle,

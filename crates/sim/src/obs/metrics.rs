@@ -1,6 +1,5 @@
-//! Lightweight metrics registry: counters, gauges, and streaming
-//! log-bucketed histograms, fed from the [`TraceEvent`] stream and the
-//! sampler's epoch rows.
+//! Epoch metrics registry: the per-epoch SLO signals the capacity harness
+//! reads, fed from the [`TraceEvent`] stream and the sampler's epoch rows.
 //!
 //! The registry is a pure *consumer*: it implements [`TraceSink`] and is
 //! installed like any other sink (typically as `Rc<RefCell<MetricsRegistry>>`
@@ -24,27 +23,24 @@
 //! * **DRAM bus utilization** — data-bus busy cycles over the interval,
 //!   per channel.
 //!
-//! Alongside the derived epoch series, the registry offers a small
-//! name-keyed API (`add_counter` / `set_gauge` / `record_hist`) for ad-hoc
-//! instrumentation by harness code.
-
-use std::collections::BTreeMap;
+//! Epochs are cut only on the sampler's `Sample` events, so the registry
+//! and the sampler share one boundary. The registry keeps no whole-run
+//! accumulators: whole-run per-core counts are
+//! [`System::core_snapshot`](crate::system::System::core_snapshot).
 
 use crate::histogram::LatencyHistogram;
 use crate::obs::event::{SampleRow, TraceEvent};
 use crate::obs::sink::TraceSink;
 use crate::types::Cycle;
 
-/// Per-tenant (per-core) cumulative state between epoch boundaries.
+/// Per-tenant (per-core) state between epoch boundaries.
 #[derive(Debug, Clone, Default)]
 struct TenantAccum {
-    /// Whole-run end-to-end fill latencies.
-    run_latency: LatencyHistogram,
     /// Fill latencies since the last epoch boundary (cut per epoch).
     epoch_latency: LatencyHistogram,
-    /// Whole-run shaper grants per inter-arrival bin.
-    grant_bins: Vec<u64>,
-    /// Grants per bin since the last epoch boundary.
+    /// Grants per bin since the last epoch boundary. Its length is one
+    /// past the highest bin granted so far in the run, and survives the
+    /// cut, so every epoch reports the same number of bins.
     epoch_grant_bins: Vec<u64>,
 }
 
@@ -109,18 +105,27 @@ pub struct EpochMetrics {
 /// # Examples
 ///
 /// ```
+/// use std::cell::RefCell;
+/// use std::rc::Rc;
+/// use mitts_sim::config::SystemConfig;
 /// use mitts_sim::obs::metrics::MetricsRegistry;
-/// let mut m = MetricsRegistry::new();
-/// m.add_counter("probes", 1);
-/// m.record_hist("latency", 120);
-/// assert_eq!(m.counter("probes"), 1);
-/// assert!(m.hist_percentile("latency", 99.0) > 0.0);
+/// use mitts_sim::system::SystemBuilder;
+/// use mitts_sim::trace::StrideTrace;
+///
+/// let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
+/// let mut sys = SystemBuilder::new(SystemConfig::single_program())
+///     .trace(0, Box::new(StrideTrace::new(4, 64, 1 << 20)))
+///     .trace_sink(Box::new(Rc::clone(&metrics)))
+///     .sample_every(1024)
+///     .build();
+/// sys.run_cycles(4096);
+/// let m = metrics.borrow();
+/// assert_eq!(m.epochs().len(), 3, "boundaries at 1024, 2048 and 3072");
+/// assert_eq!(m.epochs()[0].interval, 1024);
+/// assert!(m.epochs()[0].cores[0].fills > 0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, LatencyHistogram>,
     tenants: Vec<TenantAccum>,
     epochs: Vec<EpochMetrics>,
     last_boundary: Cycle,
@@ -133,51 +138,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    // ---- generic name-keyed API -------------------------------------
-
-    /// Adds `by` to counter `name` (creating it at 0).
-    pub fn add_counter(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
-    }
-
-    /// Current value of counter `name` (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Records `value` into the streaming log-bucket histogram `name`.
-    pub fn record_hist(&mut self, name: &str, value: u64) {
-        self.hists.entry(name.to_owned()).or_default().record(value);
-    }
-
-    /// Approximate percentile (`p` in [0, 100], the workspace convention)
-    /// of histogram `name`; 0 when absent or empty.
-    pub fn hist_percentile(&self, name: &str, p: f64) -> f64 {
-        self.hists.get(name).map_or(0.0, |h| h.percentile_pct(p))
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    // ---- derived epoch series ---------------------------------------
-
     /// Trace events ingested so far.
     pub fn events_seen(&self) -> u64 {
         self.events
@@ -186,22 +146,6 @@ impl MetricsRegistry {
     /// The derived per-epoch series, in boundary order.
     pub fn epochs(&self) -> &[EpochMetrics] {
         &self.epochs
-    }
-
-    /// Whole-run p-th percentile of core `core`'s end-to-end memory
-    /// latency (0 when the core recorded no fills).
-    pub fn run_p_latency(&self, core: usize, p: f64) -> f64 {
-        self.tenants.get(core).map_or(0.0, |t| t.run_latency.percentile_pct(p))
-    }
-
-    /// Whole-run fill count of core `core`.
-    pub fn run_fills(&self, core: usize) -> u64 {
-        self.tenants.get(core).map_or(0, |t| t.run_latency.count())
-    }
-
-    /// Whole-run shaper grants per bin of core `core`.
-    pub fn run_grant_bins(&self, core: usize) -> &[u64] {
-        self.tenants.get(core).map_or(&[], |t| &t.grant_bins)
     }
 
     fn tenant_mut(&mut self, core: usize) -> &mut TenantAccum {
@@ -218,18 +162,14 @@ impl MetricsRegistry {
         self.events += 1;
         match ev {
             TraceEvent::Fill { core, lat, .. } => {
-                let t = self.tenant_mut(*core);
-                t.run_latency.record(lat.total());
-                t.epoch_latency.record(lat.total());
+                self.tenant_mut(*core).epoch_latency.record(lat.total());
             }
             TraceEvent::ShaperGrant { core, bin, .. } => {
                 let t = self.tenant_mut(*core);
                 let bin = *bin as usize;
-                if bin >= t.grant_bins.len() {
-                    t.grant_bins.resize(bin + 1, 0);
+                if bin >= t.epoch_grant_bins.len() {
                     t.epoch_grant_bins.resize(bin + 1, 0);
                 }
-                t.grant_bins[bin] += 1;
                 t.epoch_grant_bins[bin] += 1;
             }
             TraceEvent::Sample(row) => self.cut_epoch(row),
@@ -245,6 +185,7 @@ impl MetricsRegistry {
         let mut cores = Vec::with_capacity(row.cores.len());
         for c in &row.cores {
             let t = self.tenant_mut(c.core);
+            let bins = t.epoch_grant_bins.len();
             let (live, max): (u64, u64) = c
                 .credits
                 .iter()
@@ -259,12 +200,10 @@ impl MetricsRegistry {
                 ipc: c.instructions as f64 / interval as f64,
                 stall_rate: c.mem_stall as f64 / interval as f64,
                 shaper_stall_rate: c.shaper_stall as f64 / interval as f64,
-                grant_bins: std::mem::take(&mut t.epoch_grant_bins),
+                grant_bins: std::mem::replace(&mut t.epoch_grant_bins, vec![0; bins]),
                 credit_occupancy: occupancy,
             });
             t.epoch_latency.reset();
-            let bins = t.grant_bins.len();
-            t.epoch_grant_bins.resize(bins, 0);
         }
         let channels = row
             .channels
@@ -337,24 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn name_keyed_api_round_trips() {
-        let mut m = MetricsRegistry::new();
-        m.add_counter("x", 2);
-        m.add_counter("x", 3);
-        m.set_gauge("g", 0.5);
-        for v in [10u64, 20, 3000] {
-            m.record_hist("h", v);
-        }
-        assert_eq!(m.counter("x"), 5);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("g"), Some(0.5));
-        assert!(m.hist_percentile("h", 99.0) >= 2048.0);
-        assert_eq!(m.hist_percentile("missing", 50.0), 0.0);
-        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("x", 5)]);
-        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("g", 0.5)]);
-    }
-
-    #[test]
     fn epoch_cut_derives_rates_and_percentiles() {
         let mut m = MetricsRegistry::new();
         for _ in 0..99 {
@@ -380,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_histograms_reset_but_run_histograms_accumulate() {
+    fn epoch_histograms_reset_at_each_cut() {
         let mut m = MetricsRegistry::new();
         m.ingest(&fill(0, 100));
         m.ingest(&sample(1024, 1, 1));
@@ -391,8 +312,6 @@ mod tests {
         assert_eq!(m.epochs()[1].cores[0].fills, 1);
         // Epoch 2's p99 reflects only the second fill.
         assert!(m.epochs()[1].cores[0].p99_latency > 4000.0);
-        assert_eq!(m.run_fills(0), 2);
-        assert!(m.run_p_latency(0, 99.0) > 4000.0);
     }
 
     #[test]
@@ -406,8 +325,13 @@ mod tests {
         m.ingest(&sample(2048, 2, 2));
         assert_eq!(m.epochs()[0].cores[1].grant_bins, vec![1, 0, 0, 2]);
         assert_eq!(m.epochs()[1].cores[1].grant_bins, vec![0, 0, 0, 1]);
-        assert_eq!(m.run_grant_bins(1), &[1, 0, 0, 3]);
-        assert_eq!(m.run_grant_bins(0), &[] as &[u64]);
+        m.ingest(&sample(3072, 3, 2));
+        assert_eq!(
+            m.epochs()[2].cores[1].grant_bins,
+            vec![0, 0, 0, 0],
+            "a grant-free epoch keeps the run's bin count"
+        );
+        assert_eq!(m.epochs()[2].cores[0].grant_bins, Vec::<u64>::new());
     }
 
     #[test]
@@ -417,6 +341,5 @@ mod tests {
         m.ingest(&TraceEvent::StallDetected { at: 5, since: 1 });
         assert_eq!(m.events_seen(), 2);
         assert!(m.epochs().is_empty());
-        assert_eq!(m.run_fills(0), 0);
     }
 }

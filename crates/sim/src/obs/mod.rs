@@ -37,7 +37,7 @@ pub use event::{
     STAGE_COUNT, STAGE_NAMES,
 };
 pub use metrics::{ChannelEpoch, EpochMetrics, MetricsRegistry, TenantEpoch};
-pub use sampler::{ChanCum, CoreCum, Sampler};
+pub use sampler::Sampler;
 pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
 pub use slo::{Breach, SloEvaluator, SloMetric, SloSpec, SloVerdict};
 
@@ -468,10 +468,10 @@ impl Observer {
     }
 
     /// Records one sampling boundary: produces the epoch-delta row from
-    /// cumulative snapshots and mirrors it into the sink (if any).
-    pub fn record_sample(&mut self, at: Cycle, cores: &[CoreCum], chans: &[ChanCum]) {
+    /// the cumulative row and mirrors it into the sink (if any).
+    pub fn record_sample(&mut self, cum: SampleRow) {
         let Some(sampler) = &mut self.sampler else { return };
-        let row = sampler.record(at, cores, chans);
+        let row = sampler.record(cum);
         if self.lifecycle {
             self.emit(TraceEvent::Sample(row));
         }

@@ -2,73 +2,48 @@
 //! epoch-delta rows at fixed cycle boundaries.
 //!
 //! The sampler itself never touches the system — `System::tick` feeds it
-//! cumulative snapshots at each boundary and it produces the deltas. The
-//! boundary arithmetic mirrors the invariant auditor's
-//! (`next_boundary` is a fast-forward clamp, so sampling cycles are real
-//! ticks in both naive and fast-forward modes and the resulting rows are
-//! bit-identical).
+//! one cumulative [`SampleRow`] at each boundary; the sampler keeps the
+//! previous one and emits the difference. The boundary arithmetic
+//! mirrors the invariant auditor's (`next_boundary` is a fast-forward
+//! clamp, so sampling cycles are real ticks in both naive and
+//! fast-forward modes and the resulting rows are bit-identical).
 
 use crate::obs::event::{ChannelSampleRow, CoreSampleRow, SampleRow};
 use crate::types::Cycle;
 
-/// Cumulative per-core counters handed to the sampler at a boundary.
-#[derive(Debug, Clone)]
-pub struct CoreCum {
-    /// Instructions retired so far.
-    pub instructions: u64,
-    /// Cycles the ROB head has been blocked on memory so far.
-    pub mem_stall: u64,
-    /// Cycles the shaper has held back a ready request so far.
-    pub shaper_stall: u64,
-    /// L1 MSHR allocations so far.
-    pub l1_misses: u64,
-    /// LLC demand misses so far.
-    pub llc_misses: u64,
-    /// L1 fills delivered so far.
-    pub fills: u64,
-    /// Instantaneous (live, max) credits per shaper bin.
-    pub credits: Vec<(u32, u32)>,
+impl CoreSampleRow {
+    /// The epoch row from two cumulative rows: counters are differenced,
+    /// credits (instantaneous) are taken from `self`.
+    fn since(&self, earlier: &CoreSampleRow) -> CoreSampleRow {
+        CoreSampleRow {
+            core: self.core,
+            instructions: self.instructions - earlier.instructions,
+            mem_stall: self.mem_stall - earlier.mem_stall,
+            shaper_stall: self.shaper_stall - earlier.shaper_stall,
+            l1_misses: self.l1_misses - earlier.l1_misses,
+            llc_misses: self.llc_misses - earlier.llc_misses,
+            fills: self.fills - earlier.fills,
+            credits: self.credits.clone(),
+        }
+    }
 }
 
-/// Cumulative per-channel counters handed to the sampler at a boundary.
-#[derive(Debug, Clone, Copy)]
-pub struct ChanCum {
-    /// Transactions dispatched to DRAM so far.
-    pub dispatched: u64,
-    /// Data-bus busy cycles so far.
-    pub busy_bus: u64,
-    /// Bytes transferred so far.
-    pub bytes: u64,
-    /// Row-buffer hits so far.
-    pub row_hits: u64,
-    /// Row-buffer misses (closed row) so far.
-    pub row_misses: u64,
-    /// Row-buffer conflicts (row open to another row) so far.
-    pub row_conflicts: u64,
-    /// Instantaneous scheduling-queue depth.
-    pub queue_len: usize,
-    /// Instantaneous smoothing-FIFO depth.
-    pub fifo_len: usize,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct PrevCore {
-    instructions: u64,
-    mem_stall: u64,
-    shaper_stall: u64,
-    l1_misses: u64,
-    llc_misses: u64,
-    fills: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct PrevChan {
-    dispatched: u64,
-    busy_bus: u64,
-    bytes: u64,
-    row_hits: u64,
-    row_misses: u64,
-    row_conflicts: u64,
+impl ChannelSampleRow {
+    /// The epoch row from two cumulative rows: counters are differenced,
+    /// queue depths (instantaneous) are taken from `self`.
+    fn since(&self, earlier: &ChannelSampleRow) -> ChannelSampleRow {
+        ChannelSampleRow {
+            channel: self.channel,
+            dispatched: self.dispatched - earlier.dispatched,
+            busy_bus: self.busy_bus - earlier.busy_bus,
+            bytes: self.bytes - earlier.bytes,
+            row_hits: self.row_hits - earlier.row_hits,
+            row_misses: self.row_misses - earlier.row_misses,
+            row_conflicts: self.row_conflicts - earlier.row_conflicts,
+            queue_len: self.queue_len,
+            fifo_len: self.fifo_len,
+        }
+    }
 }
 
 /// The sampler: boundary bookkeeping plus the retained row log.
@@ -79,8 +54,8 @@ pub struct Sampler {
     rows: Vec<SampleRow>,
     max_rows: usize,
     dropped_rows: u64,
-    prev_cores: Vec<PrevCore>,
-    prev_chans: Vec<PrevChan>,
+    /// The previous boundary's cumulative row (empty before the first).
+    prev: SampleRow,
 }
 
 impl Sampler {
@@ -95,8 +70,7 @@ impl Sampler {
             rows: Vec::new(),
             max_rows: Self::DEFAULT_MAX_ROWS,
             dropped_rows: 0,
-            prev_cores: Vec::new(),
-            prev_chans: Vec::new(),
+            prev: SampleRow::default(),
         }
     }
 
@@ -127,16 +101,16 @@ impl Sampler {
         self.dropped_rows
     }
 
-    /// Encodes the boundary bookkeeping (epoch, previous cumulative
-    /// snapshots). Retained rows are *not* included: after a resume the
-    /// sampler produces exactly the post-snapshot rows, so a full run's
-    /// log equals pre-snapshot rows plus post-resume rows.
+    /// Encodes the boundary bookkeeping (epoch, the previous cumulative
+    /// row's counters). Retained rows are *not* included: after a resume
+    /// the sampler produces exactly the post-snapshot rows, so a full
+    /// run's log equals pre-snapshot rows plus post-resume rows.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.interval);
         enc.u64(self.epoch);
         enc.u64(self.dropped_rows);
-        enc.usize(self.prev_cores.len());
-        for p in &self.prev_cores {
+        enc.usize(self.prev.cores.len());
+        for p in &self.prev.cores {
             enc.u64(p.instructions);
             enc.u64(p.mem_stall);
             enc.u64(p.shaper_stall);
@@ -144,8 +118,8 @@ impl Sampler {
             enc.u64(p.llc_misses);
             enc.u64(p.fills);
         }
-        enc.usize(self.prev_chans.len());
-        for p in &self.prev_chans {
+        enc.usize(self.prev.channels.len());
+        for p in &self.prev.channels {
             enc.u64(p.dispatched);
             enc.u64(p.busy_bus);
             enc.u64(p.bytes);
@@ -176,102 +150,54 @@ impl Sampler {
         self.epoch = dec.u64()?;
         self.dropped_rows = dec.u64()?;
         let n = dec.checked_len(48)?;
-        self.prev_cores = (0..n)
-            .map(|_| {
-                Ok(PrevCore {
+        self.prev.cores = (0..n)
+            .map(|core| {
+                Ok(CoreSampleRow {
+                    core,
                     instructions: dec.u64()?,
                     mem_stall: dec.u64()?,
                     shaper_stall: dec.u64()?,
                     l1_misses: dec.u64()?,
                     llc_misses: dec.u64()?,
                     fills: dec.u64()?,
+                    credits: Vec::new(),
                 })
             })
             .collect::<Result<_, SnapshotError>>()?;
         let n = dec.checked_len(48)?;
-        self.prev_chans = (0..n)
-            .map(|_| {
-                Ok(PrevChan {
+        self.prev.channels = (0..n)
+            .map(|channel| {
+                Ok(ChannelSampleRow {
+                    channel,
                     dispatched: dec.u64()?,
                     busy_bus: dec.u64()?,
                     bytes: dec.u64()?,
                     row_hits: dec.u64()?,
                     row_misses: dec.u64()?,
                     row_conflicts: dec.u64()?,
+                    queue_len: 0,
+                    fifo_len: 0,
                 })
             })
             .collect::<Result<_, SnapshotError>>()?;
         Ok(())
     }
 
-    /// Ingests one boundary's cumulative snapshots, returning the
-    /// epoch-delta row (also retained, up to the cap).
-    pub fn record(
-        &mut self,
-        at: Cycle,
-        cores: &[CoreCum],
-        chans: &[ChanCum],
-    ) -> SampleRow {
-        self.prev_cores.resize(cores.len(), PrevCore::default());
-        self.prev_chans.resize(chans.len(), PrevChan::default());
+    /// Ingests one boundary's cumulative row (its `epoch` is ignored: the
+    /// sampler numbers boundaries itself), returning the epoch-delta row
+    /// (also retained, up to the cap).
+    pub fn record(&mut self, cum: SampleRow) -> SampleRow {
+        self.prev.cores.resize_with(cum.cores.len(), CoreSampleRow::default);
+        self.prev.channels.resize_with(cum.channels.len(), ChannelSampleRow::default);
         self.epoch += 1;
+        let prev = &self.prev;
         let row = SampleRow {
-            at,
+            at: cum.at,
             epoch: self.epoch,
-            cores: cores
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let p = &mut self.prev_cores[i];
-                    let row = CoreSampleRow {
-                        core: i,
-                        instructions: c.instructions - p.instructions,
-                        mem_stall: c.mem_stall - p.mem_stall,
-                        shaper_stall: c.shaper_stall - p.shaper_stall,
-                        l1_misses: c.l1_misses - p.l1_misses,
-                        llc_misses: c.llc_misses - p.llc_misses,
-                        fills: c.fills - p.fills,
-                        credits: c.credits.clone(),
-                    };
-                    *p = PrevCore {
-                        instructions: c.instructions,
-                        mem_stall: c.mem_stall,
-                        shaper_stall: c.shaper_stall,
-                        l1_misses: c.l1_misses,
-                        llc_misses: c.llc_misses,
-                        fills: c.fills,
-                    };
-                    row
-                })
-                .collect(),
-            channels: chans
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let p = &mut self.prev_chans[i];
-                    let row = ChannelSampleRow {
-                        channel: i,
-                        dispatched: c.dispatched - p.dispatched,
-                        busy_bus: c.busy_bus - p.busy_bus,
-                        bytes: c.bytes - p.bytes,
-                        row_hits: c.row_hits - p.row_hits,
-                        row_misses: c.row_misses - p.row_misses,
-                        row_conflicts: c.row_conflicts - p.row_conflicts,
-                        queue_len: c.queue_len,
-                        fifo_len: c.fifo_len,
-                    };
-                    *p = PrevChan {
-                        dispatched: c.dispatched,
-                        busy_bus: c.busy_bus,
-                        bytes: c.bytes,
-                        row_hits: c.row_hits,
-                        row_misses: c.row_misses,
-                        row_conflicts: c.row_conflicts,
-                    };
-                    row
-                })
-                .collect(),
+            cores: cum.cores.iter().zip(&prev.cores).map(|(c, p)| c.since(p)).collect(),
+            channels: cum.channels.iter().zip(&prev.channels).map(|(c, p)| c.since(p)).collect(),
         };
+        self.prev = cum;
         if self.rows.len() < self.max_rows {
             self.rows.push(row.clone());
         } else {
@@ -285,28 +211,31 @@ impl Sampler {
 mod tests {
     use super::*;
 
-    fn core(instr: u64, stall: u64) -> CoreCum {
-        CoreCum {
-            instructions: instr,
-            mem_stall: stall,
-            shaper_stall: stall / 2,
-            l1_misses: instr / 10,
-            llc_misses: instr / 20,
-            fills: instr / 20,
-            credits: vec![(2, 12)],
-        }
-    }
-
-    fn chan(disp: u64) -> ChanCum {
-        ChanCum {
-            dispatched: disp,
-            busy_bus: disp * 4,
-            bytes: disp * 64,
-            row_hits: disp / 2,
-            row_misses: disp / 4,
-            row_conflicts: disp / 4,
-            queue_len: 3,
-            fifo_len: 1,
+    fn cum(at: Cycle, instr: u64, stall: u64, disp: u64) -> SampleRow {
+        SampleRow {
+            at,
+            epoch: 0,
+            cores: vec![CoreSampleRow {
+                core: 0,
+                instructions: instr,
+                mem_stall: stall,
+                shaper_stall: stall / 2,
+                l1_misses: instr / 10,
+                llc_misses: instr / 20,
+                fills: instr / 20,
+                credits: vec![(2, 12)],
+            }],
+            channels: vec![ChannelSampleRow {
+                channel: 0,
+                dispatched: disp,
+                busy_bus: disp * 4,
+                bytes: disp * 64,
+                row_hits: disp / 2,
+                row_misses: disp / 4,
+                row_conflicts: disp / 4,
+                queue_len: 3,
+                fifo_len: 1,
+            }],
         }
     }
 
@@ -324,12 +253,12 @@ mod tests {
     #[test]
     fn rows_are_epoch_deltas_over_cumulative_inputs() {
         let mut s = Sampler::new(100);
-        let r1 = s.record(100, &[core(50, 20)], &[chan(8)]);
+        let r1 = s.record(cum(100, 50, 20, 8));
         assert_eq!(r1.epoch, 1);
         assert_eq!(r1.cores[0].instructions, 50);
         assert_eq!(r1.channels[0].dispatched, 8);
 
-        let r2 = s.record(200, &[core(80, 50)], &[chan(11)]);
+        let r2 = s.record(cum(200, 80, 50, 11));
         assert_eq!(r2.epoch, 2);
         assert_eq!(r2.cores[0].instructions, 30, "delta, not cumulative");
         assert_eq!(r2.cores[0].mem_stall, 30);

@@ -1,5 +1,5 @@
-//! Per-core and system-wide statistics, plus snapshot/diff support for
-//! epoch-based measurement (the online tuner samples per-epoch deltas).
+//! Per-core and system-wide statistics. Windowed per-core measurement
+//! diffs two [`CoreSignals`](crate::mc::CoreSignals) records instead.
 
 use crate::core::CoreCounters;
 use crate::histogram::{InterArrivalHistogram, LatencyHistogram};
@@ -56,22 +56,17 @@ impl CoreStats {
         }
     }
 
-    /// Encodes the full statistics block (counters plus histograms).
+    /// Encodes the counters and histograms this block owns. `counters`
+    /// and `shaper_stall_cycles` are not encoded: the core and the shaper
+    /// own those counts (and their own codecs), and
+    /// [`System::core_stats`](crate::system::System::core_stats) fills
+    /// them in on read.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
-        let c = &self.counters;
-        enc.u64(c.cycles);
-        enc.u64(c.instructions);
-        enc.u64(c.mem_stall_cycles);
-        enc.u64(c.window_full_cycles);
-        enc.u64(c.loads);
-        enc.u64(c.stores);
-        enc.u64(c.frozen_cycles);
         enc.u64(self.l1_hits);
         enc.u64(self.l1_misses);
         enc.u64(self.llc_hits);
         enc.u64(self.llc_misses);
         enc.u64(self.writebacks);
-        enc.u64(self.shaper_stall_cycles);
         enc.u64(self.mem_latency_sum);
         enc.u64(self.mem_latency_count);
         self.l1_miss_interarrival.save_state(enc);
@@ -89,19 +84,11 @@ impl CoreStats {
         &mut self,
         dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.counters.cycles = dec.u64()?;
-        self.counters.instructions = dec.u64()?;
-        self.counters.mem_stall_cycles = dec.u64()?;
-        self.counters.window_full_cycles = dec.u64()?;
-        self.counters.loads = dec.u64()?;
-        self.counters.stores = dec.u64()?;
-        self.counters.frozen_cycles = dec.u64()?;
         self.l1_hits = dec.u64()?;
         self.l1_misses = dec.u64()?;
         self.llc_hits = dec.u64()?;
         self.llc_misses = dec.u64()?;
         self.writebacks = dec.u64()?;
-        self.shaper_stall_cycles = dec.u64()?;
         self.mem_latency_sum = dec.u64()?;
         self.mem_latency_count = dec.u64()?;
         self.l1_miss_interarrival.load_state(dec)?;
@@ -145,66 +132,6 @@ impl CoreStats {
             0.0
         } else {
             self.counters.mem_stall_cycles as f64 / self.counters.cycles as f64
-        }
-    }
-}
-
-/// A cheap numeric snapshot of one core's cumulative counters, used to
-/// compute per-window deltas without cloning histograms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreSnapshot {
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Cycles blocked on memory at the ROB head.
-    pub mem_stall_cycles: u64,
-    /// L1 misses.
-    pub l1_misses: u64,
-    /// LLC misses.
-    pub llc_misses: u64,
-    /// Fills received (completed memory requests).
-    pub fills: u64,
-}
-
-impl CoreSnapshot {
-    /// Element-wise difference `self - earlier` (saturating).
-    pub fn delta(&self, earlier: &CoreSnapshot) -> CoreSnapshot {
-        CoreSnapshot {
-            cycles: self.cycles.saturating_sub(earlier.cycles),
-            instructions: self.instructions.saturating_sub(earlier.instructions),
-            mem_stall_cycles: self.mem_stall_cycles.saturating_sub(earlier.mem_stall_cycles),
-            l1_misses: self.l1_misses.saturating_sub(earlier.l1_misses),
-            llc_misses: self.llc_misses.saturating_sub(earlier.llc_misses),
-            fills: self.fills.saturating_sub(earlier.fills),
-        }
-    }
-
-    /// IPC over the snapshotted window.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// Memory request service rate (fills per cycle) over the window —
-    /// the quantity MISE's slowdown estimator is built on.
-    pub fn service_rate(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.fills as f64 / self.cycles as f64
-        }
-    }
-
-    /// Fraction of window cycles stalled on memory.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mem_stall_cycles as f64 / self.cycles as f64
         }
     }
 }
@@ -349,32 +276,6 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_delta_saturates() {
-        let a = CoreSnapshot { cycles: 10, instructions: 5, ..Default::default() };
-        let b = CoreSnapshot { cycles: 25, instructions: 15, ..Default::default() };
-        let d = b.delta(&a);
-        assert_eq!(d.cycles, 15);
-        assert_eq!(d.instructions, 10);
-        // Reversed order saturates to zero instead of wrapping.
-        let r = a.delta(&b);
-        assert_eq!(r.cycles, 0);
-    }
-
-    #[test]
-    fn snapshot_rates() {
-        let w = CoreSnapshot {
-            cycles: 100,
-            instructions: 250,
-            mem_stall_cycles: 40,
-            fills: 10,
-            ..Default::default()
-        };
-        assert!((w.ipc() - 2.5).abs() < 1e-12);
-        assert!((w.service_rate() - 0.1).abs() < 1e-12);
-        assert!((w.stall_fraction() - 0.4).abs() < 1e-12);
-    }
 
     #[test]
     fn slowdown_metrics() {

@@ -23,10 +23,10 @@ use crate::mc::{
     CoreSignals, CoreThrottle, FcfsScheduler, McResponse, MemoryController, Scheduler,
     SourceControl, TxnId,
 };
-use crate::obs::{ChanCum, CoreCum, Observer, SampleRow, StallReason, TraceSink};
+use crate::obs::{ChannelSampleRow, CoreSampleRow, Observer, SampleRow, StallReason, TraceSink};
 use crate::shaper::{ShapeDecision, ShapeToken, SourceShaper, UnlimitedShaper};
 use crate::snapshot::{crc32, Dec, Enc, Snapshot, SnapshotError, SnapshotWriter};
-use crate::stats::{ChannelSystemStats, CoreSnapshot, CoreStats, CoreSystemStats, SystemStats};
+use crate::stats::{ChannelSystemStats, CoreStats, CoreSystemStats, SystemStats};
 use crate::trace::{ComputeTrace, TraceSource};
 use crate::types::{Addr, CoreId, Cycle, MemCmd, OpId};
 
@@ -301,15 +301,18 @@ impl CoreUnit {
         CoreIdleClass::Busy
     }
 
-    fn snapshot(&self) -> CoreSnapshot {
+    /// This core's cumulative counters: the scheduler signal table row,
+    /// [`System::core_snapshot`], and the sampler's per-core input.
+    fn signals(&self) -> CoreSignals {
         let c: &CoreCounters = self.core.counters();
-        CoreSnapshot {
+        CoreSignals {
             cycles: c.cycles,
             instructions: c.instructions,
             mem_stall_cycles: c.mem_stall_cycles,
             l1_misses: self.stats.l1_misses,
             llc_misses: self.stats.llc_misses,
-            fills: self.fills,
+            mem_completed: self.fills,
+            mem_latency_sum: self.stats.mem_latency_sum,
         }
     }
 }
@@ -719,14 +722,15 @@ impl System {
         stats
     }
 
-    /// Cheap numeric snapshot of core `core` (for windowed measurement).
-    pub fn core_snapshot(&self, core: usize) -> CoreSnapshot {
-        self.cores[core].snapshot()
+    /// Cumulative counters of core `core`; [`CoreSignals::delta`] of two
+    /// of them measures a window.
+    pub fn core_snapshot(&self, core: usize) -> CoreSignals {
+        self.cores[core].signals()
     }
 
-    /// Snapshot of every core.
-    pub fn snapshots(&self) -> Vec<CoreSnapshot> {
-        self.cores.iter().map(CoreUnit::snapshot).collect()
+    /// Cumulative counters of every core.
+    pub fn snapshots(&self) -> Vec<CoreSignals> {
+        self.cores.iter().map(CoreUnit::signals).collect()
     }
 
     /// The shaper handle for core `core` (reconfigure it at runtime by
@@ -1654,15 +1658,8 @@ impl System {
         }
 
         // 6. Refresh per-core signals and run the scheduler's epoch hook.
-        for (i, unit) in self.cores.iter().enumerate() {
-            let c = unit.core.counters();
-            let s = &mut self.signals[i];
-            s.instructions = c.instructions;
-            s.mem_stall_cycles = c.mem_stall_cycles;
-            s.l1_misses = unit.stats.l1_misses;
-            s.llc_misses = unit.stats.llc_misses;
-            s.mem_completed = unit.fills;
-            s.mem_latency_sum = unit.stats.mem_latency_sum;
+        for (s, unit) in self.signals.iter_mut().zip(&self.cores) {
+            *s = unit.signals();
         }
         for channel in &mut self.channels {
             channel.scheduler.tick(now, &self.signals, &mut self.source_ctl);
@@ -1690,32 +1687,36 @@ impl System {
         self.now += 1;
     }
 
-    /// Feeds the sampler one boundary's cumulative counters (see
+    /// Feeds the sampler one boundary's cumulative row (see
     /// [`crate::obs::Sampler`]); only called on sampling boundaries.
     fn record_sample(&mut self, now: Cycle) {
-        let cores: Vec<CoreCum> = self
+        let cores = self
             .cores
             .iter()
-            .map(|u| {
-                let c = u.core.counters();
+            .enumerate()
+            .map(|(core, u)| {
+                let c = u.signals();
                 let sh = u.shaper.borrow();
-                CoreCum {
+                CoreSampleRow {
+                    core,
                     instructions: c.instructions,
                     mem_stall: c.mem_stall_cycles,
                     shaper_stall: sh.stall_cycles(),
-                    l1_misses: u.stats.l1_misses,
-                    llc_misses: u.stats.llc_misses,
-                    fills: u.fills,
+                    l1_misses: c.l1_misses,
+                    llc_misses: c.llc_misses,
+                    fills: c.mem_completed,
                     credits: sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect(),
                 }
             })
             .collect();
-        let chans: Vec<ChanCum> = self
+        let channels = self
             .channels
             .iter()
-            .map(|ch| {
+            .enumerate()
+            .map(|(channel, ch)| {
                 let (row_hits, row_misses, row_conflicts) = ch.dram.row_stats();
-                ChanCum {
+                ChannelSampleRow {
+                    channel,
                     dispatched: ch.mc.dispatched(),
                     busy_bus: ch.dram.busy_bus_cycles(),
                     bytes: ch.dram.bytes_transferred(),
@@ -1727,7 +1728,7 @@ impl System {
                 }
             })
             .collect();
-        self.obs.record_sample(now, &cores, &chans);
+        self.obs.record_sample(SampleRow { at: now, epoch: 0, cores, channels });
     }
 
     /// The skip probe. Called with the state *settled at the end of cycle

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mitts_core::MittsShaper;
-use mitts_sim::stats::CoreSnapshot;
+use mitts_sim::mc::CoreSignals;
 use mitts_sim::system::System;
 use mitts_sim::types::{CoreId, Cycle};
 
@@ -152,8 +152,8 @@ impl OnlineTuner {
         &self,
         objective: Objective,
         alone_rates: &[f64],
-        before: &[CoreSnapshot],
-        after: &[CoreSnapshot],
+        before: &[CoreSignals],
+        after: &[CoreSignals],
     ) -> f64 {
         let slowdowns: Vec<f64> = alone_rates
             .iter()

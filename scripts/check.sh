@@ -9,14 +9,20 @@ GATE_TMP=$(mktemp -d)
 trap 'rm -rf "$GATE_TMP"' EXIT
 
 cargo build --release
+# The workspace run includes two contracts that gate everything below:
+# - Skip-engine equivalence (mitts-sim --test fast_forward): naive and
+#   skip execution must produce bit-identical stats, grant ledgers, and
+#   run outcomes.
+# - Snapshot-resume equivalence (mitts-sim --test snapshot_equivalence
+#   and --test snapshot_components): run to C, snapshot, resume into a
+#   fresh twin — stats, shaper grant ledgers, audit logs, trace events,
+#   and sampler rows must be bit-identical to the uninterrupted run, for
+#   every bundled workload (incl. a shaped MITTS run) under both the
+#   naive and the skip engine.
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: a doc link to a deleted or private item fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
-
-# Skip-engine equivalence: naive and skip execution must produce
-# bit-identical stats, grant ledgers, and run outcomes.
-cargo test -q -p mitts-sim --test fast_forward
 
 # Performance gate: one traced pass of perfbench, the benchmark of record
 # (perfbench/README.md). It exits non-zero unless every check holds: the
@@ -84,14 +90,6 @@ done
 diff "$CAP4/capacity_frontier.csv" "$CAP1/capacity_frontier.csv" \
   || { echo "capacity frontier CSV diverged between jobs=4 and jobs=1"; exit 1; }
 echo "capacity smoke: report validated; frontier CSV identical at jobs=4 and jobs=1"
-
-# Snapshot-resume equivalence gate: run to C, snapshot, resume into a
-# fresh twin — stats, shaper grant ledgers, audit logs, trace events,
-# and sampler rows must be bit-identical to the uninterrupted run, for
-# every bundled workload (incl. a shaped MITTS run) under both the naive
-# and the skip engine.
-cargo test -q -p mitts-sim --test snapshot_equivalence
-cargo test -q -p mitts-sim --test snapshot_components
 
 # Kill-and-resume sweep smoke: journal a filtered run_all, die abruptly
 # mid-sweep (MITTS_CRASH_AFTER), resume, and require (a) completed
