@@ -8,9 +8,11 @@
 //! requests-per-second rate regardless of completions, the run is
 //! sampled into epochs, and an [`SloEvaluator`] judges every epoch
 //! against the cell's [`SloSpec`] (p99 memory latency, stall-rate
-//! ceiling, optional IPC floor). The *max sustainable load* is found by
-//! ramping the offered rate until the first SLO failure and then
-//! bisecting the bracket — the classic knee search. All probes are
+//! ceiling, optional IPC floor). Each epoch's [`EpochMetrics`] comes
+//! straight from a sampler row, so probes run with no trace sink. The
+//! *max sustainable load* is found by ramping the offered rate until
+//! the first SLO failure and then bisecting the bracket — the classic
+//! knee search. All probes are
 //! deterministic (seeded traces, fixed cycle budgets), so the frontier
 //! is byte-reproducible across engines, worker counts, and
 //! metrics-on/off runs; `capacity_engine_checks` holds that property as
@@ -27,7 +29,7 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
-use mitts_sim::obs::{Breach, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict};
+use mitts_sim::obs::{Breach, EpochMetrics, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict};
 use mitts_sim::rng::fnv1a;
 use mitts_sim::shaper::{CbsShaper, RegulatorShaper, StaticRateShaper};
 use mitts_sim::system::{Engine, System, SystemBuilder};
@@ -187,8 +189,6 @@ pub struct ProbeRecord {
     pub rps: u64,
     /// The evaluator's verdict over the probe run.
     pub verdict: SloVerdict,
-    /// First recorded violation, when any.
-    pub first_breach: Option<Breach>,
 }
 
 /// A cell's knee-search result.
@@ -208,9 +208,11 @@ pub struct FrontierPoint {
     pub censored: bool,
 }
 
-/// Builds the probe system for one cell at one offered load. `engine`
-/// is explicit (the differential gate sweeps it); `metrics` installs
-/// the registry as the trace sink when provided.
+/// Builds the probe system for one cell at one offered load, sampled
+/// every `cfg.epoch` cycles. `engine` is explicit (the differential gate
+/// sweeps it); `metrics` installs the registry as the trace sink, which
+/// turns on lifecycle tracing. [`probe_load`] passes `None`: it judges
+/// the sampler's rows.
 pub fn build_probe(
     cell: &CapacityCell,
     cfg: &CapacityConfig,
@@ -218,13 +220,23 @@ pub fn build_probe(
     engine: Engine,
     metrics: Option<Rc<RefCell<MetricsRegistry>>>,
 ) -> System {
+    match metrics {
+        Some(m) => probe_builder(cell, cfg, rps, engine).trace_sink(Box::new(m)).build(),
+        None => probe_builder(cell, cfg, rps, engine).build(),
+    }
+}
+
+/// [`build_probe`] before `build`, with no trace sink.
+fn probe_builder(
+    cell: &CapacityCell,
+    cfg: &CapacityConfig,
+    rps: u64,
+    engine: Engine,
+) -> SystemBuilder {
     let mut b = SystemBuilder::new(shared_config(cfg.tenants, cfg.llc_bytes))
         .scheduler(make_baseline(&cell.scheduler, cfg.tenants).expect("known scheduler name"))
         .engine(engine)
         .sample_every(cfg.epoch);
-    if let Some(m) = metrics {
-        b = b.trace_sink(Box::new(m));
-    }
     for core in 0..cfg.tenants {
         let trace = OpenLoopTrace::from_rps(rps, cfg.footprint, seed_for(cfg.seed_salt, core))
             .with_base(base_for(core));
@@ -251,26 +263,73 @@ pub fn build_probe(
             }
         }
     }
-    b.build()
+    b
 }
 
+/// A probe whose sampler stopped keeping rows (at
+/// [`Sampler::DEFAULT_MAX_ROWS`](mitts_sim::obs::Sampler::DEFAULT_MAX_ROWS))
+/// before the run ended: judging the rows it kept would pass epochs
+/// nobody looked at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TruncatedSeries {
+    /// Rows the sampler kept.
+    pub retained: u64,
+    /// Sampling boundaries the run crossed.
+    pub boundaries: u64,
+}
+
+impl std::fmt::Display for TruncatedSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "truncated sample series: the sampler kept {} rows of {} epochs; \
+             lengthen the epoch or shorten the probe",
+            self.retained, self.boundaries
+        )
+    }
+}
+
+impl std::error::Error for TruncatedSeries {}
+
 /// Runs one probe and judges it: offered load in, SLO verdict out.
-pub fn probe_load(cell: &CapacityCell, cfg: &CapacityConfig, rps: u64) -> (SloVerdict, Option<Breach>) {
-    let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
-    let mut sys = build_probe(cell, cfg, rps, engine_from_env(), Some(Rc::clone(&metrics)));
+///
+/// # Errors
+///
+/// [`TruncatedSeries`] when the sampler did not keep a row for every
+/// epoch of the run.
+pub fn probe_load(
+    cell: &CapacityCell,
+    cfg: &CapacityConfig,
+    rps: u64,
+) -> Result<SloVerdict, TruncatedSeries> {
+    let mut sys = build_probe(cell, cfg, rps, engine_from_env(), None);
     sys.run_cycles(cfg.run_cycles);
-    sys.flush_trace();
-    let registry = metrics.borrow();
+    // A boundary's row is taken at the end of its tick, so the run has
+    // crossed every boundary before `now`.
+    let boundaries = sys.now().saturating_sub(1) / cfg.epoch.max(1);
+    let rows = sys.samples();
+    if rows.len() as u64 != boundaries {
+        return Err(TruncatedSeries { retained: rows.len() as u64, boundaries });
+    }
     let mut eval = SloEvaluator::new(cfg.slo.clone());
-    eval.observe_all(registry.epochs());
-    (eval.verdict(), eval.breaches().first().cloned())
+    for row in rows {
+        eval.observe_epoch(&EpochMetrics::from_row(row, cfg.epoch));
+    }
+    Ok(eval.verdict())
 }
 
 /// Knee search for one cell: ramp `initial..=max` by `increment` until
 /// the first SLO failure, then bisect the (last-pass, first-fail)
 /// bracket for `bisect_steps` rounds. Returns the frontier and every
 /// probe judged along the way.
-pub fn find_knee(cell: &CapacityCell, cfg: &CapacityConfig) -> (FrontierPoint, Vec<ProbeRecord>) {
+///
+/// # Errors
+///
+/// The first probe's [`TruncatedSeries`], if any.
+pub fn find_knee(
+    cell: &CapacityCell,
+    cfg: &CapacityConfig,
+) -> Result<(FrontierPoint, Vec<ProbeRecord>), TruncatedSeries> {
     let mut records = Vec::new();
     let mut last_pass: Option<u64> = None;
     let mut first_fail: Option<u64> = None;
@@ -278,14 +337,9 @@ pub fn find_knee(cell: &CapacityCell, cfg: &CapacityConfig) -> (FrontierPoint, V
     let mut step = 0u32;
     while rps <= cfg.max_rps {
         step += 1;
-        let (verdict, breach) = probe_load(cell, cfg, rps);
+        let verdict = probe_load(cell, cfg, rps)?;
         let ok = verdict.ok;
-        records.push(ProbeRecord {
-            step: format!("ramp{step}"),
-            rps,
-            verdict,
-            first_breach: breach,
-        });
+        records.push(ProbeRecord { step: format!("ramp{step}"), rps, verdict });
         if ok {
             last_pass = Some(rps);
         } else {
@@ -303,14 +357,9 @@ pub fn find_knee(cell: &CapacityCell, cfg: &CapacityConfig) -> (FrontierPoint, V
             if mid == lo || mid == hi {
                 break;
             }
-            let (verdict, breach) = probe_load(cell, cfg, mid);
+            let verdict = probe_load(cell, cfg, mid)?;
             let ok = verdict.ok;
-            records.push(ProbeRecord {
-                step: format!("bisect{b}"),
-                rps: mid,
-                verdict,
-                first_breach: breach,
-            });
+            records.push(ProbeRecord { step: format!("bisect{b}"), rps: mid, verdict });
             if ok {
                 lo = mid;
                 last_pass = Some(mid);
@@ -326,7 +375,7 @@ pub fn find_knee(cell: &CapacityCell, cfg: &CapacityConfig) -> (FrontierPoint, V
         probes: records.len() as u64,
         censored,
     };
-    (point, records)
+    Ok((point, records))
 }
 
 /// Formats a breach as one space-free cell:
@@ -355,7 +404,7 @@ pub fn cell_table(cell: &CapacityCell, point: &FrontierPoint, records: &[ProbeRe
             if r.verdict.ok { "pass".to_owned() } else { "fail".to_owned() },
             r.verdict.evaluated.to_string(),
             r.verdict.violated.to_string(),
-            r.first_breach.as_ref().map(breach_cell).unwrap_or_else(|| "-".to_owned()),
+            r.verdict.first_breach.as_ref().map(breach_cell).unwrap_or_else(|| "-".to_owned()),
         ]);
     }
     t.row(vec![
@@ -377,7 +426,8 @@ pub fn experiments(cells: &[CapacityCell], cfg: &CapacityConfig) -> Vec<Experime
             let cell = cell.clone();
             let cfg = cfg.clone();
             Experiment::new(cell.experiment_name(), std::sync::Arc::new(move || {
-                let (point, records) = find_knee(&cell, &cfg);
+                let (point, records) = find_knee(&cell, &cfg)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cell.experiment_name()));
                 vec![cell_table(&cell, &point, &records)]
             }))
         })
@@ -863,17 +913,83 @@ mod tests {
     fn probe_is_deterministic() {
         let cfg = CapacityConfig::smoke();
         let cell = smoke_cell("mitts-1gbs", "FR-FCFS");
-        let (a, ba) = probe_load(&cell, &cfg, 9_000_000);
-        let (b, bb) = probe_load(&cell, &cfg, 9_000_000);
+        let a = probe_load(&cell, &cfg, 9_000_000).unwrap();
+        let b = probe_load(&cell, &cfg, 9_000_000).unwrap();
         assert_eq!(a, b);
-        assert_eq!(ba, bb);
+    }
+
+    #[test]
+    fn a_truncated_sample_series_fails_the_probe() {
+        let mut cfg = CapacityConfig::smoke();
+        cfg.tenants = 1;
+        cfg.epoch = 1;
+        cfg.run_cycles = mitts_sim::obs::Sampler::DEFAULT_MAX_ROWS as Cycle + 100;
+        let cell = smoke_cell("unshaped", "FR-FCFS");
+        let err = probe_load(&cell, &cfg, 9_000_000).expect_err("rows past the cap were dropped");
+        assert_eq!(
+            err,
+            TruncatedSeries {
+                retained: mitts_sim::obs::Sampler::DEFAULT_MAX_ROWS as u64,
+                boundaries: cfg.run_cycles - 1,
+            }
+        );
+        assert!(err.to_string().starts_with("truncated sample series"), "{err}");
+    }
+
+    /// The two latency definitions agree: each epoch's lifecycle `Fill`
+    /// latencies, folded between `Sample` events, give exactly the sample
+    /// row's share of the core's `mem_latency` histogram. One probe per
+    /// capacity shaper arm, healthy and overloaded, under both engines.
+    #[test]
+    fn fill_events_fold_to_the_sample_rows_latency_buckets() {
+        use mitts_sim::histogram::LatencyHistogram;
+        use mitts_sim::obs::{RingSink, TraceEvent};
+        let cfg = CapacityConfig::smoke();
+        let arms: Vec<_> =
+            matrix(false).into_iter().filter(|c| c.scheduler == "FR-FCFS").collect();
+        assert_eq!(arms.len(), 5, "one cell per shaper arm");
+        for cell in &arms {
+            for rps in [cfg.initial_rps, cfg.max_rps] {
+                for engine in [Engine::Naive, Engine::Skip] {
+                    let tag = format!("{} at {rps} rps, {engine:?}", cell.shaper_name);
+                    let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+                    let mut sys = probe_builder(cell, &cfg, rps, engine)
+                        .trace_sink(Box::new(Rc::clone(&sink)))
+                        .build();
+                    sys.run_cycles(cfg.run_cycles);
+                    let sink = sink.borrow();
+                    assert_eq!(sink.dropped(), 0, "{tag}: ring overflowed");
+                    let mut folded = vec![LatencyHistogram::new(); cfg.tenants];
+                    let (mut epochs, mut fills) = (0, 0);
+                    for ev in sink.events() {
+                        match ev {
+                            TraceEvent::Fill { core, lat, .. } => folded[*core].record(lat.total()),
+                            TraceEvent::Sample(row) => {
+                                epochs += 1;
+                                for c in &row.cores {
+                                    let f = &folded[c.core];
+                                    let at = format!("{tag}, epoch {}, core {}", row.epoch, c.core);
+                                    assert_eq!(f.count(), c.latency.count(), "{at}: fill count");
+                                    assert_eq!(f.buckets(), c.latency, "{at}: buckets");
+                                    fills += f.count();
+                                }
+                                folded.fill(LatencyHistogram::new());
+                            }
+                            _ => {}
+                        }
+                    }
+                    assert_eq!(epochs, sys.samples().len(), "{tag}");
+                    assert!(fills > 0, "{tag}: no fills to compare");
+                }
+            }
+        }
     }
 
     #[test]
     fn knee_search_brackets_a_frontier() {
         let cfg = CapacityConfig::smoke();
         let cell = smoke_cell("unshaped", "FR-FCFS");
-        let (point, records) = find_knee(&cell, &cfg);
+        let (point, records) = find_knee(&cell, &cfg).unwrap();
         assert_eq!(point.probes, records.len() as u64);
         assert!(point.max_sustainable_rps <= cfg.max_rps);
         if !point.censored {
@@ -892,7 +1008,7 @@ mod tests {
     fn artifact_round_trips_through_the_parser() {
         let cfg = CapacityConfig::smoke();
         let cell = smoke_cell("mitts-1gbs", "TCM");
-        let (point, records) = find_knee(&cell, &cfg);
+        let (point, records) = find_knee(&cell, &cfg).unwrap();
         let rendered = render_tables(&[cell_table(&cell, &point, &records)]);
         let parsed = frontier_from_artifact(&cell, &rendered).expect("parseable artifact");
         assert_eq!(parsed.max_sustainable_rps, point.max_sustainable_rps);

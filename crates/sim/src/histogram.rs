@@ -211,6 +211,68 @@ impl InterArrivalHistogram {
     }
 }
 
+/// The 64 log2 bucket counts of a [`LatencyHistogram`]: bucket `k`
+/// counts values in `[2^k, 2^(k+1))` (bucket 0 also catches 0). Counts
+/// only grow, so two readings of one histogram subtract exactly: the
+/// difference is the histogram of the values recorded between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencyBuckets(pub [u64; 64]);
+
+impl Default for LatencyBuckets {
+    fn default() -> Self {
+        LatencyBuckets([0; 64])
+    }
+}
+
+impl LatencyBuckets {
+    /// Number of values counted.
+    pub fn count(&self) -> u64 {
+        self.0.iter().sum()
+    }
+
+    /// The values recorded since `earlier`, an older reading of the same
+    /// histogram.
+    pub fn since(&self, earlier: &LatencyBuckets) -> LatencyBuckets {
+        LatencyBuckets(std::array::from_fn(|k| self.0[k] - earlier.0[k]))
+    }
+
+    /// Approximate `p`-th percentile with `p` in **[0, 100]** (the
+    /// workspace-wide convention; see [`nearest_rank_index`]), resolved
+    /// to the geometric centre of the containing log bucket. Returns 0
+    /// if empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 100]`.
+    pub fn percentile_pct(&self, p: f64) -> f64 {
+        let target = nearest_rank_index(self.count() as usize, p) as u64 + 1;
+        let mut seen = 0;
+        for (k, &c) in self.0.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                // Geometric centre of [2^k, 2^(k+1)).
+                return (1u64 << k) as f64 * std::f64::consts::SQRT_2;
+            }
+        }
+        0.0
+    }
+
+    /// Encodes the counts (checkpoint support).
+    pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+        enc.u64s(&self.0);
+    }
+
+    /// Decodes counts written by [`LatencyBuckets::save_state`].
+    pub fn load_state(
+        dec: &mut crate::snapshot::Dec<'_>,
+    ) -> Result<LatencyBuckets, crate::snapshot::SnapshotError> {
+        let counts: [u64; 64] = dec.u64s()?.try_into().map_err(|_| {
+            crate::snapshot::SnapshotError::corrupt("latency histogram bucket count differs")
+        })?;
+        Ok(LatencyBuckets(counts))
+    }
+}
+
 /// Logarithmic-bucket latency histogram: bucket `k` counts values in
 /// `[2^k, 2^(k+1))` (bucket 0 also catches 0). Cheap, fixed-size, and
 /// good enough for tail percentiles of memory-request latencies.
@@ -226,18 +288,12 @@ impl InterArrivalHistogram {
 /// assert_eq!(h.count(), 4);
 /// assert!(h.percentile_pct(50.0) >= 64.0 && h.percentile_pct(50.0) < 256.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [u64; 64],
+    buckets: LatencyBuckets,
     count: u64,
     sum: u64,
     max: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram { buckets: [0; 64], count: 0, sum: 0, max: 0 }
-    }
 }
 
 impl LatencyHistogram {
@@ -249,7 +305,7 @@ impl LatencyHistogram {
     /// Records one latency value (cycles).
     pub fn record(&mut self, value: Cycle) {
         let bucket = (64 - value.max(1).leading_zeros() - 1) as usize;
-        self.buckets[bucket] += 1;
+        self.buckets.0[bucket] += 1;
         self.count += 1;
         self.sum += value;
         self.max = self.max.max(value);
@@ -279,39 +335,26 @@ impl LatencyHistogram {
         self.sum
     }
 
-    /// Approximate `p`-th percentile with `p` in **[0, 100]** (the
-    /// workspace-wide convention; see [`nearest_rank_index`]), resolved
-    /// to the geometric centre of the containing log bucket. Returns 0
-    /// if empty.
+    /// The bucket counts: see [`LatencyBuckets::percentile_pct`] for
+    /// percentiles.
+    pub fn buckets(&self) -> LatencyBuckets {
+        self.buckets
+    }
+
+    /// Approximate `p`-th percentile: [`LatencyBuckets::percentile_pct`]
+    /// of [`LatencyHistogram::buckets`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile_pct(&self, p: f64) -> f64 {
-        let target = nearest_rank_index(self.count as usize, p) as u64 + 1;
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut seen = 0;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Geometric centre of [2^k, 2^(k+1)).
-                return (1u64 << k) as f64 * std::f64::consts::SQRT_2;
-            }
-        }
-        self.max as f64
-    }
-
-    /// Clears all recorded values.
-    pub fn reset(&mut self) {
-        *self = LatencyHistogram::default();
+        self.buckets.percentile_pct(p)
     }
 
     /// Encodes the full bucket array and summary counters (checkpoint
     /// support).
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
-        enc.u64s(&self.buckets);
+        self.buckets.save_state(enc);
         enc.u64(self.count);
         enc.u64(self.sum);
         enc.u64(self.max);
@@ -322,13 +365,7 @@ impl LatencyHistogram {
         &mut self,
         dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let buckets = dec.u64s()?;
-        if buckets.len() != self.buckets.len() {
-            return Err(crate::snapshot::SnapshotError::corrupt(
-                "latency histogram bucket count differs",
-            ));
-        }
-        self.buckets.copy_from_slice(&buckets);
+        self.buckets = LatencyBuckets::load_state(dec)?;
         self.count = dec.u64()?;
         self.sum = dec.u64()?;
         self.max = dec.u64()?;
@@ -337,7 +374,7 @@ impl LatencyHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (a, b) in self.buckets.0.iter_mut().zip(&other.buckets.0) {
             *a += b;
         }
         self.count += other.count;
@@ -501,7 +538,28 @@ mod tests {
     }
 
     #[test]
-    fn latency_merge_and_reset() {
+    fn bucket_deltas_are_the_histogram_recorded_in_between() {
+        let mut cumulative = LatencyHistogram::new();
+        for v in [3, 90, 700] {
+            cumulative.record(v);
+        }
+        let before = cumulative.buckets();
+        let mut between = LatencyHistogram::new();
+        for v in [5, 100, 100, 5000] {
+            cumulative.record(v);
+            between.record(v);
+        }
+        let delta = cumulative.buckets().since(&before);
+        assert_eq!(delta, between.buckets());
+        assert_eq!(delta.count(), between.count());
+        for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(delta.percentile_pct(p), between.percentile_pct(p), "p{p}");
+        }
+        assert_eq!(LatencyBuckets::default().percentile_pct(99.0), 0.0);
+    }
+
+    #[test]
+    fn latency_merge_adds_counts() {
         let mut a = LatencyHistogram::new();
         let mut b = LatencyHistogram::new();
         a.record(10);
@@ -509,7 +567,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 1000);
-        a.reset();
-        assert_eq!(a.count(), 0);
+        assert_eq!(a.buckets().count(), 2);
     }
 }

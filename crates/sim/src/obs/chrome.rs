@@ -350,6 +350,7 @@ mod tests {
                     llc_misses: 2,
                     fills: 2,
                     credits: vec![(0, 12)],
+                    latency: Default::default(),
                 }],
                 channels: vec![ChannelSampleRow {
                     channel: 0,

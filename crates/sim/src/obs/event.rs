@@ -9,6 +9,7 @@
 use std::fmt::Write as _;
 
 use crate::dram::{DramServiceTiming, RowOutcome};
+use crate::histogram::LatencyBuckets;
 use crate::mc::PickCandidate;
 use crate::obs::json::push_escaped;
 use crate::types::{Addr, Cycle};
@@ -74,11 +75,6 @@ impl StageLatency {
     pub fn total(&self) -> u64 {
         self.shaper + self.llc + self.mc_queue + self.dram + self.fill
     }
-
-    /// The stages as an array in [`STAGE_NAMES`] order.
-    pub fn as_array(&self) -> [u64; STAGE_COUNT] {
-        [self.shaper, self.llc, self.mc_queue, self.dram, self.fill]
-    }
 }
 
 /// One time-series sample for one core (deltas since the previous sample
@@ -101,6 +97,10 @@ pub struct CoreSampleRow {
     pub fills: u64,
     /// Instantaneous (live, max) credits per shaper bin.
     pub credits: Vec<(u32, u32)>,
+    /// End-to-end memory latencies of this epoch's fills: the epoch's
+    /// share of the core's `mem_latency` histogram. Kept in memory only;
+    /// the JSONL `sample` line does not carry it.
+    pub latency: LatencyBuckets,
 }
 
 /// One time-series sample for one memory channel (deltas since the
@@ -607,6 +607,7 @@ mod tests {
                     llc_misses: 2,
                     fills: 3,
                     credits: vec![(1, 12)],
+                    latency: Default::default(),
                 }],
                 channels: vec![ChannelSampleRow {
                     channel: 0,
@@ -645,7 +646,6 @@ mod tests {
     fn stage_latency_telescopes() {
         let lat = StageLatency { shaper: 5, llc: 20, mc_queue: 7, dram: 31, fill: 2 };
         assert_eq!(lat.total(), 65);
-        assert_eq!(lat.as_array().iter().sum::<u64>(), lat.total());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   lookup → MC enqueue → DRAM dispatch → fill) in small linear-scan
 //!   tables bounded by the machine's MSHR capacities,
 //! * emits one [`TraceEvent`] per lifecycle step into the configured
-//!   [`TraceSink`] (ring buffer, JSONL file, or a shared handle),
-//! * folds each completed request into per-stage latency histograms whose
-//!   totals telescope exactly to the core's `mem_latency_sum`,
+//!   [`TraceSink`] (ring buffer, JSONL file, or a shared handle); each
+//!   `Fill` carries a per-stage latency decomposition whose stages
+//!   telescope exactly to the latency the core adds to `mem_latency_sum`,
 //! * records throttling episodes as begin/end transitions, and
 //! * mirrors auditor violations, watchdog stalls, and fault injections
 //!   into the same stream.
@@ -42,7 +42,6 @@ pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
 pub use slo::{Breach, SloEvaluator, SloMetric, SloSpec, SloVerdict};
 
 use crate::audit::InvariantAuditor;
-use crate::histogram::LatencyHistogram;
 use crate::mc::{DispatchRecord, MemoryController};
 use crate::types::{Addr, Cycle, MemCmd};
 
@@ -82,10 +81,6 @@ pub struct Observer {
     mem_done_pending: bool,
     /// Open throttling episode per core: (reason, begin cycle).
     stalls: Vec<Option<(StallReason, Cycle)>>,
-    stage_hists: [LatencyHistogram; STAGE_COUNT],
-    stage_sums: [u64; STAGE_COUNT],
-    fills_traced: u64,
-    events_emitted: u64,
     /// Timeline entries dropped because a table was full (faulted runs).
     reqs_dropped: u64,
     /// Auditor violations already mirrored into the stream.
@@ -100,7 +95,6 @@ impl std::fmt::Debug for Observer {
         f.debug_struct("Observer")
             .field("lifecycle", &self.lifecycle)
             .field("sampling", &self.sampler.is_some())
-            .field("events_emitted", &self.events_emitted)
             .finish()
     }
 }
@@ -132,10 +126,6 @@ impl Observer {
             mem_req_cap: llc_mshrs + 8,
             mem_done_pending: false,
             stalls: vec![None; cores],
-            stage_hists: std::array::from_fn(|_| LatencyHistogram::new()),
-            stage_sums: [0; STAGE_COUNT],
-            fills_traced: 0,
-            events_emitted: 0,
             reqs_dropped: 0,
             violations_seen: 0,
             stall_reported: false,
@@ -147,12 +137,6 @@ impl Observer {
     #[inline]
     pub fn lifecycle_enabled(&self) -> bool {
         self.lifecycle
-    }
-
-    /// Whether time-series sampling is on.
-    #[inline]
-    pub fn sampling_enabled(&self) -> bool {
-        self.sampler.is_some()
     }
 
     /// Whether cycle `now` is a sampling boundary.
@@ -176,32 +160,10 @@ impl Observer {
         self.sampler.as_ref().map(Sampler::rows).unwrap_or(&[])
     }
 
-    /// Events emitted into the sink so far.
-    pub fn events_emitted(&self) -> u64 {
-        self.events_emitted
-    }
-
     /// Timeline entries dropped because a table filled (only possible in
     /// faulted runs where fills are lost).
     pub fn requests_dropped(&self) -> u64 {
         self.reqs_dropped
-    }
-
-    /// Completed requests folded into the stage histograms.
-    pub fn fills_traced(&self) -> u64 {
-        self.fills_traced
-    }
-
-    /// Cumulative per-stage latency sums, in [`STAGE_NAMES`] order. Their
-    /// total equals the sum over cores of `mem_latency_sum` restricted to
-    /// traced fills (all fills, when tracing was on from cycle 0).
-    pub fn stage_sums(&self) -> [u64; STAGE_COUNT] {
-        self.stage_sums
-    }
-
-    /// Per-stage latency histogram (percentiles for `mitts-trace`).
-    pub fn stage_hist(&self, stage: usize) -> &LatencyHistogram {
-        &self.stage_hists[stage]
     }
 
     /// Flushes the sink.
@@ -211,7 +173,6 @@ impl Observer {
 
     #[inline]
     fn emit(&mut self, ev: TraceEvent) {
-        self.events_emitted += 1;
         self.sink.record(&ev);
     }
 
@@ -409,9 +370,8 @@ impl Observer {
         }
     }
 
-    /// A fill reached core `core`'s L1: finalizes the request timeline,
-    /// emits the [`TraceEvent::Fill`] with its stage decomposition, and
-    /// folds the stages into the histograms.
+    /// A fill reached core `core`'s L1: finalizes the request timeline
+    /// and emits the [`TraceEvent::Fill`] with its stage decomposition.
     ///
     /// Stage stamps are monotonized (each stage start clamps to the
     /// previous stage's end) before differencing, so the five stages
@@ -449,11 +409,6 @@ impl Observer {
             fill: now - m4,
         };
         debug_assert_eq!(lat.total(), now - m0, "stage decomposition must telescope");
-        for (i, v) in lat.as_array().into_iter().enumerate() {
-            self.stage_sums[i] += v;
-            self.stage_hists[i].record(v);
-        }
-        self.fills_traced += 1;
         self.emit(TraceEvent::Fill { at: now, core, line, lat });
     }
 
@@ -550,14 +505,6 @@ impl Observer {
                 None => enc.bool(false),
             }
         }
-        for hist in &self.stage_hists {
-            hist.save_state(enc);
-        }
-        for &sum in &self.stage_sums {
-            enc.u64(sum);
-        }
-        enc.u64(self.fills_traced);
-        enc.u64(self.events_emitted);
         enc.u64(self.reqs_dropped);
         enc.usize(self.violations_seen);
         enc.bool(self.stall_reported);
@@ -643,14 +590,6 @@ impl Observer {
                 None
             };
         }
-        for hist in &mut self.stage_hists {
-            hist.load_state(dec)?;
-        }
-        for sum in &mut self.stage_sums {
-            *sum = dec.u64()?;
-        }
-        self.fills_traced = dec.u64()?;
-        self.events_emitted = dec.u64()?;
         self.reqs_dropped = dec.u64()?;
         self.violations_seen = dec.usize()?;
         self.stall_reported = dec.bool()?;

@@ -8,12 +8,14 @@
 //! clamp, so sampling cycles are real ticks in both naive and
 //! fast-forward modes and the resulting rows are bit-identical).
 
+use crate::histogram::LatencyBuckets;
 use crate::obs::event::{ChannelSampleRow, CoreSampleRow, SampleRow};
 use crate::types::Cycle;
 
 impl CoreSampleRow {
-    /// The epoch row from two cumulative rows: counters are differenced,
-    /// credits (instantaneous) are taken from `self`.
+    /// The epoch row from two cumulative rows: counters and latency
+    /// buckets are differenced, credits (instantaneous) are taken from
+    /// `self`.
     fn since(&self, earlier: &CoreSampleRow) -> CoreSampleRow {
         CoreSampleRow {
             core: self.core,
@@ -24,6 +26,7 @@ impl CoreSampleRow {
             llc_misses: self.llc_misses - earlier.llc_misses,
             fills: self.fills - earlier.fills,
             credits: self.credits.clone(),
+            latency: self.latency.since(&earlier.latency),
         }
     }
 }
@@ -52,14 +55,14 @@ pub struct Sampler {
     interval: Cycle,
     epoch: u64,
     rows: Vec<SampleRow>,
-    max_rows: usize,
-    dropped_rows: u64,
     /// The previous boundary's cumulative row (empty before the first).
     prev: SampleRow,
 }
 
 impl Sampler {
-    /// Default cap on retained rows (overflow counts, oldest rows stay).
+    /// Cap on retained rows. Past it the oldest rows stay and newer ones
+    /// are not kept (they still reach the trace sink), so a reader that
+    /// needs every epoch checks the row count against the boundaries.
     pub const DEFAULT_MAX_ROWS: usize = 1 << 16;
 
     /// A sampler firing every `interval` cycles (at least 1).
@@ -68,8 +71,6 @@ impl Sampler {
             interval: interval.max(1),
             epoch: 0,
             rows: Vec::new(),
-            max_rows: Self::DEFAULT_MAX_ROWS,
-            dropped_rows: 0,
             prev: SampleRow::default(),
         }
     }
@@ -96,19 +97,13 @@ impl Sampler {
         &self.rows
     }
 
-    /// Rows not retained because the cap was reached.
-    pub fn dropped_rows(&self) -> u64 {
-        self.dropped_rows
-    }
-
     /// Encodes the boundary bookkeeping (epoch, the previous cumulative
-    /// row's counters). Retained rows are *not* included: after a resume
+    /// row's counters and latency buckets). Retained rows are *not* included: after a resume
     /// the sampler produces exactly the post-snapshot rows, so a full
     /// run's log equals pre-snapshot rows plus post-resume rows.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.interval);
         enc.u64(self.epoch);
-        enc.u64(self.dropped_rows);
         enc.usize(self.prev.cores.len());
         for p in &self.prev.cores {
             enc.u64(p.instructions);
@@ -117,6 +112,7 @@ impl Sampler {
             enc.u64(p.l1_misses);
             enc.u64(p.llc_misses);
             enc.u64(p.fills);
+            p.latency.save_state(enc);
         }
         enc.usize(self.prev.channels.len());
         for p in &self.prev.channels {
@@ -148,7 +144,6 @@ impl Sampler {
             )));
         }
         self.epoch = dec.u64()?;
-        self.dropped_rows = dec.u64()?;
         let n = dec.checked_len(48)?;
         self.prev.cores = (0..n)
             .map(|core| {
@@ -161,6 +156,7 @@ impl Sampler {
                     llc_misses: dec.u64()?,
                     fills: dec.u64()?,
                     credits: Vec::new(),
+                    latency: LatencyBuckets::load_state(dec)?,
                 })
             })
             .collect::<Result<_, SnapshotError>>()?;
@@ -184,12 +180,14 @@ impl Sampler {
     }
 
     /// Ingests one boundary's cumulative row (its `epoch` is ignored: the
-    /// sampler numbers boundaries itself), returning the epoch-delta row
-    /// (also retained, up to the cap).
+    /// sampler numbers boundaries itself, so row `epoch` sits at cycle
+    /// `epoch × interval`), returning the epoch-delta row (also retained,
+    /// up to the cap).
     pub fn record(&mut self, cum: SampleRow) -> SampleRow {
         self.prev.cores.resize_with(cum.cores.len(), CoreSampleRow::default);
         self.prev.channels.resize_with(cum.channels.len(), ChannelSampleRow::default);
         self.epoch += 1;
+        debug_assert_eq!(cum.at, self.epoch * self.interval, "boundary {} off the grid", cum.at);
         let prev = &self.prev;
         let row = SampleRow {
             at: cum.at,
@@ -198,10 +196,8 @@ impl Sampler {
             channels: cum.channels.iter().zip(&prev.channels).map(|(c, p)| c.since(p)).collect(),
         };
         self.prev = cum;
-        if self.rows.len() < self.max_rows {
+        if self.rows.len() < Self::DEFAULT_MAX_ROWS {
             self.rows.push(row.clone());
-        } else {
-            self.dropped_rows += 1;
         }
         row
     }
@@ -224,6 +220,7 @@ mod tests {
                 llc_misses: instr / 20,
                 fills: instr / 20,
                 credits: vec![(2, 12)],
+                latency: LatencyBuckets(std::array::from_fn(|k| instr >> k)),
             }],
             channels: vec![ChannelSampleRow {
                 channel: 0,
@@ -262,6 +259,8 @@ mod tests {
         assert_eq!(r2.epoch, 2);
         assert_eq!(r2.cores[0].instructions, 30, "delta, not cumulative");
         assert_eq!(r2.cores[0].mem_stall, 30);
+        assert_eq!(r2.cores[0].latency.0[0], 30, "latency buckets are differenced too");
+        assert_eq!(r2.cores[0].latency.0[1], 15);
         assert_eq!(r2.channels[0].dispatched, 3);
         assert_eq!(r2.channels[0].queue_len, 3, "queue depth is instantaneous");
         assert_eq!(s.rows().len(), 2);

@@ -1,4 +1,5 @@
-//! Declarative SLO evaluation over the metrics registry's epoch series.
+//! Declarative SLO evaluation over an [`EpochMetrics`] series (one per
+//! sampler row, see [`EpochMetrics::from_row`]).
 //!
 //! A [`SloSpec`] names the health predicate of a capacity run — a p99
 //! memory-latency bound, a memory-stall-rate bound, and an optional
@@ -164,11 +165,6 @@ impl SloEvaluator {
         }
     }
 
-    /// The spec under evaluation.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
-    }
-
     /// Judges one epoch; returns whether it was healthy (warmup epochs
     /// return `true` without being judged).
     pub fn observe_epoch(&mut self, em: &EpochMetrics) -> bool {
@@ -211,13 +207,6 @@ impl SloEvaluator {
         epoch_ok
     }
 
-    /// Judges a whole epoch series (convenience for post-run evaluation).
-    pub fn observe_all(&mut self, epochs: &[EpochMetrics]) {
-        for em in epochs {
-            self.observe_epoch(em);
-        }
-    }
-
     /// Retained breach records (bounded by [`MAX_BREACHES`]).
     pub fn breaches(&self) -> &[Breach] {
         &self.breaches
@@ -251,15 +240,11 @@ mod tests {
             interval: 1000,
             cores: vec![TenantEpoch {
                 core: 0,
-                p50_latency: p99 / 2.0,
-                p95_latency: p99,
                 p99_latency: p99,
                 fills: 10,
                 ipc,
                 stall_rate: stall,
                 shaper_stall_rate: 0.0,
-                grant_bins: vec![],
-                credit_occupancy: 1.0,
             }],
             channels: vec![],
         }

@@ -1706,6 +1706,7 @@ impl System {
                     llc_misses: c.llc_misses,
                     fills: c.mem_completed,
                     credits: sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect(),
+                    latency: u.stats.mem_latency.buckets(),
                 }
             })
             .collect();

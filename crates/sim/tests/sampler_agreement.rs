@@ -5,6 +5,11 @@
 //! [`System::snapshots`]; per channel, the difference of consecutive
 //! [`System::system_stats`] digests. Both engines are covered, with a
 //! MITTS shaper on every core so stall and credit paths are exercised.
+//!
+//! The same run also pins the two definitions of per-epoch memory
+//! latency to each other: the lifecycle `Fill` events of an epoch,
+//! folded into a histogram, must equal the row's share of the cores'
+//! `mem_latency` histograms bucket for bucket.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -12,7 +17,9 @@ use std::rc::Rc;
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
 use mitts_sim::config::{CacheConfig, SystemConfig};
+use mitts_sim::histogram::LatencyHistogram;
 use mitts_sim::mc::CoreSignals;
+use mitts_sim::obs::{RingSink, TraceEvent};
 use mitts_sim::stats::ChannelSystemStats;
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
@@ -22,6 +29,10 @@ const INTERVAL: Cycle = 1_000;
 const EPOCHS: usize = 24;
 
 fn shaped_system(engine: Engine) -> System {
+    shaped_builder(engine).build()
+}
+
+fn shaped_builder(engine: Engine) -> SystemBuilder {
     let benches = [Benchmark::Libquantum, Benchmark::Mcf, Benchmark::Omnetpp];
     let mut cfg = SystemConfig::multi_program(benches.len());
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
@@ -44,7 +55,7 @@ fn shaped_system(engine: Engine) -> System {
             )
             .shaper(i, Rc::new(RefCell::new(MittsShaper::new(cfg))));
     }
-    b.build()
+    b
 }
 
 #[test]
@@ -109,5 +120,41 @@ fn sampler_rows_equal_windowed_counter_deltas() {
         ] {
             assert!(total > 0, "{engine:?}: the run must exercise {what}");
         }
+    }
+}
+
+#[test]
+fn fill_events_fold_to_each_rows_latency_buckets() {
+    for engine in [Engine::Naive, Engine::Skip] {
+        let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+        let mut sys = shaped_builder(engine)
+            .trace_sink(Box::new(Rc::clone(&sink)))
+            .build();
+        sys.run_cycles(EPOCHS as Cycle * INTERVAL + 1);
+        let sink = sink.borrow();
+        assert_eq!(sink.dropped(), 0, "{engine:?}: ring overflowed");
+        let mut folded = vec![LatencyHistogram::new(); sys.num_cores()];
+        let (mut epochs, mut fills) = (0, 0);
+        for ev in sink.events() {
+            match ev {
+                TraceEvent::Fill { core, lat, .. } => folded[*core].record(lat.total()),
+                TraceEvent::Sample(row) => {
+                    epochs += 1;
+                    for c in &row.cores {
+                        let (f, tag) = (
+                            &folded[c.core],
+                            format!("{engine:?} epoch {} core {}", row.epoch, c.core),
+                        );
+                        assert_eq!(f.count(), c.latency.count(), "{tag}: fill count");
+                        assert_eq!(f.buckets(), c.latency, "{tag}: buckets");
+                        fills += f.count();
+                    }
+                    folded.fill(LatencyHistogram::new());
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(epochs, EPOCHS, "{engine:?}");
+        assert!(fills > 0, "{engine:?}: no fills to compare");
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
 use mitts_sim::config::{CacheConfig, DramConfig, SystemConfig};
-use mitts_sim::obs::{RingSink, TraceEvent};
+use mitts_sim::obs::{MetricsRegistry, RingSink, TraceEvent};
 use mitts_sim::snapshot::{Snapshot, SnapshotError};
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
@@ -419,5 +419,53 @@ fn controller_logging_follows_the_twin_not_the_snapshot() {
             assert_eq!(picks > 0, twin_picks, "{tag}: {picks} pick events");
             assert_eq!(original.system_stats(), twin.system_stats(), "{tag}");
         }
+    }
+}
+
+#[test]
+fn a_fresh_registry_on_a_resumed_twin_sees_the_uninterrupted_epochs() {
+    // The snapshot lands mid-epoch. The twin's registry starts empty, yet
+    // its first epoch must cover one sampling interval (not the whole
+    // history before the resume) and count that epoch's fills from both
+    // sides of the snapshot, like every later epoch.
+    let benches = [Benchmark::Mcf, Benchmark::Libquantum];
+    let (snap_at, total) = (60_500, 66_560);
+    let mut cfg = SystemConfig::multi_program(benches.len());
+    cfg.llc = CacheConfig::llc_with_size(256 << 10);
+    for engine in [Engine::Naive, Engine::Skip] {
+        let build = |snap: Option<&Snapshot>| {
+            let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
+            let mut b = SystemBuilder::new(cfg.clone())
+                .scheduler(make_baseline("FR-FCFS", benches.len()).expect("known scheduler"))
+                .trace_sink(Box::new(Rc::clone(&metrics)))
+                .sample_every(1024)
+                .engine(engine);
+            for (i, &bench) in benches.iter().enumerate() {
+                let sh = Rc::new(RefCell::new(MittsShaper::new(sparse_mitts_config())));
+                b = b
+                    .trace(i, Box::new(bench.profile().trace(base_for(i), 0xF0 + i as u64)))
+                    .shaper(i, sh);
+            }
+            let sys = match snap {
+                Some(snap) => b.resume_from(snap).expect("an identical twin accepts the snapshot"),
+                None => b.build(),
+            };
+            (sys, metrics)
+        };
+        let (mut reference, ref_metrics) = build(None);
+        reference.run_cycles(snap_at);
+        let snap = reference.snapshot().expect("snapshot must be supported");
+        reference.run_cycles(total - snap_at);
+        let (mut twin, twin_metrics) = build(Some(&snap));
+        twin.run_cycles(total - snap_at);
+
+        let expected: Vec<_> =
+            ref_metrics.borrow().epochs().iter().filter(|e| e.at >= snap_at).cloned().collect();
+        assert_eq!(expected.len(), 5, "{engine:?}: boundaries 61440..=65536");
+        assert!(
+            expected[0].cores.iter().all(|c| c.fills > 0),
+            "{engine:?}: the epoch straddling the snapshot must have fills on every core"
+        );
+        assert_eq!(twin_metrics.borrow().epochs(), &expected[..], "{engine:?}");
     }
 }

@@ -78,18 +78,23 @@ echo "netcalc oracle gate: $netcalc_detected seeded spec mutations detected"
 # it wrote — and re-reads it from disk — exiting non-zero on anything
 # malformed). Run at jobs=4 and jobs=1: probes are deterministic and the
 # artifacts are rebuilt from rendered tables, so the frontier CSV must
-# be byte-identical whatever the worker count.
+# be byte-identical whatever the worker count. A third run on the naive
+# engine is the sweep-level engine differential for capacity: its
+# frontier CSV must equal the skip engine's.
 cargo build --release -p mitts-bench --bin mitts-capacity
-CAP4="$GATE_TMP/cap4" CAP1="$GATE_TMP/cap1"
-mkdir -p "$CAP4" "$CAP1"
+CAP4="$GATE_TMP/cap4" CAP1="$GATE_TMP/cap1" CAPN="$GATE_TMP/cap-naive"
+mkdir -p "$CAP4" "$CAP1" "$CAPN"
 MITTS_JOBS=4 target/release/mitts-capacity --smoke --out "$CAP4" >/dev/null
 MITTS_JOBS=1 target/release/mitts-capacity --smoke --out "$CAP1" >/dev/null
+MITTS_ENGINE=naive MITTS_JOBS=1 target/release/mitts-capacity --smoke --out "$CAPN" >/dev/null
 for f in capacity_frontier.csv capacity_report.html; do
   [ -s "$CAP4/$f" ] || { echo "mitts-capacity did not write $f"; exit 1; }
 done
 diff "$CAP4/capacity_frontier.csv" "$CAP1/capacity_frontier.csv" \
   || { echo "capacity frontier CSV diverged between jobs=4 and jobs=1"; exit 1; }
-echo "capacity smoke: report validated; frontier CSV identical at jobs=4 and jobs=1"
+diff "$CAPN/capacity_frontier.csv" "$CAP1/capacity_frontier.csv" \
+  || { echo "naive-engine capacity frontier CSV diverged from the skip engine"; exit 1; }
+echo "capacity smoke: report validated; frontier CSV identical at jobs=4, jobs=1 and on the naive engine"
 
 # Kill-and-resume sweep smoke: journal a filtered run_all, die abruptly
 # mid-sweep (MITTS_CRASH_AFTER), resume, and require (a) completed
