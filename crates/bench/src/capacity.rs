@@ -27,11 +27,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mitts_core::{BinConfig, BinSpec, MittsShaper};
+use mitts_core::{BinConfig, BinSpec};
 use mitts_sched::make_baseline;
 use mitts_sim::obs::{Breach, EpochMetrics, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict};
 use mitts_sim::rng::fnv1a;
-use mitts_sim::shaper::{CbsShaper, RegulatorShaper, StaticRateShaper};
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::trace::OpenLoopTrace;
 use mitts_sim::types::Cycle;
@@ -241,26 +240,8 @@ fn probe_builder(
         let trace = OpenLoopTrace::from_rps(rps, cfg.footprint, seed_for(cfg.seed_salt, core))
             .with_base(base_for(core));
         b = b.trace(core, Box::new(trace));
-        match &cell.shaper {
-            ShaperSpec::Unlimited => {}
-            ShaperSpec::StaticRate { interval } => {
-                b = b.shaper(core, Rc::new(RefCell::new(StaticRateShaper::new(*interval))));
-            }
-            ShaperSpec::Mitts(bin_cfg) => {
-                let s = Rc::new(RefCell::new(MittsShaper::new(bin_cfg.clone())));
-                b = b.shaper(core, s as Rc<RefCell<dyn mitts_sim::shaper::SourceShaper>>);
-            }
-            ShaperSpec::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
-                b = b.shaper(
-                    core,
-                    Rc::new(RefCell::new(CbsShaper::new(
-                        *idle_slope, *send_cost, *hi_credit, *lo_credit,
-                    ))),
-                );
-            }
-            ShaperSpec::Regulator { budget, window } => {
-                b = b.shaper(core, Rc::new(RefCell::new(RegulatorShaper::new(*budget, *window))));
-            }
+        if let Some(shaper) = cell.shaper.build(0) {
+            b = b.shaper(core, shaper);
         }
     }
     b

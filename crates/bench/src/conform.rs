@@ -1,7 +1,7 @@
 //! Conformance harness: runs live simulations under the differential
 //! oracles of `mitts_sim::oracle` (shaper spec, DDR3 legality, FR-FCFS
 //! pick legality, and network-calculus envelopes for the closed-form
-//! CBS/regulator shapers) plus the runtime invariant auditor.
+//! static, CBS and regulator shapers) plus the runtime invariant auditor.
 //!
 //! Three entry points, all used by the `mitts-conform` binary and the
 //! integration tests:
@@ -31,15 +31,15 @@ use mitts_sim::mc::{DramView, Scheduler, Transaction};
 use mitts_sim::obs::{TraceEvent, TraceSink};
 use mitts_sim::oracle::{
     DramOracle, NetCalcOracle, NetCalcSpec, OracleViolation, PickOracle, PickPolicy, ShaperOracle,
+    ShaperSpec as MittsOracleSpec,
 };
 use mitts_sim::rng::Rng;
-use mitts_sim::shaper::{CbsShaper, RegulatorShaper, SourceShaper};
-use mitts_sim::system::{Engine, SystemBuilder};
+use mitts_sim::system::{Engine, ShaperHandle, SystemBuilder};
 use mitts_sim::trace::{StrideTrace, TraceSource};
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
 
-use crate::runner::{base_for, seed_for, shared_config};
+use crate::runner::{base_for, seed_for, shared_config, ShaperSpec};
 
 /// Memory scheduler under conformance test. Only policies with a
 /// declared [`PickPolicy`] are fuzzed — dynamic policies opt out of
@@ -107,102 +107,6 @@ impl fmt::Display for WorkloadKind {
     }
 }
 
-/// One core's source shaper in a conformance case. MITTS cores are
-/// audited by the bin/credit [`ShaperOracle`]; CBS and regulator cores
-/// have closed-form arrival curves, so they are audited by the
-/// network-calculus oracle instead (curve conformance plus the
-/// analytical delay bound on every shaper stall episode).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoreShaper {
-    /// A MITTS bin/credit configuration.
-    Mitts(BinConfig),
-    /// A TSN-style credit-based shaper ([`CbsShaper`] parameters).
-    Cbs {
-        /// Credit gained per idle cycle.
-        idle_slope: u64,
-        /// Credit spent per grant.
-        send_cost: u64,
-        /// Credit ceiling (>= 0).
-        hi_credit: i64,
-        /// Credit floor (<= 0).
-        lo_credit: i64,
-    },
-    /// A windowed bandwidth regulator ([`RegulatorShaper`] parameters).
-    Regulator {
-        /// Grants per window.
-        budget: u64,
-        /// Window length in cycles.
-        window: Cycle,
-    },
-}
-
-impl CoreShaper {
-    /// Instantiates the production shaper this case entry describes.
-    /// `method`/`policy` only apply to MITTS cores.
-    fn build(
-        &self,
-        method: FeedbackMethod,
-        policy: CreditPolicy,
-    ) -> Rc<RefCell<dyn SourceShaper>> {
-        match self {
-            CoreShaper::Mitts(cfg) => Rc::new(RefCell::new(
-                MittsShaper::new(cfg.clone()).with_method(method).with_policy(policy),
-            )),
-            CoreShaper::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => Rc::new(
-                RefCell::new(CbsShaper::new(*idle_slope, *send_cost, *hi_credit, *lo_credit)),
-            ),
-            CoreShaper::Regulator { budget, window } => {
-                Rc::new(RefCell::new(RegulatorShaper::new(*budget, *window)))
-            }
-        }
-    }
-
-    /// The network-calculus spec for a closed-form shaper (`None` for
-    /// MITTS, whose refund feedback makes its curve load-dependent — the
-    /// bin/credit oracle covers it instead). The delay bound carries a
-    /// small slack over the shaper's worst-case recovery so boundary
-    /// effects of stall-episode bracketing cannot false-positive.
-    fn netcalc_spec(&self) -> Option<NetCalcSpec> {
-        match self {
-            CoreShaper::Mitts(_) => None,
-            CoreShaper::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
-                let s = CbsShaper::new(*idle_slope, *send_cost, *hi_credit, *lo_credit);
-                let (num, den, burst) = s.arrival_curve();
-                let mut spec = NetCalcSpec::from_curve(num, den, burst);
-                if let Some(bound) = s.max_stall_bound() {
-                    spec = spec.with_delay_bound(bound + 2);
-                }
-                Some(spec)
-            }
-            CoreShaper::Regulator { budget, window } => {
-                let s = RegulatorShaper::new(*budget, *window);
-                let (num, den, burst) = s.arrival_curve();
-                let mut spec = NetCalcSpec::from_curve(num, den, burst);
-                if let Some(bound) = s.max_stall_bound() {
-                    spec = spec.with_delay_bound(bound + 1);
-                }
-                Some(spec)
-            }
-        }
-    }
-}
-
-impl fmt::Display for CoreShaper {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoreShaper::Mitts(cfg) => {
-                write!(f, "{cfg} interval={}", cfg.spec().interval())
-            }
-            CoreShaper::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
-                write!(f, "cbs(slope={idle_slope} cost={send_cost} hi={hi_credit} lo={lo_credit})")
-            }
-            CoreShaper::Regulator { budget, window } => {
-                write!(f, "regulator(budget={budget} window={window})")
-            }
-        }
-    }
-}
-
 /// A fully-specified conformance run: everything needed to reproduce it.
 #[derive(Debug, Clone)]
 pub struct ConformCase {
@@ -212,8 +116,12 @@ pub struct ConformCase {
     pub scheduler: SchedulerKind,
     /// Shared LLC size in bytes.
     pub llc_bytes: usize,
-    /// One source-shaper configuration per core.
-    pub shapers: Vec<CoreShaper>,
+    /// One source-shaper configuration per core. MITTS cores are audited
+    /// by the bin/credit [`ShaperOracle`]; every shaper that states an
+    /// [`envelope`](mitts_sim::shaper::SourceShaper::envelope) (static,
+    /// CBS, regulator) by the network-calculus oracle instead: curve
+    /// conformance plus the stall bound on every shaper stall episode.
+    pub shapers: Vec<ShaperSpec>,
     /// LLC feedback method (same for every core).
     pub method: FeedbackMethod,
     /// Credit-spend policy (same for every core).
@@ -222,6 +130,25 @@ pub struct ConformCase {
     pub workloads: Vec<WorkloadKind>,
     /// Simulated cycles.
     pub cycles: Cycle,
+}
+
+impl ConformCase {
+    /// Builds core shaper `spec` for this case: the one place MITTS cores
+    /// take the case's feedback method and credit policy. A MITTS core
+    /// also returns the spec its bin/credit oracle checks; every other
+    /// spec is built by [`ShaperSpec::build`].
+    fn build_shaper(&self, spec: &ShaperSpec) -> (Option<ShaperHandle>, Option<MittsOracleSpec>) {
+        match spec {
+            ShaperSpec::Mitts(cfg) => {
+                let s = MittsShaper::new(cfg.clone())
+                    .with_method(self.method)
+                    .with_policy(self.policy);
+                let oracle = s.oracle_spec();
+                (Some(Rc::new(RefCell::new(s))), Some(oracle))
+            }
+            other => (other.build(0), None),
+        }
+    }
 }
 
 impl fmt::Display for ConformCase {
@@ -281,15 +208,15 @@ impl CaseReport {
 #[derive(Clone, Copy)]
 enum Mutation {
     /// Bend every core's shaper spec before replay.
-    Shaper(fn(&mut mitts_sim::oracle::ShaperSpec)),
+    Shaper(fn(&mut MittsOracleSpec)),
     /// Bend the DRAM timing constants the oracle checks against.
     Dram(fn(&mut DramTimingCycles)),
     /// Audit the real scheduler against the wrong claimed policy.
     SchedClaim(PickPolicy),
     /// Run a broken youngest-first scheduler that claims FR-FCFS.
     SchedBroken,
-    /// Bend every CBS/regulator core's network-calculus spec before
-    /// replay.
+    /// Bend every enveloped (static, CBS, regulator) core's
+    /// network-calculus spec before replay.
     NetCalc(fn(&mut NetCalcSpec)),
 }
 
@@ -377,31 +304,29 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
         config.mc.channels,
     );
 
-    // Shapers: each oracle's spec is derived from the same parameters the
-    // real shaper is built from *before* it is handed to the system, then
-    // (optionally) mutated. MITTS cores go to the bin/credit oracle;
-    // CBS/regulator cores to the network-calculus oracle.
+    // Shapers: each oracle's spec is derived from the built shaper
+    // *before* it is handed to the system, then (optionally) mutated.
+    // MITTS cores go to the bin/credit oracle; cores whose shaper states
+    // an envelope to the network-calculus oracle.
     let mut shaper_oracles = Vec::new();
     let mut netcalc_oracles = Vec::new();
-    let mut shaper_handles: Vec<Rc<RefCell<dyn SourceShaper>>> = Vec::with_capacity(cores);
+    let mut shaper_handles = Vec::with_capacity(cores);
     for (core, cs) in case.shapers.iter().enumerate() {
-        if let CoreShaper::Mitts(cfg) = cs {
-            let shaper =
-                MittsShaper::new(cfg.clone()).with_method(case.method).with_policy(case.policy);
-            let mut spec = shaper.oracle_spec();
+        let (shaper, mitts) = case.build_shaper(cs);
+        let envelope = shaper.as_ref().and_then(|s| s.borrow().envelope());
+        if let Some(mut spec) = mitts {
             if let Some(Mutation::Shaper(bend)) = mutation {
                 bend(&mut spec);
             }
             shaper_oracles.push(ShaperOracle::new(core, spec));
-            shaper_handles.push(Rc::new(RefCell::new(shaper)));
-        } else {
-            let mut spec = cs.netcalc_spec().expect("closed-form shaper has a curve");
+        } else if let Some(env) = envelope {
+            let mut spec = NetCalcSpec::from_envelope(env);
             if let Some(Mutation::NetCalc(bend)) = mutation {
                 bend(&mut spec);
             }
             netcalc_oracles.push(NetCalcOracle::new(core, spec));
-            shaper_handles.push(cs.build(case.method, case.policy));
         }
+        shaper_handles.push(shaper);
     }
 
     let sink = Rc::new(RefCell::new(OracleSink {
@@ -415,9 +340,11 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
         .scheduler(scheduler)
         .trace_sink(Box::new(Rc::clone(&sink)))
         .log_pick_snapshots(true);
-    for (core, (w, shaper)) in case.workloads.iter().zip(&shaper_handles).enumerate() {
+    for (core, (w, shaper)) in case.workloads.iter().zip(shaper_handles).enumerate() {
         b = b.trace(core, w.build(core, case.salt));
-        b = b.shaper(core, Rc::clone(shaper));
+        if let Some(shaper) = shaper {
+            b = b.shaper(core, shaper);
+        }
     }
     let mut sys = b.build();
     sys.run_cycles(case.cycles);
@@ -468,7 +395,7 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
 /// core's full shaper state — the trait-level credit audit, stall
 /// counter, and the raw snapshot encoding (which for MITTS includes the
 /// per-bin grant ledger, live credits, and every counter). Works for any
-/// [`CoreShaper`] kind, not just MITTS.
+/// [`ShaperSpec`] kind, not just MITTS.
 fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     use std::fmt::Write;
     let cores = case.shapers.len();
@@ -476,12 +403,11 @@ fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     let mut b = SystemBuilder::new(config)
         .scheduler(make_baseline(case.scheduler.name(), cores).expect("known scheduler"))
         .engine(engine);
-    let mut shaper_handles: Vec<Rc<RefCell<dyn SourceShaper>>> = Vec::with_capacity(cores);
     for (core, (w, cs)) in case.workloads.iter().zip(&case.shapers).enumerate() {
-        let shaper = cs.build(case.method, case.policy);
         b = b.trace(core, w.build(core, case.salt));
-        b = b.shaper(core, Rc::clone(&shaper));
-        shaper_handles.push(shaper);
+        if let Some(shaper) = case.build_shaper(cs).0 {
+            b = b.shaper(core, shaper);
+        }
     }
     let mut sys = b.build();
     sys.run_cycles(case.cycles);
@@ -489,7 +415,8 @@ fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     writeln!(out, "now={}", sys.now()).unwrap();
     writeln!(out, "stats={:?}", sys.system_stats()).unwrap();
     writeln!(out, "audit={:?}", sys.audit_log()).unwrap();
-    for (core, s) in shaper_handles.iter().enumerate() {
+    for core in 0..cores {
+        let s = sys.shaper_handle(core);
         let s = s.borrow();
         let mut enc = mitts_sim::snapshot::Enc::new();
         s.save_state(&mut enc);
@@ -554,7 +481,7 @@ pub struct MutationResult {
 fn mutation_case() -> ConformCase {
     let spec = BinSpec::paper_default();
     let cfg = |credits: Vec<u32>, period| {
-        CoreShaper::Mitts(BinConfig::new(spec, credits, period).expect("valid"))
+        ShaperSpec::Mitts(BinConfig::new(spec, credits, period).expect("valid"))
     };
     ConformCase {
         salt: 11,
@@ -574,9 +501,9 @@ fn mutation_case() -> ConformCase {
     }
 }
 
-/// The netcalc twin of [`mutation_case`]: one CBS core and one regulator
-/// core, both tight enough that the memory-heavy workloads bounce off
-/// them constantly — so the run exercises curve conformance, stall
+/// The netcalc twin of [`mutation_case`]: one CBS, one regulator and one
+/// static core, all tight enough that the memory-heavy workloads bounce
+/// off them constantly — so the run exercises curve conformance, stall
 /// episodes, and outstanding-grant tracking, and a bent spec cannot hide.
 fn netcalc_mutation_case() -> ConformCase {
     ConformCase {
@@ -584,14 +511,16 @@ fn netcalc_mutation_case() -> ConformCase {
         scheduler: SchedulerKind::FrFcfs,
         llc_bytes: 64 << 10,
         shapers: vec![
-            CoreShaper::Cbs { idle_slope: 1, send_cost: 40, hi_credit: 80, lo_credit: -40 },
-            CoreShaper::Regulator { budget: 25, window: 2_000 },
+            ShaperSpec::Cbs { idle_slope: 1, send_cost: 40, hi_credit: 80, lo_credit: -40 },
+            ShaperSpec::Regulator { budget: 25, window: 2_000 },
+            ShaperSpec::StaticRate { interval: 60 },
         ],
         method: FeedbackMethod::DeductThenRefund,
         policy: CreditPolicy::CheapestEligible,
         workloads: vec![
             WorkloadKind::Bench(Benchmark::Libquantum),
             WorkloadKind::Bench(Benchmark::Mcf),
+            WorkloadKind::Bench(Benchmark::Omnetpp),
         ],
         cycles: 40_000,
     }
@@ -617,8 +546,8 @@ pub fn mutation_checks() -> Vec<MutationResult> {
     assert!(baseline.grants_checked > 0 && baseline.denied_cycles_checked > 0);
     assert!(baseline.dispatches_checked > 0 && baseline.picks_checked > 0);
 
-    // The netcalc mutations perturb the CBS/regulator twin case (MITTS
-    // cores have no closed-form curve to bend); its baseline must be
+    // The netcalc mutations perturb the static/CBS/regulator twin case
+    // (MITTS cores have no closed-form curve to bend); its baseline must be
     // clean and must actually exercise the checks being bent.
     let netcalc_case = netcalc_mutation_case();
     let nc_baseline = run_case(&netcalc_case);
@@ -722,14 +651,14 @@ pub fn fuzz_case(rng: &mut Rng) -> ConformCase {
             // would rightly flag the stall.
             0 => {
                 let send_cost = 8 * rng.range(1, 6);
-                CoreShaper::Cbs {
+                ShaperSpec::Cbs {
                     idle_slope: rng.range(1, 3),
                     send_cost,
                     hi_credit: (send_cost * rng.range(1, 3)) as i64,
                     lo_credit: -((send_cost * rng.range(0, 1)) as i64),
                 }
             }
-            1 => CoreShaper::Regulator {
+            1 => ShaperSpec::Regulator {
                 budget: rng.range(4, 40),
                 window: rng.range(800, 4_000),
             },
@@ -748,7 +677,7 @@ pub fn fuzz_case(rng: &mut Rng) -> ConformCase {
                     credits[9] = 2;
                 }
                 let period = rng.range(500, 8_000);
-                CoreShaper::Mitts(
+                ShaperSpec::Mitts(
                     BinConfig::new(spec, credits, period)
                         .expect("credits < K_MAX by construction"),
                 )
@@ -944,16 +873,16 @@ pub fn shrink_by(mut case: ConformCase, fails: impl Fn(&ConformCase) -> bool) ->
             }
         }
         // Simpler shapers: open a core's shaper fully (keeps the core but
-        // removes its shaping from the picture). CBS/regulator cores
-        // reduce to an open MITTS config, which also removes them from
-        // the netcalc oracle's jurisdiction.
+        // removes its shaping from the picture). Every other core reduces
+        // to an open MITTS config, which also removes an enveloped one
+        // from the netcalc oracle's jurisdiction.
         for i in 0..case.shapers.len() {
             let open = match &case.shapers[i] {
-                CoreShaper::Mitts(cfg) => CoreShaper::Mitts(BinConfig::unlimited(
+                ShaperSpec::Mitts(cfg) => ShaperSpec::Mitts(BinConfig::unlimited(
                     cfg.spec(),
                     cfg.replenish_period(),
                 )),
-                _ => CoreShaper::Mitts(BinConfig::unlimited(BinSpec::paper_default(), 10_000)),
+                _ => ShaperSpec::Mitts(BinConfig::unlimited(BinSpec::paper_default(), 10_000)),
             };
             if case.shapers[i] != open {
                 let mut c = case.clone();
@@ -988,7 +917,7 @@ pub struct WorkloadCheck {
 fn suite_case(bench: Benchmark, cycles: Cycle) -> ConformCase {
     let spec = BinSpec::paper_default();
     let shaper = |credits: Vec<u32>, period| {
-        CoreShaper::Mitts(BinConfig::new(spec, credits, period).expect("valid"))
+        ShaperSpec::Mitts(BinConfig::new(spec, credits, period).expect("valid"))
     };
     ConformCase {
         salt: 23,
@@ -1060,12 +989,40 @@ mod tests {
     fn netcalc_case_baseline_is_clean_and_exercises_every_check() {
         let report = run_case(&netcalc_mutation_case());
         assert!(report.clean(), "{:?}", report.violations);
-        // Both closed-form cores grant through the netcalc oracle, and
-        // the shapers are tight enough that stall episodes occur.
+        // All three closed-form cores grant through the netcalc oracle,
+        // and the shapers are tight enough that stall episodes occur.
         assert!(report.netcalc_grants_checked > 50, "{report:?}");
         assert!(report.stall_episodes_checked > 10, "{report:?}");
         // No MITTS cores in this case, so the bin/credit oracle is idle.
         assert_eq!(report.grants_checked, 0, "{report:?}");
+    }
+
+    /// The network-calculus spec conform derives from a shaper spec.
+    fn netcalc_spec(spec: &ShaperSpec) -> NetCalcSpec {
+        let shaper = spec.build(0).expect("a shaped spec");
+        let envelope = shaper.borrow().envelope().expect("a closed-form shaper");
+        NetCalcSpec::from_envelope(envelope)
+    }
+
+    #[test]
+    fn envelopes_yield_the_pinned_netcalc_specs() {
+        // Token bucket (rate, burst) plus each shaper's stall bound: CBS
+        // recovers its deficit plus 2 cycles, the regulator waits one
+        // window plus 1 cycle, the static limiter one interval.
+        let nc = netcalc_mutation_case();
+        let pinned = [
+            (crate::runner::cbs_1gbs(), NetCalcSpec::from_curve(1, 154, 4).with_delay_bound(156)),
+            (
+                crate::runner::regulator_1gbs(),
+                NetCalcSpec::from_curve(64, 10_000, 128).with_delay_bound(10_001),
+            ),
+            (nc.shapers[0].clone(), NetCalcSpec::from_curve(1, 40, 4).with_delay_bound(42)),
+            (nc.shapers[1].clone(), NetCalcSpec::from_curve(25, 2_000, 50).with_delay_bound(2_001)),
+            (nc.shapers[2].clone(), NetCalcSpec::from_curve(1, 60, 1).with_delay_bound(60)),
+        ];
+        for (spec, want) in pinned {
+            assert_eq!(netcalc_spec(&spec), want, "{spec}");
+        }
     }
 
     #[test]
@@ -1098,9 +1055,9 @@ mod tests {
         engine_differential(&mutation_case()).expect("engines must agree bit for bit");
     }
 
-    /// One fixed BLISS + CBS + regulator + MITTS mix, byte-diffed across
-    /// naive/skip: the new baseline scheduler and both closed-form
-    /// shapers must be bit-exact in either engine, including the raw
+    /// One fixed BLISS + CBS + regulator + MITTS + static mix, byte-diffed
+    /// across naive/skip: the baseline scheduler and every closed-form
+    /// shaper must be bit-exact in either engine, including the raw
     /// shaper snapshot bytes in the digest.
     fn bliss_cbs_case() -> ConformCase {
         ConformCase {
@@ -1108,9 +1065,9 @@ mod tests {
             scheduler: SchedulerKind::Bliss,
             llc_bytes: 256 << 10,
             shapers: vec![
-                CoreShaper::Cbs { idle_slope: 1, send_cost: 32, hi_credit: 64, lo_credit: -32 },
-                CoreShaper::Regulator { budget: 30, window: 2_500 },
-                CoreShaper::Mitts(
+                ShaperSpec::Cbs { idle_slope: 1, send_cost: 32, hi_credit: 64, lo_credit: -32 },
+                ShaperSpec::Regulator { budget: 30, window: 2_500 },
+                ShaperSpec::Mitts(
                     BinConfig::new(
                         BinSpec::paper_default(),
                         vec![2, 2, 1, 1, 1, 1, 1, 1, 1, 5],
@@ -1118,6 +1075,7 @@ mod tests {
                     )
                     .expect("valid"),
                 ),
+                ShaperSpec::StaticRate { interval: 80 },
             ],
             method: FeedbackMethod::DeductThenRefund,
             policy: CreditPolicy::CheapestEligible,
@@ -1125,6 +1083,7 @@ mod tests {
                 WorkloadKind::Bench(Benchmark::Libquantum),
                 WorkloadKind::Bench(Benchmark::Mcf),
                 WorkloadKind::Bench(Benchmark::Omnetpp),
+                WorkloadKind::Bench(Benchmark::Libquantum),
             ],
             cycles: 30_000,
         }
@@ -1142,6 +1101,7 @@ mod tests {
         let report = run_case(&bliss_cbs_case());
         assert!(report.clean(), "{:?}", report.violations);
         assert!(report.netcalc_grants_checked > 0, "{report:?}");
+        assert!(report.stall_episodes_checked > 0, "{report:?}");
         assert!(report.grants_checked > 0, "{report:?}");
         assert!(report.dispatches_checked > 0, "{report:?}");
     }

@@ -89,8 +89,7 @@ pub fn measure_bench(bench: Benchmark, scale: &Scale) -> StaticGain {
     // Online GA: warm the caches unshaped, install the single-bin
     // equivalent of the static allocation, tune live, then time the
     // RUN_PHASE over the same work quantum.
-    let (mut sys, _h) =
-        build_shared(&[bench], LLC, "FR-FCFS", &[ShaperSpec::Unlimited], SALT);
+    let mut sys = build_shared(&[bench], LLC, "FR-FCFS", SALT);
     sys.run_cycles(scale.warmup);
     let start = mitts_core::BinConfig::single_bin(
         BinSpec::paper_default(),

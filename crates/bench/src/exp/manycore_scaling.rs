@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn scaling_point_runs_at_the_tapeout_core_count() {
         // Smoke check at a reduced count to stay fast; 25-core runs are
-        // exercised by the binary.
+        // exercised by `run_all scaling`.
         let p = measure_point(8, &Scale::smoke());
         assert_eq!(p.channels, 1);
         assert!(p.unshaped.0.is_finite() && p.unshaped.0 >= 1.0);

@@ -101,8 +101,7 @@ fn online_mitts(
 ) -> PolicyResult {
     let benches = workload.programs();
     let cores = benches.len();
-    let unshaped = vec![ShaperSpec::Unlimited; cores];
-    let (mut sys, _h) = build_shared(&benches, llc_bytes, "FR-FCFS", &unshaped, salt);
+    let mut sys = build_shared(&benches, llc_bytes, "FR-FCFS", salt);
     sys.run_cycles(scale.warmup);
     // Install generous MITTS shapers; the tuner reconfigures them.
     let mut handles = Vec::with_capacity(cores);

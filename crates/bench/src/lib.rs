@@ -3,8 +3,8 @@
 //! # mitts-bench — experiment harness
 //!
 //! One module per figure/table of the paper's evaluation section; each
-//! exposes `run(&Scale) -> Table` (printed by its binary and exercised at
-//! reduced scale by the integration tests).
+//! exposes `run(&Scale) -> Table` (printed by `run_all <filter>` and
+//! exercised at reduced scale by the integration tests).
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
 

@@ -21,13 +21,14 @@
 //!   online arms that measure deep into the program).
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 use mitts_core::{BinConfig, MittsShaper};
 use mitts_sched::make_baseline;
 use mitts_sim::config::{CacheConfig, SystemConfig};
 use mitts_sim::shaper::{CbsShaper, RegulatorShaper, StaticRateShaper};
-use mitts_sim::system::{Engine, System, SystemBuilder};
+use mitts_sim::system::{Engine, ShaperHandle, System, SystemBuilder};
 use mitts_sim::types::Cycle;
 use mitts_sim::StallReport;
 use mitts_tuner::{GaParams, Genome, Objective, OnlineParams};
@@ -37,7 +38,7 @@ use mitts_workloads::Benchmark;
 ///
 /// The paper runs 200 M ROI cycles with a 30×20 GA; reproduction runs
 /// are scaled down. `smoke` is for CI and tests, `quick`
-/// for the default figure binaries, `full` approaches the paper's
+/// for the default `run_all` sweep, `full` approaches the paper's
 /// budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
@@ -78,7 +79,7 @@ impl Scale {
         }
     }
 
-    /// Default budget for the figure binaries (minutes per figure).
+    /// Default budget for `run_all` (minutes per figure).
     pub fn quick() -> Self {
         let online =
             OnlineParams { epoch: 5_000, population: 8, generations: 6, ..OnlineParams::default() };
@@ -147,8 +148,9 @@ impl Scale {
     }
 }
 
-/// Per-core shaper choice for a shared run.
-#[derive(Debug, Clone)]
+/// Per-core shaper choice: the one description every experiment, the
+/// capacity probes and the conformance cases build their shapers from.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ShaperSpec {
     /// No shaping.
     Unlimited,
@@ -177,6 +179,50 @@ pub enum ShaperSpec {
         /// Window length in cycles.
         window: Cycle,
     },
+}
+
+impl ShaperSpec {
+    /// The shaper this spec describes, installed at cycle `now`, or `None`
+    /// for [`ShaperSpec::Unlimited`] (the system's default pass-through).
+    /// A MITTS shaper's replenishment counter starts at `now`; at `now =
+    /// 0` that is the state `MittsShaper::new` leaves.
+    pub fn build(&self, now: Cycle) -> Option<ShaperHandle> {
+        let shaper: ShaperHandle = match self {
+            ShaperSpec::Unlimited => return None,
+            ShaperSpec::StaticRate { interval } => {
+                Rc::new(RefCell::new(StaticRateShaper::new(*interval)))
+            }
+            ShaperSpec::Mitts(cfg) => {
+                let mut s = MittsShaper::new(cfg.clone());
+                s.reconfigure(now, cfg.clone());
+                Rc::new(RefCell::new(s))
+            }
+            ShaperSpec::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => Rc::new(
+                RefCell::new(CbsShaper::new(*idle_slope, *send_cost, *hi_credit, *lo_credit)),
+            ),
+            ShaperSpec::Regulator { budget, window } => {
+                Rc::new(RefCell::new(RegulatorShaper::new(*budget, *window)))
+            }
+        };
+        Some(shaper)
+    }
+}
+
+/// One-line repro form, as printed by the conformance harness.
+impl fmt::Display for ShaperSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShaperSpec::Unlimited => write!(f, "unlimited"),
+            ShaperSpec::StaticRate { interval } => write!(f, "static(interval={interval})"),
+            ShaperSpec::Mitts(cfg) => write!(f, "{cfg} interval={}", cfg.spec().interval()),
+            ShaperSpec::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
+                write!(f, "cbs(slope={idle_slope} cost={send_cost} hi={hi_credit} lo={lo_credit})")
+            }
+            ShaperSpec::Regulator { budget, window } => {
+                write!(f, "regulator(budget={budget} window={window})")
+            }
+        }
+    }
 }
 
 /// The replenishment period used throughout the experiments.
@@ -342,78 +388,25 @@ pub fn alone_profiles(
         .collect()
 }
 
-/// Builds a shared system: one core per benchmark, the given scheduler
-/// (by `mitts_sched::make_baseline` name), and per-core shapers.
-pub fn build_shared(
-    benches: &[Benchmark],
-    llc_bytes: usize,
-    scheduler: &str,
-    shapers: &[ShaperSpec],
-    salt: u64,
-) -> (System, Vec<Option<Rc<RefCell<MittsShaper>>>>) {
-    assert_eq!(benches.len(), shapers.len(), "one shaper spec per program");
+/// Builds an unshaped shared system: one core per benchmark and the
+/// given scheduler (by `mitts_sched::make_baseline` name). Shapers are
+/// installed later, with [`install_shapers`] or `System::set_shaper`.
+pub fn build_shared(benches: &[Benchmark], llc_bytes: usize, scheduler: &str, salt: u64) -> System {
     let cores = benches.len();
     let mut b = SystemBuilder::new(shared_config(cores, llc_bytes))
         .scheduler(make_baseline(scheduler, cores).expect("known scheduler name"))
         .engine(engine_from_env());
-    let mut handles = Vec::with_capacity(cores);
-    for (i, (&bench, spec)) in benches.iter().zip(shapers).enumerate() {
+    for (i, &bench) in benches.iter().enumerate() {
         b = b.trace(i, Box::new(bench.profile().trace(base_for(i), seed_for(salt, i))));
-        match spec {
-            ShaperSpec::Unlimited => handles.push(None),
-            ShaperSpec::StaticRate { interval } => {
-                b = b.shaper(i, Rc::new(RefCell::new(StaticRateShaper::new(*interval))));
-                handles.push(None);
-            }
-            ShaperSpec::Mitts(cfg) => {
-                let s = Rc::new(RefCell::new(MittsShaper::new(cfg.clone())));
-                let handle: Rc<RefCell<dyn mitts_sim::shaper::SourceShaper>> = Rc::clone(&s)
-                    as Rc<RefCell<dyn mitts_sim::shaper::SourceShaper>>;
-                b = b.shaper(i, handle);
-                handles.push(Some(s));
-            }
-            ShaperSpec::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
-                b = b.shaper(
-                    i,
-                    Rc::new(RefCell::new(CbsShaper::new(
-                        *idle_slope, *send_cost, *hi_credit, *lo_credit,
-                    ))),
-                );
-                handles.push(None);
-            }
-            ShaperSpec::Regulator { budget, window } => {
-                b = b.shaper(i, Rc::new(RefCell::new(RegulatorShaper::new(*budget, *window))));
-                handles.push(None);
-            }
-        }
     }
-    (b.build(), handles)
+    b.build()
 }
 
 /// Installs shaper specs on an already-running (warmed) system.
 pub fn install_shapers(sys: &mut System, shapers: &[ShaperSpec]) {
     for (i, spec) in shapers.iter().enumerate() {
-        match spec {
-            ShaperSpec::Unlimited => {}
-            ShaperSpec::StaticRate { interval } => {
-                sys.set_shaper(i, Rc::new(RefCell::new(StaticRateShaper::new(*interval))));
-            }
-            ShaperSpec::Mitts(cfg) => {
-                let mut shaper = MittsShaper::new(cfg.clone());
-                shaper.reconfigure(sys.now(), cfg.clone());
-                sys.set_shaper(i, Rc::new(RefCell::new(shaper)));
-            }
-            ShaperSpec::Cbs { idle_slope, send_cost, hi_credit, lo_credit } => {
-                sys.set_shaper(
-                    i,
-                    Rc::new(RefCell::new(CbsShaper::new(
-                        *idle_slope, *send_cost, *hi_credit, *lo_credit,
-                    ))),
-                );
-            }
-            ShaperSpec::Regulator { budget, window } => {
-                sys.set_shaper(i, Rc::new(RefCell::new(RegulatorShaper::new(*budget, *window))));
-            }
+        if let Some(shaper) = spec.build(sys.now()) {
+            sys.set_shaper(i, shaper);
         }
     }
 }
@@ -536,8 +529,7 @@ pub fn run_shared_work(
     cap: Cycle,
     warmup: Cycle,
 ) -> WorkMeasurement {
-    let unshaped: Vec<ShaperSpec> = vec![ShaperSpec::Unlimited; benches.len()];
-    let (mut sys, _h) = build_shared(benches, llc_bytes, scheduler, &unshaped, salt);
+    let mut sys = build_shared(benches, llc_bytes, scheduler, salt);
     sys.run_cycles(warmup);
     install_shapers(&mut sys, shapers);
     measure_work(&mut sys, settle_work, work, cap)
@@ -711,6 +703,33 @@ mod tests {
             assert!(err.contains("smoke"), "error must list valid values: {err}");
             assert!(!err.contains('\n'), "one-line error only: {err}");
         }
+    }
+
+    #[test]
+    fn a_mitts_spec_built_at_zero_is_a_fresh_shaper() {
+        let cfg = BinConfig::single_bin(
+            mitts_core::BinSpec::paper_default(),
+            ONE_GBS_INTERVAL,
+            REPLENISH_PERIOD,
+        );
+        let encode = |s: &dyn mitts_sim::shaper::SourceShaper| {
+            let mut enc = mitts_sim::snapshot::Enc::new();
+            s.save_state(&mut enc);
+            enc.into_bytes()
+        };
+        let built = ShaperSpec::Mitts(cfg.clone()).build(0).expect("a shaper");
+        assert_eq!(encode(&*built.borrow()), encode(&MittsShaper::new(cfg)));
+        assert!(ShaperSpec::Unlimited.build(0).is_none());
+    }
+
+    #[test]
+    fn shaper_spec_display_is_the_conform_repro_line() {
+        assert_eq!(cbs_1gbs().to_string(), "cbs(slope=1 cost=154 hi=308 lo=-154)");
+        assert_eq!(regulator_1gbs().to_string(), "regulator(budget=64 window=10000)");
+        assert_eq!(ShaperSpec::StaticRate { interval: 154 }.to_string(), "static(interval=154)");
+        assert_eq!(ShaperSpec::Unlimited.to_string(), "unlimited");
+        let cfg = BinConfig::unlimited(mitts_core::BinSpec::paper_default(), REPLENISH_PERIOD);
+        assert_eq!(ShaperSpec::Mitts(cfg.clone()).to_string(), format!("{cfg} interval=10"));
     }
 
     #[test]

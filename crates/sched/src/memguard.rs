@@ -34,7 +34,7 @@ impl MemGuard {
     pub fn even_split(cores: usize, total_budget: u64, period: Cycle) -> Self {
         assert!(cores > 0, "need at least one core");
         let share = total_budget / cores as u64;
-        MemGuard::with_budgets(vec![share; cores], period)
+        MemGuard::per_core(vec![share; cores], period)
     }
 
     /// Creates MemGuard with explicit per-core budgets.
@@ -42,7 +42,7 @@ impl MemGuard {
     /// # Panics
     ///
     /// Panics if `budgets` is empty or `period == 0`.
-    pub fn with_budgets(budgets: Vec<u64>, period: Cycle) -> Self {
+    pub fn per_core(budgets: Vec<u64>, period: Cycle) -> Self {
         assert!(!budgets.is_empty(), "need at least one core");
         assert!(period > 0, "period must be positive");
         let n = budgets.len();
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn guaranteed_traffic_preempts_best_effort() {
         // Core 0 has zero budget (pure best effort); core 1 has budget.
-        let mut mg = MemGuard::with_budgets(vec![0, 10], 100_000);
+        let mut mg = MemGuard::per_core(vec![0, 10], 100_000);
         let mut mc = MemoryController::new(&McConfig::default());
         let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
         for i in 0..4 {
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_drops_to_best_effort() {
-        let mut mg = MemGuard::with_budgets(vec![1, 1], 100_000);
+        let mut mg = MemGuard::per_core(vec![1, 1], 100_000);
         let t = |id, core| Transaction {
             id,
             core: CoreId::new(core),
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn period_reset_replenishes() {
-        let mut mg = MemGuard::with_budgets(vec![1], 100);
+        let mut mg = MemGuard::per_core(vec![1], 100);
         let mut ctl = SourceControl::new(1);
         let txn = Transaction {
             id: 0,

@@ -24,8 +24,9 @@
 //!   grant stream must conform to the token-bucket arrival curve it
 //!   promises, every shaper stall episode must respect the curve's delay
 //!   bound, and grants outstanding at the LLC must stay below the
-//!   network-calculus backlog bound (used for the CBS/regulator shapers,
-//!   whose curves are closed-form).
+//!   network-calculus backlog bound (used for the static, CBS and
+//!   regulator shapers, whose curves are closed-form: see
+//!   [`crate::shaper::SourceShaper::envelope`]).
 //!
 //! Oracles are deliberately *event-driven and stateless about the
 //! simulator's internals*: they see only what an external trace consumer

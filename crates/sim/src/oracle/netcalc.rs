@@ -6,10 +6,10 @@
 //! promises: a token-bucket arrival curve `α(w) = burst + w · rate`, a
 //! worst-case shaper-stall delay, and a bound on grants outstanding at
 //! the LLC. The bounds come straight from network calculus — any
-//! correctly configured CBS or window regulator *must* keep its grant
-//! stream inside its curve, every stall episode below the curve's delay
-//! bound, and its backlog below `burst + rate · hit_latency` — so a
-//! violation is a shaper bug (or a deliberately mutated spec, which is
+//! correctly configured static limiter, CBS or window regulator *must*
+//! keep its grant stream inside its curve, every stall episode below the
+//! curve's delay bound, and its backlog below
+//! `burst + rate · hit_latency` — so a violation is a shaper bug (or a deliberately mutated spec, which is
 //! how `mitts-conform` proves this oracle detects divergence).
 //!
 //! All arithmetic is integer and exact: the bucket level is kept scaled
@@ -21,12 +21,15 @@ use std::collections::VecDeque;
 
 use crate::obs::{StallReason, TraceEvent};
 use crate::oracle::{OracleKind, OracleViolation};
+use crate::shaper::Envelope;
+#[cfg(doc)]
+use crate::shaper::SourceShaper;
 use crate::types::{Addr, Cycle};
 
 /// The analytical envelope one shaper promises. Build it from the
-/// shaper's own parameters (`CbsShaper::arrival_curve`,
-/// `RegulatorShaper::arrival_curve`, ...) or construct it directly in
-/// tests and mutation harnesses.
+/// shaper's own [`SourceShaper::envelope`] with
+/// [`NetCalcSpec::from_envelope`], or construct it directly in tests and
+/// mutation harnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetCalcSpec {
     /// Arrival-curve rate numerator: the shaper admits at most
@@ -47,7 +50,7 @@ pub struct NetCalcSpec {
 
 impl NetCalcSpec {
     /// A curve-only spec (no delay or backlog checks) from token-bucket
-    /// parameters as returned by the shapers' `arrival_curve()`.
+    /// parameters.
     ///
     /// # Panics
     ///
@@ -55,6 +58,20 @@ impl NetCalcSpec {
     pub fn from_curve(rate_num: u64, rate_den: u64, burst: u64) -> Self {
         assert!(rate_den > 0, "rate denominator must be positive");
         NetCalcSpec { rate_num, rate_den, burst, delay_bound: None, backlog_bound: None }
+    }
+
+    /// The spec a shaper's [`Envelope`] states: its curve, plus its stall
+    /// bound as the delay bound when it has one (no backlog check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `env.rate_den == 0`.
+    pub fn from_envelope(env: Envelope) -> Self {
+        let spec = NetCalcSpec::from_curve(env.rate_num, env.rate_den, env.burst);
+        match env.stall_bound {
+            Some(bound) => spec.with_delay_bound(bound),
+            None => spec,
+        }
     }
 
     /// Adds the worst-case stall-episode bound.

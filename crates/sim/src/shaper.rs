@@ -9,6 +9,11 @@
 //! * [`UnlimitedShaper`] — no shaping (baseline memory system);
 //! * [`StaticRateShaper`] — the "static bandwidth allocation" of §IV-C: a
 //!   constant request rate with no notion of inter-arrival distribution.
+//!
+//! It also holds the two closed-form shapers of the extended comparison,
+//! [`CbsShaper`] and [`RegulatorShaper`]. Those and the static limiter
+//! state their own token-bucket [`Envelope`], which the network-calculus
+//! oracle checks their grant streams against.
 
 use crate::audit::CreditAudit;
 use crate::types::Cycle;
@@ -33,6 +38,28 @@ impl ShapeDecision {
     pub fn is_grant(self) -> bool {
         matches!(self, ShapeDecision::Grant(_))
     }
+}
+
+/// The analytical envelope a closed-form shaper promises: a token-bucket
+/// arrival curve and a bound on one shaper stall episode.
+///
+/// Over any grants at cycles `t_i <= t_j` the shaper issues at most
+/// `burst + (t_j - t_i) * rate_num / rate_den` of them, the convention of
+/// [`crate::oracle::NetCalcSpec`]: a bucket of `burst` tokens, full at the
+/// start, refilled at `rate_num / rate_den` tokens per cycle, one token
+/// per grant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Long-run rate numerator: at most `rate_num / rate_den` requests
+    /// per cycle.
+    pub rate_num: u64,
+    /// Long-run rate denominator (cycles per `rate_num` requests).
+    pub rate_den: u64,
+    /// Requests admissible back-to-back beyond the long-run rate.
+    pub burst: u64,
+    /// Longest shaper stall episode (`StallBegin` to `StallEnd`) the
+    /// trace may show, or `None` when waiting may never help.
+    pub stall_bound: Option<Cycle>,
 }
 
 /// A source-side bandwidth shaper attached to one core's L1-miss path.
@@ -105,6 +132,13 @@ pub trait SourceShaper {
     /// return the default empty snapshot, which the auditor skips.
     fn credit_audit(&self) -> CreditAudit {
         CreditAudit::default()
+    }
+
+    /// The token-bucket envelope this shaper guarantees, or `None` when
+    /// its grant stream has no closed form (MITTS refunds LLC hits, so
+    /// its curve depends on the load; the bin/credit oracle covers it).
+    fn envelope(&self) -> Option<Envelope> {
+        None
     }
 
     /// Stable identifier of this shaper's checkpoint payload, or `None`
@@ -185,8 +219,7 @@ impl SourceShaper for UnlimitedShaper {
     }
 }
 
-/// Constant-rate limiter: at most one request every `interval` cycles,
-/// with an optional per-period request budget.
+/// Constant-rate limiter: at most one request every `interval` cycles.
 ///
 /// This models the paper's *static bandwidth allocation* baseline, which
 /// "can limit a program's memory requests at or below a constant rate but
@@ -206,61 +239,18 @@ impl SourceShaper for UnlimitedShaper {
 pub struct StaticRateShaper {
     interval: Cycle,
     last_issue: Option<Cycle>,
-    budget_per_period: Option<u64>,
-    period: Cycle,
-    period_start: Cycle,
-    used_this_period: u64,
-    refunds: u64,
     stalls: u64,
 }
 
 impl StaticRateShaper {
-    /// A limiter with a minimum inter-request `interval` (cycles) and no
-    /// per-period cap.
+    /// A limiter with a minimum inter-request `interval` (cycles).
     ///
     /// # Panics
     ///
     /// Panics if `interval == 0` (use [`UnlimitedShaper`] for no shaping).
     pub fn new(interval: Cycle) -> Self {
         assert!(interval > 0, "interval must be positive");
-        StaticRateShaper {
-            interval,
-            last_issue: None,
-            budget_per_period: None,
-            period: 0,
-            period_start: 0,
-            used_this_period: 0,
-            refunds: 0,
-            stalls: 0,
-        }
-    }
-
-    /// Adds a per-period budget: at most `budget` requests every `period`
-    /// cycles (net of refunds for LLC hits, mirroring MITTS method 2 so
-    /// comparisons are apples-to-apples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn with_budget(mut self, budget: u64, period: Cycle) -> Self {
-        assert!(period > 0, "period must be positive");
-        self.budget_per_period = Some(budget);
-        self.period = period;
-        self
-    }
-
-    /// The configured minimum inter-request interval.
-    pub fn interval(&self) -> Cycle {
-        self.interval
-    }
-
-    /// Average bandwidth this limiter admits, in requests per cycle.
-    pub fn requests_per_cycle(&self) -> f64 {
-        let rate_bound = 1.0 / self.interval as f64;
-        match self.budget_per_period {
-            Some(b) if self.period > 0 => rate_bound.min(b as f64 / self.period as f64),
-            _ => rate_bound,
-        }
+        StaticRateShaper { interval, last_issue: None, stalls: 0 }
     }
 }
 
@@ -269,19 +259,7 @@ impl SourceShaper for StaticRateShaper {
         "static-rate"
     }
 
-    fn tick(&mut self, now: Cycle) {
-        // The while loop catches up over fast-forwarded windows; driven
-        // once per cycle it fires at most once, exactly at the boundary
-        // (where `period_start + period == now`, so `+=` and `= now`
-        // coincide).
-        if self.budget_per_period.is_some() {
-            while now >= self.period_start + self.period {
-                self.period_start += self.period;
-                self.used_this_period = 0;
-                self.refunds = 0;
-            }
-        }
-    }
+    fn tick(&mut self, _now: Cycle) {}
 
     fn try_issue(&mut self, now: Cycle) -> ShapeDecision {
         if let Some(last) = self.last_issue {
@@ -289,23 +267,11 @@ impl SourceShaper for StaticRateShaper {
                 return ShapeDecision::Deny;
             }
         }
-        if let Some(budget) = self.budget_per_period {
-            if self.used_this_period >= budget + self.refunds {
-                return ShapeDecision::Deny;
-            }
-        }
         self.last_issue = Some(now);
-        self.used_this_period += 1;
         ShapeDecision::Grant(0)
     }
 
-    fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, hit: bool) {
-        if hit {
-            // The request turned out not to consume memory bandwidth;
-            // refund it against the period budget.
-            self.refunds += 1;
-        }
-    }
+    fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, _hit: bool) {}
 
     fn stall_cycles(&self) -> u64 {
         self.stalls
@@ -316,21 +282,21 @@ impl SourceShaper for StaticRateShaper {
     }
 
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut at = now + 1;
-        if let Some(last) = self.last_issue {
-            at = at.max(last + self.interval);
-        }
-        if let Some(budget) = self.budget_per_period {
-            if self.used_this_period >= budget + self.refunds {
-                if budget == 0 {
-                    // A period reset restores a zero budget: waiting is
-                    // hopeless without an external refund.
-                    return None;
-                }
-                at = at.max(self.period_start + self.period);
-            }
-        }
-        Some(at)
+        Some(self.last_issue.map_or(now + 1, |last| (now + 1).max(last + self.interval)))
+    }
+
+    /// One request per `interval` with a burst of one: grants `interval`
+    /// apart drain and refill the one-token bucket exactly. A denied head
+    /// is granted `interval` cycles after the previous grant at the
+    /// latest, and its episode starts a cycle after that grant, so
+    /// `interval` bounds the episode with one cycle to spare.
+    fn envelope(&self) -> Option<Envelope> {
+        Some(Envelope {
+            rate_num: 1,
+            rate_den: self.interval,
+            burst: 1,
+            stall_bound: Some(self.interval),
+        })
     }
 
     fn snapshot_kind(&self) -> Option<&'static str> {
@@ -340,11 +306,6 @@ impl SourceShaper for StaticRateShaper {
     fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.interval);
         enc.opt_u64(self.last_issue);
-        enc.opt_u64(self.budget_per_period);
-        enc.u64(self.period);
-        enc.u64(self.period_start);
-        enc.u64(self.used_this_period);
-        enc.u64(self.refunds);
         enc.u64(self.stalls);
     }
 
@@ -353,20 +314,12 @@ impl SourceShaper for StaticRateShaper {
         dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let interval = dec.u64()?;
-        let last_issue = dec.opt_u64()?;
-        let budget = dec.opt_u64()?;
-        let period = dec.u64()?;
-        if interval != self.interval || budget != self.budget_per_period || period != self.period
-        {
+        if dec.u64()? != self.interval {
             return Err(SnapshotError::mismatch(
                 "static-rate shaper configuration differs from the snapshot".to_owned(),
             ));
         }
-        self.last_issue = last_issue;
-        self.period_start = dec.u64()?;
-        self.used_this_period = dec.u64()?;
-        self.refunds = dec.u64()?;
+        self.last_issue = dec.opt_u64()?;
         self.stalls = dec.u64()?;
         Ok(())
     }
@@ -438,42 +391,6 @@ impl CbsShaper {
         }
     }
 
-    /// Long-run admitted bandwidth in requests per cycle.
-    pub fn requests_per_cycle(&self) -> f64 {
-        self.idle_slope as f64 / self.send_cost as f64
-    }
-
-    /// Token-bucket arrival-curve parameters `(rate_num, rate_den,
-    /// burst)` this shaper guarantees: over any window of `w` cycles it
-    /// grants at most `burst + ceil(w * rate_num / rate_den)` requests.
-    ///
-    /// The floor clamp forgives any part of `send_cost` below
-    /// `lo_credit`, so the *effective* charge per grant — what the curve
-    /// can rely on — is `min(send_cost, |lo_credit|)`: a grant from
-    /// credit 0 lands at `max(-send_cost, lo_credit)` and must recover
-    /// that deficit before the next grant. A zero floor forgives the
-    /// whole cost (the shaper admits every request), leaving only the
-    /// issue stage's one-grant-per-cycle bound.
-    pub fn arrival_curve(&self) -> (u64, u64, u64) {
-        let span = (self.hi_credit - self.lo_credit) as u64;
-        let eff = self.lo_credit.unsigned_abs().min(self.send_cost);
-        if eff == 0 {
-            return (1, 1, 1);
-        }
-        (self.idle_slope, eff, span / eff + 1)
-    }
-
-    /// Upper bound on how long a denied request can wait before credit
-    /// recovers to zero from the deepest deficit, or `None` when the
-    /// slope is zero (waiting never helps).
-    pub fn max_stall_bound(&self) -> Option<Cycle> {
-        if self.idle_slope == 0 {
-            return None;
-        }
-        let deficit = self.lo_credit.unsigned_abs();
-        Some(deficit.div_ceil(self.idle_slope))
-    }
-
     /// Credit value at `now` (pure: the accrual a catch-up tick would
     /// apply, without mutating).
     fn credit_at(&self, now: Cycle) -> i64 {
@@ -537,6 +454,29 @@ impl SourceShaper for CbsShaper {
         }
         let deficit = credit.unsigned_abs();
         Some(now + deficit.div_ceil(self.idle_slope))
+    }
+
+    /// Token bucket: over any window the shaper grants at most the burst
+    /// plus the window times `idle_slope / eff`.
+    ///
+    /// The floor clamp forgives any part of `send_cost` below
+    /// `lo_credit`, so the *effective* charge per grant — what the curve
+    /// can rely on — is `eff = min(send_cost, |lo_credit|)`: a grant from
+    /// credit 0 lands at `max(-send_cost, lo_credit)` and must recover
+    /// that deficit before the next grant. A zero floor forgives the
+    /// whole cost (the shaper admits every request), leaving only the
+    /// issue stage's one-grant-per-cycle bound. The stall bound is the
+    /// recovery from the deepest deficit, `ceil(|lo_credit| /
+    /// idle_slope)`, plus two cycles of slack for how the trace brackets
+    /// an episode; a zero slope never recovers.
+    fn envelope(&self) -> Option<Envelope> {
+        let span = (self.hi_credit - self.lo_credit) as u64;
+        let eff = self.lo_credit.unsigned_abs().min(self.send_cost);
+        let (rate_num, rate_den, burst) =
+            if eff == 0 { (1, 1, 1) } else { (self.idle_slope, eff, span / eff + 1) };
+        let stall_bound = (self.idle_slope > 0)
+            .then(|| self.lo_credit.unsigned_abs().div_ceil(self.idle_slope) + 2);
+        Some(Envelope { rate_num, rate_den, burst, stall_bound })
     }
 
     fn credit_audit(&self) -> CreditAudit {
@@ -636,27 +576,6 @@ impl RegulatorShaper {
         assert!(window > 0, "window must be positive");
         RegulatorShaper { budget, window, remaining: budget, next_refresh: window, stalls: 0 }
     }
-
-    /// Long-run admitted bandwidth in requests per cycle.
-    pub fn requests_per_cycle(&self) -> f64 {
-        self.budget as f64 / self.window as f64
-    }
-
-    /// Token-bucket arrival-curve parameters `(rate_num, rate_den,
-    /// burst)`: rate `budget / window`, burst `2 * budget` (a full quota
-    /// on each side of a window boundary).
-    pub fn arrival_curve(&self) -> (u64, u64, u64) {
-        (self.budget, self.window, self.budget.saturating_mul(2))
-    }
-
-    /// Upper bound on how long a denied request waits for the next
-    /// refresh, or `None` when the budget is zero (waiting never helps).
-    pub fn max_stall_bound(&self) -> Option<Cycle> {
-        if self.budget == 0 {
-            return None;
-        }
-        Some(self.window)
-    }
 }
 
 impl SourceShaper for RegulatorShaper {
@@ -707,6 +626,20 @@ impl SourceShaper for RegulatorShaper {
             return None; // refresh restores nothing
         }
         Some(self.next_refresh.max(now + 1))
+    }
+
+    /// Rate `budget / window`, burst `2 * budget` (a full quota on each
+    /// side of a window boundary). A denied request waits at most one
+    /// window for the refresh; the stall bound adds one cycle of slack
+    /// for how the trace brackets an episode. A zero budget refreshes to
+    /// nothing, so waiting never helps.
+    fn envelope(&self) -> Option<Envelope> {
+        Some(Envelope {
+            rate_num: self.budget,
+            rate_den: self.window,
+            burst: self.budget.saturating_mul(2),
+            stall_bound: (self.budget > 0).then_some(self.window + 1),
+        })
     }
 
     fn credit_audit(&self) -> CreditAudit {
@@ -778,66 +711,30 @@ mod tests {
     }
 
     #[test]
-    fn static_rate_budget_caps_requests() {
-        let mut s = StaticRateShaper::new(1).with_budget(3, 100);
-        let mut granted = 0;
-        for now in 0..100 {
-            s.tick(now);
-            if s.try_issue(now).is_grant() {
-                granted += 1;
-            }
-        }
-        assert_eq!(granted, 3);
-        // Next period replenishes.
-        s.tick(100);
-        assert!(s.try_issue(100).is_grant());
-    }
-
-    #[test]
-    fn llc_hit_refund_extends_budget() {
-        let mut s = StaticRateShaper::new(1).with_budget(2, 1000);
+    fn static_rate_ignores_llc_feedback() {
+        let mut s = StaticRateShaper::new(10);
         assert!(s.try_issue(0).is_grant());
-        assert!(s.try_issue(1).is_grant());
-        assert!(!s.try_issue(2).is_grant());
-        s.on_llc_response(3, 0, true);
-        assert!(s.try_issue(3).is_grant(), "refund should allow one more");
-        s.on_llc_response(4, 0, false);
-        assert!(!s.try_issue(4).is_grant(), "miss response must not refund");
+        s.on_llc_response(1, 0, true);
+        assert!(!s.try_issue(1).is_grant(), "a hit must not shorten the gap");
     }
 
     #[test]
-    fn requests_per_cycle_math() {
+    fn static_rate_envelope_is_a_one_token_bucket() {
         let s = StaticRateShaper::new(10);
-        assert!((s.requests_per_cycle() - 0.1).abs() < 1e-12);
-        let s = StaticRateShaper::new(1).with_budget(5, 100);
-        assert!((s.requests_per_cycle() - 0.05).abs() < 1e-12);
+        assert_eq!(
+            s.envelope(),
+            Some(Envelope { rate_num: 1, rate_den: 10, burst: 1, stall_bound: Some(10) })
+        );
     }
 
     #[test]
-    fn catch_up_tick_matches_per_cycle_ticks() {
-        // A shaper ticked once after a long gap must land in the same
-        // period state as one ticked every cycle.
-        let mut naive = StaticRateShaper::new(1).with_budget(3, 100);
-        let mut fast = StaticRateShaper::new(1).with_budget(3, 100);
-        for now in 0..=250 {
-            naive.tick(now);
-        }
-        fast.tick(250);
-        assert_eq!(naive.period_start, fast.period_start);
-        assert_eq!(naive.used_this_period, fast.used_this_period);
-        assert_eq!(naive.try_issue(250), fast.try_issue(250));
-    }
-
-    #[test]
-    fn next_grant_event_bounds_the_first_grant() {
-        let mut s = StaticRateShaper::new(10).with_budget(1, 100);
-        s.tick(0);
-        assert!(s.try_issue(0).is_grant());
-        // Denied by both interval and budget: the event must not be later
-        // than the first cycle a grant is possible (the period boundary).
+    fn next_grant_event_is_the_end_of_the_gap() {
+        let mut s = StaticRateShaper::new(10);
+        assert_eq!(s.next_grant_event(0), Some(1), "nothing issued yet");
+        assert!(s.try_issue(3).is_grant());
         assert!(!s.try_issue(5).is_grant());
         let at = s.next_grant_event(5).unwrap();
-        assert_eq!(at, 100, "budget refill dominates the interval expiry");
+        assert_eq!(at, 13);
         for t in 6..at {
             s.tick(t);
             assert!(!s.try_issue(t).is_grant(), "no grant before the event at {t}");
@@ -847,12 +744,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_has_no_grant_event() {
-        let mut s = StaticRateShaper::new(1).with_budget(0, 100);
-        assert!(!s.try_issue(0).is_grant());
-        assert_eq!(s.next_grant_event(0), None);
-        // Unlimited never denies, so it also reports no event.
+    fn unlimited_has_no_grant_event() {
+        // Unlimited never denies, so there is nothing to wait for.
         assert_eq!(UnlimitedShaper::new().next_grant_event(7), None);
+        assert_eq!(UnlimitedShaper::new().envelope(), None);
     }
 
     #[test]
@@ -943,7 +838,7 @@ mod tests {
         assert!(s.try_issue(0).is_grant());
         assert!(!s.try_issue(1).is_grant());
         assert_eq!(s.next_grant_event(1), None);
-        assert_eq!(s.max_stall_bound(), None);
+        assert_eq!(s.envelope().unwrap().stall_bound, None);
     }
 
     #[test]
@@ -957,9 +852,14 @@ mod tests {
     #[test]
     fn cbs_curve_and_stall_bound_math() {
         let s = CbsShaper::new(3, 10, 25, -20);
-        assert_eq!(s.arrival_curve(), (3, 10, 5)); // (45/10)+1 = 5 burst
-        assert_eq!(s.max_stall_bound(), Some(7)); // ceil(20/3)
-        assert!((s.requests_per_cycle() - 0.3).abs() < 1e-12);
+        // (45/10)+1 = 5 burst; ceil(20/3) = 7 cycles to recover, plus 2.
+        assert_eq!(
+            s.envelope(),
+            Some(Envelope { rate_num: 3, rate_den: 10, burst: 5, stall_bound: Some(9) })
+        );
+        // A zero floor forgives every grant: one grant per cycle.
+        let open = CbsShaper::new(3, 10, 25, 0).envelope().unwrap();
+        assert_eq!((open.rate_num, open.rate_den, open.burst), (1, 1, 1));
         let audit = s.credit_audit();
         assert_eq!(audit.bins.len(), 1);
         assert_eq!(audit.bins[0].live, 20); // credit 0 above floor -20
@@ -1043,15 +943,16 @@ mod tests {
         let mut s = RegulatorShaper::new(0, 100);
         assert!(!s.try_issue(0).is_grant());
         assert_eq!(s.next_grant_event(0), None);
-        assert_eq!(s.max_stall_bound(), None);
+        assert_eq!(s.envelope().unwrap().stall_bound, None);
     }
 
     #[test]
     fn regulator_curve_and_stall_bound_math() {
         let s = RegulatorShaper::new(3, 100);
-        assert_eq!(s.arrival_curve(), (3, 100, 6));
-        assert_eq!(s.max_stall_bound(), Some(100));
-        assert!((s.requests_per_cycle() - 0.03).abs() < 1e-12);
+        assert_eq!(
+            s.envelope(),
+            Some(Envelope { rate_num: 3, rate_den: 100, burst: 6, stall_bound: Some(101) })
+        );
         let audit = s.credit_audit();
         assert_eq!(audit.bins[0].live, 3);
         assert_eq!(audit.bins[0].max, 3);

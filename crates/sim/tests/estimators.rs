@@ -23,7 +23,9 @@ use mitts_sim::config::{DramConfig, McConfig};
 use mitts_sim::dram::Dram;
 use mitts_sim::mc::{FcfsScheduler, MemoryController};
 use mitts_sim::obs::Sampler;
-use mitts_sim::shaper::{ShapeDecision, SourceShaper, StaticRateShaper};
+use mitts_sim::shaper::{
+    CbsShaper, RegulatorShaper, ShapeDecision, SourceShaper, StaticRateShaper,
+};
 use mitts_sim::types::{CoreId, Cycle, MemCmd};
 
 /// Drives `shaper` from `from` (exclusive) to `to` (inclusive) with the
@@ -33,6 +35,24 @@ fn tick_to_and_try(shaper: &mut impl SourceShaper, from: Cycle, to: Cycle) -> Sh
         shaper.tick(c);
     }
     shaper.try_issue(to)
+}
+
+/// Walks `shaper` forward by each of `gaps`, attempting an issue at the
+/// end of every step, and returns the cycle it stopped at.
+fn warm_up(shaper: &mut impl SourceShaper, gaps: &[Cycle]) -> Cycle {
+    let mut now = 0;
+    for &gap in gaps {
+        let to = now + gap;
+        let _ = tick_to_and_try(shaper, now, to);
+        now = to;
+    }
+    now
+}
+
+/// A CBS credit ceiling of `hi`, nudged up to keep the credit band
+/// `(-lo, hi]` non-empty.
+fn cbs_hi(hi: u64, lo: u64) -> i64 {
+    if hi == 0 && lo == 0 { 1 } else { hi as i64 }
 }
 
 /// The one-sided estimator bound, generically: if the shaper denies at
@@ -129,27 +149,46 @@ proptest! {
     }
 
     /// `StaticRateShaper::next_grant_event` never overshoots the first
-    /// possible grant, whatever (interval, budget, period) shape and
-    /// however many grants already happened.
+    /// possible grant, whatever the interval and however many grants
+    /// already happened.
     #[test]
     fn static_shaper_grant_estimate_is_never_late(
         interval in 1u64..50,
-        budget_raw in 0u64..5, // 0 = no budget, otherwise budget - 1
-        period in 10u64..200,
         warmup in proptest::collection::vec(0u64..8, 0..12),
     ) {
         let mut s = StaticRateShaper::new(interval);
-        if budget_raw > 0 {
-            s = s.with_budget(budget_raw - 1, period);
-        }
         // Random warm-up: walk time forward, attempting issues.
-        let mut now = 0;
-        for &gap in &warmup {
-            let to = now + gap;
-            let _ = tick_to_and_try(&mut s, now, to);
-            now = to;
-        }
-        assert_grant_estimate_never_late(&s, now, 2 * period + interval + 8)?;
+        let now = warm_up(&mut s, &warmup);
+        assert_grant_estimate_never_late(&s, now, interval + 8)?;
+    }
+
+    /// `RegulatorShaper::next_grant_event` never overshoots, across empty
+    /// budgets, spent quotas and probe points on either side of a window
+    /// boundary.
+    #[test]
+    fn regulator_grant_estimate_is_never_late(
+        budget in 0u64..4,
+        window in 10u64..200,
+        warmup in proptest::collection::vec(0u64..8, 0..12),
+    ) {
+        let mut s = RegulatorShaper::new(budget, window);
+        let now = warm_up(&mut s, &warmup);
+        assert_grant_estimate_never_late(&s, now, 2 * window + 8)?;
+    }
+
+    /// `CbsShaper::next_grant_event` never overshoots, across credit
+    /// bands, zero slopes (hopeless deficits) and zero floors.
+    #[test]
+    fn cbs_grant_estimate_is_never_late(
+        idle_slope in 0u64..4,
+        send_cost in 1u64..40,
+        hi in 0u64..80,
+        lo in 0u64..=60,
+        warmup in proptest::collection::vec(0u64..8, 0..12),
+    ) {
+        let mut s = CbsShaper::new(idle_slope, send_cost, cbs_hi(hi, lo), -(lo as i64));
+        let now = warm_up(&mut s, &warmup);
+        assert_grant_estimate_never_late(&s, now, 70)?;
     }
 
     /// `MittsShaper::next_grant_event` (the paper's binned shaper) never
@@ -163,12 +202,7 @@ proptest! {
     ) {
         let cfg = BinConfig::new(BinSpec::paper_default(), credits, period).unwrap();
         let mut s = MittsShaper::new(cfg);
-        let mut now = 0;
-        for &gap in &warmup {
-            let to = now + gap;
-            let _ = tick_to_and_try(&mut s, now, to);
-            now = to;
-        }
+        let now = warm_up(&mut s, &warmup);
         // Cap the brute-force horizon: one full replenish period past the
         // probe covers every time-driven grant source the shaper has.
         assert_grant_estimate_never_late(&s, now, period + 8)?;
@@ -239,6 +273,79 @@ proptest! {
         prop_assert!(s.due(b), "the clamp target must itself be a due boundary");
         for c in now + 1..b {
             prop_assert!(!s.due(c), "boundary {c} inside the skip window");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every closed-form shaper keeps its grant stream inside its own
+    /// `envelope()`. Random request arrivals queue in front of the shaper,
+    /// which sees the head every cycle as the issue stage does. Every
+    /// window of grants `t_i..=t_j` must hold at most
+    /// `burst + (t_j - t_i) * rate_num / rate_den` of them (exact, scaled
+    /// by `rate_den`), and every run of denied cycles must end within the
+    /// stall bound.
+    #[test]
+    fn closed_form_shapers_stay_inside_their_envelope(
+        kind in 0u8..3,
+        a in 1u64..40,
+        b in 1u64..40,
+        hi in 0u64..80,
+        lo in 0u64..=60,
+        arrivals in proptest::collection::vec(0u64..30, 1..60),
+    ) {
+        // Slopes and budgets stay positive so every request is granted.
+        let mut s: Box<dyn SourceShaper> = match kind {
+            0 => Box::new(StaticRateShaper::new(a)),
+            1 => Box::new(CbsShaper::new(1 + a % 4, b, cbs_hi(hi, lo), -(lo as i64))),
+            _ => Box::new(RegulatorShaper::new(1 + a % 6, 10 * b)),
+        };
+        let env = s.envelope().expect("closed-form shapers state an envelope");
+        prop_assert!(env.rate_den > 0);
+        let mut due = Vec::new();
+        let mut at = 0;
+        for gap in arrivals {
+            at += gap;
+            due.push(at);
+        }
+        let mut grants: Vec<Cycle> = Vec::new();
+        let mut denied_since: Option<Cycle> = None;
+        let mut next = 0;
+        let mut now = 0;
+        while next < due.len() {
+            s.tick(now);
+            if due[next] <= now {
+                if s.try_issue(now).is_grant() {
+                    if let (Some(since), Some(bound)) = (denied_since, env.stall_bound) {
+                        prop_assert!(
+                            now - since <= bound,
+                            "stall of {} cycles (since {since}) over the bound {bound}",
+                            now - since
+                        );
+                    }
+                    denied_since = None;
+                    grants.push(now);
+                    next += 1;
+                } else {
+                    denied_since.get_or_insert(now);
+                }
+            }
+            now += 1;
+        }
+        for i in 0..grants.len() {
+            for j in i..grants.len() {
+                let count = (j - i + 1) as u128;
+                let allowed = env.burst as u128 * env.rate_den as u128
+                    + (grants[j] - grants[i]) as u128 * env.rate_num as u128;
+                prop_assert!(
+                    count * env.rate_den as u128 <= allowed,
+                    "{count} grants in {}..={} exceed {env:?}",
+                    grants[i],
+                    grants[j]
+                );
+            }
         }
     }
 }

@@ -211,28 +211,30 @@ fn dram_oracle_rejects_a_shadow_with_different_bank_count() {
 }
 
 #[test]
-fn static_rate_shaper_round_trips_with_live_budget() {
-    let mut s = StaticRateShaper::new(10).with_budget(3, 500);
-    let mut denies = 0;
-    for now in 0..400u64 {
+fn static_rate_shaper_round_trips_mid_gap() {
+    let mut s = StaticRateShaper::new(10);
+    let mut last_grant = 0;
+    for now in (0..400u64).step_by(3) {
         s.tick(now);
         match s.try_issue(now) {
-            ShapeDecision::Grant(_) => {}
-            _ => denies += 1,
-        }
-        if denies == 0 {
-            s.note_stall_cycle();
+            ShapeDecision::Grant(_) => last_grant = now,
+            ShapeDecision::Deny => s.note_stall_cycle(),
         }
     }
-    let mut twin = StaticRateShaper::new(10).with_budget(3, 500);
+    // The snapshot is taken inside the gap after the last grant, so the
+    // twin must restore when that grant happened, not just the interval.
+    let at = 400;
+    assert!(at < last_grant + 10, "snapshot point {at} must sit mid-gap");
+    let mut twin = StaticRateShaper::new(10);
     round_trip(
         &s,
         &mut twin,
         |s, e| s.save_state(e),
         |s, d| s.load_state(d),
     );
-    // Future decisions agree cycle for cycle across a period boundary.
-    for now in 400..1200u64 {
+    assert_eq!(twin.stall_cycles(), s.stall_cycles());
+    // Future decisions agree cycle for cycle.
+    for now in at..1200u64 {
         s.tick(now);
         twin.tick(now);
         assert_eq!(
@@ -241,6 +243,14 @@ fn static_rate_shaper_round_trips_with_live_budget() {
             "decision diverged at cycle {now}"
         );
     }
+    // A different interval is a configuration mismatch, not a restore.
+    let mut e = Enc::new();
+    s.save_state(&mut e);
+    let bytes = e.into_bytes();
+    assert!(matches!(
+        StaticRateShaper::new(11).load_state(&mut Dec::new(&bytes)),
+        Err(SnapshotError::Mismatch(_))
+    ));
 }
 
 #[test]

@@ -119,6 +119,20 @@ diff -r "$STATE_A/results" "$STATE_B/results" \
   || { echo "resumed sweep diverged from the uninterrupted one"; exit 1; }
 echo "kill-and-resume smoke: resumed tables are identical"
 
+# Shaper-arm engine differential: the filtered sweeps below (`run_all a`)
+# have no static, CBS or regulator arm, so Fig. 11 (static limiter) and
+# Fig. 12 (CBS-1gbs and REG-1gbs) rerun on the naive engine and must
+# land byte-identical tables to the skip engine's uninterrupted sweep.
+for exp in fig11 fig12; do
+  STATE_EXP="$GATE_TMP/naive-$exp"
+  mkdir -p "$STATE_EXP"
+  MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE=naive MITTS_STATE_DIR="$STATE_EXP" \
+    target/release/run_all "$exp" >/dev/null
+  diff "$STATE_EXP/results/$exp.txt" "$STATE_B/results/$exp.txt" \
+    || { echo "naive-engine $exp diverged from the skip engine"; exit 1; }
+done
+echo "shaper-arm engine differential: naive/skip fig11 and fig12 tables are identical"
+
 # Parallel determinism gate: the same filtered sweep at MITTS_JOBS=4 and
 # MITTS_JOBS=1 must land byte-identical result artifacts AND CSV dumps —
 # worker scheduling may reorder execution, never output. The serial run
