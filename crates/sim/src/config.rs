@@ -36,6 +36,12 @@ pub enum ConfigError {
         /// What is wrong with its organisation.
         detail: String,
     },
+    /// The DRAM bank count or row size is not a power of two, or a row
+    /// is smaller than one 64 B column.
+    BadDramGeometry {
+        /// What is wrong with the organisation.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -51,6 +57,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadCacheGeometry { cache, detail } => {
                 write!(f, "{cache} geometry invalid: {detail}")
             }
+            ConfigError::BadDramGeometry { detail } => write!(f, "DRAM geometry invalid: {detail}"),
         }
     }
 }
@@ -252,6 +259,23 @@ pub struct DramTimingCycles {
 }
 
 impl DramConfig {
+    /// Checks that the organisation decodes by shift and mask: `banks` is
+    /// a power of two (so at least 1) and `row_bytes` is a power of two of
+    /// at least one 64 B column. Returns a description of the first
+    /// violation.
+    pub fn check_geometry(&self) -> Result<(), String> {
+        if !self.banks.is_power_of_two() {
+            return Err(format!("bank count must be a power of two (got {})", self.banks));
+        }
+        if self.row_bytes < 64 || !self.row_bytes.is_power_of_two() {
+            return Err(format!(
+                "row size must be a power of two of at least 64 B (got {} B)",
+                self.row_bytes
+            ));
+        }
+        Ok(())
+    }
+
     /// Converts the nanosecond parameters into CPU cycles at `freq_hz`.
     pub fn timing_cycles(&self, freq_hz: f64) -> DramTimingCycles {
         let conv = |ns: f64| -> u64 { (ns * 1e-9 * freq_hz).ceil() as u64 };
@@ -411,6 +435,7 @@ impl SystemConfig {
         self.llc
             .try_sets()
             .map_err(|detail| ConfigError::BadCacheGeometry { cache: "LLC", detail })?;
+        self.dram.check_geometry().map_err(|detail| ConfigError::BadDramGeometry { detail })?;
         Ok(())
     }
 }

@@ -10,7 +10,7 @@
 //! one entry — so a cycle costs O(1) amortised regardless of the gap sizes
 //! in the trace.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::config::CoreConfig;
 use crate::trace::{TraceOp, TraceSource};
@@ -31,8 +31,9 @@ pub struct MemIssue {
 enum RobEntry {
     /// A run of `remaining` plain ALU instructions.
     Compute { remaining: u32 },
-    /// One memory instruction; retires when completed (loads) — stores are
-    /// created already-complete.
+    /// One memory instruction; retires when completed. [`Core::complete`]
+    /// sets the flag of a load in place; stores are created
+    /// already-complete.
     Mem { op: OpId, complete: bool },
 }
 
@@ -107,29 +108,6 @@ pub enum CoreIdleClass {
     PortBlocked,
 }
 
-/// Pass-through hasher for `OpId` keys. Op ids are per-core sequential
-/// counters, so they are already uniformly distributed over the table's
-/// low bits; the default SipHash shows up in profiles of the per-cycle
-/// retire path for no collision-resistance benefit.
-#[derive(Default)]
-struct OpIdHasher(u64);
-
-impl std::hash::Hasher for OpIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("OpId hashes through write_u64");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type OpIdSet = HashSet<OpId, std::hash::BuildHasherDefault<OpIdHasher>>;
-
 /// The core model. Drive it with [`Core::tick`] once per cycle; complete
 /// outstanding loads with [`Core::complete`] as fills return.
 pub struct Core {
@@ -143,7 +121,6 @@ pub struct Core {
     fetch_gap_left: u32,
     fetch_mem: Option<TraceOp>,
     next_op_id: u64,
-    completed: OpIdSet,
     frozen_until: Cycle,
     counters: CoreCounters,
 }
@@ -171,15 +148,31 @@ impl Core {
             fetch_gap_left: 0,
             fetch_mem: None,
             next_op_id: 0,
-            completed: OpIdSet::default(),
             frozen_until: 0,
             counters: CoreCounters::default(),
         }
     }
 
-    /// Marks a previously issued load as complete (data arrived).
+    /// Marks a previously issued load as complete (data arrived). It
+    /// retires once it reaches the ROB head.
+    ///
+    /// Op ids ascend along the ROB, so the search walks from the head and
+    /// stops at the first memory entry at or past `op`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `op` is an in-flight load: completing an op that
+    /// was never issued, already retired, a store, or already completed is
+    /// a caller bug.
     pub fn complete(&mut self, op: OpId) {
-        self.completed.insert(op);
+        let entry = self.rob.iter_mut().find_map(|e| match e {
+            RobEntry::Mem { op: id, complete } if *id >= op => Some((*id, complete)),
+            _ => None,
+        });
+        match entry {
+            Some((id, complete)) if id == op && !*complete => *complete = true,
+            _ => debug_assert!(false, "completion for {op:?}, which is not an in-flight load"),
+        }
     }
 
     /// Freezes the core (no dispatch, no retire) until cycle `until`.
@@ -214,7 +207,7 @@ impl Core {
             return CoreIdleClass::Frozen;
         }
         match self.rob.front() {
-            Some(RobEntry::Mem { op, complete: false }) if !self.completed.contains(op) => {
+            Some(RobEntry::Mem { complete: false, .. }) => {
                 if self.rob_occupancy >= self.window_size {
                     CoreIdleClass::MemBlocked
                 } else {
@@ -262,10 +255,7 @@ impl Core {
             && self.fetch_gap_left == 0
             && self.fetch_mem.is_some()
             && self.rob_occupancy < self.window_size
-            && matches!(
-                self.rob.front(),
-                Some(RobEntry::Mem { op, complete: false }) if !self.completed.contains(op)
-            )
+            && matches!(self.rob.front(), Some(RobEntry::Mem { complete: false, .. }))
     }
 
     /// The memory access the fetch stage would offer to the port next
@@ -297,8 +287,8 @@ impl Core {
         self.trace.snapshot_kind()
     }
 
-    /// Encodes the complete mutable core state (ROB, fetch stage,
-    /// completion book, counters) plus the embedded trace cursor.
+    /// Encodes the complete mutable core state (ROB with its completion
+    /// flags, fetch stage, counters) plus the embedded trace cursor.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u32(self.issue_width);
         enc.u32(self.window_size);
@@ -330,10 +320,6 @@ impl Core {
             None => enc.bool(false),
         }
         enc.u64(self.next_op_id);
-        // HashSet iteration order is nondeterministic: sort for stable bytes.
-        let mut completed: Vec<u64> = self.completed.iter().map(|op| op.raw()).collect();
-        completed.sort_unstable();
-        enc.u64s(&completed);
         enc.u64(self.frozen_until);
         enc.u64(self.counters.cycles);
         enc.u64(self.counters.instructions);
@@ -399,10 +385,6 @@ impl Core {
             None
         };
         self.next_op_id = dec.u64()?;
-        self.completed.clear();
-        for raw in dec.u64s()? {
-            self.completed.insert(OpId::new(raw));
-        }
         self.frozen_until = dec.u64()?;
         self.counters.cycles = dec.u64()?;
         self.counters.instructions = dec.u64()?;
@@ -442,13 +424,9 @@ impl Core {
                         self.rob.pop_front();
                     }
                 }
-                Some(RobEntry::Mem { op, complete }) => {
+                Some(RobEntry::Mem { complete, .. }) => {
                     if !*complete {
-                        if self.completed.remove(op) {
-                            *complete = true;
-                        } else {
-                            break; // head load still pending
-                        }
+                        break; // head load still pending
                     }
                     self.rob.pop_front();
                     self.rob_occupancy -= 1;
@@ -701,6 +679,52 @@ mod tests {
         assert!(core.outstanding_loads() > 0);
         assert!(core.outstanding_loads() < 128, "window not yet full");
         assert_eq!(core.idle_class(1), CoreIdleClass::Busy);
+    }
+
+    #[test]
+    fn out_of_order_completion_retires_in_order() {
+        let mut core = core_with(0); // every instruction is a load
+        let mut port = TestPort::new();
+        core.tick(0, &mut port);
+        let ops: Vec<OpId> = port.issued.iter().map(|(_, i)| i.op).collect();
+        assert_eq!(ops.len(), 4);
+        let outstanding = core.outstanding_loads();
+        // The third load completes first: it is no longer outstanding, but
+        // it cannot retire past the pending head.
+        core.complete(ops[2]);
+        assert_eq!(core.outstanding_loads(), outstanding - 1);
+        core.tick(1, &mut port);
+        assert_eq!(core.counters().instructions, 0);
+        // The head completes: it retires, and the pending second load
+        // stops retirement before the completed third one.
+        core.complete(ops[0]);
+        core.tick(2, &mut port);
+        assert_eq!(core.counters().instructions, 1);
+        core.complete(ops[1]);
+        core.tick(3, &mut port);
+        assert_eq!(core.counters().instructions, 3, "loads 1 and 2 retire together");
+    }
+
+    #[test]
+    #[should_panic(expected = "not an in-flight load")]
+    fn completing_an_unknown_op_is_a_caller_bug() {
+        let mut core = core_with(0);
+        let mut port = TestPort::new();
+        core.tick(0, &mut port);
+        core.complete(OpId::new(1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "not an in-flight load")]
+    fn completing_a_retired_op_is_a_caller_bug() {
+        let mut core = core_with(0);
+        let mut port = TestPort::new();
+        core.tick(0, &mut port);
+        let (_, first) = port.issued[0];
+        core.complete(first.op);
+        core.tick(1, &mut port);
+        assert_eq!(core.counters().instructions, 1);
+        core.complete(first.op);
     }
 
     #[test]

@@ -34,28 +34,45 @@ pub struct DramCoord {
 /// Consecutive lines walk the columns of a row in one bank, so streaming
 /// access patterns produce row hits; the bank index comes from the bits
 /// just above the column so different 8 KB regions spread across banks.
+///
+/// Both the bank count and the row size are powers of two, so the decode
+/// is a shift and a mask: every scheduler pick decodes each queued
+/// candidate, and a division there is paid many times per cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct AddressMap {
-    banks: usize,
-    columns_per_row: u64,
+    /// log2 of the row size in bytes: the column and byte-offset bits.
+    row_shift: u32,
+    /// log2 of the bank count.
+    bank_bits: u32,
+    bank_mask: u64,
 }
 
 impl AddressMap {
     /// Builds the mapping for the given organisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `banks` is a power of two and `row_bytes` is a power
+    /// of two of at least 64 ([`crate::config::SystemConfig::validate`]
+    /// reports the same condition as a
+    /// [`crate::config::ConfigError::BadDramGeometry`]).
     pub fn new(config: &DramConfig) -> Self {
+        if let Err(detail) = config.check_geometry() {
+            panic!("{detail}");
+        }
         AddressMap {
-            banks: config.banks,
-            columns_per_row: (config.row_bytes / 64) as u64,
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_bits: config.banks.trailing_zeros(),
+            bank_mask: config.banks as u64 - 1,
         }
     }
 
     /// Maps a byte address to its bank and row.
     pub fn coord(&self, addr: Addr) -> DramCoord {
-        let line = addr / 64;
-        let within = line / self.columns_per_row;
+        let within = addr >> self.row_shift;
         DramCoord {
-            bank: (within % self.banks as u64) as usize,
-            row: within / self.banks as u64,
+            bank: (within & self.bank_mask) as usize,
+            row: within >> self.bank_bits,
         }
     }
 }
@@ -561,6 +578,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bank count must be a power of two")]
+    fn address_map_rejects_a_non_power_of_two_bank_count() {
+        AddressMap::new(&DramConfig { banks: 6, ..DramConfig::default() });
+    }
+
+    #[test]
     fn closed_bank_access_takes_rcd_cl_burst() {
         let mut d = dram();
         let t = d.timing();
@@ -705,16 +728,18 @@ mod tests {
         d.check_conservation().expect("byte/burst accounting must balance");
     }
 
-    #[test]
-    fn earliest_start_agrees_with_can_start() {
-        let mut d = dram();
+    /// Dispatches a read to bank 0 and a write to bank 1, then checks each
+    /// of `addrs` at a spread of observation points (including across the
+    /// first refresh boundary): `can_start` is false at every cycle before
+    /// `earliest_start` and true at it.
+    fn assert_earliest_start_agrees(cfg: &DramConfig, addrs: [Addr; 4]) {
+        let mut d: Dram<u32> = Dram::new(cfg, 2.4e9);
         let t = d.timing();
+        let bank_stride = cfg.row_bytes as Addr;
         d.start(0, 0, MemCmd::Read, 1);
-        d.start(0, 8 * 1024, MemCmd::Write, 2);
-        // Probe a spread of observation points, including across the first
-        // refresh boundary, and check the oracle at every cycle in a window.
+        d.start(0, bank_stride, MemCmd::Write, 2);
         let probes = [0, 1, t.t_rcd, t.t_refi - 1, t.t_refi, t.t_refi + t.t_rfc];
-        for addr in [0u64, 64, 8 * 1024, 8 * 1024 * 8] {
+        for addr in addrs {
             for &now in &probes {
                 let est = d.earliest_start(now, addr);
                 assert!(est >= now);
@@ -730,6 +755,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn earliest_start_agrees_with_can_start() {
+        // 8 banks of 8 KB rows: same line, same row, next bank, next row.
+        assert_earliest_start_agrees(&DramConfig::default(), [0, 64, 8 * 1024, 8 * 1024 * 8]);
+    }
+
+    #[test]
+    fn earliest_start_agrees_with_can_start_on_16_banks_of_2k_rows() {
+        let cfg = DramConfig { banks: 16, row_bytes: 2 * 1024, ..DramConfig::default() };
+        let m = AddressMap::new(&cfg);
+        assert_eq!(m.coord(2 * 1024), DramCoord { bank: 1, row: 0 });
+        assert_eq!(m.coord(2 * 1024 * 16), DramCoord { bank: 0, row: 1 });
+        assert_earliest_start_agrees(&cfg, [0, 64, 2 * 1024, 2 * 1024 * 16]);
     }
 
     #[test]

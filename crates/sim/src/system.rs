@@ -51,6 +51,29 @@ enum L1Waiter {
 struct PendingMiss {
     line_addr: Addr,
     created_at: Cycle,
+    /// Memory channel of `line_addr`, decoded when the miss is created
+    /// (the issue stage's backpressure check reads it every cycle).
+    channel: usize,
+}
+
+/// Row-granularity interleave of addresses across memory channels.
+#[derive(Debug, Clone, Copy)]
+struct ChannelMap {
+    row_bytes: u64,
+    channels: u64,
+}
+
+impl ChannelMap {
+    fn new(config: &SystemConfig) -> Self {
+        ChannelMap { row_bytes: config.dram.row_bytes as u64, channels: config.mc.channels as u64 }
+    }
+
+    /// Memory channel owning `addr`. Any channel count is valid, so this
+    /// is a plain division; it runs once per request, where the request
+    /// is created, and the request carries the result.
+    fn channel_of(self, addr: Addr) -> usize {
+        ((addr / self.row_bytes) % self.channels) as usize
+    }
 }
 
 /// What the demand-issue stage did for a core on its last real tick.
@@ -173,6 +196,17 @@ impl SkipBlocker {
     }
 }
 
+/// `(a + b) % n` for `a, b < n`: the round-robin port order wraps by one
+/// subtraction, not a division per core per tick.
+fn wrapping_index(a: usize, b: usize, n: usize) -> usize {
+    let i = a + b;
+    if i >= n {
+        i - n
+    } else {
+        i
+    }
+}
+
 /// Prefixes [`SnapshotError::Mismatch`] reasons with the component
 /// position for clearer diagnostics; other error kinds pass through.
 fn prefix_mismatch(e: SnapshotError, prefix: &str) -> SnapshotError {
@@ -216,6 +250,7 @@ struct L1Front<'a> {
     hit_latency: Cycle,
     obs: &'a mut Observer,
     core: usize,
+    channel_map: ChannelMap,
 }
 
 impl MemPort for L1Front<'_> {
@@ -236,7 +271,11 @@ impl MemPort for L1Front<'_> {
                     MshrOutcome::Allocated => {
                         self.stats.l1_misses += 1;
                         self.stats.l1_miss_interarrival.record_arrival(now);
-                        self.miss_queue.push_back(PendingMiss { line_addr: line, created_at: now });
+                        self.miss_queue.push_back(PendingMiss {
+                            line_addr: line,
+                            created_at: now,
+                            channel: self.channel_map.channel_of(line),
+                        });
                         self.obs.on_l1_miss(now, self.core, line);
                         true
                     }
@@ -335,12 +374,22 @@ struct LlcLookup {
     kind: LlcKind,
 }
 
-/// A transaction waiting for room in the memory controller's FIFO.
+/// A transaction bound for a memory controller. It waits in the LLC's
+/// backlog while its channel's FIFO is full.
 #[derive(Debug, Clone, Copy)]
 struct McBacklogEntry {
     core: CoreId,
     line_addr: Addr,
     cmd: MemCmd,
+    /// Memory channel of `line_addr`, decoded once when the transaction
+    /// is created (the backlog head is retried every cycle).
+    channel: usize,
+}
+
+impl McBacklogEntry {
+    fn new(map: ChannelMap, core: CoreId, line_addr: Addr, cmd: MemCmd) -> Self {
+        McBacklogEntry { core, line_addr, cmd, channel: map.channel_of(line_addr) }
+    }
 }
 
 /// The shared last-level cache.
@@ -615,7 +664,7 @@ impl SystemBuilder {
             cores,
             llc,
             channels,
-            channel_row_bytes: config.dram.row_bytes as u64,
+            channel_map: ChannelMap::new(&config),
             source_ctl: SourceControl::new(n),
             signals: vec![CoreSignals::default(); n],
             rr_offset: 0,
@@ -655,8 +704,7 @@ pub struct System {
     cores: Vec<CoreUnit>,
     llc: LlcUnit,
     channels: Vec<Channel>,
-    /// Row-granularity channel interleave stride.
-    channel_row_bytes: u64,
+    channel_map: ChannelMap,
     source_ctl: SourceControl,
     signals: Vec<CoreSignals>,
     rr_offset: usize,
@@ -1022,9 +1070,10 @@ impl System {
         let _taken_at = d.u64()?;
         d.finish()?;
 
+        let map = self.channel_map;
         for (i, unit) in self.cores.iter_mut().enumerate() {
             let mut d = Dec::new(snapshot.section(&format!("core{i}"))?);
-            Self::load_core(unit, &mut d)
+            Self::load_core(unit, map, &mut d)
                 .map_err(|e| prefix_mismatch(e, &format!("core {i}: ")))?;
             d.finish()?;
         }
@@ -1059,6 +1108,12 @@ impl System {
             let mut d = Dec::new(snapshot.section("sys")?);
             self.now = d.u64()?;
             self.rr_offset = d.usize()?;
+            if self.rr_offset >= self.cores.len() {
+                return Err(SnapshotError::corrupt(format!(
+                    "round-robin offset {} out of range",
+                    self.rr_offset
+                )));
+            }
             self.skipped_cycles = 0;
             // Signal-table scratch: refreshed before first use on the
             // next executed tick (see `snapshot` for why it is not
@@ -1108,7 +1163,11 @@ impl System {
         e.u64(unit.fills);
     }
 
-    fn load_core(unit: &mut CoreUnit, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
+    fn load_core(
+        unit: &mut CoreUnit,
+        map: ChannelMap,
+        d: &mut Dec<'_>,
+    ) -> Result<(), SnapshotError> {
         unit.core.load_state(d)?;
         unit.l1.load_state(d)?;
         unit.l1_mshrs.load_state(d, |d| match d.u8()? {
@@ -1119,8 +1178,10 @@ impl System {
         let n = d.checked_len(16)?;
         unit.miss_queue.clear();
         for _ in 0..n {
-            unit.miss_queue
-                .push_back(PendingMiss { line_addr: d.u64()?, created_at: d.u64()? });
+            let line_addr = d.u64()?;
+            let created_at = d.u64()?;
+            let channel = map.channel_of(line_addr);
+            unit.miss_queue.push_back(PendingMiss { line_addr, created_at, channel });
         }
         let n = d.checked_len(8)?;
         unit.wb_queue.clear();
@@ -1206,6 +1267,7 @@ impl System {
             }
             Ok(CoreId::new(i))
         };
+        let map = self.channel_map;
         let llc = &mut self.llc;
         llc.cache.load_state(d)?;
         llc.mshrs.load_state(d, |d| core_id(d))?;
@@ -1230,7 +1292,7 @@ impl System {
             let core = core_id(d)?;
             let line_addr = d.u64()?;
             let cmd = if d.bool()? { MemCmd::Read } else { MemCmd::Write };
-            llc.mc_backlog.push_back(McBacklogEntry { core, line_addr, cmd });
+            llc.mc_backlog.push_back(McBacklogEntry::new(map, core, line_addr, cmd));
         }
         let n = d.usize()?;
         if n != llc.deferred.len() {
@@ -1429,7 +1491,7 @@ impl System {
         let faults_active = self.faults.is_active();
 
         // 1. DRAM completions -> LLC fills (per channel).
-        let row_bytes = self.channel_row_bytes;
+        let map = self.channel_map;
         let nchan = self.channels.len();
         let mut responses = std::mem::take(&mut self.resp_scratch);
         for ch in 0..nchan {
@@ -1453,7 +1515,7 @@ impl System {
                 Self::llc_on_mem_response(
                     &mut self.llc,
                     &mut self.channels,
-                    row_bytes,
+                    map,
                     now,
                     resp.txn.addr,
                     &mut fills,
@@ -1467,7 +1529,7 @@ impl System {
                 Self::llc_on_mem_response(
                     &mut self.llc,
                     &mut self.channels,
-                    row_bytes,
+                    map,
                     now,
                     line,
                     &mut fills,
@@ -1480,7 +1542,7 @@ impl System {
         Self::llc_tick(
             &mut self.llc,
             &mut self.channels,
-            row_bytes,
+            map,
             &mut self.cores,
             now,
             &mut fills,
@@ -1512,7 +1574,7 @@ impl System {
         let any_limits = self.source_ctl.any_limits();
         let n = self.cores.len();
         for i in 0..n {
-            let idx = (self.rr_offset + i) % n;
+            let idx = wrapping_index(self.rr_offset, i, n);
             let throttle = if any_limits {
                 self.source_ctl.throttle(CoreId::new(idx))
             } else {
@@ -1523,11 +1585,10 @@ impl System {
             // consulted — no port is consumed and no credit is spent, so
             // the FIFO depth bounds how much burstiness the controller
             // absorbs before the stall reaches the sources.
-            let backpressured = self.cores[idx].miss_queue.front().is_some_and(|h| {
-                let ch =
-                    Self::channel_of(self.channel_row_bytes, self.channels.len(), h.line_addr);
-                !self.channels[ch].mc.fifo_has_room()
-            });
+            let backpressured = self.cores[idx]
+                .miss_queue
+                .front()
+                .is_some_and(|h| !self.channels[h.channel].mc.fifo_has_room());
             let unit = &mut self.cores[idx];
 
             while let Some(&(ready, op)) = unit.hit_pipe.front() {
@@ -1638,10 +1699,11 @@ impl System {
                 hit_latency: *l1_hit_latency,
                 obs: &mut self.obs,
                 core: idx,
+                channel_map: map,
             };
             core.tick(now, &mut port);
         }
-        self.rr_offset = (self.rr_offset + 1) % n.max(1);
+        self.rr_offset = wrapping_index(self.rr_offset, 1, n);
 
         // 5. Memory controller dispatch (per channel). Each channel's
         //    dispatch log is read once: the auditor's DDR3 oracle checks the
@@ -1759,8 +1821,7 @@ impl System {
         let now_q = self.now.saturating_sub(1);
 
         if let Some(head) = self.llc.mc_backlog.front() {
-            let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
-            if self.channels[ch].mc.fifo_has_room() {
+            if self.channels[head.channel].mc.fifo_has_room() {
                 return Err(SkipBlocker::BacklogRetryWouldSucceed);
             }
         }
@@ -1907,14 +1968,13 @@ impl System {
         for shaper in self.llc.shapers.iter().flatten() {
             shaper.borrow_mut().tick(last);
         }
-        let n = self.cores.len().max(1);
-        self.rr_offset = (self.rr_offset + (k as usize % n)) % n;
+        let n = self.cores.len();
+        self.rr_offset = wrapping_index(self.rr_offset, (k % n as u64) as usize, n);
         // Backlog relaxation: the probe only skips a non-empty backlog
         // whose head faces a full FIFO, and that head would have retried
         // (one rejection) every skipped cycle.
         if let Some(head) = self.llc.mc_backlog.front() {
-            let ch = Self::channel_of(self.channel_row_bytes, self.channels.len(), head.line_addr);
-            self.channels[ch].mc.note_rejected_cycles(k);
+            self.channels[head.channel].mc.note_rejected_cycles(k);
         }
         for ch in &mut self.channels {
             ch.mc.note_skipped_cycles(k);
@@ -2169,29 +2229,35 @@ impl System {
         }
     }
 
-    /// Memory channel owning `addr` (row-granularity interleave).
-    fn channel_of(row_bytes: u64, channels: usize, addr: Addr) -> usize {
-        ((addr / row_bytes) % channels as u64) as usize
-    }
-
-    /// Routes `line` to its channel and attempts the FIFO enqueue,
-    /// emitting the `mc_enqueue` trace event on success. All controller
-    /// enqueues funnel through here so the event stream is complete.
+    /// Attempts the FIFO enqueue of `req` on its channel, emitting the
+    /// `mc_enqueue` trace event on success. All controller enqueues
+    /// funnel through here so the event stream is complete.
     fn mc_enqueue(
         channels: &mut [Channel],
         obs: &mut Observer,
-        row_bytes: u64,
         now: Cycle,
-        core: CoreId,
-        line: Addr,
-        cmd: MemCmd,
+        req: McBacklogEntry,
     ) -> bool {
-        let ch = Self::channel_of(row_bytes, channels.len(), line);
-        let accepted = channels[ch].mc.try_enqueue(now, core, line, cmd).is_some();
+        let McBacklogEntry { core, line_addr, cmd, channel } = req;
+        let accepted = channels[channel].mc.try_enqueue(now, core, line_addr, cmd).is_some();
         if accepted {
-            obs.on_mc_enqueue(now, ch, core.index(), line, cmd == MemCmd::Write);
+            obs.on_mc_enqueue(now, channel, core.index(), line_addr, cmd == MemCmd::Write);
         }
         accepted
+    }
+
+    /// Sends a new transaction to its controller, or appends it to the
+    /// backlog when its channel's FIFO is full.
+    fn mc_submit(
+        backlog: &mut VecDeque<McBacklogEntry>,
+        channels: &mut [Channel],
+        obs: &mut Observer,
+        now: Cycle,
+        req: McBacklogEntry,
+    ) {
+        if !Self::mc_enqueue(channels, obs, now, req) {
+            backlog.push_back(req);
+        }
     }
 
     /// Handles a DRAM read completion: fill the LLC, wake LLC MSHR
@@ -2199,7 +2265,7 @@ impl System {
     fn llc_on_mem_response(
         llc: &mut LlcUnit,
         channels: &mut [Channel],
-        row_bytes: u64,
+        map: ChannelMap,
         now: Cycle,
         line_addr: Addr,
         fills: &mut Vec<CoreFill>,
@@ -2213,21 +2279,8 @@ impl System {
             if let Some(ev) = llc.cache.fill(line_addr, entry.any_write) {
                 if ev.dirty {
                     // Evicted dirty LLC line: write back to memory.
-                    if !Self::mc_enqueue(
-                        channels,
-                        obs,
-                        row_bytes,
-                        now,
-                        CoreId::new(0),
-                        ev.line_addr,
-                        MemCmd::Write,
-                    ) {
-                        llc.mc_backlog.push_back(McBacklogEntry {
-                            core: CoreId::new(0),
-                            line_addr: ev.line_addr,
-                            cmd: MemCmd::Write,
-                        });
-                    }
+                    let req = McBacklogEntry::new(map, CoreId::new(0), ev.line_addr, MemCmd::Write);
+                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
                 }
             }
         }
@@ -2239,7 +2292,7 @@ impl System {
     fn llc_tick(
         llc: &mut LlcUnit,
         channels: &mut [Channel],
-        row_bytes: u64,
+        map: ChannelMap,
         cores: &mut [CoreUnit],
         now: Cycle,
         fills: &mut Vec<CoreFill>,
@@ -2249,8 +2302,7 @@ impl System {
     ) {
         // Retry transactions that met a full controller FIFO.
         while let Some(&entry) = llc.mc_backlog.front() {
-            if Self::mc_enqueue(channels, obs, row_bytes, now, entry.core, entry.line_addr, entry.cmd)
-            {
+            if Self::mc_enqueue(channels, obs, now, entry) {
                 llc.mc_backlog.pop_front();
             } else {
                 break;
@@ -2281,14 +2333,8 @@ impl System {
             };
             if grant_one {
                 let line = llc.deferred[core_idx].pop_front().expect("checked non-empty");
-                let core = CoreId::new(core_idx);
-                if !Self::mc_enqueue(channels, obs, row_bytes, now, core, line, MemCmd::Read) {
-                    llc.mc_backlog.push_back(McBacklogEntry {
-                        core,
-                        line_addr: line,
-                        cmd: MemCmd::Read,
-                    });
-                }
+                let req = McBacklogEntry::new(map, CoreId::new(core_idx), line, MemCmd::Read);
+                Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
             }
         }
 
@@ -2315,21 +2361,9 @@ impl System {
                         AccessResult::Miss => {
                             // Write-no-allocate for writebacks: forward to
                             // memory.
-                            if !Self::mc_enqueue(
-                                channels,
-                                obs,
-                                row_bytes,
-                                now,
-                                lk.core,
-                                lk.line_addr,
-                                MemCmd::Write,
-                            ) {
-                                llc.mc_backlog.push_back(McBacklogEntry {
-                                    core: lk.core,
-                                    line_addr: lk.line_addr,
-                                    cmd: MemCmd::Write,
-                                });
-                            }
+                            let req =
+                                McBacklogEntry::new(map, lk.core, lk.line_addr, MemCmd::Write);
+                            Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
                         }
                     }
                 }
@@ -2376,20 +2410,14 @@ impl System {
                                 };
                                 if gated {
                                     llc.deferred[lk.core.index()].push_back(lk.line_addr);
-                                } else if !Self::mc_enqueue(
-                                    channels,
-                                    obs,
-                                    row_bytes,
-                                    now,
-                                    lk.core,
-                                    lk.line_addr,
-                                    MemCmd::Read,
-                                ) {
-                                    llc.mc_backlog.push_back(McBacklogEntry {
-                                        core: lk.core,
-                                        line_addr: lk.line_addr,
-                                        cmd: MemCmd::Read,
-                                    });
+                                } else {
+                                    let req = McBacklogEntry::new(
+                                        map,
+                                        lk.core,
+                                        lk.line_addr,
+                                        MemCmd::Read,
+                                    );
+                                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
                                 }
                             }
                             MshrOutcome::Merged => {}
@@ -2549,6 +2577,30 @@ mod tests {
         let c = SystemConfig { llc_ports: 0, ..SystemConfig::default() };
         assert_eq!(SystemBuilder::try_new(c).err(), Some(ConfigError::NoLlcPorts));
         assert!(SystemBuilder::try_new(SystemConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn builder_try_new_rejects_bad_dram_geometry() {
+        let cases: [(usize, usize, &str); 5] = [
+            (0, 8192, "bank count must be a power of two (got 0)"),
+            (6, 8192, "bank count must be a power of two (got 6)"),
+            (8, 0, "row size must be a power of two of at least 64 B (got 0 B)"),
+            (8, 32, "row size must be a power of two of at least 64 B (got 32 B)"),
+            (8, 3000, "row size must be a power of two of at least 64 B (got 3000 B)"),
+        ];
+        for (banks, row_bytes, detail) in cases {
+            let mut c = SystemConfig::default();
+            c.dram.banks = banks;
+            c.dram.row_bytes = row_bytes;
+            let err = SystemBuilder::try_new(c).err();
+            assert_eq!(err, Some(ConfigError::BadDramGeometry { detail: detail.to_string() }));
+            assert_eq!(err.unwrap().to_string(), format!("DRAM geometry invalid: {detail}"));
+        }
+        // The smallest legal organisation: one bank, one column per row.
+        let mut c = SystemConfig::default();
+        c.dram.banks = 1;
+        c.dram.row_bytes = 64;
+        assert!(SystemBuilder::try_new(c).is_ok());
     }
 
     #[test]
@@ -2804,11 +2856,11 @@ mod tests {
         let mut relaxed_skips = 0;
         while sys.now() < END {
             sys.tick();
-            let stuck = sys.llc.mc_backlog.front().is_some_and(|head| {
-                let ch =
-                    System::channel_of(sys.channel_row_bytes, sys.channels.len(), head.line_addr);
-                !sys.channels[ch].mc.fifo_has_room()
-            });
+            let stuck = sys
+                .llc
+                .mc_backlog
+                .front()
+                .is_some_and(|head| !sys.channels[head.channel].mc.fifo_has_room());
             let start = sys.now();
             sys.post_tick_forward(END);
             if stuck && sys.now() - start > 1 {

@@ -100,6 +100,48 @@ fn every_scheduler_matches_naive() {
 }
 
 #[test]
+fn multi_channel_systems_match_naive() {
+    // Each miss and backlogged transaction carries the channel decoded
+    // when it was created. With auditing on, the DDR3 oracle checks that
+    // every dispatch reached the channel its address interleaves to. A
+    // small queue and FIFO keep backpressure and backlog retries busy,
+    // and three channels is a count that is not a power of two.
+    let benches =
+        [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
+    for channels in [2, 3] {
+        let build = |engine: Engine| {
+            let mut cfg = SystemConfig::multi_program(benches.len());
+            cfg.llc = CacheConfig::llc_with_size(256 << 10);
+            cfg.mc.channels = channels;
+            cfg.mc.txn_queue_depth = 4;
+            cfg.mc.global_fifo_depth = 2;
+            cfg.hardening.audit.enabled = true;
+            let mut b = SystemBuilder::new(cfg).engine(engine);
+            for c in 0..channels {
+                b = b.channel_scheduler(c, make_baseline("FR-FCFS", benches.len()).unwrap());
+            }
+            for (i, &bench) in benches.iter().enumerate() {
+                b = b.trace(i, Box::new(bench.profile().trace(base_for(i), 0xF0 + i as u64)));
+            }
+            let mut sys = b.build();
+            sys.run_cycles(25_000);
+            let log = sys.audit_log();
+            assert!(log.is_empty(), "{channels} channels, {engine:?}: {log:#?}");
+            sys
+        };
+        let stats = build(Engine::Skip).system_stats();
+        assert_eq!(build(Engine::Naive).system_stats(), stats, "{channels} channels diverged");
+        for (c, ch) in stats.channels.iter().enumerate() {
+            assert!(ch.dispatched > 0, "{channels} channels: channel {c} idle");
+        }
+        assert!(
+            stats.channels.iter().any(|ch| ch.fifo_rejections > 0),
+            "{channels} channels: no FIFO ever filled"
+        );
+    }
+}
+
+#[test]
 fn mitts_shaper_grant_ledgers_match_naive() {
     // Sparse credits with a long replenishment period force real deny
     // phases, so the skip engine must replay denied cycles exactly.

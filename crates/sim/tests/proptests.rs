@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use mitts_sim::cache::{Cache, MshrFile, MshrOutcome};
 use mitts_sim::config::{CacheConfig, DramConfig};
-use mitts_sim::dram::Dram;
+use mitts_sim::dram::{AddressMap, Dram};
 use mitts_sim::histogram::InterArrivalHistogram;
 use mitts_sim::rng::Rng;
 use mitts_sim::shaper::{ShapeDecision, SourceShaper, StaticRateShaper};
@@ -129,6 +129,36 @@ proptest! {
         let last = completions.last().unwrap().1;
         let done = d.drain_completions(last);
         prop_assert_eq!(done.len(), pending);
+    }
+
+    /// The shift-and-mask DRAM decode equals the division formula it
+    /// replaced, `((addr/64)/cpr % banks, (addr/64)/cpr / banks)`, on every
+    /// power-of-two geometry with 1..=64 banks and 64 B..=64 KiB rows.
+    #[test]
+    fn address_map_matches_the_division_decode(
+        wide in proptest::collection::vec(any::<u64>(), 1..24),
+        narrow in proptest::collection::vec(0u64..1 << 32, 1..24),
+    ) {
+        for bank_bits in 0..=6 {
+            for row_shift in 6..=16 {
+                let cfg = DramConfig {
+                    banks: 1 << bank_bits,
+                    row_bytes: 1 << row_shift,
+                    ..DramConfig::default()
+                };
+                let map = AddressMap::new(&cfg);
+                let (banks, cpr) = (cfg.banks as u64, (cfg.row_bytes / 64) as u64);
+                for &addr in wide.iter().chain(&narrow) {
+                    let c = map.coord(addr);
+                    let within = (addr / 64) / cpr;
+                    prop_assert_eq!(
+                        (c.bank as u64, c.row),
+                        (within % banks, within / banks),
+                        "{} banks, {} B rows, addr {:#x}", cfg.banks, cfg.row_bytes, addr
+                    );
+                }
+            }
+        }
     }
 
     /// The static rate shaper never grants two requests closer than its

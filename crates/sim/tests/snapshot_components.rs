@@ -8,7 +8,8 @@
 //! formats those runs are built from, so a codec regression is caught at
 //! the component that broke rather than as a whole-system divergence.
 
-use mitts_sim::config::{DramConfig, SystemConfig};
+use mitts_sim::config::{CoreConfig, DramConfig, SystemConfig};
+use mitts_sim::core::{Core, MemIssue};
 use mitts_sim::dram::Dram;
 use mitts_sim::oracle::DramOracle;
 use mitts_sim::histogram::InterArrivalHistogram;
@@ -17,7 +18,7 @@ use mitts_sim::shaper::{ShapeDecision, SourceShaper, StaticRateShaper};
 use mitts_sim::snapshot::{Dec, Enc, Snapshot, SnapshotError};
 use mitts_sim::system::{System, SystemBuilder};
 use mitts_sim::trace::{StrideTrace, TraceSource};
-use mitts_sim::types::MemCmd;
+use mitts_sim::types::{Cycle, MemCmd, OpId};
 
 /// Encode → decode into `fresh` → re-encode; the two encodings must be
 /// bit-identical and the decode must consume every byte.
@@ -271,6 +272,33 @@ fn stride_trace_round_trips_its_cursor() {
         let b = twin.next_op();
         assert_eq!((a.addr, a.write, a.gap), (b.addr, b.write, b.gap), "op {i} diverged");
     }
+}
+
+#[test]
+fn core_round_trips_a_completed_load_behind_a_pending_head() {
+    let new_core = || Core::new(&CoreConfig::default(), Box::new(StrideTrace::new(0, 64, 1 << 20)));
+    let mut issued: Vec<OpId> = Vec::new();
+    let mut port = |_: Cycle, i: MemIssue| {
+        issued.push(i.op);
+        true
+    };
+    let mut core = new_core();
+    core.tick(0, &mut port);
+    core.tick(1, &mut port);
+    // The second load completes while the first still blocks the head.
+    core.complete(OpId::new(1));
+    let mut twin = new_core();
+    round_trip(&core, &mut twin, |c, e| c.save_state(e), |c, d| c.load_state(d));
+    assert_eq!(twin.outstanding_loads(), core.outstanding_loads());
+    // Only the head completes from here on: the twin retires the second
+    // load too only if its completion flag survived the round trip.
+    for c in [&mut core, &mut twin] {
+        c.complete(OpId::new(0));
+        let mut reject = |_: Cycle, _: MemIssue| false;
+        c.tick(2, &mut reject);
+        assert_eq!(c.counters().instructions, 2);
+    }
+    assert_eq!(core.counters(), twin.counters());
 }
 
 /// The small system [`running_snapshot`] snapshots, freshly built.

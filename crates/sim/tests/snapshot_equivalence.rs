@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
-use mitts_sim::config::{CacheConfig, DramConfig, SystemConfig};
+use mitts_sim::config::{CacheConfig, DramConfig, McConfig, SystemConfig};
 use mitts_sim::obs::{MetricsRegistry, RingSink, TraceEvent};
 use mitts_sim::snapshot::{Snapshot, SnapshotError};
 use mitts_sim::system::{Engine, System, SystemBuilder};
@@ -42,6 +42,14 @@ fn sparse_mitts_config() -> BinConfig {
     BinConfig::new(spec, credits, 3_000).unwrap()
 }
 
+/// The memory side a rig runs on: controller structure (channel count,
+/// queue depths) and DRAM organisation and timing.
+#[derive(Clone, Default)]
+struct Memory {
+    mc: McConfig,
+    dram: DramConfig,
+}
+
 /// One observable instance of a run under test.
 struct Rig {
     sys: System,
@@ -50,25 +58,30 @@ struct Rig {
 }
 
 /// Builds a system for `benches` with a small LLC (so the bundled traces
-/// miss to DRAM), the given DRAM timing, auditing on, a ring trace sink,
-/// periodic sampling, and — when `shaped` — a sparse MITTS shaper on
-/// every core. With `snap` the system resumes from it instead of starting
-/// fresh.
+/// miss to DRAM), the given memory side (`scheduler` on every channel),
+/// auditing on, a ring trace sink, periodic sampling, and — when
+/// `shaped` — a sparse MITTS shaper on every core. With `snap` the system
+/// resumes from it instead of starting fresh.
 fn rig(
     benches: &[Benchmark],
     scheduler: &str,
     engine: Engine,
     shaped: bool,
-    dram: &DramConfig,
+    mem: &Memory,
     snap: Option<&Snapshot>,
 ) -> Result<Rig, SnapshotError> {
     let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
     let mut cfg = SystemConfig::multi_program(benches.len());
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
-    cfg.dram = dram.clone();
+    cfg.mc = mem.mc.clone();
+    cfg.dram = mem.dram.clone();
     cfg.hardening.audit.enabled = true;
-    let mut b = SystemBuilder::new(cfg)
-        .scheduler(make_baseline(scheduler, benches.len()).expect("known scheduler"))
+    let mut b = SystemBuilder::new(cfg);
+    for c in 0..mem.mc.channels {
+        let sched = make_baseline(scheduler, benches.len()).expect("known scheduler");
+        b = b.channel_scheduler(c, sched);
+    }
+    let mut b = b
         .trace_sink(Box::new(Rc::clone(&sink)))
         .sample_every(1024)
         .engine(engine);
@@ -88,9 +101,9 @@ fn rig(
     Ok(Rig { sys, shapers, sink })
 }
 
-/// A fresh [`rig`] with the default DRAM timing.
+/// A fresh [`rig`] with the default memory side.
 fn build(benches: &[Benchmark], scheduler: &str, engine: Engine, shaped: bool) -> Rig {
-    rig(benches, scheduler, engine, shaped, &DramConfig::default(), None)
+    rig(benches, scheduler, engine, shaped, &Memory::default(), None)
         .expect("a fresh build has no snapshot to refuse")
 }
 
@@ -102,11 +115,11 @@ fn resume(
     shaped: bool,
     snap: &Snapshot,
 ) -> Result<Rig, SnapshotError> {
-    rig(benches, scheduler, engine, shaped, &DramConfig::default(), Some(snap))
+    rig(benches, scheduler, engine, shaped, &Memory::default(), Some(snap))
 }
 
 /// The full check: interrupted-and-resumed vs uninterrupted, with the
-/// default DRAM timing.
+/// default memory side.
 fn assert_resume_equivalent(
     benches: &[Benchmark],
     scheduler: &str,
@@ -115,14 +128,14 @@ fn assert_resume_equivalent(
     snap_at: Cycle,
     total: Cycle,
 ) {
-    let dram = DramConfig::default();
-    assert_resume_equivalent_on(&dram, benches, scheduler, engine, shaped, snap_at, total);
+    let mem = Memory::default();
+    assert_resume_equivalent_on(&mem, benches, scheduler, engine, shaped, snap_at, total);
 }
 
-/// [`assert_resume_equivalent`] with the given DRAM timing. Returns the
+/// [`assert_resume_equivalent`] on the given memory side. Returns the
 /// uninterrupted reference run.
 fn assert_resume_equivalent_on(
-    dram: &DramConfig,
+    mem: &Memory,
     benches: &[Benchmark],
     scheduler: &str,
     engine: Engine,
@@ -131,14 +144,14 @@ fn assert_resume_equivalent_on(
     total: Cycle,
 ) -> Rig {
     // Uninterrupted reference: run to `snap_at`, snapshot, keep going.
-    let mut reference = rig(benches, scheduler, engine, shaped, dram, None).unwrap();
+    let mut reference = rig(benches, scheduler, engine, shaped, mem, None).unwrap();
     reference.sys.run_cycles(snap_at);
     let snap = reference.sys.snapshot().expect("snapshot must be supported");
     reference.sys.run_cycles(total - snap_at);
     reference.sys.flush_trace();
 
     // Resumed twin: fresh components, state loaded from the snapshot.
-    let mut resumed = rig(benches, scheduler, engine, shaped, dram, Some(&snap))
+    let mut resumed = rig(benches, scheduler, engine, shaped, mem, Some(&snap))
         .expect("an identically-built twin must accept the snapshot");
     assert_eq!(resumed.sys.now(), snap_at, "resume must land on the snapshot cycle");
     resumed.sys.run_cycles(total - snap_at);
@@ -235,20 +248,60 @@ fn multicore_shaped_mix_resumes_identically() {
 }
 
 #[test]
+fn multi_channel_runs_resume_identically() {
+    // Misses and backlogged transactions carry their decoded channel; a
+    // resumed twin recomputes it from the address. Two and three
+    // channels (any count is valid), with a small queue and FIFO so the
+    // issue stage's backpressure and the LLC backlog are busy.
+    let benches =
+        [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
+    for channels in [2, 3] {
+        let mem = Memory {
+            mc: McConfig { channels, txn_queue_depth: 4, global_fifo_depth: 2 },
+            ..Memory::default()
+        };
+        for engine in [Engine::Naive, Engine::Skip] {
+            for snap_at in [3_001, 8_000] {
+                let reference = assert_resume_equivalent_on(
+                    &mem, &benches, "FR-FCFS", engine, true, snap_at, 16_000,
+                );
+                let stats = reference.sys.system_stats();
+                assert_eq!(stats.channels.len(), channels);
+                for (c, ch) in stats.channels.iter().enumerate() {
+                    assert!(ch.dispatched > 0, "{channels} channels: channel {c} idle");
+                }
+                assert!(
+                    stats.channels.iter().any(|ch| ch.fifo_rejections > 0),
+                    "{channels} channels: no FIFO ever filled"
+                );
+                assert!(
+                    reference.sys.audit_log().is_empty(),
+                    "{channels} channels, {engine:?}: {:#?}",
+                    reference.sys.audit_log()
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn snapshot_with_open_rows_and_a_pending_refresh_resumes_clean() {
     // Refresh every 2 400 cycles. The snapshot at 7 000 lands after the
     // boundary at 4 800 with rows reopened since, and before the refresh
     // at 7 200: the auditor's DDR3 shadow must resume with those open
     // rows and that refresh schedule, or the resumed run's row hits and
     // fences would be flagged.
-    let dram = DramConfig { t_refi_ns: 1_000.0, ..DramConfig::default() };
+    let mem = Memory {
+        dram: DramConfig { t_refi_ns: 1_000.0, ..DramConfig::default() },
+        ..Memory::default()
+    };
     let (snap_at, total) = (7_000, 14_000);
-    let t = dram.timing_cycles(SystemConfig::default().core.freq_hz);
+    let t = mem.dram.timing_cycles(SystemConfig::default().core.freq_hz);
     let window_start = snap_at / t.t_refi * t.t_refi;
     assert!(window_start < snap_at && window_start + t.t_refi > snap_at);
     for engine in [Engine::Naive, Engine::Skip] {
         let reference = assert_resume_equivalent_on(
-            &dram,
+            &mem,
             &[Benchmark::Libquantum],
             "FR-FCFS",
             engine,

@@ -133,6 +133,20 @@ for exp in fig11 fig12; do
 done
 echo "shaper-arm engine differential: naive/skip fig11 and fig12 tables are identical"
 
+# Multi-channel engine differential: every other sweep gate runs
+# one-channel experiments. `scaling` is the only experiment with two
+# memory channels (16 and 25 cores), so it reruns on both engines and
+# the two tables must be byte-identical.
+for engine in skip naive; do
+  STATE_EXP="$GATE_TMP/scaling-$engine"
+  mkdir -p "$STATE_EXP"
+  MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE="$engine" MITTS_STATE_DIR="$STATE_EXP" \
+    target/release/run_all scaling >/dev/null
+done
+diff "$GATE_TMP/scaling-naive/results/scaling.txt" "$GATE_TMP/scaling-skip/results/scaling.txt" \
+  || { echo "naive-engine scaling diverged from the skip engine"; exit 1; }
+echo "multi-channel engine differential: naive/skip scaling tables are identical"
+
 # Parallel determinism gate: the same filtered sweep at MITTS_JOBS=4 and
 # MITTS_JOBS=1 must land byte-identical result artifacts AND CSV dumps —
 # worker scheduling may reorder execution, never output. The serial run
