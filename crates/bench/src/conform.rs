@@ -392,9 +392,10 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
 /// engine equivalence, not spec conformance) and renders everything the
 /// run exposes into one comparable digest: final cycle, skip totals
 /// folded out, the all-integer stats digest, the audit log, and every
-/// core's full shaper state — the trait-level credit audit, stall
-/// counter, and the raw snapshot encoding (which for MITTS includes the
-/// per-bin grant ledger, live credits, and every counter). Works for any
+/// core's full shaper state — the trait-level credit audit and the raw
+/// snapshot encoding (which for MITTS includes the per-bin grant ledger,
+/// live credits, and every counter). Each core's stall count is in the
+/// stats digest. Works for any
 /// [`ShaperSpec`] kind, not just MITTS.
 fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     use std::fmt::Write;
@@ -422,9 +423,8 @@ fn engine_digest(case: &ConformCase, engine: Engine) -> String {
         s.save_state(&mut enc);
         writeln!(
             out,
-            "core{core}: shaper={} stalls={} audit={:?} state={:02x?}",
+            "core{core}: shaper={} audit={:?} state={:02x?}",
             s.name(),
-            s.stall_cycles(),
             s.credit_audit().bins,
             enc.into_bytes()
         )

@@ -24,8 +24,7 @@ use mitts_tuner::{Constraint, GeneticTuner, Objective, OnlineTuner};
 use mitts_workloads::Benchmark;
 
 use crate::runner::{
-    build_shared, single_program_ipc, single_program_ipc_spec, Scale, ShaperSpec,
-    ONE_GBS_INTERVAL, REPLENISH_PERIOD,
+    build_shared, single_program_ipc, Scale, ShaperSpec, ONE_GBS_INTERVAL, REPLENISH_PERIOD,
 };
 use crate::table::{ratio, Table};
 
@@ -68,7 +67,7 @@ fn bandwidth_constraint() -> Constraint {
 
 /// Runs Fig. 11 for one benchmark.
 pub fn measure_bench(bench: Benchmark, scale: &Scale) -> StaticGain {
-    let static_ipc = single_program_ipc_spec(
+    let static_ipc = single_program_ipc(
         bench,
         LLC,
         &ShaperSpec::StaticRate { interval: ONE_GBS_INTERVAL },
@@ -81,10 +80,11 @@ pub fn measure_bench(bench: Benchmark, scale: &Scale) -> StaticGain {
     let mut ga = GeneticTuner::new(BinSpec::paper_default(), REPLENISH_PERIOD, 1, scale.ga)
         .with_constraint(bandwidth_constraint());
     let result = ga.optimize(|genome: &mitts_tuner::Genome| {
-        single_program_ipc(bench, LLC, &genome.to_configs()[0], SALT, scale)
+        let spec = ShaperSpec::Mitts(genome.to_configs().remove(0));
+        single_program_ipc(bench, LLC, &spec, SALT, scale)
     });
-    let best_cfg = result.best.to_configs().remove(0);
-    let offline_ipc = single_program_ipc(bench, LLC, &best_cfg, SALT, scale);
+    let best = ShaperSpec::Mitts(result.best.to_configs().remove(0));
+    let offline_ipc = single_program_ipc(bench, LLC, &best, SALT, scale);
 
     // Online GA: warm the caches unshaped, install the single-bin
     // equivalent of the static allocation, tune live, then time the
@@ -103,7 +103,8 @@ pub fn measure_bench(bench: Benchmark, scale: &Scale) -> StaticGain {
     let best = tuner.config_phase(&mut sys, Objective::Performance).best;
     // Score the online-found configuration under the same early-span
     // protocol as the other arms (see EXPERIMENTS.md).
-    let online_ipc = single_program_ipc(bench, LLC, &best.to_configs()[0], SALT, scale);
+    let online = ShaperSpec::Mitts(best.to_configs().remove(0));
+    let online_ipc = single_program_ipc(bench, LLC, &online, SALT, scale);
 
     StaticGain { bench: bench.name(), static_ipc, offline_ipc, online_ipc }
 }

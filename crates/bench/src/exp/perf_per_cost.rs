@@ -18,7 +18,7 @@ use mitts_sim::geomean;
 use mitts_tuner::{GaParams, Genome, GeneticTuner};
 use mitts_workloads::Benchmark;
 
-use crate::runner::{single_program_ipc, Scale, REPLENISH_PERIOD};
+use crate::runner::{single_program_ipc, Scale, ShaperSpec, REPLENISH_PERIOD};
 use crate::table::{ratio, Table};
 
 /// Single-program LLC (Table II): 64 KB.
@@ -75,7 +75,9 @@ pub fn optimise_bench(bench: Benchmark, model: &CostModel, scale: &Scale) -> Cos
 
     // All candidates (static grid and GA children) measure with the same
     // settled protocol.
-    let measure_ipc = |cfg: &BinConfig| single_program_ipc(bench, LLC, cfg, SALT, scale);
+    let measure_ipc = |cfg: &BinConfig| {
+        single_program_ipc(bench, LLC, &ShaperSpec::Mitts(cfg.clone()), SALT, scale)
+    };
 
     // Static: exhaustive single-bin search (also the GA's anchor seed —
     // the MITTS space strictly contains it, so elitism guarantees the

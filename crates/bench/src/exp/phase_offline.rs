@@ -90,7 +90,8 @@ pub fn measure_bench(bench: Benchmark, scale: &Scale) -> PhaseResult {
         &mut ga,
         &format!("phase-{}-single", bench.name()),
         |g: &Genome| {
-            crate::runner::single_program_ipc(bench, 64 << 10, &g.to_configs()[0], SALT, scale)
+            let spec = crate::runner::ShaperSpec::Mitts(g.to_configs().remove(0));
+            crate::runner::single_program_ipc(bench, 64 << 10, &spec, SALT, scale)
         },
     )
     .best

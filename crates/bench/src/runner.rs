@@ -627,7 +627,7 @@ pub fn mitts_fitness<'a>(
 /// Single-program fixed-work IPC under one shaper spec (fitness
 /// protocol). Deterministic: every call with the same arguments measures
 /// the same instruction span of the same trace.
-pub fn single_program_ipc_spec(
+pub fn single_program_ipc(
     bench: Benchmark,
     llc_bytes: usize,
     spec: &ShaperSpec,
@@ -643,34 +643,6 @@ pub fn single_program_ipc_spec(
         scale,
     );
     m.ipcs()[0]
-}
-
-/// Single-program fixed-work IPC under a MITTS configuration.
-pub fn single_program_ipc(
-    bench: Benchmark,
-    llc_bytes: usize,
-    config: &BinConfig,
-    salt: u64,
-    scale: &Scale,
-) -> f64 {
-    single_program_ipc_spec(bench, llc_bytes, &ShaperSpec::Mitts(config.clone()), salt, scale)
-}
-
-/// Single-program fixed-work IPC under a static rate limiter.
-pub fn single_program_static_ipc(
-    bench: Benchmark,
-    llc_bytes: usize,
-    interval: Cycle,
-    salt: u64,
-    scale: &Scale,
-) -> f64 {
-    single_program_ipc_spec(
-        bench,
-        llc_bytes,
-        &ShaperSpec::StaticRate { interval },
-        salt,
-        scale,
-    )
 }
 
 #[cfg(test)]
@@ -830,7 +802,8 @@ mod tests {
     fn measurement_is_deterministic() {
         let s = Scale::smoke();
         let run = || {
-            single_program_static_ipc(Benchmark::Omnetpp, 64 << 10, 154, 5, &s)
+            let spec = ShaperSpec::StaticRate { interval: 154 };
+            single_program_ipc(Benchmark::Omnetpp, 64 << 10, &spec, 5, &s)
         };
         assert_eq!(run(), run());
     }

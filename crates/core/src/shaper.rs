@@ -57,8 +57,6 @@ pub enum CreditPolicy {
 pub struct ShaperCounters {
     /// Requests granted.
     pub grants: u64,
-    /// Deny decisions (one per stalled attempt).
-    pub denies: u64,
     /// Credits refunded after LLC hits (method 2).
     pub refunds: u64,
     /// Credits deducted on confirmed LLC misses (method 1).
@@ -106,7 +104,6 @@ pub struct MittsShaper {
     counters: ShaperCounters,
     /// Grants per bin (the shaped traffic distribution actually emitted).
     grants_per_bin: Vec<u64>,
-    stalls: u64,
 }
 
 impl MittsShaper {
@@ -126,7 +123,6 @@ impl MittsShaper {
             policy: CreditPolicy::default(),
             counters: ShaperCounters::default(),
             grants_per_bin: vec![0; n],
-            stalls: 0,
         };
         shaper.rebuild_mask();
         shaper
@@ -306,7 +302,6 @@ impl SourceShaper for MittsShaper {
         let gap = self.gap_at(now);
         let request_bin = self.config.spec().bin_for_gap(gap);
         let Some(bin) = self.eligible_bin(request_bin) else {
-            self.counters.denies += 1;
             return ShapeDecision::Deny;
         };
         match self.method {
@@ -365,25 +360,6 @@ impl SourceShaper for MittsShaper {
         }
     }
 
-    fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    fn note_stall_cycle(&mut self) {
-        self.stalls += 1;
-    }
-
-    fn note_stall_cycles(&mut self, cycles: u64) {
-        self.stalls += cycles;
-    }
-
-    fn note_denied_cycles(&mut self, cycles: u64) {
-        // Each skipped cycle would have called `try_issue`, been denied
-        // (bumping the deny counter), and then recorded a stall.
-        self.counters.denies += cycles;
-        self.stalls += cycles;
-    }
-
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
         // Two ways waiting can flip a denial: the request ages into the
         // cheapest live bin, or a replenishment refills the bins.
@@ -432,12 +408,10 @@ impl SourceShaper for MittsShaper {
         enc.u64(self.next_replenish);
         enc.opt_u64(self.last_issue);
         enc.u64(self.counters.grants);
-        enc.u64(self.counters.denies);
         enc.u64(self.counters.refunds);
         enc.u64(self.counters.confirm_deductions);
         enc.u64(self.counters.replenishments);
         enc.u64s(&self.grants_per_bin);
-        enc.u64(self.stalls);
     }
 
     fn load_state(
@@ -480,7 +454,6 @@ impl SourceShaper for MittsShaper {
         self.next_replenish = dec.u64()?;
         self.last_issue = dec.opt_u64()?;
         self.counters.grants = dec.u64()?;
-        self.counters.denies = dec.u64()?;
         self.counters.refunds = dec.u64()?;
         self.counters.confirm_deductions = dec.u64()?;
         self.counters.replenishments = dec.u64()?;
@@ -489,7 +462,6 @@ impl SourceShaper for MittsShaper {
             return Err(SnapshotError::corrupt("grants-per-bin vector length differs"));
         }
         self.grants_per_bin = grants_per_bin;
-        self.stalls = dec.u64()?;
         self.rebuild_mask();
         Ok(())
     }
@@ -573,7 +545,6 @@ mod tests {
         let mut s = MittsShaper::new(cfg(vec![0; 10], 1000));
         assert!(!s.try_issue(0).is_grant());
         assert!(!s.try_issue(500).is_grant());
-        assert_eq!(s.counters().denies, 2);
     }
 
     #[test]
@@ -885,16 +856,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_deny_notes_match_singles() {
-        let mut a = MittsShaper::new(cfg(vec![0; 10], 1_000));
-        let mut b = MittsShaper::new(cfg(vec![0; 10], 1_000));
-        for now in 0..7 {
-            assert!(!a.try_issue(now).is_grant());
-            a.note_stall_cycle();
+    fn a_denial_changes_no_state() {
+        // The skip engine jumps over denied cycles without calling
+        // `try_issue`, so a denial must leave the shaper as it found it.
+        let mut s = MittsShaper::new(only_bin(5, 10, 10_000));
+        assert!(s.try_issue(0).is_grant());
+        let bytes = |s: &MittsShaper| {
+            let mut enc = mitts_sim::snapshot::Enc::new();
+            s.save_state(&mut enc);
+            enc.into_bytes()
+        };
+        let before = bytes(&s);
+        for now in 1..7 {
+            assert!(!s.try_issue(now).is_grant());
         }
-        b.note_denied_cycles(7);
-        assert_eq!(a.counters(), b.counters());
-        assert_eq!(a.stall_cycles(), b.stall_cycles());
+        assert_eq!(bytes(&s), before);
     }
 
     #[test]

@@ -26,8 +26,6 @@ fn exercise(s: &mut MittsShaper, from: u64, to: u64) {
                 // Every 4th grant turns out to be an LLC hit (refund
                 // path, §III-D hybrid placement).
                 s.on_llc_response(now + 20, token, now % 12 == 0);
-            } else {
-                s.note_stall_cycle();
             }
         }
     }

@@ -83,34 +83,25 @@ pub trait SourceShaper {
     /// request was *not* a memory request after all.
     fn on_llc_response(&mut self, now: Cycle, token: ShapeToken, hit: bool);
 
-    /// Number of cycles requests have spent stalled by this shaper
-    /// (maintained by the caller via [`SourceShaper::note_stall_cycle`];
-    /// default implementations keep a counter).
-    fn stall_cycles(&self) -> u64;
-
-    /// Records that the head request spent this cycle stalled.
-    fn note_stall_cycle(&mut self);
-
-    /// Records `cycles` consecutive stalled cycles in one call (used by
-    /// the skip engine when it skips a dead window during which
-    /// the per-cycle loop would have called
-    /// [`SourceShaper::note_stall_cycle`] each cycle *without* consulting
-    /// [`SourceShaper::try_issue`] — the throttle-blocked and
-    /// fault-denied paths).
-    fn note_stall_cycles(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.note_stall_cycle();
-        }
+    /// Retired; always `0`. The issue stage counts each core's stall
+    /// cycles in
+    /// [`CoreStats::shaper_stall_cycles`](crate::stats::CoreStats::shaper_stall_cycles).
+    #[deprecated(note = "read `CoreStats::shaper_stall_cycles`; shapers no longer count stalls")]
+    fn stall_cycles(&self) -> u64 {
+        0
     }
 
-    /// Batch replay of `cycles` skipped cycles in which the per-cycle
-    /// loop would have called [`SourceShaper::try_issue`], been denied,
-    /// and called [`SourceShaper::note_stall_cycle`]. Implementations
-    /// with deny-side counters must bump them here exactly as `cycles`
-    /// denied `try_issue` calls would have.
-    fn note_denied_cycles(&mut self, cycles: u64) {
-        self.note_stall_cycles(cycles);
-    }
+    /// Retired no-op; the issue stage counts stall cycles.
+    #[deprecated(note = "the issue stage counts stalls in `CoreStats::shaper_stall_cycles`")]
+    fn note_stall_cycle(&mut self) {}
+
+    /// Retired no-op; the issue stage counts stall cycles.
+    #[deprecated(note = "the issue stage counts stalls in `CoreStats::shaper_stall_cycles`")]
+    fn note_stall_cycles(&mut self, _cycles: u64) {}
+
+    /// Retired no-op; the issue stage counts stall cycles.
+    #[deprecated(note = "the issue stage counts stalls in `CoreStats::shaper_stall_cycles`")]
+    fn note_denied_cycles(&mut self, _cycles: u64) {}
 
     /// Earliest cycle strictly after `now` at which a currently denied
     /// request could possibly be granted by the passage of time alone
@@ -166,14 +157,12 @@ pub trait SourceShaper {
 
 /// Pass-through shaper: every request issues immediately.
 #[derive(Debug, Clone, Default)]
-pub struct UnlimitedShaper {
-    stalls: u64,
-}
+pub struct UnlimitedShaper;
 
 impl UnlimitedShaper {
     /// Creates the pass-through shaper.
     pub fn new() -> Self {
-        UnlimitedShaper::default()
+        UnlimitedShaper
     }
 }
 
@@ -190,14 +179,6 @@ impl SourceShaper for UnlimitedShaper {
 
     fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, _hit: bool) {}
 
-    fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    fn note_stall_cycle(&mut self) {
-        self.stalls += 1;
-    }
-
     fn next_grant_event(&self, _now: Cycle) -> Option<Cycle> {
         None // never denies, so there is nothing to wait for
     }
@@ -206,15 +187,11 @@ impl SourceShaper for UnlimitedShaper {
         Some("unlimited")
     }
 
-    fn save_state(&self, enc: &mut crate::snapshot::Enc) {
-        enc.u64(self.stalls);
-    }
-
+    /// Stateless: the payload is empty.
     fn load_state(
         &mut self,
-        dec: &mut crate::snapshot::Dec<'_>,
+        _dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.stalls = dec.u64()?;
         Ok(())
     }
 }
@@ -239,7 +216,6 @@ impl SourceShaper for UnlimitedShaper {
 pub struct StaticRateShaper {
     interval: Cycle,
     last_issue: Option<Cycle>,
-    stalls: u64,
 }
 
 impl StaticRateShaper {
@@ -250,7 +226,7 @@ impl StaticRateShaper {
     /// Panics if `interval == 0` (use [`UnlimitedShaper`] for no shaping).
     pub fn new(interval: Cycle) -> Self {
         assert!(interval > 0, "interval must be positive");
-        StaticRateShaper { interval, last_issue: None, stalls: 0 }
+        StaticRateShaper { interval, last_issue: None }
     }
 }
 
@@ -272,14 +248,6 @@ impl SourceShaper for StaticRateShaper {
     }
 
     fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, _hit: bool) {}
-
-    fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    fn note_stall_cycle(&mut self) {
-        self.stalls += 1;
-    }
 
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
         Some(self.last_issue.map_or(now + 1, |last| (now + 1).max(last + self.interval)))
@@ -306,7 +274,6 @@ impl SourceShaper for StaticRateShaper {
     fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.interval);
         enc.opt_u64(self.last_issue);
-        enc.u64(self.stalls);
     }
 
     fn load_state(
@@ -320,7 +287,6 @@ impl SourceShaper for StaticRateShaper {
             ));
         }
         self.last_issue = dec.opt_u64()?;
-        self.stalls = dec.u64()?;
         Ok(())
     }
 }
@@ -362,7 +328,6 @@ pub struct CbsShaper {
     lo_credit: i64,
     credit: i64,
     last_update: Cycle,
-    stalls: u64,
 }
 
 impl CbsShaper {
@@ -387,7 +352,6 @@ impl CbsShaper {
             lo_credit,
             credit: 0,
             last_update: 0,
-            stalls: 0,
         }
     }
 
@@ -430,18 +394,6 @@ impl SourceShaper for CbsShaper {
     fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, _hit: bool) {
         // CBS reserves bandwidth per grant regardless of the LLC outcome;
         // no refund (see the type-level docs).
-    }
-
-    fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    fn note_stall_cycle(&mut self) {
-        self.stalls += 1;
-    }
-
-    fn note_stall_cycles(&mut self, cycles: u64) {
-        self.stalls += cycles;
     }
 
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
@@ -503,7 +455,6 @@ impl SourceShaper for CbsShaper {
         enc.i64(self.lo_credit);
         enc.i64(self.credit);
         enc.u64(self.last_update);
-        enc.u64(self.stalls);
     }
 
     fn load_state(
@@ -530,7 +481,6 @@ impl SourceShaper for CbsShaper {
         }
         self.credit = credit;
         self.last_update = dec.u64()?;
-        self.stalls = dec.u64()?;
         Ok(())
     }
 }
@@ -562,7 +512,6 @@ pub struct RegulatorShaper {
     window: Cycle,
     remaining: u64,
     next_refresh: Cycle,
-    stalls: u64,
 }
 
 impl RegulatorShaper {
@@ -574,7 +523,7 @@ impl RegulatorShaper {
     /// Panics if `window == 0`.
     pub fn new(budget: u64, window: Cycle) -> Self {
         assert!(window > 0, "window must be positive");
-        RegulatorShaper { budget, window, remaining: budget, next_refresh: window, stalls: 0 }
+        RegulatorShaper { budget, window, remaining: budget, next_refresh: window }
     }
 }
 
@@ -604,18 +553,6 @@ impl SourceShaper for RegulatorShaper {
     fn on_llc_response(&mut self, _now: Cycle, _token: ShapeToken, _hit: bool) {
         // Quota is spent on issue; no refund for LLC hits (the regulator
         // polices the request stream, not memory bandwidth).
-    }
-
-    fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    fn note_stall_cycle(&mut self) {
-        self.stalls += 1;
-    }
-
-    fn note_stall_cycles(&mut self, cycles: u64) {
-        self.stalls += cycles;
     }
 
     fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
@@ -660,7 +597,6 @@ impl SourceShaper for RegulatorShaper {
         enc.u64(self.window);
         enc.u64(self.remaining);
         enc.u64(self.next_refresh);
-        enc.u64(self.stalls);
     }
 
     fn load_state(
@@ -681,7 +617,6 @@ impl SourceShaper for RegulatorShaper {
         }
         self.remaining = remaining;
         self.next_refresh = dec.u64()?;
-        self.stalls = dec.u64()?;
         Ok(())
     }
 }
@@ -748,23 +683,6 @@ mod tests {
         // Unlimited never denies, so there is nothing to wait for.
         assert_eq!(UnlimitedShaper::new().next_grant_event(7), None);
         assert_eq!(UnlimitedShaper::new().envelope(), None);
-    }
-
-    #[test]
-    fn batch_stall_notes_match_singles() {
-        let mut s = StaticRateShaper::new(10);
-        s.note_stall_cycles(5);
-        s.note_denied_cycles(3);
-        assert_eq!(s.stall_cycles(), 8);
-    }
-
-    #[test]
-    fn stall_counter_increments() {
-        let mut s = StaticRateShaper::new(10);
-        assert_eq!(s.stall_cycles(), 0);
-        s.note_stall_cycle();
-        s.note_stall_cycle();
-        assert_eq!(s.stall_cycles(), 2);
     }
 
     // ---- CBS ------------------------------------------------------------
@@ -871,7 +789,6 @@ mod tests {
         let mut a = CbsShaper::new(3, 10, 25, -20);
         assert!(a.try_issue(0).is_grant());
         a.tick(7);
-        a.note_stall_cycles(4);
         let mut enc = crate::snapshot::Enc::new();
         a.save_state(&mut enc);
         let bytes = enc.into_bytes();
@@ -964,7 +881,6 @@ mod tests {
         assert!(a.try_issue(0).is_grant());
         a.tick(250);
         assert!(a.try_issue(250).is_grant());
-        a.note_stall_cycles(9);
         let mut enc = crate::snapshot::Enc::new();
         a.save_state(&mut enc);
         let bytes = enc.into_bytes();

@@ -20,7 +20,9 @@ pub struct CoreStats {
     pub llc_misses: u64,
     /// Writebacks sent from this core's L1.
     pub writebacks: u64,
-    /// Cycles the head of the miss queue was stalled by the shaper.
+    /// Cycles the head of the miss queue was denied by the shaper, a
+    /// source throttle or an injected fault. The issue stage counts
+    /// them; shapers keep no stall count.
     pub shaper_stall_cycles: u64,
     /// Sum of L1-miss-to-fill latencies (cycles).
     pub mem_latency_sum: u64,
@@ -57,16 +59,16 @@ impl CoreStats {
     }
 
     /// Encodes the counters and histograms this block owns. `counters`
-    /// and `shaper_stall_cycles` are not encoded: the core and the shaper
-    /// own those counts (and their own codecs), and
-    /// [`System::core_stats`](crate::system::System::core_stats) fills
-    /// them in on read.
+    /// is not encoded: the core owns those counts (and its own codec),
+    /// and [`System::core_stats`](crate::system::System::core_stats)
+    /// fills them in on read.
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.l1_hits);
         enc.u64(self.l1_misses);
         enc.u64(self.llc_hits);
         enc.u64(self.llc_misses);
         enc.u64(self.writebacks);
+        enc.u64(self.shaper_stall_cycles);
         enc.u64(self.mem_latency_sum);
         enc.u64(self.mem_latency_count);
         self.l1_miss_interarrival.save_state(enc);
@@ -89,6 +91,7 @@ impl CoreStats {
         self.llc_hits = dec.u64()?;
         self.llc_misses = dec.u64()?;
         self.writebacks = dec.u64()?;
+        self.shaper_stall_cycles = dec.u64()?;
         self.mem_latency_sum = dec.u64()?;
         self.mem_latency_count = dec.u64()?;
         self.l1_miss_interarrival.load_state(dec)?;
@@ -155,7 +158,8 @@ pub struct CoreSystemStats {
     pub llc_misses: u64,
     /// Writebacks issued from this core's L1.
     pub writebacks: u64,
-    /// Cycles the miss-queue head was denied or stalled at the shaper.
+    /// Cycles the miss-queue head was denied by the shaper, a source
+    /// throttle or an injected fault.
     pub shaper_stall_cycles: u64,
     /// Sum of L1-miss-to-fill latencies.
     pub mem_latency_sum: u64,

@@ -766,7 +766,6 @@ impl System {
         let unit = &self.cores[core];
         let mut stats = unit.stats.clone();
         stats.counters = unit.core.counters().clone();
-        stats.shaper_stall_cycles = unit.shaper.borrow().stall_cycles();
         stats
     }
 
@@ -1376,7 +1375,7 @@ impl System {
                     llc_hits: u.stats.llc_hits,
                     llc_misses: u.stats.llc_misses,
                     writebacks: u.stats.writebacks,
-                    shaper_stall_cycles: u.shaper.borrow().stall_cycles(),
+                    shaper_stall_cycles: u.stats.shaper_stall_cycles,
                     mem_latency_sum: u.stats.mem_latency_sum,
                     mem_latency_count: u.stats.mem_latency_count,
                     fills: u.fills,
@@ -1641,7 +1640,7 @@ impl System {
                             IssueOutcome::Granted
                         }
                         ShapeDecision::Deny => {
-                            unit.shaper.borrow_mut().note_stall_cycle();
+                            unit.stats.shaper_stall_cycles += 1;
                             if fault_denied {
                                 IssueOutcome::FaultDenied
                             } else {
@@ -1650,7 +1649,7 @@ impl System {
                         }
                     }
                 } else {
-                    unit.shaper.borrow_mut().note_stall_cycle();
+                    unit.stats.shaper_stall_cycles += 1;
                     IssueOutcome::ThrottleBlocked
                 }
             } else {
@@ -1763,7 +1762,7 @@ impl System {
                     core,
                     instructions: c.instructions,
                     mem_stall: c.mem_stall_cycles,
-                    shaper_stall: sh.stall_cycles(),
+                    shaper_stall: u.stats.shaper_stall_cycles,
                     l1_misses: c.l1_misses,
                     llc_misses: c.llc_misses,
                     fills: c.mem_completed,
@@ -1944,19 +1943,16 @@ impl System {
             frozen.push(is_frozen);
             all_frozen &= is_frozen;
             unit.core.note_idle_cycles(class, k);
-            if !unit.miss_queue.is_empty() {
-                match unit.last_outcome {
-                    // Each skipped cycle would have retried `try_issue`
-                    // (counting a deny) and noted a stall.
-                    IssueOutcome::ShaperDenied => {
-                        unit.shaper.borrow_mut().note_denied_cycles(k);
-                    }
-                    // Blocked before the shaper: only the stall is noted.
-                    IssueOutcome::ThrottleBlocked | IssueOutcome::FaultDenied => {
-                        unit.shaper.borrow_mut().note_stall_cycles(k);
-                    }
-                    _ => {}
-                }
+            // Each skipped cycle would have denied the head again, and
+            // the issue stage would have counted a stall.
+            let denied = matches!(
+                unit.last_outcome,
+                IssueOutcome::ShaperDenied
+                    | IssueOutcome::ThrottleBlocked
+                    | IssueOutcome::FaultDenied
+            );
+            if denied && !unit.miss_queue.is_empty() {
+                unit.stats.shaper_stall_cycles += k;
             }
             // A naive run would have ticked the shaper at every skipped
             // cycle, ending on `last`. Time-driven shaper state (credit
@@ -2169,7 +2165,7 @@ impl System {
                     unit.miss_queue.len(),
                     unit.inflight,
                     unit.shaper.borrow().name(),
-                    unit.shaper.borrow().stall_cycles()
+                    unit.stats.shaper_stall_cycles
                 );
                 self.auditor.record(AuditViolation {
                     cycle: now,
@@ -2201,7 +2197,7 @@ impl System {
                         frozen: u.core.is_frozen(now),
                         shaper: ShaperStallState {
                             name: sh.name().to_string(),
-                            stall_cycles: sh.stall_cycles(),
+                            stall_cycles: u.stats.shaper_stall_cycles,
                             credits: sh.credit_audit().bins,
                         },
                     }
@@ -2316,18 +2312,8 @@ impl System {
             let grant_one = match &llc.shapers[core_idx] {
                 Some(shaper) => {
                     shaper.borrow_mut().tick(now);
-                    if llc.deferred[core_idx].is_empty() {
-                        false
-                    } else {
-                        let decision = shaper.borrow_mut().try_issue(now);
-                        match decision {
-                            ShapeDecision::Grant(_) => true,
-                            ShapeDecision::Deny => {
-                                shaper.borrow_mut().note_stall_cycle();
-                                false
-                            }
-                        }
-                    }
+                    !llc.deferred[core_idx].is_empty()
+                        && shaper.borrow_mut().try_issue(now).is_grant()
                 }
                 None => !llc.deferred[core_idx].is_empty(),
             };
@@ -2396,16 +2382,7 @@ impl System {
                                 // here; denied requests wait in the
                                 // per-core deferred queue.
                                 let gated = match &llc.shapers[lk.core.index()] {
-                                    Some(shaper) => {
-                                        let decision = shaper.borrow_mut().try_issue(now);
-                                        match decision {
-                                            ShapeDecision::Grant(_) => false,
-                                            ShapeDecision::Deny => {
-                                                shaper.borrow_mut().note_stall_cycle();
-                                                true
-                                            }
-                                        }
-                                    }
+                                    Some(shaper) => !shaper.borrow_mut().try_issue(now).is_grant(),
                                     None => false,
                                 };
                                 if gated {

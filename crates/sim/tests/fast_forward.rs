@@ -172,11 +172,55 @@ fn mitts_shaper_grant_ledgers_match_naive() {
     assert!(sys.skipped_cycles() > 0, "shaped run should have skippable deny spans");
     assert_eq!(naive.system_stats(), sys.system_stats(), "stats diverged");
     // The ledger the tuner reads must be bit-identical too: per-bin
-    // grants, live credits, and every counter including denies.
+    // grants, live credits, and every counter.
     let (n, s) = (naive_shaper.borrow(), shaper.borrow());
     assert_eq!(n.grants_per_bin(), s.grants_per_bin(), "per-bin grant ledger diverged");
     assert_eq!(n.live_credits(), s.live_credits(), "live credits diverged");
     assert_eq!(n.counters(), s.counters(), "shaper counters diverged");
+}
+
+#[test]
+fn shared_credit_pool_matches_naive() {
+    // §IV-H shared pool: three cores hold one MITTS handle, so every
+    // core's grants and denials act on the same credits. Each core's
+    // stall count and the pool's full state must agree across engines.
+    let make_cfg = || {
+        let mut credits = vec![0u32; BinSpec::paper_default().bins()];
+        credits[1] = 8;
+        credits[9] = 12;
+        BinConfig::new(BinSpec::paper_default(), credits, 3_000).unwrap()
+    };
+    let run = |engine: Engine| {
+        let pool = Rc::new(RefCell::new(MittsShaper::new(make_cfg())));
+        let benches = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp];
+        let mut cfg = SystemConfig::multi_program(benches.len());
+        cfg.llc = CacheConfig::llc_with_size(256 << 10);
+        let mut b = SystemBuilder::new(cfg).engine(engine);
+        for (i, bench) in benches.into_iter().enumerate() {
+            b = b
+                .trace(i, Box::new(bench.profile().trace(base_for(i), 0x51 + i as u64)))
+                .shaper(i, Rc::clone(&pool) as _);
+        }
+        let mut sys = b.build();
+        sys.run_cycles(30_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    };
+    let shaper_bytes = |sys: &System| -> Vec<Vec<u8>> {
+        (0..sys.num_cores())
+            .map(|c| {
+                let mut enc = mitts_sim::snapshot::Enc::new();
+                sys.shaper_handle(c).borrow().save_state(&mut enc);
+                enc.into_bytes()
+            })
+            .collect()
+    };
+    let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
+    assert!(skip.skipped_cycles() > 0, "the shared pool should leave skippable spans");
+    let stats = naive.system_stats();
+    assert!(stats.cores.iter().all(|c| c.shaper_stall_cycles > 0), "every sharer must stall");
+    assert_eq!(stats, skip.system_stats(), "stats diverged");
+    assert_eq!(shaper_bytes(&naive), shaper_bytes(&skip), "pool state diverged");
 }
 
 #[test]

@@ -217,9 +217,8 @@ fn static_rate_shaper_round_trips_mid_gap() {
     let mut last_grant = 0;
     for now in (0..400u64).step_by(3) {
         s.tick(now);
-        match s.try_issue(now) {
-            ShapeDecision::Grant(_) => last_grant = now,
-            ShapeDecision::Deny => s.note_stall_cycle(),
+        if let ShapeDecision::Grant(_) = s.try_issue(now) {
+            last_grant = now;
         }
     }
     // The snapshot is taken inside the gap after the last grant, so the
@@ -233,7 +232,6 @@ fn static_rate_shaper_round_trips_mid_gap() {
         |s, e| s.save_state(e),
         |s, d| s.load_state(d),
     );
-    assert_eq!(twin.stall_cycles(), s.stall_cycles());
     // Future decisions agree cycle for cycle.
     for now in at..1200u64 {
         s.tick(now);

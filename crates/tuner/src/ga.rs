@@ -216,19 +216,6 @@ impl GeneticTuner {
         })
     }
 
-    /// Runs the GA against a *stateful* fitness function (e.g. one that
-    /// reconfigures and measures a persistent warmed simulator, the way
-    /// the online tuner evaluates children). Evaluation is strictly
-    /// sequential in population order.
-    pub fn optimize_serial<F>(&mut self, mut fitness: F) -> GaResult
-    where
-        F: FnMut(&Genome) -> f64,
-    {
-        self.run_loop(&mut |population: &[Genome]| {
-            population.iter().map(&mut fitness).collect()
-        })
-    }
-
     /// Runs the GA like [`GeneticTuner::optimize`], but checkpoints:
     /// `on_generation` is called after every completed generation
     /// (including the initial one) with the full search state, and

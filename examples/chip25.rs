@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nrunning 300k cycles of a 25-program mix...\n");
     sys.run_cycles(300_000);
 
-    println!("{:<6} {:<14} {:>7} {:>9} {:>9} {:>8}", "core", "program", "IPC", "grants", "denies", "net GB/s");
+    println!("{:<6} {:<14} {:>7} {:>9} {:>9} {:>8}", "core", "program", "IPC", "grants", "stalls", "net GB/s");
     let mut total_gbs = 0.0;
     for (i, (bench, shaper)) in shapers.iter().enumerate() {
         let stats = sys.core_stats(i);
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 bench.name(),
                 stats.ipc(),
                 s.counters().grants,
-                s.counters().denies,
+                stats.shaper_stall_cycles,
                 gbs
             );
         } else if i == 8 {

@@ -12,7 +12,6 @@ use std::rc::Rc;
 
 use mitts::core::{BinConfig, BinSpec, MittsShaper};
 use mitts::sim::config::SystemConfig;
-use mitts::sim::shaper::SourceShaper;
 use mitts::sim::system::SystemBuilder;
 use mitts::workloads::Benchmark;
 
@@ -60,12 +59,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "shaped:    IPC {:.3}, {} LLC misses, {} cycles stalled by the shaper",
         shaped_stats.ipc(),
         shaped_stats.llc_misses,
-        s.stall_cycles()
+        shaped_stats.shaper_stall_cycles
     );
     println!(
-        "           {} grants / {} denies / {} refunds (LLC hits), {} replenishments",
+        "           {} grants / {} refunds (LLC hits), {} replenishments",
         s.counters().grants,
-        s.counters().denies,
         s.counters().refunds,
         s.counters().replenishments
     );

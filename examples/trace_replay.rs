@@ -64,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let counters = shaper.borrow().counters();
         println!(
             "  {:<22} IPC {:.3}  p50/p99 mem latency {:>5.0}/{:>6.0} cycles  \
-             ({} grants, {} denies)",
+             ({} grants, {} stall cycles)",
             name,
             stats.ipc(),
             stats.latency_percentile_pct(50.0),
             stats.latency_percentile_pct(99.0),
             counters.grants,
-            counters.denies,
+            stats.shaper_stall_cycles,
         );
     }
     println!(

@@ -24,6 +24,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: a doc link to a deleted or private item fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# Examples gate: clippy only compiles the examples. Run each one, so an
+# example that panics or exits non-zero fails the gate. Their scratch
+# files go to the gate's temp root.
+cargo build --release --examples
+for ex in examples/*.rs; do
+  name=$(basename "$ex" .rs)
+  TMPDIR="$GATE_TMP" "target/release/examples/$name" >/dev/null \
+    || { echo "example $name failed"; exit 1; }
+done
+echo "examples: every example ran to a zero exit"
+
 # Performance gate: one traced pass of perfbench, the benchmark of record
 # (perfbench/README.md). It exits non-zero unless every check holds: the
 # skip engine's digests equal the naive engine's, traced reps equal

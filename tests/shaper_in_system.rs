@@ -5,9 +5,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mitts::core::{BinConfig, BinSpec, CreditPolicy, FeedbackMethod, MittsShaper};
+use mitts::sim::audit::{FaultKind, FaultPlan};
 use mitts::sim::config::SystemConfig;
+use mitts::sim::obs::{RingSink, StallReason, TraceEvent};
 use mitts::sim::shaper::SourceShaper;
-use mitts::sim::system::{System, SystemBuilder};
+use mitts::sim::system::{Engine, System, SystemBuilder};
+use mitts::sim::types::{CoreId, Cycle};
 use mitts::workloads::Benchmark;
 
 fn shaped_system(bench: Benchmark, config: BinConfig) -> (System, Rc<RefCell<MittsShaper>>) {
@@ -41,18 +44,17 @@ fn average_bandwidth_cap_is_enforced_end_to_end() {
         "delivered {per_period:.1} requests/period against a 50-credit budget"
     );
     // And the demand really exceeded the budget (the cap was binding).
-    assert!(c.denies > 0, "mcf should have been throttled");
+    assert!(sys.core_stats(0).shaper_stall_cycles > 0, "mcf should have been throttled");
 }
 
 #[test]
 fn unlimited_config_shapes_nothing() {
-    let (mut sys, shaper) = shaped_system(
+    let (mut sys, _) = shaped_system(
         Benchmark::Gcc,
         BinConfig::unlimited(BinSpec::paper_default(), 10_000),
     );
     sys.run_cycles(100_000);
-    let c = shaper.borrow().counters();
-    assert_eq!(c.denies, 0, "a maxed configuration must never deny");
+    assert_eq!(sys.core_stats(0).shaper_stall_cycles, 0, "a maxed configuration must never deny");
     let free = {
         let mut sys = SystemBuilder::new(SystemConfig::single_program())
             .trace(0, Box::new(Benchmark::Gcc.profile().trace(0, 1234)))
@@ -167,15 +169,98 @@ fn reconfiguration_takes_effect_in_flight() {
     );
 }
 
+/// Per-core stall cycles read off a lifecycle trace: every closed
+/// shaper, throttle or fault episode contributes `at - since`, and an
+/// episode still open at `now` contributes `now - begin`.
+fn traced_stall_cycles(events: &[TraceEvent], cores: usize, now: Cycle) -> Vec<u64> {
+    let counted = |r: StallReason| {
+        matches!(r, StallReason::Shaper | StallReason::Throttle | StallReason::Fault)
+    };
+    let mut sums = vec![0; cores];
+    let mut open = vec![None; cores];
+    for ev in events {
+        match *ev {
+            TraceEvent::StallBegin { at, core, reason } if counted(reason) => {
+                open[core] = Some(at);
+            }
+            TraceEvent::StallEnd { at, core, reason, since } if counted(reason) => {
+                assert_eq!(open[core].take(), Some(since), "core {core}: unmatched episode end");
+                sums[core] += at - since;
+            }
+            _ => {}
+        }
+    }
+    for (sum, begin) in sums.iter_mut().zip(open) {
+        *sum += begin.map_or(0, |b| now - b);
+    }
+    sums
+}
+
+/// Runs `sys` for `cycles` with its trace in `sink` and returns each
+/// core's `(shaper_stall_cycles, traced stall cycles)`.
+fn stall_counts(mut sys: System, sink: &Rc<RefCell<RingSink>>, cycles: Cycle) -> Vec<(u64, u64)> {
+    sys.run_cycles(cycles);
+    let ring = sink.borrow();
+    assert_eq!(ring.dropped(), 0, "ring sink overflowed; grow the test capacity");
+    let cores = sys.num_cores();
+    let traced = traced_stall_cycles(&ring.to_vec(), cores, sys.now());
+    (0..cores).map(|c| (sys.core_stats(c).shaper_stall_cycles, traced[c])).collect()
+}
+
 #[test]
 fn shaper_stall_cycles_track_denies() {
+    // Three ways the issue stage denies a head, one per core: core 0 is
+    // MITTS-shaped, core 1 is held by a source throttle and core 2's
+    // shaper is zeroed by an injected fault. Each core's count must
+    // equal its trace's stall episodes exactly, under both engines.
+    let run = |engine: Engine| {
+        let mut credits = vec![0u32; 10];
+        credits[9] = 8;
+        let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+        let mut b = SystemBuilder::new(SystemConfig::multi_program(3))
+            .engine(engine)
+            .trace_sink(Box::new(Rc::clone(&sink)))
+            .shaper(0, Rc::new(RefCell::new(MittsShaper::new(config(credits, 10_000)))));
+        for (i, bench) in [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp]
+            .into_iter()
+            .enumerate()
+        {
+            b = b.trace(i, Box::new(bench.profile().trace((i as u64) << 36, 7 + i as u64)));
+        }
+        let mut sys = b.build();
+        sys.source_control_mut().throttle_mut(CoreId::new(1)).min_issue_gap = Some(120);
+        sys.inject_faults(
+            FaultPlan::new().with(FaultKind::ZeroShaperCredits { from: 40_000, core: 2 }),
+        );
+        stall_counts(sys, &sink, 100_000)
+    };
+    let naive = run(Engine::Naive);
+    for (core, &(counted, traced)) in naive.iter().enumerate() {
+        assert!(counted > 0, "core {core} must have stalled");
+        assert_eq!(counted, traced, "core {core}: stall count differs from its trace");
+    }
+    assert_eq!(run(Engine::Skip), naive, "engines disagree on stall counts");
+}
+
+#[test]
+fn shared_pool_sharers_report_their_own_stall_cycles() {
+    // §IV-H: two cores draw on one MITTS credit pool. The pool is one
+    // shaper, but each core's stall count is its own.
     let mut credits = vec![0u32; 10];
-    credits[9] = 8;
-    let (mut sys, shaper) = shaped_system(Benchmark::Mcf, config(credits, 10_000));
-    sys.run_cycles(100_000);
-    let stats = sys.core_stats(0);
-    let s = shaper.borrow();
-    assert!(s.stall_cycles() > 0);
-    assert_eq!(stats.shaper_stall_cycles, s.stall_cycles());
-    assert!(s.counters().denies >= s.stall_cycles() / 2, "denies and stalls co-move");
+    credits[0] = 10;
+    credits[9] = 10;
+    let shaper = Rc::new(RefCell::new(MittsShaper::new(config(credits, 10_000))));
+    let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(2))
+        .trace_sink(Box::new(Rc::clone(&sink)));
+    for (i, bench) in [Benchmark::Mcf, Benchmark::Libquantum].into_iter().enumerate() {
+        b = b
+            .trace(i, Box::new(bench.profile().trace((i as u64) << 36, 3 + i as u64)))
+            .shaper(i, shaper.clone());
+    }
+    let counts = stall_counts(b.build(), &sink, 100_000);
+    for (core, &(counted, traced)) in counts.iter().enumerate() {
+        assert!(counted > 0, "core {core} must have stalled on the shared pool");
+        assert_eq!(counted, traced, "core {core} must report its own stall cycles");
+    }
 }
