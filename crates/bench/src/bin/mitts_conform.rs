@@ -1,7 +1,7 @@
 //! Conformance checker: runs simulations under the differential oracles
-//! (§III shaper spec, DDR3 timing legality, FR-FCFS pick legality) plus
-//! the runtime invariant auditor, and verifies the oracles themselves by
-//! seeded mutation.
+//! (§III shaper spec, DDR3 timing legality, network-calculus envelopes)
+//! plus the runtime invariant auditor, which checks FR-FCFS/FCFS pick
+//! legality, and verifies the oracles themselves by seeded mutation.
 //!
 //! ```text
 //! mitts-conform [--smoke] [--seed N] [--fuzz N]

@@ -803,8 +803,10 @@ pub fn capacity_digest(engine: Engine, with_metrics: bool) -> (String, String) {
     (out, format!("snapshot=fnv64:{:016x}", fnv1a(&snap.to_bytes())))
 }
 
-/// Reports the first diverging line between two digests.
-fn first_divergence(reference: &str, digest: &str) -> (usize, String, String) {
+/// Reports the first diverging line between two digests: its 1-based
+/// number and both sides (line 0 when one digest is a prefix of the
+/// other).
+pub(crate) fn first_divergence(reference: &str, digest: &str) -> (usize, String, String) {
     reference
         .lines()
         .zip(digest.lines())

@@ -1,7 +1,8 @@
 //! Conformance harness: runs live simulations under the differential
-//! oracles of `mitts_sim::oracle` (shaper spec, DDR3 legality, FR-FCFS
-//! pick legality, and network-calculus envelopes for the closed-form
-//! static, CBS and regulator shapers) plus the runtime invariant auditor.
+//! oracles of `mitts_sim::oracle` (shaper spec, DDR3 legality, and
+//! network-calculus envelopes for the closed-form static, CBS and
+//! regulator shapers, all fed from the trace stream) plus the runtime
+//! invariant auditor, which checks every scheduler pick as it is made.
 //!
 //! Three entry points, all used by the `mitts-conform` binary and the
 //! integration tests:
@@ -26,25 +27,28 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, CreditPolicy, FeedbackMethod, MittsShaper};
 use mitts_sched::make_baseline;
+use mitts_sim::audit::Invariant;
 use mitts_sim::config::DramTimingCycles;
-use mitts_sim::mc::{DramView, Scheduler, Transaction};
+use mitts_sim::mc::{CoreSignals, DramView, Scheduler, SourceControl, Transaction};
 use mitts_sim::obs::{TraceEvent, TraceSink};
 use mitts_sim::oracle::{
-    DramOracle, NetCalcOracle, NetCalcSpec, OracleViolation, PickOracle, PickPolicy, ShaperOracle,
+    DramOracle, NetCalcOracle, NetCalcSpec, OracleKind, OracleViolation, PickPolicy, ShaperOracle,
     ShaperSpec as MittsOracleSpec,
 };
 use mitts_sim::rng::Rng;
+use mitts_sim::snapshot::{Dec, Enc, SnapshotError};
 use mitts_sim::system::{Engine, ShaperHandle, SystemBuilder};
 use mitts_sim::trace::{StrideTrace, TraceSource};
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
 
+use crate::capacity::first_divergence;
 use crate::runner::{base_for, seed_for, shared_config, ShaperSpec};
 
-/// Memory scheduler under conformance test. Only policies with a
-/// declared [`PickPolicy`] are fuzzed — dynamic policies opt out of
+/// Memory scheduler under conformance test. Policies that declare a
+/// [`PickPolicy`] get their order checked; dynamic policies opt out of
 /// ordering checks via `Scheduler::conformance_policy` and get only the
-/// structural (membership/startability) checks.
+/// structural (startability and priority-override) checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// First-ready, first-come-first-served (row hits first).
@@ -174,9 +178,11 @@ impl fmt::Display for ConformCase {
 /// What [`run_case`] found.
 #[derive(Debug, Clone)]
 pub struct CaseReport {
-    /// Violations from all three oracles, in stream order per oracle.
+    /// Violations from every oracle, in stream order per oracle: the
+    /// trace-fed shaper, network-calculus and DDR3 oracles, then the
+    /// auditor's scheduler-pick findings.
     pub violations: Vec<OracleViolation>,
-    /// Invariant-auditor violations recorded by the system itself.
+    /// Other invariant-auditor violations recorded by the system itself.
     pub audit_violations: usize,
     /// Shaper grants spec-checked.
     pub grants_checked: u64,
@@ -201,23 +207,77 @@ impl CaseReport {
 }
 
 /// A seeded semantic perturbation for [`mutation_checks`]: either the
-/// oracle's model constants are bent (shaper spec, DRAM timing, claimed
-/// pick policy) while the simulator runs unmodified, or a deliberately
-/// broken scheduler is swapped into the simulator. Every mutation must
-/// produce at least one violation — otherwise the oracle has no teeth.
+/// oracle's model constants are bent (shaper spec, DRAM timing) while the
+/// simulator runs unmodified, or a mislabelled or deliberately broken
+/// scheduler is swapped into the simulator. Every mutation must produce
+/// at least one violation — otherwise the oracle has no teeth.
 #[derive(Clone, Copy)]
 enum Mutation {
     /// Bend every core's shaper spec before replay.
     Shaper(fn(&mut MittsOracleSpec)),
     /// Bend the DRAM timing constants the oracle checks against.
     Dram(fn(&mut DramTimingCycles)),
-    /// Audit the real scheduler against the wrong claimed policy.
+    /// Run the real scheduler claiming the wrong policy ([`Misclaimed`]).
     SchedClaim(PickPolicy),
     /// Run a broken youngest-first scheduler that claims FR-FCFS.
     SchedBroken,
     /// Bend every enveloped (static, CBS, regulator) core's
     /// network-calculus spec before replay.
     NetCalc(fn(&mut NetCalcSpec)),
+}
+
+/// Deliberately mislabelled scheduler for mutation checks: forwards every
+/// call to a real scheduler but claims another policy. The auditor's pick
+/// oracle must flag it.
+struct Misclaimed {
+    inner: Box<dyn Scheduler>,
+    claim: PickPolicy,
+}
+
+impl Scheduler for Misclaimed {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_enqueue(&mut self, now: Cycle, txn: &Transaction) {
+        self.inner.on_enqueue(now, txn);
+    }
+
+    fn pick(&mut self, now: Cycle, pending: &[Transaction], view: &DramView<'_>) -> Option<usize> {
+        self.inner.pick(now, pending, view)
+    }
+
+    fn on_complete(&mut self, now: Cycle, txn: &Transaction, row_hit: bool) {
+        self.inner.on_complete(now, txn, row_hit);
+    }
+
+    fn tick(&mut self, now: Cycle, signals: &[CoreSignals], ctl: &mut SourceControl) {
+        self.inner.tick(now, signals, ctl);
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.inner.next_event(now)
+    }
+
+    fn note_idle_cycles(&mut self, cycles: Cycle) {
+        self.inner.note_idle_cycles(cycles);
+    }
+
+    fn conformance_policy(&self) -> Option<PickPolicy> {
+        Some(self.claim)
+    }
+
+    fn snapshot_kind(&self) -> Option<&'static str> {
+        self.inner.snapshot_kind()
+    }
+
+    fn save_state(&self, enc: &mut Enc) {
+        self.inner.save_state(enc);
+    }
+
+    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
+        self.inner.load_state(dec)
+    }
 }
 
 /// Deliberately broken scheduler for mutation checks: services the
@@ -256,7 +316,6 @@ struct OracleSink {
     shapers: Vec<ShaperOracle>,
     netcalc: Vec<NetCalcOracle>,
     dram: DramOracle,
-    picks: PickOracle,
 }
 
 impl TraceSink for OracleSink {
@@ -268,11 +327,11 @@ impl TraceSink for OracleSink {
             n.on_event(ev);
         }
         self.dram.on_event(ev);
-        self.picks.on_event(ev);
     }
 }
 
-/// Runs `case` under all three oracles plus the invariant auditor.
+/// Runs `case` under every oracle plus the invariant auditor, which
+/// checks each scheduler pick as it is made.
 pub fn run_case(case: &ConformCase) -> CaseReport {
     run_case_mutated(case, None)
 }
@@ -282,14 +341,12 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
     let cores = case.shapers.len();
     let config = shared_config(cores, case.llc_bytes);
 
-    // Scheduler + the pick policy the oracle audits against.
+    // The auditor holds each scheduler to the policy it claims.
+    let baseline = || make_baseline(case.scheduler.name(), cores).expect("known scheduler");
     let scheduler: Box<dyn Scheduler> = match mutation {
         Some(Mutation::SchedBroken) => Box::new(YoungestFirst),
-        _ => make_baseline(case.scheduler.name(), cores).expect("known scheduler"),
-    };
-    let claimed = match mutation {
-        Some(Mutation::SchedClaim(p)) => Some(p),
-        _ => scheduler.conformance_policy(),
+        Some(Mutation::SchedClaim(claim)) => Box::new(Misclaimed { inner: baseline(), claim }),
+        _ => baseline(),
     };
 
     // DRAM-legality oracle from the same config the system is built from.
@@ -333,13 +390,11 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
         shapers: shaper_oracles,
         netcalc: netcalc_oracles,
         dram: dram_oracle,
-        picks: PickOracle::new(claimed),
     }));
 
     let mut b = SystemBuilder::new(config)
         .scheduler(scheduler)
-        .trace_sink(Box::new(Rc::clone(&sink)))
-        .log_pick_snapshots(true);
+        .trace_sink(Box::new(Rc::clone(&sink)));
     for (core, (w, shaper)) in case.workloads.iter().zip(shaper_handles).enumerate() {
         b = b.trace(core, w.build(core, case.salt));
         if let Some(shaper) = shaper {
@@ -349,7 +404,20 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
     let mut sys = b.build();
     sys.run_cycles(case.cycles);
     let end = sys.now();
-    let audit_violations = sys.audit_log().len();
+    let (picks, audit): (Vec<_>, Vec<_>) =
+        sys.audit_log().iter().partition(|v| v.invariant == Invariant::SchedulerPick);
+    let pick_violations: Vec<OracleViolation> = picks
+        .into_iter()
+        .map(|v| OracleViolation {
+            at: v.cycle,
+            oracle: OracleKind::Sched,
+            core: None,
+            channel: None,
+            detail: v.detail.clone(),
+        })
+        .collect();
+    let audit_violations = audit.len();
+    let picks_checked = sys.auditor().picks_checked();
     drop(sys);
 
     let mut sink = sink.borrow_mut();
@@ -371,14 +439,14 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
         nc_episodes += o.episodes_checked();
     }
     violations.extend_from_slice(sink.dram.violations());
-    violations.extend_from_slice(sink.picks.violations());
+    violations.extend(pick_violations);
     CaseReport {
         violations,
         audit_violations,
         grants_checked: grants,
         denied_cycles_checked: denied,
         dispatches_checked: sink.dram.dispatches_checked(),
-        picks_checked: sink.picks.picks_checked(),
+        picks_checked,
         netcalc_grants_checked: nc_grants,
         stall_episodes_checked: nc_episodes,
     }
@@ -443,13 +511,7 @@ pub fn engine_differential(case: &ConformCase) -> Result<(), String> {
     let reference = engine_digest(case, Engine::Naive);
     let digest = engine_digest(case, Engine::Skip);
     if digest != reference {
-        let (line, (want, got)) = reference
-            .lines()
-            .zip(digest.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| (i + 1, (a.to_owned(), b.to_owned())))
-            .unwrap_or((0, ("<digest lengths differ>".into(), String::new())));
+        let (line, want, got) = first_divergence(&reference, &digest);
         return Err(format!(
             "Skip diverged from Naive at digest line {line}:\n  naive: {want}\n  skip:  {got}"
         ));
@@ -935,7 +997,7 @@ fn suite_case(bench: Benchmark, cycles: Cycle) -> ConformCase {
 }
 
 /// Runs every benchmark of the 16-workload suite for `cycles` cycles
-/// under active shapers and all three oracles.
+/// under active shapers, every oracle and the auditor.
 pub fn workload_checks(cycles: Cycle) -> Vec<WorkloadCheck> {
     Benchmark::ALL
         .iter()

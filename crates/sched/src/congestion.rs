@@ -347,7 +347,7 @@ mod tests {
                 for r in mc.drain_completions(now, sched, &mut dram) {
                     order.push(r.txn.id);
                 }
-                mc.tick(now, sched, &mut dram);
+                mc.tick(now, sched, &mut dram, None);
             }
             order
         };

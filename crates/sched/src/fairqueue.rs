@@ -173,7 +173,7 @@ mod tests {
             for r in mc.drain_completions(now, &mut fq, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, &mut fq, &mut dram);
+            mc.tick(now, &mut fq, &mut dram, None);
         }
         let pos = order.iter().position(|&x| x == light).unwrap();
         assert!(pos <= 2, "light thread serviced at position {pos}: {order:?}");

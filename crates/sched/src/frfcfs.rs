@@ -59,6 +59,7 @@ mod tests {
     use mitts_sim::config::{DramConfig, McConfig};
     use mitts_sim::dram::Dram;
     use mitts_sim::mc::{MemoryController, TxnId};
+    use mitts_sim::oracle::PickOracle;
     use mitts_sim::types::{CoreId, MemCmd};
 
     /// Drives a controller+DRAM pair until `limit`, returning the order
@@ -73,13 +74,17 @@ mod tests {
         for &(addr, cmd) in reqs {
             mc.try_enqueue(0, CoreId::new(0), addr, cmd).expect("fifo has room");
         }
+        // Every pick must also be legal for the policy the scheduler claims.
+        let mut picks = PickOracle::new(0, sched.conformance_policy());
         let mut order = Vec::new();
         for now in 0..limit {
             for r in mc.drain_completions(now, sched, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, sched, &mut dram);
+            mc.tick(now, sched, &mut dram, Some(&mut picks));
         }
+        let v = picks.take_violations();
+        assert!(v.is_empty(), "{v:?}");
         order
     }
 

@@ -164,7 +164,7 @@ mod tests {
             for r in mc.drain_completions(now, &mut mg, &mut dram) {
                 first_done.get_or_insert(r.txn.id);
             }
-            mc.tick(now, &mut mg, &mut dram);
+            mc.tick(now, &mut mg, &mut dram, None);
         }
         assert_eq!(first_done, Some(vip), "in-budget core must be serviced first");
     }

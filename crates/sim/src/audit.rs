@@ -16,7 +16,9 @@
 //!   [`AuditViolation`]s instead of panicking. It also replays every DRAM
 //!   dispatch, as it happens, through its own [`DramOracle`], the
 //!   simulator's one DDR3 legality checker (the same oracle
-//!   `mitts-conform` runs over trace streams).
+//!   `mitts-conform` runs over trace streams), and owns one
+//!   [`PickOracle`] per channel, to which the controller hands every
+//!   dispatching scheduler pick.
 //! * The **forward-progress watchdog** — detects livelock/deadlock (no
 //!   core retires and no fill completes for
 //!   [`WatchdogConfig::global_stall_cycles`]) and produces a structured
@@ -34,7 +36,7 @@ use std::collections::VecDeque;
 
 use crate::config::{ConfigError, SystemConfig};
 use crate::mc::DispatchRecord;
-use crate::oracle::DramOracle;
+use crate::oracle::{DramOracle, PickOracle, PickPolicy};
 use crate::types::{Addr, Cycle, MemCmd};
 
 // ---------------------------------------------------------------------------
@@ -182,6 +184,9 @@ pub enum Invariant {
     /// Watchdog finding: the whole system (or one core) stopped making
     /// forward progress.
     ForwardProgress,
+    /// A scheduler pick was illegal (not startable, against the priority
+    /// override, or out of its claimed order), as found by [`PickOracle`].
+    SchedulerPick,
 }
 
 impl Invariant {
@@ -197,6 +202,7 @@ impl Invariant {
             Invariant::McInflightAge => 6,
             Invariant::MonotoneCounters => 7,
             Invariant::ForwardProgress => 8,
+            Invariant::SchedulerPick => 9,
         }
     }
 
@@ -211,6 +217,7 @@ impl Invariant {
             6 => Invariant::McInflightAge,
             7 => Invariant::MonotoneCounters,
             8 => Invariant::ForwardProgress,
+            9 => Invariant::SchedulerPick,
             _ => return None,
         })
     }
@@ -228,6 +235,7 @@ impl std::fmt::Display for Invariant {
             Invariant::McInflightAge => "MC inflight age",
             Invariant::MonotoneCounters => "monotone counters",
             Invariant::ForwardProgress => "forward progress",
+            Invariant::SchedulerPick => "scheduler pick",
         };
         f.write_str(s)
     }
@@ -772,6 +780,8 @@ pub struct InvariantAuditor {
     watchdog: WatchdogConfig,
     /// Shadow DDR3 state machine every dispatch is replayed against.
     dram: DramOracle,
+    /// One pick-legality oracle per channel.
+    picks: Vec<PickOracle>,
     violations: Vec<AuditViolation>,
     dropped: u64,
     passes: u64,
@@ -785,12 +795,23 @@ pub struct InvariantAuditor {
 
 impl InvariantAuditor {
     /// Creates auditor state for the configured cores, hardening settings
-    /// and DRAM geometry.
-    pub fn new(config: &SystemConfig) -> Self {
+    /// and DRAM geometry. `pick_policies` holds each channel's
+    /// [`crate::mc::Scheduler::conformance_policy`], in channel order.
+    pub fn new(
+        config: &SystemConfig,
+        pick_policies: impl IntoIterator<Item = Option<PickPolicy>>,
+    ) -> Self {
+        let picks: Vec<PickOracle> = pick_policies
+            .into_iter()
+            .enumerate()
+            .map(|(ch, policy)| PickOracle::new(ch, policy))
+            .collect();
+        assert_eq!(picks.len(), config.mc.channels, "one pick policy per channel");
         InvariantAuditor {
             audit: config.hardening.audit.clone(),
             watchdog: config.hardening.watchdog.clone(),
             dram: DramOracle::from_system_config(config),
+            picks,
             violations: Vec::new(),
             dropped: 0,
             passes: 0,
@@ -865,6 +886,30 @@ impl InvariantAuditor {
                 detail: format!("channel {channel}: {}", v.detail),
             });
         }
+    }
+
+    /// Channel `channel`'s pick oracle while auditing is enabled (the
+    /// controller hands it every dispatching pick), else `None`.
+    pub(crate) fn pick_oracle(&mut self, channel: usize) -> Option<&mut PickOracle> {
+        self.audit.enabled.then(|| &mut self.picks[channel])
+    }
+
+    /// Records channel `channel`'s pick-oracle findings as
+    /// [`Invariant::SchedulerPick`] at their pick cycle.
+    pub(crate) fn record_pick_findings(&mut self, channel: usize) {
+        for v in self.picks[channel].take_violations() {
+            self.record(AuditViolation {
+                cycle: v.at,
+                invariant: Invariant::SchedulerPick,
+                core: None,
+                detail: format!("channel {channel}: {}", v.detail),
+            });
+        }
+    }
+
+    /// Scheduler picks legality-checked so far, over all channels.
+    pub fn picks_checked(&self) -> u64 {
+        self.picks.iter().map(PickOracle::picks_checked).sum()
     }
 
     /// All violations recorded so far.
@@ -993,9 +1038,9 @@ impl InvariantAuditor {
 
     /// Encodes auditor and watchdog state, including the recorded
     /// violation log (so downstream consumers tailing the log resume
-    /// consistently) and the DDR3 oracle's shadow. The stall report is
-    /// deliberately not included: the system refuses to snapshot a
-    /// stalled run.
+    /// consistently), the DDR3 oracle's shadow and each pick oracle's
+    /// count. The stall report is deliberately not included: the system
+    /// refuses to snapshot a stalled run.
     pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         debug_assert!(self.stall.is_none(), "stalled systems refuse to snapshot");
         enc.usize(self.violations.len());
@@ -1018,6 +1063,9 @@ impl InvariantAuditor {
             enc.bool(p.starve_reported);
         }
         self.dram.save_state(enc);
+        for p in &self.picks {
+            p.save_state(enc);
+        }
     }
 
     pub(crate) fn load_state(
@@ -1055,6 +1103,9 @@ impl InvariantAuditor {
             p.starve_reported = dec.bool()?;
         }
         self.dram.load_state(dec)?;
+        for p in &mut self.picks {
+            p.load_state(dec)?;
+        }
         self.stall = None;
         Ok(())
     }
@@ -1154,11 +1205,10 @@ mod tests {
     use crate::types::CoreId;
 
     fn auditor(cfg: &HardeningConfig, cores: usize) -> InvariantAuditor {
-        InvariantAuditor::new(&SystemConfig {
-            cores,
-            hardening: cfg.clone(),
-            ..SystemConfig::multi_program(cores)
-        })
+        InvariantAuditor::new(
+            &SystemConfig { cores, hardening: cfg.clone(), ..SystemConfig::multi_program(cores) },
+            [None],
+        )
     }
 
     /// A read of line 0 (channel 0, bank 0, row 0) dispatched at `at`,
@@ -1195,7 +1245,7 @@ mod tests {
         sys.hardening.audit.enabled = true;
 
         // Column command one cycle before ACT + tRCD.
-        let mut a = InvariantAuditor::new(&sys);
+        let mut a = InvariantAuditor::new(&sys, [None]);
         let mut early = legal_miss(&sys, 10);
         early.col_at -= 1;
         early.data_start -= 1;
@@ -1207,7 +1257,7 @@ mod tests {
         assert!(v.iter().any(|v| v.detail.starts_with("channel 0: ") && v.detail.contains("tRCD")));
 
         // A row hit claimed on a bank that has never been opened.
-        let mut a = InvariantAuditor::new(&sys);
+        let mut a = InvariantAuditor::new(&sys, [None]);
         let mut hit = legal_miss(&sys, 20);
         hit.outcome = RowOutcome::Hit;
         hit.act_at = None;
@@ -1223,7 +1273,7 @@ mod tests {
         // The same records are ignored when auditing is off.
         let mut off = sys.clone();
         off.hardening.audit.enabled = false;
-        let mut a = InvariantAuditor::new(&off);
+        let mut a = InvariantAuditor::new(&off, [None]);
         a.check_dispatches(0, &[read_of_line_zero(20, hit)]);
         assert!(a.violations().is_empty());
     }
@@ -1233,7 +1283,7 @@ mod tests {
         let mut sys = SystemConfig::multi_program(1);
         sys.hardening.audit.enabled = true;
         sys.hardening.audit.max_reports = 3;
-        let mut a = InvariantAuditor::new(&sys);
+        let mut a = InvariantAuditor::new(&sys, [None]);
         let mut hit = legal_miss(&sys, 0);
         hit.outcome = RowOutcome::Hit;
         hit.act_at = None;

@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 
 use crate::config::McConfig;
 use crate::dram::{BankStatus, Dram, DramCompletion, DramServiceTiming};
+use crate::oracle::PickOracle;
 use crate::types::{Addr, CoreId, Cycle, MemCmd};
 
 /// Unique identifier of a memory transaction at the controller.
@@ -301,10 +302,12 @@ pub trait Scheduler {
     /// accumulators) reproduce those updates here.
     fn note_idle_cycles(&mut self, _cycles: Cycle) {}
 
-    /// The queue-ordering discipline this policy promises to follow, for
-    /// the conformance oracle ([`crate::oracle::PickOracle`]). `None`
-    /// (the default) means the ordering is dynamic or stateful and only
-    /// structural pick legality is checked.
+    /// The queue-ordering discipline this policy promises to follow. The
+    /// system reads it once, at build time, to set up the channel's
+    /// [`PickOracle`], which the auditor runs on every dispatching pick
+    /// whenever auditing is on. `None` (the default) means the ordering
+    /// is dynamic or stateful: only structural pick legality and the
+    /// priority override are checked.
     ///
     /// Declaring a policy is a contract: every `pick` must return the
     /// startable transaction that ordering selects (ties broken by
@@ -401,42 +404,6 @@ pub struct DispatchRecord {
     pub timing: DramServiceTiming,
 }
 
-/// One transaction-queue entry as the scheduler saw it at a pick moment,
-/// captured by the controller's (opt-in) pick log for the conformance
-/// oracle: identity plus the facts the scheduling decision depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PickCandidate {
-    /// Transaction id.
-    pub id: TxnId,
-    /// Requesting core index.
-    pub core: usize,
-    /// Line address.
-    pub line: Addr,
-    /// Whether the transaction is a write.
-    pub write: bool,
-    /// Cycle the transaction entered the controller.
-    pub enqueued_at: Cycle,
-    /// Whether the bank could accept it this cycle (`can_start`).
-    pub startable: bool,
-    /// Whether it would hit the currently open row.
-    pub row_hit: bool,
-}
-
-/// One scheduling decision with the full queue snapshot it was made
-/// against. Consumed by the observer's `mc_pick` trace events and the
-/// [`crate::oracle::PickOracle`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PickRecord {
-    /// Pick cycle.
-    pub at: Cycle,
-    /// Chosen transaction id.
-    pub chosen: TxnId,
-    /// Priority-core override in force, if any.
-    pub priority: Option<usize>,
-    /// Every transaction in the scheduling queue at the pick moment.
-    pub candidates: Vec<PickCandidate>,
-}
-
 /// A completed read transaction handed back to the LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McResponse {
@@ -474,10 +441,6 @@ pub struct MemoryController {
     /// system to drain. Off unless auditing or tracing is on.
     log_dispatches: bool,
     dispatch_log: Vec<DispatchRecord>,
-    /// When true, every scheduling decision is captured with its full
-    /// queue snapshot. Separately opt-in (heavier than the dispatch log).
-    log_picks: bool,
-    pick_log: Vec<PickRecord>,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -510,8 +473,6 @@ impl MemoryController {
             completion_scratch: Vec::new(),
             log_dispatches: false,
             dispatch_log: Vec::new(),
-            log_picks: false,
-            pick_log: Vec::new(),
         }
     }
 
@@ -535,24 +496,6 @@ impl MemoryController {
     /// Empties the dispatch log (keeping its allocation).
     pub fn clear_dispatch_log(&mut self) {
         self.dispatch_log.clear();
-    }
-
-    /// Enables (or disables) pick-snapshot logging: while enabled, every
-    /// scheduling decision records the full queue with per-candidate
-    /// `startable`/`row_hit` facts. Heavier than the dispatch log, so it
-    /// is a separate opt-in (the conformance harness turns it on; plain
-    /// lifecycle tracing does not).
-    pub fn set_pick_logging(&mut self, on: bool) {
-        self.log_picks = on;
-        if !on {
-            self.pick_log.clear();
-        }
-    }
-
-    /// Moves all logged pick snapshots into `out` (appending), leaving
-    /// the log empty.
-    pub fn drain_pick_log_into(&mut self, out: &mut Vec<PickRecord>) {
-        out.append(&mut self.pick_log);
     }
 
     /// Attempts to accept a new transaction into the global FIFO. Returns
@@ -587,12 +530,15 @@ impl MemoryController {
 
     /// One controller cycle: refill the transaction queue from the FIFO,
     /// then dispatch at most one transaction (command-bus limit) chosen by
-    /// the scheduler (or the priority override).
+    /// the scheduler (or the priority override). With `picks`, the pick is
+    /// handed to that pick oracle before the chosen transaction leaves
+    /// the queue.
     pub fn tick(
         &mut self,
         now: Cycle,
         scheduler: &mut dyn Scheduler,
         dram: &mut Dram<TxnId>,
+        picks: Option<&mut PickOracle>,
     ) {
         self.ticks += 1;
         self.queue_occupancy_sum += self.queue.len() as u64;
@@ -617,28 +563,10 @@ impl MemoryController {
         });
 
         if let Some(idx) = choice {
-            let txn = self.queue[idx];
-            if self.log_picks {
-                let candidates = self
-                    .queue
-                    .iter()
-                    .map(|t| PickCandidate {
-                        id: t.id,
-                        core: t.core.index(),
-                        line: t.addr,
-                        write: !t.cmd.is_read(),
-                        enqueued_at: t.enqueued_at,
-                        startable: view.can_start(t.addr),
-                        row_hit: view.is_row_hit(t.addr),
-                    })
-                    .collect();
-                self.pick_log.push(PickRecord {
-                    at: now,
-                    chosen: txn.id,
-                    priority: self.priority_core.map(CoreId::index),
-                    candidates,
-                });
+            if let Some(oracle) = picks {
+                oracle.check_pick(now, &self.queue, idx, self.priority_core, &view);
             }
+            let txn = self.queue[idx];
             debug_assert!(
                 dram.can_start(now, txn.addr),
                 "scheduler picked a non-startable transaction"
@@ -954,11 +882,15 @@ mod tests {
         sched: &mut dyn Scheduler,
         limit: Cycle,
     ) -> Vec<McResponse> {
+        // Every pick of these runs must also be legal for its policy.
+        let mut picks = PickOracle::new(0, sched.conformance_policy());
         let mut responses = Vec::new();
         for now in 0..limit {
             responses.extend(mc.drain_completions(now, sched, dram));
-            mc.tick(now, sched, dram);
+            mc.tick(now, sched, dram, Some(&mut picks));
         }
+        let v = picks.take_violations();
+        assert!(v.is_empty(), "{v:?}");
         responses
     }
 
@@ -1033,12 +965,12 @@ mod tests {
             m.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read, ).unwrap();
             m.try_enqueue(0, CoreId::new(0), 8 * 1024 * 8, MemCmd::Read).unwrap();
         }
-        mc.tick(0, &mut sched, &mut dram);
+        mc.tick(0, &mut sched, &mut dram, None);
         let mut dram2: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        twin.tick(0, &mut sched, &mut dram2);
+        twin.tick(0, &mut sched, &mut dram2, None);
         // Naive: tick the first controller through the dead window.
         for now in 1..=10 {
-            mc.tick(now, &mut sched, &mut dram);
+            mc.tick(now, &mut sched, &mut dram, None);
         }
         // Fast-forward: replay the same window in one call. Bank 0 is busy
         // well past cycle 10, so no dispatch happens in either run.
@@ -1054,7 +986,7 @@ mod tests {
         assert!(!mc.would_refill_queue(), "empty controller has nothing to move");
         mc.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read).unwrap();
         assert!(mc.would_refill_queue());
-        mc.tick(0, &mut sched, &mut dram);
+        mc.tick(0, &mut sched, &mut dram, None);
         assert!(!mc.would_refill_queue(), "FIFO drained into the queue");
     }
 
@@ -1066,7 +998,7 @@ mod tests {
         // waits for the bank.
         mc.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read).unwrap();
         mc.try_enqueue(0, CoreId::new(0), 64, MemCmd::Read).unwrap();
-        mc.tick(0, &mut sched, &mut dram);
+        mc.tick(0, &mut sched, &mut dram, None);
         assert_eq!(mc.queue_len(), 1);
         let at = mc.next_dispatch_opportunity(1, &dram).unwrap();
         assert!(at > 1, "bank must be fenced after the dispatch");
@@ -1081,7 +1013,7 @@ mod tests {
             mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
         }
         assert_eq!(mc.fifo_len(), 32);
-        mc.tick(0, &mut sched, &mut dram);
+        mc.tick(0, &mut sched, &mut dram, None);
         assert_eq!(mc.fifo_len(), 0);
         assert!(mc.queue_len() >= 31, "one may have been dispatched");
     }

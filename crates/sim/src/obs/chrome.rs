@@ -268,13 +268,11 @@ pub fn write_chrome_trace<W: Write>(
                 records.push(instant(PID_CORES, 0, "fault-injected", *at, &args));
             }
             // Per-event lifecycle stamps are subsumed by the mem-req
-            // async spans; configs, pick snapshots, and summaries have no
-            // timeline shape.
+            // async spans; configs and summaries have no timeline shape.
             TraceEvent::ShaperConfig { .. }
             | TraceEvent::L1Miss { .. }
             | TraceEvent::ShaperGrant { .. }
             | TraceEvent::LlcLookup { .. }
-            | TraceEvent::McPick { .. }
             | TraceEvent::StallBegin { .. }
             | TraceEvent::RunSummary { .. } => {}
         }

@@ -10,7 +10,6 @@ use std::fmt::Write as _;
 
 use crate::dram::{DramServiceTiming, RowOutcome};
 use crate::histogram::LatencyBuckets;
-use crate::mc::PickCandidate;
 use crate::obs::json::push_escaped;
 use crate::types::{Addr, Cycle};
 
@@ -201,22 +200,6 @@ pub enum TraceEvent {
         /// Whether the transaction is a write (eviction writeback).
         write: bool,
     },
-    /// A scheduling decision with the full transaction-queue snapshot it
-    /// was made against. Opt-in (heavier than the rest of the lifecycle
-    /// stream): enabled via `SystemBuilder::log_pick_snapshots`, consumed
-    /// by the FR-FCFS conformance oracle.
-    McPick {
-        /// Cycle stamp.
-        at: Cycle,
-        /// Memory-channel index.
-        channel: usize,
-        /// Chosen transaction id.
-        chosen: u64,
-        /// Priority-core override in force, if any.
-        priority: Option<usize>,
-        /// Every queued transaction with the facts the decision used.
-        cands: Vec<PickCandidate>,
-    },
     /// The controller dispatched a transaction to DRAM, with the derived
     /// command timing (ACT/column/precharge fences, data burst window).
     DramDispatch {
@@ -314,7 +297,6 @@ impl TraceEvent {
             TraceEvent::ShaperGrant { .. } => "shaper_grant",
             TraceEvent::LlcLookup { .. } => "llc_lookup",
             TraceEvent::McEnqueue { .. } => "mc_enqueue",
-            TraceEvent::McPick { .. } => "mc_pick",
             TraceEvent::DramDispatch { .. } => "dram_dispatch",
             TraceEvent::Fill { .. } => "fill",
             TraceEvent::StallBegin { .. } => "stall_begin",
@@ -335,7 +317,6 @@ impl TraceEvent {
             | TraceEvent::ShaperGrant { at, .. }
             | TraceEvent::LlcLookup { at, .. }
             | TraceEvent::McEnqueue { at, .. }
-            | TraceEvent::McPick { at, .. }
             | TraceEvent::DramDispatch { at, .. }
             | TraceEvent::Fill { at, .. }
             | TraceEvent::StallBegin { at, .. }
@@ -382,25 +363,6 @@ impl TraceEvent {
                     ",\"at\":{at},\"channel\":{channel},\"core\":{core},\
                      \"line\":{line},\"write\":{write}"
                 );
-            }
-            TraceEvent::McPick { at, channel, chosen, priority, cands } => {
-                let _ = write!(s, ",\"at\":{at},\"channel\":{channel},\"chosen\":{chosen}");
-                if let Some(p) = priority {
-                    let _ = write!(s, ",\"priority\":{p}");
-                }
-                s.push_str(",\"cands\":[");
-                for (i, c) in cands.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"id\":{},\"core\":{},\"line\":{},\"write\":{},\
-                         \"enq\":{},\"startable\":{},\"row_hit\":{}}}",
-                        c.id, c.core, c.line, c.write, c.enqueued_at, c.startable, c.row_hit
-                    );
-                }
-                s.push(']');
             }
             TraceEvent::DramDispatch { at, channel, core, line, write, timing } => {
                 let _ = write!(
@@ -555,21 +517,6 @@ mod tests {
             TraceEvent::ShaperGrant { at: 7, core: 0, line: 0x1000, bin: 3 },
             TraceEvent::LlcLookup { at: 27, core: 0, line: 0x1000, hit: false },
             TraceEvent::McEnqueue { at: 27, channel: 0, core: 0, line: 0x1000, write: false },
-            TraceEvent::McPick {
-                at: 29,
-                channel: 0,
-                chosen: 7,
-                priority: Some(1),
-                cands: vec![PickCandidate {
-                    id: 7,
-                    core: 1,
-                    line: 0x1000,
-                    write: false,
-                    enqueued_at: 27,
-                    startable: true,
-                    row_hit: false,
-                }],
-            },
             TraceEvent::DramDispatch {
                 at: 30,
                 channel: 0,

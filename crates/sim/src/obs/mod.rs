@@ -42,7 +42,7 @@ pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
 pub use slo::{Breach, SloEvaluator, SloMetric, SloSpec, SloVerdict};
 
 use crate::audit::InvariantAuditor;
-use crate::mc::{DispatchRecord, MemoryController};
+use crate::mc::DispatchRecord;
 use crate::types::{Addr, Cycle, MemCmd};
 
 /// Core-side timeline of one outstanding L1 miss (one per L1 MSHR).
@@ -87,7 +87,6 @@ pub struct Observer {
     violations_seen: usize,
     /// The watchdog stall has been mirrored into the stream.
     stall_reported: bool,
-    pick_scratch: Vec<crate::mc::PickRecord>,
 }
 
 impl std::fmt::Debug for Observer {
@@ -129,7 +128,6 @@ impl Observer {
             reqs_dropped: 0,
             violations_seen: 0,
             stall_reported: false,
-            pick_scratch: Vec::new(),
         }
     }
 
@@ -331,29 +329,6 @@ impl Observer {
                 timing: rec.timing,
             });
         }
-    }
-
-    /// Drains channel `channel`'s pick-snapshot log: emits one
-    /// [`TraceEvent::McPick`] per scheduling decision. Only produces
-    /// events when the controller's pick logging is on (see
-    /// `SystemBuilder::log_pick_snapshots`).
-    pub fn drain_picks(&mut self, channel: usize, mc: &mut MemoryController) {
-        if !self.lifecycle {
-            return;
-        }
-        let mut records = std::mem::take(&mut self.pick_scratch);
-        records.clear();
-        mc.drain_pick_log_into(&mut records);
-        for rec in records.drain(..) {
-            self.emit(TraceEvent::McPick {
-                at: rec.at,
-                channel,
-                chosen: rec.chosen,
-                priority: rec.priority,
-                cands: rec.candidates,
-            });
-        }
-        self.pick_scratch = records;
     }
 
     /// A memory response for `line` reached the LLC this tick.

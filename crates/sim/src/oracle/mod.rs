@@ -1,12 +1,11 @@
-//! Conformance oracles: independent legality checkers over the trace
-//! stream.
+//! Conformance oracles: independent legality checkers.
 //!
 //! The simulator's unit tests pin outputs against themselves; nothing
 //! checks the *specifications* — that the shaper enforces §III bin/credit
 //! semantics exactly, that the DRAM model obeys DDR3 timing, that the
 //! scheduler only makes legal FR-FCFS choices. This module re-implements
-//! each specification naively and replays the observability event stream
-//! (`crate::obs::TraceEvent`) against it:
+//! each specification naively and checks the simulator against it, from
+//! the observability event stream (`crate::obs::TraceEvent`) or inline:
 //!
 //! * [`ShaperOracle`] — a from-the-paper reimplementation of the MITTS
 //!   bin/credit machine. It consumes `shaper_grant`, `llc_lookup`, and
@@ -16,9 +15,10 @@
 //! * [`DramOracle`] — replays `dram_dispatch` records per channel against
 //!   the DDR3 constraints (tRCD/tRP/tCL/tCWL/tRAS/tRC/tRRD/tRTP/tWR/tWTR,
 //!   row-buffer state, refresh fences, data-bus occupancy).
-//! * [`PickOracle`] — replays `mc_pick` queue snapshots and verifies each
-//!   dispatch was a legal row-hit-first / oldest-first choice for the
-//!   policy the scheduler claims (see
+//! * [`PickOracle`] — checks each dispatching pick against the queue it
+//!   was made from, inline: the pick must be startable, obey the
+//!   priority-core override, and be the legal row-hit-first /
+//!   oldest-first choice for the policy the scheduler claims (see
 //!   [`crate::mc::Scheduler::conformance_policy`]).
 //! * [`NetCalcOracle`] — checks a shaper's *analytical envelope*: its
 //!   grant stream must conform to the token-bucket arrival curve it
@@ -28,17 +28,20 @@
 //!   regulator shapers, whose curves are closed-form: see
 //!   [`crate::shaper::SourceShaper::envelope`]).
 //!
-//! Oracles are deliberately *event-driven and stateless about the
-//! simulator's internals*: they see only what an external trace consumer
-//! sees, so a bug in the model cannot hide inside shared code. The
-//! `mitts-conform` binary (crate `mitts-bench`) runs them over seeded
-//! fuzzed configurations and over deliberately-mutated specs (to prove
-//! the oracles themselves detect divergence).
+//! Oracles are deliberately *stateless about the simulator's internals*:
+//! they see only what an external trace consumer sees (the pick oracle:
+//! only the queue and DRAM view the scheduler saw), so a bug in the model
+//! cannot hide inside shared code. The `mitts-conform` binary (crate
+//! `mitts-bench`) runs them over seeded fuzzed configurations and over
+//! deliberately-mutated specs (to prove the oracles themselves detect
+//! divergence).
 //!
-//! [`DramOracle`] also runs inline: the invariant auditor
-//! ([`crate::audit::InvariantAuditor`]) owns one and feeds it every DRAM
-//! dispatch whenever auditing is enabled, so every audited run (tests,
-//! sweeps, perfbench) is DDR3-checked.
+//! Two oracles run inline. The invariant auditor
+//! ([`crate::audit::InvariantAuditor`]) owns a [`DramOracle`], which it
+//! feeds every DRAM dispatch, and one [`PickOracle`] per channel, to which
+//! the controller hands every dispatching pick, whenever auditing is
+//! enabled. So every audited run (tests, sweeps, perfbench) is DDR3- and
+//! pick-checked.
 
 mod dram;
 mod netcalc;

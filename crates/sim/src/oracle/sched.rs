@@ -1,12 +1,13 @@
-//! Scheduler pick-legality oracle: replays `mc_pick` queue snapshots.
+//! Scheduler pick-legality oracle, run inline by the invariant auditor.
 //!
-//! Each [`crate::mc::PickRecord`] captures the controller's entire
-//! transaction queue at the moment a dispatch was chosen, with the
-//! per-candidate facts the scheduler saw (`startable`, `row_hit`,
-//! `enqueued_at`). [`PickOracle`] re-derives the legal choice:
+//! The memory controller hands every dispatching pick to its channel's
+//! [`PickOracle`] before the chosen transaction leaves the queue. The
+//! oracle reads the queue and the DRAM view directly, taking for each
+//! queued transaction the facts the scheduler saw (`startable`,
+//! `row_hit`, `enqueued_at`), and re-derives the legal choice:
 //!
-//! * structural legality (any policy): the chosen transaction must be in
-//!   the snapshot and must have been startable;
+//! * structural legality (any policy): the chosen transaction must have
+//!   been startable;
 //! * priority override: when a priority core is set and has a startable
 //!   candidate, the controller must pick from that core, row-hit-first
 //!   then oldest-first (this path bypasses the pluggable scheduler);
@@ -14,11 +15,12 @@
 //!   [`crate::mc::Scheduler::conformance_policy`] are held to it —
 //!   FR-FCFS must pick the oldest row hit (oldest overall when no hit is
 //!   startable), FCFS the oldest startable candidate, ids breaking ties.
+//!
+//! The check allocates nothing unless it finds a violation.
 
-use crate::mc::{PickCandidate, PickRecord};
-use crate::obs::TraceEvent;
+use crate::mc::{DramView, Transaction, TxnId};
 use crate::oracle::{OracleKind, OracleViolation};
-use crate::types::Cycle;
+use crate::types::{CoreId, Cycle};
 
 /// The queue-ordering discipline a scheduler promises to implement.
 /// Schedulers with dynamic or stateful orderings (fair queueing, TCM,
@@ -43,108 +45,145 @@ impl PickPolicy {
 
     /// The candidate this policy must choose from `candidates`, or
     /// `None` if nothing is startable.
-    fn best<'a>(self, candidates: impl Iterator<Item = &'a PickCandidate>) -> Option<u64> {
+    fn best(self, candidates: impl Iterator<Item = PickCandidate>) -> Option<PickCandidate> {
         let startable = candidates.filter(|c| c.startable);
         match self {
-            PickPolicy::FrFcfs => startable
-                .min_by_key(|c| (!c.row_hit, c.enqueued_at, c.id))
-                .map(|c| c.id),
-            PickPolicy::Fcfs => {
-                startable.min_by_key(|c| (c.enqueued_at, c.id)).map(|c| c.id)
-            }
+            PickPolicy::FrFcfs => startable.min_by_key(|c| (!c.row_hit, c.enqueued_at, c.id)),
+            PickPolicy::Fcfs => startable.min_by_key(|c| (c.enqueued_at, c.id)),
         }
     }
 }
 
-/// Replays `mc_pick` snapshots against the claimed scheduling policy.
-#[derive(Debug)]
+/// One queued transaction as the scheduler saw it at a pick: identity
+/// plus the facts the legal choice depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PickCandidate {
+    id: TxnId,
+    /// Requesting core index.
+    core: usize,
+    /// Cycle the transaction entered the controller.
+    enqueued_at: Cycle,
+    /// Whether the bank could accept it this cycle (`can_start`).
+    startable: bool,
+    /// Whether it would hit the currently open row. Only startable
+    /// candidates compete, so it is looked up only for those.
+    row_hit: bool,
+}
+
+impl PickCandidate {
+    fn of(txn: &Transaction, view: &DramView<'_>) -> Self {
+        let startable = view.can_start(txn.addr);
+        PickCandidate {
+            id: txn.id,
+            core: txn.core.index(),
+            enqueued_at: txn.enqueued_at,
+            startable,
+            row_hit: startable && view.is_row_hit(txn.addr),
+        }
+    }
+}
+
+/// Checks one channel's dispatching picks against the policy its
+/// scheduler claims.
+#[derive(Debug, Clone)]
 pub struct PickOracle {
+    channel: usize,
     policy: Option<PickPolicy>,
     violations: Vec<OracleViolation>,
     picks: u64,
 }
 
 impl PickOracle {
-    /// Creates an oracle holding schedulers to `policy` (pass the value
-    /// of [`crate::mc::Scheduler::conformance_policy`]; `None` keeps the
+    /// Creates channel `channel`'s oracle, holding its scheduler to
+    /// `policy` (the value of
+    /// [`crate::mc::Scheduler::conformance_policy`]; `None` keeps the
     /// structural and priority checks only).
-    pub fn new(policy: Option<PickPolicy>) -> Self {
-        PickOracle { policy, violations: Vec::new(), picks: 0 }
+    pub fn new(channel: usize, policy: Option<PickPolicy>) -> Self {
+        PickOracle { channel, policy, violations: Vec::new(), picks: 0 }
     }
 
-    /// Violations found so far.
-    pub fn violations(&self) -> &[OracleViolation] {
-        &self.violations
+    /// Removes and returns the violations found so far.
+    pub fn take_violations(&mut self) -> Vec<OracleViolation> {
+        std::mem::take(&mut self.violations)
     }
 
-    /// Number of pick snapshots checked.
+    /// Number of picks checked.
     pub fn picks_checked(&self) -> u64 {
         self.picks
     }
 
-    fn report(&mut self, at: Cycle, channel: usize, detail: String) {
+    /// Encodes the pick count (checkpoint support). Pending violations
+    /// are not included: the auditor drains them after every tick.
+    pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+        enc.u64(self.picks);
+    }
+
+    /// Restores state written by [`PickOracle::save_state`].
+    pub(crate) fn load_state(
+        &mut self,
+        dec: &mut crate::snapshot::Dec<'_>,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        self.picks = dec.u64()?;
+        self.violations.clear();
+        Ok(())
+    }
+
+    /// Checks the controller's pick of `queue[chosen]` at cycle `at`,
+    /// made with `priority` as the priority-core override, before the
+    /// transaction leaves the queue.
+    pub(crate) fn check_pick(
+        &mut self,
+        at: Cycle,
+        queue: &[Transaction],
+        chosen: usize,
+        priority: Option<CoreId>,
+        view: &DramView<'_>,
+    ) {
+        let candidates = queue.iter().map(|t| PickCandidate::of(t, view));
+        let chosen = PickCandidate::of(&queue[chosen], view);
+        self.check(at, chosen, priority.map(CoreId::index), candidates);
+    }
+
+    fn report(&mut self, at: Cycle, detail: String) {
         self.violations.push(OracleViolation {
             at,
             oracle: OracleKind::Sched,
             core: None,
-            channel: Some(channel),
+            channel: Some(self.channel),
             detail,
         });
     }
 
-    /// Feeds one trace event; only `mc_pick` snapshots are consumed.
-    pub fn on_event(&mut self, ev: &TraceEvent) {
-        if let TraceEvent::McPick { at, channel, chosen, priority, cands } = ev {
-            let record =
-                PickRecord { at: *at, chosen: *chosen, priority: *priority, candidates: cands.clone() };
-            self.on_pick(*channel, &record);
-        }
-    }
-
-    /// Checks one pick snapshot.
-    pub fn on_pick(&mut self, channel: usize, rec: &PickRecord) {
+    /// Checks one pick of `chosen` among `candidates` (which include it).
+    fn check<I>(&mut self, at: Cycle, chosen: PickCandidate, priority: Option<usize>, candidates: I)
+    where
+        I: Iterator<Item = PickCandidate> + Clone,
+    {
         self.picks += 1;
-        let at = rec.at;
-        let Some(chosen) = rec.candidates.iter().find(|c| c.id == rec.chosen) else {
-            self.report(
-                at,
-                channel,
-                format!("chosen txn {} is not in the queue snapshot", rec.chosen),
-            );
-            return;
-        };
         if !chosen.startable {
-            self.report(
-                at,
-                channel,
-                format!("chosen txn {} was not startable (bank busy)", rec.chosen),
-            );
+            self.report(at, format!("chosen txn {} was not startable (bank busy)", chosen.id));
             return;
         }
 
         // Priority-core override path (row-hit-first within the core).
-        if let Some(p) = rec.priority {
-            let best_prio = PickPolicy::FrFcfs
-                .best(rec.candidates.iter().filter(|c| c.core == p));
-            if let Some(best) = best_prio {
+        if let Some(p) = priority {
+            if let Some(best) = PickPolicy::FrFcfs.best(candidates.clone().filter(|c| c.core == p)) {
                 if chosen.core != p {
                     self.report(
                         at,
-                        channel,
                         format!(
-                            "priority core {p} had startable txn {best} but \
+                            "priority core {p} had startable txn {} but \
                              txn {} from core {} was chosen",
-                            rec.chosen, chosen.core
+                            best.id, chosen.id, chosen.core
                         ),
                     );
-                } else if rec.chosen != best {
+                } else if chosen.id != best.id {
                     self.report(
                         at,
-                        channel,
                         format!(
                             "priority pick chose txn {} but row-hit/oldest \
-                             order selects txn {best}",
-                            rec.chosen
+                             order selects txn {}",
+                            chosen.id, best.id
                         ),
                     );
                 }
@@ -154,21 +193,21 @@ impl PickOracle {
 
         if let Some(policy) = self.policy {
             let best = policy
-                .best(rec.candidates.iter())
+                .best(candidates)
                 .expect("chosen is startable, so a best candidate exists");
-            if rec.chosen != best {
+            if chosen.id != best.id {
                 self.report(
                     at,
-                    channel,
                     format!(
-                        "{} order selects txn {best} but txn {} was chosen \
+                        "{} order selects txn {} but txn {} was chosen \
                          (chosen: row_hit={} enq={}; best: row_hit={} enq={})",
                         policy.label(),
-                        rec.chosen,
+                        best.id,
+                        chosen.id,
                         chosen.row_hit,
                         chosen.enqueued_at,
-                        rec.candidates.iter().find(|c| c.id == best).map(|c| c.row_hit).unwrap_or(false),
-                        rec.candidates.iter().find(|c| c.id == best).map(|c| c.enqueued_at).unwrap_or(0),
+                        best.row_hit,
+                        best.enqueued_at,
                     ),
                 );
             }
@@ -181,88 +220,75 @@ mod tests {
     use super::*;
 
     fn cand(id: u64, core: usize, enq: Cycle, startable: bool, row_hit: bool) -> PickCandidate {
-        PickCandidate {
-            id,
-            core,
-            line: id * 64,
-            write: false,
-            enqueued_at: enq,
-            startable,
-            row_hit,
-        }
+        PickCandidate { id, core, enqueued_at: enq, startable, row_hit }
     }
 
-    fn rec(chosen: u64, priority: Option<usize>, cands: Vec<PickCandidate>) -> PickRecord {
-        PickRecord { at: 100, chosen, priority, candidates: cands }
+    /// Checks a pick of txn `chosen` among `cands` under a fresh oracle.
+    fn pick(
+        policy: Option<PickPolicy>,
+        chosen: u64,
+        priority: Option<usize>,
+        cands: &[PickCandidate],
+    ) -> Vec<OracleViolation> {
+        let mut o = PickOracle::new(0, policy);
+        let c = *cands.iter().find(|c| c.id == chosen).expect("chosen is a candidate");
+        o.check(100, c, priority, cands.iter().copied());
+        assert_eq!(o.picks_checked(), 1);
+        o.take_violations()
     }
 
     #[test]
     fn frfcfs_prefers_row_hit_over_older_miss() {
-        let mut o = PickOracle::new(Some(PickPolicy::FrFcfs));
         // Txn 2 is younger but a row hit: FR-FCFS must take it.
-        o.on_pick(0, &rec(2, None, vec![cand(1, 0, 10, true, false), cand(2, 1, 20, true, true)]));
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        let cands = [cand(1, 0, 10, true, false), cand(2, 1, 20, true, true)];
+        let v = pick(Some(PickPolicy::FrFcfs), 2, None, &cands);
+        assert!(v.is_empty(), "{v:?}");
         // Choosing the older miss instead is a violation.
-        let mut o = PickOracle::new(Some(PickPolicy::FrFcfs));
-        o.on_pick(0, &rec(1, None, vec![cand(1, 0, 10, true, false), cand(2, 1, 20, true, true)]));
-        assert_eq!(o.violations().len(), 1);
+        assert_eq!(pick(Some(PickPolicy::FrFcfs), 1, None, &cands).len(), 1);
     }
 
     #[test]
     fn fcfs_requires_oldest_startable() {
-        let mut o = PickOracle::new(Some(PickPolicy::Fcfs));
         // Oldest (txn 1) is not startable: txn 2 is the legal choice.
-        o.on_pick(
-            0,
-            &rec(2, None, vec![cand(1, 0, 10, false, false), cand(2, 1, 20, true, true)]),
-        );
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        let cands = [cand(1, 0, 10, false, false), cand(2, 1, 20, true, true)];
+        let v = pick(Some(PickPolicy::Fcfs), 2, None, &cands);
+        assert!(v.is_empty(), "{v:?}");
         // Skipping the startable oldest is a violation.
-        let mut o = PickOracle::new(Some(PickPolicy::Fcfs));
-        o.on_pick(
-            0,
-            &rec(3, None, vec![cand(1, 0, 10, true, false), cand(3, 1, 30, true, true)]),
-        );
-        assert_eq!(o.violations().len(), 1);
+        let cands = [cand(1, 0, 10, true, false), cand(3, 1, 30, true, true)];
+        let v = pick(Some(PickPolicy::Fcfs), 3, None, &cands);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].at, v[0].channel), (100, Some(0)));
     }
 
     #[test]
     fn structural_checks_apply_without_a_policy() {
-        let mut o = PickOracle::new(None);
-        o.on_pick(0, &rec(9, None, vec![cand(1, 0, 10, true, false)]));
-        assert!(o.violations()[0].detail.contains("not in the queue"));
-        let mut o = PickOracle::new(None);
-        o.on_pick(0, &rec(1, None, vec![cand(1, 0, 10, false, false)]));
-        assert!(o.violations()[0].detail.contains("not startable"));
+        let v = pick(None, 1, None, &[cand(1, 0, 10, false, false)]);
+        assert!(v[0].detail.contains("not startable"));
     }
 
     #[test]
     fn priority_core_overrides_global_order() {
         // Priority core 1 has a startable candidate; even a policy-less
         // oracle must see the pick come from core 1, row-hit-first.
-        let cands = vec![
+        let cands = [
             cand(1, 0, 10, true, true),  // global FR-FCFS best
             cand(2, 1, 20, true, false),
             cand(3, 1, 30, true, true),  // priority best (row hit)
         ];
-        let mut o = PickOracle::new(Some(PickPolicy::FrFcfs));
-        o.on_pick(0, &rec(3, Some(1), cands.clone()));
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        let v = pick(Some(PickPolicy::FrFcfs), 3, Some(1), &cands);
+        assert!(v.is_empty(), "{v:?}");
         // Picking core 0's txn while core 1 is serviceable is flagged.
-        let mut o = PickOracle::new(Some(PickPolicy::FrFcfs));
-        o.on_pick(0, &rec(1, Some(1), cands.clone()));
-        assert!(o.violations()[0].detail.contains("priority core"));
+        let v = pick(Some(PickPolicy::FrFcfs), 1, Some(1), &cands);
+        assert!(v[0].detail.contains("priority core"));
         // Picking the wrong candidate within the priority core is flagged.
-        let mut o = PickOracle::new(None);
-        o.on_pick(0, &rec(2, Some(1), cands));
-        assert!(o.violations()[0].detail.contains("row-hit/oldest"));
+        let v = pick(None, 2, Some(1), &cands);
+        assert!(v[0].detail.contains("row-hit/oldest"));
     }
 
     #[test]
     fn priority_core_with_nothing_startable_falls_through() {
-        let cands = vec![cand(1, 0, 10, true, false), cand(2, 1, 20, false, true)];
-        let mut o = PickOracle::new(Some(PickPolicy::FrFcfs));
-        o.on_pick(0, &rec(1, Some(1), cands));
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        let cands = [cand(1, 0, 10, true, false), cand(2, 1, 20, false, true)];
+        let v = pick(Some(PickPolicy::FrFcfs), 1, Some(1), &cands);
+        assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -447,7 +447,6 @@ pub struct SystemBuilder {
     engine: Engine,
     trace_sink: Option<Box<dyn TraceSink>>,
     sample_every: Option<Cycle>,
-    pick_snapshots: bool,
 }
 
 impl SystemBuilder {
@@ -479,7 +478,6 @@ impl SystemBuilder {
             engine: Engine::Skip,
             trace_sink: None,
             sample_every: None,
-            pick_snapshots: false,
         })
     }
 
@@ -489,18 +487,6 @@ impl SystemBuilder {
     /// [`crate::obs::TraceEvent`].
     pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
-        self
-    }
-
-    /// Also records every memory-controller scheduling decision with its
-    /// full queue snapshot as [`crate::obs::TraceEvent::McPick`] events.
-    /// Requires a trace sink; it is a separate opt-in because the
-    /// snapshots are far heavier than the rest of the lifecycle stream
-    /// (one record per dispatch, with the whole queue). The conformance
-    /// harness (`mitts-conform`) uses this to feed the FR-FCFS legality
-    /// oracle; plain tracing workflows should leave it off.
-    pub fn log_pick_snapshots(mut self, enabled: bool) -> Self {
-        self.pick_snapshots = enabled;
         self
     }
 
@@ -649,7 +635,6 @@ impl SystemBuilder {
         for channel in &mut channels {
             // Dispatches feed the auditor's DDR3 oracle and the trace.
             channel.mc.set_dispatch_logging(tracing || config.hardening.audit.enabled);
-            channel.mc.set_pick_logging(tracing && self.pick_snapshots);
         }
         if tracing && emit_config_events {
             for (i, unit) in cores.iter().enumerate() {
@@ -658,6 +643,10 @@ impl SystemBuilder {
                 obs.emit_shaper_config(0, i, sh.name(), bins);
             }
         }
+        let auditor = InvariantAuditor::new(
+            &config,
+            channels.iter().map(|ch| ch.scheduler.conformance_policy()),
+        );
         let n = config.cores;
         System {
             now: 0,
@@ -669,7 +658,7 @@ impl SystemBuilder {
             signals: vec![CoreSignals::default(); n],
             rr_offset: 0,
             llc_ports: config.llc_ports,
-            auditor: InvariantAuditor::new(&config),
+            auditor,
             audit_last_instr: vec![0; n],
             faults: ActiveFaults::default(),
             engine: self.engine,
@@ -1704,12 +1693,14 @@ impl System {
         }
         self.rr_offset = wrapping_index(self.rr_offset, 1, n);
 
-        // 5. Memory controller dispatch (per channel). Each channel's
-        //    dispatch log is read once: the auditor's DDR3 oracle checks the
-        //    records, then the observer traces them.
+        // 5. Memory controller dispatch (per channel). The auditor's pick
+        //    oracle checks each dispatching pick as it is made. Each
+        //    channel's dispatch log is read once: the auditor's DDR3 oracle
+        //    checks the records, then the observer traces them.
         for (ci, channel) in self.channels.iter_mut().enumerate() {
-            channel.mc.tick(now, channel.scheduler.as_mut(), &mut channel.dram);
-            self.obs.drain_picks(ci, &mut channel.mc);
+            let picks = self.auditor.pick_oracle(ci);
+            channel.mc.tick(now, channel.scheduler.as_mut(), &mut channel.dram, picks);
+            self.auditor.record_pick_findings(ci);
             let dispatches = channel.mc.dispatch_log();
             if !dispatches.is_empty() {
                 self.auditor.check_dispatches(ci, dispatches);

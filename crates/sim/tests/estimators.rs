@@ -227,7 +227,7 @@ proptest! {
         }
         // First tick moves everything FIFO -> queue (test load fits), so
         // from here the estimator sees the complete candidate set.
-        mc.tick(0, &mut sched, &mut dram);
+        mc.tick(0, &mut sched, &mut dram, None);
         for c in 1..run {
             if mc.queue_len() == 0 {
                 break;
@@ -237,7 +237,7 @@ proptest! {
             let _ = mc.drain_completions(c, &mut sched, &mut dram);
             let est = mc.next_dispatch_opportunity(c, &dram);
             let before = dram.inflight_len();
-            mc.tick(c, &mut sched, &mut dram);
+            mc.tick(c, &mut sched, &mut dram, None);
             let dispatched = dram.inflight_len() > before;
             match est {
                 Some(e) => {

@@ -4,12 +4,15 @@
 //! cycles of injection, and uninjected runs must complete with zero
 //! violations (no false positives).
 
+use mitts_sched::make_baseline;
 use mitts_sim::audit::{FaultKind, FaultPlan, Invariant};
 use mitts_sim::config::SystemConfig;
+use mitts_sim::mc::{DramView, Scheduler, Transaction};
+use mitts_sim::oracle::PickPolicy;
 use mitts_sim::system::{System, SystemBuilder};
 use mitts_sim::trace::{ComputeTrace, StrideTrace, TraceSource};
 use mitts_sim::trace_io::{RecordingTrace, VecTrace};
-use mitts_sim::types::Cycle;
+use mitts_sim::types::{CoreId, Cycle};
 
 /// Detection-latency budget from the acceptance criteria: a fault armed
 /// at cycle `from` must produce a violation no later than `from + 10_000`.
@@ -151,6 +154,46 @@ fn stalled_llc_ports_trip_the_global_watchdog() {
     assert!(sys.stall_report().is_some());
 }
 
+/// A scheduler that services the youngest startable transaction while
+/// claiming FR-FCFS.
+struct YoungestFirst;
+
+impl Scheduler for YoungestFirst {
+    fn name(&self) -> &str {
+        "youngest-first"
+    }
+
+    fn pick(&mut self, _now: Cycle, pending: &[Transaction], view: &DramView<'_>) -> Option<usize> {
+        pending
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| view.can_start(t.addr))
+            .max_by_key(|(_, t)| (t.enqueued_at, t.id))
+            .map(|(i, _)| i)
+    }
+
+    fn conformance_policy(&self) -> Option<PickPolicy> {
+        Some(PickPolicy::FrFcfs)
+    }
+}
+
+#[test]
+fn a_scheduler_breaking_its_claimed_order_is_caught_without_a_trace_sink() {
+    // No trace sink: the auditor checks each pick where the controller
+    // makes it.
+    let mut b = SystemBuilder::new(hardened_config()).scheduler(Box::new(YoungestFirst));
+    for i in 0..4 {
+        b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+    }
+    let mut sys = b.build();
+    sys.run_cycles(DETECT_BUDGET);
+    let v = first_violation(&sys, |v| v.invariant == Invariant::SchedulerPick)
+        .expect("youngest-first picks must break the claimed FR-FCFS order");
+    assert!(v.cycle <= DETECT_BUDGET, "detected at cycle {}", v.cycle);
+    assert!(v.detail.starts_with("channel 0: fr-fcfs order"), "{v}");
+    assert!(sys.auditor().picks_checked() > 0);
+}
+
 // ---------------------------------------------------------------------------
 // No false positives
 // ---------------------------------------------------------------------------
@@ -222,4 +265,30 @@ fn clean_mixed_run_produces_zero_violations() {
         .build();
     sys.run_cycles(300_000);
     assert_clean(&sys, "mixed traces");
+}
+
+#[test]
+fn priority_override_run_audits_clean_and_checks_every_pick() {
+    // Two channels, each with its own FR-FCFS scheduler and pick oracle;
+    // core 1 holds the priority override for the middle of the run.
+    let mut cfg = default_audited_config();
+    cfg.mc.channels = 2;
+    let mut b = SystemBuilder::new(cfg);
+    for ch in 0..2 {
+        b = b.channel_scheduler(ch, make_baseline("FR-FCFS", 4).expect("known scheduler"));
+    }
+    for i in 0..4 {
+        b = b.trace(i, Box::new(StrideTrace::new(2 + i as u32, 64, 16 << 20)));
+    }
+    let mut sys = b.build();
+    sys.run_cycles(20_000);
+    sys.set_priority_core(Some(CoreId::new(1)));
+    sys.run_cycles(100_000);
+    sys.set_priority_core(None);
+    sys.run_cycles(20_000);
+    assert_clean(&sys, "priority override");
+    let stats = sys.system_stats();
+    assert!(stats.channels.iter().all(|c| c.dispatched > 0), "both channels dispatch");
+    let dispatched: u64 = stats.channels.iter().map(|c| c.dispatched).sum();
+    assert_eq!(sys.auditor().picks_checked(), dispatched, "every dispatching pick is checked");
 }

@@ -422,56 +422,49 @@ fn a_mismatched_twin_refuses_the_snapshot() {
 
 #[test]
 fn controller_logging_follows_the_twin_not_the_snapshot() {
-    // Whether a controller logs its dispatches and picks follows from how
-    // the restoring system is built (auditing, a trace sink, pick
-    // snapshots), not from the snapshotted run. Auditing and tracing are
-    // themselves checked on restore; pick snapshots are a builder choice
-    // that may differ. Whichever way round, the twin's trace must carry
-    // every DRAM dispatch, and scheduler picks exactly when the twin
-    // asked for them.
+    // Whether a controller logs its dispatches follows from how the
+    // restoring system is built (auditing, a trace sink), not from the
+    // snapshotted run: the twin's trace must carry every DRAM dispatch
+    // after the resume. The auditor's pick count is part of the snapshot,
+    // so the twin ends having checked exactly as many picks as the
+    // uninterrupted run.
     let mut cfg = SystemConfig::single_program();
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
-    let traced = |engine: Engine, picks: bool, sink: &Rc<RefCell<RingSink>>| {
+    let traced = |engine: Engine, sink: &Rc<RefCell<RingSink>>| {
         SystemBuilder::new(cfg.clone())
             .trace(0, Box::new(Benchmark::Libquantum.profile().trace(base_for(0), 0xF0)))
             .engine(engine)
             .trace_sink(Box::new(Rc::clone(sink)))
-            .log_pick_snapshots(picks)
     };
     let dispatched = |sys: &System| -> u64 {
         sys.system_stats().channels.iter().map(|c| c.dispatched).sum()
     };
     for engine in [Engine::Naive, Engine::Skip] {
-        for snap_picks in [false, true] {
-            let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
-            let mut original = traced(engine, snap_picks, &sink).build();
-            original.run_cycles(5_000);
-            let snap = original.snapshot().unwrap();
-            let before = dispatched(&original);
-            original.run_cycles(5_000);
+        let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+        let mut original = traced(engine, &sink).build();
+        original.run_cycles(5_000);
+        let snap = original.snapshot().unwrap();
+        let before = dispatched(&original);
+        original.run_cycles(5_000);
 
-            let twin_picks = !snap_picks;
-            let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
-            let mut twin = traced(engine, twin_picks, &sink)
-                .resume_from(&snap)
-                .expect("pick snapshots are not part of the snapshot");
-            twin.run_cycles(5_000);
-            twin.flush_trace();
+        let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+        let mut twin = traced(engine, &sink).resume_from(&snap).expect("same build");
+        twin.run_cycles(5_000);
+        twin.flush_trace();
 
-            let tag = format!("{engine:?}, twin pick snapshots {twin_picks}");
-            let count =
-                |f: fn(&TraceEvent) -> bool| sink.borrow().events().filter(|e| f(e)).count();
-            let resumed = dispatched(&twin) - before;
-            assert!(resumed > 0, "{tag}: the resumed window must dispatch");
-            assert_eq!(
-                count(|e| matches!(e, TraceEvent::DramDispatch { .. })) as u64,
-                resumed,
-                "{tag}: every dispatch after the resume is traced"
-            );
-            let picks = count(|e| matches!(e, TraceEvent::McPick { .. }));
-            assert_eq!(picks > 0, twin_picks, "{tag}: {picks} pick events");
-            assert_eq!(original.system_stats(), twin.system_stats(), "{tag}");
-        }
+        let tag = format!("{engine:?}");
+        let resumed = dispatched(&twin) - before;
+        assert!(resumed > 0, "{tag}: the resumed window must dispatch");
+        let traced_dispatches = sink
+            .borrow()
+            .events()
+            .filter(|e| matches!(e, TraceEvent::DramDispatch { .. }))
+            .count() as u64;
+        assert_eq!(traced_dispatches, resumed, "{tag}: every dispatch after the resume is traced");
+        let picks = original.auditor().picks_checked();
+        assert!(picks > before, "{tag}: the run's picks are checked");
+        assert_eq!(twin.auditor().picks_checked(), picks, "{tag}");
+        assert_eq!(original.system_stats(), twin.system_stats(), "{tag}");
     }
 }
 

@@ -5,9 +5,10 @@
 //! The fitness function is supplied by the caller (higher is better): the
 //! experiment harnesses build one that runs a full simulation with the
 //! candidate configurations installed and returns `-S_avg`, `-S_max`,
-//! IPC, or performance-per-cost. Fitness evaluation is optionally
-//! parallel across a generation (each evaluation constructs its own
-//! simulator, so `F` must be `Sync`).
+//! IPC, or performance-per-cost. Fitness evaluation runs in parallel
+//! across a generation on the shared pool, sized by `MITTS_JOBS` (each
+//! evaluation constructs its own simulator, so `F` must be `Sync`);
+//! `MITTS_JOBS=1` evaluates serially, with bit-identical results.
 
 use mitts_sim::rng::Rng;
 use mitts_sim::snapshot::{crc32, Dec, Enc, Snapshot, SnapshotError, SnapshotWriter};
@@ -33,8 +34,6 @@ pub struct GaParams {
     pub tournament: usize,
     /// Upper bound on initial random credits per bin.
     pub init_max_credit: u32,
-    /// Evaluate a generation's fitness on multiple threads.
-    pub parallel: bool,
 }
 
 impl Default for GaParams {
@@ -46,7 +45,6 @@ impl Default for GaParams {
             mutation_step: 24,
             tournament: 3,
             init_max_credit: 128,
-            parallel: true,
         }
     }
 }
@@ -201,19 +199,12 @@ impl GeneticTuner {
     }
 
     /// Runs the GA against `fitness` (higher is better), evaluating each
-    /// generation in parallel when [`GaParams::parallel`] is set.
+    /// generation in parallel.
     pub fn optimize<F>(&mut self, fitness: F) -> GaResult
     where
         F: Fn(&Genome) -> f64 + Sync,
     {
-        let parallel = self.params.parallel;
-        self.run_loop(&mut |population: &[Genome]| {
-            if parallel && population.len() > 1 {
-                Self::evaluate_parallel(population, &fitness)
-            } else {
-                population.iter().map(&fitness).collect()
-            }
-        })
+        self.optimize_resumable(fitness, None, |_, _| {})
     }
 
     /// Runs the GA like [`GeneticTuner::optimize`], but checkpoints:
@@ -232,14 +223,7 @@ impl GeneticTuner {
     where
         F: Fn(&Genome) -> f64 + Sync,
     {
-        let parallel = self.params.parallel;
-        let mut evaluate = |population: &[Genome]| {
-            if parallel && population.len() > 1 {
-                Self::evaluate_parallel(population, &fitness)
-            } else {
-                population.iter().map(&fitness).collect()
-            }
-        };
+        let mut evaluate = |population: &[Genome]| Self::evaluate_parallel(population, &fitness);
         let mut state = match resume {
             Some(s) => s,
             None => {
@@ -329,14 +313,6 @@ impl GeneticTuner {
             state.best_fitness = gen_fit;
         }
         state.history.push(state.best_fitness);
-    }
-
-    fn run_loop(&mut self, evaluate: &mut dyn FnMut(&[Genome]) -> Vec<f64>) -> GaResult {
-        let mut state = self.start_state(evaluate);
-        while state.generations_done() < self.params.generations {
-            self.step_state(&mut state, evaluate);
-        }
-        state.into_result()
     }
 
     /// Digest of everything that must match for a persisted state to be
@@ -498,7 +474,6 @@ mod tests {
         let mut ga = GeneticTuner::new(spec(), 1000, 1, GaParams {
             population: 20,
             generations: 15,
-            parallel: false,
             ..GaParams::default()
         });
         let result = ga.optimize(bin0_heavy);
@@ -522,11 +497,7 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let run = || {
-            let mut ga = GeneticTuner::new(spec(), 1000, 1, GaParams {
-                parallel: false,
-                ..GaParams::quick()
-            })
-            .with_seed(99);
+            let mut ga = GeneticTuner::new(spec(), 1000, 1, GaParams::quick()).with_seed(99);
             ga.optimize(bin0_heavy).best
         };
         assert_eq!(run(), run());
@@ -548,20 +519,24 @@ mod tests {
     #[test]
     fn parallel_and_serial_agree() {
         let fitness = |g: &Genome| g.credits()[0][3] as f64;
-        let run = |parallel| {
-            let mut ga = GeneticTuner::new(spec(), 1000, 1, GaParams {
-                parallel,
-                ..GaParams::quick()
-            })
-            .with_seed(5);
-            ga.optimize(fitness).best_fitness
-        };
-        assert_eq!(run(false), run(true));
+        let tuner = || GeneticTuner::new(spec(), 1000, 1, GaParams::quick()).with_seed(5);
+        let parallel = tuner().optimize(fitness);
+        // The same search by hand, scoring each generation serially.
+        let mut ga = tuner();
+        let mut evaluate = |pop: &[Genome]| pop.iter().map(fitness).collect::<Vec<f64>>();
+        let mut state = ga.start_state(&mut evaluate);
+        while state.generations_done() < GaParams::quick().generations {
+            ga.step_state(&mut state, &mut evaluate);
+        }
+        let serial = state.into_result();
+        assert_eq!(parallel.best, serial.best);
+        assert_eq!(parallel.history, serial.history);
+        assert_eq!(parallel.evaluations, serial.evaluations);
     }
 
     #[test]
     fn checkpointed_resume_matches_uninterrupted() {
-        let params = GaParams { parallel: false, ..GaParams::quick() };
+        let params = GaParams::quick();
         let uninterrupted = {
             let mut ga = GeneticTuner::new(spec(), 1000, 1, params).with_seed(42);
             ga.optimize(bin0_heavy)
@@ -591,7 +566,7 @@ mod tests {
 
     #[test]
     fn persisted_state_rejects_a_different_search() {
-        let params = GaParams { parallel: false, ..GaParams::quick() };
+        let params = GaParams::quick();
         let mut ga = GeneticTuner::new(spec(), 1000, 1, params).with_seed(1);
         let mut evaluate = |pop: &[Genome]| pop.iter().map(bin0_heavy).collect::<Vec<f64>>();
         let state = ga.start_state(&mut evaluate);
@@ -625,7 +600,6 @@ mod tests {
         let mut ga = GeneticTuner::new(spec(), 1000, 2, GaParams {
             population: 24,
             generations: 18,
-            parallel: false,
             ..GaParams::default()
         });
         let result = ga.optimize(fitness);

@@ -8,7 +8,7 @@
 //!
 //! * [`ga::GeneticTuner`] — the offline GA (population 30 × 20
 //!   generations by default), generic over a caller-supplied fitness
-//!   function, with optional parallel evaluation;
+//!   function, scoring each generation in parallel;
 //! * [`online::OnlineTuner`] — the Fig. 10 online GA: CONFIG_PHASE of
 //!   per-epoch child evaluations with MISE-style alone-rate measurement
 //!   and an explicit software-overhead charge, then RUN_PHASE, plus a

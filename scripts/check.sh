@@ -40,9 +40,11 @@ echo "examples: every example ran to a zero exit"
 # skip engine's digests equal the naive engine's, traced reps equal
 # untraced ones, the journaled capacity frontier equals the unjournaled
 # one, and every single-system rep ends with zero audit violations. The
-# auditor replays every DRAM dispatch through its DDR3 oracle, so that
-# last check covers DDR3 legality too; on all four workloads the oracle
-# runs, and the capacity probes' audit logs must agree across engines.
+# auditor replays every DRAM dispatch through its DDR3 oracle and checks
+# every dispatching scheduler pick against the policy the scheduler
+# claims, so that last check also means every dispatch was DDR3-legal
+# and every pick was legal; on all four workloads both oracles run, and
+# the capacity probes' audit logs must agree across engines.
 # Building it here also catches a crate change that breaks the
 # benchmark's build.
 PERF_LOG="$GATE_TMP/perfbench.log"
@@ -82,6 +84,15 @@ netcalc_detected=$(grep -c '\[netcalc\].*detected' "$CONFORM_LOG" || true)
 [ "$netcalc_detected" -ge 3 ] \
   || { echo "netcalc oracle gate: expected >=3 detected netcalc mutations, saw $netcalc_detected"; exit 1; }
 echo "netcalc oracle gate: $netcalc_detected seeded spec mutations detected"
+
+# Scheduler-oracle gate: the sched mutations (real schedulers claiming
+# the other policy, a broken youngest-first scheduler) reach the pick
+# oracle through the invariant auditor, not the trace stream; at least 3
+# must be detected, so a silent fall to zero fails here.
+sched_detected=$(grep -c '\[ sched\].*detected' "$CONFORM_LOG" || true)
+[ "$sched_detected" -ge 3 ] \
+  || { echo "scheduler oracle gate: expected >=3 detected sched mutations, saw $sched_detected"; exit 1; }
+echo "scheduler oracle gate: $sched_detected seeded scheduler mutations detected"
 
 # Capacity smoke gate: knee-search the 2x2 smoke matrix through the
 # supervised pool and write the frontier CSV + self-contained HTML

@@ -35,7 +35,7 @@ fn offline_ga_improves_over_random_seeding_generations() {
         BinSpec::paper_default(),
         10_000,
         1,
-        GaParams { population: 6, generations: 4, parallel: true, ..GaParams::default() },
+        GaParams { population: 6, generations: 4, ..GaParams::default() },
     )
     .with_constraint(Constraint { target_interval: None, target_rpc: Some(0.008) });
     let result = ga.optimize(|g: &Genome| shaped_ipc(Benchmark::Omnetpp, &g.to_configs()[0]));
