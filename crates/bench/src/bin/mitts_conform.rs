@@ -1,7 +1,7 @@
 //! Conformance checker: runs simulations under the differential oracles
-//! (§III shaper spec, DDR3 timing legality, network-calculus envelopes)
-//! plus the runtime invariant auditor, which checks FR-FCFS/FCFS pick
-//! legality, and verifies the oracles themselves by seeded mutation.
+//! the runtime invariant auditor owns (§III shaper spec, network-calculus
+//! envelopes, DDR3 timing legality, FR-FCFS/FCFS pick legality), and
+//! verifies the oracles themselves by seeded mutation.
 //!
 //! ```text
 //! mitts-conform [--smoke] [--seed N] [--fuzz N]
@@ -134,7 +134,7 @@ fn main() -> ExitCode {
             eprintln!("  original case:\n{}", indent(&f.original.to_string()));
             eprintln!("  shrunk reproduction:\n{}", indent(&f.shrunk.to_string()));
             for v in &f.violations {
-                eprintln!("    violation @{} [{:?}] core {:?}: {}", v.at, v.oracle, v.core, v.detail);
+                eprintln!("    violation {v}");
             }
             if let Some(d) = &f.engine_divergence {
                 eprintln!("    engine divergence:\n{}", indent(d));
@@ -152,18 +152,18 @@ fn main() -> ExitCode {
     for c in checks {
         let ok = c.report.clean();
         println!(
-            "  {:<12} {} ({} grants, {} dispatches, {} picks checked, {} audit)",
+            "  {:<12} {} ({} grants, {} dispatches, {} picks checked, {} violations)",
             c.name,
             if ok { "clean" } else { "VIOLATIONS" },
             c.report.grants_checked,
             c.report.dispatches_checked,
             c.report.picks_checked,
-            c.report.audit_violations
+            c.report.violations.len()
         );
         if !ok {
             failed = true;
             for v in &c.report.violations {
-                eprintln!("    violation @{} [{:?}] core {:?}: {}", v.at, v.oracle, v.core, v.detail);
+                eprintln!("    violation {v}");
             }
         }
     }

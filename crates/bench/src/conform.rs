@@ -1,18 +1,21 @@
-//! Conformance harness: runs live simulations under the differential
-//! oracles of `mitts_sim::oracle` (shaper spec, DDR3 legality, and
-//! network-calculus envelopes for the closed-form static, CBS and
-//! regulator shapers, all fed from the trace stream) plus the runtime
-//! invariant auditor, which checks every scheduler pick as it is made.
+//! Conformance harness: a case generator for the differential oracles of
+//! `mitts_sim::oracle`. The runtime invariant auditor owns and feeds all
+//! of them (the §III shaper spec, network-calculus envelopes for the
+//! closed-form static, CBS and regulator shapers, DDR3 legality and
+//! scheduler picks), so a case is a plain simulation whose audit log and
+//! oracle coverage are read back from `sys.auditor()`.
 //!
-//! Three entry points, all used by the `mitts-conform` binary and the
+//! The entry points, all used by the `mitts-conform` binary and the
 //! integration tests:
 //!
 //! * [`run_case`] — one simulation under all oracles, returning every
 //!   violation found;
-//! * [`mutation_checks`] — seeded perturbations of shaper, DRAM-timing,
-//!   and scheduler semantics that each oracle MUST catch (a test of the
-//!   oracles themselves: an oracle that flags nothing is indistinguishable
-//!   from one that checks nothing);
+//! * [`mutation_checks`] — seeded components that misstate their spec
+//!   (shapers stating a bent contract, schedulers claiming the wrong
+//!   policy) or break it (a DRAM model with shaved DDR3 timing), each of
+//!   which the auditor MUST catch (a test of the oracles themselves: an
+//!   oracle that flags nothing is indistinguishable from one that checks
+//!   nothing);
 //! * [`run_fuzz`] — a deterministic config+workload fuzzer with greedy
 //!   input shrinking, so a conformance failure is reported as a minimal
 //!   reproducible case;
@@ -27,15 +30,11 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, CreditPolicy, FeedbackMethod, MittsShaper};
 use mitts_sched::make_baseline;
-use mitts_sim::audit::Invariant;
-use mitts_sim::config::DramTimingCycles;
+use mitts_sim::audit::{AuditViolation, CreditAudit, DramParam, FaultKind, FaultPlan};
 use mitts_sim::mc::{CoreSignals, DramView, Scheduler, SourceControl, Transaction};
-use mitts_sim::obs::{TraceEvent, TraceSink};
-use mitts_sim::oracle::{
-    DramOracle, NetCalcOracle, NetCalcSpec, OracleKind, OracleViolation, PickPolicy, ShaperOracle,
-    ShaperSpec as MittsOracleSpec,
-};
+use mitts_sim::oracle::{MittsSpec, PickPolicy};
 use mitts_sim::rng::Rng;
+use mitts_sim::shaper::{Envelope, ShapeDecision, ShapeToken, ShaperContract, SourceShaper};
 use mitts_sim::snapshot::{Dec, Enc, SnapshotError};
 use mitts_sim::system::{Engine, ShaperHandle, SystemBuilder};
 use mitts_sim::trace::{StrideTrace, TraceSource};
@@ -120,11 +119,11 @@ pub struct ConformCase {
     pub scheduler: SchedulerKind,
     /// Shared LLC size in bytes.
     pub llc_bytes: usize,
-    /// One source-shaper configuration per core. MITTS cores are audited
-    /// by the bin/credit [`ShaperOracle`]; every shaper that states an
-    /// [`envelope`](mitts_sim::shaper::SourceShaper::envelope) (static,
-    /// CBS, regulator) by the network-calculus oracle instead: curve
-    /// conformance plus the stall bound on every shaper stall episode.
+    /// One source-shaper configuration per core. Each is checked against
+    /// the [`contract`](SourceShaper::contract) it states: MITTS cores by
+    /// the bin/credit oracle, the static, CBS and regulator cores by the
+    /// network-calculus oracle (curve conformance plus the stall bound on
+    /// every shaper stall episode).
     pub shapers: Vec<ShaperSpec>,
     /// LLC feedback method (same for every core).
     pub method: FeedbackMethod,
@@ -138,19 +137,17 @@ pub struct ConformCase {
 
 impl ConformCase {
     /// Builds core shaper `spec` for this case: the one place MITTS cores
-    /// take the case's feedback method and credit policy. A MITTS core
-    /// also returns the spec its bin/credit oracle checks; every other
+    /// take the case's feedback method and credit policy; every other
     /// spec is built by [`ShaperSpec::build`].
-    fn build_shaper(&self, spec: &ShaperSpec) -> (Option<ShaperHandle>, Option<MittsOracleSpec>) {
+    fn build_shaper(&self, spec: &ShaperSpec) -> Option<ShaperHandle> {
         match spec {
             ShaperSpec::Mitts(cfg) => {
                 let s = MittsShaper::new(cfg.clone())
                     .with_method(self.method)
                     .with_policy(self.policy);
-                let oracle = s.oracle_spec();
-                (Some(Rc::new(RefCell::new(s))), Some(oracle))
+                Some(Rc::new(RefCell::new(s)))
             }
-            other => (other.build(0), None),
+            other => other.build(0),
         }
     }
 }
@@ -178,15 +175,12 @@ impl fmt::Display for ConformCase {
 /// What [`run_case`] found.
 #[derive(Debug, Clone)]
 pub struct CaseReport {
-    /// Violations from every oracle, in stream order per oracle: the
-    /// trace-fed shaper, network-calculus and DDR3 oracles, then the
-    /// auditor's scheduler-pick findings.
-    pub violations: Vec<OracleViolation>,
-    /// Other invariant-auditor violations recorded by the system itself.
-    pub audit_violations: usize,
-    /// Shaper grants spec-checked.
+    /// The run's audit log: every oracle finding and every other
+    /// invariant violation, in the order the auditor recorded them.
+    pub violations: Vec<AuditViolation>,
+    /// Shaper grants checked against a §III bin spec.
     pub grants_checked: u64,
-    /// Individually spec-checked denied cycles.
+    /// Denied cycles covered by the bin-spec stall-episode checks.
     pub denied_cycles_checked: u64,
     /// DRAM dispatches legality-checked.
     pub dispatches_checked: u64,
@@ -202,28 +196,95 @@ pub struct CaseReport {
 impl CaseReport {
     /// No oracle or auditor violations.
     pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.audit_violations == 0
+        self.violations.is_empty()
     }
 }
 
-/// A seeded semantic perturbation for [`mutation_checks`]: either the
-/// oracle's model constants are bent (shaper spec, DRAM timing) while the
-/// simulator runs unmodified, or a mislabelled or deliberately broken
-/// scheduler is swapped into the simulator. Every mutation must produce
-/// at least one violation — otherwise the oracle has no teeth.
+/// A seeded perturbation for [`mutation_checks`]: a component that
+/// misstates the spec it is checked against (a shaper stating a bent
+/// contract, a scheduler claiming the wrong policy), a broken scheduler,
+/// or a DRAM model whose timing is shaved by a fault. Every mutation must
+/// produce at least one audit violation — otherwise the oracle has no
+/// teeth.
 #[derive(Clone, Copy)]
 enum Mutation {
-    /// Bend every core's shaper spec before replay.
-    Shaper(fn(&mut MittsOracleSpec)),
-    /// Bend the DRAM timing constants the oracle checks against.
-    Dram(fn(&mut DramTimingCycles)),
+    /// Every MITTS core's shaper states a bent bin spec ([`Misstated`]).
+    Shaper(fn(&mut MittsSpec)),
+    /// Every channel's DRAM model runs with one DDR3 constant shaved by
+    /// this many cycles.
+    Dram(DramParam, Cycle),
     /// Run the real scheduler claiming the wrong policy ([`Misclaimed`]).
     SchedClaim(PickPolicy),
     /// Run a broken youngest-first scheduler that claims FR-FCFS.
     SchedBroken,
-    /// Bend every enveloped (static, CBS, regulator) core's
-    /// network-calculus spec before replay.
-    NetCalc(fn(&mut NetCalcSpec)),
+    /// Every enveloped (static, CBS, regulator) core's shaper states a
+    /// bent envelope ([`Misstated`]).
+    NetCalc(fn(&mut Envelope)),
+}
+
+/// Deliberately misstating shaper for mutation checks: forwards every
+/// call to a real shaper but states a bent copy of its contract. The
+/// auditor's shaper oracle must flag it.
+struct Misstated {
+    inner: ShaperHandle,
+    name: String,
+    stated: ShaperContract,
+}
+
+impl Misstated {
+    /// Wraps `shaper` if `mutation` bends its kind of contract.
+    fn wrap(shaper: ShaperHandle, mutation: Option<Mutation>) -> ShaperHandle {
+        let Some(mut stated) = shaper.borrow().contract() else { return shaper };
+        match (&mut stated, mutation) {
+            (ShaperContract::Bins(spec), Some(Mutation::Shaper(bend))) => bend(spec),
+            (ShaperContract::Envelope(envelope), Some(Mutation::NetCalc(bend))) => bend(envelope),
+            _ => return shaper,
+        }
+        let name = shaper.borrow().name().to_owned();
+        Rc::new(RefCell::new(Misstated { inner: shaper, name, stated }))
+    }
+}
+
+impl SourceShaper for Misstated {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn tick(&mut self, now: Cycle) {
+        self.inner.borrow_mut().tick(now);
+    }
+
+    fn try_issue(&mut self, now: Cycle) -> ShapeDecision {
+        self.inner.borrow_mut().try_issue(now)
+    }
+
+    fn on_llc_response(&mut self, now: Cycle, token: ShapeToken, hit: bool) {
+        self.inner.borrow_mut().on_llc_response(now, token, hit);
+    }
+
+    fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
+        self.inner.borrow().next_grant_event(now)
+    }
+
+    fn credit_audit(&self) -> CreditAudit {
+        self.inner.borrow().credit_audit()
+    }
+
+    fn contract(&self) -> Option<ShaperContract> {
+        Some(self.stated.clone())
+    }
+
+    fn snapshot_kind(&self) -> Option<&'static str> {
+        self.inner.borrow().snapshot_kind()
+    }
+
+    fn save_state(&self, enc: &mut Enc) {
+        self.inner.borrow().save_state(enc);
+    }
+
+    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
+        self.inner.borrow_mut().load_state(dec)
+    }
 }
 
 /// Deliberately mislabelled scheduler for mutation checks: forwards every
@@ -310,26 +371,6 @@ impl Scheduler for YoungestFirst {
     }
 }
 
-/// Feeds the live event stream straight into the oracles — no buffering,
-/// so conformance runs use constant memory regardless of length.
-struct OracleSink {
-    shapers: Vec<ShaperOracle>,
-    netcalc: Vec<NetCalcOracle>,
-    dram: DramOracle,
-}
-
-impl TraceSink for OracleSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        for s in &mut self.shapers {
-            s.on_event(ev);
-        }
-        for n in &mut self.netcalc {
-            n.on_event(ev);
-        }
-        self.dram.on_event(ev);
-    }
-}
-
 /// Runs `case` under every oracle plus the invariant auditor, which
 /// checks each scheduler pick as it is made.
 pub fn run_case(case: &ConformCase) -> CaseReport {
@@ -349,106 +390,28 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
         _ => baseline(),
     };
 
-    // DRAM-legality oracle from the same config the system is built from.
-    let mut timing = config.dram.timing_cycles(config.core.freq_hz);
-    if let Some(Mutation::Dram(bend)) = mutation {
-        bend(&mut timing);
-    }
-    let dram_oracle = DramOracle::new(
-        timing,
-        config.dram.banks,
-        config.dram.row_bytes as u64,
-        config.mc.channels,
-    );
-
-    // Shapers: each oracle's spec is derived from the built shaper
-    // *before* it is handed to the system, then (optionally) mutated.
-    // MITTS cores go to the bin/credit oracle; cores whose shaper states
-    // an envelope to the network-calculus oracle.
-    let mut shaper_oracles = Vec::new();
-    let mut netcalc_oracles = Vec::new();
-    let mut shaper_handles = Vec::with_capacity(cores);
-    for (core, cs) in case.shapers.iter().enumerate() {
-        let (shaper, mitts) = case.build_shaper(cs);
-        let envelope = shaper.as_ref().and_then(|s| s.borrow().envelope());
-        if let Some(mut spec) = mitts {
-            if let Some(Mutation::Shaper(bend)) = mutation {
-                bend(&mut spec);
-            }
-            shaper_oracles.push(ShaperOracle::new(core, spec));
-        } else if let Some(env) = envelope {
-            let mut spec = NetCalcSpec::from_envelope(env);
-            if let Some(Mutation::NetCalc(bend)) = mutation {
-                bend(&mut spec);
-            }
-            netcalc_oracles.push(NetCalcOracle::new(core, spec));
-        }
-        shaper_handles.push(shaper);
-    }
-
-    let sink = Rc::new(RefCell::new(OracleSink {
-        shapers: shaper_oracles,
-        netcalc: netcalc_oracles,
-        dram: dram_oracle,
-    }));
-
-    let mut b = SystemBuilder::new(config)
-        .scheduler(scheduler)
-        .trace_sink(Box::new(Rc::clone(&sink)));
-    for (core, (w, shaper)) in case.workloads.iter().zip(shaper_handles).enumerate() {
+    let mut b = SystemBuilder::new(config).scheduler(scheduler);
+    for (core, (w, spec)) in case.workloads.iter().zip(&case.shapers).enumerate() {
         b = b.trace(core, w.build(core, case.salt));
-        if let Some(shaper) = shaper {
-            b = b.shaper(core, shaper);
+        if let Some(shaper) = case.build_shaper(spec) {
+            b = b.shaper(core, Misstated::wrap(shaper, mutation));
         }
     }
     let mut sys = b.build();
+    if let Some(Mutation::Dram(param, by)) = mutation {
+        sys.inject_faults(FaultPlan::new().with(FaultKind::ShaveDramTiming { param, by }));
+    }
     sys.run_cycles(case.cycles);
-    let end = sys.now();
-    let (picks, audit): (Vec<_>, Vec<_>) =
-        sys.audit_log().iter().partition(|v| v.invariant == Invariant::SchedulerPick);
-    let pick_violations: Vec<OracleViolation> = picks
-        .into_iter()
-        .map(|v| OracleViolation {
-            at: v.cycle,
-            oracle: OracleKind::Sched,
-            core: None,
-            channel: None,
-            detail: v.detail.clone(),
-        })
-        .collect();
-    let audit_violations = audit.len();
-    let picks_checked = sys.auditor().picks_checked();
-    drop(sys);
-
-    let mut sink = sink.borrow_mut();
-    let mut violations = Vec::new();
-    let mut grants = 0;
-    let mut denied = 0;
-    for o in &mut sink.shapers {
-        o.finish(end);
-        violations.extend_from_slice(o.violations());
-        grants += o.grants_checked();
-        denied += o.denied_cycles_checked();
-    }
-    let mut nc_grants = 0;
-    let mut nc_episodes = 0;
-    for o in &mut sink.netcalc {
-        o.finish(end);
-        violations.extend_from_slice(o.violations());
-        nc_grants += o.grants_checked();
-        nc_episodes += o.episodes_checked();
-    }
-    violations.extend_from_slice(sink.dram.violations());
-    violations.extend(pick_violations);
+    let auditor = sys.auditor();
+    let coverage = auditor.shaper_coverage();
     CaseReport {
-        violations,
-        audit_violations,
-        grants_checked: grants,
-        denied_cycles_checked: denied,
-        dispatches_checked: sink.dram.dispatches_checked(),
-        picks_checked,
-        netcalc_grants_checked: nc_grants,
-        stall_episodes_checked: nc_episodes,
+        violations: auditor.violations().to_vec(),
+        grants_checked: coverage.bin_grants,
+        denied_cycles_checked: coverage.denied_cycles,
+        dispatches_checked: auditor.dispatches_checked(),
+        picks_checked: auditor.picks_checked(),
+        netcalc_grants_checked: coverage.envelope_grants,
+        stall_episodes_checked: coverage.episodes,
     }
 }
 
@@ -474,7 +437,7 @@ fn engine_digest(case: &ConformCase, engine: Engine) -> String {
         .engine(engine);
     for (core, (w, cs)) in case.workloads.iter().zip(&case.shapers).enumerate() {
         b = b.trace(core, w.build(core, case.salt));
-        if let Some(shaper) = case.build_shaper(cs).0 {
+        if let Some(shaper) = case.build_shaper(cs) {
             b = b.shaper(core, shaper);
         }
     }
@@ -565,8 +528,8 @@ fn mutation_case() -> ConformCase {
 
 /// The netcalc twin of [`mutation_case`]: one CBS, one regulator and one
 /// static core, all tight enough that the memory-heavy workloads bounce
-/// off them constantly — so the run exercises curve conformance, stall
-/// episodes, and outstanding-grant tracking, and a bent spec cannot hide.
+/// off them constantly — so the run exercises curve conformance and
+/// stall episodes, and a bent envelope cannot hide.
 fn netcalc_mutation_case() -> ConformCase {
     ConformCase {
         salt: 29,
@@ -620,7 +583,7 @@ pub fn mutation_checks() -> Vec<MutationResult> {
     );
     assert!(nc_baseline.netcalc_grants_checked > 0 && nc_baseline.stall_episodes_checked > 0);
 
-    let mutations: [(&'static str, &'static str, Mutation); 13] = [
+    let mutations: [(&'static str, &'static str, Mutation); 12] = [
         (
             "shaper",
             "coarse-bin credits reduced (K9: 4 -> 1)",
@@ -631,23 +594,18 @@ pub fn mutation_checks() -> Vec<MutationResult> {
         ),
         ("shaper", "replenish period doubled", Mutation::Shaper(|s| s.period *= 2)),
         ("shaper", "bin interval L doubled", Mutation::Shaper(|s| s.interval *= 2)),
-        ("dram", "tRCD inflated by 4 cycles", Mutation::Dram(|t| t.t_rcd += 4)),
-        ("dram", "CAS latency inflated by 4 cycles", Mutation::Dram(|t| t.t_cl += 4)),
-        ("dram", "burst length inflated by 2 cycles", Mutation::Dram(|t| t.burst += 2)),
+        ("dram", "model tRCD shaved by 4 cycles", Mutation::Dram(DramParam::Trcd, 4)),
+        ("dram", "model CAS latency shaved by 4 cycles", Mutation::Dram(DramParam::Tcl, 4)),
+        ("dram", "model burst length shaved by 2 cycles", Mutation::Dram(DramParam::Burst, 2)),
         ("sched", "FR-FCFS audited as plain FCFS", Mutation::SchedClaim(PickPolicy::Fcfs)),
         ("sched", "FCFS audited as FR-FCFS", Mutation::SchedClaim(PickPolicy::FrFcfs)),
         ("sched", "broken youngest-first scheduler claiming FR-FCFS", Mutation::SchedBroken),
-        ("netcalc", "arrival rate understated (halved)", Mutation::NetCalc(|s| s.rate_num /= 2)),
-        ("netcalc", "burst allowance zeroed", Mutation::NetCalc(|s| s.burst = 0)),
+        ("netcalc", "arrival rate understated (halved)", Mutation::NetCalc(|e| e.rate_num /= 2)),
+        ("netcalc", "burst allowance zeroed", Mutation::NetCalc(|e| e.burst = 0)),
         (
             "netcalc",
             "delay bound tightened to zero",
-            Mutation::NetCalc(|s| s.delay_bound = Some(0)),
-        ),
-        (
-            "netcalc",
-            "backlog bound tightened to zero",
-            Mutation::NetCalc(|s| s.backlog_bound = Some(0)),
+            Mutation::NetCalc(|e| e.stall_bound = Some(0)),
         ),
     ];
 
@@ -783,7 +741,7 @@ pub struct FuzzFailure {
     /// The greedily-shrunk minimal case.
     pub shrunk: ConformCase,
     /// Violations of the shrunk case.
-    pub violations: Vec<OracleViolation>,
+    pub violations: Vec<AuditViolation>,
     /// Set when the failure is an engine divergence (the shrunk case's
     /// first diverging digest line) rather than an oracle violation.
     pub engine_divergence: Option<String>,
@@ -1059,31 +1017,35 @@ mod tests {
         assert_eq!(report.grants_checked, 0, "{report:?}");
     }
 
-    /// The network-calculus spec conform derives from a shaper spec.
-    fn netcalc_spec(spec: &ShaperSpec) -> NetCalcSpec {
+    /// The envelope a shaper spec's shaper states.
+    fn stated_envelope(spec: &ShaperSpec) -> Envelope {
         let shaper = spec.build(0).expect("a shaped spec");
-        let envelope = shaper.borrow().envelope().expect("a closed-form shaper");
-        NetCalcSpec::from_envelope(envelope)
+        let contract = shaper.borrow().contract();
+        match contract {
+            Some(ShaperContract::Envelope(envelope)) => envelope,
+            other => panic!("{spec} states {other:?}, not an envelope"),
+        }
+    }
+
+    fn envelope(rate_num: u64, rate_den: u64, burst: u64, stall_bound: Cycle) -> Envelope {
+        Envelope { rate_num, rate_den, burst, stall_bound: Some(stall_bound) }
     }
 
     #[test]
-    fn envelopes_yield_the_pinned_netcalc_specs() {
+    fn closed_form_shapers_state_the_pinned_envelopes() {
         // Token bucket (rate, burst) plus each shaper's stall bound: CBS
         // recovers its deficit plus 2 cycles, the regulator waits one
         // window plus 1 cycle, the static limiter one interval.
         let nc = netcalc_mutation_case();
         let pinned = [
-            (crate::runner::cbs_1gbs(), NetCalcSpec::from_curve(1, 154, 4).with_delay_bound(156)),
-            (
-                crate::runner::regulator_1gbs(),
-                NetCalcSpec::from_curve(64, 10_000, 128).with_delay_bound(10_001),
-            ),
-            (nc.shapers[0].clone(), NetCalcSpec::from_curve(1, 40, 4).with_delay_bound(42)),
-            (nc.shapers[1].clone(), NetCalcSpec::from_curve(25, 2_000, 50).with_delay_bound(2_001)),
-            (nc.shapers[2].clone(), NetCalcSpec::from_curve(1, 60, 1).with_delay_bound(60)),
+            (crate::runner::cbs_1gbs(), envelope(1, 154, 4, 156)),
+            (crate::runner::regulator_1gbs(), envelope(64, 10_000, 128, 10_001)),
+            (nc.shapers[0].clone(), envelope(1, 40, 4, 42)),
+            (nc.shapers[1].clone(), envelope(25, 2_000, 50, 2_001)),
+            (nc.shapers[2].clone(), envelope(1, 60, 1, 60)),
         ];
         for (spec, want) in pinned {
-            assert_eq!(netcalc_spec(&spec), want, "{spec}");
+            assert_eq!(stated_envelope(&spec), want, "{spec}");
         }
     }
 

@@ -415,13 +415,14 @@ mod tests {
         // the sim side; sweep the two for agreement, including both edges
         // of every bin and the clamp region.
         let s = BinSpec::paper_default();
-        let spec = mitts_sim::oracle::ShaperSpec {
+        let spec = mitts_sim::oracle::MittsSpec {
             credits: vec![1; s.bins()],
             interval: s.interval(),
             period: 100,
             feedback: mitts_sim::oracle::SpecFeedback::PureL1,
             policy: mitts_sim::oracle::SpecPolicy::CheapestEligible,
             k_max: K_MAX,
+            installed_at: 0,
         };
         for gap in (0u64..200).chain([1_000, 10_000, Cycle::MAX - 1, Cycle::MAX]) {
             assert_eq!(s.bin_for_gap(gap), spec.bin_for_gap(gap), "gap {gap}");

@@ -16,7 +16,8 @@
 //!   of in-flight requests).
 
 use mitts_sim::audit::{CreditAudit, CreditBin};
-use mitts_sim::shaper::{ShapeDecision, ShapeToken, SourceShaper};
+use mitts_sim::oracle::MittsSpec;
+use mitts_sim::shaper::{ShapeDecision, ShapeToken, ShaperContract, SourceShaper};
 use mitts_sim::types::Cycle;
 
 use crate::bins::{BinConfig, K_MAX};
@@ -104,6 +105,8 @@ pub struct MittsShaper {
     counters: ShaperCounters,
     /// Grants per bin (the shaped traffic distribution actually emitted).
     grants_per_bin: Vec<u64>,
+    /// Cycle the configuration was installed (stated in the contract).
+    installed_at: Cycle,
 }
 
 impl MittsShaper {
@@ -123,6 +126,7 @@ impl MittsShaper {
             policy: CreditPolicy::default(),
             counters: ShaperCounters::default(),
             grants_per_bin: vec![0; n],
+            installed_at: 0,
         };
         shaper.rebuild_mask();
         shaper
@@ -155,23 +159,6 @@ impl MittsShaper {
         self.policy
     }
 
-    /// The spec-side description of this shaper for the conformance
-    /// oracle ([`mitts_sim::oracle::ShaperOracle`]). Only *configuration*
-    /// crosses this boundary — bins, credits, period, method, policy —
-    /// while the grant/deny/feedback *semantics* are independently
-    /// reimplemented on the oracle side, so the two models can be
-    /// compared differentially.
-    pub fn oracle_spec(&self) -> mitts_sim::oracle::ShaperSpec {
-        mitts_sim::oracle::ShaperSpec {
-            credits: self.config.credits().to_vec(),
-            interval: self.config.spec().interval(),
-            period: self.config.replenish_period(),
-            feedback: self.method.into(),
-            policy: self.policy.into(),
-            k_max: K_MAX,
-        }
-    }
-
     /// Live credit counters `n_i`.
     pub fn live_credits(&self) -> &[u32] {
         &self.credits
@@ -198,6 +185,7 @@ impl MittsShaper {
         );
         self.credits.copy_from_slice(config.credits());
         self.next_replenish = now + config.replenish_period();
+        self.installed_at = now;
         self.config = config;
         self.rebuild_mask();
     }
@@ -406,6 +394,7 @@ impl SourceShaper for MittsShaper {
         });
         enc.u32s(&self.credits);
         enc.u64(self.next_replenish);
+        enc.u64(self.installed_at);
         enc.opt_u64(self.last_issue);
         enc.u64(self.counters.grants);
         enc.u64(self.counters.refunds);
@@ -452,6 +441,7 @@ impl SourceShaper for MittsShaper {
         }
         self.credits = credits;
         self.next_replenish = dec.u64()?;
+        self.installed_at = dec.u64()?;
         self.last_issue = dec.opt_u64()?;
         self.counters.grants = dec.u64()?;
         self.counters.refunds = dec.u64()?;
@@ -464,6 +454,22 @@ impl SourceShaper for MittsShaper {
         self.grants_per_bin = grants_per_bin;
         self.rebuild_mask();
         Ok(())
+    }
+
+    /// The §III spec: only *configuration* crosses — bins, credits,
+    /// period, method, policy and the install cycle — while the
+    /// grant/deny/feedback *semantics* are independently reimplemented
+    /// by [`mitts_sim::oracle::ShaperOracle`].
+    fn contract(&self) -> Option<ShaperContract> {
+        Some(ShaperContract::Bins(MittsSpec {
+            credits: self.config.credits().to_vec(),
+            interval: self.config.spec().interval(),
+            period: self.config.replenish_period(),
+            feedback: self.method.into(),
+            policy: self.policy.into(),
+            k_max: K_MAX,
+            installed_at: self.installed_at,
+        }))
     }
 
     fn credit_audit(&self) -> CreditAudit {
@@ -873,35 +879,64 @@ mod tests {
         assert_eq!(bytes(&s), before);
     }
 
+    /// The §III spec `shaper` states to the auditor.
+    fn stated_spec(shaper: &MittsShaper) -> MittsSpec {
+        match shaper.contract() {
+            Some(ShaperContract::Bins(spec)) => spec,
+            other => panic!("MITTS states its bin spec, not {other:?}"),
+        }
+    }
+
     #[test]
-    fn oracle_spec_mirrors_configuration() {
-        let shaper = MittsShaper::new(cfg(vec![4, 3, 2, 2, 1, 1, 1, 1, 1, 8], 300))
+    fn contract_states_the_configuration() {
+        let mut shaper = MittsShaper::new(cfg(vec![4, 3, 2, 2, 1, 1, 1, 1, 1, 8], 300))
             .with_method(FeedbackMethod::DeductOnConfirm)
             .with_policy(CreditPolicy::MostExpensiveEligible);
-        let spec = shaper.oracle_spec();
+        let spec = stated_spec(&shaper);
         assert_eq!(spec.credits, shaper.config().credits());
         assert_eq!(spec.interval, 10);
         assert_eq!(spec.period, 300);
         assert_eq!(spec.feedback, mitts_sim::oracle::SpecFeedback::DeductOnConfirm);
         assert_eq!(spec.policy, mitts_sim::oracle::SpecPolicy::MostExpensiveEligible);
         assert_eq!(spec.k_max, K_MAX);
+        assert_eq!(spec.installed_at, 0);
         assert_eq!(shaper.policy(), CreditPolicy::MostExpensiveEligible);
+        // A reinstall of the same configuration is a new contract.
+        shaper.reconfigure(77, shaper.config().clone());
+        assert_eq!(stated_spec(&shaper), MittsSpec { installed_at: 77, ..spec });
+    }
+
+    #[test]
+    fn snapshot_restores_the_install_cycle() {
+        let mut a = MittsShaper::new(cfg(vec![1; 10], 300));
+        a.reconfigure(120, a.config().clone());
+        let mut enc = mitts_sim::snapshot::Enc::new();
+        a.save_state(&mut enc);
+        let mut b = MittsShaper::new(cfg(vec![1; 10], 300));
+        b.load_state(&mut mitts_sim::snapshot::Dec::new(&enc.into_bytes())).unwrap();
+        assert_eq!(stated_spec(&b), stated_spec(&a));
     }
 
     /// Differential harness: drives the real shaper cycle-by-cycle with a
     /// seeded request pattern and mirrors every grant, denied-stall
     /// window, and LLC response into a [`mitts_sim::oracle::ShaperOracle`]
-    /// exactly as the trace stream would present them.
+    /// exactly as the invariant auditor presents them.
     mod differential {
         use super::*;
-        use mitts_sim::oracle::{ShaperOracle, ShaperSpec, SpecPolicy};
+        use mitts_sim::audit::AuditLog;
+        use mitts_sim::oracle::{ShaperOracle, SpecPolicy};
         use mitts_sim::rng::Rng;
 
-        fn drive(shaper: &mut MittsShaper, oracle: &mut ShaperOracle, seed: u64, horizon: Cycle) {
+        fn drive(
+            shaper: &mut MittsShaper,
+            oracle: &mut ShaperOracle,
+            log: &mut AuditLog,
+            seed: u64,
+            horizon: Cycle,
+        ) {
             let mut rng = Rng::seeded(seed);
-            let mut next_line: u64 = 0;
-            // In-flight LLC lookups: (respond_at, token, line, hit).
-            let mut pending: Vec<(Cycle, ShapeToken, u64, bool)> = Vec::new();
+            // In-flight LLC lookups: (respond_at, token, hit).
+            let mut pending: Vec<(Cycle, ShapeToken, bool)> = Vec::new();
             let mut next_request: Cycle = 0;
             let mut stalled = false;
             for now in 0..horizon {
@@ -910,8 +945,8 @@ mod tests {
                 let mut i = 0;
                 while i < pending.len() {
                     if pending[i].0 == now {
-                        let (_, token, line, hit) = pending.swap_remove(i);
-                        oracle.on_llc_lookup(now, line, hit);
+                        let (_, token, hit) = pending.swap_remove(i);
+                        oracle.on_feedback(now, token, hit, log);
                         shaper.on_llc_response(now, token, hit);
                     } else {
                         i += 1;
@@ -921,13 +956,10 @@ mod tests {
                 if now >= next_request {
                     match shaper.try_issue(now) {
                         ShapeDecision::Grant(token) => {
-                            next_line += 64;
-                            oracle.on_grant(now, next_line, token);
-                            if std::mem::take(&mut stalled) {
-                                oracle.on_stall_end(now);
-                            }
+                            stalled = false;
+                            oracle.on_grant(0, now, token, |_| false, log);
                             let hit = rng.chance(0.35);
-                            pending.push((now + rng.range(1, 40), token, next_line, hit));
+                            pending.push((now + rng.range(1, 40), token, hit));
                             next_request = now
                                 + if rng.chance(0.2) { rng.range(30, 120) } else { rng.range(1, 15) };
                         }
@@ -935,13 +967,16 @@ mod tests {
                             // The core retries every cycle until granted.
                             if !stalled {
                                 stalled = true;
-                                oracle.on_stall_begin(now);
+                                oracle.on_stall_begin(0, now);
                             }
                         }
                     }
                 }
+                if now % 64 == 63 {
+                    oracle.check_open(now, log);
+                }
             }
-            oracle.finish(horizon);
+            oracle.check_open(horizon - 1, log);
         }
 
         fn busy_config() -> BinConfig {
@@ -960,12 +995,13 @@ mod tests {
             ] {
                 let mut shaper =
                     MittsShaper::new(busy_config()).with_method(method).with_policy(policy);
-                let mut oracle = ShaperOracle::new(0, shaper.oracle_spec());
-                drive(&mut shaper, &mut oracle, 0x5EED_0001, 20_000);
+                let mut oracle = ShaperOracle::new(stated_spec(&shaper));
+                let mut log = AuditLog::new(64);
+                drive(&mut shaper, &mut oracle, &mut log, 0x5EED_0001, 20_000);
                 assert!(
-                    oracle.violations().is_empty(),
+                    log.violations().is_empty(),
                     "{method:?}/{policy:?}: {:?}",
-                    oracle.violations()
+                    log.violations()
                 );
                 assert!(oracle.grants_checked() > 100, "{method:?}/{policy:?}: too few grants");
                 assert!(
@@ -977,26 +1013,27 @@ mod tests {
 
         #[test]
         fn mutated_specs_are_detected() {
-            let spec = MittsShaper::new(busy_config()).oracle_spec();
-            let mutations: Vec<(&str, ShaperSpec)> = vec![
+            let spec = stated_spec(&MittsShaper::new(busy_config()));
+            let mutations: Vec<(&str, MittsSpec)> = vec![
                 ("reduced coarse-bin credits", {
                     let mut s = spec.clone();
                     s.credits[9] = 1;
                     s
                 }),
-                ("doubled replenish period", ShaperSpec { period: spec.period * 2, ..spec.clone() }),
-                ("doubled bin interval", ShaperSpec { interval: spec.interval * 2, ..spec.clone() }),
+                ("doubled replenish period", MittsSpec { period: spec.period * 2, ..spec.clone() }),
+                ("doubled bin interval", MittsSpec { interval: spec.interval * 2, ..spec.clone() }),
                 (
                     "wrong spend policy",
-                    ShaperSpec { policy: SpecPolicy::MostExpensiveEligible, ..spec.clone() },
+                    MittsSpec { policy: SpecPolicy::MostExpensiveEligible, ..spec.clone() },
                 ),
             ];
             for (name, mutated) in mutations {
                 let mut shaper = MittsShaper::new(busy_config());
-                let mut oracle = ShaperOracle::new(0, mutated);
-                drive(&mut shaper, &mut oracle, 0x5EED_0002, 20_000);
+                let mut oracle = ShaperOracle::new(mutated);
+                let mut log = AuditLog::new(64);
+                drive(&mut shaper, &mut oracle, &mut log, 0x5EED_0002, 20_000);
                 assert!(
-                    !oracle.violations().is_empty(),
+                    !log.violations().is_empty(),
                     "mutation {name:?} went undetected by the shaper oracle"
                 );
             }

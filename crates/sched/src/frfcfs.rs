@@ -59,6 +59,7 @@ mod tests {
     use mitts_sim::config::{DramConfig, McConfig};
     use mitts_sim::dram::Dram;
     use mitts_sim::mc::{MemoryController, TxnId};
+    use mitts_sim::audit::AuditLog;
     use mitts_sim::oracle::PickOracle;
     use mitts_sim::types::{CoreId, MemCmd};
 
@@ -76,15 +77,15 @@ mod tests {
         }
         // Every pick must also be legal for the policy the scheduler claims.
         let mut picks = PickOracle::new(0, sched.conformance_policy());
+        let mut log = AuditLog::new(64);
         let mut order = Vec::new();
         for now in 0..limit {
             for r in mc.drain_completions(now, sched, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, sched, &mut dram, Some(&mut picks));
+            mc.tick(now, sched, &mut dram, Some((&mut picks, &mut log)));
         }
-        let v = picks.take_violations();
-        assert!(v.is_empty(), "{v:?}");
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         order
     }
 

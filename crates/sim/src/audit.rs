@@ -11,14 +11,15 @@
 //! * [`InvariantAuditor`] — hooked into `System::tick`, it checks
 //!   conservation laws every [`AuditConfig::interval`] cycles (every
 //!   shaper grant is eventually matched by an L1 fill, MSHR files never
-//!   leak, per-bin credits stay within `[0, max]`, DRAM byte/burst
-//!   accounting balances, counters are monotone) and records
-//!   [`AuditViolation`]s instead of panicking. It also replays every DRAM
-//!   dispatch, as it happens, through its own [`DramOracle`], the
-//!   simulator's one DDR3 legality checker (the same oracle
-//!   `mitts-conform` runs over trace streams), and owns one
-//!   [`PickOracle`] per channel, to which the controller hands every
-//!   dispatching scheduler pick.
+//!   leak, DRAM byte/burst accounting balances, counters are monotone)
+//!   and records [`AuditViolation`]s instead of panicking. It also owns
+//!   every conformance oracle of [`crate::oracle`] and feeds them as the
+//!   simulator runs: one shaper oracle per installed shaper, built from
+//!   the contract the shaper states and fed every grant, stall episode
+//!   and LLC feedback; a [`DramOracle`] that replays every DRAM dispatch;
+//!   and one [`PickOracle`] per channel, to which the controller hands
+//!   every dispatching scheduler pick. Their findings are audit
+//!   violations like any other.
 //! * The **forward-progress watchdog** — detects livelock/deadlock (no
 //!   core retires and no fill completes for
 //!   [`WatchdogConfig::global_stall_cycles`]) and produces a structured
@@ -33,11 +34,13 @@
 //! through [`HardeningConfig`] in `SystemConfig`.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
-use crate::config::{ConfigError, SystemConfig};
-use crate::mc::DispatchRecord;
-use crate::oracle::{DramOracle, PickOracle, PickPolicy};
-use crate::types::{Addr, Cycle, MemCmd};
+use crate::config::{ConfigError, DramTimingCycles, SystemConfig};
+use crate::oracle::{DramOracle, NetCalcOracle, PickOracle, PickPolicy, ShaperOracle};
+use crate::shaper::{ShapeToken, ShaperContract};
+use crate::system::ShaperHandle;
+use crate::types::{Addr, Cycle};
 
 // ---------------------------------------------------------------------------
 // Structured errors
@@ -169,8 +172,6 @@ pub enum Invariant {
     /// populating it, or an entry has outlived
     /// [`AuditConfig::max_llc_mshr_age`].
     MshrLeak,
-    /// A shaper reported a per-bin credit outside `[0, max]`.
-    CreditBounds,
     /// A DRAM dispatch broke DDR3 legality (command timing, row state,
     /// address map, bus occupancy or refresh), as found by [`DramOracle`].
     DramTiming,
@@ -187,39 +188,39 @@ pub enum Invariant {
     /// A scheduler pick was illegal (not startable, against the priority
     /// override, or out of its claimed order), as found by [`PickOracle`].
     SchedulerPick,
+    /// A MITTS shaper broke the §III bin/credit spec it states (a grant
+    /// the spec denies or charges elsewhere, or a denial the spec grants),
+    /// as found by [`ShaperOracle`].
+    ShaperBins,
+    /// A shaper broke the envelope it states (a grant above its arrival
+    /// curve, or a stall episode past its delay bound), as found by
+    /// [`NetCalcOracle`].
+    ShaperEnvelope,
 }
 
 impl Invariant {
-    /// Stable one-byte tag used by the snapshot codec.
+    /// Every invariant with its stable one-byte snapshot tag (tag 3, the
+    /// retired per-bin credit range check, is never written).
+    const SNAPSHOT_TAGS: [(Invariant, u8); 11] = [
+        (Invariant::GrantFillConservation, 0),
+        (Invariant::GrantAge, 1),
+        (Invariant::MshrLeak, 2),
+        (Invariant::DramTiming, 4),
+        (Invariant::DramConservation, 5),
+        (Invariant::McInflightAge, 6),
+        (Invariant::MonotoneCounters, 7),
+        (Invariant::ForwardProgress, 8),
+        (Invariant::SchedulerPick, 9),
+        (Invariant::ShaperBins, 10),
+        (Invariant::ShaperEnvelope, 11),
+    ];
+
     fn snapshot_tag(self) -> u8 {
-        match self {
-            Invariant::GrantFillConservation => 0,
-            Invariant::GrantAge => 1,
-            Invariant::MshrLeak => 2,
-            Invariant::CreditBounds => 3,
-            Invariant::DramTiming => 4,
-            Invariant::DramConservation => 5,
-            Invariant::McInflightAge => 6,
-            Invariant::MonotoneCounters => 7,
-            Invariant::ForwardProgress => 8,
-            Invariant::SchedulerPick => 9,
-        }
+        Self::SNAPSHOT_TAGS.iter().find(|(i, _)| *i == self).expect("every invariant is tagged").1
     }
 
     fn from_snapshot_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => Invariant::GrantFillConservation,
-            1 => Invariant::GrantAge,
-            2 => Invariant::MshrLeak,
-            3 => Invariant::CreditBounds,
-            4 => Invariant::DramTiming,
-            5 => Invariant::DramConservation,
-            6 => Invariant::McInflightAge,
-            7 => Invariant::MonotoneCounters,
-            8 => Invariant::ForwardProgress,
-            9 => Invariant::SchedulerPick,
-            _ => return None,
-        })
+        Self::SNAPSHOT_TAGS.iter().find(|(_, t)| *t == tag).map(|(i, _)| *i)
     }
 }
 
@@ -229,13 +230,14 @@ impl std::fmt::Display for Invariant {
             Invariant::GrantFillConservation => "grant/fill conservation",
             Invariant::GrantAge => "grant age",
             Invariant::MshrLeak => "MSHR leak",
-            Invariant::CreditBounds => "credit bounds",
             Invariant::DramTiming => "DRAM timing order",
             Invariant::DramConservation => "DRAM conservation",
             Invariant::McInflightAge => "MC inflight age",
             Invariant::MonotoneCounters => "monotone counters",
             Invariant::ForwardProgress => "forward progress",
             Invariant::SchedulerPick => "scheduler pick",
+            Invariant::ShaperBins => "shaper bin/credit spec",
+            Invariant::ShaperEnvelope => "shaper envelope",
         };
         f.write_str(s)
     }
@@ -264,6 +266,41 @@ impl std::fmt::Display for AuditViolation {
     }
 }
 
+/// The auditor's bounded violation log. Every checker records into it,
+/// the conformance oracles included.
+#[derive(Debug, Clone)]
+pub struct AuditLog {
+    violations: Vec<AuditViolation>,
+    dropped: u64,
+    cap: usize,
+}
+
+impl AuditLog {
+    /// An empty log retaining at most `cap` violations.
+    pub fn new(cap: usize) -> Self {
+        AuditLog { violations: Vec::new(), dropped: 0, cap }
+    }
+
+    /// Records a violation; past the cap it only counts as dropped.
+    pub fn record(&mut self, violation: AuditViolation) {
+        if self.violations.len() < self.cap {
+            self.violations.push(violation);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// The retained violations, in recording order.
+    pub fn violations(&self) -> &[AuditViolation] {
+        &self.violations
+    }
+
+    /// Violations dropped after the cap was reached.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shaper credit snapshots
 // ---------------------------------------------------------------------------
@@ -278,9 +315,9 @@ pub struct CreditBin {
     pub max: u32,
 }
 
-/// Snapshot of a shaper's credit state for auditing. Shapers without
-/// auditable credits (e.g. the unlimited pass-through) return an empty
-/// snapshot.
+/// Snapshot of a shaper's credit state, shown in stall reports and
+/// samples. Shapers without credits (e.g. the unlimited pass-through)
+/// return an empty snapshot.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CreditAudit {
     /// Per-bin live/max pairs; empty when the shaper has no credit state
@@ -503,8 +540,6 @@ impl std::fmt::Display for RunOutcome {
 
 /// One injectable fault. Each variant exercises a different checker: the
 /// tests in `crates/sim/tests/hardening.rs` prove every class is caught.
-/// The DDR3 check has no fault class; its unit tests feed the auditor
-/// illegal dispatch records directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Silently discard the next `count` DRAM read responses from cycle
@@ -532,13 +567,13 @@ pub enum FaultKind {
         /// Core whose shaper is suppressed.
         core: usize,
     },
-    /// From cycle `from`, corrupt the credit snapshot core `core`'s shaper
-    /// reports to the auditor so a bin reads above its maximum (mutation
-    /// test for the credit-bounds checker).
+    /// From cycle `from`, report each shaper denial of core `core` to the
+    /// auditor as a grant, as if the core saw credits its shaper does not
+    /// hold (mutation test for the shaper oracles).
     CorruptShaperCredits {
         /// First cycle the fault is active.
         from: Cycle,
-        /// Core whose snapshot is corrupted.
+        /// Core whose shaper decisions are misreported.
         core: usize,
     },
     /// From cycle `from`, report zero free LLC ports every cycle (models a
@@ -547,6 +582,27 @@ pub enum FaultKind {
         /// First cycle the fault is active.
         from: Cycle,
     },
+    /// While the plan is installed, shave `by` cycles off one DDR3 timing
+    /// constant of every channel's DRAM model (models a device model that
+    /// runs faster than DDR3 allows; the auditor's DDR3 check must flag
+    /// its dispatches).
+    ShaveDramTiming {
+        /// The constant to shave.
+        param: DramParam,
+        /// Cycles shaved off.
+        by: Cycle,
+    },
+}
+
+/// A DDR3 timing constant a [`FaultKind::ShaveDramTiming`] fault shaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DramParam {
+    /// ACT-to-column delay.
+    Trcd,
+    /// Read CAS latency.
+    Tcl,
+    /// Data-bus occupancy of one burst.
+    Burst,
 }
 
 /// A set of faults to inject into a running system (see
@@ -642,7 +698,8 @@ impl ActiveFaults {
         })
     }
 
-    /// Whether core `core`'s credit snapshot must be corrupted at `now`.
+    /// Whether core `core`'s shaper denials must reach the auditor as
+    /// grants at `now`.
     pub(crate) fn corrupt_credits(&self, now: Cycle, core: usize) -> bool {
         self.plan.faults.iter().any(|f| {
             matches!(
@@ -650,6 +707,22 @@ impl ActiveFaults {
                 FaultKind::CorruptShaperCredits { from, core: c } if now >= from && c == core
             )
         })
+    }
+
+    /// `base` with every [`FaultKind::ShaveDramTiming`] fault applied.
+    pub(crate) fn dram_timing(&self, base: DramTimingCycles) -> DramTimingCycles {
+        let mut t = base;
+        for f in &self.plan.faults {
+            if let FaultKind::ShaveDramTiming { param, by } = *f {
+                let field = match param {
+                    DramParam::Trcd => &mut t.t_rcd,
+                    DramParam::Tcl => &mut t.t_cl,
+                    DramParam::Burst => &mut t.burst,
+                };
+                *field = field.saturating_sub(by);
+            }
+        }
+        t
     }
 
     /// Whether the LLC ports are faulted shut at `now`.
@@ -690,6 +763,11 @@ impl ActiveFaults {
                     enc.u8(4);
                     enc.u64(from);
                 }
+                FaultKind::ShaveDramTiming { param, by } => {
+                    enc.u8(5);
+                    enc.u8(param as u8);
+                    enc.u64(by);
+                }
             }
         }
         enc.u32(self.drops_done);
@@ -714,6 +792,17 @@ impl ActiveFaults {
                 2 => FaultKind::ZeroShaperCredits { from: dec.u64()?, core: dec.usize()? },
                 3 => FaultKind::CorruptShaperCredits { from: dec.u64()?, core: dec.usize()? },
                 4 => FaultKind::StallLlcPorts { from: dec.u64()? },
+                5 => {
+                    let param = match dec.u8()? {
+                        0 => DramParam::Trcd,
+                        1 => DramParam::Tcl,
+                        2 => DramParam::Burst,
+                        t => {
+                            return Err(SnapshotError::corrupt(format!("unknown DRAM param {t}")))
+                        }
+                    };
+                    FaultKind::ShaveDramTiming { param, by: dec.u64()? }
+                }
                 tag => {
                     return Err(SnapshotError::corrupt(format!("unknown fault kind tag {tag}")))
                 }
@@ -750,6 +839,8 @@ impl ActiveFaults {
                 | FaultKind::ZeroShaperCredits { from, .. }
                 | FaultKind::CorruptShaperCredits { from, .. }
                 | FaultKind::StallLlcPorts { from } => from,
+                // Applied to the DRAM model at injection; nothing to wake.
+                FaultKind::ShaveDramTiming { .. } => continue,
             };
             consider(from);
         }
@@ -769,12 +860,64 @@ struct CoreProgress {
     starve_reported: bool,
 }
 
+/// The oracle checking one installed shaper instance (a §IV-H shared pool
+/// is one instance) against the contract the shaper states.
+enum ShaperCheck {
+    Bins(ShaperOracle),
+    Envelope(NetCalcOracle),
+}
+
+/// Calls the method both oracle kinds share on whichever `check` holds.
+macro_rules! either_oracle {
+    ($check:expr, $o:ident => $call:expr) => {
+        match $check {
+            ShaperCheck::Bins($o) => $call,
+            ShaperCheck::Envelope($o) => $call,
+        }
+    };
+}
+
+struct ShaperSlot {
+    handle: ShaperHandle,
+    check: ShaperCheck,
+}
+
+impl ShaperSlot {
+    /// Restarts a bin-spec oracle if its shaper now states another spec
+    /// (it was reconfigured); open episodes are checked under the old one
+    /// up to the new install cycle, at most `at` (exclusive). Envelopes
+    /// are fixed.
+    fn sync(&mut self, at: Cycle, log: &mut AuditLog) {
+        let ShaperCheck::Bins(o) = &mut self.check else { return };
+        let stated = self.handle.borrow().contract();
+        if let Some(ShaperContract::Bins(spec)) = stated {
+            if spec != *o.spec() {
+                let at = spec.installed_at.min(at);
+                o.restart(spec, at, log);
+            }
+        }
+    }
+}
+
+/// What the shaper oracles have checked so far, summed over shapers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShaperCoverage {
+    /// Grants checked against a §III bin spec.
+    pub bin_grants: u64,
+    /// Denied cycles covered by the bin-spec stall-episode checks.
+    pub denied_cycles: u64,
+    /// Grants checked against an envelope's arrival curve.
+    pub envelope_grants: u64,
+    /// Completed stall episodes checked against an envelope's delay bound.
+    pub episodes: u64,
+}
+
 /// Runtime invariant auditor and forward-progress watchdog state.
 ///
 /// Owned by `System`; the structural checks themselves live in
 /// `system.rs` (they need access to private simulator state) and feed
-/// findings in through [`InvariantAuditor::record`].
-#[derive(Debug, Clone)]
+/// findings in through [`InvariantAuditor::record`]. The conformance
+/// oracles it owns record into the same log.
 pub struct InvariantAuditor {
     audit: AuditConfig,
     watchdog: WatchdogConfig,
@@ -782,8 +925,11 @@ pub struct InvariantAuditor {
     dram: DramOracle,
     /// One pick-legality oracle per channel.
     picks: Vec<PickOracle>,
-    violations: Vec<AuditViolation>,
-    dropped: u64,
+    /// One oracle per checked shaper instance (empty unless auditing).
+    shapers: Vec<ShaperSlot>,
+    /// Each core's entry in `shapers`, if its shaper is checked.
+    core_shaper: Vec<Option<usize>>,
+    log: AuditLog,
     passes: u64,
     last_now: Option<Cycle>,
     // Watchdog state.
@@ -797,6 +943,7 @@ impl InvariantAuditor {
     /// Creates auditor state for the configured cores, hardening settings
     /// and DRAM geometry. `pick_policies` holds each channel's
     /// [`crate::mc::Scheduler::conformance_policy`], in channel order.
+    /// The system attaches each core's shaper as it installs it.
     pub fn new(
         config: &SystemConfig,
         pick_policies: impl IntoIterator<Item = Option<PickPolicy>>,
@@ -812,8 +959,9 @@ impl InvariantAuditor {
             watchdog: config.hardening.watchdog.clone(),
             dram: DramOracle::from_system_config(config),
             picks,
-            violations: Vec::new(),
-            dropped: 0,
+            shapers: Vec::new(),
+            core_shaper: vec![None; config.cores],
+            log: AuditLog::new(config.hardening.audit.max_reports),
             passes: 0,
             last_now: None,
             last_progress_at: 0,
@@ -841,8 +989,9 @@ impl InvariantAuditor {
         self.audit.enabled && now.is_multiple_of(self.audit.interval.max(1))
     }
 
-    /// Starts an audit pass: bumps the pass counter and checks cycle
-    /// monotonicity.
+    /// Starts an audit pass: bumps the pass counter, checks cycle
+    /// monotonicity, and checks every open shaper stall episode through
+    /// `now`.
     pub(crate) fn begin_pass(&mut self, now: Cycle) {
         self.passes += 1;
         if let Some(last) = self.last_now {
@@ -856,55 +1005,156 @@ impl InvariantAuditor {
             }
         }
         self.last_now = Some(now);
+        for slot in &mut self.shapers {
+            slot.sync(now + 1, &mut self.log);
+            either_oracle!(&mut slot.check, o => o.check_open(now, &mut self.log));
+        }
     }
 
     /// Records a violation (bounded by [`AuditConfig::max_reports`]).
     pub fn record(&mut self, violation: AuditViolation) {
-        if self.violations.len() < self.audit.max_reports {
-            self.violations.push(violation);
-        } else {
-            self.dropped += 1;
-        }
+        self.log.record(violation);
     }
 
-    /// Replays channel `channel`'s dispatch records through the DDR3
-    /// oracle and records each finding as [`Invariant::DramTiming`] at its
-    /// dispatch cycle. Does nothing unless auditing is enabled.
-    pub(crate) fn check_dispatches(&mut self, channel: usize, records: &[DispatchRecord]) {
+    /// The DDR3 oracle and the log while auditing is enabled (the system
+    /// hands it every dispatch record), else `None`.
+    pub(crate) fn dram_check(&mut self) -> Option<(&mut DramOracle, &mut AuditLog)> {
+        self.audit.enabled.then_some((&mut self.dram, &mut self.log))
+    }
+
+    /// Channel `channel`'s pick oracle and the log while auditing is
+    /// enabled (the controller hands it every dispatching pick), else
+    /// `None`.
+    pub(crate) fn pick_check(&mut self, channel: usize) -> Option<(&mut PickOracle, &mut AuditLog)> {
+        self.audit.enabled.then(|| (&mut self.picks[channel], &mut self.log))
+    }
+
+    /// Attaches `handle` as core `core`'s shaper at `now` (system build
+    /// and `System::set_shaper`), while auditing is enabled. The core's
+    /// open stall episode, if any, ends under its old shaper's oracle;
+    /// cores sharing one handle share one oracle, built from the
+    /// shaper's contract when the handle is first seen. `stalled` says
+    /// the core's head is in a shaper stall, which continues under the
+    /// new oracle. After-LLC shapers are not attached (see DESIGN).
+    pub(crate) fn attach_shaper(
+        &mut self,
+        core: usize,
+        handle: &ShaperHandle,
+        now: Cycle,
+        stalled: bool,
+    ) {
         if !self.audit.enabled {
             return;
         }
-        for r in records {
-            let write = r.txn.cmd == MemCmd::Write;
-            self.dram.check(r.at, channel, r.txn.addr, write, &r.timing);
+        if let Some(old) = self.core_shaper[core].take() {
+            either_oracle!(&mut self.shapers[old].check, o => o.on_stall_end(core, now, &mut self.log));
+            if !self.core_shaper.contains(&Some(old)) {
+                self.shapers.remove(old);
+                for s in self.core_shaper.iter_mut().flatten() {
+                    if *s > old {
+                        *s -= 1;
+                    }
+                }
+            }
         }
-        for v in self.dram.take_violations() {
-            self.record(AuditViolation {
-                cycle: v.at,
-                invariant: Invariant::DramTiming,
-                core: None,
-                detail: format!("channel {channel}: {}", v.detail),
-            });
+        let slot = match self.shapers.iter().position(|s| Rc::ptr_eq(&s.handle, handle)) {
+            Some(slot) => slot,
+            None => {
+                let check = match handle.borrow().contract() {
+                    Some(ShaperContract::Bins(spec)) => ShaperCheck::Bins(ShaperOracle::new(spec)),
+                    Some(ShaperContract::Envelope(e)) => ShaperCheck::Envelope(NetCalcOracle::new(e)),
+                    None => return,
+                };
+                self.shapers.push(ShaperSlot { handle: Rc::clone(handle), check });
+                self.shapers.len() - 1
+            }
+        };
+        self.core_shaper[core] = Some(slot);
+        if stalled {
+            either_oracle!(&mut self.shapers[slot].check, o => o.on_stall_begin(core, now));
         }
     }
 
-    /// Channel `channel`'s pick oracle while auditing is enabled (the
-    /// controller hands it every dispatching pick), else `None`.
-    pub(crate) fn pick_oracle(&mut self, channel: usize) -> Option<&mut PickOracle> {
-        self.audit.enabled.then(|| &mut self.picks[channel])
+    /// Core `core`'s head entered (`stalled`) or left a shaper stall at
+    /// `now`: the issue stage's outcome moved into or out of a shaper
+    /// denial for a reason other than a grant.
+    pub(crate) fn shaper_stall(&mut self, now: Cycle, core: usize, stalled: bool) {
+        let Some(slot) = self.core_shaper[core] else { return };
+        let slot = &mut self.shapers[slot];
+        slot.sync(now, &mut self.log);
+        if stalled {
+            either_oracle!(&mut slot.check, o => o.on_stall_begin(core, now));
+        } else {
+            either_oracle!(&mut slot.check, o => o.on_stall_end(core, now, &mut self.log));
+        }
     }
 
-    /// Records channel `channel`'s pick-oracle findings as
-    /// [`Invariant::SchedulerPick`] at their pick cycle.
-    pub(crate) fn record_pick_findings(&mut self, channel: usize) {
-        for v in self.picks[channel].take_violations() {
-            self.record(AuditViolation {
-                cycle: v.at,
-                invariant: Invariant::SchedulerPick,
-                core: None,
-                detail: format!("channel {channel}: {}", v.detail),
-            });
+    /// The issue stage granted core `core`'s head at `now`, charged as
+    /// `token`; it visited the cores in round-robin order from core
+    /// `first` this cycle, which orders the sharers of a pool.
+    pub(crate) fn shaper_grant(&mut self, now: Cycle, core: usize, token: ShapeToken, first: usize) {
+        let Some(slot) = self.core_shaper[core] else { return };
+        let n = self.core_shaper.len();
+        let rank = |c: usize| (c + n - first) % n;
+        let slot = &mut self.shapers[slot];
+        slot.sync(now, &mut self.log);
+        match &mut slot.check {
+            ShaperCheck::Bins(o) => {
+                o.on_grant(core, now, token, |c| rank(c) < rank(core), &mut self.log);
+            }
+            ShaperCheck::Envelope(o) => o.on_grant(core, now, &mut self.log),
         }
+    }
+
+    /// The LLC outcome of a grant of core `core` charged as `token`
+    /// reached its shaper at `now`.
+    pub(crate) fn shaper_feedback(&mut self, now: Cycle, core: usize, token: ShapeToken, hit: bool) {
+        let Some(slot) = self.core_shaper[core] else { return };
+        let slot = &mut self.shapers[slot];
+        slot.sync(now, &mut self.log);
+        if let ShaperCheck::Bins(o) = &mut slot.check {
+            o.on_feedback(now, token, hit, &mut self.log);
+        }
+    }
+
+    /// Whether core `core`'s shaper is checked by a shaper oracle.
+    pub fn shaper_checked(&self, core: usize) -> bool {
+        self.core_shaper[core].is_some()
+    }
+
+    /// What the shaper oracles have checked so far.
+    pub fn shaper_coverage(&self) -> ShaperCoverage {
+        let mut c = ShaperCoverage::default();
+        for slot in &self.shapers {
+            match &slot.check {
+                ShaperCheck::Bins(o) => {
+                    c.bin_grants += o.grants_checked();
+                    c.denied_cycles += o.denied_cycles_checked();
+                }
+                ShaperCheck::Envelope(o) => {
+                    c.envelope_grants += o.grants_checked();
+                    c.episodes += o.episodes_checked();
+                }
+            }
+        }
+        c
+    }
+
+    /// Shaper oracles in the order of the first core each checks, the
+    /// order the snapshot uses (independent of attach history).
+    fn shapers_in_core_order(&self) -> Vec<usize> {
+        let mut order = Vec::new();
+        for s in self.core_shaper.iter().flatten() {
+            if !order.contains(s) {
+                order.push(*s);
+            }
+        }
+        order
+    }
+
+    /// DRAM dispatches DDR3-checked so far.
+    pub fn dispatches_checked(&self) -> u64 {
+        self.dram.dispatches_checked()
     }
 
     /// Scheduler picks legality-checked so far, over all channels.
@@ -914,12 +1164,12 @@ impl InvariantAuditor {
 
     /// All violations recorded so far.
     pub fn violations(&self) -> &[AuditViolation] {
-        &self.violations
+        self.log.violations()
     }
 
     /// Violations dropped after [`AuditConfig::max_reports`] was reached.
     pub fn dropped_violations(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Audit passes completed.
@@ -1038,19 +1288,20 @@ impl InvariantAuditor {
 
     /// Encodes auditor and watchdog state, including the recorded
     /// violation log (so downstream consumers tailing the log resume
-    /// consistently), the DDR3 oracle's shadow and each pick oracle's
-    /// count. The stall report is deliberately not included: the system
-    /// refuses to snapshot a stalled run.
+    /// consistently), the DDR3 oracle's shadow, each pick oracle's count
+    /// and each shaper oracle's state and open episodes. The stall report
+    /// is deliberately not included: the system refuses to snapshot a
+    /// stalled run.
     pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         debug_assert!(self.stall.is_none(), "stalled systems refuse to snapshot");
-        enc.usize(self.violations.len());
-        for v in &self.violations {
+        enc.usize(self.log.violations.len());
+        for v in &self.log.violations {
             enc.u64(v.cycle);
             enc.u8(v.invariant.snapshot_tag());
             enc.opt_usize(v.core);
             enc.str(&v.detail);
         }
-        enc.u64(self.dropped);
+        enc.u64(self.log.dropped);
         enc.u64(self.passes);
         enc.opt_u64(self.last_now);
         enc.u64(self.last_progress_at);
@@ -1065,6 +1316,9 @@ impl InvariantAuditor {
         self.dram.save_state(enc);
         for p in &self.picks {
             p.save_state(enc);
+        }
+        for s in self.shapers_in_core_order() {
+            either_oracle!(&self.shapers[s].check, o => o.save_state(enc));
         }
     }
 
@@ -1084,8 +1338,8 @@ impl InvariantAuditor {
             let detail = dec.str()?.to_owned();
             violations.push(AuditViolation { cycle, invariant, core, detail });
         }
-        self.violations = violations;
-        self.dropped = dec.u64()?;
+        self.log.violations = violations;
+        self.log.dropped = dec.u64()?;
         self.passes = dec.u64()?;
         self.last_now = dec.opt_u64()?;
         self.last_progress_at = dec.u64()?;
@@ -1105,6 +1359,11 @@ impl InvariantAuditor {
         self.dram.load_state(dec)?;
         for p in &mut self.picks {
             p.load_state(dec)?;
+        }
+        // The shapers' own sections already matched each core's shaper
+        // kind, and with it the oracle kind.
+        for s in self.shapers_in_core_order() {
+            either_oracle!(&mut self.shapers[s].check, o => o.load_state(dec)?);
         }
         self.stall = None;
         Ok(())
@@ -1201,8 +1460,6 @@ impl GrantLedger {
 mod tests {
     use super::*;
     use crate::dram::{DramServiceTiming, RowOutcome};
-    use crate::mc::Transaction;
-    use crate::types::CoreId;
 
     fn auditor(cfg: &HardeningConfig, cores: usize) -> InvariantAuditor {
         InvariantAuditor::new(
@@ -1211,17 +1468,15 @@ mod tests {
         )
     }
 
-    /// A read of line 0 (channel 0, bank 0, row 0) dispatched at `at`,
-    /// stamped with `timing`.
-    fn read_of_line_zero(at: Cycle, timing: DramServiceTiming) -> DispatchRecord {
-        let txn = Transaction {
-            id: at,
-            core: CoreId::new(0),
-            addr: 0,
-            cmd: MemCmd::Read,
-            enqueued_at: at,
-        };
-        DispatchRecord { txn, at, timing }
+    /// Hands the auditor reads of line 0 (channel 0, bank 0, row 0), each
+    /// dispatched at its record's cycle with the record's timing, the way
+    /// the system hands it every dispatch.
+    fn dispatch_line_zero(a: &mut InvariantAuditor, reads: &[(Cycle, DramServiceTiming)]) {
+        if let Some((dram, log)) = a.dram_check() {
+            for (at, timing) in reads {
+                dram.check(*at, 0, 0, false, timing, log);
+            }
+        }
     }
 
     /// A legal row-miss record for line 0 dispatched at `at`.
@@ -1250,7 +1505,7 @@ mod tests {
         early.col_at -= 1;
         early.data_start -= 1;
         early.data_end -= 1;
-        a.check_dispatches(0, &[read_of_line_zero(10, early)]);
+        dispatch_line_zero(&mut a, &[(10, early)]);
         let v = a.violations();
         assert!(!v.is_empty(), "an early column command must be flagged");
         assert!(v.iter().all(|v| v.invariant == Invariant::DramTiming && v.cycle == 10));
@@ -1261,7 +1516,7 @@ mod tests {
         let mut hit = legal_miss(&sys, 20);
         hit.outcome = RowOutcome::Hit;
         hit.act_at = None;
-        a.check_dispatches(0, &[read_of_line_zero(20, hit)]);
+        dispatch_line_zero(&mut a, &[(20, hit)]);
         let v = a.violations();
         assert!(v.iter().all(|v| v.invariant == Invariant::DramTiming && v.cycle == 20));
         assert!(
@@ -1274,7 +1529,7 @@ mod tests {
         let mut off = sys.clone();
         off.hardening.audit.enabled = false;
         let mut a = InvariantAuditor::new(&off, [None]);
-        a.check_dispatches(0, &[read_of_line_zero(20, hit)]);
+        dispatch_line_zero(&mut a, &[(20, hit)]);
         assert!(a.violations().is_empty());
     }
 
@@ -1290,17 +1545,17 @@ mod tests {
         // Ten row hits on bank 0, each with its burst before tCL. The
         // first also claims a hit on a closed bank: 11 findings, all
         // inside the first refresh interval.
-        let flood: Vec<DispatchRecord> = (0..10)
+        let flood: Vec<(Cycle, DramServiceTiming)> = (0..10)
             .map(|i| {
                 let at = 1_000 * (i + 1);
                 let mut t = hit;
                 t.col_at = at;
                 t.data_start = at; // before tCL
                 t.data_end = at + (hit.data_end - hit.data_start);
-                read_of_line_zero(at, t)
+                (at, t)
             })
             .collect();
-        a.check_dispatches(0, &flood);
+        dispatch_line_zero(&mut a, &flood);
         assert_eq!(a.violations().len(), 3);
         assert!(a.violations().iter().all(|v| v.invariant == Invariant::DramTiming));
         assert_eq!(a.dropped_violations(), 8);
@@ -1444,6 +1699,22 @@ mod tests {
         assert!(!f.stall_ports(19));
         assert!(f.stall_ports(20));
         assert!(!f.corrupt_credits(100, 0));
+    }
+
+    #[test]
+    fn shave_faults_shave_the_model_timing_and_need_no_wake_up() {
+        let cfg = SystemConfig::multi_program(1);
+        let base = cfg.dram.timing_cycles(cfg.core.freq_hz);
+        let mut f = ActiveFaults::default();
+        assert_eq!(f.dram_timing(base), base);
+        f.inject(
+            FaultPlan::new()
+                .with(FaultKind::ShaveDramTiming { param: DramParam::Trcd, by: 4 })
+                .with(FaultKind::ShaveDramTiming { param: DramParam::Burst, by: 2 }),
+        );
+        let t = f.dram_timing(base);
+        assert_eq!((t.t_rcd, t.burst, t.t_cl), (base.t_rcd - 4, base.burst - 2, base.t_cl));
+        assert_eq!(f.next_event(0), None);
     }
 
     #[test]

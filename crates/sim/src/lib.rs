@@ -55,14 +55,14 @@ pub mod trace_io;
 pub mod types;
 
 pub use audit::{
-    AuditViolation, FaultKind, FaultPlan, HardeningConfig, Invariant, RunOutcome, SimError,
-    StallReport,
+    AuditLog, AuditViolation, DramParam, FaultKind, FaultPlan, HardeningConfig, Invariant,
+    RunOutcome, SimError, StallReport,
 };
 pub use config::{ConfigError, SystemConfig};
 pub use obs::{JsonlSink, NullSink, Observer, RingSink, TraceEvent, TraceSink};
 pub use oracle::{
-    DramOracle, OracleKind, OracleViolation, PickOracle, PickPolicy, ShaperOracle, ShaperSpec,
-    SpecFeedback, SpecPolicy,
+    DramOracle, MittsSpec, NetCalcOracle, PickOracle, PickPolicy, ShaperOracle, SpecFeedback,
+    SpecPolicy,
 };
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{geomean, SlowdownReport};

@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 
 use crate::config::McConfig;
 use crate::dram::{BankStatus, Dram, DramCompletion, DramServiceTiming};
+use crate::audit::AuditLog;
 use crate::oracle::PickOracle;
 use crate::types::{Addr, CoreId, Cycle, MemCmd};
 
@@ -531,14 +532,14 @@ impl MemoryController {
     /// One controller cycle: refill the transaction queue from the FIFO,
     /// then dispatch at most one transaction (command-bus limit) chosen by
     /// the scheduler (or the priority override). With `picks`, the pick is
-    /// handed to that pick oracle before the chosen transaction leaves
-    /// the queue.
+    /// handed to that pick oracle, which records findings in the log,
+    /// before the chosen transaction leaves the queue.
     pub fn tick(
         &mut self,
         now: Cycle,
         scheduler: &mut dyn Scheduler,
         dram: &mut Dram<TxnId>,
-        picks: Option<&mut PickOracle>,
+        picks: Option<(&mut PickOracle, &mut AuditLog)>,
     ) {
         self.ticks += 1;
         self.queue_occupancy_sum += self.queue.len() as u64;
@@ -563,8 +564,8 @@ impl MemoryController {
         });
 
         if let Some(idx) = choice {
-            if let Some(oracle) = picks {
-                oracle.check_pick(now, &self.queue, idx, self.priority_core, &view);
+            if let Some((oracle, log)) = picks {
+                oracle.check_pick(now, &self.queue, idx, self.priority_core, &view, log);
             }
             let txn = self.queue[idx];
             debug_assert!(
@@ -884,13 +885,13 @@ mod tests {
     ) -> Vec<McResponse> {
         // Every pick of these runs must also be legal for its policy.
         let mut picks = PickOracle::new(0, sched.conformance_policy());
+        let mut log = AuditLog::new(64);
         let mut responses = Vec::new();
         for now in 0..limit {
             responses.extend(mc.drain_completions(now, sched, dram));
-            mc.tick(now, sched, dram, Some(&mut picks));
+            mc.tick(now, sched, dram, Some((&mut picks, &mut log)));
         }
-        let v = picks.take_violations();
-        assert!(v.is_empty(), "{v:?}");
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         responses
     }
 

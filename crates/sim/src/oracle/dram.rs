@@ -1,15 +1,14 @@
-//! DDR3 legality oracle: replays `dram_dispatch` records against the
-//! device timing constraints.
+//! DDR3 legality oracle: replays dispatch records against the device
+//! timing constraints.
 //!
 //! It is the simulator's only DDR3 checker. The invariant auditor feeds it
-//! every dispatch whenever auditing is enabled (findings become
-//! `Invariant::DramTiming`), and `mitts-conform` runs it over the trace
-//! stream.
+//! every dispatch whenever auditing is enabled, and it records each
+//! finding in the auditor's log as `Invariant::DramTiming`.
 //!
 //! [`DramOracle`] keeps its own per-channel shadow of the DDR3 state
 //! machine — open rows, precharge fences, rank ACT window, data-bus and
 //! write-to-read fences, refresh schedule — advanced **only by the
-//! event stream's own values**. Every [`crate::dram::DramServiceTiming`]
+//! dispatch records' own values**. Every [`crate::dram::DramServiceTiming`]
 //! record is then checked against the constraints the shadow state
 //! implies:
 //!
@@ -26,10 +25,9 @@
 //! Because the shadow advances from observed values (not recomputed
 //! ones), a single divergence is reported once instead of cascading.
 
+use crate::audit::{AuditLog, AuditViolation, Invariant};
 use crate::config::DramTimingCycles;
 use crate::dram::{DramServiceTiming, RowOutcome};
-use crate::obs::TraceEvent;
-use crate::oracle::{OracleKind, OracleViolation};
 use crate::types::{Addr, Cycle};
 
 /// Shadow state of one DRAM bank.
@@ -91,7 +89,7 @@ impl ShadowChannel {
     }
 }
 
-/// Replays `dram_dispatch` events against DDR3 timing legality.
+/// Replays dispatch records against DDR3 timing legality.
 #[derive(Debug, Clone)]
 pub struct DramOracle {
     timing: DramTimingCycles,
@@ -101,7 +99,6 @@ pub struct DramOracle {
     /// Row-buffer bytes: the channel-interleave granularity.
     row_bytes: u64,
     channels: Vec<ShadowChannel>,
-    violations: Vec<OracleViolation>,
     dispatches: u64,
 }
 
@@ -118,7 +115,6 @@ impl DramOracle {
             channels: (0..channels)
                 .map(|_| ShadowChannel::new(banks, timing.t_refi))
                 .collect(),
-            violations: Vec::new(),
             dispatches: 0,
         }
     }
@@ -133,24 +129,13 @@ impl DramOracle {
         )
     }
 
-    /// Violations found so far.
-    pub fn violations(&self) -> &[OracleViolation] {
-        &self.violations
-    }
-
-    /// Removes and returns the violations found so far.
-    pub fn take_violations(&mut self) -> Vec<OracleViolation> {
-        std::mem::take(&mut self.violations)
-    }
-
     /// Number of dispatch records checked.
     pub fn dispatches_checked(&self) -> u64 {
         self.dispatches
     }
 
     /// Encodes the shadow DDR3 state and the dispatch count (checkpoint
-    /// support). Pending violations are not included: the auditor drains
-    /// them after every batch.
+    /// support).
     pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.dispatches);
         enc.usize(self.channels.len());
@@ -203,28 +188,20 @@ impl DramOracle {
             ch.next_act_at = dec.u64()?;
             ch.next_refresh = dec.u64()?;
         }
-        self.violations.clear();
         Ok(())
     }
 
-    fn report(&mut self, at: Cycle, channel: usize, detail: String) {
-        self.violations.push(OracleViolation {
-            at,
-            oracle: OracleKind::Dram,
+    fn report(log: &mut AuditLog, at: Cycle, channel: usize, detail: String) {
+        log.record(AuditViolation {
+            cycle: at,
+            invariant: Invariant::DramTiming,
             core: None,
-            channel: Some(channel),
-            detail,
+            detail: format!("channel {channel}: {detail}"),
         });
     }
 
-    /// Feeds one trace event; only `dram_dispatch` records are consumed.
-    pub fn on_event(&mut self, ev: &TraceEvent) {
-        if let TraceEvent::DramDispatch { at, channel, line, write, timing, .. } = ev {
-            self.check(*at, *channel, *line, *write, timing);
-        }
-    }
-
-    /// Checks one dispatch record and advances the shadow state.
+    /// Checks one dispatch record, recording each finding in `log`, and
+    /// advances the shadow state.
     pub fn check(
         &mut self,
         at: Cycle,
@@ -232,17 +209,19 @@ impl DramOracle {
         line: Addr,
         write: bool,
         svc: &DramServiceTiming,
+        log: &mut AuditLog,
     ) {
         self.dispatches += 1;
         let t = self.timing;
 
         if channel >= self.channels.len() {
-            self.report(at, channel, format!("channel {channel} out of range"));
+            Self::report(log, at, channel, format!("channel {channel} out of range"));
             return;
         }
         let expect_ch = ((line / self.row_bytes) % self.channels.len() as u64) as usize;
         if expect_ch != channel {
-            self.report(
+            Self::report(
+                log,
                 at,
                 channel,
                 format!("address {line:#x} interleaves to channel {expect_ch}, not {channel}"),
@@ -254,7 +233,8 @@ impl DramOracle {
         let bank_idx = (within % self.banks as u64) as usize;
         let row = within / self.banks as u64;
         if svc.bank != bank_idx || svc.row != row {
-            self.report(
+            Self::report(
+                log,
                 at,
                 channel,
                 format!(
@@ -308,13 +288,13 @@ impl DramOracle {
             RowOutcome::Miss | RowOutcome::Conflict => {
                 let Some(act) = svc.act_at else {
                     issues.push(format!("{} without an ACT stamp", svc.outcome.label()));
-                    self.push_issues(at, channel, issues);
+                    Self::push_issues(log, at, channel, issues);
                     return;
                 };
                 if svc.outcome == RowOutcome::Conflict {
                     let Some(pre) = svc.pre_at else {
                         issues.push("conflict without a PRE stamp".to_owned());
-                        self.push_issues(at, channel, issues);
+                        Self::push_issues(log, at, channel, issues);
                         return;
                     };
                     if pre < at {
@@ -415,12 +395,12 @@ impl DramOracle {
             ch.wtr_fence = svc.data_end + t.t_wtr;
         }
 
-        self.push_issues(at, channel, issues);
+        Self::push_issues(log, at, channel, issues);
     }
 
-    fn push_issues(&mut self, at: Cycle, channel: usize, issues: Vec<String>) {
+    fn push_issues(log: &mut AuditLog, at: Cycle, channel: usize, issues: Vec<String>) {
         for detail in issues {
-            self.report(at, channel, detail);
+            Self::report(log, at, channel, detail);
         }
     }
 }
@@ -447,6 +427,7 @@ mod tests {
         let cfg = DramConfig::default();
         let mut dram: Dram<u32> = Dram::new(&cfg, FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut rng = Rng::seeded(0xD12A);
         let mut now: Cycle = 0;
         let mut dispatched = 0u32;
@@ -462,15 +443,15 @@ mod tests {
             if dram.can_start(now, addr) {
                 dram.start(now, addr, cmd, dispatched);
                 let svc = dram.last_service().expect("service recorded");
-                oracle.check(now, 0, addr, !cmd.is_read(), &svc);
+                oracle.check(now, 0, addr, !cmd.is_read(), &svc, &mut log);
                 dispatched += 1;
             }
             now += 1 + rng.below(8);
         }
         assert!(
-            oracle.violations().is_empty(),
+            log.violations().is_empty(),
             "model/oracle divergence: {:?}",
-            oracle.violations()
+            log.violations()
         );
         assert_eq!(oracle.dispatches_checked(), 400);
     }
@@ -486,6 +467,7 @@ mod tests {
         };
         let mut dram: Dram<u32> = Dram::new(&cfg, FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut rng = Rng::seeded(0xBEEF);
         let mut now: Cycle = 0;
         let mut dispatched = 0u32;
@@ -494,15 +476,15 @@ mod tests {
             if dram.can_start(now, addr) {
                 dram.start(now, addr, MemCmd::Read, dispatched);
                 let svc = dram.last_service().expect("service recorded");
-                oracle.check(now, 0, addr, false, &svc);
+                oracle.check(now, 0, addr, false, &svc, &mut log);
                 dispatched += 1;
             }
             now += 1 + rng.below(16);
         }
         assert!(
-            oracle.violations().is_empty(),
+            log.violations().is_empty(),
             "refresh divergence: {:?}",
-            oracle.violations()
+            log.violations()
         );
     }
 
@@ -524,12 +506,13 @@ mod tests {
         let cfg = DramConfig::default();
         let t = cfg.timing_cycles(FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut svc = legal_miss_record(&t, 10);
         svc.col_at -= 1; // column one cycle too early
         svc.data_start -= 1;
         svc.data_end -= 1;
-        oracle.check(10, 0, 0, false, &svc);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("tRCD")));
+        oracle.check(10, 0, 0, false, &svc, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("tRCD")));
     }
 
     #[test]
@@ -537,11 +520,12 @@ mod tests {
         let cfg = DramConfig::default();
         let t = cfg.timing_cycles(FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut svc = legal_miss_record(&t, 10);
         svc.data_start -= 2;
         svc.data_end -= 2;
-        oracle.check(10, 0, 0, false, &svc);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("CAS")));
+        oracle.check(10, 0, 0, false, &svc, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("CAS")));
     }
 
     #[test]
@@ -549,17 +533,19 @@ mod tests {
         let cfg = DramConfig::default();
         let t = cfg.timing_cycles(FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut svc = legal_miss_record(&t, 10);
         svc.outcome = RowOutcome::Hit; // bank is closed: must be a miss
         svc.act_at = None;
-        oracle.check(10, 0, 0, false, &svc);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("implies miss")));
+        oracle.check(10, 0, 0, false, &svc, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("implies miss")));
 
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let mut svc = legal_miss_record(&t, 10);
         svc.bank = 3; // address 0 maps to bank 0
-        oracle.check(10, 0, 0, false, &svc);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("maps to bank")));
+        oracle.check(10, 0, 0, false, &svc, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("maps to bank")));
     }
 
     #[test]
@@ -567,8 +553,9 @@ mod tests {
         let cfg = DramConfig::default();
         let t = cfg.timing_cycles(FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let svc = legal_miss_record(&t, 0);
-        oracle.check(0, 0, 0, false, &svc);
+        oracle.check(0, 0, 0, false, &svc, &mut log);
         // Second dispatch on another bank whose burst lands on the bus
         // while the first burst is still draining.
         let addr2: Addr = 8 * 1024; // bank 1
@@ -582,8 +569,8 @@ mod tests {
             data_start: svc.data_start + 1, // inside the first burst
             data_end: svc.data_start + 1 + t.burst,
         };
-        oracle.check(1, 0, addr2, false, &svc2);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("overlaps bus")));
+        oracle.check(1, 0, addr2, false, &svc2, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("overlaps bus")));
     }
 
     #[test]
@@ -591,8 +578,9 @@ mod tests {
         let cfg = DramConfig::default();
         let t = cfg.timing_cycles(FREQ);
         let mut oracle = oracle_for(&cfg);
+        let mut log = AuditLog::new(64);
         let svc = legal_miss_record(&t, 0);
-        oracle.check(0, 0, 0, false, &svc);
+        oracle.check(0, 0, 0, false, &svc, &mut log);
         // Bank 0 is busy until col + burst; a hit dispatched immediately
         // after is illegal even with otherwise-consistent stamps.
         let svc2 = DramServiceTiming {
@@ -605,8 +593,8 @@ mod tests {
             data_start: svc.data_end,
             data_end: svc.data_end + t.burst,
         };
-        oracle.check(2, 0, 0, false, &svc2);
-        assert!(oracle.violations().iter().any(|v| v.detail.contains("busy")));
+        oracle.check(2, 0, 0, false, &svc2, &mut log);
+        assert!(log.violations().iter().any(|v| v.detail.contains("busy")));
     }
 
     #[test]
@@ -626,6 +614,7 @@ mod tests {
             let mut dram: Dram<u32> = Dram::new(&cfg, FREQ);
             let mut oracle =
                 DramOracle::new(mutated, cfg.banks, cfg.row_bytes as u64, 1);
+            let mut log = AuditLog::new(64);
             let mut rng = Rng::seeded(0xC0FFEE);
             let mut now: Cycle = 0;
             let mut dispatched = 0u32;
@@ -638,13 +627,13 @@ mod tests {
                 if dram.can_start(now, addr) {
                     dram.start(now, addr, MemCmd::Read, dispatched);
                     let svc = dram.last_service().expect("service recorded");
-                    oracle.check(now, 0, addr, false, &svc);
+                    oracle.check(now, 0, addr, false, &svc, &mut log);
                     dispatched += 1;
                 }
                 now += 1 + rng.below(4);
             }
             assert!(
-                !oracle.violations().is_empty(),
+                !log.violations().is_empty(),
                 "inflating {name} was not detected by the oracle"
             );
         }

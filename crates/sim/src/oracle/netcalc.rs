@@ -1,141 +1,74 @@
-//! Network-calculus oracle: arrival-curve, delay-bound, and backlog-bound
-//! checks over one core's shaper-visible trace slice.
+//! Network-calculus oracle: arrival-curve and delay-bound checks over the
+//! grant stream and stall episodes of one shaper.
 //!
-//! Where [`super::ShaperOracle`] re-executes the MITTS bin machine cycle
-//! by cycle, this oracle checks the *analytical envelope* a shaper
-//! promises: a token-bucket arrival curve `α(w) = burst + w · rate`, a
-//! worst-case shaper-stall delay, and a bound on grants outstanding at
-//! the LLC. The bounds come straight from network calculus — any
-//! correctly configured static limiter, CBS or window regulator *must*
-//! keep its grant stream inside its curve, every stall episode below the
-//! curve's delay bound, and its backlog below
-//! `burst + rate · hit_latency` — so a violation is a shaper bug (or a deliberately mutated spec, which is
-//! how `mitts-conform` proves this oracle detects divergence).
+//! Where [`super::ShaperOracle`] re-executes the MITTS bin machine, this
+//! oracle checks the *analytical envelope* a shaper promises: a
+//! token-bucket arrival curve `α(w) = burst + w · rate` and a worst-case
+//! shaper-stall delay. The bounds come straight from network calculus —
+//! any correctly configured static limiter, CBS or window regulator
+//! *must* keep its grant stream inside its curve and every stall episode
+//! below its delay bound — so a violation is a shaper bug (or a shaper
+//! that misstates its envelope, which is how `mitts-conform` proves this
+//! oracle detects divergence).
+//!
+//! There is no backlog bound: in the style of Mohammadpour et al. it
+//! needs a service curve for the LLC, and this LLC has none (hits and
+//! misses take different times).
 //!
 //! All arithmetic is integer and exact: the bucket level is kept scaled
 //! by `rate_den`, so a rate of `rate_num / rate_den` requests per cycle
 //! accrues `rate_num` scaled tokens per cycle and each grant costs
 //! `rate_den` scaled tokens.
 
-use std::collections::VecDeque;
-
-use crate::obs::{StallReason, TraceEvent};
-use crate::oracle::{OracleKind, OracleViolation};
+use crate::audit::{AuditLog, AuditViolation, Invariant};
 use crate::shaper::Envelope;
-#[cfg(doc)]
-use crate::shaper::SourceShaper;
-use crate::types::{Addr, Cycle};
+use crate::types::Cycle;
 
-/// The analytical envelope one shaper promises. Build it from the
-/// shaper's own [`SourceShaper::envelope`] with
-/// [`NetCalcSpec::from_envelope`], or construct it directly in tests and
-/// mutation harnesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetCalcSpec {
-    /// Arrival-curve rate numerator: the shaper admits at most
-    /// `rate_num / rate_den` requests per cycle long-run.
-    pub rate_num: u64,
-    /// Arrival-curve rate denominator (cycles per `rate_num` requests).
-    pub rate_den: u64,
-    /// Arrival-curve burst: requests admissible back-to-back beyond the
-    /// long-run rate.
-    pub burst: u64,
-    /// Worst-case length of one shaper stall episode, or `None` when the
-    /// shaper makes no delay guarantee (e.g. zero-rate configurations).
-    pub delay_bound: Option<Cycle>,
-    /// Maximum shaper grants simultaneously outstanding at the LLC, or
-    /// `None` to skip the backlog check.
-    pub backlog_bound: Option<u64>,
-}
-
-impl NetCalcSpec {
-    /// A curve-only spec (no delay or backlog checks) from token-bucket
-    /// parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_den == 0`.
-    pub fn from_curve(rate_num: u64, rate_den: u64, burst: u64) -> Self {
-        assert!(rate_den > 0, "rate denominator must be positive");
-        NetCalcSpec { rate_num, rate_den, burst, delay_bound: None, backlog_bound: None }
-    }
-
-    /// The spec a shaper's [`Envelope`] states: its curve, plus its stall
-    /// bound as the delay bound when it has one (no backlog check).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `env.rate_den == 0`.
-    pub fn from_envelope(env: Envelope) -> Self {
-        let spec = NetCalcSpec::from_curve(env.rate_num, env.rate_den, env.burst);
-        match env.stall_bound {
-            Some(bound) => spec.with_delay_bound(bound),
-            None => spec,
-        }
-    }
-
-    /// Adds the worst-case stall-episode bound.
-    pub fn with_delay_bound(mut self, bound: Cycle) -> Self {
-        self.delay_bound = Some(bound);
-        self
-    }
-
-    /// Derives the backlog bound for a system whose LLC resolves every
-    /// granted lookup exactly `hit_latency` cycles after the grant: over
-    /// any window of that length the curve admits at most
-    /// `burst + ceil(hit_latency · rate)` grants, plus one for the
-    /// request resolving on the boundary cycle itself.
-    pub fn with_backlog_for_latency(mut self, hit_latency: Cycle) -> Self {
-        let steady = (hit_latency as u128 * self.rate_num as u128).div_ceil(self.rate_den as u128);
-        self.backlog_bound = Some(self.burst.saturating_add(steady.min(u64::MAX as u128) as u64) + 1);
-        self
-    }
-}
-
-/// Replays one core's trace slice against a [`NetCalcSpec`].
-#[derive(Debug)]
-pub struct NetCalcOracle {
+/// An open shaper stall episode of one sharer.
+#[derive(Debug, Clone, Copy)]
+struct Stall {
     core: usize,
-    spec: NetCalcSpec,
+    /// First denied cycle.
+    since: Cycle,
+    /// Whether the episode already broke the delay bound (reported once).
+    reported: bool,
+}
+
+/// Checks one shaper's grants and stall episodes against its
+/// [`Envelope`].
+#[derive(Debug, Clone)]
+pub struct NetCalcOracle {
+    envelope: Envelope,
     /// Token-bucket level scaled by `rate_den`; starts full (the curve
     /// allows the full burst at time zero).
     level_scaled: u128,
     /// Cycle the bucket was last advanced to.
     last_update: Cycle,
-    /// Lines granted but not yet resolved at the LLC, oldest first.
-    outstanding: VecDeque<Addr>,
-    /// Open shaper stall episode, if any (its `StallBegin` stamp).
-    open_stall: Option<Cycle>,
-    violations: Vec<OracleViolation>,
+    stalls: Vec<Stall>,
     grants: u64,
     episodes: u64,
 }
 
 impl NetCalcOracle {
-    /// Creates an oracle for `core` against `spec`.
+    /// Creates an oracle for `envelope`.
     ///
     /// # Panics
     ///
-    /// Panics if `spec.rate_den == 0`.
-    pub fn new(core: usize, spec: NetCalcSpec) -> Self {
-        assert!(spec.rate_den > 0, "rate denominator must be positive");
-        let level_scaled = spec.burst as u128 * spec.rate_den as u128;
+    /// Panics if `envelope.rate_den == 0`.
+    pub fn new(envelope: Envelope) -> Self {
+        assert!(envelope.rate_den > 0, "rate denominator must be positive");
         NetCalcOracle {
-            core,
-            spec,
-            level_scaled,
+            level_scaled: Self::full(&envelope),
+            envelope,
             last_update: 0,
-            outstanding: VecDeque::new(),
-            open_stall: None,
-            violations: Vec::new(),
+            stalls: Vec::new(),
             grants: 0,
             episodes: 0,
         }
     }
 
-    /// Violations found so far.
-    pub fn violations(&self) -> &[OracleViolation] {
-        &self.violations
+    fn full(envelope: &Envelope) -> u128 {
+        envelope.burst as u128 * envelope.rate_den as u128
     }
 
     /// Number of grants checked against the arrival curve.
@@ -148,12 +81,11 @@ impl NetCalcOracle {
         self.episodes
     }
 
-    fn report(&mut self, at: Cycle, detail: String) {
-        self.violations.push(OracleViolation {
-            at,
-            oracle: OracleKind::NetCalc,
-            core: Some(self.core),
-            channel: None,
+    fn report(log: &mut AuditLog, at: Cycle, core: usize, detail: String) {
+        log.record(AuditViolation {
+            cycle: at,
+            invariant: Invariant::ShaperEnvelope,
+            core: Some(core),
             detail,
         });
     }
@@ -161,49 +93,29 @@ impl NetCalcOracle {
     /// Advances the bucket to `now`, accruing `rate_num` scaled tokens
     /// per elapsed cycle, capped at the burst.
     fn refill_to(&mut self, now: Cycle) {
-        let cap = self.spec.burst as u128 * self.spec.rate_den as u128;
         let elapsed = now.saturating_sub(self.last_update) as u128;
-        self.level_scaled = (self.level_scaled + elapsed * self.spec.rate_num as u128).min(cap);
-        self.last_update = now;
+        self.level_scaled = (self.level_scaled + elapsed * self.envelope.rate_num as u128)
+            .min(Self::full(&self.envelope));
+        self.last_update = now.max(self.last_update);
     }
 
-    /// Feeds one trace event. Events for other cores (or irrelevant
-    /// kinds) are ignored; events must arrive in stream order.
-    pub fn on_event(&mut self, ev: &TraceEvent) {
-        match ev {
-            TraceEvent::ShaperGrant { at, core, line, .. } if *core == self.core => {
-                self.on_grant(*at, *line);
-            }
-            TraceEvent::LlcLookup { at, core, line, .. } if *core == self.core => {
-                self.on_llc_lookup(*at, *line);
-            }
-            TraceEvent::StallBegin { at, core, reason: StallReason::Shaper }
-                if *core == self.core =>
-            {
-                self.open_stall = Some(*at);
-            }
-            TraceEvent::StallEnd { at, core, reason: StallReason::Shaper, since }
-                if *core == self.core =>
-            {
-                self.on_stall_end(*at, *since);
-            }
-            _ => {}
-        }
-    }
-
-    /// A grant was observed at `now` for `line`.
-    pub fn on_grant(&mut self, now: Cycle, line: Addr) {
+    /// Sharer `core` was granted at `now` (ending any stall episode of
+    /// its own).
+    pub fn on_grant(&mut self, core: usize, now: Cycle, log: &mut AuditLog) {
+        self.on_stall_end(core, now, log);
         self.refill_to(now);
         self.grants += 1;
-        let cost = self.spec.rate_den as u128;
+        let cost = self.envelope.rate_den as u128;
         if self.level_scaled < cost {
-            self.report(
+            let e = self.envelope;
+            Self::report(
+                log,
                 now,
+                core,
                 format!(
                     "grant exceeds the arrival curve (rate {}/{}, burst {}): \
                      bucket holds {}/{} scaled tokens",
-                    self.spec.rate_num, self.spec.rate_den, self.spec.burst,
-                    self.level_scaled, cost
+                    e.rate_num, e.rate_den, e.burst, self.level_scaled, cost
                 ),
             );
             // Clamp rather than underflow so one violation does not
@@ -212,63 +124,84 @@ impl NetCalcOracle {
         } else {
             self.level_scaled -= cost;
         }
-        self.outstanding.push_back(line);
-        if let Some(bound) = self.spec.backlog_bound {
-            let backlog = self.outstanding.len() as u64;
-            if backlog > bound {
-                self.report(
-                    now,
-                    format!("backlog {backlog} exceeds the network-calculus bound {bound}"),
-                );
-                // Drop the oldest so the episode reports once, not per grant.
-                self.outstanding.pop_front();
-            }
+    }
+
+    /// A stall episode of sharer `core` began at `now`.
+    pub fn on_stall_begin(&mut self, core: usize, now: Cycle) {
+        if !self.stalls.iter().any(|s| s.core == core) {
+            self.stalls.push(Stall { core, since: now, reported: false });
         }
     }
 
-    /// The LLC resolved a demand lookup for `line` at `now`.
-    pub fn on_llc_lookup(&mut self, _now: Cycle, line: Addr) {
-        if let Some(pos) = self.outstanding.iter().position(|&l| l == line) {
-            self.outstanding.remove(pos);
-        }
-        // Lookups with no tracked grant (emitted before the oracle's
-        // first event, or merged/non-shaped paths) are ignored.
-    }
-
-    /// A shaper stall episode that began at `since` ended at `now`.
-    pub fn on_stall_end(&mut self, now: Cycle, since: Cycle) {
-        self.open_stall = None;
+    /// The episode of `core` ended at `now`.
+    pub fn on_stall_end(&mut self, core: usize, now: Cycle, log: &mut AuditLog) {
+        let Some(i) = self.stalls.iter().position(|s| s.core == core) else { return };
+        let mut stall = self.stalls.swap_remove(i);
         self.episodes += 1;
-        if let Some(bound) = self.spec.delay_bound {
-            let length = now.saturating_sub(since);
-            if length > bound {
-                self.report(
-                    now,
-                    format!(
-                        "shaper stall of {length} cycles (since {since}) exceeds \
-                         the delay bound {bound}"
-                    ),
-                );
-            }
+        self.check_length(&mut stall, now, "", log);
+    }
+
+    /// Checks every open episode, which still covers cycle `now`, against
+    /// the delay bound (an audit pass, after the cycle's issue stage).
+    pub fn check_open(&mut self, now: Cycle, log: &mut AuditLog) {
+        let mut stalls = std::mem::take(&mut self.stalls);
+        for stall in &mut stalls {
+            self.check_length(stall, now + 1, "+ (still open)", log);
+        }
+        self.stalls = stalls;
+    }
+
+    /// Reports `stall` once if its length up to `end` (exclusive) exceeds
+    /// the delay bound.
+    fn check_length(&self, stall: &mut Stall, end: Cycle, open: &str, log: &mut AuditLog) {
+        let (Some(bound), false) = (self.envelope.stall_bound, stall.reported) else { return };
+        let length = end.saturating_sub(stall.since);
+        if length > bound {
+            stall.reported = true;
+            Self::report(
+                log,
+                end - 1,
+                stall.core,
+                format!(
+                    "shaper stall of {length}{open} cycles (since {}) exceeds \
+                     the delay bound {bound}",
+                    stall.since
+                ),
+            );
         }
     }
 
-    /// Finishes the replay at `end`: an episode still open past the
-    /// delay bound is a violation even without its `StallEnd`.
-    pub fn finish(&mut self, end: Cycle) {
-        if let (Some(since), Some(bound)) = (self.open_stall, self.spec.delay_bound) {
-            let length = end.saturating_sub(since);
-            if length > bound {
-                self.report(
-                    end,
-                    format!(
-                        "unterminated shaper stall of {length}+ cycles (since {since}) \
-                         exceeds the delay bound {bound}"
-                    ),
-                );
-            }
+    /// Encodes the bucket and the open episodes (the envelope is the
+    /// shaper's, fixed at build).
+    pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+        enc.u64((self.level_scaled >> 64) as u64);
+        enc.u64(self.level_scaled as u64);
+        enc.u64(self.last_update);
+        enc.usize(self.stalls.len());
+        for s in &self.stalls {
+            enc.usize(s.core);
+            enc.u64(s.since);
+            enc.bool(s.reported);
         }
-        self.open_stall = None;
+        enc.u64(self.grants);
+        enc.u64(self.episodes);
+    }
+
+    /// Restores state written by [`NetCalcOracle::save_state`].
+    pub(crate) fn load_state(
+        &mut self,
+        dec: &mut crate::snapshot::Dec<'_>,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        use crate::snapshot::SnapshotError;
+        self.level_scaled = (u128::from(dec.u64()?) << 64) | u128::from(dec.u64()?);
+        self.last_update = dec.u64()?;
+        let n = dec.checked_len(17)?;
+        self.stalls = (0..n)
+            .map(|_| Ok(Stall { core: dec.usize()?, since: dec.u64()?, reported: dec.bool()? }))
+            .collect::<Result<_, SnapshotError>>()?;
+        self.grants = dec.u64()?;
+        self.episodes = dec.u64()?;
+        Ok(())
     }
 }
 
@@ -276,125 +209,120 @@ impl NetCalcOracle {
 mod tests {
     use super::*;
 
-    fn spec() -> NetCalcSpec {
-        // 1 request / 10 cycles, burst 2.
-        NetCalcSpec::from_curve(1, 10, 2)
+    fn curve(rate_num: u64, rate_den: u64, burst: u64) -> Envelope {
+        Envelope { rate_num, rate_den, burst, stall_bound: None }
+    }
+
+    /// 1 request / 10 cycles, burst 2.
+    fn spec() -> Envelope {
+        curve(1, 10, 2)
+    }
+
+    fn with_delay_bound(bound: Cycle) -> Envelope {
+        Envelope { stall_bound: Some(bound), ..spec() }
+    }
+
+    fn oracle(envelope: Envelope) -> (NetCalcOracle, AuditLog) {
+        (NetCalcOracle::new(envelope), AuditLog::new(64))
     }
 
     #[test]
     fn conforming_stream_is_clean() {
-        let mut o = NetCalcOracle::new(0, spec());
+        let (mut o, mut log) = oracle(spec());
         // Burst of 2 at time zero, then the steady rate.
-        o.on_grant(0, 0x100);
-        o.on_grant(0, 0x140);
+        o.on_grant(0, 0, &mut log);
+        o.on_grant(0, 0, &mut log);
         for i in 1..10u64 {
-            o.on_grant(i * 10, 0x1000 + i * 64);
+            o.on_grant(0, i * 10, &mut log);
         }
-        o.finish(200);
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        o.check_open(200, &mut log);
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert_eq!(o.grants_checked(), 11);
     }
 
     #[test]
     fn over_rate_stream_is_flagged() {
-        let mut o = NetCalcOracle::new(0, spec());
+        let (mut o, mut log) = oracle(spec());
         // One grant every 5 cycles is twice the admissible rate: the
         // burst allowance drains and the curve is crossed.
         for i in 0..10u64 {
-            o.on_grant(i * 5, 0x100 + i * 64);
+            o.on_grant(0, i * 5, &mut log);
         }
-        assert!(!o.violations().is_empty());
-        assert!(o.violations()[0].detail.contains("arrival curve"));
+        assert!(!log.violations().is_empty());
+        assert!(log.violations()[0].detail.contains("arrival curve"));
+        assert_eq!(log.violations()[0].invariant, Invariant::ShaperEnvelope);
     }
 
     #[test]
     fn burst_above_allowance_is_flagged() {
-        let mut o = NetCalcOracle::new(0, spec());
-        o.on_grant(0, 0x100);
-        o.on_grant(0, 0x140);
-        o.on_grant(0, 0x180); // third back-to-back grant: burst is 2
-        assert_eq!(o.violations().len(), 1);
+        let (mut o, mut log) = oracle(spec());
+        o.on_grant(0, 0, &mut log);
+        o.on_grant(0, 0, &mut log);
+        o.on_grant(0, 0, &mut log); // third back-to-back grant: burst is 2
+        assert_eq!(log.violations().len(), 1);
     }
 
     #[test]
     fn full_burst_is_restored_after_idle() {
-        let mut o = NetCalcOracle::new(0, spec());
-        o.on_grant(0, 0x100);
-        o.on_grant(0, 0x140);
+        let (mut o, mut log) = oracle(spec());
+        o.on_grant(0, 0, &mut log);
+        o.on_grant(0, 0, &mut log);
         // 20 idle cycles refill the full burst of 2.
-        o.on_grant(20, 0x180);
-        o.on_grant(20, 0x1c0);
-        o.finish(50);
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        o.on_grant(0, 20, &mut log);
+        o.on_grant(0, 20, &mut log);
+        o.check_open(50, &mut log);
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
     }
 
     #[test]
     fn stall_within_delay_bound_is_clean() {
-        let mut o = NetCalcOracle::new(0, spec().with_delay_bound(100));
-        o.on_event(&TraceEvent::StallBegin { at: 5, core: 0, reason: StallReason::Shaper });
-        o.on_event(&TraceEvent::StallEnd {
-            at: 105,
-            core: 0,
-            reason: StallReason::Shaper,
-            since: 5,
-        });
-        o.finish(200);
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
+        let (mut o, mut log) = oracle(with_delay_bound(100));
+        o.on_stall_begin(0, 5);
+        o.on_stall_end(0, 105, &mut log);
+        o.check_open(200, &mut log);
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert_eq!(o.episodes_checked(), 1);
     }
 
     #[test]
     fn stall_past_delay_bound_is_flagged() {
-        let mut o = NetCalcOracle::new(0, spec().with_delay_bound(100));
-        o.on_stall_end(150, 5);
-        assert_eq!(o.violations().len(), 1);
-        assert!(o.violations()[0].detail.contains("delay bound"));
+        let (mut o, mut log) = oracle(with_delay_bound(100));
+        o.on_stall_begin(0, 5);
+        o.on_stall_end(0, 150, &mut log);
+        assert_eq!(log.violations().len(), 1);
+        assert!(log.violations()[0].detail.contains("delay bound"));
     }
 
     #[test]
-    fn unterminated_stall_is_flagged_at_finish() {
-        let mut o = NetCalcOracle::new(0, spec().with_delay_bound(10));
-        o.on_event(&TraceEvent::StallBegin { at: 5, core: 0, reason: StallReason::Shaper });
-        o.finish(100);
-        assert_eq!(o.violations().len(), 1);
-        assert!(o.violations()[0].detail.contains("unterminated"));
+    fn open_stall_is_flagged_at_an_audit_pass_once() {
+        let (mut o, mut log) = oracle(with_delay_bound(10));
+        o.on_stall_begin(0, 5);
+        o.check_open(14, &mut log);
+        assert!(log.violations().is_empty(), "10 cycles is within the bound");
+        o.check_open(100, &mut log);
+        o.on_stall_end(0, 120, &mut log);
+        assert_eq!(log.violations().len(), 1);
+        assert!(log.violations()[0].detail.contains("still open"));
     }
 
     #[test]
-    fn backlog_bound_counts_unresolved_grants() {
-        let mut o = NetCalcOracle::new(0, NetCalcSpec::from_curve(10, 1, 10));
-        o.spec.backlog_bound = Some(2);
-        o.on_grant(0, 0x100);
-        o.on_grant(1, 0x140);
-        o.on_llc_lookup(2, 0x100); // resolves the first grant
-        o.on_grant(3, 0x180); // backlog back to 2: fine
-        assert!(o.violations().is_empty(), "{:?}", o.violations());
-        o.on_grant(4, 0x1c0); // backlog 3 > bound 2
-        assert_eq!(o.violations().len(), 1);
-        assert!(o.violations()[0].detail.contains("backlog"));
-    }
-
-    #[test]
-    fn backlog_for_latency_math() {
-        let s = NetCalcSpec::from_curve(3, 10, 5).with_backlog_for_latency(20);
-        // 5 + ceil(20*3/10) + 1 = 5 + 6 + 1.
-        assert_eq!(s.backlog_bound, Some(12));
-    }
-
-    #[test]
-    fn event_filter_ignores_other_cores() {
-        let mut o = NetCalcOracle::new(1, spec());
-        o.on_event(&TraceEvent::ShaperGrant { at: 0, core: 0, line: 0x100, bin: 0 });
-        assert_eq!(o.grants_checked(), 0);
-        o.on_event(&TraceEvent::ShaperGrant { at: 0, core: 1, line: 0x100, bin: 0 });
-        assert_eq!(o.grants_checked(), 1);
+    fn sharers_keep_their_own_episodes() {
+        let (mut o, mut log) = oracle(with_delay_bound(10));
+        o.on_stall_begin(0, 5);
+        o.on_stall_begin(1, 8);
+        // Core 1's grant ends only its own episode.
+        o.on_grant(1, 12, &mut log);
+        o.check_open(30, &mut log);
+        assert_eq!(log.violations().len(), 1);
+        assert_eq!(log.violations()[0].core, Some(0));
+        assert_eq!(o.episodes_checked(), 1);
     }
 
     #[test]
     fn zero_rate_spec_admits_only_the_burst() {
-        let mut o = NetCalcOracle::new(0, NetCalcSpec::from_curve(0, 1, 1));
-        o.on_grant(0, 0x100);
-        o.on_grant(1_000_000, 0x140); // no refill ever happens
-        assert_eq!(o.violations().len(), 1);
+        let (mut o, mut log) = oracle(curve(0, 1, 1));
+        o.on_grant(0, 0, &mut log);
+        o.on_grant(0, 1_000_000, &mut log); // no refill ever happens
+        assert_eq!(log.violations().len(), 1);
     }
 }

@@ -16,10 +16,12 @@
 //!   FR-FCFS must pick the oldest row hit (oldest overall when no hit is
 //!   startable), FCFS the oldest startable candidate, ids breaking ties.
 //!
-//! The check allocates nothing unless it finds a violation.
+//! Findings go straight into the auditor's log as
+//! `Invariant::SchedulerPick`. The check allocates nothing unless it
+//! finds a violation.
 
+use crate::audit::{AuditLog, AuditViolation, Invariant};
 use crate::mc::{DramView, Transaction, TxnId};
-use crate::oracle::{OracleKind, OracleViolation};
 use crate::types::{CoreId, Cycle};
 
 /// The queue-ordering discipline a scheduler promises to implement.
@@ -89,7 +91,6 @@ impl PickCandidate {
 pub struct PickOracle {
     channel: usize,
     policy: Option<PickPolicy>,
-    violations: Vec<OracleViolation>,
     picks: u64,
 }
 
@@ -99,12 +100,7 @@ impl PickOracle {
     /// [`crate::mc::Scheduler::conformance_policy`]; `None` keeps the
     /// structural and priority checks only).
     pub fn new(channel: usize, policy: Option<PickPolicy>) -> Self {
-        PickOracle { channel, policy, violations: Vec::new(), picks: 0 }
-    }
-
-    /// Removes and returns the violations found so far.
-    pub fn take_violations(&mut self) -> Vec<OracleViolation> {
-        std::mem::take(&mut self.violations)
+        PickOracle { channel, policy, picks: 0 }
     }
 
     /// Number of picks checked.
@@ -112,8 +108,7 @@ impl PickOracle {
         self.picks
     }
 
-    /// Encodes the pick count (checkpoint support). Pending violations
-    /// are not included: the auditor drains them after every tick.
+    /// Encodes the pick count (checkpoint support).
     pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         enc.u64(self.picks);
     }
@@ -124,13 +119,12 @@ impl PickOracle {
         dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         self.picks = dec.u64()?;
-        self.violations.clear();
         Ok(())
     }
 
     /// Checks the controller's pick of `queue[chosen]` at cycle `at`,
     /// made with `priority` as the priority-core override, before the
-    /// transaction leaves the queue.
+    /// transaction leaves the queue, recording findings in `log`.
     pub(crate) fn check_pick(
         &mut self,
         at: Cycle,
@@ -138,30 +132,36 @@ impl PickOracle {
         chosen: usize,
         priority: Option<CoreId>,
         view: &DramView<'_>,
+        log: &mut AuditLog,
     ) {
         let candidates = queue.iter().map(|t| PickCandidate::of(t, view));
         let chosen = PickCandidate::of(&queue[chosen], view);
-        self.check(at, chosen, priority.map(CoreId::index), candidates);
+        self.check(at, chosen, priority.map(CoreId::index), candidates, log);
     }
 
-    fn report(&mut self, at: Cycle, detail: String) {
-        self.violations.push(OracleViolation {
-            at,
-            oracle: OracleKind::Sched,
+    fn report(&self, log: &mut AuditLog, at: Cycle, detail: String) {
+        log.record(AuditViolation {
+            cycle: at,
+            invariant: Invariant::SchedulerPick,
             core: None,
-            channel: Some(self.channel),
-            detail,
+            detail: format!("channel {}: {detail}", self.channel),
         });
     }
 
     /// Checks one pick of `chosen` among `candidates` (which include it).
-    fn check<I>(&mut self, at: Cycle, chosen: PickCandidate, priority: Option<usize>, candidates: I)
-    where
+    fn check<I>(
+        &mut self,
+        at: Cycle,
+        chosen: PickCandidate,
+        priority: Option<usize>,
+        candidates: I,
+        log: &mut AuditLog,
+    ) where
         I: Iterator<Item = PickCandidate> + Clone,
     {
         self.picks += 1;
         if !chosen.startable {
-            self.report(at, format!("chosen txn {} was not startable (bank busy)", chosen.id));
+            self.report(log, at, format!("chosen txn {} was not startable (bank busy)", chosen.id));
             return;
         }
 
@@ -170,6 +170,7 @@ impl PickOracle {
             if let Some(best) = PickPolicy::FrFcfs.best(candidates.clone().filter(|c| c.core == p)) {
                 if chosen.core != p {
                     self.report(
+                        log,
                         at,
                         format!(
                             "priority core {p} had startable txn {} but \
@@ -179,6 +180,7 @@ impl PickOracle {
                     );
                 } else if chosen.id != best.id {
                     self.report(
+                        log,
                         at,
                         format!(
                             "priority pick chose txn {} but row-hit/oldest \
@@ -197,6 +199,7 @@ impl PickOracle {
                 .expect("chosen is startable, so a best candidate exists");
             if chosen.id != best.id {
                 self.report(
+                    log,
                     at,
                     format!(
                         "{} order selects txn {} but txn {} was chosen \
@@ -229,12 +232,13 @@ mod tests {
         chosen: u64,
         priority: Option<usize>,
         cands: &[PickCandidate],
-    ) -> Vec<OracleViolation> {
+    ) -> Vec<AuditViolation> {
         let mut o = PickOracle::new(0, policy);
+        let mut log = AuditLog::new(64);
         let c = *cands.iter().find(|c| c.id == chosen).expect("chosen is a candidate");
-        o.check(100, c, priority, cands.iter().copied());
+        o.check(100, c, priority, cands.iter().copied(), &mut log);
         assert_eq!(o.picks_checked(), 1);
-        o.take_violations()
+        log.violations().to_vec()
     }
 
     #[test]
@@ -257,7 +261,8 @@ mod tests {
         let cands = [cand(1, 0, 10, true, false), cand(3, 1, 30, true, true)];
         let v = pick(Some(PickPolicy::Fcfs), 3, None, &cands);
         assert_eq!(v.len(), 1);
-        assert_eq!((v[0].at, v[0].channel), (100, Some(0)));
+        assert_eq!(v[0].cycle, 100);
+        assert!(v[0].detail.starts_with("channel 0: "), "{v:?}");
     }
 
     #[test]

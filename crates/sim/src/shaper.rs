@@ -11,11 +11,13 @@
 //!   constant request rate with no notion of inter-arrival distribution.
 //!
 //! It also holds the two closed-form shapers of the extended comparison,
-//! [`CbsShaper`] and [`RegulatorShaper`]. Those and the static limiter
-//! state their own token-bucket [`Envelope`], which the network-calculus
-//! oracle checks their grant streams against.
+//! [`CbsShaper`] and [`RegulatorShaper`]. Every shaper states the
+//! [`ShaperContract`] the invariant auditor checks it against: those and
+//! the static limiter their token-bucket [`Envelope`], MITTS its §III bin
+//! spec.
 
 use crate::audit::CreditAudit;
+use crate::oracle::MittsSpec;
 use crate::types::Cycle;
 
 /// Token identifying an issued request within its shaper, so the delayed
@@ -45,9 +47,9 @@ impl ShapeDecision {
 ///
 /// Over any grants at cycles `t_i <= t_j` the shaper issues at most
 /// `burst + (t_j - t_i) * rate_num / rate_den` of them, the convention of
-/// [`crate::oracle::NetCalcSpec`]: a bucket of `burst` tokens, full at the
-/// start, refilled at `rate_num / rate_den` tokens per cycle, one token
-/// per grant.
+/// [`crate::oracle::NetCalcOracle`]: a bucket of `burst` tokens, full at
+/// the start, refilled at `rate_num / rate_den` tokens per cycle, one
+/// token per grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Long-run rate numerator: at most `rate_num / rate_den` requests
@@ -57,9 +59,22 @@ pub struct Envelope {
     pub rate_den: u64,
     /// Requests admissible back-to-back beyond the long-run rate.
     pub burst: u64,
-    /// Longest shaper stall episode (`StallBegin` to `StallEnd`) the
-    /// trace may show, or `None` when waiting may never help.
+    /// Longest shaper stall episode (first denied cycle to the first
+    /// cycle the issue stage stops reporting a shaper denial), or `None`
+    /// when waiting may never help.
     pub stall_bound: Option<Cycle>,
+}
+
+/// What a shaper promises, and so what the invariant auditor checks it
+/// against (see [`SourceShaper::contract`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShaperContract {
+    /// The §III bin/credit machine, re-executed by
+    /// [`crate::oracle::ShaperOracle`].
+    Bins(MittsSpec),
+    /// A token-bucket envelope, checked by
+    /// [`crate::oracle::NetCalcOracle`].
+    Envelope(Envelope),
 }
 
 /// A source-side bandwidth shaper attached to one core's L1-miss path.
@@ -118,17 +133,21 @@ pub trait SourceShaper {
         Some(now + 1)
     }
 
-    /// Snapshot of the shaper's credit state for the invariant auditor
-    /// (live vs maximum per bin). Policies without bounded credit state
-    /// return the default empty snapshot, which the auditor skips.
+    /// Snapshot of the shaper's credit state (live vs maximum per bin)
+    /// for stall reports, samples and shaper-config trace events.
+    /// Policies without bounded credit state return the default empty
+    /// snapshot.
     fn credit_audit(&self) -> CreditAudit {
         CreditAudit::default()
     }
 
-    /// The token-bucket envelope this shaper guarantees, or `None` when
-    /// its grant stream has no closed form (MITTS refunds LLC hits, so
-    /// its curve depends on the load; the bin/credit oracle covers it).
-    fn envelope(&self) -> Option<Envelope> {
+    /// The contract this shaper is checked against, or `None` when it
+    /// promises nothing (the pass-through). The auditor keeps one oracle
+    /// per shaper instance. It restarts a bin-spec oracle whenever the
+    /// stated spec changes (a reconfiguration), so a spec must change
+    /// exactly when the shaper's behaviour does; an envelope, and the
+    /// kind of contract, must not change.
+    fn contract(&self) -> Option<ShaperContract> {
         None
     }
 
@@ -258,13 +277,13 @@ impl SourceShaper for StaticRateShaper {
     /// is granted `interval` cycles after the previous grant at the
     /// latest, and its episode starts a cycle after that grant, so
     /// `interval` bounds the episode with one cycle to spare.
-    fn envelope(&self) -> Option<Envelope> {
-        Some(Envelope {
+    fn contract(&self) -> Option<ShaperContract> {
+        Some(ShaperContract::Envelope(Envelope {
             rate_num: 1,
             rate_den: self.interval,
             burst: 1,
             stall_bound: Some(self.interval),
-        })
+        }))
     }
 
     fn snapshot_kind(&self) -> Option<&'static str> {
@@ -419,16 +438,16 @@ impl SourceShaper for CbsShaper {
     /// whole cost (the shaper admits every request), leaving only the
     /// issue stage's one-grant-per-cycle bound. The stall bound is the
     /// recovery from the deepest deficit, `ceil(|lo_credit| /
-    /// idle_slope)`, plus two cycles of slack for how the trace brackets
-    /// an episode; a zero slope never recovers.
-    fn envelope(&self) -> Option<Envelope> {
+    /// idle_slope)`, plus two cycles of slack for how the issue stage
+    /// brackets an episode; a zero slope never recovers.
+    fn contract(&self) -> Option<ShaperContract> {
         let span = (self.hi_credit - self.lo_credit) as u64;
         let eff = self.lo_credit.unsigned_abs().min(self.send_cost);
         let (rate_num, rate_den, burst) =
             if eff == 0 { (1, 1, 1) } else { (self.idle_slope, eff, span / eff + 1) };
         let stall_bound = (self.idle_slope > 0)
             .then(|| self.lo_credit.unsigned_abs().div_ceil(self.idle_slope) + 2);
-        Some(Envelope { rate_num, rate_den, burst, stall_bound })
+        Some(ShaperContract::Envelope(Envelope { rate_num, rate_den, burst, stall_bound }))
     }
 
     fn credit_audit(&self) -> CreditAudit {
@@ -568,15 +587,15 @@ impl SourceShaper for RegulatorShaper {
     /// Rate `budget / window`, burst `2 * budget` (a full quota on each
     /// side of a window boundary). A denied request waits at most one
     /// window for the refresh; the stall bound adds one cycle of slack
-    /// for how the trace brackets an episode. A zero budget refreshes to
+    /// for how the issue stage brackets an episode. A zero budget refreshes to
     /// nothing, so waiting never helps.
-    fn envelope(&self) -> Option<Envelope> {
-        Some(Envelope {
+    fn contract(&self) -> Option<ShaperContract> {
+        Some(ShaperContract::Envelope(Envelope {
             rate_num: self.budget,
             rate_den: self.window,
             burst: self.budget.saturating_mul(2),
             stall_bound: (self.budget > 0).then_some(self.window + 1),
-        })
+        }))
     }
 
     fn credit_audit(&self) -> CreditAudit {
@@ -625,6 +644,13 @@ impl SourceShaper for RegulatorShaper {
 mod tests {
     use super::*;
 
+    fn envelope(s: &dyn SourceShaper) -> Option<Envelope> {
+        match s.contract() {
+            Some(ShaperContract::Envelope(e)) => Some(e),
+            _ => None,
+        }
+    }
+
     #[test]
     fn unlimited_always_grants() {
         let mut s = UnlimitedShaper::new();
@@ -657,7 +683,7 @@ mod tests {
     fn static_rate_envelope_is_a_one_token_bucket() {
         let s = StaticRateShaper::new(10);
         assert_eq!(
-            s.envelope(),
+            envelope(&s),
             Some(Envelope { rate_num: 1, rate_den: 10, burst: 1, stall_bound: Some(10) })
         );
     }
@@ -682,7 +708,7 @@ mod tests {
     fn unlimited_has_no_grant_event() {
         // Unlimited never denies, so there is nothing to wait for.
         assert_eq!(UnlimitedShaper::new().next_grant_event(7), None);
-        assert_eq!(UnlimitedShaper::new().envelope(), None);
+        assert_eq!(UnlimitedShaper::new().contract(), None);
     }
 
     // ---- CBS ------------------------------------------------------------
@@ -756,7 +782,7 @@ mod tests {
         assert!(s.try_issue(0).is_grant());
         assert!(!s.try_issue(1).is_grant());
         assert_eq!(s.next_grant_event(1), None);
-        assert_eq!(s.envelope().unwrap().stall_bound, None);
+        assert_eq!(envelope(&s).unwrap().stall_bound, None);
     }
 
     #[test]
@@ -772,11 +798,11 @@ mod tests {
         let s = CbsShaper::new(3, 10, 25, -20);
         // (45/10)+1 = 5 burst; ceil(20/3) = 7 cycles to recover, plus 2.
         assert_eq!(
-            s.envelope(),
+            envelope(&s),
             Some(Envelope { rate_num: 3, rate_den: 10, burst: 5, stall_bound: Some(9) })
         );
         // A zero floor forgives every grant: one grant per cycle.
-        let open = CbsShaper::new(3, 10, 25, 0).envelope().unwrap();
+        let open = envelope(&CbsShaper::new(3, 10, 25, 0)).unwrap();
         assert_eq!((open.rate_num, open.rate_den, open.burst), (1, 1, 1));
         let audit = s.credit_audit();
         assert_eq!(audit.bins.len(), 1);
@@ -860,14 +886,14 @@ mod tests {
         let mut s = RegulatorShaper::new(0, 100);
         assert!(!s.try_issue(0).is_grant());
         assert_eq!(s.next_grant_event(0), None);
-        assert_eq!(s.envelope().unwrap().stall_bound, None);
+        assert_eq!(envelope(&s).unwrap().stall_bound, None);
     }
 
     #[test]
     fn regulator_curve_and_stall_bound_math() {
         let s = RegulatorShaper::new(3, 100);
         assert_eq!(
-            s.envelope(),
+            envelope(&s),
             Some(Envelope { rate_num: 3, rate_den: 100, burst: 6, stall_bound: Some(101) })
         );
         let audit = s.credit_audit();

@@ -643,10 +643,13 @@ impl SystemBuilder {
                 obs.emit_shaper_config(0, i, sh.name(), bins);
             }
         }
-        let auditor = InvariantAuditor::new(
+        let mut auditor = InvariantAuditor::new(
             &config,
             channels.iter().map(|ch| ch.scheduler.conformance_policy()),
         );
+        for (i, unit) in cores.iter().enumerate() {
+            auditor.attach_shaper(i, &unit.shaper, 0, false);
+        }
         let n = config.cores;
         System {
             now: 0,
@@ -775,13 +778,18 @@ impl System {
         Rc::clone(&self.cores[core].shaper)
     }
 
-    /// Replaces the shaper on core `core`.
+    /// Replaces the shaper on core `core`. The auditor checks it from
+    /// here on against a fresh oracle built from its contract (or the
+    /// oracle of the pool it already serves), so hand over a freshly
+    /// built shaper.
     pub fn set_shaper(&mut self, core: usize, shaper: ShaperHandle) {
         if self.obs.lifecycle_enabled() {
             let sh = shaper.borrow();
             let bins = sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect();
             self.obs.emit_shaper_config(self.now, core, sh.name(), bins);
         }
+        let stalled = self.cores[core].last_outcome == IssueOutcome::ShaperDenied;
+        self.auditor.attach_shaper(core, &shaper, self.now, stalled);
         self.cores[core].shaper = shaper;
     }
 
@@ -789,6 +797,7 @@ impl System {
     /// Fig. 7 middle placement, gating exactly the true memory-request
     /// stream at the LLC-miss→controller boundary. Independent of the
     /// per-core L1-path shaper; normally only one of the two is used.
+    /// The auditor does not check it against its contract (see DESIGN).
     pub fn set_llc_shaper(&mut self, core: usize, shaper: Option<ShaperHandle>) {
         self.llc.shapers[core] = shaper;
     }
@@ -901,6 +910,17 @@ impl System {
             self.obs.on_fault_injected(self.now, format!("{plan:?}"));
         }
         self.faults.inject(plan);
+        self.apply_dram_faults();
+    }
+
+    /// Sets every channel's DRAM model timing to the configured timing
+    /// with the fault plan's shaves applied.
+    fn apply_dram_faults(&mut self) {
+        let base = self.config.dram.timing_cycles(self.config.core.freq_hz);
+        let timing = self.faults.dram_timing(base);
+        for channel in &mut self.channels {
+            channel.dram.set_timing(timing);
+        }
     }
 
     /// Switches the execution engine at runtime. Safe mid-run: both
@@ -1085,6 +1105,7 @@ impl System {
             }
             self.audit_last_instr = last;
             self.faults.load_state(&mut d)?;
+            self.apply_dram_faults();
             d.finish()?;
         }
         {
@@ -1543,6 +1564,7 @@ impl System {
         for note in notes.drain(..) {
             let unit = &mut self.cores[note.core.index()];
             unit.shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
+            self.auditor.shaper_feedback(now, note.core.index(), note.token, note.hit);
         }
         for fill in fills.drain(..) {
             self.obs.on_core_fill(now, fill.core.index(), fill.line_addr);
@@ -1592,6 +1614,7 @@ impl System {
             // Demand issue (head of miss queue) through the shaper. The
             // outcome is recorded so the skip engine knows whether
             // a stuck head is waiting on something time can cure.
+            let was_stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
             unit.last_outcome = if ports_left == 0 {
                 IssueOutcome::NoPorts
             } else if let Some(&head) = unit.miss_queue.front() {
@@ -1620,6 +1643,7 @@ impl System {
                             ports_left -= 1;
                             let _ = head.created_at; // latency counted at L1 MSHR
                             self.obs.on_shaper_grant(now, idx, head.line_addr, token);
+                            self.auditor.shaper_grant(now, idx, token, self.rr_offset);
                             self.llc.lookups.push_back(LlcLookup {
                                 ready_at: now + self.llc.hit_latency,
                                 core: unit.id,
@@ -1633,6 +1657,11 @@ impl System {
                             if fault_denied {
                                 IssueOutcome::FaultDenied
                             } else {
+                                if faults_active && self.faults.corrupt_credits(now, idx) {
+                                    // Fault injection: the auditor sees a
+                                    // grant the shaper did not make.
+                                    self.auditor.shaper_grant(now, idx, 0, self.rr_offset);
+                                }
                                 IssueOutcome::ShaperDenied
                             }
                         }
@@ -1644,6 +1673,13 @@ impl System {
             } else {
                 IssueOutcome::NoRequest
             };
+            // Shaper stall episodes for the auditor's shaper oracle:
+            // transitions only, which land on the same cycles under both
+            // engines (a grant ends an episode itself).
+            let stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
+            if stalled != was_stalled && unit.last_outcome != IssueOutcome::Granted {
+                self.auditor.shaper_stall(now, idx, stalled);
+            }
             if self.obs.lifecycle_enabled() {
                 // Throttling-episode tracking: emitted on transitions only,
                 // so skipped quiescent windows (constant outcome) and naive
@@ -1698,12 +1734,16 @@ impl System {
         //    channel's dispatch log is read once: the auditor's DDR3 oracle
         //    checks the records, then the observer traces them.
         for (ci, channel) in self.channels.iter_mut().enumerate() {
-            let picks = self.auditor.pick_oracle(ci);
+            let picks = self.auditor.pick_check(ci);
             channel.mc.tick(now, channel.scheduler.as_mut(), &mut channel.dram, picks);
-            self.auditor.record_pick_findings(ci);
             let dispatches = channel.mc.dispatch_log();
             if !dispatches.is_empty() {
-                self.auditor.check_dispatches(ci, dispatches);
+                if let Some((dram, log)) = self.auditor.dram_check() {
+                    for r in dispatches {
+                        let write = r.txn.cmd == MemCmd::Write;
+                        dram.check(r.at, ci, r.txn.addr, write, &r.timing, log);
+                    }
+                }
                 self.obs.on_dispatches(ci, dispatches);
                 channel.mc.clear_dispatch_log();
             }
@@ -2034,29 +2074,6 @@ impl System {
                         unit.inflight
                     ),
                 });
-            }
-            // Per-bin credit bounds, via the shaper's own snapshot.
-            let mut credits = unit.shaper.borrow().credit_audit();
-            if self.faults.corrupt_credits(now, i) {
-                // Fault injection: corrupt the observed snapshot so the
-                // checker below must flag it (mutation test).
-                match credits.bins.first_mut() {
-                    Some(bin) => bin.live = bin.max.saturating_add(1),
-                    None => credits.bins.push(crate::audit::CreditBin { live: 1, max: 0 }),
-                }
-            }
-            for (b, bin) in credits.bins.iter().enumerate() {
-                if bin.live > bin.max {
-                    self.auditor.record(AuditViolation {
-                        cycle: now,
-                        invariant: Invariant::CreditBounds,
-                        core: Some(i),
-                        detail: format!(
-                            "bin {b} holds {} credits, above its maximum {}",
-                            bin.live, bin.max
-                        ),
-                    });
-                }
             }
             // Instruction counters must be monotone between passes.
             let instr = unit.core.counters().instructions;

@@ -24,7 +24,7 @@ use mitts_sim::dram::Dram;
 use mitts_sim::mc::{FcfsScheduler, MemoryController};
 use mitts_sim::obs::Sampler;
 use mitts_sim::shaper::{
-    CbsShaper, RegulatorShaper, ShapeDecision, SourceShaper, StaticRateShaper,
+    CbsShaper, RegulatorShaper, ShapeDecision, ShaperContract, SourceShaper, StaticRateShaper,
 };
 use mitts_sim::types::{CoreId, Cycle, MemCmd};
 
@@ -280,8 +280,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every closed-form shaper keeps its grant stream inside its own
-    /// `envelope()`. Random request arrivals queue in front of the shaper,
+    /// Every closed-form shaper keeps its grant stream inside the
+    /// envelope it states as its contract. Random request arrivals queue in front of the shaper,
     /// which sees the head every cycle as the issue stage does. Every
     /// window of grants `t_i..=t_j` must hold at most
     /// `burst + (t_j - t_i) * rate_num / rate_den` of them (exact, scaled
@@ -302,7 +302,9 @@ proptest! {
             1 => Box::new(CbsShaper::new(1 + a % 4, b, cbs_hi(hi, lo), -(lo as i64))),
             _ => Box::new(RegulatorShaper::new(1 + a % 6, 10 * b)),
         };
-        let env = s.envelope().expect("closed-form shapers state an envelope");
+        let Some(ShaperContract::Envelope(env)) = s.contract() else {
+            panic!("closed-form shapers state an envelope");
+        };
         prop_assert!(env.rate_den > 0);
         let mut due = Vec::new();
         let mut at = 0;

@@ -4,8 +4,12 @@
 //! cycles of injection, and uninjected runs must complete with zero
 //! violations (no false positives).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
-use mitts_sim::audit::{FaultKind, FaultPlan, Invariant};
+use mitts_sim::audit::{DramParam, FaultKind, FaultPlan, Invariant};
 use mitts_sim::config::SystemConfig;
 use mitts_sim::mc::{DramView, Scheduler, Transaction};
 use mitts_sim::oracle::PickPolicy;
@@ -111,22 +115,61 @@ fn zeroed_shaper_credits_starve_the_core_visibly() {
 }
 
 #[test]
-fn corrupted_shaper_credits_are_detected_within_one_audit_interval() {
+fn corrupted_shaper_credits_are_caught_by_the_shaper_oracle() {
+    // Core 0 streams through a tight MITTS shaper that denies most of the
+    // time; the fault reports each denial to the auditor as a grant.
     let from = 500;
-    let cfg = hardened_config();
-    let interval = cfg.hardening.audit.interval;
-    let mut sys = streaming_system(cfg);
+    let credits = vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 4];
+    let cfg = BinConfig::new(BinSpec::paper_default(), credits, 2_000).expect("valid");
+    let mut b = SystemBuilder::new(hardened_config())
+        .shaper(0, Rc::new(RefCell::new(MittsShaper::new(cfg))));
+    for i in 0..4 {
+        b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+    }
+    let mut sys = b.build();
     sys.inject_faults(FaultPlan::new().with(FaultKind::CorruptShaperCredits { from, core: 0 }));
     sys.run_cycles(from + DETECT_BUDGET);
-    let v = first_violation(&sys, |v| {
-        v.invariant == Invariant::CreditBounds && v.core == Some(0)
-    })
-    .expect("an out-of-bounds credit snapshot must be flagged");
+    let v = first_violation(&sys, |v| v.invariant == Invariant::ShaperBins && v.core == Some(0))
+        .expect("a denial reported as a grant must break the bin/credit spec");
     assert!(
-        v.cycle >= from && v.cycle <= from + 2 * interval,
-        "credit corruption must surface within one audit interval, got cycle {}",
+        v.cycle >= from && v.cycle <= from + DETECT_BUDGET,
+        "detected at cycle {} for a fault armed at {from}",
         v.cycle
     );
+    assert!(v.detail.contains("spec would deny"), "{v}");
+}
+
+#[test]
+fn shaved_dram_timing_is_caught_as_a_ddr3_violation() {
+    let from = 2_000;
+    for (param, by) in [(DramParam::Trcd, 4), (DramParam::Tcl, 4), (DramParam::Burst, 2)] {
+        let plan = FaultPlan::new().with(FaultKind::ShaveDramTiming { param, by });
+        let mut sys = streaming_system(hardened_config());
+        sys.run_cycles(from);
+        sys.inject_faults(plan.clone());
+        // The shaved model timing is part of the fault plan, so it
+        // survives a snapshot into a freshly built twin.
+        let snap = sys.snapshot().expect("snapshot");
+        sys.run_cycles(DETECT_BUDGET);
+        let v = first_violation(&sys, |v| v.invariant == Invariant::DramTiming)
+            .unwrap_or_else(|| panic!("a DRAM model with {param:?} shaved must break DDR3"));
+        assert!(
+            v.cycle >= from && v.cycle <= from + DETECT_BUDGET,
+            "{param:?}: detected at cycle {} for a fault injected at {from}",
+            v.cycle
+        );
+        let mut b = SystemBuilder::new(hardened_config());
+        for i in 0..4 {
+            b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+        }
+        let mut twin = b.resume_from(&snap).expect("resume");
+        twin.run_cycles(DETECT_BUDGET);
+        assert_eq!(
+            first_violation(&twin, |v| v.invariant == Invariant::DramTiming).map(|v| v.cycle),
+            Some(v.cycle),
+            "{param:?}: the resumed twin must hit the same DDR3 violation"
+        );
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! formats those runs are built from, so a codec regression is caught at
 //! the component that broke rather than as a whole-system divergence.
 
+use mitts_sim::audit::AuditLog;
 use mitts_sim::config::{CoreConfig, DramConfig, SystemConfig};
 use mitts_sim::core::{Core, MemIssue};
 use mitts_sim::dram::Dram;
@@ -146,13 +147,14 @@ fn dram_rejects_a_snapshot_with_different_bank_count() {
 }
 
 /// Dispatches `n` random requests on `dram` (row hits, misses, conflicts,
-/// reads and writes), feeding each dispatch record to every oracle.
+/// reads and writes), feeding each dispatch record to every oracle, which
+/// records findings in its log.
 fn dispatch_random(
     dram: &mut Dram<u64>,
     now: &mut u64,
     rng: &mut Rng,
     n: u64,
-    oracles: &mut [&mut DramOracle],
+    oracles: &mut [(&mut DramOracle, &mut AuditLog)],
 ) {
     for i in 0..n {
         let addr = if rng.chance(0.5) { rng.below(4) * 64 } else { rng.below(1 << 18) * 64 };
@@ -162,8 +164,8 @@ fn dispatch_random(
         }
         dram.start(*now, addr, cmd, i);
         let svc = dram.last_service().expect("service recorded");
-        for o in oracles.iter_mut() {
-            o.check(*now, 0, addr, !cmd.is_read(), &svc);
+        for (o, log) in oracles.iter_mut() {
+            o.check(*now, 0, addr, !cmd.is_read(), &svc, log);
         }
         *now += 1 + rng.below(8);
     }
@@ -179,16 +181,18 @@ fn dram_oracle_shadow_round_trips_mid_flight() {
     let mut dram: Dram<u64> = Dram::new(&cfg, freq);
     let (mut now, mut rng) = (0, Rng::seeded(0x5EED));
     let mut oracle = fresh();
-    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut [&mut oracle]);
+    let (mut log, mut twin_log) = (AuditLog::new(64), AuditLog::new(64));
+    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut [(&mut oracle, &mut log)]);
     let mut twin = fresh();
     round_trip(&oracle, &mut twin, |o, e| o.save_state(e), |o, d| o.load_state(d));
     assert_eq!(oracle.dispatches_checked(), twin.dispatches_checked());
     // Continue the same channel: the restored shadow must judge every
     // later dispatch (row hits on rows opened before the snapshot
     // included) exactly as the original does, and both find it legal.
-    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut [&mut oracle, &mut twin]);
-    assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
-    assert!(twin.violations().is_empty(), "restored shadow diverged: {:?}", twin.violations());
+    let mut both = [(&mut oracle, &mut log), (&mut twin, &mut twin_log)];
+    dispatch_random(&mut dram, &mut now, &mut rng, 200, &mut both);
+    assert!(log.violations().is_empty(), "{:?}", log.violations());
+    assert!(twin_log.violations().is_empty(), "restored shadow diverged: {:?}", twin_log.violations());
     assert_eq!(twin.dispatches_checked(), 400);
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * the all-integer [`SystemStats`] digest (every counter in the machine),
 //! * MITTS shaper grant ledgers (per-bin grants, live credits, counters),
-//! * the runtime auditor's violation log,
+//! * the runtime auditor's violation log and its oracles' checked counts,
 //! * the request-lifecycle trace-event stream and sampler rows.
 //!
 //! Every bundled benchmark is covered under both engines (naive, skip),
@@ -207,6 +207,12 @@ fn assert_resume_equivalent_on(
         reference.sys.samples().iter().filter(|s| s.at >= snap_at).collect();
     let res_samples: Vec<_> = resumed.sys.samples().iter().collect();
     assert_eq!(ref_samples, res_samples, "sampler rows diverged for {tag}");
+
+    // 6. What the auditor's oracles checked, counted across the resume.
+    let (a, b) = (reference.sys.auditor(), resumed.sys.auditor());
+    assert_eq!(a.shaper_coverage(), b.shaper_coverage(), "shaper oracle counts diverged ({tag})");
+    assert_eq!(a.dispatches_checked(), b.dispatches_checked(), "DDR3 counts diverged ({tag})");
+    assert_eq!(a.picks_checked(), b.picks_checked(), "pick counts diverged ({tag})");
     reference
 }
 
@@ -235,6 +241,39 @@ fn shaped_mitts_runs_resume_identically_in_all_modes() {
             7_000,
             21_000,
         );
+    }
+}
+
+/// The first cycle `c >= from` whose snapshot lands inside a shaper stall
+/// episode of core 0: the issue stage denied its head on cycle `c - 1`.
+fn inside_a_stall_episode(engine: Engine, from: Cycle) -> Cycle {
+    let mut probe = build(&[Benchmark::Libquantum], "FR-FCFS", engine, true);
+    probe.sys.run_cycles(from - 1);
+    loop {
+        let before = probe.sys.core_stats(0).shaper_stall_cycles;
+        probe.sys.run_cycles(1);
+        if probe.sys.core_stats(0).shaper_stall_cycles == before + 1 {
+            return probe.sys.now();
+        }
+    }
+}
+
+#[test]
+fn resuming_inside_a_stall_episode_keeps_the_shaper_oracle_in_step() {
+    for engine in [Engine::Naive, Engine::Skip] {
+        let snap_at = inside_a_stall_episode(engine, 7_000);
+        let reference = assert_resume_equivalent_on(
+            &Memory::default(),
+            &[Benchmark::Libquantum],
+            "FR-FCFS",
+            engine,
+            true,
+            snap_at,
+            snap_at + 15_000,
+        );
+        assert!(reference.sys.audit_log().is_empty(), "{:#?}", reference.sys.audit_log());
+        let coverage = reference.sys.auditor().shaper_coverage();
+        assert!(coverage.bin_grants > 0 && coverage.denied_cycles > 0, "{coverage:?}");
     }
 }
 

@@ -40,11 +40,15 @@ echo "examples: every example ran to a zero exit"
 # skip engine's digests equal the naive engine's, traced reps equal
 # untraced ones, the journaled capacity frontier equals the unjournaled
 # one, and every single-system rep ends with zero audit violations. The
-# auditor replays every DRAM dispatch through its DDR3 oracle and checks
+# auditor replays every DRAM dispatch through its DDR3 oracle, checks
 # every dispatching scheduler pick against the policy the scheduler
-# claims, so that last check also means every dispatch was DDR3-legal
-# and every pick was legal; on all four workloads both oracles run, and
-# the capacity probes' audit logs must agree across engines.
+# claims, and checks every shaped grant and shaper stall episode against
+# the contract its shaper states, so that last check also means every
+# dispatch was DDR3-legal, every pick was legal, and every shaped grant
+# and stall conformed (mitts_wl4_x8's eight MITTS shapers and the
+# capacity probes' shaped arms; the traced pass wraps shapers in timers
+# that state no contract); the capacity probes' audit logs must agree
+# across engines.
 # Building it here also catches a crate change that breaks the
 # benchmark's build.
 PERF_LOG="$GATE_TMP/perfbench.log"
@@ -67,19 +71,34 @@ print(f"pool gate: capacity_x15.pool.busy_frac {busy:.2f} on {par:.0f} CPUs")
 '
 
 # Conformance smoke gate: seeded mutation checks (each oracle must catch
-# every perturbation of its constants), a short fuzz campaign (every
-# fuzzed case also byte-diffed naive vs skip), a workload
+# every component that misstates or breaks its spec), a short fuzz
+# campaign (every fuzzed case also byte-diffed naive vs skip), a workload
 # subset under the shaper/DRAM/scheduler/network-calculus oracles, the
 # per-case engine differential, and the capacity-probe differential
 # (engines x metrics on/off). Exits non-zero on any violation,
-# undetected mutation, or engine divergence.
+# undetected mutation, or engine divergence. Every oracle runs inside
+# the invariant auditor, so each mutation below is caught there.
 cargo build --release -p mitts-bench --bin mitts-conform
 CONFORM_LOG="$GATE_TMP/conform.log"
 target/release/mitts-conform --smoke | tee "$CONFORM_LOG" | tail -n 3
 
+# Shaper-oracle gate: MITTS shapers stating a bent bin spec must reach
+# the bin/credit oracle through the auditor; at least 3 detected.
+shaper_detected=$(grep -c '\[shaper\].*detected' "$CONFORM_LOG" || true)
+[ "$shaper_detected" -ge 3 ] \
+  || { echo "shaper oracle gate: expected >=3 detected shaper mutations, saw $shaper_detected"; exit 1; }
+echo "shaper oracle gate: $shaper_detected misstated bin specs detected"
+
+# DRAM-oracle gate: DRAM models with tRCD, tCL or the burst shaved by a
+# fault must break the auditor's DDR3 check; at least 3 detected.
+dram_detected=$(grep -c '\[  dram\].*detected' "$CONFORM_LOG" || true)
+[ "$dram_detected" -ge 3 ] \
+  || { echo "DRAM oracle gate: expected >=3 detected dram mutations, saw $dram_detected"; exit 1; }
+echo "DRAM oracle gate: $dram_detected shaved DRAM timings detected"
+
 # Network-calculus oracle gate: the mutation phase must exercise the
-# netcalc oracle (CBS/regulator arrival-curve, delay-bound, and backlog
-# perturbations) and catch at least 3 seeded spec mutations.
+# netcalc oracle (static/CBS/regulator shapers stating a bent arrival
+# curve or delay bound) and catch at least 3 of them.
 netcalc_detected=$(grep -c '\[netcalc\].*detected' "$CONFORM_LOG" || true)
 [ "$netcalc_detected" -ge 3 ] \
   || { echo "netcalc oracle gate: expected >=3 detected netcalc mutations, saw $netcalc_detected"; exit 1; }
@@ -87,8 +106,8 @@ echo "netcalc oracle gate: $netcalc_detected seeded spec mutations detected"
 
 # Scheduler-oracle gate: the sched mutations (real schedulers claiming
 # the other policy, a broken youngest-first scheduler) reach the pick
-# oracle through the invariant auditor, not the trace stream; at least 3
-# must be detected, so a silent fall to zero fails here.
+# oracle through the invariant auditor; at least 3 must be detected, so
+# a silent fall to zero fails here.
 sched_detected=$(grep -c '\[ sched\].*detected' "$CONFORM_LOG" || true)
 [ "$sched_detected" -ge 3 ] \
   || { echo "scheduler oracle gate: expected >=3 detected sched mutations, saw $sched_detected"; exit 1; }

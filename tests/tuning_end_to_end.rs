@@ -86,6 +86,46 @@ fn online_tuner_runs_a_full_config_phase_on_a_live_multiprogram_system() {
     assert!(sys.core_stats(0).counters.instructions > before);
 }
 
+/// The online tuner reconfigures the live shapers many times mid-run (each
+/// candidate, then the winner); the auditor restarts each shaper's oracle
+/// at every reinstall, so the whole run checks clean.
+#[test]
+fn online_tuning_reconfigures_mid_run_and_audits_clean() {
+    let mut cfg = SystemConfig::multi_program(2);
+    cfg.hardening.audit.enabled = true;
+    let mut b = SystemBuilder::new(cfg).scheduler(Box::new(FrFcfs::new()));
+    let mut shapers = Vec::new();
+    for (i, bench) in [Benchmark::Mcf, Benchmark::Libquantum].iter().enumerate() {
+        let shaper = Rc::new(RefCell::new(MittsShaper::new(BinConfig::single_bin(
+            BinSpec::paper_default(),
+            100,
+            10_000,
+        ))));
+        shapers.push(Rc::clone(&shaper));
+        b = b
+            .trace(i, Box::new(bench.profile().trace((i as u64) << 36, 70 + i as u64)))
+            .shaper(i, shaper);
+    }
+    let mut sys = b.build();
+    sys.run_cycles(7_777);
+    let params = OnlineParams { epoch: 3_000, population: 4, generations: 2, ..OnlineParams::default() };
+    let constraint = Constraint { target_interval: None, target_rpc: Some(0.01) };
+    let mut tuner = OnlineTuner::new(shapers.clone(), params).with_constraint(constraint);
+    tuner.config_phase(&mut sys, Objective::Throughput);
+    // A same-configuration reinstall off any replenish boundary also
+    // restarts the oracle's replenish phase.
+    let now = sys.now();
+    for shaper in &shapers {
+        let cfg = shaper.borrow().config().clone();
+        shaper.borrow_mut().reconfigure(now, cfg);
+    }
+    sys.run_cycles(30_000);
+    assert!(sys.audit_log().is_empty(), "{:#?}", sys.audit_log());
+    assert!(sys.auditor().shaper_checked(0) && sys.auditor().shaper_checked(1));
+    let coverage = sys.auditor().shaper_coverage();
+    assert!(coverage.bin_grants > 0 && coverage.denied_cycles > 0, "{coverage:?}");
+}
+
 #[test]
 fn constrained_online_search_stays_on_the_surface() {
     let constraint = Constraint { target_interval: None, target_rpc: Some(0.01) };
