@@ -29,7 +29,9 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec};
 use mitts_sched::make_baseline;
-use mitts_sim::obs::{Breach, EpochMetrics, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict};
+use mitts_sim::obs::{
+    Breach, EpochMetrics, MetricsRegistry, SloEvaluator, SloSpec, SloVerdict, WARMUP_EPOCHS,
+};
 use mitts_sim::rng::fnv1a;
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::trace::OpenLoopTrace;
@@ -359,14 +361,9 @@ pub fn find_knee(
     Ok((point, records))
 }
 
-/// Formats a breach as one space-free cell:
-/// `metric@coreN:value>bound` (or `<` for an IPC floor).
+/// Formats a breach as one space-free cell: `metric@coreN:value>bound`.
 fn breach_cell(b: &Breach) -> String {
-    let rel = match b.metric {
-        mitts_sim::obs::SloMetric::MinIpc => '<',
-        _ => '>',
-    };
-    format!("{}@core{}:{:.1}{}{}", b.metric.label(), b.core, b.value, rel, b.bound)
+    format!("{}@core{}:{:.1}>{}", b.metric.label(), b.core, b.value, b.bound)
 }
 
 /// Renders a cell's knee search as its experiment table. Every cell is
@@ -687,18 +684,13 @@ pub fn html_report(
     write!(
         s,
         "<p>Max sustainable open-loop load per tenant before the SLO breaks: \
-         p99 memory latency &le; {p99} cycles, stall rate &le; {stall}{ipc}, \
-         warmup {warm} epoch(s), violation tolerance {tol}. \
+         p99 memory latency &le; {p99} cycles, stall rate &le; {stall}, \
+         warmup {warm} epoch(s), violation tolerance 0. \
          {tenants} tenants, {epoch}-cycle epochs, {run} cycles per probe, \
          ramp {lo}&ndash;{hi} rps by {inc}, {bis} bisection steps.</p>",
         p99 = cfg.slo.p99_latency,
         stall = cfg.slo.max_stall_rate,
-        ipc = match cfg.slo.min_ipc {
-            Some(v) => format!(", IPC &ge; {v}"),
-            None => String::new(),
-        },
-        warm = cfg.slo.warmup_epochs,
-        tol = cfg.slo.max_violation_fraction,
+        warm = WARMUP_EPOCHS,
         tenants = cfg.tenants,
         epoch = cfg.epoch,
         run = cfg.run_cycles,

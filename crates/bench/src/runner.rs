@@ -286,13 +286,11 @@ pub fn engine_from_env() -> Engine {
     }
 }
 
-/// Parses an engine name: `naive` or `skip`. The retired engine names
-/// `fast` and `event` are deprecated aliases of `skip`: they produced
-/// byte-identical results, so older scripts keep working unchanged.
+/// Parses an engine name: exactly `naive` or `skip`.
 fn parse_engine(name: &str) -> Option<Engine> {
     match name {
         "naive" => Some(Engine::Naive),
-        "skip" | "fast" | "event" => Some(Engine::Skip),
+        "skip" => Some(Engine::Skip),
         _ => None,
     }
 }
@@ -650,12 +648,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_engine_accepts_both_engines_and_the_retired_aliases() {
+    fn parse_engine_accepts_both_engines_and_rejects_the_retired_aliases() {
         assert_eq!(parse_engine("naive"), Some(Engine::Naive));
-        for skip in ["skip", "fast", "event"] {
-            assert_eq!(parse_engine(skip), Some(Engine::Skip), "{skip}");
+        assert_eq!(parse_engine("skip"), Some(Engine::Skip));
+        for bad in ["fast", "event", "Skip", ""] {
+            assert_eq!(parse_engine(bad), None, "{bad}");
         }
-        assert_eq!(parse_engine("Skip"), None);
     }
 
     #[test]

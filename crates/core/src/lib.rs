@@ -22,8 +22,9 @@
 //! [`mitts_sim::system::ShaperHandle`]; installing *the same* handle on
 //! several cores pools their credits (the paper found a shared MITTS over
 //! 2× better than per-thread MITTS for x264/ferret). Per-thread shaping
-//! just uses distinct handles, and [`registers::RegisterImage`] models the
-//! OS context-switching a thread's configuration.
+//! just uses distinct handles. A context switch saves a thread's
+//! [`bins::BinConfig`] and writes it back with
+//! [`shaper::MittsShaper::reconfigure`].
 //!
 //! # Example
 //!
@@ -55,10 +56,8 @@
 
 pub mod area;
 pub mod bins;
-pub mod registers;
 pub mod shaper;
 
 pub use area::AreaModel;
 pub use bins::{BinConfig, BinConfigError, BinSpec, K_MAX};
-pub use registers::RegisterImage;
 pub use shaper::{CreditPolicy, FeedbackMethod, MittsShaper, ShaperCounters};

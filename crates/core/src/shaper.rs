@@ -724,6 +724,20 @@ mod tests {
     }
 
     #[test]
+    fn context_switch_reconfigures_to_the_saved_config() {
+        // A thread's MITTS configuration is its register state (§IV-H):
+        // switching it out saves the config, switching it back in
+        // reconfigures the shaper to it.
+        let mut s = MittsShaper::new(only_bin(2, 9, 500));
+        let saved = s.config().clone();
+        s.reconfigure(100, only_bin(7, 3, 300));
+        assert_eq!(s.live_credits()[7], 3);
+        s.reconfigure(200, saved.clone());
+        assert_eq!(*s.config(), saved);
+        assert_eq!((s.live_credits()[2], s.live_credits()[7]), (9, 0));
+    }
+
+    #[test]
     fn grants_per_bin_tracks_emitted_distribution() {
         let mut credits = vec![0u32; 10];
         credits[0] = 2;

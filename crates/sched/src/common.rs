@@ -38,7 +38,9 @@ mod tests {
     use super::*;
     use mitts_sim::config::{DramConfig, McConfig};
     use mitts_sim::dram::Dram;
+    use mitts_sim::audit::AuditLog;
     use mitts_sim::mc::{MemoryController, Scheduler, TxnId};
+    use mitts_sim::oracle::PickOracle;
     use mitts_sim::types::{CoreId, MemCmd};
 
     /// A scheduler wrapper that exposes the helpers directly.
@@ -81,13 +83,17 @@ mod tests {
         for &(addr, core) in reqs {
             mc.try_enqueue(0, CoreId::new(core), addr, MemCmd::Read).unwrap();
         }
+        // Every pick must also be legal for the policy the scheduler claims.
+        let mut picks = PickOracle::new(0, sched.conformance_policy());
+        let mut log = AuditLog::new(64);
         let mut order = Vec::new();
         for now in 0..4_000 {
             for r in mc.drain_completions(now, sched, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, sched, &mut dram, None);
+            mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
         }
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         order
     }
 

@@ -331,7 +331,9 @@ mod tests {
         // The wrapper must not change what gets picked.
         use mitts_sim::config::{DramConfig, McConfig};
         use mitts_sim::dram::Dram;
+        use mitts_sim::audit::AuditLog;
         use mitts_sim::mc::{MemoryController, TxnId};
+        use mitts_sim::oracle::PickOracle;
         let run = |wrap: bool| {
             let mut mc = MemoryController::new(&McConfig::default());
             let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
@@ -342,13 +344,16 @@ mod tests {
             for i in 0..6 {
                 mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
             }
+            let mut picks = PickOracle::new(0, sched.conformance_policy());
+            let mut log = AuditLog::new(64);
             let mut order = Vec::new();
             for now in 0..2_000 {
                 for r in mc.drain_completions(now, sched, &mut dram) {
                     order.push(r.txn.id);
                 }
-                mc.tick(now, sched, &mut dram, None);
+                mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
             }
+            assert!(log.violations().is_empty(), "{:?}", log.violations());
             order
         };
         assert_eq!(run(false), run(true));

@@ -134,7 +134,9 @@ mod tests {
     use super::*;
     use mitts_sim::config::{DramConfig, McConfig};
     use mitts_sim::dram::Dram;
+    use mitts_sim::audit::AuditLog;
     use mitts_sim::mc::MemoryController;
+    use mitts_sim::oracle::PickOracle;
     use mitts_sim::types::MemCmd;
 
     #[test]
@@ -168,13 +170,16 @@ mod tests {
             mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
         }
         let light = mc.try_enqueue(0, CoreId::new(1), 8 * 1024 * 4, MemCmd::Read).unwrap();
+        let mut picks = PickOracle::new(0, fq.conformance_policy());
+        let mut log = AuditLog::new(64);
         let mut order = Vec::new();
         for now in 0..8_000 {
             for r in mc.drain_completions(now, &mut fq, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, &mut fq, &mut dram, None);
+            mc.tick(now, &mut fq, &mut dram, (&mut picks, &mut log));
         }
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         let pos = order.iter().position(|&x| x == light).unwrap();
         assert!(pos <= 2, "light thread serviced at position {pos}: {order:?}");
     }

@@ -83,7 +83,7 @@ mod tests {
             for r in mc.drain_completions(now, sched, &mut dram) {
                 order.push(r.txn.id);
             }
-            mc.tick(now, sched, &mut dram, Some((&mut picks, &mut log)));
+            mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
         }
         assert!(log.violations().is_empty(), "{:?}", log.violations());
         order

@@ -140,7 +140,9 @@ mod tests {
     use super::*;
     use mitts_sim::config::{DramConfig, McConfig};
     use mitts_sim::dram::Dram;
+    use mitts_sim::audit::AuditLog;
     use mitts_sim::mc::{MemoryController, TxnId};
+    use mitts_sim::oracle::PickOracle;
     use mitts_sim::types::{CoreId, MemCmd};
 
     #[test]
@@ -159,13 +161,16 @@ mod tests {
             mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
         }
         let vip = mc.try_enqueue(0, CoreId::new(1), 8 * 1024 * 2, MemCmd::Read).unwrap();
+        let mut picks = PickOracle::new(0, mg.conformance_policy());
+        let mut log = AuditLog::new(64);
         let mut first_done = None;
         for now in 0..3_000 {
             for r in mc.drain_completions(now, &mut mg, &mut dram) {
                 first_done.get_or_insert(r.txn.id);
             }
-            mc.tick(now, &mut mg, &mut dram, None);
+            mc.tick(now, &mut mg, &mut dram, (&mut picks, &mut log));
         }
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert_eq!(first_done, Some(vip), "in-budget core must be serviced first");
     }
 

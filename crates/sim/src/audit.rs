@@ -11,7 +11,7 @@
 //! * [`InvariantAuditor`] — hooked into `System::tick`, it checks
 //!   conservation laws every [`AuditConfig::interval`] cycles (every
 //!   shaper grant is eventually matched by an L1 fill, MSHR files never
-//!   leak, DRAM byte/burst accounting balances, counters are monotone)
+//!   leak, DRAM byte/burst accounting balances, the cycle is monotone)
 //!   and records [`AuditViolation`]s instead of panicking. It also owns
 //!   every conformance oracle of [`crate::oracle`] and feeds them as the
 //!   simulator runs: one shaper oracle per installed shaper, built from
@@ -24,14 +24,15 @@
 //!   core retires and no fill completes for
 //!   [`WatchdogConfig::global_stall_cycles`]) and produces a structured
 //!   [`StallReport`]; `System::run_until_instructions` surfaces it through
-//!   [`RunOutcome`] instead of burning cycles to the cap.
+//!   [`RunOutcome`] instead of burning cycles to the cap. Its per-core
+//!   observation also flags an instruction count that moves backwards.
 //! * [`FaultPlan`] — a fault-injection harness used by tests to prove the
 //!   auditor and watchdog detect each fault class (mutation testing for
 //!   the checkers themselves).
 //!
-//! Auditing is on by default when `debug_assertions` are enabled (the
-//! workspace turns them on in release too) and can be forced either way
-//! through [`HardeningConfig`] in `SystemConfig`.
+//! The auditor, its oracles and the watchdog run in every system and
+//! every build profile; [`HardeningConfig`] in `SystemConfig` sets only
+//! their thresholds.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -89,9 +90,6 @@ impl From<ConfigError> for SimError {
 /// Invariant-auditor settings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Whether the auditor runs. Defaults to `cfg!(debug_assertions)`;
-    /// set explicitly to force it on (or off) in any build.
-    pub enabled: bool,
     /// Cycles between audit passes (the K of "every K cycles").
     pub interval: Cycle,
     /// A shaper grant unmatched by an L1 fill for longer than this is
@@ -112,7 +110,6 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            enabled: cfg!(debug_assertions),
             interval: 64,
             max_grant_age: 500_000,
             max_llc_mshr_age: 200_000,
@@ -125,8 +122,6 @@ impl Default for AuditConfig {
 /// Forward-progress watchdog settings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchdogConfig {
-    /// Whether the watchdog runs (cheap; on by default in every build).
-    pub enabled: bool,
     /// No core retiring and no fill completing for this many consecutive
     /// cycles is declared a global stall and produces a [`StallReport`].
     /// Cycles in which every core is frozen (online-tuner overhead
@@ -141,11 +136,11 @@ pub struct WatchdogConfig {
 
 impl Default for WatchdogConfig {
     fn default() -> Self {
-        WatchdogConfig { enabled: true, global_stall_cycles: 20_000, core_starve_cycles: 200_000 }
+        WatchdogConfig { global_stall_cycles: 20_000, core_starve_cycles: 200_000 }
     }
 }
 
-/// All hardening knobs, embedded in `SystemConfig`.
+/// All hardening thresholds, embedded in `SystemConfig`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HardeningConfig {
     /// Invariant-auditor settings.
@@ -925,7 +920,7 @@ pub struct InvariantAuditor {
     dram: DramOracle,
     /// One pick-legality oracle per channel.
     picks: Vec<PickOracle>,
-    /// One oracle per checked shaper instance (empty unless auditing).
+    /// One oracle per checked shaper instance.
     shapers: Vec<ShaperSlot>,
     /// Each core's entry in `shapers`, if its shaper is checked.
     core_shaper: Vec<Option<usize>>,
@@ -986,7 +981,7 @@ impl InvariantAuditor {
 
     /// Whether an audit pass is due at `now`.
     pub(crate) fn audit_due(&self, now: Cycle) -> bool {
-        self.audit.enabled && now.is_multiple_of(self.audit.interval.max(1))
+        now.is_multiple_of(self.audit.interval.max(1))
     }
 
     /// Starts an audit pass: bumps the pass counter, checks cycle
@@ -1016,21 +1011,20 @@ impl InvariantAuditor {
         self.log.record(violation);
     }
 
-    /// The DDR3 oracle and the log while auditing is enabled (the system
-    /// hands it every dispatch record), else `None`.
-    pub(crate) fn dram_check(&mut self) -> Option<(&mut DramOracle, &mut AuditLog)> {
-        self.audit.enabled.then_some((&mut self.dram, &mut self.log))
+    /// The DDR3 oracle and the log (the system hands it every dispatch
+    /// record).
+    pub(crate) fn dram_check(&mut self) -> (&mut DramOracle, &mut AuditLog) {
+        (&mut self.dram, &mut self.log)
     }
 
-    /// Channel `channel`'s pick oracle and the log while auditing is
-    /// enabled (the controller hands it every dispatching pick), else
-    /// `None`.
-    pub(crate) fn pick_check(&mut self, channel: usize) -> Option<(&mut PickOracle, &mut AuditLog)> {
-        self.audit.enabled.then(|| (&mut self.picks[channel], &mut self.log))
+    /// Channel `channel`'s pick oracle and the log (the controller hands
+    /// it every dispatching pick).
+    pub(crate) fn pick_check(&mut self, channel: usize) -> (&mut PickOracle, &mut AuditLog) {
+        (&mut self.picks[channel], &mut self.log)
     }
 
     /// Attaches `handle` as core `core`'s shaper at `now` (system build
-    /// and `System::set_shaper`), while auditing is enabled. The core's
+    /// and `System::set_shaper`). The core's
     /// open stall episode, if any, ends under its old shaper's oracle;
     /// cores sharing one handle share one oracle, built from the
     /// shaper's contract when the handle is first seen. `stalled` says
@@ -1043,9 +1037,6 @@ impl InvariantAuditor {
         now: Cycle,
         stalled: bool,
     ) {
-        if !self.audit.enabled {
-            return;
-        }
         if let Some(old) = self.core_shaper[core].take() {
             either_oracle!(&mut self.shapers[old].check, o => o.on_stall_end(core, now, &mut self.log));
             if !self.core_shaper.contains(&Some(old)) {
@@ -1214,9 +1205,7 @@ impl InvariantAuditor {
             self.last_progress_at = now;
             return false;
         }
-        self.watchdog.enabled
-            && self.stall.is_none()
-            && now - self.last_progress_at >= self.watchdog.global_stall_cycles
+        self.stall.is_none() && now - self.last_progress_at >= self.watchdog.global_stall_cycles
     }
 
     /// Cycle of the last observed global progress.
@@ -1224,16 +1213,13 @@ impl InvariantAuditor {
         self.last_progress_at
     }
 
-    /// The next audit-interval boundary strictly after `now`, if auditing
-    /// is enabled. The skip engine never skips past this cycle, so
-    /// audit passes land exactly where per-cycle ticking would put them
-    /// (and skips are bounded to at most one interval).
-    pub(crate) fn next_audit_boundary(&self, now: Cycle) -> Option<Cycle> {
-        if !self.audit.enabled {
-            return None;
-        }
+    /// The next audit-interval boundary strictly after `now`. The skip
+    /// engine never skips past this cycle, so audit passes land exactly
+    /// where per-cycle ticking would put them (and skips are bounded to
+    /// at most one interval).
+    pub(crate) fn next_audit_boundary(&self, now: Cycle) -> Cycle {
         let k = self.audit.interval.max(1);
-        Some((now / k + 1) * k)
+        (now / k + 1) * k
     }
 
     /// Earliest cycle strictly after `now` at which the watchdog could
@@ -1242,9 +1228,6 @@ impl InvariantAuditor {
     /// have already been evaluated by the per-tick observers and are
     /// ignored.
     pub(crate) fn next_watchdog_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.watchdog.enabled {
-            return None;
-        }
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
             if c > now {
@@ -1369,8 +1352,10 @@ impl InvariantAuditor {
         Ok(())
     }
 
-    /// Observes one core's retirement progress. Returns `true` exactly
-    /// once per starvation episode when the core crosses
+    /// Observes one core's retirement progress. An instruction count
+    /// below the last observed one is recorded as a
+    /// [`Invariant::MonotoneCounters`] violation at once. Returns `true`
+    /// exactly once per starvation episode when the core crosses
     /// [`WatchdogConfig::core_starve_cycles`] without retiring (and is not
     /// frozen); the caller records the violation with context.
     pub(crate) fn observe_core(
@@ -1381,21 +1366,33 @@ impl InvariantAuditor {
         frozen: bool,
     ) -> bool {
         let p = &mut self.cores[core];
+        if instructions < p.last_instructions {
+            counter_moved_backwards(&mut self.log, now, core, p.last_instructions, instructions);
+        }
         if instructions != p.last_instructions || frozen {
             p.last_instructions = instructions;
             p.last_change_at = now;
             p.starve_reported = false;
             return false;
         }
-        if self.watchdog.enabled
-            && !p.starve_reported
-            && now - p.last_change_at >= self.watchdog.core_starve_cycles
-        {
+        if !p.starve_reported && now - p.last_change_at >= self.watchdog.core_starve_cycles {
             p.starve_reported = true;
             return true;
         }
         false
     }
+}
+
+/// Records core `core`'s instruction count dropping from `last` to
+/// `instructions`. Out of line: the per-tick watchdog never takes it.
+#[cold]
+fn counter_moved_backwards(log: &mut AuditLog, now: Cycle, core: usize, last: u64, instructions: u64) {
+    log.record(AuditViolation {
+        cycle: now,
+        invariant: Invariant::MonotoneCounters,
+        core: Some(core),
+        detail: format!("instruction counter moved backwards: {last} -> {instructions}"),
+    });
 }
 
 /// Bounded grant ledger for one core: grant timestamps awaiting their
@@ -1472,10 +1469,9 @@ mod tests {
     /// dispatched at its record's cycle with the record's timing, the way
     /// the system hands it every dispatch.
     fn dispatch_line_zero(a: &mut InvariantAuditor, reads: &[(Cycle, DramServiceTiming)]) {
-        if let Some((dram, log)) = a.dram_check() {
-            for (at, timing) in reads {
-                dram.check(*at, 0, 0, false, timing, log);
-            }
+        let (dram, log) = a.dram_check();
+        for (at, timing) in reads {
+            dram.check(*at, 0, 0, false, timing, log);
         }
     }
 
@@ -1496,8 +1492,7 @@ mod tests {
 
     #[test]
     fn illegal_dispatches_are_recorded_as_dram_timing() {
-        let mut sys = SystemConfig::multi_program(1);
-        sys.hardening.audit.enabled = true;
+        let sys = SystemConfig::multi_program(1);
 
         // Column command one cycle before ACT + tRCD.
         let mut a = InvariantAuditor::new(&sys, [None]);
@@ -1524,19 +1519,11 @@ mod tests {
                 .any(|v| v.detail.starts_with("channel 0: ") && v.detail.contains("implies miss")),
             "a hit on a closed bank must be flagged: {v:?}"
         );
-
-        // The same records are ignored when auditing is off.
-        let mut off = sys.clone();
-        off.hardening.audit.enabled = false;
-        let mut a = InvariantAuditor::new(&off, [None]);
-        dispatch_line_zero(&mut a, &[(20, hit)]);
-        assert!(a.violations().is_empty());
     }
 
     #[test]
     fn a_flood_of_illegal_dispatches_stops_at_max_reports() {
         let mut sys = SystemConfig::multi_program(1);
-        sys.hardening.audit.enabled = true;
         sys.hardening.audit.max_reports = 3;
         let mut a = InvariantAuditor::new(&sys, [None]);
         let mut hit = legal_miss(&sys, 0);
@@ -1564,15 +1551,11 @@ mod tests {
     #[test]
     fn audit_due_follows_interval() {
         let mut cfg = HardeningConfig::default();
-        cfg.audit.enabled = true;
         cfg.audit.interval = 10;
         let a = auditor(&cfg, 1);
         assert!(a.audit_due(0));
         assert!(!a.audit_due(5));
         assert!(a.audit_due(20));
-        let mut off = cfg.clone();
-        off.audit.enabled = false;
-        assert!(!auditor(&off, 1).audit_due(0));
     }
 
     #[test]
@@ -1651,6 +1634,23 @@ mod tests {
     }
 
     #[test]
+    fn a_decreasing_instruction_count_is_one_monotone_violation() {
+        let mut a = auditor(&HardeningConfig::default(), 2);
+        // Rising, equal and frozen observations are all legal.
+        for (now, instr, frozen) in [(1, 5, false), (2, 9, false), (3, 9, false), (4, 9, true)] {
+            a.observe_core(now, 1, instr, frozen);
+            a.observe_core(now, 0, 0, false);
+        }
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
+        a.observe_core(5, 1, 7, false);
+        a.observe_core(6, 1, 7, false);
+        let v = a.violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].invariant, v[0].core, v[0].cycle), (Invariant::MonotoneCounters, Some(1), 5));
+        assert!(v[0].detail.contains("9 -> 7"), "{}", v[0].detail);
+    }
+
+    #[test]
     fn grant_ledger_matches_grants_to_fills() {
         let mut g = GrantLedger::default();
         g.on_grant(10);
@@ -1720,15 +1720,11 @@ mod tests {
     #[test]
     fn next_audit_boundary_is_the_next_multiple() {
         let mut cfg = HardeningConfig::default();
-        cfg.audit.enabled = true;
         cfg.audit.interval = 64;
         let a = auditor(&cfg, 1);
-        assert_eq!(a.next_audit_boundary(0), Some(64));
-        assert_eq!(a.next_audit_boundary(63), Some(64));
-        assert_eq!(a.next_audit_boundary(64), Some(128), "strictly after now");
-        let mut off = cfg.clone();
-        off.audit.enabled = false;
-        assert_eq!(auditor(&off, 1).next_audit_boundary(0), None);
+        assert_eq!(a.next_audit_boundary(0), 64);
+        assert_eq!(a.next_audit_boundary(63), 64);
+        assert_eq!(a.next_audit_boundary(64), 128, "strictly after now");
     }
 
     #[test]
@@ -1750,9 +1746,6 @@ mod tests {
             a.observe_core(now, 1, 0, false);
         }
         assert_eq!(a.next_watchdog_event(501), None, "all deadlines consumed");
-        let mut off = cfg.clone();
-        off.watchdog.enabled = false;
-        assert_eq!(auditor(&off, 2).next_watchdog_event(0), None);
     }
 
     #[test]
@@ -1874,10 +1867,9 @@ mod tests {
         #[test]
         fn audit_boundary_is_never_late(interval in 1u64..2_000, now in 0u64..1_000_000) {
             let mut cfg = HardeningConfig::default();
-            cfg.audit.enabled = true;
             cfg.audit.interval = interval;
             let a = auditor(&cfg, 1);
-            let b = a.next_audit_boundary(now).expect("auditing enabled");
+            let b = a.next_audit_boundary(now);
             prop_assert!(b > now);
             prop_assert!(b <= now + interval);
             prop_assert!(a.audit_due(b), "clamp target must itself be due");
@@ -1896,7 +1888,6 @@ mod tests {
             progress_until in 0u64..100,
         ) {
             let mut cfg = HardeningConfig::default();
-            cfg.watchdog.enabled = true;
             cfg.watchdog.global_stall_cycles = global;
             cfg.watchdog.core_starve_cycles = starve;
             let mut a = auditor(&cfg, 2);

@@ -189,9 +189,9 @@ pub struct DramCompletion<T> {
 /// finished transactions.
 ///
 /// The model does not check its own legality. Each dispatch's derived
-/// timing ([`Dram::last_service`]) is logged by the controller, and the
+/// timing ([`Dram::last_service`]) is returned by the controller, and the
 /// invariant auditor replays it against [`crate::oracle::DramOracle`], an
-/// independent DDR3 shadow, whenever auditing is enabled.
+/// independent DDR3 shadow.
 #[derive(Debug, Clone)]
 pub struct Dram<T> {
     timing: DramTimingCycles,
@@ -278,8 +278,10 @@ impl<T: Copy> Dram<T> {
         self.banks[c.bank].open_row == Some(c.row)
     }
 
-    /// Earliest cycle `t >= now` at which [`Dram::can_start`] would accept
-    /// `addr`, assuming no intervening `start` calls mutate bank state.
+    /// Earliest cycle `t >= now` at which the bank owning `addr` can
+    /// accept a new transaction, assuming no intervening `start` calls
+    /// mutate bank state. [`Dram::can_start`] is this estimate reaching
+    /// `now`, so the bank and refresh fences are written only here.
     ///
     /// This is the per-bank timing deadline the skip engine feeds
     /// into its `min(next events)` computation: within the window
@@ -303,16 +305,11 @@ impl<T: Copy> Dram<T> {
     }
 
     /// Whether the bank owning `addr` can accept a new transaction at
-    /// `now` (accounting for a pending refresh fence).
+    /// `now` (accounting for a pending refresh fence, applied for real on
+    /// the next `start`).
+    #[inline]
     pub fn can_start(&self, now: Cycle, addr: Addr) -> bool {
-        let c = self.map.coord(addr);
-        if now >= self.next_refresh {
-            // A refresh is due: the bank is unavailable until the fence
-            // (applied for real on the next `start`).
-            return now >= self.next_refresh + self.timing.t_rfc
-                && self.banks[c.bank].ready_at <= now;
-        }
-        self.banks[c.bank].ready_at <= now
+        self.earliest_start(now, addr) <= now
     }
 
     /// Applies any due all-bank refreshes: every bank closes its row and

@@ -391,7 +391,7 @@ impl Scheduler for FcfsScheduler {
     }
 }
 
-/// One dispatch captured by the controller's (opt-in) dispatch log: the
+/// One dispatch, as returned by [`MemoryController::tick`]: the
 /// transaction, when it left the queue, and the DRAM command timing the
 /// device derived for it. Checked by the auditor's DDR3 oracle and traced
 /// as `dram_dispatch` events.
@@ -438,10 +438,6 @@ pub struct MemoryController {
     /// Reused by [`MemoryController::drain_completions_into`] so the
     /// per-tick completion drain does not allocate.
     completion_scratch: Vec<DramCompletion<TxnId>>,
-    /// When true, every dispatch is appended to `dispatch_log` for the
-    /// system to drain. Off unless auditing or tracing is on.
-    log_dispatches: bool,
-    dispatch_log: Vec<DispatchRecord>,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -472,31 +468,7 @@ impl MemoryController {
             ticks: 0,
             fifo_rejections: 0,
             completion_scratch: Vec::new(),
-            log_dispatches: false,
-            dispatch_log: Vec::new(),
         }
-    }
-
-    /// Enables (or disables) the dispatch log. While enabled, the caller
-    /// must read and clear it every tick via
-    /// [`MemoryController::dispatch_log`] and
-    /// [`MemoryController::clear_dispatch_log`].
-    pub fn set_dispatch_logging(&mut self, on: bool) {
-        self.log_dispatches = on;
-        if !on {
-            self.dispatch_log.clear();
-        }
-    }
-
-    /// Dispatches logged since the last
-    /// [`MemoryController::clear_dispatch_log`].
-    pub fn dispatch_log(&self) -> &[DispatchRecord] {
-        &self.dispatch_log
-    }
-
-    /// Empties the dispatch log (keeping its allocation).
-    pub fn clear_dispatch_log(&mut self) {
-        self.dispatch_log.clear();
     }
 
     /// Attempts to accept a new transaction into the global FIFO. Returns
@@ -531,16 +503,17 @@ impl MemoryController {
 
     /// One controller cycle: refill the transaction queue from the FIFO,
     /// then dispatch at most one transaction (command-bus limit) chosen by
-    /// the scheduler (or the priority override). With `picks`, the pick is
-    /// handed to that pick oracle, which records findings in the log,
-    /// before the chosen transaction leaves the queue.
+    /// the scheduler (or the priority override), and return it. The pick
+    /// is handed to the pick oracle `picks`, which records findings in
+    /// its log, before the chosen transaction leaves the queue; a pick
+    /// the DRAM cannot start is recorded there and not started.
     pub fn tick(
         &mut self,
         now: Cycle,
         scheduler: &mut dyn Scheduler,
         dram: &mut Dram<TxnId>,
-        picks: Option<(&mut PickOracle, &mut AuditLog)>,
-    ) {
+        picks: (&mut PickOracle, &mut AuditLog),
+    ) -> Option<DispatchRecord> {
         self.ticks += 1;
         self.queue_occupancy_sum += self.queue.len() as u64;
 
@@ -555,36 +528,25 @@ impl MemoryController {
         }
 
         if self.queue.is_empty() {
-            return;
+            return None;
         }
 
         let view = DramView { dram, now };
-        let choice = self.priority_pick(&view).or_else(|| {
-            scheduler.pick(now, &self.queue, &view)
-        });
-
-        if let Some(idx) = choice {
-            if let Some((oracle, log)) = picks {
-                oracle.check_pick(now, &self.queue, idx, self.priority_core, &view, log);
-            }
-            let txn = self.queue[idx];
-            debug_assert!(
-                dram.can_start(now, txn.addr),
-                "scheduler picked a non-startable transaction"
-            );
-            if !dram.can_start(now, txn.addr) {
-                return; // tolerate buggy external schedulers in release
-            }
-            self.queue.swap_remove(idx);
-            dram.start(now, txn.addr, txn.cmd, txn.id);
-            self.dispatched += 1;
-            if self.log_dispatches {
-                if let Some(timing) = dram.last_service() {
-                    self.dispatch_log.push(DispatchRecord { txn, at: now, timing });
-                }
-            }
-            self.inflight_push(txn, now);
+        let idx = self
+            .priority_pick(&view)
+            .or_else(|| scheduler.pick(now, &self.queue, &view))?;
+        let (oracle, log) = picks;
+        oracle.check_pick(now, &self.queue, idx, self.priority_core, &view, log);
+        let txn = self.queue[idx];
+        if !dram.can_start(now, txn.addr) {
+            return None;
         }
+        self.queue.swap_remove(idx);
+        dram.start(now, txn.addr, txn.cmd, txn.id);
+        self.dispatched += 1;
+        self.inflight_push(txn, now);
+        let timing = dram.last_service().expect("`start` records the service timing");
+        Some(DispatchRecord { txn, at: now, timing })
     }
 
     /// Batch bookkeeping for `cycles` skipped quiescent cycles: replays
@@ -877,19 +839,23 @@ mod tests {
         )
     }
 
+    /// A pick oracle for the policy `sched` claims, and its log. Every
+    /// pick of these tests must be legal for that policy.
+    fn pick_check(sched: &dyn Scheduler) -> (PickOracle, AuditLog) {
+        (PickOracle::new(0, sched.conformance_policy()), AuditLog::new(64))
+    }
+
     fn run_until_done(
         mc: &mut MemoryController,
         dram: &mut Dram<TxnId>,
         sched: &mut dyn Scheduler,
         limit: Cycle,
     ) -> Vec<McResponse> {
-        // Every pick of these runs must also be legal for its policy.
-        let mut picks = PickOracle::new(0, sched.conformance_policy());
-        let mut log = AuditLog::new(64);
+        let (mut picks, mut log) = pick_check(sched);
         let mut responses = Vec::new();
         for now in 0..limit {
             responses.extend(mc.drain_completions(now, sched, dram));
-            mc.tick(now, sched, dram, Some((&mut picks, &mut log)));
+            mc.tick(now, sched, dram, (&mut picks, &mut log));
         }
         assert!(log.violations().is_empty(), "{:?}", log.violations());
         responses
@@ -966,13 +932,15 @@ mod tests {
             m.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read, ).unwrap();
             m.try_enqueue(0, CoreId::new(0), 8 * 1024 * 8, MemCmd::Read).unwrap();
         }
-        mc.tick(0, &mut sched, &mut dram, None);
+        let (mut picks, mut log) = pick_check(&sched);
+        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
         let mut dram2: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        twin.tick(0, &mut sched, &mut dram2, None);
+        twin.tick(0, &mut sched, &mut dram2, (&mut picks, &mut log));
         // Naive: tick the first controller through the dead window.
         for now in 1..=10 {
-            mc.tick(now, &mut sched, &mut dram, None);
+            mc.tick(now, &mut sched, &mut dram, (&mut picks, &mut log));
         }
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         // Fast-forward: replay the same window in one call. Bank 0 is busy
         // well past cycle 10, so no dispatch happens in either run.
         twin.note_skipped_cycles(10);
@@ -987,7 +955,9 @@ mod tests {
         assert!(!mc.would_refill_queue(), "empty controller has nothing to move");
         mc.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read).unwrap();
         assert!(mc.would_refill_queue());
-        mc.tick(0, &mut sched, &mut dram, None);
+        let (mut picks, mut log) = pick_check(&sched);
+        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert!(!mc.would_refill_queue(), "FIFO drained into the queue");
     }
 
@@ -999,7 +969,9 @@ mod tests {
         // waits for the bank.
         mc.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read).unwrap();
         mc.try_enqueue(0, CoreId::new(0), 64, MemCmd::Read).unwrap();
-        mc.tick(0, &mut sched, &mut dram, None);
+        let (mut picks, mut log) = pick_check(&sched);
+        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert_eq!(mc.queue_len(), 1);
         let at = mc.next_dispatch_opportunity(1, &dram).unwrap();
         assert!(at > 1, "bank must be fenced after the dispatch");
@@ -1014,7 +986,9 @@ mod tests {
             mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
         }
         assert_eq!(mc.fifo_len(), 32);
-        mc.tick(0, &mut sched, &mut dram, None);
+        let (mut picks, mut log) = pick_check(&sched);
+        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
         assert_eq!(mc.fifo_len(), 0);
         assert!(mc.queue_len() >= 31, "one may have been dispatched");
     }

@@ -39,7 +39,7 @@ pub use event::{
 pub use metrics::{ChannelEpoch, EpochMetrics, MetricsRegistry, TenantEpoch};
 pub use sampler::Sampler;
 pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
-pub use slo::{Breach, SloEvaluator, SloMetric, SloSpec, SloVerdict};
+pub use slo::{Breach, SloEvaluator, SloMetric, SloSpec, SloVerdict, WARMUP_EPOCHS};
 
 use crate::audit::InvariantAuditor;
 use crate::mc::DispatchRecord;
@@ -303,32 +303,28 @@ impl Observer {
         self.emit(TraceEvent::McEnqueue { at: now, channel, core, line, write });
     }
 
-    /// Traces channel `channel`'s dispatches for this tick: emits one
-    /// [`TraceEvent::DramDispatch`] per dispatched transaction and stamps
-    /// the matching memory-side timelines.
-    pub fn on_dispatches(&mut self, channel: usize, records: &[DispatchRecord]) {
+    /// Traces channel `channel`'s dispatch for this tick: emits a
+    /// [`TraceEvent::DramDispatch`] and stamps the matching memory-side
+    /// timeline.
+    pub fn on_dispatch(&mut self, channel: usize, rec: &DispatchRecord) {
         if !self.lifecycle {
             return;
         }
-        for rec in records {
-            if rec.txn.cmd == MemCmd::Read {
-                if let Some(req) = self
-                    .mem_reqs
-                    .iter_mut()
-                    .find(|r| r.line == rec.txn.addr && r.done_at.is_none())
-                {
-                    req.dispatch_at = Some(rec.at);
-                }
+        if rec.txn.cmd == MemCmd::Read {
+            if let Some(req) =
+                self.mem_reqs.iter_mut().find(|r| r.line == rec.txn.addr && r.done_at.is_none())
+            {
+                req.dispatch_at = Some(rec.at);
             }
-            self.emit(TraceEvent::DramDispatch {
-                at: rec.at,
-                channel,
-                core: rec.txn.core.index(),
-                line: rec.txn.addr,
-                write: rec.txn.cmd == MemCmd::Write,
-                timing: rec.timing,
-            });
         }
+        self.emit(TraceEvent::DramDispatch {
+            at: rec.at,
+            channel,
+            core: rec.txn.core.index(),
+            line: rec.txn.addr,
+            write: rec.txn.cmd == MemCmd::Write,
+            timing: rec.timing,
+        });
     }
 
     /// A memory response for `line` reached the LLC this tick.

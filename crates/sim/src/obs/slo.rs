@@ -2,19 +2,17 @@
 //! sampler row, see [`EpochMetrics::from_row`]).
 //!
 //! A [`SloSpec`] names the health predicate of a capacity run — a p99
-//! memory-latency bound, a memory-stall-rate bound, and an optional
-//! per-tenant IPC floor — and an [`SloEvaluator`] folds each
-//! [`EpochMetrics`] into a rolling verdict. Every violated (epoch, core,
-//! metric) triple is retained as a [`Breach`] (first breach cycle,
-//! offending metric, margin), bounded to the first [`MAX_BREACHES`]
-//! records so a hopeless overload run cannot balloon memory.
+//! memory-latency bound and a memory-stall-rate bound per tenant — and an
+//! [`SloEvaluator`] folds each [`EpochMetrics`] into a rolling verdict.
+//! Every violated (epoch, core, metric) triple is retained as a
+//! [`Breach`] (first breach cycle, offending metric, margin), bounded to
+//! the first [`MAX_BREACHES`] records so a hopeless overload run cannot
+//! balloon memory.
 //!
-//! The verdict semantics are tolerant by configuration, not by accident:
-//! the first `warmup_epochs` epochs are observed but never judged (cold
-//! caches and empty queues make the first epoch unrepresentative), and a
-//! run is healthy while the judged-epoch violation fraction stays at or
-//! below `max_violation_fraction` (0.0 = every judged epoch must pass —
-//! the default).
+//! The first [`WARMUP_EPOCHS`] epochs are observed but never judged (cold
+//! caches and empty queues make the first epoch unrepresentative). After
+//! that the tolerance is zero: a run is healthy only while every judged
+//! epoch passes.
 
 use crate::obs::metrics::EpochMetrics;
 use crate::types::Cycle;
@@ -23,6 +21,9 @@ use crate::types::Cycle;
 /// counted but not stored).
 pub const MAX_BREACHES: usize = 256;
 
+/// Epochs observed but not judged at the start of a run.
+pub const WARMUP_EPOCHS: u64 = 1;
+
 /// Which bound a breach violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloMetric {
@@ -30,8 +31,6 @@ pub enum SloMetric {
     P99Latency,
     /// Per-tenant memory-stall rate exceeded the bound.
     StallRate,
-    /// Per-tenant IPC fell below the floor.
-    MinIpc,
 }
 
 impl SloMetric {
@@ -40,7 +39,6 @@ impl SloMetric {
         match self {
             SloMetric::P99Latency => "p99_latency",
             SloMetric::StallRate => "stall_rate",
-            SloMetric::MinIpc => "min_ipc",
         }
     }
 }
@@ -54,43 +52,12 @@ pub struct SloSpec {
     /// Upper bound on per-tenant memory-stall rate (stall cycles /
     /// epoch cycles).
     pub max_stall_rate: f64,
-    /// Optional lower bound on per-tenant IPC.
-    pub min_ipc: Option<f64>,
-    /// Epochs observed but not judged at the start of a run.
-    pub warmup_epochs: u64,
-    /// Fraction of judged epochs allowed to violate before the run is
-    /// unhealthy (0.0 = zero tolerance).
-    pub max_violation_fraction: f64,
 }
 
 impl SloSpec {
-    /// A zero-tolerance spec with one warmup epoch and no IPC floor.
+    /// A spec with both bounds.
     pub fn new(p99_latency: f64, max_stall_rate: f64) -> Self {
-        SloSpec {
-            p99_latency,
-            max_stall_rate,
-            min_ipc: None,
-            warmup_epochs: 1,
-            max_violation_fraction: 0.0,
-        }
-    }
-
-    /// Adds an IPC floor.
-    pub fn with_min_ipc(mut self, min_ipc: f64) -> Self {
-        self.min_ipc = Some(min_ipc);
-        self
-    }
-
-    /// Overrides the warmup-epoch count.
-    pub fn with_warmup(mut self, epochs: u64) -> Self {
-        self.warmup_epochs = epochs;
-        self
-    }
-
-    /// Overrides the tolerated violation fraction.
-    pub fn with_tolerance(mut self, fraction: f64) -> Self {
-        self.max_violation_fraction = fraction.clamp(0.0, 1.0);
-        self
+        SloSpec { p99_latency, max_stall_rate }
     }
 }
 
@@ -113,23 +80,21 @@ pub struct Breach {
 
 impl Breach {
     /// Relative margin of the violation: how far past the bound the
-    /// measurement landed, as a fraction of the bound (an IPC breach
-    /// reports the shortfall fraction). 0.0 when the bound is 0.
+    /// measurement landed, as a fraction of the bound. 0.0 when the bound
+    /// is 0.
     pub fn margin(&self) -> f64 {
         if self.bound == 0.0 {
             return 0.0;
         }
-        match self.metric {
-            SloMetric::MinIpc => (self.bound - self.value) / self.bound,
-            _ => (self.value - self.bound) / self.bound,
-        }
+        (self.value - self.bound) / self.bound
     }
 }
 
 /// Rolling verdict snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloVerdict {
-    /// Whether the run is (still) healthy under the spec's tolerance.
+    /// Whether the run is (still) healthy: some epoch was judged and none
+    /// was violated.
     pub ok: bool,
     /// Epochs judged (excludes warmup).
     pub evaluated: u64,
@@ -169,7 +134,7 @@ impl SloEvaluator {
     /// return `true` without being judged).
     pub fn observe_epoch(&mut self, em: &EpochMetrics) -> bool {
         self.seen += 1;
-        if self.seen <= self.spec.warmup_epochs {
+        if self.seen <= WARMUP_EPOCHS {
             return true;
         }
         self.evaluated += 1;
@@ -195,11 +160,6 @@ impl SloEvaluator {
             if t.stall_rate > self.spec.max_stall_rate {
                 fail(SloMetric::StallRate, t.stall_rate, self.spec.max_stall_rate);
             }
-            if let Some(floor) = self.spec.min_ipc {
-                if t.ipc < floor {
-                    fail(SloMetric::MinIpc, t.ipc, floor);
-                }
-            }
         }
         if !epoch_ok {
             self.violated += 1;
@@ -215,11 +175,8 @@ impl SloEvaluator {
     /// Snapshot of the rolling verdict. A run that judged no epochs at
     /// all is *unhealthy* — "no data" must not read as "meets SLO".
     pub fn verdict(&self) -> SloVerdict {
-        let ok = self.evaluated > 0
-            && self.violated as f64 / self.evaluated as f64
-                <= self.spec.max_violation_fraction + 1e-12;
         SloVerdict {
-            ok,
+            ok: self.evaluated > 0 && self.violated == 0,
             evaluated: self.evaluated,
             violated: self.violated,
             breach_count: self.breach_count,
@@ -250,6 +207,13 @@ mod tests {
         }
     }
 
+    /// Feeds `WARMUP_EPOCHS` terrible epochs, which are never judged.
+    fn warm_up(ev: &mut SloEvaluator) {
+        for n in 1..=WARMUP_EPOCHS {
+            assert!(ev.observe_epoch(&epoch(n, 9000.0, 0.9, 0.0)), "warmup epoch {n} judged");
+        }
+    }
+
     #[test]
     fn healthy_run_stays_healthy() {
         let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
@@ -258,69 +222,62 @@ mod tests {
         }
         let v = ev.verdict();
         assert!(v.ok);
-        assert_eq!(v.evaluated, 4); // one warmup epoch
+        assert_eq!(v.evaluated, 5 - WARMUP_EPOCHS);
         assert_eq!(v.violated, 0);
         assert!(v.first_breach.is_none());
     }
 
     #[test]
     fn warmup_epochs_are_never_judged() {
-        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5).with_warmup(2));
-        // Two terrible warmup epochs, then clean ones.
-        assert!(ev.observe_epoch(&epoch(1, 9000.0, 0.9, 0.0)));
-        assert!(ev.observe_epoch(&epoch(2, 9000.0, 0.9, 0.0)));
-        assert!(ev.observe_epoch(&epoch(3, 100.0, 0.1, 1.0)));
-        assert!(ev.verdict().ok);
+        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
+        warm_up(&mut ev);
+        assert!(ev.observe_epoch(&epoch(WARMUP_EPOCHS + 1, 100.0, 0.1, 1.0)));
+        let v = ev.verdict();
+        assert!(v.ok);
+        assert_eq!((v.evaluated, v.breach_count), (1, 0));
     }
 
     #[test]
     fn latency_breach_records_margin_and_first_cycle() {
-        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5).with_warmup(0));
-        assert!(!ev.observe_epoch(&epoch(1, 750.0, 0.1, 1.0)));
+        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
+        warm_up(&mut ev);
+        let n = WARMUP_EPOCHS + 1;
+        assert!(!ev.observe_epoch(&epoch(n, 750.0, 0.1, 1.0)));
         let v = ev.verdict();
         assert!(!v.ok);
         let b = v.first_breach.expect("breach recorded");
-        assert_eq!(b.at, 1000);
+        assert_eq!(b.at, n * 1000);
         assert_eq!(b.metric, SloMetric::P99Latency);
         assert!((b.margin() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn ipc_floor_margin_is_the_shortfall() {
-        let spec = SloSpec::new(1e9, 1.0).with_min_ipc(0.8).with_warmup(0);
-        let mut ev = SloEvaluator::new(spec);
-        ev.observe_epoch(&epoch(1, 10.0, 0.0, 0.4));
-        let b = &ev.breaches()[0];
-        assert_eq!(b.metric, SloMetric::MinIpc);
-        assert!((b.margin() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tolerance_allows_a_bounded_violation_fraction() {
-        let spec = SloSpec::new(500.0, 0.5).with_warmup(0).with_tolerance(0.25);
-        let mut ev = SloEvaluator::new(spec);
-        ev.observe_epoch(&epoch(1, 600.0, 0.1, 1.0)); // violates
-        for n in 2..=4 {
+    fn one_violated_epoch_fails_the_run() {
+        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
+        warm_up(&mut ev);
+        for n in WARMUP_EPOCHS + 1..=WARMUP_EPOCHS + 9 {
             ev.observe_epoch(&epoch(n, 100.0, 0.1, 1.0));
         }
-        assert!(ev.verdict().ok, "1/4 violations within 25% tolerance");
-        ev.observe_epoch(&epoch(5, 600.0, 0.1, 1.0));
-        assert!(!ev.verdict().ok, "2/5 violations exceeds 25%");
+        assert!(ev.verdict().ok);
+        ev.observe_epoch(&epoch(WARMUP_EPOCHS + 10, 100.0, 0.6, 1.0));
+        let v = ev.verdict();
+        assert!(!v.ok, "zero tolerance: 1 violated epoch of 10 fails");
+        assert_eq!(v.first_breach.expect("breach").metric, SloMetric::StallRate);
     }
 
     #[test]
     fn no_judged_epochs_is_unhealthy() {
-        let ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
+        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5));
         assert!(!ev.verdict().ok);
-        let mut ev = SloEvaluator::new(SloSpec::new(500.0, 0.5).with_warmup(10));
-        ev.observe_epoch(&epoch(1, 1.0, 0.0, 1.0));
+        warm_up(&mut ev);
         assert!(!ev.verdict().ok, "all-warmup runs must not pass");
     }
 
     #[test]
     fn breach_records_are_bounded() {
-        let mut ev = SloEvaluator::new(SloSpec::new(1.0, 0.0).with_warmup(0));
-        for n in 1..=(MAX_BREACHES as u64) {
+        let mut ev = SloEvaluator::new(SloSpec::new(1.0, 0.0));
+        warm_up(&mut ev);
+        for n in WARMUP_EPOCHS + 1..=WARMUP_EPOCHS + MAX_BREACHES as u64 {
             // Each epoch breaches both latency and stall-rate bounds.
             ev.observe_epoch(&epoch(n, 100.0, 0.9, 1.0));
         }
@@ -334,6 +291,5 @@ mod tests {
     fn metric_labels_are_stable() {
         assert_eq!(SloMetric::P99Latency.label(), "p99_latency");
         assert_eq!(SloMetric::StallRate.label(), "stall_rate");
-        assert_eq!(SloMetric::MinIpc.label(), "min_ipc");
     }
 }

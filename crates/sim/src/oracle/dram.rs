@@ -2,8 +2,8 @@
 //! timing constraints.
 //!
 //! It is the simulator's only DDR3 checker. The invariant auditor feeds it
-//! every dispatch whenever auditing is enabled, and it records each
-//! finding in the auditor's log as `Invariant::DramTiming`.
+//! every dispatch, and it records each finding in the auditor's log as
+//! `Invariant::DramTiming`.
 //!
 //! [`DramOracle`] keeps its own per-channel shadow of the DDR3 state
 //! machine — open rows, precharge fences, rank ACT window, data-bus and

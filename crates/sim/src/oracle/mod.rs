@@ -26,13 +26,12 @@
 //!   [`crate::mc::Scheduler::conformance_policy`]).
 //!
 //! The invariant auditor ([`crate::audit::InvariantAuditor`]) owns and
-//! feeds all four whenever auditing is enabled, and every finding is an
-//! audit violation. Each component states the spec it is checked
-//! against: a shaper through [`crate::shaper::SourceShaper::contract`]
-//! (one oracle per shaper instance, so a §IV-H shared pool is one
-//! oracle fed by all its cores), a scheduler through its conformance
-//! policy. So every audited run — tests, sweeps, capacity probes,
-//! perfbench — is spec-checked.
+//! feeds all four in every run, and every finding is an audit violation.
+//! Each component states the spec it is checked against: a shaper
+//! through [`crate::shaper::SourceShaper::contract`] (one oracle per
+//! shaper instance, so a §IV-H shared pool is one oracle fed by all its
+//! cores), a scheduler through its conformance policy. So every run —
+//! tests, sweeps, capacity probes, perfbench — is spec-checked.
 //!
 //! Oracles are deliberately *stateless about the simulator's internals*:
 //! they see only grants, stall episodes, LLC feedback, dispatch records

@@ -615,7 +615,7 @@ impl SystemBuilder {
             shapers: (0..config.cores).map(|_| None).collect(),
             deferred: (0..config.cores).map(|_| VecDeque::new()).collect(),
         };
-        let mut channels: Vec<Channel> = self
+        let channels: Vec<Channel> = self
             .schedulers
             .into_iter()
             .map(|sched| Channel {
@@ -631,12 +631,7 @@ impl SystemBuilder {
             self.trace_sink,
             self.sample_every,
         );
-        let tracing = obs.lifecycle_enabled();
-        for channel in &mut channels {
-            // Dispatches feed the auditor's DDR3 oracle and the trace.
-            channel.mc.set_dispatch_logging(tracing || config.hardening.audit.enabled);
-        }
-        if tracing && emit_config_events {
+        if obs.lifecycle_enabled() && emit_config_events {
             for (i, unit) in cores.iter().enumerate() {
                 let sh = unit.shaper.borrow();
                 let bins = sh.credit_audit().bins.iter().map(|b| (b.live, b.max)).collect();
@@ -662,7 +657,6 @@ impl SystemBuilder {
             rr_offset: 0,
             llc_ports: config.llc_ports,
             auditor,
-            audit_last_instr: vec![0; n],
             faults: ActiveFaults::default(),
             engine: self.engine,
             skipped_cycles: 0,
@@ -703,8 +697,6 @@ pub struct System {
     llc_ports: usize,
     /// Invariant auditor + forward-progress watchdog (see [`crate::audit`]).
     auditor: InvariantAuditor,
-    /// Per-core instruction counts at the last audit pass (monotonicity).
-    audit_last_instr: Vec<u64>,
     /// Injected faults, if any (testing the checkers).
     faults: ActiveFaults,
     /// Execution engine (the naive mode is the reference for equivalence
@@ -1017,7 +1009,6 @@ impl System {
         }
         w.section("audit", |e| {
             self.auditor.save_state(e);
-            e.u64s(&self.audit_last_instr);
             self.faults.save_state(e);
         });
         w.section("obs", |e| self.obs.save_state(e));
@@ -1099,11 +1090,6 @@ impl System {
         {
             let mut d = Dec::new(snapshot.section("audit")?);
             self.auditor.load_state(&mut d)?;
-            let last = d.u64s()?;
-            if last.len() != self.cores.len() {
-                return Err(SnapshotError::mismatch("audit progress book size differs"));
-            }
-            self.audit_last_instr = last;
             self.faults.load_state(&mut d)?;
             self.apply_dram_faults();
             d.finish()?;
@@ -1730,22 +1716,15 @@ impl System {
         self.rr_offset = wrapping_index(self.rr_offset, 1, n);
 
         // 5. Memory controller dispatch (per channel). The auditor's pick
-        //    oracle checks each dispatching pick as it is made. Each
-        //    channel's dispatch log is read once: the auditor's DDR3 oracle
-        //    checks the records, then the observer traces them.
+        //    oracle checks each pick as it is made; the auditor's DDR3
+        //    oracle checks the dispatch, then the observer traces it.
         for (ci, channel) in self.channels.iter_mut().enumerate() {
             let picks = self.auditor.pick_check(ci);
-            channel.mc.tick(now, channel.scheduler.as_mut(), &mut channel.dram, picks);
-            let dispatches = channel.mc.dispatch_log();
-            if !dispatches.is_empty() {
-                if let Some((dram, log)) = self.auditor.dram_check() {
-                    for r in dispatches {
-                        let write = r.txn.cmd == MemCmd::Write;
-                        dram.check(r.at, ci, r.txn.addr, write, &r.timing, log);
-                    }
-                }
-                self.obs.on_dispatches(ci, dispatches);
-                channel.mc.clear_dispatch_log();
+            let scheduler = channel.scheduler.as_mut();
+            if let Some(r) = channel.mc.tick(now, scheduler, &mut channel.dram, picks) {
+                let (dram, log) = self.auditor.dram_check();
+                dram.check(r.at, ci, r.txn.addr, r.txn.cmd == MemCmd::Write, &r.timing, log);
+                self.obs.on_dispatch(ci, &r);
             }
         }
 
@@ -1935,9 +1914,7 @@ impl System {
                 wake(c);
             }
         }
-        if let Some(c) = self.auditor.next_audit_boundary(now_q) {
-            wake(c);
-        }
+        wake(self.auditor.next_audit_boundary(now_q));
         if let Some(c) = self.auditor.next_watchdog_event(now_q) {
             wake(c);
         }
@@ -2075,20 +2052,6 @@ impl System {
                     ),
                 });
             }
-            // Instruction counters must be monotone between passes.
-            let instr = unit.core.counters().instructions;
-            if instr < self.audit_last_instr[i] {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::MonotoneCounters,
-                    core: Some(i),
-                    detail: format!(
-                        "instruction counter moved backwards: {} -> {instr}",
-                        self.audit_last_instr[i]
-                    ),
-                });
-            }
-            self.audit_last_instr[i] = instr;
         }
 
         // LLC MSHRs: entries age without bound when a memory response is
@@ -2143,9 +2106,6 @@ impl System {
     /// One watchdog step: global livelock detection plus per-core
     /// starvation reporting.
     fn watchdog_tick(&mut self, now: Cycle) {
-        if !self.auditor.watchdog_config().enabled {
-            return;
-        }
         let mut total_instr = 0u64;
         let mut total_fills = 0u64;
         let mut any_active = false;

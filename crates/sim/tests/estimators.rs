@@ -19,10 +19,12 @@
 use proptest::prelude::*;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
+use mitts_sim::audit::AuditLog;
 use mitts_sim::config::{DramConfig, McConfig};
 use mitts_sim::dram::Dram;
-use mitts_sim::mc::{FcfsScheduler, MemoryController};
+use mitts_sim::mc::{FcfsScheduler, MemoryController, Scheduler};
 use mitts_sim::obs::Sampler;
+use mitts_sim::oracle::PickOracle;
 use mitts_sim::shaper::{
     CbsShaper, RegulatorShaper, ShapeDecision, ShaperContract, SourceShaper, StaticRateShaper,
 };
@@ -225,9 +227,12 @@ proptest! {
             let id = mc.try_enqueue(0, CoreId::new(0), addr & !63, cmd);
             prop_assert!(id.is_some(), "FIFO sized for the test load");
         }
+        // Every FCFS pick must also be legal for the FCFS policy.
+        let mut picks = PickOracle::new(0, sched.conformance_policy());
+        let mut log = AuditLog::new(64);
         // First tick moves everything FIFO -> queue (test load fits), so
         // from here the estimator sees the complete candidate set.
-        mc.tick(0, &mut sched, &mut dram, None);
+        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
         for c in 1..run {
             if mc.queue_len() == 0 {
                 break;
@@ -237,7 +242,7 @@ proptest! {
             let _ = mc.drain_completions(c, &mut sched, &mut dram);
             let est = mc.next_dispatch_opportunity(c, &dram);
             let before = dram.inflight_len();
-            mc.tick(c, &mut sched, &mut dram, None);
+            mc.tick(c, &mut sched, &mut dram, (&mut picks, &mut log));
             let dispatched = dram.inflight_len() > before;
             match est {
                 Some(e) => {
@@ -257,6 +262,7 @@ proptest! {
                 None => prop_assert!(!dispatched, "dispatch with an empty estimate"),
             }
         }
+        prop_assert!(log.violations().is_empty(), "{:?}", log.violations());
     }
 
     /// The sampler's fast-forward clamp: the next boundary is strictly

@@ -102,7 +102,7 @@ fn every_scheduler_matches_naive() {
 #[test]
 fn multi_channel_systems_match_naive() {
     // Each miss and backlogged transaction carries the channel decoded
-    // when it was created. With auditing on, the DDR3 oracle checks that
+    // when it was created. The auditor's DDR3 oracle checks that
     // every dispatch reached the channel its address interleaves to. A
     // small queue and FIFO keep backpressure and backlog retries busy,
     // and three channels is a count that is not a power of two.
@@ -115,7 +115,6 @@ fn multi_channel_systems_match_naive() {
             cfg.mc.channels = channels;
             cfg.mc.txn_queue_depth = 4;
             cfg.mc.global_fifo_depth = 2;
-            cfg.hardening.audit.enabled = true;
             let mut b = SystemBuilder::new(cfg).engine(engine);
             for c in 0..channels {
                 b = b.channel_scheduler(c, make_baseline("FR-FCFS", benches.len()).unwrap());

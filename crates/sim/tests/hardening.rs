@@ -4,7 +4,7 @@
 //! cycles of injection, and uninjected runs must complete with zero
 //! violations (no false positives).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
@@ -22,12 +22,11 @@ use mitts_sim::types::{CoreId, Cycle};
 /// at cycle `from` must produce a violation no later than `from + 10_000`.
 const DETECT_BUDGET: Cycle = 10_000;
 
-/// Default 4-core topology with audit forced on and thresholds tightened
-/// so detection fits inside [`DETECT_BUDGET`] (the production defaults
-/// are sized for multi-million-cycle experiment runs).
+/// Default 4-core topology with thresholds tightened so detection fits
+/// inside [`DETECT_BUDGET`] (the production defaults are sized for
+/// multi-million-cycle experiment runs).
 fn hardened_config() -> SystemConfig {
     let mut cfg = SystemConfig::multi_program(4);
-    cfg.hardening.audit.enabled = true;
     cfg.hardening.audit.interval = 64;
     cfg.hardening.audit.max_grant_age = 2_000;
     cfg.hardening.audit.max_llc_mshr_age = 2_000;
@@ -237,19 +236,74 @@ fn a_scheduler_breaking_its_claimed_order_is_caught_without_a_trace_sink() {
     assert!(sys.auditor().picks_checked() > 0);
 }
 
+/// A scheduler that, every 16th cycle, returns a transaction whose bank
+/// is busy (when one is queued), and otherwise the first startable one.
+/// It claims no ordering, so only the startability check applies.
+struct BusyBankPicker {
+    bad_picks: Rc<Cell<u64>>,
+}
+
+impl Scheduler for BusyBankPicker {
+    fn name(&self) -> &str {
+        "busy-bank"
+    }
+
+    fn pick(&mut self, now: Cycle, pending: &[Transaction], view: &DramView<'_>) -> Option<usize> {
+        if now.is_multiple_of(16) {
+            if let Some(i) = pending.iter().position(|t| !view.can_start(t.addr)) {
+                self.bad_picks.set(self.bad_picks.get() + 1);
+                return Some(i);
+            }
+        }
+        pending.iter().position(|t| view.can_start(t.addr))
+    }
+}
+
+#[test]
+fn a_non_startable_pick_is_recorded_and_not_started() {
+    let bad_picks = Rc::new(Cell::new(0));
+    let mut cfg = SystemConfig::multi_program(4);
+    cfg.hardening.audit.max_reports = 8;
+    let picker = BusyBankPicker { bad_picks: Rc::clone(&bad_picks) };
+    let mut b = SystemBuilder::new(cfg).scheduler(Box::new(picker));
+    for i in 0..4 {
+        b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+    }
+    let mut sys = b.build();
+    sys.run_cycles(DETECT_BUDGET);
+    let bad = bad_picks.get();
+    assert!(bad > 8, "the run must make more bad picks than the log keeps, made {bad}");
+    // One violation per bad pick, capped by `max_reports`.
+    let log = sys.audit_log();
+    assert_eq!(log.len(), 8);
+    assert!(
+        log.iter().all(|v| v.invariant == Invariant::SchedulerPick
+            && v.detail.starts_with("channel 0: chosen txn")
+            && v.detail.ends_with("was not startable (bank busy)")),
+        "{log:#?}"
+    );
+    assert_eq!(log.len() as u64 + sys.auditor().dropped_violations(), bad);
+    // No bad pick was started: every checked pick dispatched, except them.
+    let dispatched: u64 = sys.system_stats().channels.iter().map(|c| c.dispatched).sum();
+    assert_eq!(sys.auditor().picks_checked(), dispatched + bad);
+    // The run goes on.
+    assert!(sys.stall_report().is_none());
+    let before: Vec<u64> = (0..4).map(|i| sys.core_snapshot(i).instructions).collect();
+    sys.run_cycles(DETECT_BUDGET);
+    for (i, b) in before.iter().enumerate() {
+        assert!(sys.core_snapshot(i).instructions > *b, "core {i} must keep retiring");
+    }
+    assert!(bad_picks.get() > bad, "bad picks continue past the cap");
+}
+
 // ---------------------------------------------------------------------------
 // No false positives
 // ---------------------------------------------------------------------------
 
-/// Production-default hardening (thresholds untouched) with audit forced
-/// on, so these clean runs exercise the real shipping limits. Auditing
-/// also replays every DRAM dispatch through the DDR3 oracle, so a clean
-/// log means every dispatch was DDR3-legal.
-fn default_audited_config() -> SystemConfig {
-    let mut cfg = SystemConfig::multi_program(4);
-    cfg.hardening.audit.enabled = true;
-    cfg
-}
+// These clean runs use the production-default hardening thresholds, so
+// they exercise the real shipping limits. The auditor also replays every
+// DRAM dispatch through the DDR3 oracle, so a clean log means every
+// dispatch was DDR3-legal.
 
 fn assert_clean(sys: &System, label: &str) {
     assert!(
@@ -264,7 +318,7 @@ fn assert_clean(sys: &System, label: &str) {
 
 #[test]
 fn clean_streaming_run_produces_zero_violations() {
-    let mut sys = streaming_system(default_audited_config());
+    let mut sys = streaming_system(SystemConfig::multi_program(4));
     sys.run_cycles(300_000);
     assert_clean(&sys, "stride traces");
     for i in 0..4 {
@@ -274,7 +328,7 @@ fn clean_streaming_run_produces_zero_violations() {
 
 #[test]
 fn clean_compute_run_produces_zero_violations() {
-    let mut b = SystemBuilder::new(default_audited_config());
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(4));
     for i in 0..4 {
         b = b.trace(i, Box::new(ComputeTrace::new(3)));
     }
@@ -289,7 +343,7 @@ fn clean_compute_run_produces_zero_violations() {
 fn clean_replayed_run_produces_zero_violations() {
     let mut rec = RecordingTrace::new(Box::new(StrideTrace::new(4, 64, 1 << 20)));
     let ops: Vec<_> = (0..2_000).map(|_| rec.next_op()).collect();
-    let mut b = SystemBuilder::new(default_audited_config());
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(4));
     for i in 0..4 {
         b = b.trace(i, Box::new(VecTrace::new(ops.clone())));
     }
@@ -300,7 +354,7 @@ fn clean_replayed_run_produces_zero_violations() {
 
 #[test]
 fn clean_mixed_run_produces_zero_violations() {
-    let mut sys = SystemBuilder::new(default_audited_config())
+    let mut sys = SystemBuilder::new(SystemConfig::multi_program(4))
         .trace(0, Box::new(StrideTrace::new(2, 64, 16 << 20)))
         .trace(1, Box::new(ComputeTrace::new(1)))
         .trace(2, Box::new(StrideTrace::new(50, 64, 32 << 10)))
@@ -314,7 +368,7 @@ fn clean_mixed_run_produces_zero_violations() {
 fn priority_override_run_audits_clean_and_checks_every_pick() {
     // Two channels, each with its own FR-FCFS scheduler and pick oracle;
     // core 1 holds the priority override for the middle of the run.
-    let mut cfg = default_audited_config();
+    let mut cfg = SystemConfig::multi_program(4);
     cfg.mc.channels = 2;
     let mut b = SystemBuilder::new(cfg);
     for ch in 0..2 {

@@ -59,7 +59,7 @@ struct Rig {
 
 /// Builds a system for `benches` with a small LLC (so the bundled traces
 /// miss to DRAM), the given memory side (`scheduler` on every channel),
-/// auditing on, a ring trace sink, periodic sampling, and — when
+/// a ring trace sink, periodic sampling, and — when
 /// `shaped` — a sparse MITTS shaper on every core. With `snap` the system
 /// resumes from it instead of starting fresh.
 fn rig(
@@ -75,7 +75,6 @@ fn rig(
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
     cfg.mc = mem.mc.clone();
     cfg.dram = mem.dram.clone();
-    cfg.hardening.audit.enabled = true;
     let mut b = SystemBuilder::new(cfg);
     for c in 0..mem.mc.channels {
         let sched = make_baseline(scheduler, benches.len()).expect("known scheduler");

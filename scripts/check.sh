@@ -20,6 +20,12 @@ cargo build --release
 #   every bundled workload (incl. a shaped MITTS run) under both the
 #   naive and the skip engine.
 cargo test -q --workspace
+# No-debug-assertions gate: the release profile turns debug assertions
+# on, so the run above cannot show that hardening works without them.
+# The auditor, its oracles and the watchdog run in every build; the
+# hardening suite must pass in a build with debug assertions off too.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=false cargo test --release --offline -q -p mitts-sim \
+  --test hardening --target-dir "$GATE_TMP/no-debug-assertions"
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: a doc link to a deleted or private item fails the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

