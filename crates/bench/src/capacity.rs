@@ -7,8 +7,8 @@
 //! arrival process ([`OpenLoopTrace`]): every tenant offers a fixed
 //! requests-per-second rate regardless of completions, the run is
 //! sampled into epochs, and an [`SloEvaluator`] judges every epoch
-//! against the cell's [`SloSpec`] (p99 memory latency, stall-rate
-//! ceiling, optional IPC floor). Each epoch's [`EpochMetrics`] comes
+//! against the cell's [`SloSpec`] (p99 memory latency and a stall-rate
+//! ceiling). Each epoch's [`EpochMetrics`] comes
 //! straight from a sampler row, so probes run with no trace sink. The
 //! *max sustainable load* is found by ramping the offered rate until
 //! the first SLO failure and then bisecting the bracket — the classic

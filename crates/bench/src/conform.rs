@@ -422,11 +422,11 @@ fn run_case_mutated(case: &ConformCase, mutation: Option<Mutation>) -> CaseRepor
 /// Runs `case` under one execution engine (no oracles — this arm checks
 /// engine equivalence, not spec conformance) and renders everything the
 /// run exposes into one comparable digest: final cycle, skip totals
-/// folded out, the all-integer stats digest, the audit log, and every
-/// core's full shaper state — the trait-level credit audit and the raw
-/// snapshot encoding (which for MITTS includes the per-bin grant ledger,
-/// live credits, and every counter). Each core's stall count is in the
-/// stats digest. Works for any
+/// folded out, the `SystemStats` (histograms included), the audit log,
+/// and every core's full shaper state — the trait-level credit audit and
+/// the raw snapshot encoding (which for MITTS includes the per-bin grant
+/// ledger, live credits, and every counter). Each core's stall count is
+/// in the `SystemStats`. Works for any
 /// [`ShaperSpec`] kind, not just MITTS.
 fn engine_digest(case: &ConformCase, engine: Engine) -> String {
     use std::fmt::Write;

@@ -17,12 +17,13 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, CreditPolicy, FeedbackMethod, MittsShaper};
 use mitts_sched::{CongestionGuard, FrFcfs};
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_sim::system::SystemBuilder;
 use mitts_workloads::{Benchmark, WorkloadId};
 
 use crate::runner::{
-    alone_profiles, base_for, engine_from_env, measure_work, s_avg, s_max, seed_for,
-    shared_config, slowdowns_vs_alone, Scale, REPLENISH_PERIOD,
+    alone_profiles, base_for, engine_from_env, measure_work, seed_for, shared_config,
+    slowdowns_vs_alone, Scale, REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 
@@ -175,11 +176,23 @@ pub fn congestion_feedback(scale: &Scale) -> Table {
         sys.run_cycles(scale.warmup);
         let m = measure_work(&mut sys, scale.settle_work, scale.fitness_work, scale.fitness_cap);
         let sd = slowdowns_vs_alone(&m, &alone);
+        let channels = sys.system_stats().channels;
+        let occupancy = channels
+            .iter()
+            .map(|c| {
+                if c.ticks == 0 {
+                    0.0
+                } else {
+                    c.queue_occupancy_sum as f64 / c.ticks as f64
+                }
+            })
+            .sum::<f64>()
+            / channels.len() as f64;
         table.row(vec![
             if guard { "FR-FCFS+CG" } else { "FR-FCFS" }.to_owned(),
             f3(s_avg(&sd)),
             f3(s_max(&sd)),
-            format!("{:.1}", sys.mc_queue_occupancy()),
+            format!("{occupancy:.1}"),
         ]);
     }
     table

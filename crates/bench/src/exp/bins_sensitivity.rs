@@ -8,12 +8,13 @@
 //! column shows what the extra bins cost in hardware.
 
 use mitts_core::{AreaModel, BinSpec};
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_tuner::{GeneticTuner, Objective};
 use mitts_workloads::WorkloadId;
 
 use crate::runner::{
-    alone_profiles, mitts_fitness, run_shared, s_avg, s_max, slowdowns_vs_alone, Scale,
-    ShaperSpec, REPLENISH_PERIOD,
+    alone_profiles, mitts_fitness, run_shared, slowdowns_vs_alone, Scale, ShaperSpec,
+    REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 

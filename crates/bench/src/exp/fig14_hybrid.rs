@@ -7,12 +7,13 @@
 //! *complements* intelligent controllers rather than replacing them.
 
 use mitts_core::BinSpec;
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_tuner::{GeneticTuner, Objective};
 use mitts_workloads::WorkloadId;
 
 use crate::runner::{
-    alone_profiles, mitts_fitness_with_scheduler, run_shared, s_avg, s_max, slowdowns_vs_alone,
-    Scale, ShaperSpec, REPLENISH_PERIOD,
+    alone_profiles, mitts_fitness_with_scheduler, run_shared, slowdowns_vs_alone, Scale,
+    ShaperSpec, REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 

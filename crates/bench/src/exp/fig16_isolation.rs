@@ -16,12 +16,12 @@
 
 use mitts_core::bins::{BinConfig, BinSpec, K_MAX};
 use mitts_sim::rng::Rng;
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_tuner::{Genome, GeneticTuner, Objective};
 use mitts_workloads::WorkloadId;
 
 use crate::runner::{
-    alone_profiles, run_shared, s_avg, s_max, slowdowns_vs_alone, Scale, ShaperSpec,
-    REPLENISH_PERIOD,
+    alone_profiles, run_shared, slowdowns_vs_alone, Scale, ShaperSpec, REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 

@@ -17,12 +17,13 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_sim::system::SystemBuilder;
 use mitts_workloads::Benchmark;
 
 use crate::runner::{
-    base_for, engine_from_env, measure_work, s_avg, s_max, seed_for, shared_config,
-    slowdowns_vs_alone, AloneProfile, Scale, REPLENISH_PERIOD,
+    base_for, engine_from_env, measure_work, seed_for, shared_config, slowdowns_vs_alone,
+    AloneProfile, Scale, REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 

@@ -10,12 +10,13 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::baseline_names;
+use mitts_sim::stats::{s_avg, s_max};
 use mitts_tuner::{GeneticTuner, Objective, OnlineTuner};
 use mitts_workloads::WorkloadId;
 
 use crate::runner::{
-    alone_profiles, build_shared, cbs_1gbs, mitts_fitness, regulator_1gbs, run_shared, s_avg,
-    s_max, slowdowns_vs_alone, AloneProfile, Scale, ShaperSpec, REPLENISH_PERIOD,
+    alone_profiles, build_shared, cbs_1gbs, mitts_fitness, regulator_1gbs, run_shared,
+    slowdowns_vs_alone, AloneProfile, Scale, ShaperSpec, REPLENISH_PERIOD,
 };
 use crate::table::{f3, Table};
 

@@ -577,16 +577,6 @@ pub fn run_shared_fitness(
     )
 }
 
-/// Average slowdown (throughput metric; lower is better).
-pub fn s_avg(slowdowns: &[f64]) -> f64 {
-    slowdowns.iter().sum::<f64>() / slowdowns.len() as f64
-}
-
-/// Maximum slowdown (fairness metric; lower is better).
-pub fn s_max(slowdowns: &[f64]) -> f64 {
-    slowdowns.iter().cloned().fold(f64::MIN, f64::max)
-}
-
 /// A GA fitness function for multiprogram MITTS under the named
 /// controller: installs the genome's configurations, times a fitness
 /// work quantum, and scores the objective against the alone profiles.
@@ -646,6 +636,7 @@ pub fn single_program_ipc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mitts_sim::stats::{s_avg, s_max};
 
     #[test]
     fn parse_engine_accepts_both_engines_and_rejects_the_retired_aliases() {

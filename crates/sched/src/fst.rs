@@ -9,6 +9,7 @@
 //! distribution rather than a single rate.
 
 use mitts_sim::mc::{CoreSignals, DramView, Scheduler, SourceControl, Transaction};
+use mitts_sim::stats::s_max;
 use mitts_sim::types::Cycle;
 
 use crate::common::frfcfs_pick;
@@ -113,7 +114,7 @@ impl Scheduler for Fst {
         self.prev = signals.to_vec();
         let slowdowns = self.estimate_slowdowns(&window);
 
-        let max_s = slowdowns.iter().cloned().fold(f64::MIN, f64::max);
+        let max_s = s_max(&slowdowns);
         let min_s = slowdowns.iter().cloned().fold(f64::MAX, f64::min).max(1.0);
         let unfair = max_s / min_s;
 

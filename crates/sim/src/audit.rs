@@ -1396,20 +1396,19 @@ fn counter_moved_backwards(log: &mut AuditLog, now: Cycle, core: usize, last: u6
 }
 
 /// Bounded grant ledger for one core: grant timestamps awaiting their
-/// matching L1 fill.
+/// matching L1 fill. The grant and fill counts live in the core's
+/// [`CoreStats`](crate::stats::CoreStats).
 ///
 /// Push on shaper grant, pop on fill; the front is always the oldest
 /// outstanding grant, so age checks are O(1).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GrantLedger {
     times: VecDeque<Cycle>,
-    granted: u64,
     unmatched_fills: u64,
 }
 
 impl GrantLedger {
     pub(crate) fn on_grant(&mut self, now: Cycle) {
-        self.granted += 1;
         self.times.push_back(now);
     }
 
@@ -1417,10 +1416,6 @@ impl GrantLedger {
         if self.times.pop_front().is_none() {
             self.unmatched_fills += 1;
         }
-    }
-
-    pub(crate) fn granted(&self) -> u64 {
-        self.granted
     }
 
     pub(crate) fn outstanding(&self) -> usize {
@@ -1438,7 +1433,6 @@ impl GrantLedger {
     pub(crate) fn save_state(&self, enc: &mut crate::snapshot::Enc) {
         let times: Vec<Cycle> = self.times.iter().copied().collect();
         enc.u64s(&times);
-        enc.u64(self.granted);
         enc.u64(self.unmatched_fills);
     }
 
@@ -1447,7 +1441,6 @@ impl GrantLedger {
         dec: &mut crate::snapshot::Dec<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         self.times = dec.u64s()?.into();
-        self.granted = dec.u64()?;
         self.unmatched_fills = dec.u64()?;
         Ok(())
     }
@@ -1662,7 +1655,6 @@ mod tests {
         g.on_fill();
         g.on_fill();
         assert_eq!(g.unmatched_fills(), 1);
-        assert_eq!(g.granted(), 2);
     }
 
     #[test]

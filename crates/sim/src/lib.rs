@@ -30,7 +30,7 @@
 //!     .build();
 //! sys.run_cycles(100_000);
 //! let stats = sys.core_stats(0);
-//! assert!(stats.ipc() > 0.0);
+//! assert!(stats.counters.ipc() > 0.0);
 //! assert!(stats.llc_misses > 0);
 //! ```
 
@@ -65,6 +65,6 @@ pub use oracle::{
     SpecPolicy,
 };
 pub use snapshot::{Snapshot, SnapshotError};
-pub use stats::{geomean, SlowdownReport};
+pub use stats::geomean;
 pub use system::{Engine, System, SystemBuilder};
 pub use types::{Addr, CoreId, Cycle, MemCmd, OpId};

@@ -53,7 +53,8 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = ["shaper", "llc", "mc_queue", "dram
 /// computed from monotonized stamps (each stage start is clamped to the
 /// previous stage's end), so they always telescope:
 /// `shaper + llc + mc_queue + dram + fill == fill_at - l1_miss_at`,
-/// which is exactly the latency the core adds to `mem_latency_sum`.
+/// which is exactly the latency the core records in its `mem_latency`
+/// histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageLatency {
     /// L1 miss (MSHR allocation) → shaper grant: miss-queue wait plus

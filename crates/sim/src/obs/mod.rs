@@ -13,7 +13,7 @@
 //! * emits one [`TraceEvent`] per lifecycle step into the configured
 //!   [`TraceSink`] (ring buffer, JSONL file, or a shared handle); each
 //!   `Fill` carries a per-stage latency decomposition whose stages
-//!   telescope exactly to the latency the core adds to `mem_latency_sum`,
+//!   telescope exactly to the latency the core records in `mem_latency`,
 //! * records throttling episodes as begin/end transitions, and
 //! * mirrors auditor violations, watchdog stalls, and fault injections
 //!   into the same stream.
@@ -347,7 +347,7 @@ impl Observer {
     /// Stage stamps are monotonized (each stage start clamps to the
     /// previous stage's end) before differencing, so the five stages
     /// always sum to exactly `now - miss_at` — the same latency the core
-    /// adds to `mem_latency_sum` for this fill.
+    /// records in its `mem_latency` histogram for this fill.
     #[inline]
     pub fn on_core_fill(&mut self, now: Cycle, core: usize, line: Addr) {
         if !self.lifecycle {

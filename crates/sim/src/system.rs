@@ -26,7 +26,7 @@ use crate::mc::{
 use crate::obs::{ChannelSampleRow, CoreSampleRow, Observer, SampleRow, StallReason, TraceSink};
 use crate::shaper::{ShapeDecision, ShapeToken, SourceShaper, UnlimitedShaper};
 use crate::snapshot::{crc32, Dec, Enc, Snapshot, SnapshotError, SnapshotWriter};
-use crate::stats::{ChannelSystemStats, CoreStats, CoreSystemStats, SystemStats};
+use crate::stats::{ChannelSystemStats, CoreStats, SystemStats};
 use crate::trace::{ComputeTrace, TraceSource};
 use crate::types::{Addr, CoreId, Cycle, MemCmd, OpId};
 
@@ -227,15 +227,12 @@ struct CoreUnit {
     /// (ready_at, op) pairs for L1 hits completing after hit latency.
     hit_pipe: VecDeque<(Cycle, OpId)>,
     shaper: ShaperHandle,
-    /// Shaper-granted requests whose L1 fill has not yet arrived.
-    inflight: u32,
     /// Grant timestamps awaiting their fill (auditor conservation check).
     grants: GrantLedger,
     last_issue: Option<Cycle>,
     /// What the issue stage did on the most recent real tick.
     last_outcome: IssueOutcome,
     stats: CoreStats,
-    fills: u64,
     l1_hit_latency: Cycle,
 }
 
@@ -293,14 +290,11 @@ impl MemPort for L1Front<'_> {
 impl CoreUnit {
     /// Delivers a refilled line from the LLC into the L1; wakes waiters.
     fn on_fill(&mut self, now: Cycle, line_addr: Addr) -> Option<Addr> {
-        self.inflight = self.inflight.saturating_sub(1);
+        self.stats.inflight = self.stats.inflight.saturating_sub(1);
         self.grants.on_fill();
-        self.fills += 1;
+        self.stats.fills += 1;
         let entry = self.l1_mshrs.complete(line_addr)?;
-        let latency = now.saturating_sub(entry.allocated_at);
-        self.stats.mem_latency_sum += latency;
-        self.stats.mem_latency_count += 1;
-        self.stats.mem_latency.record(latency);
+        self.stats.mem_latency.record(now.saturating_sub(entry.allocated_at));
         for w in &entry.waiters {
             if let L1Waiter::Load(op) = w {
                 self.core.complete(*op);
@@ -350,8 +344,8 @@ impl CoreUnit {
             mem_stall_cycles: c.mem_stall_cycles,
             l1_misses: self.stats.l1_misses,
             llc_misses: self.stats.llc_misses,
-            mem_completed: self.fills,
-            mem_latency_sum: self.stats.mem_latency_sum,
+            mem_completed: self.stats.fills,
+            mem_latency_sum: self.stats.mem_latency.sum(),
         }
     }
 }
@@ -596,12 +590,10 @@ impl SystemBuilder {
                     wb_queue: VecDeque::new(),
                     hit_pipe: VecDeque::new(),
                     shaper,
-                    inflight: 0,
                     grants: GrantLedger::default(),
                     last_issue: None,
                     last_outcome: IssueOutcome::NoRequest,
                     stats: CoreStats::new(STAT_BINS, STAT_BIN_WIDTH),
-                    fills: 0,
                     l1_hit_latency: config.l1.hit_latency,
                 }
             })
@@ -814,40 +806,6 @@ impl System {
         self.cores[core].core.phase()
     }
 
-    /// DRAM row-buffer statistics summed across channels:
-    /// (hits, misses, conflicts).
-    pub fn dram_row_stats(&self) -> (u64, u64, u64) {
-        self.channels.iter().fold((0, 0, 0), |(h, m, c), ch| {
-            let (a, b, d) = ch.dram.row_stats();
-            (h + a, m + b, c + d)
-        })
-    }
-
-    /// Total bytes moved on the DRAM data buses of all channels.
-    pub fn dram_bytes(&self) -> u64 {
-        self.channels.iter().map(|c| c.dram.bytes_transferred()).sum()
-    }
-
-    /// Number of memory channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Achieved DRAM bandwidth in bytes/cycle so far.
-    pub fn dram_bandwidth(&self) -> f64 {
-        if self.now == 0 {
-            0.0
-        } else {
-            self.dram_bytes() as f64 / self.now as f64
-        }
-    }
-
-    /// Mean memory-controller queue occupancy (averaged over channels).
-    pub fn mc_queue_occupancy(&self) -> f64 {
-        let sum: f64 = self.channels.iter().map(|c| c.mc.mean_queue_occupancy()).sum();
-        sum / self.channels.len() as f64
-    }
-
     /// The invariant auditor (pass counts, violation log, stall state).
     pub fn auditor(&self) -> &InvariantAuditor {
         &self.auditor
@@ -877,12 +835,13 @@ impl System {
     }
 
     /// Writes the end-of-run [`crate::obs::TraceEvent::RunSummary`]
-    /// (total cycles plus the cores' summed `mem_latency_sum`/`count`, the
-    /// cross-check for latency decompositions) and flushes the trace sink.
-    /// Call once after the run; a no-op without a sink.
+    /// (total cycles plus the sum and count of the cores' `mem_latency`
+    /// histograms, the cross-check for latency decompositions) and
+    /// flushes the trace sink. Call once after the run; a no-op without a
+    /// sink.
     pub fn flush_trace(&mut self) {
         let (sum, count) = self.cores.iter().fold((0u64, 0u64), |(s, c), u| {
-            (s + u.stats.mem_latency_sum, c + u.stats.mem_latency_count)
+            (s + u.stats.mem_latency.sum(), c + u.stats.mem_latency.count())
         });
         self.obs.emit_run_summary(self.now, sum, count);
     }
@@ -1150,12 +1109,10 @@ impl System {
         let sh = unit.shaper.borrow();
         e.str(sh.snapshot_kind().unwrap_or(""));
         e.blob(|e| sh.save_state(e));
-        e.u32(unit.inflight);
         unit.grants.save_state(e);
         e.opt_u64(unit.last_issue);
         e.u8(unit.last_outcome.snapshot_tag());
         unit.stats.save_state(e);
-        e.u64(unit.fills);
     }
 
     fn load_core(
@@ -1199,12 +1156,10 @@ impl System {
             }
             d.blob(|d| sh.load_state(d))?;
         }
-        unit.inflight = d.u32()?;
         unit.grants.load_state(d)?;
         unit.last_issue = d.opt_u64()?;
         unit.last_outcome = IssueOutcome::from_snapshot_tag(d.u8()?)?;
         unit.stats.load_state(d)?;
-        unit.fills = d.u64()?;
         Ok(())
     }
 
@@ -1355,30 +1310,13 @@ impl System {
         Ok(())
     }
 
-    /// Exhaustive integer digest of the end-of-run state, comparable with
-    /// `==` across runs. Two runs of the same workload — one naive, one
-    /// fast-forwarded — must produce equal `SystemStats`.
+    /// Every core's [`CoreStats`] and every channel's counters, comparable
+    /// with `==` across runs. Two runs of the same workload — one naive,
+    /// one fast-forwarded — must produce equal `SystemStats`.
     pub fn system_stats(&self) -> SystemStats {
         SystemStats {
             cycles: self.now,
-            cores: self
-                .cores
-                .iter()
-                .map(|u| CoreSystemStats {
-                    counters: u.core.counters().clone(),
-                    l1_hits: u.stats.l1_hits,
-                    l1_misses: u.stats.l1_misses,
-                    llc_hits: u.stats.llc_hits,
-                    llc_misses: u.stats.llc_misses,
-                    writebacks: u.stats.writebacks,
-                    shaper_stall_cycles: u.stats.shaper_stall_cycles,
-                    mem_latency_sum: u.stats.mem_latency_sum,
-                    mem_latency_count: u.stats.mem_latency_count,
-                    fills: u.fills,
-                    inflight: u.inflight,
-                    shaper_grants: u.grants.granted(),
-                })
-                .collect(),
+            cores: (0..self.cores.len()).map(|c| self.core_stats(c)).collect(),
             channels: self
                 .channels
                 .iter()
@@ -1605,7 +1543,7 @@ impl System {
                 IssueOutcome::NoPorts
             } else if let Some(&head) = unit.miss_queue.front() {
                 let inflight_ok =
-                    throttle.max_inflight.is_none_or(|cap| unit.inflight < cap);
+                    throttle.max_inflight.is_none_or(|cap| unit.stats.inflight < cap);
                 let gap_ok = throttle.min_issue_gap.is_none_or(|gap| {
                     unit.last_issue.is_none_or(|last| now >= last + gap as Cycle)
                 });
@@ -1623,7 +1561,8 @@ impl System {
                     match decision {
                         ShapeDecision::Grant(token) => {
                             unit.miss_queue.pop_front();
-                            unit.inflight += 1;
+                            unit.stats.inflight += 1;
+                            unit.stats.shaper_grants += 1;
                             unit.grants.on_grant(now);
                             unit.last_issue = Some(now);
                             ports_left -= 1;
@@ -2001,10 +1940,10 @@ impl System {
             // Conservation: every grant increments `inflight` and pushes a
             // ledger entry; every fill reverses both. A lost fill shows up
             // as ledger age; a spurious fill as unmatched/imbalance.
-            let grants = unit.grants.granted();
-            let accounted = unit.fills + unit.inflight as u64;
+            let grants = unit.stats.shaper_grants;
+            let accounted = unit.stats.fills + unit.stats.inflight as u64;
             if grants != accounted
-                || unit.grants.outstanding() != unit.inflight as usize
+                || unit.grants.outstanding() != unit.stats.inflight as usize
                 || unit.grants.unmatched_fills() > 0
             {
                 self.auditor.record(AuditViolation {
@@ -2014,8 +1953,8 @@ impl System {
                     detail: format!(
                         "grants {} != fills {} + inflight {} (ledger {}, unmatched fills {})",
                         grants,
-                        unit.fills,
-                        unit.inflight,
+                        unit.stats.fills,
+                        unit.stats.inflight,
                         unit.grants.outstanding(),
                         unit.grants.unmatched_fills()
                     ),
@@ -2038,7 +1977,7 @@ impl System {
             }
             // L1 MSHR occupancy: one entry per miss still queued or
             // granted-and-outstanding; anything else is a leak.
-            let expected = unit.miss_queue.len() + unit.inflight as usize;
+            let expected = unit.miss_queue.len() + unit.stats.inflight as usize;
             if unit.l1_mshrs.len() != expected {
                 self.auditor.record(AuditViolation {
                     cycle: now,
@@ -2048,7 +1987,7 @@ impl System {
                         "L1 MSHR occupancy {} != miss-queue {} + inflight {}",
                         unit.l1_mshrs.len(),
                         unit.miss_queue.len(),
-                        unit.inflight
+                        unit.stats.inflight
                     ),
                 });
             }
@@ -2111,7 +2050,7 @@ impl System {
         let mut any_active = false;
         for unit in &self.cores {
             total_instr += unit.core.counters().instructions;
-            total_fills += unit.fills;
+            total_fills += unit.stats.fills;
             if !unit.core.is_frozen(now) {
                 any_active = true;
             }
@@ -2131,7 +2070,7 @@ impl System {
                     "no retirement for {starve_limit} cycles (miss-queue {}, inflight {}, \
                      shaper '{}' stalled {} cycles)",
                     unit.miss_queue.len(),
-                    unit.inflight,
+                    unit.stats.inflight,
                     unit.shaper.borrow().name(),
                     unit.stats.shaper_stall_cycles
                 );
@@ -2160,7 +2099,7 @@ impl System {
                         core: i,
                         instructions: u.core.counters().instructions,
                         miss_queue_depth: u.miss_queue.len(),
-                        inflight: u.inflight,
+                        inflight: u.stats.inflight,
                         l1_mshr_occupancy: u.l1_mshrs.len(),
                         frozen: u.core.is_frozen(now),
                         shaper: ShaperStallState {
@@ -2407,7 +2346,7 @@ mod tests {
         assert!(s.counters.instructions > 1000, "IPC stuck: {:?}", s.counters);
         assert!(s.l1_misses > 0);
         assert!(s.llc_misses > 0, "streaming must miss the 64 KB LLC");
-        assert!(sys.dram_bytes() > 0);
+        assert!(sys.system_stats().channels[0].bytes > 0);
     }
 
     #[test]
@@ -2427,7 +2366,7 @@ mod tests {
             .build();
         sys.run_cycles(50_000);
         let s = sys.core_stats(0);
-        let lat = s.mean_mem_latency();
+        let lat = s.mem_latency.mean();
         // LLC (20) + DRAM row ops (~50-120) + queues: expect 60..400.
         assert!(lat > 40.0 && lat < 500.0, "mean memory latency {lat} out of range");
     }
@@ -2662,7 +2601,8 @@ mod tests {
             }
             let mut sys = b.build();
             sys.run_cycles(80_000);
-            (sys.dram_bytes(), sys.num_channels())
+            let channels = sys.system_stats().channels;
+            (channels.iter().map(|c| c.bytes).sum::<u64>(), channels.len())
         };
         let (one, n1) = build(1);
         let (two, n2) = build(2);
@@ -2686,9 +2626,10 @@ mod tests {
         sys.run_cycles(30_000);
         // Both channels see traffic (row-granularity interleave of a
         // 16 MB stream spans both).
-        assert!(sys.dram_bytes() > 0);
-        let (h, m, c) = sys.dram_row_stats();
-        assert!(h + m + c > 0);
+        for ch in sys.system_stats().channels {
+            let (h, m, c) = ch.row_stats;
+            assert!(ch.bytes > 0 && h + m + c > 0, "{ch:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! * fault plans, including delayed DRAM responses — a held response
 //!   must be released on its exact cycle, never skipped over.
 //!
-//! Every comparison is on the all-integer [`SystemStats`] digest, so a
-//! single divergent counter anywhere in the machine fails the test.
+//! Every comparison is on [`SystemStats`]: every core's full `CoreStats`
+//! (counters plus the L1-miss and memory inter-arrival histograms and the
+//! latency histogram) and every channel's counters, so a single divergent
+//! counter or histogram bin anywhere in the machine fails the test.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,6 +25,7 @@ use mitts_sched::{baseline_names, make_baseline};
 use mitts_sim::audit::{FaultKind, FaultPlan, RunOutcome};
 use mitts_sim::config::{CacheConfig, SystemConfig};
 use mitts_sim::obs::{RingSink, StallReason, TraceEvent};
+use mitts_sim::stats::SystemStats;
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
@@ -48,8 +51,8 @@ fn build_system(benches: &[Benchmark], scheduler: &str, engine: Engine) -> Syste
 }
 
 /// Runs naive and skip twins for `cycles`, asserts identical stats, and
-/// returns the skip engine's skipped-cycle count.
-fn assert_equivalent_run(benches: &[Benchmark], scheduler: &str, cycles: Cycle) -> u64 {
+/// returns the skip engine's system.
+fn assert_equivalent_run(benches: &[Benchmark], scheduler: &str, cycles: Cycle) -> System {
     let [naive, skip] = [Engine::Naive, Engine::Skip].map(|engine| {
         let mut sys = build_system(benches, scheduler, engine);
         sys.run_cycles(cycles);
@@ -62,7 +65,20 @@ fn assert_equivalent_run(benches: &[Benchmark], scheduler: &str, cycles: Cycle) 
         skip.system_stats(),
         "stats diverged for {benches:?} under {scheduler}"
     );
-    skip.skipped_cycles()
+    skip
+}
+
+/// Samples the compared histograms hold, summed over cores: L1-miss
+/// inter-arrival gaps, memory inter-arrival gaps and fill latencies. A
+/// histogram comparison over empty histograms would show nothing.
+fn histogram_samples(stats: &SystemStats) -> [u64; 3] {
+    stats.cores.iter().fold([0; 3], |[l1, mem, lat], c| {
+        [
+            l1 + c.l1_miss_interarrival.total(),
+            mem + c.mem_interarrival.total(),
+            lat + c.mem_latency.count(),
+        ]
+    })
 }
 
 /// Collapses a [`RunOutcome`] to a comparable key (`RunOutcome` is not
@@ -78,13 +94,18 @@ fn outcome_key(o: &RunOutcome) -> (&'static str, Cycle, Vec<usize>) {
 #[test]
 fn every_bundled_benchmark_matches_naive() {
     let mut total_skipped = 0;
+    let mut samples = [0; 3];
     for &bench in &Benchmark::ALL {
-        total_skipped += assert_equivalent_run(&[bench], "FR-FCFS", 20_000);
+        let sys = assert_equivalent_run(&[bench], "FR-FCFS", 20_000);
+        total_skipped += sys.skipped_cycles();
+        let run = histogram_samples(&sys.system_stats());
+        samples = std::array::from_fn(|k| samples[k] + run[k]);
     }
     // The point of the skip engine: across the workload suite some runs
     // must actually have skipped (compute phases, shaper stalls, DRAM
     // latency bubbles).
     assert!(total_skipped > 0, "skip engine never engaged on any bundled workload");
+    assert!(samples.iter().all(|&n| n > 0), "a compared histogram stayed empty: {samples:?}");
 }
 
 #[test]
@@ -170,6 +191,8 @@ fn mitts_shaper_grant_ledgers_match_naive() {
     sys.run_cycles(30_000);
     assert!(sys.skipped_cycles() > 0, "shaped run should have skippable deny spans");
     assert_eq!(naive.system_stats(), sys.system_stats(), "stats diverged");
+    let samples = histogram_samples(&sys.system_stats());
+    assert!(samples.iter().all(|&n| n > 0), "a compared histogram stayed empty: {samples:?}");
     // The ledger the tuner reads must be bit-identical too: per-bin
     // grants, live credits, and every counter.
     let (n, s) = (naive_shaper.borrow(), shaper.borrow());
@@ -371,12 +394,11 @@ fn trace_event_streams_and_samples_match_naive() {
         assert_eq!(nsys.system_stats(), fsys.system_stats());
         // The decomposition invariant, under both engines: per-stage
         // latencies summed over all Fill events telescope to exactly the
-        // cores' aggregate mem_latency_sum, and fills to
-        // mem_latency_count.
+        // sum of the cores' latency histograms, and fills to their count.
         for (sys, events) in [(&nsys, &ne), (&fsys, &fe)] {
             let stats = sys.system_stats();
             let (want_count, want_sum) = stats.cores.iter().fold((0u64, 0u64), |(n, s), c| {
-                (n + c.mem_latency_count, s + c.mem_latency_sum)
+                (n + c.mem_latency.count(), s + c.mem_latency.sum())
             });
             let (fills, lat_sum) = events.iter().fold((0u64, 0u64), |(n, s), ev| match ev {
                 TraceEvent::Fill { lat, .. } => (n + 1, s + lat.total()),

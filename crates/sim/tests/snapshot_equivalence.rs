@@ -4,7 +4,8 @@
 //! run that was never interrupted. "Indistinguishable" here is the full
 //! observable surface:
 //!
-//! * the all-integer [`SystemStats`] digest (every counter in the machine),
+//! * [`SystemStats`] (every counter in the machine and every core's
+//!   inter-arrival and latency histograms),
 //! * MITTS shaper grant ledgers (per-bin grants, live credits, counters),
 //! * the runtime auditor's violation log and its oracles' checked counts,
 //! * the request-lifecycle trace-event stream and sampler rows.

@@ -18,34 +18,32 @@ use mitts_core::bins::{BinSpec, K_MAX};
 
 use crate::genome::{Constraint, Genome};
 
+/// Tournament size for parent selection, in both GA tuners.
+pub(crate) const TOURNAMENT: usize = 3;
+/// Per-gene mutation probability, in both GA tuners.
+pub(crate) const MUTATION_RATE: f64 = 0.15;
+/// Maximum per-gene mutation step, in both GA tuners.
+pub(crate) const MUTATION_STEP: u32 = 24;
+/// Default upper bound on initial random credits per bin.
+pub(crate) const INIT_MAX_CREDIT: u32 = 128;
+
 /// Parameters of the offline GA. Defaults follow the paper (population
-/// 30, 20 generations); scale them down for quick runs.
+/// 30, 20 generations); scale them down for quick runs. Selection and
+/// mutation use fixed settings shared with the online tuner: tournaments
+/// of 3, per-gene mutation probability 0.15 and steps of at most 24.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaParams {
     /// Children per generation.
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Maximum per-gene mutation step.
-    pub mutation_step: u32,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
     /// Upper bound on initial random credits per bin.
     pub init_max_credit: u32,
 }
 
 impl Default for GaParams {
     fn default() -> Self {
-        GaParams {
-            population: 30,
-            generations: 20,
-            mutation_rate: 0.15,
-            mutation_step: 24,
-            tournament: 3,
-            init_max_credit: 128,
-        }
+        GaParams { population: 30, generations: 20, init_max_credit: INIT_MAX_CREDIT }
     }
 }
 
@@ -297,10 +295,10 @@ impl GeneticTuner {
         // Elitism: keep the best genome verbatim.
         next.push(state.best.clone());
         while next.len() < self.params.population {
-            let a = Self::tournament_pick(&mut state.rng, self.params.tournament, &state.scores);
-            let b = Self::tournament_pick(&mut state.rng, self.params.tournament, &state.scores);
+            let a = Self::tournament_pick(&mut state.rng, &state.scores);
+            let b = Self::tournament_pick(&mut state.rng, &state.scores);
             let mut child = state.population[a].crossover(&state.population[b], &mut state.rng);
-            child.mutate(self.params.mutation_rate, self.params.mutation_step, &mut state.rng);
+            child.mutate(MUTATION_RATE, MUTATION_STEP, &mut state.rng);
             self.constraint.repair(&mut child, &mut state.rng);
             next.push(child);
         }
@@ -430,9 +428,11 @@ impl GeneticTuner {
         slots.into_vec()
     }
 
-    fn tournament_pick(rng: &mut Rng, tournament: usize, scores: &[f64]) -> usize {
+    /// Index of the best of [`TOURNAMENT`] uniformly drawn scores (the
+    /// first draw wins ties).
+    pub(crate) fn tournament_pick(rng: &mut Rng, scores: &[f64]) -> usize {
         let mut best = rng.below(scores.len() as u64) as usize;
-        for _ in 1..tournament {
+        for _ in 1..TOURNAMENT {
             let c = rng.below(scores.len() as u64) as usize;
             if scores[c] > scores[best] {
                 best = c;

@@ -10,6 +10,7 @@ use mitts_sim::types::Cycle;
 
 use mitts_core::bins::{BinSpec, K_MAX};
 
+use crate::ga::INIT_MAX_CREDIT;
 use crate::genome::{Constraint, Genome};
 
 /// Result of a hill-climbing run.
@@ -82,7 +83,8 @@ impl HillClimber {
     where
         F: Fn(&Genome) -> f64,
     {
-        let mut current = Genome::random(self.spec, self.period, self.cores, 128, &mut self.rng);
+        let mut current =
+            Genome::random(self.spec, self.period, self.cores, INIT_MAX_CREDIT, &mut self.rng);
         self.constraint.repair(&mut current, &mut self.rng);
         let mut current_fit = fitness(&current);
         let mut evaluations = 1;

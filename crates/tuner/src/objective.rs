@@ -4,6 +4,8 @@
 //! on slowdowns (`S_i = IPC_alone / IPC_shared` offline, or the paper's
 //! blended online estimate); for single-program runs on raw IPC.
 
+use mitts_sim::stats::{s_avg, s_max};
+
 /// What the tuner optimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
@@ -49,24 +51,16 @@ impl Objective {
     /// Panics if the required vector is empty.
     pub fn score(self, slowdowns: &[f64], ipcs: &[f64]) -> f64 {
         match self {
-            Objective::Throughput => {
-                assert!(!slowdowns.is_empty(), "need slowdowns");
-                let avg = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
-                -avg
-            }
-            Objective::Fairness => {
-                assert!(!slowdowns.is_empty(), "need slowdowns");
-                -slowdowns.iter().cloned().fold(f64::MIN, f64::max)
-            }
+            Objective::Throughput => -s_avg(slowdowns),
+            Objective::Fairness => -s_max(slowdowns),
             Objective::Performance => {
                 assert!(!ipcs.is_empty(), "need IPCs");
                 ipcs.iter().sum::<f64>() / ipcs.len() as f64
             }
             Objective::MaxUsersUnderSlo { max_slowdown_pct } => {
-                assert!(!slowdowns.is_empty(), "need slowdowns");
+                let avg = s_avg(slowdowns);
                 let bound = max_slowdown_pct as f64 / 100.0;
                 let admitted = slowdowns.iter().filter(|&&s| s <= bound).count();
-                let avg = slowdowns.iter().sum::<f64>() / slowdowns.len() as f64;
                 // Admitted count dominates; the bounded average-slowdown
                 // term (in (0, 1]) breaks ties toward healthier packs so
                 // the GA keeps a gradient between equal admission counts.

@@ -20,6 +20,7 @@ use mitts_sim::mc::CoreSignals;
 use mitts_sim::system::System;
 use mitts_sim::types::{CoreId, Cycle};
 
+use crate::ga::{GeneticTuner, INIT_MAX_CREDIT, MUTATION_RATE, MUTATION_STEP};
 use crate::genome::{Constraint, Genome};
 use crate::objective::Objective;
 
@@ -36,12 +37,6 @@ pub struct OnlineParams {
     pub generations: usize,
     /// Software overhead charged per GA invocation, in cycles.
     pub overhead_cycles: Cycle,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Maximum per-gene mutation step.
-    pub mutation_step: u32,
-    /// Upper bound on initial random credits.
-    pub init_max_credit: u32,
 }
 
 impl Default for OnlineParams {
@@ -51,9 +46,6 @@ impl Default for OnlineParams {
             population: 30,
             generations: 20,
             overhead_cycles: 5_000,
-            mutation_rate: 0.15,
-            mutation_step: 24,
-            init_max_credit: 128,
         }
     }
 }
@@ -189,7 +181,7 @@ impl OnlineTuner {
                     spec,
                     period,
                     cores,
-                    self.params.init_max_credit,
+                    INIT_MAX_CREDIT,
                     &mut self.rng,
                 );
                 self.constraint.repair(&mut g, &mut self.rng);
@@ -228,14 +220,10 @@ impl OnlineTuner {
             let mut next = Vec::with_capacity(population.len());
             next.push(best.as_ref().expect("set above").0.clone());
             while next.len() < population.len() {
-                let a = self.tournament(&scores);
-                let b = self.tournament(&scores);
+                let a = GeneticTuner::tournament_pick(&mut self.rng, &scores);
+                let b = GeneticTuner::tournament_pick(&mut self.rng, &scores);
                 let mut child = population[a].crossover(&population[b], &mut self.rng);
-                child.mutate(
-                    self.params.mutation_rate,
-                    self.params.mutation_step,
-                    &mut self.rng,
-                );
+                child.mutate(MUTATION_RATE, MUTATION_STEP, &mut self.rng);
                 self.constraint.repair(&mut child, &mut self.rng);
                 next.push(child);
             }
@@ -275,17 +263,6 @@ impl OnlineTuner {
             }
         }
         results
-    }
-
-    fn tournament(&mut self, scores: &[f64]) -> usize {
-        let mut best = self.rng.below(scores.len() as u64) as usize;
-        for _ in 0..2 {
-            let c = self.rng.below(scores.len() as u64) as usize;
-            if scores[c] > scores[best] {
-                best = c;
-            }
-        }
-        best
     }
 }
 

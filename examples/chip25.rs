@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{:<6} {:<14} {:>7.3} {:>9} {:>9} {:>8.3}",
                 i,
                 bench.name(),
-                stats.ipc(),
+                stats.counters.ipc(),
                 s.counters().grants,
                 stats.shaper_stall_cycles,
                 gbs
@@ -90,11 +90,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  ...    ({} more cores)", 15);
         }
     }
+    let stats = sys.system_stats();
+    let bytes: u64 = stats.channels.iter().map(|c| c.bytes).sum();
     println!(
         "\naggregate shaped memory traffic: {total_gbs:.2} GB/s across {} channels \
          ({:.2} GB/s of DRAM traffic measured)",
-        sys.num_channels(),
-        sys.dram_bandwidth() * cfg.core.freq_hz / 1e9
+        stats.channels.len(),
+        bytes as f64 / stats.cycles as f64 * cfg.core.freq_hz / 1e9
     );
     println!(
         "Every core stayed at or under its budget — 25 distributed shapers, no \

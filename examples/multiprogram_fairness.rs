@@ -15,6 +15,7 @@ use std::rc::Rc;
 use mitts::core::{BinConfig, BinSpec, MittsShaper};
 use mitts::sched::FrFcfs;
 use mitts::sim::config::{CacheConfig, SystemConfig};
+use mitts::sim::stats::{s_avg, s_max};
 use mitts::sim::system::{System, SystemBuilder};
 use mitts::workloads::WorkloadId;
 
@@ -105,14 +106,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mitts_sd.push(m);
         println!("{:<12} {:>12.0} {:>16.2} {:>14.2}", programs[i].name(), alone[i], f, m);
     }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    let max = |v: &[f64]| v.iter().cloned().fold(f64::MIN, f64::max);
     println!(
         "\nS_avg: {:.2} -> {:.2}   S_max: {:.2} -> {:.2} (lower is better)",
-        avg(&free_sd),
-        avg(&mitts_sd),
-        max(&free_sd),
-        max(&mitts_sd)
+        s_avg(&free_sd),
+        s_avg(&mitts_sd),
+        s_max(&free_sd),
+        s_max(&mitts_sd)
     );
     println!(
         "Shaping the least-slowed program at the source redistributes its slack\n\

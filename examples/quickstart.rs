@@ -27,9 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let free_stats = free.core_stats(0);
     println!(
         "unshaped:  IPC {:.3}, {} LLC misses, mean memory latency {:.0} cycles",
-        free_stats.ipc(),
+        free_stats.counters.ipc(),
         free_stats.llc_misses,
-        free_stats.mean_mem_latency()
+        free_stats.mem_latency.mean()
     );
 
     // 2. The same program behind a MITTS shaper: 20 burst credits
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s = shaper.borrow();
     println!(
         "shaped:    IPC {:.3}, {} LLC misses, {} cycles stalled by the shaper",
-        shaped_stats.ipc(),
+        shaped_stats.counters.ipc(),
         shaped_stats.llc_misses,
         shaped_stats.shaper_stall_cycles
     );
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nThe shaper held {bench} to its credit budget: throughput dropped \
          {:.0}% in exchange for a hard bandwidth guarantee.",
-        (1.0 - shaped_stats.ipc() / free_stats.ipc()) * 100.0
+        (1.0 - shaped_stats.counters.ipc() / free_stats.counters.ipc()) * 100.0
     );
     Ok(())
 }

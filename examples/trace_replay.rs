@@ -66,9 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<22} IPC {:.3}  p50/p99 mem latency {:>5.0}/{:>6.0} cycles  \
              ({} grants, {} stall cycles)",
             name,
-            stats.ipc(),
-            stats.latency_percentile_pct(50.0),
-            stats.latency_percentile_pct(99.0),
+            stats.counters.ipc(),
+            stats.mem_latency.percentile_pct(50.0),
+            stats.mem_latency.percentile_pct(99.0),
             counters.grants,
             stats.shaper_stall_cycles,
         );

@@ -180,19 +180,22 @@ for exp in fig11 fig12; do
 done
 echo "shaper-arm engine differential: naive/skip fig11 and fig12 tables are identical"
 
-# Multi-channel engine differential: every other sweep gate runs
-# one-channel experiments. `scaling` is the only experiment with two
-# memory channels (16 and 25 cores), so it reruns on both engines and
-# the two tables must be byte-identical.
-for engine in skip naive; do
-  STATE_EXP="$GATE_TMP/scaling-$engine"
-  mkdir -p "$STATE_EXP"
-  MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE="$engine" MITTS_STATE_DIR="$STATE_EXP" \
-    target/release/run_all scaling >/dev/null
+# Multi-channel and inter-arrival engine differential: every other sweep
+# gate runs one-channel experiments, and none reruns Fig. 2 naive.
+# `scaling` is the only experiment with two memory channels (16 and 25
+# cores); `fig02` prints the per-core inter-arrival histograms. Each
+# reruns on both engines and the two tables must be byte-identical.
+for exp in scaling fig02; do
+  for engine in skip naive; do
+    STATE_EXP="$GATE_TMP/$exp-$engine"
+    mkdir -p "$STATE_EXP"
+    MITTS_SCALE=smoke MITTS_JOBS=1 MITTS_ENGINE="$engine" MITTS_STATE_DIR="$STATE_EXP" \
+      target/release/run_all "$exp" >/dev/null
+  done
+  diff "$GATE_TMP/$exp-naive/results/$exp.txt" "$GATE_TMP/$exp-skip/results/$exp.txt" \
+    || { echo "naive-engine $exp diverged from the skip engine"; exit 1; }
 done
-diff "$GATE_TMP/scaling-naive/results/scaling.txt" "$GATE_TMP/scaling-skip/results/scaling.txt" \
-  || { echo "naive-engine scaling diverged from the skip engine"; exit 1; }
-echo "multi-channel engine differential: naive/skip scaling tables are identical"
+echo "multi-channel and inter-arrival engine differential: naive/skip scaling and fig02 identical"
 
 # Parallel determinism gate: the same filtered sweep at MITTS_JOBS=4 and
 # MITTS_JOBS=1 must land byte-identical result artifacts AND CSV dumps —

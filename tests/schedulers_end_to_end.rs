@@ -32,7 +32,8 @@ fn every_baseline_completes_a_real_workload() {
                 s.counters
             );
         }
-        assert!(sys.dram_bytes() > 0, "{name}: no memory traffic reached DRAM");
+        let bytes: u64 = sys.system_stats().channels.iter().map(|c| c.bytes).sum();
+        assert!(bytes > 0, "{name}: no memory traffic reached DRAM");
     }
 }
 
@@ -43,7 +44,9 @@ fn frfcfs_outperforms_fcfs_on_row_locality() {
     let run = |name: &str| {
         let mut sys = workload_system(1, name);
         sys.run_cycles(150_000);
-        let (h, m, c) = sys.dram_row_stats();
+        let (h, m, c) = sys.system_stats().channels.iter().fold((0, 0, 0), |(h, m, c), ch| {
+            (h + ch.row_stats.0, m + ch.row_stats.1, c + ch.row_stats.2)
+        });
         let hits = h as f64 / (h + m + c).max(1) as f64;
         let instr: u64 = (0..4).map(|i| sys.core_stats(i).counters.instructions).sum();
         (hits, instr)

@@ -81,8 +81,8 @@ proptest! {
     }
 
     /// Accounting invariants hold for any run: hits+misses make sense,
-    /// LLC responses partition into hits and misses, and latency stats
-    /// are populated iff fills happened.
+    /// LLC responses partition into hits and misses, and the latency tail
+    /// sits plausibly against the mean.
     #[test]
     fn accounting_invariants(bench in arb_bench(), seed in 0u64..1000) {
         let mut sys = SystemBuilder::new(SystemConfig::single_program())
@@ -92,10 +92,9 @@ proptest! {
         let s = sys.core_stats(0);
         prop_assert!(s.llc_hits + s.llc_misses <= s.l1_misses,
             "LLC responses cannot exceed shaped L1 misses");
-        prop_assert_eq!(s.mem_latency.count(), s.mem_latency_count);
-        if s.mem_latency_count > 0 {
-            let p99 = s.latency_percentile_pct(99.0);
-            let mean = s.mean_mem_latency();
+        if s.mem_latency.count() > 0 {
+            let p99 = s.mem_latency.percentile_pct(99.0);
+            let mean = s.mem_latency.mean();
             prop_assert!(p99 * 2.0 + 2.0 >= mean,
                 "p99 {p99} is implausibly below the mean {mean}");
         }
