@@ -1025,6 +1025,34 @@ mod tests {
         assert!(validate_report("<html></html>", 0).is_err());
     }
 
+    /// A probe is one `run_cycles` call, so sleep ends once, at its
+    /// entry, and cores and shapers sleep through the run. Ending it on
+    /// every tick instead would leave `slept_ticks` at zero.
+    #[test]
+    fn a_probe_sleeps_through_its_run_and_matches_naive() {
+        let cfg = CapacityConfig::smoke();
+        let cell = smoke_cell("mitts-1gbs", "FR-FCFS");
+        let run = |engine: Engine| {
+            let mut sys = build_probe(&cell, &cfg, 9_000_000, engine, None);
+            sys.run_cycles(cfg.run_cycles);
+            let shapers: Vec<Vec<u8>> = (0..sys.num_cores())
+                .map(|c| {
+                    let mut enc = mitts_sim::snapshot::Enc::new();
+                    sys.shaper_handle(c).borrow().save_state(&mut enc);
+                    enc.into_bytes()
+                })
+                .collect();
+            (sys.system_stats(), shapers, sys.slept_ticks())
+        };
+        let (naive, naive_shapers, naive_slept) = run(Engine::Naive);
+        let (skip, skip_shapers, slept) = run(Engine::Skip);
+        assert_eq!(naive, skip, "probe stats diverged");
+        assert_eq!(naive_shapers, skip_shapers, "probe shaper state diverged");
+        assert_eq!(naive_slept, 0);
+        let core_ticks = skip.cycles * skip.cores.len() as u64;
+        assert!(slept * 10 > core_ticks, "only {slept} of {core_ticks} core-ticks slept");
+    }
+
     #[test]
     fn engines_and_metrics_do_not_change_the_probe() {
         capacity_engine_checks().expect("capacity probe must be engine- and metrics-invariant");

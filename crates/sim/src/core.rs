@@ -83,10 +83,11 @@ impl CoreCounters {
     }
 }
 
-/// How a core would spend a cycle if no external event (a fill, an
-/// unfreeze) reaches it — the classification the skip engine uses
-/// to decide whether a cycle can be skipped and which counters a skipped
-/// cycle must still bump (see [`Core::note_idle_cycles`]).
+/// How a core spends a cycle if no external event (a fill, an unfreeze)
+/// reaches it — the classification the skip engine uses to decide
+/// whether a cycle can be skipped or a core can sleep, and which counters
+/// such a cycle must still bump (see [`Core::note_idle_cycles`]).
+/// [`Core::tick`] returns the class of the cycle it just executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreIdleClass {
     /// The tick would change state (retire, fetch, or issue): not
@@ -100,12 +101,18 @@ pub enum CoreIdleClass {
     MemBlocked,
     /// ROB head blocked on a pending load, nothing left to fetch, and the
     /// fetch stage re-offering a memory op the port keeps rejecting
-    /// (structural stall: L1 MSHRs full). The core itself cannot detect
-    /// this class — it requires knowing the port would reject — so
-    /// [`Core::idle_class`] never returns it; the system promotes `Busy`
-    /// to `PortBlocked` when [`Core::stalled_on_pending_issue`] holds and
-    /// the L1 front end would deterministically reject the pending op.
+    /// (structural stall: L1 MSHRs full). The tick accrues a memory
+    /// stall. Whether the port would reject needs the port, so
+    /// [`Core::idle_class`] never returns this class; the system promotes
+    /// `Busy` to `PortBlocked` when [`Core::stalled_on_pending_issue`]
+    /// holds and the L1 front end would deterministically reject the
+    /// pending op.
     PortBlocked,
+    /// The ROB is empty (every store retired at once) and the fetch stage
+    /// re-offers a memory op the port keeps rejecting. Nothing stalls
+    /// retirement, so the tick counts only the cycle. Only
+    /// [`Core::tick`] reports it; [`Core::idle_class`] never returns it.
+    PortBlockedEmpty,
 }
 
 /// The core model. Drive it with [`Core::tick`] once per cycle; complete
@@ -238,7 +245,8 @@ impl Core {
             // but dispatch breaks on the rejected issue *before* the
             // window-full check, so only the memory stall accrues.
             CoreIdleClass::PortBlocked => self.counters.mem_stall_cycles += cycles,
-            CoreIdleClass::Busy => {}
+            // With an empty ROB nothing waits to retire: the cycle alone.
+            CoreIdleClass::PortBlockedEmpty | CoreIdleClass::Busy => {}
         }
     }
 
@@ -398,17 +406,37 @@ impl Core {
 
     /// Simulates one cycle: retire from the head, then dispatch into the
     /// window, offering memory accesses to `port`.
-    pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) {
+    ///
+    /// Returns the class of the cycle just executed: `Busy` when the
+    /// tick retired, fetched, dispatched or issued anything, otherwise
+    /// the idle class whose [`Core::note_idle_cycles`] replay bumps
+    /// exactly the counters this tick bumped (`Frozen`, `MemBlocked`,
+    /// `PortBlocked` or `PortBlockedEmpty`, the last two when `port`
+    /// rejected the fetch stage's memory op). A tick that returns an idle
+    /// class changed nothing but counters, so until a completion reaches
+    /// the core or the port's answer changes, every later tick would
+    /// repeat it.
+    pub fn tick(&mut self, now: Cycle, port: &mut dyn MemPort) -> CoreIdleClass {
         self.counters.cycles += 1;
         if now < self.frozen_until {
             self.counters.frozen_cycles += 1;
-            return;
+            return CoreIdleClass::Frozen;
         }
-        self.retire();
-        self.dispatch(now, port);
+        let retired = self.retire();
+        let dispatched = self.dispatch(now, port);
+        if retired || dispatched {
+            return CoreIdleClass::Busy;
+        }
+        match self.rob.front() {
+            None => CoreIdleClass::PortBlockedEmpty,
+            Some(_) if self.rob_occupancy >= self.window_size => CoreIdleClass::MemBlocked,
+            Some(_) => CoreIdleClass::PortBlocked,
+        }
     }
 
-    fn retire(&mut self) {
+    /// Retires up to the issue width from the ROB head; returns whether
+    /// anything retired.
+    fn retire(&mut self) -> bool {
         let mut budget = self.issue_width;
         let mut retired_any = false;
         while budget > 0 {
@@ -442,10 +470,14 @@ impl Core {
                 self.counters.mem_stall_cycles += 1;
             }
         }
+        retired_any
     }
 
-    fn dispatch(&mut self, now: Cycle, port: &mut dyn MemPort) {
+    /// Dispatches up to the issue width into the window; returns whether
+    /// anything was fetched, dispatched or issued.
+    fn dispatch(&mut self, now: Cycle, port: &mut dyn MemPort) -> bool {
         let mut budget = self.issue_width;
+        let mut refilled = false;
         let mut blocked_by_window = false;
         while budget > 0 {
             if self.rob_occupancy >= self.window_size {
@@ -457,6 +489,7 @@ impl Core {
                 let op = self.trace.next_op();
                 self.fetch_gap_left = op.gap;
                 self.fetch_mem = Some(op);
+                refilled = true;
             }
             if self.fetch_gap_left > 0 {
                 let room = self.window_size - self.rob_occupancy;
@@ -500,6 +533,7 @@ impl Core {
         if blocked_by_window {
             self.counters.window_full_cycles += 1;
         }
+        refilled || budget < self.issue_width
     }
 }
 
@@ -651,6 +685,73 @@ mod tests {
         }
         fast.note_idle_cycles(CoreIdleClass::MemBlocked, 500);
         assert_eq!(naive.counters(), fast.counters());
+    }
+
+    /// Ticks `naive` and `fast` in step until a tick of `naive` returns
+    /// an idle class, then ticks `naive` 300 more times against one
+    /// replay of that class on `fast`; returns the class.
+    fn replay_first_idle_tick(
+        naive: &mut Core,
+        fast: &mut Core,
+        port: &mut TestPort,
+    ) -> CoreIdleClass {
+        for now in 0..1_000 {
+            let class = naive.tick(now, port);
+            assert_eq!(fast.tick(now, port), class, "twins diverged at {now}");
+            if class != CoreIdleClass::Busy {
+                for t in now + 1..now + 301 {
+                    assert_eq!(naive.tick(t, port), class, "an idle tick must repeat");
+                }
+                fast.note_idle_cycles(class, 300);
+                assert_eq!(naive.counters(), fast.counters(), "{class:?} replay diverged");
+                return class;
+            }
+        }
+        panic!("no idle tick in 1000 cycles");
+    }
+
+    #[test]
+    fn tick_returns_the_idle_class_it_executed() {
+        // A full window of pending loads.
+        let (mut naive, mut fast) = (core_with(0), core_with(0));
+        let mut port = TestPort::new();
+        let class = replay_first_idle_tick(&mut naive, &mut fast, &mut port);
+        assert_eq!(class, CoreIdleClass::MemBlocked);
+
+        // Pending loads at the head, room in the window, the port full.
+        let (mut naive, mut fast) = (core_with(0), core_with(0));
+        let mut port = TestPort::new();
+        naive.tick(0, &mut port);
+        fast.tick(0, &mut port);
+        port.accept = false;
+        let class = replay_first_idle_tick(&mut naive, &mut fast, &mut port);
+        assert_eq!(class, CoreIdleClass::PortBlocked);
+        assert!(naive.stalled_on_pending_issue(400));
+
+        // Stores retire at once: an empty ROB behind a full port counts
+        // the cycle and nothing else.
+        let stores = || {
+            Core::new(
+                &CoreConfig::default(),
+                Box::new(StrideTrace::new(0, 64, 1 << 30).with_write_every(1)),
+            )
+        };
+        let (mut naive, mut fast) = (stores(), stores());
+        let mut port = TestPort::new();
+        naive.tick(0, &mut port);
+        fast.tick(0, &mut port);
+        port.accept = false;
+        let before = naive.counters().clone();
+        let class = replay_first_idle_tick(&mut naive, &mut fast, &mut port);
+        assert_eq!(class, CoreIdleClass::PortBlockedEmpty);
+        let after = naive.counters();
+        assert_eq!(after.mem_stall_cycles, before.mem_stall_cycles, "nothing waits to retire");
+        assert_eq!(after.window_full_cycles, before.window_full_cycles);
+
+        // A frozen tick reports itself too.
+        let mut core = core_with(1);
+        core.freeze_until(5);
+        assert_eq!(core.tick(0, &mut port), CoreIdleClass::Frozen);
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub trait SourceShaper {
 
     /// Asks whether the L1 miss at the head of the core's miss queue may
     /// issue at `now`. A grant consumes whatever budget the policy tracks.
+    /// After [`SourceShaper::tick`] at `now`, a denial must change no
+    /// state: the skip engine answers later requests with `Deny` until
+    /// [`SourceShaper::next_grant_event`] without asking again.
     fn try_issue(&mut self, now: Cycle) -> ShapeDecision;
 
     /// Reports the LLC lookup outcome for a previously granted request
@@ -125,6 +128,12 @@ pub trait SourceShaper {
     /// which the request is *still* denied is allowed (the engine simply
     /// re-evaluates there); returning a cycle *later* than the first
     /// possible grant is not.
+    ///
+    /// The skip engine caches this cycle at each denial and stops asking
+    /// until then. Only [`SourceShaper::on_llc_response`] (and a
+    /// reconfiguration between runs) ends that wait early, so another
+    /// grant on the same instance must never make a denied request
+    /// grantable sooner: the cores sharing a §IV-H pool rely on it.
     ///
     /// The default is the conservative `Some(now + 1)`: shapers that have
     /// not been audited for skip-safety never let the skip engine
@@ -702,6 +711,46 @@ mod tests {
         }
         s.tick(at);
         assert!(s.try_issue(at).is_grant());
+    }
+
+    /// Ticks `s` at each cycle of `from..until` and requires a denial
+    /// there that leaves the shaper's snapshot bytes unchanged: the skip
+    /// engine answers such denials without asking.
+    fn assert_denials_change_no_state(s: &mut dyn SourceShaper, from: Cycle, until: Cycle) {
+        let bytes = |s: &dyn SourceShaper| {
+            let mut enc = crate::snapshot::Enc::new();
+            s.save_state(&mut enc);
+            enc.into_bytes()
+        };
+        for now in from..until {
+            s.tick(now);
+            let before = bytes(s);
+            assert!(!s.try_issue(now).is_grant(), "cycle {now} should deny");
+            assert_eq!(bytes(s), before, "the denial at {now} changed the shaper");
+        }
+    }
+
+    #[test]
+    fn a_static_rate_denial_changes_no_state() {
+        let mut s = StaticRateShaper::new(10);
+        assert!(s.try_issue(3).is_grant());
+        assert_denials_change_no_state(&mut s, 4, 13);
+    }
+
+    #[test]
+    fn a_cbs_denial_changes_no_state() {
+        let mut s = CbsShaper::new(1, 10, 25, -20);
+        assert!(s.try_issue(0).is_grant());
+        // Credit -10 after the grant recovers at 1 per cycle.
+        assert_denials_change_no_state(&mut s, 1, 10);
+    }
+
+    #[test]
+    fn a_regulator_denial_changes_no_state() {
+        let mut s = RegulatorShaper::new(2, 100);
+        assert!(s.try_issue(0).is_grant());
+        assert!(s.try_issue(1).is_grant());
+        assert_denials_change_no_state(&mut s, 2, 100);
     }
 
     #[test]

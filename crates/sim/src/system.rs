@@ -232,6 +232,19 @@ struct CoreUnit {
     last_issue: Option<Cycle>,
     /// What the issue stage did on the most recent real tick.
     last_outcome: IssueOutcome,
+    /// Under [`Engine::Skip`], the idle class of the core's last tick
+    /// when that tick changed nothing but counters: the core sleeps, and
+    /// each tick replays the class instead of running the pipeline.
+    /// Cleared by a completion or fill for this core and by
+    /// [`System::wake_all`].
+    asleep: Option<CoreIdleClass>,
+    /// Under [`Engine::Skip`], the cycle before which the shaper cannot
+    /// grant the miss-queue head: its `next_grant_event` at the last
+    /// denial (`Cycle::MAX` when waiting alone never helps, 0 when no
+    /// denial is cached). Until then the issue stage answers `Deny`
+    /// without asking the shaper. Cleared by LLC feedback to this
+    /// shaper instance and by [`System::wake_all`].
+    denied_until: Cycle,
     stats: CoreStats,
     l1_hit_latency: Cycle,
 }
@@ -290,6 +303,8 @@ impl MemPort for L1Front<'_> {
 impl CoreUnit {
     /// Delivers a refilled line from the LLC into the L1; wakes waiters.
     fn on_fill(&mut self, now: Cycle, line_addr: Addr) -> Option<Addr> {
+        // A fill frees an MSHR and may complete loads: the core wakes.
+        self.asleep = None;
         self.stats.inflight = self.stats.inflight.saturating_sub(1);
         self.grants.on_fill();
         self.stats.fills += 1;
@@ -313,14 +328,20 @@ impl CoreUnit {
         }
     }
 
-    /// [`Core::idle_class`] refined with what this unit's L1 front end
-    /// would do: a `Busy` core whose only possible action is re-offering
-    /// a memory op the port deterministically rejects (line absent from
-    /// the L1, no MSHR to merge into, MSHR file full) is promoted to
-    /// [`CoreIdleClass::PortBlocked`]. The rejection is stable across a
-    /// skip window because MSHRs only free and the L1 only changes on
-    /// fills, and every fill has a wake-up event.
-    fn effective_idle_class(&self, at: Cycle) -> CoreIdleClass {
+    /// How a tick at `at` would spend the core's cycle, as the skip probe
+    /// classifies it: [`Core::idle_class`] refined with what this unit's
+    /// L1 front end would do. A `Busy` core whose only possible action is
+    /// re-offering a memory op the port deterministically rejects (line
+    /// absent from the L1, no MSHR to merge into, MSHR file full) is
+    /// promoted to [`CoreIdleClass::PortBlocked`]. The rejection is
+    /// stable across a skip window because MSHRs only free and the L1
+    /// only changes on fills, and every fill has a wake-up event.
+    /// A sleeping core's class is its sleep class, which is what this
+    /// walk would find, or the empty-ROB port stall, which it never names.
+    fn idle_class(&self, at: Cycle) -> CoreIdleClass {
+        if let Some(class) = self.asleep {
+            return class;
+        }
         let class = self.core.idle_class(at);
         if class != CoreIdleClass::Busy || !self.core.stalled_on_pending_issue(at) {
             return class;
@@ -332,6 +353,17 @@ impl CoreUnit {
             }
         }
         CoreIdleClass::Busy
+    }
+
+    /// The earliest cycle after `now` at which the shaper could grant a
+    /// denied miss-queue head: the cycle cached at the denial while it
+    /// is still ahead, otherwise the shaper's own estimate.
+    fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
+        if self.denied_until > now {
+            (self.denied_until != Cycle::MAX).then_some(self.denied_until)
+        } else {
+            self.shaper.borrow().next_grant_event(now)
+        }
     }
 
     /// This core's cumulative counters: the scheduler signal table row,
@@ -593,6 +625,8 @@ impl SystemBuilder {
                     grants: GrantLedger::default(),
                     last_issue: None,
                     last_outcome: IssueOutcome::NoRequest,
+                    asleep: None,
+                    denied_until: 0,
                     stats: CoreStats::new(STAT_BINS, STAT_BIN_WIDTH),
                     l1_hit_latency: config.l1.hit_latency,
                 }
@@ -652,6 +686,7 @@ impl SystemBuilder {
             faults: ActiveFaults::default(),
             engine: self.engine,
             skipped_cycles: 0,
+            slept_ticks: 0,
             fills_scratch: Vec::new(),
             notes_scratch: Vec::new(),
             frozen_scratch: Vec::new(),
@@ -696,6 +731,8 @@ pub struct System {
     engine: Engine,
     /// Total cycles jumped over by the skip engine.
     skipped_cycles: u64,
+    /// Total core-ticks replayed by sleeping cores.
+    slept_ticks: u64,
     /// Reusable per-tick buffers (the tick hot path must not allocate).
     fills_scratch: Vec<CoreFill>,
     notes_scratch: Vec<ShaperNote>,
@@ -774,7 +811,9 @@ impl System {
         }
         let stalled = self.cores[core].last_outcome == IssueOutcome::ShaperDenied;
         self.auditor.attach_shaper(core, &shaper, self.now, stalled);
-        self.cores[core].shaper = shaper;
+        let unit = &mut self.cores[core];
+        unit.shaper = shaper;
+        unit.denied_until = 0;
     }
 
     /// Installs (or clears) an *after-LLC* shaper for core `core` — the
@@ -891,6 +930,25 @@ impl System {
     /// skipped cycles are fully accounted in every counter.
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
+    }
+
+    /// Total core-ticks in which a sleeping core replayed its idle class
+    /// instead of running its pipeline (0 in naive mode). A diagnostic,
+    /// like [`System::skipped_cycles`]: slept ticks bump every counter a
+    /// real tick would.
+    pub fn slept_ticks(&self) -> u64 {
+        self.slept_ticks
+    }
+
+    /// Ends every core's and every shaper's sleep. The public entry
+    /// points call it once per call: between calls the caller may
+    /// reconfigure a shaper through its handle, freeze a core or inject
+    /// faults, none of which wakes a sleeper by itself.
+    fn wake_all(&mut self) {
+        for unit in &mut self.cores {
+            unit.asleep = None;
+            unit.denied_until = 0;
+        }
     }
 
     /// A digest of the configuration, stored in snapshots so a resume
@@ -1069,6 +1127,7 @@ impl System {
                 )));
             }
             self.skipped_cycles = 0;
+            self.slept_ticks = 0;
             // Signal-table scratch: refreshed before first use on the
             // next executed tick (see `snapshot` for why it is not
             // persisted). Reset here so a restored system carries no
@@ -1079,6 +1138,7 @@ impl System {
             self.source_ctl.load_state(&mut d)?;
             d.finish()?;
         }
+        self.wake_all();
         Ok(())
     }
 
@@ -1341,6 +1401,7 @@ impl System {
     /// (under [`Engine::Skip`]) jumps `now` over any provably dead window
     /// to the next event. Returns the new `now`.
     pub fn advance(&mut self) -> Cycle {
+        self.wake_all();
         self.advance_bounded(Cycle::MAX)
     }
 
@@ -1368,6 +1429,7 @@ impl System {
 
     /// Runs the system for `cycles` cycles.
     pub fn run_cycles(&mut self, cycles: Cycle) {
+        self.wake_all();
         let end = self.now + cycles;
         while self.now < end {
             self.advance_bounded(end);
@@ -1380,6 +1442,7 @@ impl System {
     /// distinguishes the three (use [`RunOutcome::met_target`] for the old
     /// boolean behaviour).
     pub fn run_until_instructions(&mut self, instructions: u64, max_cycles: Cycle) -> RunOutcome {
+        self.wake_all();
         let end = self.now + max_cycles;
         let done = |c: &CoreUnit| c.core.counters().instructions >= instructions;
         while self.now < end {
@@ -1422,6 +1485,9 @@ impl System {
         let mut fills = std::mem::take(&mut self.fills_scratch);
         let mut notes = std::mem::take(&mut self.notes_scratch);
         let faults_active = self.faults.is_active();
+        // Only the skip engine lets cores and shapers sleep; the naive
+        // engine runs every stage of every core every cycle.
+        let sleep = self.engine == Engine::Skip;
 
         // 1. DRAM completions -> LLC fills (per channel).
         let map = self.channel_map;
@@ -1486,9 +1552,18 @@ impl System {
 
         // 3. Deliver fills and shaper notes to cores.
         for note in notes.drain(..) {
-            let unit = &mut self.cores[note.core.index()];
-            unit.shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
+            let shaper = &self.cores[note.core.index()].shaper;
+            shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
             self.auditor.shaper_feedback(now, note.core.index(), note.token, note.hit);
+            // Feedback (a Method-2 refund) can make a denied request
+            // grantable sooner, so every core this instance serves wakes:
+            // all sharers of a §IV-H pool.
+            let instance = Rc::as_ptr(shaper) as *const ();
+            for unit in &mut self.cores {
+                if Rc::as_ptr(&unit.shaper) as *const () == instance {
+                    unit.denied_until = 0;
+                }
+            }
         }
         for fill in fills.drain(..) {
             self.obs.on_core_fill(now, fill.core.index(), fill.line_addr);
@@ -1531,6 +1606,7 @@ impl System {
                 }
                 unit.hit_pipe.pop_front();
                 unit.core.complete(op);
+                unit.asleep = None;
             }
 
             unit.shaper.borrow_mut().tick(now);
@@ -1551,12 +1627,20 @@ impl System {
                     IssueOutcome::McBackpressure
                 } else if inflight_ok && gap_ok {
                     // Fault injection: a zeroed-credit shaper denies
-                    // everything.
+                    // everything. A sleeping shaper denies until the
+                    // cycle its last denial named: a denial changes no
+                    // shaper state, so asking again would deny again.
                     let fault_denied = faults_active && self.faults.deny_issue(now, idx);
-                    let decision = if fault_denied {
+                    let decision = if fault_denied || now < unit.denied_until {
                         ShapeDecision::Deny
                     } else {
-                        unit.shaper.borrow_mut().try_issue(now)
+                        let mut shaper = unit.shaper.borrow_mut();
+                        let decision = shaper.try_issue(now);
+                        if sleep && !decision.is_grant() {
+                            unit.denied_until =
+                                shaper.next_grant_event(now).unwrap_or(Cycle::MAX);
+                        }
+                        decision
                     };
                     match decision {
                         ShapeDecision::Grant(token) => {
@@ -1566,7 +1650,6 @@ impl System {
                             unit.grants.on_grant(now);
                             unit.last_issue = Some(now);
                             ports_left -= 1;
-                            let _ = head.created_at; // latency counted at L1 MSHR
                             self.obs.on_shaper_grant(now, idx, head.line_addr, token);
                             self.auditor.shaper_grant(now, idx, token, self.rr_offset);
                             self.llc.lookups.push_back(LlcLookup {
@@ -1635,22 +1718,32 @@ impl System {
                 }
             }
 
-            // Core pipeline.
-            let CoreUnit {
-                core, l1, l1_mshrs, miss_queue, hit_pipe, stats, l1_hit_latency, ..
-            } = unit;
-            let mut port = L1Front {
-                l1,
-                mshrs: l1_mshrs,
-                miss_queue,
-                hit_pipe,
-                stats,
-                hit_latency: *l1_hit_latency,
-                obs: &mut self.obs,
-                core: idx,
-                channel_map: map,
-            };
-            core.tick(now, &mut port);
+            // Core pipeline. A sleeping core's tick would repeat its last
+            // one, which changed nothing but counters: replay those.
+            if let Some(class) = unit.asleep {
+                unit.core.note_idle_cycles(class, 1);
+                self.slept_ticks += 1;
+            } else {
+                let CoreUnit {
+                    core, l1, l1_mshrs, miss_queue, hit_pipe, stats, l1_hit_latency, asleep, ..
+                } = unit;
+                let mut port = L1Front {
+                    l1,
+                    mshrs: l1_mshrs,
+                    miss_queue,
+                    hit_pipe,
+                    stats,
+                    hit_latency: *l1_hit_latency,
+                    obs: &mut self.obs,
+                    core: idx,
+                    channel_map: map,
+                };
+                let class = core.tick(now, &mut port);
+                // A frozen tick is already one comparison; it does not sleep.
+                if sleep && !matches!(class, CoreIdleClass::Busy | CoreIdleClass::Frozen) {
+                    *asleep = Some(class);
+                }
+            }
         }
         self.rr_offset = wrapping_index(self.rr_offset, 1, n);
 
@@ -1787,8 +1880,13 @@ impl System {
             if !unit.wb_queue.is_empty() {
                 return Err(SkipBlocker::CoreWbQueue);
             }
-            match unit.effective_idle_class(resume) {
-                CoreIdleClass::Busy => return Err(SkipBlocker::CoreBusy),
+            match unit.idle_class(resume) {
+                // The probe has never skipped the empty-ROB port stall
+                // (only a sleeping core names it), so the skip engine
+                // executes the cycles it executed before cores slept.
+                CoreIdleClass::Busy | CoreIdleClass::PortBlockedEmpty => {
+                    return Err(SkipBlocker::CoreBusy)
+                }
                 CoreIdleClass::Frozen => wake(unit.core.frozen_until()),
                 // Both wait on a fill (ROB head / L1 MSHR), and every
                 // fill path has a downstream event.
@@ -1806,7 +1904,7 @@ impl System {
                         // *currently denied* request could be granted;
                         // `None` means waiting alone never helps (only the
                         // watchdog can intervene, and it has an event).
-                        if let Some(c) = unit.shaper.borrow().next_grant_event(now_q) {
+                        if let Some(c) = unit.next_grant_event(now_q) {
                             wake(c);
                         }
                     }
@@ -1885,7 +1983,7 @@ impl System {
         frozen.clear();
         let mut all_frozen = true;
         for unit in &mut self.cores {
-            let class = unit.effective_idle_class(self.now);
+            let class = unit.idle_class(self.now);
             let is_frozen = class == CoreIdleClass::Frozen;
             frozen.push(is_frozen);
             all_frozen &= is_frozen;
@@ -2713,6 +2811,44 @@ mod tests {
             sys.system_stats()
         };
         assert_eq!(run(Engine::Naive), run(Engine::Skip));
+    }
+
+    #[test]
+    fn idle_cores_sleep_in_every_idle_class_only_under_skip() {
+        // Behind one L1 MSHR each, a store stream drains its ROB (stores
+        // retire at once) while it waits for the MSHR, and a load stream
+        // waits with a pending load at its ROB head. Both must sleep
+        // under the skip engine, never under the naive one.
+        let build = |engine: Engine| {
+            let mut cfg = SystemConfig::multi_program(2);
+            cfg.l1.mshrs = 1;
+            SystemBuilder::new(cfg)
+                .trace(0, Box::new(StrideTrace::new(0, 64, 16 << 20).with_write_every(1)))
+                .trace(1, Box::new(StrideTrace::new(3, 64, 16 << 20).with_base(1 << 32)))
+                .engine(engine)
+                .build()
+        };
+        let mut naive = build(Engine::Naive);
+        let mut sys = build(Engine::Skip);
+        let mut seen = Vec::new();
+        while sys.now() < 20_000 {
+            sys.tick();
+            for unit in &sys.cores {
+                if let Some(class) = unit.asleep {
+                    if !seen.contains(&class) {
+                        seen.push(class);
+                    }
+                }
+            }
+            sys.post_tick_forward(20_000);
+        }
+        naive.run_cycles(20_000);
+        assert!(seen.contains(&CoreIdleClass::PortBlockedEmpty), "slept as {seen:?}");
+        assert!(seen.contains(&CoreIdleClass::PortBlocked), "slept as {seen:?}");
+        assert!(sys.slept_ticks() > 0);
+        assert_eq!(naive.slept_ticks(), 0);
+        assert!(naive.cores.iter().all(|u| u.asleep.is_none()));
+        assert_eq!(naive.system_stats(), sys.system_stats());
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! * every scheduler `mitts_sched::make_baseline` knows how to build,
 //! * real `MittsShaper` instances (grant ledgers compared bin by bin),
 //! * fault plans, including delayed DRAM responses — a held response
-//!   must be released on its exact cycle, never skipped over.
+//!   must be released on its exact cycle, never skipped over;
+//! * per-core sleep: every event that ends a sleeping core's or a
+//!   sleeping shaper's wait (a reconfiguration or a freeze between
+//!   calls, a refund to one sharer of a pool) and the empty-ROB port
+//!   stall, the one idle shape that counts nothing but the cycle.
 //!
 //! Every comparison is on [`SystemStats`]: every core's full `CoreStats`
 //! (counters plus the L1-miss and memory inter-arrival histograms and the
@@ -20,16 +24,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mitts_core::{BinConfig, BinSpec, MittsShaper};
+use mitts_core::{BinConfig, BinSpec, FeedbackMethod, MittsShaper};
 use mitts_sched::{baseline_names, make_baseline};
 use mitts_sim::audit::{FaultKind, FaultPlan, RunOutcome};
 use mitts_sim::config::{CacheConfig, SystemConfig};
 use mitts_sim::obs::{RingSink, StallReason, TraceEvent};
 use mitts_sim::stats::SystemStats;
 use mitts_sim::system::{Engine, System, SystemBuilder};
+use mitts_sim::trace::StrideTrace;
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
-
 
 /// Disjoint address-space base for core `i`.
 fn base_for(core: usize) -> u64 {
@@ -79,6 +83,17 @@ fn histogram_samples(stats: &SystemStats) -> [u64; 3] {
             lat + c.mem_latency.count(),
         ]
     })
+}
+
+/// Every core's shaper state, as snapshot bytes.
+fn shaper_bytes(sys: &System) -> Vec<Vec<u8>> {
+    (0..sys.num_cores())
+        .map(|c| {
+            let mut enc = mitts_sim::snapshot::Enc::new();
+            sys.shaper_handle(c).borrow().save_state(&mut enc);
+            enc.into_bytes()
+        })
+        .collect()
 }
 
 /// Collapses a [`RunOutcome`] to a comparable key (`RunOutcome` is not
@@ -227,15 +242,6 @@ fn shared_credit_pool_matches_naive() {
         sys.run_cycles(30_000);
         assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
         sys
-    };
-    let shaper_bytes = |sys: &System| -> Vec<Vec<u8>> {
-        (0..sys.num_cores())
-            .map(|c| {
-                let mut enc = mitts_sim::snapshot::Enc::new();
-                sys.shaper_handle(c).borrow().save_state(&mut enc);
-                enc.into_bytes()
-            })
-            .collect()
     };
     let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
     assert!(skip.skipped_cycles() > 0, "the shared pool should leave skippable spans");
@@ -493,4 +499,164 @@ fn mid_run_engine_cycle_matches_naive() {
     assert_eq!(mixed.now(), naive.now(), "segment lengths must cover the naive run");
     assert_eq!(naive.system_stats(), mixed.system_stats(), "engine cycling diverged");
     assert!(mixed.skipped_cycles() > 0, "mixed run should have skipped in skipping segments");
+}
+
+/// Runs `run` on both engines and requires equal stats and shaper state;
+/// returns the skip engine's system.
+fn assert_engines_agree(what: &str, run: impl Fn(Engine) -> System) -> System {
+    let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
+    assert_eq!(naive.slept_ticks(), 0, "{what}: the naive engine must never sleep");
+    assert_eq!(naive.system_stats(), skip.system_stats(), "{what}: stats diverged");
+    assert_eq!(shaper_bytes(&naive), shaper_bytes(&skip), "{what}: shaper state diverged");
+    skip
+}
+
+/// A MITTS configuration with `credits` in bin 0 only, replenished every
+/// `period` cycles. Bin 0 serves every gap, so once its credits are
+/// spent the head waits for the replenish (or a refund).
+fn bin0_config(credits: u32, period: Cycle) -> BinConfig {
+    let mut k = vec![0u32; BinSpec::paper_default().bins()];
+    k[0] = credits;
+    BinConfig::new(BinSpec::paper_default(), k, period).unwrap()
+}
+
+/// One Libquantum core behind `shaper`: two grants, then a head denied
+/// until cycle 8 000, with the L1 MSHRs full behind it.
+fn starved_core(engine: Engine, shaper: Rc<RefCell<MittsShaper>>) -> System {
+    let mut cfg = SystemConfig::multi_program(1);
+    cfg.llc = CacheConfig::llc_with_size(256 << 10);
+    SystemBuilder::new(cfg)
+        .trace(0, Box::new(Benchmark::Libquantum.profile().trace(base_for(0), 11)))
+        .shaper(0, shaper as _)
+        .engine(engine)
+        .build()
+}
+
+#[test]
+fn empty_rob_port_stalls_match_naive() {
+    // Stores retire at once, so a store stream with one or two L1 MSHRs
+    // keeps an empty ROB while the fetch stage's next store waits for a
+    // free MSHR. Such a tick counts the cycle and nothing else; replaying
+    // it as a port stall behind a pending load would add memory stalls.
+    for mshrs in [1, 2] {
+        let skip = assert_engines_agree(&format!("{mshrs} L1 MSHRs"), |engine| {
+            let mut cfg = SystemConfig::multi_program(2);
+            cfg.l1.mshrs = mshrs;
+            let mut b = SystemBuilder::new(cfg).engine(engine);
+            for i in 0..2 {
+                let trace = StrideTrace::new(0, 64, 16 << 20)
+                    .with_base(base_for(i))
+                    .with_write_every(1 + i as u32);
+                b = b.trace(i, Box::new(trace));
+            }
+            let mut sys = b.build();
+            sys.run_cycles(20_000);
+            assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+            sys
+        });
+        assert!(skip.slept_ticks() > 0, "{mshrs} L1 MSHRs: no core ever slept");
+        let stores = skip.system_stats().cores[0].counters.stores;
+        assert!(stores > 50, "{mshrs} L1 MSHRs: the store stream barely ran ({stores})");
+    }
+}
+
+#[test]
+fn reconfiguring_a_sleeping_shaper_between_calls_matches_naive() {
+    // At cycle 5 000 the head has been denied since the second grant and
+    // the skip engine's issue stage has stopped asking the shaper until
+    // the replenish at 8 000. The tuner reconfigures through its handle
+    // between two calls; the next call must ask again at once.
+    let skip = assert_engines_agree("reconfigure", |engine| {
+        let shaper = Rc::new(RefCell::new(MittsShaper::new(bin0_config(2, 8_000))));
+        let mut sys = starved_core(engine, Rc::clone(&shaper));
+        sys.run_cycles(5_000);
+        assert_eq!(shaper.borrow().live_credits()[0], 0, "the head must be waiting");
+        shaper.borrow_mut().reconfigure(sys.now(), bin0_config(40, 1_000));
+        sys.run_cycles(5_000);
+        sys
+    });
+    assert!(skip.slept_ticks() > 0, "the starved core never slept");
+}
+
+#[test]
+fn freezing_a_sleeping_core_matches_naive() {
+    // The starved core sleeps behind its full L1 MSHR file; a freeze
+    // between two calls must end that sleep, or the frozen cycles would
+    // be replayed as memory stalls.
+    let skip = assert_engines_agree("freeze", |engine| {
+        let shaper = Rc::new(RefCell::new(MittsShaper::new(bin0_config(2, 8_000))));
+        let mut sys = starved_core(engine, shaper);
+        sys.run_cycles(5_000);
+        sys.freeze_core(0, 1_500);
+        sys.run_cycles(5_000);
+        assert_eq!(sys.core_stats(0).counters.frozen_cycles, 1_500);
+        sys
+    });
+    assert!(skip.slept_ticks() > 0, "the starved core never slept");
+}
+
+#[test]
+fn a_refund_to_one_sharer_wakes_the_whole_pool() {
+    // Three cores share one Method-2 MITTS pool holding a single credit
+    // per 400 cycles. Each core cycles five lines that map to one 4-way
+    // L1 set, so every access misses the L1 and, once warm, hits the
+    // LLC: each grant is refunded when its lookup resolves. While one
+    // grant is out the other sharers are denied until the replenish, and
+    // the refund to the granted core must wake all of them.
+    let pool_refunds = std::cell::Cell::new(0);
+    assert_engines_agree("shared pool", |engine| {
+        let pool = Rc::new(RefCell::new(
+            MittsShaper::new(bin0_config(1, 400)).with_method(FeedbackMethod::DeductThenRefund),
+        ));
+        let mut cfg = SystemConfig::multi_program(3);
+        cfg.llc = CacheConfig::llc_with_size(1 << 20);
+        let set_stride = (cfg.l1.size_bytes / cfg.l1.ways) as u64;
+        let mut b = SystemBuilder::new(cfg).engine(engine);
+        for i in 0..3 {
+            let trace = StrideTrace::new(2, set_stride, 5 * set_stride).with_base(base_for(i));
+            b = b.trace(i, Box::new(trace)).shaper(i, Rc::clone(&pool) as _);
+        }
+        let mut sys = b.build();
+        sys.run_cycles(20_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        let stats = sys.system_stats();
+        assert!(stats.cores.iter().all(|c| c.shaper_stall_cycles > 0), "every sharer must stall");
+        let hits: Vec<u64> = stats.cores.iter().map(|c| c.llc_hits).collect();
+        assert!(hits.iter().all(|&h| h > 100), "the LLC must serve the streams: {hits:?}");
+        pool_refunds.set(pool.borrow().counters().refunds);
+        sys
+    });
+    assert!(pool_refunds.get() > 100, "LLC hits must refund the pool");
+}
+
+#[test]
+fn an_l1_hit_completing_under_a_sleeping_core_wakes_it() {
+    // One L1 MSHR and a 20-cycle L1 hit. Each store misses and holds the
+    // MSHR until its fill; the load after it hits the L1, and the next
+    // store is rejected. Once the store retires the core sleeps with the
+    // hit load at its ROB head, and that load's hit-pipe completion (not
+    // a fill) must wake it to retire.
+    use mitts_sim::trace::TraceOp;
+    use mitts_sim::trace_io::VecTrace;
+    let hot = 0x40;
+    let mut ops = vec![TraceOp::read(0, hot)];
+    for i in 1..4_000 {
+        ops.push(TraceOp::write(0, i << 12));
+        ops.push(TraceOp::read(0, hot));
+    }
+    let skip = assert_engines_agree("hit under sleep", |engine| {
+        let mut cfg = SystemConfig::multi_program(1);
+        cfg.l1.mshrs = 1;
+        cfg.l1.hit_latency = 20;
+        let mut sys = SystemBuilder::new(cfg)
+            .trace(0, Box::new(VecTrace::new(ops.clone())))
+            .engine(engine)
+            .build();
+        sys.run_cycles(20_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    let stats = &skip.system_stats().cores[0];
+    assert!(stats.l1_hits > 50, "the hot load must hit the L1 ({})", stats.l1_hits);
+    assert!(skip.slept_ticks() > 0, "the core never slept");
 }

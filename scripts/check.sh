@@ -180,12 +180,15 @@ for exp in fig11 fig12; do
 done
 echo "shaper-arm engine differential: naive/skip fig11 and fig12 tables are identical"
 
-# Multi-channel and inter-arrival engine differential: every other sweep
-# gate runs one-channel experiments, and none reruns Fig. 2 naive.
-# `scaling` is the only experiment with two memory channels (16 and 25
-# cores); `fig02` prints the per-core inter-arrival histograms. Each
-# reruns on both engines and the two tables must be byte-identical.
-for exp in scaling fig02; do
+# Multi-channel, inter-arrival and signal-reading engine differential:
+# every other sweep gate runs one-channel experiments, and none reruns
+# Fig. 2 or Fig. 14 naive. `scaling` is the only experiment with two
+# memory channels (16 and 25 cores); `fig02` prints the per-core
+# inter-arrival histograms; `fig14` runs MISE over MITTS-shaped cores,
+# the only sweep whose scheduler reads every core's signals each tick
+# while shaped cores and their shapers sleep. Each reruns on both
+# engines and the two tables must be byte-identical.
+for exp in scaling fig02 fig14; do
   for engine in skip naive; do
     STATE_EXP="$GATE_TMP/$exp-$engine"
     mkdir -p "$STATE_EXP"
@@ -195,7 +198,7 @@ for exp in scaling fig02; do
   diff "$GATE_TMP/$exp-naive/results/$exp.txt" "$GATE_TMP/$exp-skip/results/$exp.txt" \
     || { echo "naive-engine $exp diverged from the skip engine"; exit 1; }
 done
-echo "multi-channel and inter-arrival engine differential: naive/skip scaling and fig02 identical"
+echo "multi-channel, inter-arrival and signal-reading engine differential: naive/skip scaling, fig02 and fig14 identical"
 
 # Parallel determinism gate: the same filtered sweep at MITTS_JOBS=4 and
 # MITTS_JOBS=1 must land byte-identical result artifacts AND CSV dumps —
