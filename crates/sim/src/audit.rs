@@ -927,11 +927,18 @@ pub struct InvariantAuditor {
     log: AuditLog,
     passes: u64,
     last_now: Option<Cycle>,
+    /// The next audit boundary not yet passed: the tick compares `now`
+    /// with it instead of dividing. Derived from `now`, not checkpointed.
+    next_audit: Cycle,
     // Watchdog state.
     last_progress_at: Cycle,
     last_totals: (u64, u64),
     cores: Vec<CoreProgress>,
     stall: Option<Box<StallReport>>,
+    /// No watchdog threshold can be crossed before this cycle: the
+    /// earliest deadline at the last scan, lowered whenever a reset arms
+    /// a new episode. Derived state, not checkpointed.
+    watchdog_deadline: Cycle,
 }
 
 impl InvariantAuditor {
@@ -959,6 +966,7 @@ impl InvariantAuditor {
             log: AuditLog::new(config.hardening.audit.max_reports),
             passes: 0,
             last_now: None,
+            next_audit: 0,
             last_progress_at: 0,
             last_totals: (0, 0),
             cores: vec![
@@ -966,6 +974,7 @@ impl InvariantAuditor {
                 config.cores
             ],
             stall: None,
+            watchdog_deadline: 0,
         }
     }
 
@@ -979,9 +988,30 @@ impl InvariantAuditor {
         &self.watchdog
     }
 
-    /// Whether an audit pass is due at `now`.
-    pub(crate) fn audit_due(&self, now: Cycle) -> bool {
-        now.is_multiple_of(self.audit.interval.max(1))
+    /// Whether an audit pass is due at `now`, the cycle after the last
+    /// one asked about (or the cycle [`InvariantAuditor::resync`] named).
+    /// A due boundary advances to the next one.
+    pub(crate) fn audit_due(&mut self, now: Cycle) -> bool {
+        if now < self.next_audit {
+            return false;
+        }
+        self.next_audit = self.next_audit_boundary(now);
+        true
+    }
+
+    /// The first audit boundary not yet audited (the fast-forward clamp
+    /// after the last tick).
+    pub(crate) fn next_audit(&self) -> Cycle {
+        self.next_audit
+    }
+
+    /// Rebuilds the derived boundaries for a system now at `now` (a
+    /// restore): the first audit boundary at or after `now`, and a
+    /// watchdog scan on the next tick.
+    pub(crate) fn resync(&mut self, now: Cycle) {
+        let k = self.audit.interval.max(1);
+        self.next_audit = now.div_ceil(k) * k;
+        self.watchdog_deadline = 0;
     }
 
     /// Starts an audit pass: bumps the pass counter, checks cycle
@@ -1186,26 +1216,47 @@ impl InvariantAuditor {
         self.stall = Some(Box::new(report));
     }
 
-    /// Observes one cycle of global progress. Returns `true` exactly once,
-    /// at the moment a global stall crosses the threshold (the caller then
-    /// builds the [`StallReport`]).
-    ///
-    /// `any_active` is false when every core is frozen; frozen time does
-    /// not count towards a stall.
-    pub(crate) fn observe_global(
+    /// Notes one cycle's global progress: `retired` instructions and
+    /// `fills` delivered over all cores, and whether every core was
+    /// frozen (frozen time does not count towards a stall). Any of the
+    /// three moves the progress marker to `now`; returns whether it moved.
+    pub(crate) fn note_global_progress(
         &mut self,
         now: Cycle,
-        total_instructions: u64,
-        total_fills: u64,
-        any_active: bool,
+        retired: u64,
+        fills: u64,
+        all_frozen: bool,
     ) -> bool {
-        let totals = (total_instructions, total_fills);
-        if totals != self.last_totals || !any_active {
-            self.last_totals = totals;
-            self.last_progress_at = now;
+        if retired == 0 && fills == 0 && !all_frozen {
             return false;
         }
+        self.last_totals.0 += retired;
+        self.last_totals.1 += fills;
+        self.last_progress_at = now;
+        self.lower_watchdog_deadline(now.saturating_add(self.watchdog.global_stall_cycles));
+        true
+    }
+
+    /// Whether a watchdog threshold scan is due at `now`.
+    pub(crate) fn watchdog_due(&self, now: Cycle) -> bool {
+        now >= self.watchdog_deadline
+    }
+
+    /// Whether the global stall crosses its threshold at `now`, with no
+    /// progress noted this cycle. True at most once: the caller then
+    /// builds the [`StallReport`].
+    pub(crate) fn global_stall_due(&self, now: Cycle) -> bool {
         self.stall.is_none() && now - self.last_progress_at >= self.watchdog.global_stall_cycles
+    }
+
+    /// Ends a threshold scan at `now`: the next one is due at the
+    /// earliest deadline still live.
+    pub(crate) fn watchdog_scanned(&mut self, now: Cycle) {
+        self.watchdog_deadline = self.next_watchdog_event(now).unwrap_or(Cycle::MAX);
+    }
+
+    fn lower_watchdog_deadline(&mut self, deadline: Cycle) {
+        self.watchdog_deadline = self.watchdog_deadline.min(deadline);
     }
 
     /// Cycle of the last observed global progress.
@@ -1225,8 +1276,7 @@ impl InvariantAuditor {
     /// Earliest cycle strictly after `now` at which the watchdog could
     /// fire if the system stays quiescent: the global-stall deadline plus
     /// every live core-starvation deadline. Deadlines at or before `now`
-    /// have already been evaluated by the per-tick observers and are
-    /// ignored.
+    /// have already been evaluated by a threshold scan and are ignored.
     pub(crate) fn next_watchdog_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
@@ -1257,14 +1307,17 @@ impl InvariantAuditor {
         all_frozen: bool,
         core_frozen: &[bool],
     ) {
+        let WatchdogConfig { global_stall_cycles, core_starve_cycles } = self.watchdog;
         if all_frozen {
             self.last_progress_at = last_skipped;
+            self.lower_watchdog_deadline(last_skipped.saturating_add(global_stall_cycles));
         }
         for (i, &frozen) in core_frozen.iter().enumerate() {
             if frozen {
                 let p = &mut self.cores[i];
                 p.last_change_at = last_skipped;
                 p.starve_reported = false;
+                self.lower_watchdog_deadline(last_skipped.saturating_add(core_starve_cycles));
             }
         }
     }
@@ -1357,7 +1410,9 @@ impl InvariantAuditor {
     /// [`Invariant::MonotoneCounters`] violation at once. Returns `true`
     /// exactly once per starvation episode when the core crosses
     /// [`WatchdogConfig::core_starve_cycles`] without retiring (and is not
-    /// frozen); the caller records the violation with context.
+    /// frozen); the caller records the violation with context. A change
+    /// or a frozen cycle resets the episode and lowers the watchdog's
+    /// scan deadline to the new episode's threshold.
     pub(crate) fn observe_core(
         &mut self,
         now: Cycle,
@@ -1373,9 +1428,13 @@ impl InvariantAuditor {
             p.last_instructions = instructions;
             p.last_change_at = now;
             p.starve_reported = false;
+            self.lower_watchdog_deadline(now.saturating_add(self.watchdog.core_starve_cycles));
             return false;
         }
-        if !p.starve_reported && now - p.last_change_at >= self.watchdog.core_starve_cycles {
+        // A second observation in the cycle of a reset (the threshold
+        // scan after the core loop's) never reports.
+        let waited = now - p.last_change_at;
+        if !p.starve_reported && waited > 0 && waited >= self.watchdog.core_starve_cycles {
             p.starve_reported = true;
             return true;
         }
@@ -1541,14 +1600,34 @@ mod tests {
         assert_eq!(a.dropped_violations(), 8);
     }
 
+    /// The system's per-tick global observation from cumulative totals:
+    /// it notes the cycle's progress, then checks the stall threshold
+    /// when nothing progressed.
+    fn observe_global(
+        a: &mut InvariantAuditor,
+        now: Cycle,
+        instructions: u64,
+        fills: u64,
+        any_active: bool,
+    ) -> bool {
+        let (i0, f0) = a.last_totals;
+        !a.note_global_progress(now, instructions - i0, fills - f0, !any_active)
+            && a.global_stall_due(now)
+    }
+
     #[test]
     fn audit_due_follows_interval() {
         let mut cfg = HardeningConfig::default();
         cfg.audit.interval = 10;
-        let a = auditor(&cfg, 1);
-        assert!(a.audit_due(0));
-        assert!(!a.audit_due(5));
-        assert!(a.audit_due(20));
+        let mut a = auditor(&cfg, 1);
+        let due: Vec<Cycle> = (0..=25).filter(|&c| a.audit_due(c)).collect();
+        assert_eq!(due, [0, 10, 20]);
+        // A restore mid-interval resumes on the grid.
+        a.resync(33);
+        let due: Vec<Cycle> = (33..=50).filter(|&c| a.audit_due(c)).collect();
+        assert_eq!(due, [40, 50]);
+        a.resync(60);
+        assert!(a.audit_due(60), "a restore onto a boundary audits it");
     }
 
     #[test]
@@ -1573,11 +1652,11 @@ mod tests {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.global_stall_cycles = 100;
         let mut a = auditor(&cfg, 1);
-        assert!(!a.observe_global(0, 10, 0, true));
+        assert!(!observe_global(&mut a, 0, 10, 0, true));
         for now in 1..100 {
-            assert!(!a.observe_global(now, 10, 0, true), "cycle {now} too early");
+            assert!(!observe_global(&mut a, now, 10, 0, true), "cycle {now} too early");
         }
-        assert!(a.observe_global(100, 10, 0, true));
+        assert!(observe_global(&mut a, 100, 10, 0, true));
         a.set_stall(StallReport {
             detected_at: 100,
             stalled_since: 0,
@@ -1591,7 +1670,7 @@ mod tests {
             },
             channels: vec![],
         });
-        assert!(!a.observe_global(101, 10, 0, true), "fires only once");
+        assert!(!observe_global(&mut a, 101, 10, 0, true), "fires only once");
         assert!(a.stall().is_some());
         assert_eq!(a.violations().len(), 1);
         assert_eq!(a.violations()[0].invariant, Invariant::ForwardProgress);
@@ -1603,7 +1682,7 @@ mod tests {
         cfg.watchdog.global_stall_cycles = 50;
         let mut a = auditor(&cfg, 1);
         for now in 0..200 {
-            assert!(!a.observe_global(now, 10, 0, false), "all-frozen must never stall");
+            assert!(!observe_global(&mut a, now, 10, 0, false), "all-frozen must never stall");
         }
     }
 
@@ -1728,7 +1807,7 @@ mod tests {
         // Fresh state: global deadline 100 is the earliest.
         assert_eq!(a.next_watchdog_event(0), Some(100));
         // Global progress at 90 pushes the global deadline to 190.
-        assert!(!a.observe_global(90, 1, 0, true));
+        assert!(!observe_global(&mut a, 90, 1, 0, true));
         assert_eq!(a.next_watchdog_event(90), Some(190));
         // Deadlines at or before now are ignored.
         assert_eq!(a.next_watchdog_event(190), Some(500), "core starve next");
@@ -1748,7 +1827,7 @@ mod tests {
         // Naive: observe an all-frozen window cycle by cycle.
         let mut naive = auditor(&cfg, 2);
         for now in 1..=400 {
-            assert!(!naive.observe_global(now, 7, 3, false));
+            assert!(!observe_global(&mut naive, now, 7, 3, false));
             naive.observe_core(now, 0, 7, true);
             naive.observe_core(now, 1, 0, true);
         }
@@ -1860,14 +1939,17 @@ mod tests {
         fn audit_boundary_is_never_late(interval in 1u64..2_000, now in 0u64..1_000_000) {
             let mut cfg = HardeningConfig::default();
             cfg.audit.interval = interval;
-            let a = auditor(&cfg, 1);
+            let mut a = auditor(&cfg, 1);
             let b = a.next_audit_boundary(now);
             prop_assert!(b > now);
             prop_assert!(b <= now + interval);
-            prop_assert!(a.audit_due(b), "clamp target must itself be due");
+            prop_assert!(b.is_multiple_of(interval), "boundary {} off the grid", b);
+            // Ticked cycle by cycle from a resume at `now + 1`.
+            a.resync(now + 1);
             for c in now + 1..b {
                 prop_assert!(!a.audit_due(c), "due cycle {} inside the skip window", c);
             }
+            prop_assert!(a.audit_due(b), "clamp target must itself be due");
         }
 
         /// `next_watchdog_event` never overshoots a firing: a quiescent
@@ -1885,7 +1967,7 @@ mod tests {
             let mut a = auditor(&cfg, 2);
             // Warm-up: both cores retire until `progress_until`.
             for now in 1..=progress_until {
-                prop_assert!(!a.observe_global(now, now, now, true));
+                prop_assert!(!observe_global(&mut a, now, now, now, true));
                 prop_assert!(!a.observe_core(now, 0, now, false));
                 prop_assert!(!a.observe_core(now, 1, now, false));
             }
@@ -1894,7 +1976,7 @@ mod tests {
             prop_assert!(est > now);
             // Quiescent continuation: totals frozen, cores not frozen.
             for c in now + 1..=est {
-                let fired = a.observe_global(c, progress_until, progress_until, true)
+                let fired = observe_global(&mut a, c, progress_until, progress_until, true)
                     | a.observe_core(c, 0, progress_until, false)
                     | a.observe_core(c, 1, progress_until, false);
                 if c < est {

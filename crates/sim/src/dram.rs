@@ -211,6 +211,10 @@ pub struct Dram<T> {
     /// Derived command timing of the most recent [`Dram::start`].
     last_service: Option<DramServiceTiming>,
     inflight: Vec<DramCompletion<T>>,
+    /// Earliest `done_at` in `inflight` (`Cycle::MAX` when empty): lowered
+    /// by [`Dram::start`], recomputed by every drain and by
+    /// [`Dram::load_state`]. Derived state, not checkpointed.
+    next_done: Cycle,
     // Statistics
     row_hits: u64,
     row_misses: u64,
@@ -240,6 +244,7 @@ impl<T: Copy> Dram<T> {
             wtr_fence: 0,
             last_service: None,
             inflight: Vec::new(),
+            next_done: Cycle::MAX,
             row_hits: 0,
             row_misses: 0,
             row_conflicts: 0,
@@ -299,10 +304,12 @@ impl<T: Copy> Dram<T> {
         }
     }
 
-    /// Earliest `done_at` among dispatched-but-unfinished transactions.
+    /// Earliest `done_at` among dispatched-but-unfinished transactions
+    /// (a cached field: no scan).
     pub fn next_completion(&self) -> Option<Cycle> {
-        self.inflight.iter().map(|c| c.done_at).min()
+        (self.next_done != Cycle::MAX).then_some(self.next_done)
     }
+
 
     /// Whether the bank owning `addr` can accept a new transaction at
     /// `now` (accounting for a pending refresh fence, applied for real on
@@ -403,6 +410,7 @@ impl<T: Copy> Dram<T> {
         });
 
         self.inflight.push(DramCompletion { token, done_at: data_end, row_hit });
+        self.next_done = self.next_done.min(data_end);
         data_end
     }
 
@@ -443,14 +451,18 @@ impl<T: Copy> Dram<T> {
     /// completion cycle. The per-tick hot path reuses one buffer.
     pub fn drain_completions_into(&mut self, now: Cycle, done: &mut Vec<DramCompletion<T>>) {
         done.clear();
+        let mut next_done = Cycle::MAX;
         let mut i = 0;
         while i < self.inflight.len() {
-            if self.inflight[i].done_at <= now {
+            let done_at = self.inflight[i].done_at;
+            if done_at <= now {
                 done.push(self.inflight.swap_remove(i));
             } else {
+                next_done = next_done.min(done_at);
                 i += 1;
             }
         }
+        self.next_done = next_done;
         done.sort_by_key(|c| c.done_at);
     }
 
@@ -533,6 +545,7 @@ impl<T: Copy> Dram<T> {
             let row_hit = dec.bool()?;
             self.inflight.push(DramCompletion { token, done_at, row_hit });
         }
+        self.next_done = self.inflight.iter().map(|c| c.done_at).min().unwrap_or(Cycle::MAX);
         self.row_hits = dec.u64()?;
         self.row_misses = dec.u64()?;
         self.row_conflicts = dec.u64()?;
@@ -787,6 +800,20 @@ mod tests {
         assert_eq!(d.next_completion(), Some(done1));
         d.drain_completions(done1);
         assert_eq!(d.next_completion(), None);
+    }
+
+    #[test]
+    fn load_state_recomputes_the_next_completion() {
+        let mut d = dram();
+        let done = d.start(0, 0, MemCmd::Read, 1).min(d.start(0, 8 * 1024, MemCmd::Read, 2));
+        let mut enc = crate::snapshot::Enc::new();
+        d.save_state(&mut enc, |e, &t| e.u32(t));
+        let bytes = enc.into_bytes();
+        let mut fresh = dram();
+        fresh
+            .load_state(&mut crate::snapshot::Dec::new(&bytes), |d| d.u32())
+            .unwrap();
+        assert_eq!(fresh.next_completion(), Some(done));
     }
 
     #[test]

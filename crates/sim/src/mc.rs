@@ -275,8 +275,12 @@ pub trait Scheduler {
     /// Notification that `txn` finished (data transferred).
     fn on_complete(&mut self, _now: Cycle, _txn: &Transaction, _row_hit: bool) {}
 
-    /// Periodic hook (called once per cycle) with fresh per-core signals;
-    /// source-throttling policies write `ctl`.
+    /// Periodic hook with fresh per-core signals; source-throttling
+    /// policies write `ctl`. The naive engine calls it every cycle. The
+    /// skip engine calls it on the cycle its last [`Scheduler::next_event`]
+    /// named (and on the first cycle of every run call) and replays each
+    /// cycle before that as `note_idle_cycles(1)`, so a policy must keep
+    /// the contract stated there.
     fn tick(&mut self, _now: Cycle, _signals: &[CoreSignals], _ctl: &mut SourceControl) {}
 
     /// Earliest cycle strictly after `now` at which this policy's
@@ -284,15 +288,25 @@ pub trait Scheduler {
     /// [`Scheduler::pick`]) does something that an idle-cycle replay via
     /// [`Scheduler::note_idle_cycles`] cannot reproduce. `None` means the
     /// policy is purely event-driven (it only reacts to
-    /// enqueue/pick/complete) and imposes no wake-up of its own.
+    /// enqueue/pick/complete) and its `tick` never needs to run.
     ///
     /// The default is the conservative `Some(now + 1)`: a policy that has
-    /// not been audited for skip-safety never lets the skip engine
-    /// jump over its ticks. Overriding this is a contract: between `now`
-    /// (exclusive) and the returned cycle (exclusive), running `tick` once
-    /// per cycle on a quiescent system must be equivalent to a single
-    /// `note_idle_cycles` call, and `pick` must be side-effect-free when
-    /// it would return `None`.
+    /// not been audited for skip-safety is ticked every cycle and never
+    /// lets the skip engine jump over its ticks. Overriding this is a
+    /// contract, which the skip engine relies on both when it skips and
+    /// when it caches the answer after a tick:
+    ///
+    /// - before the returned cycle, `tick(now', ..)` must equal
+    ///   `note_idle_cycles(1)` at every `now'`, even on cycles with
+    ///   enqueues, picks and completions (it may read state those
+    ///   change, as long as the replay reads it the same way);
+    /// - `on_enqueue`, `pick` and `on_complete` must never make the
+    ///   answer earlier;
+    /// - `pick` must be side-effect-free when it would return `None`;
+    /// - within a run call, nothing else may overwrite what the policy
+    ///   wrote to `ctl` before the returned cycle (a tick that only
+    ///   re-applies its own throttles is then a no-op). The caller's
+    ///   writes between run calls are safe: each call ticks every hook.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }

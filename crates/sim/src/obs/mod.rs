@@ -137,20 +137,29 @@ impl Observer {
         self.lifecycle
     }
 
-    /// Whether cycle `now` is a sampling boundary.
+    /// Whether cycle `now`, the cycle after the last one asked about, is
+    /// a sampling boundary; a due boundary advances to the next one.
     #[inline]
-    pub fn sample_due(&self, now: Cycle) -> bool {
-        match &self.sampler {
-            Some(s) => s.due(now),
+    pub fn sample_due(&mut self, now: Cycle) -> bool {
+        match &mut self.sampler {
+            Some(s) => s.take_due(now),
             None => false,
         }
     }
 
-    /// The next sampling boundary strictly after `now` — a fast-forward
+    /// The first sampling boundary not yet sampled — a fast-forward
     /// clamp, exactly like the auditor's audit boundary.
     #[inline]
-    pub fn next_sample_boundary(&self, now: Cycle) -> Option<Cycle> {
-        self.sampler.as_ref().map(|s| s.next_boundary(now))
+    pub fn next_sample_boundary(&self) -> Option<Cycle> {
+        self.sampler.as_ref().map(Sampler::next_due)
+    }
+
+    /// Rebuilds the next sampling boundary for a system now at `now` (a
+    /// restore).
+    pub(crate) fn resync(&mut self, now: Cycle) {
+        if let Some(s) = &mut self.sampler {
+            s.resync(now);
+        }
     }
 
     /// Retained sample rows, oldest first.

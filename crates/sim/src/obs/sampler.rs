@@ -53,6 +53,9 @@ impl ChannelSampleRow {
 #[derive(Debug)]
 pub struct Sampler {
     interval: Cycle,
+    /// The next boundary not yet passed (derived from `now`, not
+    /// checkpointed): the tick compares with it instead of dividing.
+    next_due: Cycle,
     epoch: u64,
     rows: Vec<SampleRow>,
     /// The previous boundary's cumulative row (empty before the first).
@@ -67,8 +70,10 @@ impl Sampler {
 
     /// A sampler firing every `interval` cycles (at least 1).
     pub fn new(interval: Cycle) -> Self {
+        let interval = interval.max(1);
         Sampler {
-            interval: interval.max(1),
+            interval,
+            next_due: interval,
             epoch: 0,
             rows: Vec::new(),
             prev: SampleRow::default(),
@@ -90,6 +95,29 @@ impl Sampler {
     /// (same contract as the auditor's `next_audit_boundary`).
     pub fn next_boundary(&self, now: Cycle) -> Cycle {
         (now / self.interval + 1) * self.interval
+    }
+
+    /// [`Sampler::due`] for a clock that visits every boundary: `now` is
+    /// the cycle after the last one asked about (or the one
+    /// [`Sampler::resync`] named). A due boundary advances to the next.
+    pub(crate) fn take_due(&mut self, now: Cycle) -> bool {
+        if now < self.next_due {
+            return false;
+        }
+        self.next_due = self.next_boundary(now);
+        true
+    }
+
+    /// The first boundary not yet sampled (the fast-forward clamp after
+    /// the last tick).
+    pub(crate) fn next_due(&self) -> Cycle {
+        self.next_due
+    }
+
+    /// Rebuilds the next boundary for a system now at `now` (a restore):
+    /// the first one at or after `now`, never cycle 0.
+    pub(crate) fn resync(&mut self, now: Cycle) {
+        self.next_due = now.max(1).div_ceil(self.interval) * self.interval;
     }
 
     /// Retained rows, oldest first.
@@ -245,6 +273,19 @@ mod tests {
         assert_eq!(s.next_boundary(0), 128);
         assert_eq!(s.next_boundary(127), 128);
         assert_eq!(s.next_boundary(128), 256);
+    }
+
+    #[test]
+    fn a_ticked_clock_takes_exactly_the_due_boundaries() {
+        let mut s = Sampler::new(128);
+        let taken: Vec<Cycle> = (0..=300).filter(|&c| s.take_due(c)).collect();
+        assert_eq!(taken, [128, 256]);
+        assert_eq!(s.next_due(), 384);
+        for (resume, first) in [(0, 128), (1, 128), (128, 128), (129, 256)] {
+            s.resync(resume);
+            let first_taken = (resume..=400).find(|&c| s.take_due(c));
+            assert_eq!(first_taken, Some(first), "resume at {resume}");
+        }
     }
 
     #[test]

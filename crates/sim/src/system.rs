@@ -432,6 +432,21 @@ struct LlcUnit {
     shapers: Vec<Option<ShaperHandle>>,
     /// Per-core LLC misses awaiting an after-LLC shaper grant.
     deferred: Vec<VecDeque<Addr>>,
+    /// Earliest `ready_at` in `lookups` (`Cycle::MAX` when empty): lowered
+    /// by every push, recomputed by the rotation in `llc_tick`.
+    next_ready: Cycle,
+    /// Some after-LLC shaper is attached or some deferred queue is
+    /// non-empty: the per-core shaper stage has work. Set on attach
+    /// (only an attached shaper defers a miss); recomputed by the stage.
+    gated: bool,
+}
+
+impl LlcUnit {
+    /// Queues a lookup, keeping `next_ready` the earliest ready cycle.
+    fn push_lookup(&mut self, lk: LlcLookup) {
+        self.next_ready = self.next_ready.min(lk.ready_at);
+        self.lookups.push_back(lk);
+    }
 }
 
 /// A fill that must be delivered to a core this cycle.
@@ -640,6 +655,8 @@ impl SystemBuilder {
             hit_latency: config.llc.hit_latency,
             shapers: (0..config.cores).map(|_| None).collect(),
             deferred: (0..config.cores).map(|_| VecDeque::new()).collect(),
+            next_ready: Cycle::MAX,
+            gated: false,
         };
         let channels: Vec<Channel> = self
             .schedulers
@@ -648,6 +665,7 @@ impl SystemBuilder {
                 mc: MemoryController::new(&config.mc),
                 dram: Dram::new(&config.dram, config.core.freq_hz),
                 scheduler: sched.unwrap_or_else(|| Box::new(FcfsScheduler::new())),
+                sched_wake: 0,
             })
             .collect();
         let mut obs = Observer::new(
@@ -707,6 +725,10 @@ struct Channel {
     mc: MemoryController,
     dram: Dram<TxnId>,
     scheduler: Box<dyn Scheduler>,
+    /// The scheduler's `next_event` at its last hook call (`Cycle::MAX`
+    /// for `None`): under [`Engine::Skip`] earlier ticks replay the hook
+    /// as one idle cycle. Reset to 0 by `System::wake_all`.
+    sched_wake: Cycle,
 }
 
 /// The simulated system. Construct with [`SystemBuilder`]; advance with
@@ -822,6 +844,7 @@ impl System {
     /// per-core L1-path shaper; normally only one of the two is used.
     /// The auditor does not check it against its contract (see DESIGN).
     pub fn set_llc_shaper(&mut self, core: usize, shaper: Option<ShaperHandle>) {
+        self.llc.gated |= shaper.is_some();
         self.llc.shapers[core] = shaper;
     }
 
@@ -915,7 +938,10 @@ impl System {
 
     /// Switches the execution engine at runtime. Safe mid-run: both
     /// engines leave the system in the same settled end-of-cycle state
-    /// after each advance, and the skip probe keeps no state of its own.
+    /// after each advance, the skip probe keeps no state of its own, and
+    /// the cached wake cycles the naive engine does not refresh (the
+    /// watchdog deadline, the scheduler hooks) can only be early, which
+    /// costs one visit.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }
@@ -940,14 +966,18 @@ impl System {
         self.slept_ticks
     }
 
-    /// Ends every core's and every shaper's sleep. The public entry
-    /// points call it once per call: between calls the caller may
-    /// reconfigure a shaper through its handle, freeze a core or inject
-    /// faults, none of which wakes a sleeper by itself.
+    /// Ends every core's and every shaper's sleep and makes every
+    /// scheduler hook due. The public entry points call it once per
+    /// call: between calls the caller may reconfigure a shaper through
+    /// its handle, freeze a core, inject faults or write the source
+    /// controls, none of which wakes a sleeper by itself.
     fn wake_all(&mut self) {
         for unit in &mut self.cores {
             unit.asleep = None;
             unit.denied_until = 0;
+        }
+        for ch in &mut self.channels {
+            ch.sched_wake = 0;
         }
     }
 
@@ -1038,11 +1068,13 @@ impl System {
             // engine-independent. A resumed run restarts the count at 0.
             // The per-core signal table is NOT serialised: it is a
             // reusable scratch buffer refreshed from the live counters
-            // at the start of step 6 of every executed tick, *before*
-            // any scheduler reads it, so its cross-tick contents are
-            // never observable. Persisting it would capture
-            // engine-dependent staleness (how far back the last
-            // executed tick was depends on how the run was driven).
+            // at the start of step 6 of every tick that runs a
+            // scheduler hook, *before* any scheduler reads it, so its
+            // cross-tick contents are never observable. Persisting it
+            // would capture engine-dependent staleness (how far back
+            // the last refresh was depends on how the run was driven).
+            // Neither is any component's cached wake cycle: each is
+            // rebuilt from the restored state.
             self.source_ctl.save_state(e);
         });
         Ok(w.finish())
@@ -1138,6 +1170,8 @@ impl System {
             self.source_ctl.load_state(&mut d)?;
             d.finish()?;
         }
+        self.auditor.resync(self.now);
+        self.obs.resync(self.now);
         self.wake_all();
         Ok(())
     }
@@ -1296,6 +1330,7 @@ impl System {
             };
             llc.lookups.push_back(LlcLookup { ready_at, core, line_addr, kind });
         }
+        llc.next_ready = llc.lookups.iter().map(|l| l.ready_at).min().unwrap_or(Cycle::MAX);
         let n = d.checked_len(17)?;
         llc.mc_backlog.clear();
         for _ in 0..n {
@@ -1319,6 +1354,8 @@ impl System {
         if n != llc.shapers.len() {
             return Err(SnapshotError::mismatch("after-LLC shaper count differs"));
         }
+        llc.gated = llc.shapers.iter().any(Option::is_some)
+            || llc.deferred.iter().any(|q| !q.is_empty());
         for (i, sh) in llc.shapers.iter().enumerate() {
             let present = d.bool()?;
             match (present, sh) {
@@ -1445,23 +1482,23 @@ impl System {
         self.wake_all();
         let end = self.now + max_cycles;
         let done = |c: &CoreUnit| c.core.counters().instructions >= instructions;
-        while self.now < end {
-            if self.cores.iter().all(done) {
-                return RunOutcome::Completed { cycles: self.now };
-            }
+        // Evaluated once per real tick: a skip retires nothing.
+        let mut met = self.cores.iter().all(done);
+        while self.now < end && !met {
             if self.auditor.stall().is_some() {
                 break;
             }
             self.tick();
+            met = self.cores.iter().all(done);
             // Do not skip past the tick that completed the target: the
             // finishing core can classify as idle right after retiring its
             // last instruction, and a jump here would inflate the reported
             // completion cycle relative to the naive loop.
-            if !self.cores.iter().all(done) {
+            if !met {
                 self.post_tick_forward(end);
             }
         }
-        if self.cores.iter().all(done) {
+        if met {
             RunOutcome::Completed { cycles: self.now }
         } else if let Some(report) = self.auditor.stall() {
             RunOutcome::Stalled(Box::new(report.clone()))
@@ -1485,8 +1522,9 @@ impl System {
         let mut fills = std::mem::take(&mut self.fills_scratch);
         let mut notes = std::mem::take(&mut self.notes_scratch);
         let faults_active = self.faults.is_active();
-        // Only the skip engine lets cores and shapers sleep; the naive
-        // engine runs every stage of every core every cycle.
+        // Only the skip engine lets components sleep until their cached
+        // wake cycle; the naive engine runs every stage of every
+        // component every cycle.
         let sleep = self.engine == Engine::Skip;
 
         // 1. DRAM completions -> LLC fills (per channel).
@@ -1494,6 +1532,9 @@ impl System {
         let nchan = self.channels.len();
         let mut responses = std::mem::take(&mut self.resp_scratch);
         for ch in 0..nchan {
+            if sleep && self.channels[ch].dram.next_completion().is_none_or(|c| c > now) {
+                continue;
+            }
             responses.clear();
             {
                 let channel = &mut self.channels[ch];
@@ -1544,6 +1585,7 @@ impl System {
             map,
             &mut self.cores,
             now,
+            sleep,
             &mut fills,
             &mut notes,
             &mut self.lookups_scratch,
@@ -1565,6 +1607,8 @@ impl System {
                 }
             }
         }
+        // Each delivered fill counts one core fill (watchdog progress).
+        let fills_delivered = fills.len() as u64;
         for fill in fills.drain(..) {
             self.obs.on_core_fill(now, fill.core.index(), fill.line_addr);
             let unit = &mut self.cores[fill.core.index()];
@@ -1582,6 +1626,9 @@ impl System {
         // the per-core control lookup entirely.
         let any_limits = self.source_ctl.any_limits();
         let n = self.cores.len();
+        // Watchdog progress, noted where it happens.
+        let mut retired = 0u64;
+        let mut all_frozen = true;
         for i in 0..n {
             let idx = wrapping_index(self.rr_offset, i, n);
             let throttle = if any_limits {
@@ -1652,7 +1699,7 @@ impl System {
                             ports_left -= 1;
                             self.obs.on_shaper_grant(now, idx, head.line_addr, token);
                             self.auditor.shaper_grant(now, idx, token, self.rr_offset);
-                            self.llc.lookups.push_back(LlcLookup {
+                            self.llc.push_lookup(LlcLookup {
                                 ready_at: now + self.llc.hit_latency,
                                 core: unit.id,
                                 line_addr: head.line_addr,
@@ -1709,7 +1756,7 @@ impl System {
             if ports_left > 0 {
                 if let Some(wb) = unit.wb_queue.pop_front() {
                     ports_left -= 1;
-                    self.llc.lookups.push_back(LlcLookup {
+                    self.llc.push_lookup(LlcLookup {
                         ready_at: now + self.llc.hit_latency,
                         core: unit.id,
                         line_addr: wb,
@@ -1723,6 +1770,7 @@ impl System {
             if let Some(class) = unit.asleep {
                 unit.core.note_idle_cycles(class, 1);
                 self.slept_ticks += 1;
+                all_frozen = false;
             } else {
                 let CoreUnit {
                     core, l1, l1_mshrs, miss_queue, hit_pipe, stats, l1_hit_latency, asleep, ..
@@ -1738,7 +1786,18 @@ impl System {
                     core: idx,
                     channel_map: map,
                 };
+                let before = core.counters().instructions;
                 let class = core.tick(now, &mut port);
+                let instructions = core.counters().instructions;
+                let frozen = class == CoreIdleClass::Frozen;
+                // A retirement or a frozen cycle resets the core's
+                // starvation episode; nothing else can.
+                if instructions != before || frozen {
+                    let fired = self.auditor.observe_core(now, idx, instructions, frozen);
+                    debug_assert!(!fired, "a reset never reports starvation");
+                }
+                retired += instructions - before;
+                all_frozen &= frozen;
                 // A frozen tick is already one comparison; it does not sleep.
                 if sleep && !matches!(class, CoreIdleClass::Busy | CoreIdleClass::Frozen) {
                     *asleep = Some(class);
@@ -1760,12 +1819,25 @@ impl System {
             }
         }
 
-        // 6. Refresh per-core signals and run the scheduler's epoch hook.
-        for (s, unit) in self.signals.iter_mut().zip(&self.cores) {
-            *s = unit.signals();
+        // 6. Run each scheduler's epoch hook on fresh per-core signals.
+        //    Under the skip engine a hook before its cached `next_event`
+        //    is one idle cycle, and the signals are refreshed only when
+        //    some hook runs.
+        let hook_due = |ch: &Channel| !sleep || now >= ch.sched_wake;
+        if self.channels.iter().any(hook_due) {
+            for (s, unit) in self.signals.iter_mut().zip(&self.cores) {
+                *s = unit.signals();
+            }
         }
         for channel in &mut self.channels {
-            channel.scheduler.tick(now, &self.signals, &mut self.source_ctl);
+            if hook_due(channel) {
+                channel.scheduler.tick(now, &self.signals, &mut self.source_ctl);
+                if sleep {
+                    channel.sched_wake = channel.scheduler.next_event(now).unwrap_or(Cycle::MAX);
+                }
+            } else {
+                channel.scheduler.note_idle_cycles(1);
+            }
         }
 
         // 7. Hardening: invariant audit pass, then the forward-progress
@@ -1773,7 +1845,7 @@ impl System {
         if self.auditor.audit_due(now) {
             self.audit_pass(now);
         }
-        self.watchdog_tick(now);
+        self.watchdog_tick(now, retired, fills_delivered, all_frozen, sleep);
         self.obs.sync_hardening(now, &self.auditor);
 
         // 8. Observability: sample the settled end-of-cycle state at
@@ -1932,8 +2004,8 @@ impl System {
             }
         }
 
-        for lk in &self.llc.lookups {
-            wake(lk.ready_at);
+        if self.llc.next_ready != Cycle::MAX {
+            wake(self.llc.next_ready);
         }
         for ch in &self.channels {
             if let Some(c) = ch.dram.next_completion() {
@@ -1951,13 +2023,13 @@ impl System {
                 wake(c);
             }
         }
-        wake(self.auditor.next_audit_boundary(now_q));
+        wake(self.auditor.next_audit());
         if let Some(c) = self.auditor.next_watchdog_event(now_q) {
             wake(c);
         }
         // Sampling boundaries are real ticks, like audit boundaries: the
         // sampler's rows must be bit-identical to a naive run's.
-        if let Some(c) = self.obs.next_sample_boundary(now_q) {
+        if let Some(c) = self.obs.next_sample_boundary() {
             wake(c);
         }
         Ok(next.map_or(resume, |n| n.max(resume)))
@@ -2140,20 +2212,24 @@ impl System {
         }
     }
 
-    /// One watchdog step: global livelock detection plus per-core
-    /// starvation reporting.
-    fn watchdog_tick(&mut self, now: Cycle) {
-        let mut total_instr = 0u64;
-        let mut total_fills = 0u64;
-        let mut any_active = false;
-        for unit in &self.cores {
-            total_instr += unit.core.counters().instructions;
-            total_fills += unit.stats.fills;
-            if !unit.core.is_frozen(now) {
-                any_active = true;
-            }
+    /// One watchdog step: notes this cycle's global progress (`retired`
+    /// instructions, `fills` delivered, whether every core was frozen),
+    /// then runs the threshold scan — global livelock detection plus
+    /// per-core starvation reporting — when a deadline is due, or every
+    /// cycle when `!cached` (the naive engine).
+    fn watchdog_tick(
+        &mut self,
+        now: Cycle,
+        retired: u64,
+        fills: u64,
+        all_frozen: bool,
+        cached: bool,
+    ) {
+        let progressed = self.auditor.note_global_progress(now, retired, fills, all_frozen);
+        if cached && !self.auditor.watchdog_due(now) {
+            return;
         }
-        if self.auditor.observe_global(now, total_instr, total_fills, any_active) {
+        if !progressed && self.auditor.global_stall_due(now) {
             let report = self.build_stall_report(now);
             self.auditor.set_stall(report);
         }
@@ -2179,6 +2255,9 @@ impl System {
                     detail,
                 });
             }
+        }
+        if cached {
+            self.auditor.watchdog_scanned(now);
         }
     }
 
@@ -2296,6 +2375,7 @@ impl System {
         map: ChannelMap,
         cores: &mut [CoreUnit],
         now: Cycle,
+        sleep: bool,
         fills: &mut Vec<CoreFill>,
         notes: &mut Vec<ShaperNote>,
         due: &mut Vec<LlcLookup>,
@@ -2312,37 +2392,49 @@ impl System {
 
         // After-LLC shapers: housekeeping, then retry deferred misses
         // (head-of-line per core). A core whose gate was removed flushes
-        // its backlog unconditionally.
-        for core_idx in 0..llc.deferred.len() {
-            let grant_one = match &llc.shapers[core_idx] {
-                Some(shaper) => {
-                    shaper.borrow_mut().tick(now);
-                    !llc.deferred[core_idx].is_empty()
-                        && shaper.borrow_mut().try_issue(now).is_grant()
+        // its backlog unconditionally. Skipped while no core is gated.
+        if llc.gated || !sleep {
+            let mut gated = false;
+            for core_idx in 0..llc.deferred.len() {
+                let grant_one = match &llc.shapers[core_idx] {
+                    Some(shaper) => {
+                        shaper.borrow_mut().tick(now);
+                        !llc.deferred[core_idx].is_empty()
+                            && shaper.borrow_mut().try_issue(now).is_grant()
+                    }
+                    None => !llc.deferred[core_idx].is_empty(),
+                };
+                if grant_one {
+                    let line = llc.deferred[core_idx].pop_front().expect("checked non-empty");
+                    let req = McBacklogEntry::new(map, CoreId::new(core_idx), line, MemCmd::Read);
+                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
                 }
-                None => !llc.deferred[core_idx].is_empty(),
-            };
-            if grant_one {
-                let line = llc.deferred[core_idx].pop_front().expect("checked non-empty");
-                let req = McBacklogEntry::new(map, CoreId::new(core_idx), line, MemCmd::Read);
-                Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
+                gated |= llc.shapers[core_idx].is_some() || !llc.deferred[core_idx].is_empty();
             }
+            llc.gated = gated;
         }
 
         // Resolve due lookups. Partition in place (rotate through the
         // deque once) so the hot path does not allocate; entries that
         // cannot make progress (MSHR full) are pushed straight back,
         // which lands them after the not-yet-due remainder exactly as
-        // the old requeue flush did.
+        // the old requeue flush did. With nothing due the rotation
+        // leaves the deque as it was, so the skip engine skips it.
+        if sleep && llc.next_ready > now {
+            return;
+        }
         due.clear();
+        let mut next_ready = Cycle::MAX;
         for _ in 0..llc.lookups.len() {
             let lk = llc.lookups.pop_front().expect("length-bounded");
             if lk.ready_at <= now {
                 due.push(lk);
             } else {
+                next_ready = next_ready.min(lk.ready_at);
                 llc.lookups.push_back(lk);
             }
         }
+        llc.next_ready = next_ready;
 
         for mut lk in due.drain(..) {
             match lk.kind {
@@ -2405,7 +2497,7 @@ impl System {
                             MshrOutcome::Merged => {}
                             MshrOutcome::Full => {
                                 lk.ready_at = now + 1;
-                                llc.lookups.push_back(lk);
+                                llc.push_lookup(lk);
                             }
                         }
                     }

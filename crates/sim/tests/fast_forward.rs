@@ -14,7 +14,11 @@
 //! * per-core sleep: every event that ends a sleeping core's or a
 //!   sleeping shaper's wait (a reconfiguration or a freeze between
 //!   calls, a refund to one sharer of a pool) and the empty-ROB port
-//!   stall, the one idle shape that counts nothing but the cycle.
+//!   stall, the one idle shape that counts nothing but the cycle;
+//! * component wake cycles: an LLC lookup requeued by a full LLC MSHR
+//!   file, a resume with DRAM completions and LLC lookups in flight (the
+//!   cached cycles are rebuilt, not restored), and a source-control
+//!   write between two calls that a scheduler hook must re-apply.
 //!
 //! Every comparison is on [`SystemStats`]: every core's full `CoreStats`
 //! (counters plus the L1-miss and memory inter-arrival histograms and the
@@ -25,14 +29,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, FeedbackMethod, MittsShaper};
-use mitts_sched::{baseline_names, make_baseline};
+use mitts_sched::{baseline_names, make_baseline, CongestionGuard, FrFcfs};
 use mitts_sim::audit::{FaultKind, FaultPlan, RunOutcome};
 use mitts_sim::config::{CacheConfig, SystemConfig};
 use mitts_sim::obs::{RingSink, StallReason, TraceEvent};
 use mitts_sim::stats::SystemStats;
 use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::trace::StrideTrace;
-use mitts_sim::types::Cycle;
+use mitts_sim::types::{CoreId, Cycle};
 use mitts_workloads::Benchmark;
 
 /// Disjoint address-space base for core `i`.
@@ -40,9 +44,9 @@ fn base_for(core: usize) -> u64 {
     (core as u64) << 36
 }
 
-/// Builds one system for `benches` with a small shared LLC (so the
-/// bundled traces actually miss to DRAM) and the given scheduler.
-fn build_system(benches: &[Benchmark], scheduler: &str, engine: Engine) -> System {
+/// A builder for `benches` with a small shared LLC (so the bundled
+/// traces actually miss to DRAM) and the given scheduler.
+fn system_builder(benches: &[Benchmark], scheduler: &str, engine: Engine) -> SystemBuilder {
     let mut cfg = SystemConfig::multi_program(benches.len());
     cfg.llc = CacheConfig::llc_with_size(256 << 10);
     let mut b = SystemBuilder::new(cfg)
@@ -51,7 +55,18 @@ fn build_system(benches: &[Benchmark], scheduler: &str, engine: Engine) -> Syste
     for (i, &bench) in benches.iter().enumerate() {
         b = b.trace(i, Box::new(bench.profile().trace(base_for(i), 0xF0 + i as u64)));
     }
-    b.build()
+    b
+}
+
+/// Builds one system from [`system_builder`].
+fn build_system(benches: &[Benchmark], scheduler: &str, engine: Engine) -> System {
+    system_builder(benches, scheduler, engine).build()
+}
+
+/// The system's complete checkpoint bytes: every core, the LLC, every
+/// channel's controller, DRAM and scheduler, the auditor and observer.
+fn snapshot_bytes(sys: &System) -> Vec<u8> {
+    sys.snapshot().expect("checkpointable system").to_bytes()
 }
 
 /// Runs naive and skip twins for `cycles`, asserts identical stats, and
@@ -68,6 +83,11 @@ fn assert_equivalent_run(benches: &[Benchmark], scheduler: &str, cycles: Cycle) 
         naive.system_stats(),
         skip.system_stats(),
         "stats diverged for {benches:?} under {scheduler}"
+    );
+    // The bytes include every channel scheduler's own state.
+    assert!(
+        snapshot_bytes(&naive) == snapshot_bytes(&skip),
+        "snapshot bytes diverged for {benches:?} under {scheduler}"
     );
     skip
 }
@@ -501,13 +521,14 @@ fn mid_run_engine_cycle_matches_naive() {
     assert!(mixed.skipped_cycles() > 0, "mixed run should have skipped in skipping segments");
 }
 
-/// Runs `run` on both engines and requires equal stats and shaper state;
-/// returns the skip engine's system.
+/// Runs `run` on both engines and requires equal stats, shaper state and
+/// snapshot bytes; returns the skip engine's system.
 fn assert_engines_agree(what: &str, run: impl Fn(Engine) -> System) -> System {
     let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
     assert_eq!(naive.slept_ticks(), 0, "{what}: the naive engine must never sleep");
     assert_eq!(naive.system_stats(), skip.system_stats(), "{what}: stats diverged");
     assert_eq!(shaper_bytes(&naive), shaper_bytes(&skip), "{what}: shaper state diverged");
+    assert!(snapshot_bytes(&naive) == snapshot_bytes(&skip), "{what}: snapshot bytes diverged");
     skip
 }
 
@@ -659,4 +680,123 @@ fn an_l1_hit_completing_under_a_sleeping_core_wakes_it() {
     let stats = &skip.system_stats().cores[0];
     assert!(stats.l1_hits > 50, "the hot load must hit the L1 ({})", stats.l1_hits);
     assert!(skip.slept_ticks() > 0, "the core never slept");
+}
+
+#[test]
+fn llc_lookups_requeued_by_a_full_llc_mshr_file_match_naive() {
+    // With one or two LLC MSHRs most misses find the file full, and the
+    // lookup is requeued one cycle out, behind the not-yet-due rest: the
+    // LLC stage must wake for it although no new lookup arrived.
+    for mshrs in [1, 2] {
+        // Both engines trace (the observer's state is in the snapshot);
+        // the skip engine's stream is the one inspected below.
+        let sink = Rc::new(RefCell::new(RingSink::new(1 << 20)));
+        let skip = assert_engines_agree(&format!("{mshrs} LLC MSHRs"), |engine| {
+            let mut cfg = SystemConfig::multi_program(4);
+            cfg.llc = CacheConfig::llc_with_size(256 << 10);
+            cfg.llc.mshrs = mshrs;
+            let sink = match engine {
+                Engine::Skip => Rc::clone(&sink),
+                Engine::Naive => Rc::new(RefCell::new(RingSink::new(1 << 20))),
+            };
+            let mut b = SystemBuilder::new(cfg).engine(engine).trace_sink(Box::new(sink));
+            for i in 0..4 {
+                let trace = StrideTrace::new(4, 64, 16 << 20).with_base(base_for(i));
+                b = b.trace(i, Box::new(trace));
+            }
+            let mut sys = b.build();
+            sys.run_cycles(20_000);
+            assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+            sys
+        });
+        assert!(skip.skipped_cycles() > 0, "{mshrs} LLC MSHRs: the skip engine never skipped");
+        // With no FIFO rejection a read misses the LLC and enters the
+        // controller on the same cycle unless its lookup was requeued.
+        let stats = skip.system_stats();
+        assert!(stats.channels.iter().all(|ch| ch.fifo_rejections == 0), "FIFO backlog");
+        assert_eq!(sink.borrow().dropped(), 0, "ring sink overflowed");
+        let events = sink.borrow().to_vec();
+        let requeued = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::LlcLookup { at, line, hit: false, .. } => Some((*at, *line)),
+                _ => None,
+            })
+            .filter(|&(at, line)| {
+                events.iter().any(|e| {
+                    matches!(e, TraceEvent::McEnqueue { at: t, line: l, write: false, .. }
+                        if *l == line && *t > at)
+                })
+            })
+            .count();
+        assert!(requeued > 10, "{mshrs} LLC MSHRs: only {requeued} lookups were requeued");
+    }
+}
+
+#[test]
+fn a_resume_with_dram_and_llc_work_in_flight_matches_an_uninterrupted_run() {
+    // The cached wake cycles (earliest DRAM completion, earliest LLC
+    // lookup, audit and sample boundaries, watchdog deadline, scheduler
+    // hooks) are not in the snapshot: a resume rebuilds them from the
+    // restored state. Cut where both DRAM and the LLC have work pending.
+    let benches = [Benchmark::Mcf, Benchmark::Libquantum];
+    let total: Cycle = 20_000;
+    // Find the cut on a traced twin: a DRAM burst ends at or after it,
+    // and fewer demand lookups than grants resolved before it.
+    let (events, _, _, _) = traced_run(&benches, Engine::Skip, total);
+    let before = |cut: Cycle, want: fn(&TraceEvent) -> bool| {
+        events.iter().filter(|&e| want(e) && e.at() < cut).count()
+    };
+    let cut = (8_000..12_000)
+        .find(|&cut| {
+            let dram = events.iter().any(|e| {
+                matches!(e, TraceEvent::DramDispatch { at, timing, .. }
+                    if *at < cut && timing.data_end >= cut)
+            });
+            let grants = before(cut, |e| matches!(e, TraceEvent::ShaperGrant { .. }));
+            let lookups = before(cut, |e| matches!(e, TraceEvent::LlcLookup { .. }));
+            dram && grants > lookups
+        })
+        .expect("no cycle with DRAM and LLC work in flight");
+
+    let mut whole = build_system(&benches, "FR-FCFS", Engine::Skip);
+    whole.run_cycles(total);
+    let mut first = build_system(&benches, "FR-FCFS", Engine::Skip);
+    first.run_cycles(cut);
+    let snap = first.snapshot().expect("checkpointable");
+    let mut resumed = system_builder(&benches, "FR-FCFS", Engine::Skip)
+        .resume_from(&snap)
+        .expect("resume");
+    resumed.run_cycles(total - cut);
+    assert!(resumed.skipped_cycles() > 0, "the resumed run never skipped");
+    assert_eq!(whole.system_stats(), resumed.system_stats(), "resumed stats diverged");
+    assert!(snapshot_bytes(&whole) == snapshot_bytes(&resumed), "resumed snapshot bytes diverged");
+}
+
+#[test]
+fn a_source_control_write_between_calls_is_overridden_like_naive() {
+    // The congestion guard re-applies its issue gap on every tick of its
+    // evaluation interval. A caller that clears the throttles between two
+    // calls must see the guard re-apply the gap on the first tick of the
+    // next call under both engines, although the guard's next event is
+    // its next evaluation.
+    let gaps = RefCell::new(Vec::new());
+    assert_engines_agree("source-control write", |engine| {
+        let mut b = SystemBuilder::new(SystemConfig::multi_program(4))
+            .scheduler(Box::new(CongestionGuard::new(FrFcfs::new(), 2, 4_000)))
+            .engine(engine);
+        for i in 0..4 {
+            b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20).with_base(base_for(i))));
+        }
+        let mut sys = b.build();
+        sys.run_cycles(9_000);
+        gaps.borrow_mut().push(sys.source_control_mut().throttle(CoreId::new(0)).min_issue_gap);
+        sys.source_control_mut().clear();
+        sys.run_cycles(1_500);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    for gap in gaps.into_inner() {
+        assert!(gap.is_some_and(|g| g > 0), "the guard imposed no gap to clear: {gap:?}");
+    }
 }

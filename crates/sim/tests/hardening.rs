@@ -13,7 +13,7 @@ use mitts_sim::audit::{DramParam, FaultKind, FaultPlan, Invariant};
 use mitts_sim::config::SystemConfig;
 use mitts_sim::mc::{DramView, Scheduler, Transaction};
 use mitts_sim::oracle::PickPolicy;
-use mitts_sim::system::{System, SystemBuilder};
+use mitts_sim::system::{Engine, System, SystemBuilder};
 use mitts_sim::trace::{ComputeTrace, StrideTrace, TraceSource};
 use mitts_sim::trace_io::{RecordingTrace, VecTrace};
 use mitts_sim::types::{CoreId, Cycle};
@@ -388,4 +388,60 @@ fn priority_override_run_audits_clean_and_checks_every_pick() {
     assert!(stats.channels.iter().all(|c| c.dispatched > 0), "both channels dispatch");
     let dispatched: u64 = stats.channels.iter().map(|c| c.dispatched).sum();
     assert_eq!(sys.auditor().picks_checked(), dispatched, "every dispatching pick is checked");
+}
+
+/// One streaming core whose shaper credits are zeroed, restored, then
+/// zeroed again: it starves, retires once the credits return, and
+/// starves again.
+fn starve_twice(engine: Engine, global_stall_cycles: Cycle) -> System {
+    let mut cfg = SystemConfig::multi_program(1);
+    cfg.hardening.watchdog.core_starve_cycles = 2_000;
+    cfg.hardening.watchdog.global_stall_cycles = global_stall_cycles;
+    let mut sys = SystemBuilder::new(cfg)
+        .trace(0, Box::new(StrideTrace::new(2, 64, 16 << 20)))
+        .engine(engine)
+        .build();
+    let zero = |from| FaultPlan::new().with(FaultKind::ZeroShaperCredits { from, core: 0 });
+    sys.inject_faults(zero(1_000));
+    sys.run_cycles(9_000);
+    sys.inject_faults(FaultPlan::new());
+    sys.run_cycles(2_000);
+    sys.inject_faults(zero(sys.now()));
+    sys.run_cycles(9_000);
+    sys
+}
+
+/// Every violation as (cycle, invariant, core).
+fn violation_keys(sys: &System) -> Vec<(Cycle, Invariant, Option<usize>)> {
+    sys.audit_log().iter().map(|v| (v.cycle, v.invariant, v.core)).collect()
+}
+
+#[test]
+fn a_core_that_starves_again_after_every_deadline_was_reported_is_reported_again() {
+    // After the first starvation report no deadline is left (and with a
+    // short global limit the global stall has fired as well), so only
+    // the reset when the core retires again can re-arm the watchdog's
+    // scan. Both reports and the global stall must land on the same
+    // cycles as the naive engine's every-cycle scan.
+    for global in [1_000_000, 3_000] {
+        let naive = starve_twice(Engine::Naive, global);
+        let skip = starve_twice(Engine::Skip, global);
+        let (log, stalled_at) = (violation_keys(&skip), skip.stall_report().map(|r| r.detected_at));
+        let naive_stall = naive.stall_report().map(|r| r.detected_at);
+        let starvations: Vec<Cycle> = log
+            .iter()
+            .filter(|(_, inv, core)| *inv == Invariant::ForwardProgress && core.is_some())
+            .map(|(cycle, ..)| *cycle)
+            .collect();
+        assert_eq!(starvations.len(), 2, "global limit {global}: {log:?}");
+        assert_eq!(log, violation_keys(&naive), "global limit {global}: violations diverged");
+        assert_eq!(stalled_at, naive_stall, "global limit {global}: stall cycle diverged");
+        assert_eq!(stalled_at.is_some(), global == 3_000, "global limit {global}: {stalled_at:?}");
+        assert_eq!(naive.system_stats(), skip.system_stats(), "global limit {global}: stats");
+        // A stalled system refuses to checkpoint; a live one must match.
+        if stalled_at.is_none() {
+            let bytes = |s: &System| s.snapshot().expect("checkpointable").to_bytes();
+            assert!(bytes(&naive) == bytes(&skip), "global limit {global}: snapshot bytes");
+        }
+    }
 }

@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 GATE_TMP=$(mktemp -d)
 trap 'rm -rf "$GATE_TMP"' EXIT
 
+# Mutant catalogue gate: every committed source mutation must still
+# apply to the tree, so the catalogue cannot rot (scripts/mutants/).
+for p in scripts/mutants/*.patch; do
+  git apply --check "$p" || { echo "mutant $p no longer applies"; exit 1; }
+done
+echo "mutant catalogue: $(ls scripts/mutants/*.patch | wc -l) patches apply"
+
 cargo build --release
 # The workspace run includes two contracts that gate everything below:
 # - Skip-engine equivalence (mitts-sim --test fast_forward): naive and
