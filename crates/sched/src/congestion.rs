@@ -143,7 +143,10 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
         // Per-cycle sampling between evaluations is replayed by
         // `note_idle_cycles`; the next behavioural change is the earlier
         // of our evaluation boundary and the inner policy's own event.
-        let mine = self.next_eval.max(now + 1);
+        // While a gap is held, every tick re-applies it over whatever else
+        // wrote the source controls (another channel's policy, say), so
+        // each tick is an event.
+        let mine = if self.gap > 0 { now + 1 } else { self.next_eval.max(now + 1) };
         match self.inner.next_event(now) {
             Some(inner) => Some(mine.min(inner)),
             None => Some(mine),
@@ -152,9 +155,9 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
 
     fn note_idle_cycles(&mut self, cycles: Cycle) {
         // Occupancy only changes on enqueue/complete, so every skipped
-        // cycle would have sampled the same congestion verdict. The gap
-        // re-application those ticks would also perform is idempotent and
-        // is redone by the first real tick after the skip.
+        // cycle would have sampled the same congestion verdict. No gap is
+        // held (`next_event` makes every tick an event while one is), so
+        // those ticks would re-apply nothing.
         self.samples += cycles;
         if self.occupancy > self.threshold {
             self.congested_samples += cycles;

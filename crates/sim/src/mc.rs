@@ -268,7 +268,15 @@ pub trait Scheduler {
     /// Chooses the index (into `pending`) of the transaction to dispatch,
     /// or `None` to idle. Only indices for which
     /// `view.can_start(pending[i].addr)` holds may be returned; the
-    /// controller debug-asserts this.
+    /// auditor's pick oracle records any other index, and the controller
+    /// does not start it.
+    ///
+    /// The contract the skip engine relies on: `pick` returns `None`
+    /// whenever no pending transaction can start, and a `None` pick
+    /// changes no state. The skip engine's controller therefore asks only
+    /// once its dispatch fence is due (some queued transaction can start;
+    /// see [`MemoryController::tick`]), while the naive engine asks on
+    /// every cycle with a non-empty queue.
     fn pick(&mut self, now: Cycle, pending: &[Transaction], view: &DramView<'_>)
         -> Option<usize>;
 
@@ -303,10 +311,11 @@ pub trait Scheduler {
     /// - `on_enqueue`, `pick` and `on_complete` must never make the
     ///   answer earlier;
     /// - `pick` must be side-effect-free when it would return `None`;
-    /// - within a run call, nothing else may overwrite what the policy
-    ///   wrote to `ctl` before the returned cycle (a tick that only
-    ///   re-applies its own throttles is then a no-op). The caller's
-    ///   writes between run calls are safe: each call ticks every hook.
+    /// - a tick that re-applies the policy's throttles to `ctl` is not a
+    ///   no-op: another channel's policy may overwrite the same controls
+    ///   on any tick of a run call. A policy that re-applies them every
+    ///   tick returns `now + 1` while it holds them. The caller's writes
+    ///   between run calls are covered too: each call ticks every hook.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now + 1)
     }
@@ -452,6 +461,13 @@ pub struct MemoryController {
     /// Reused by [`MemoryController::drain_completions_into`] so the
     /// per-tick completion drain does not allocate.
     completion_scratch: Vec<DramCompletion<TxnId>>,
+    /// The dispatch fence: the earliest cycle any queued transaction can
+    /// start (`Dram::earliest_start`), `Cycle::MAX` with an empty queue,
+    /// 0 when unknown. Bank state changes only in `Dram::start`, which
+    /// only this controller calls, so a fenced tick cannot dispatch. A
+    /// refill lowers it; a pick recomputes it. Maintained by gated ticks
+    /// only, and reset by [`MemoryController::reset_fence`].
+    fence: Cycle,
 }
 
 impl std::fmt::Debug for MemoryController {
@@ -482,6 +498,7 @@ impl MemoryController {
             ticks: 0,
             fifo_rejections: 0,
             completion_scratch: Vec::new(),
+            fence: Cycle::MAX,
         }
     }
 
@@ -521,9 +538,33 @@ impl MemoryController {
     /// is handed to the pick oracle `picks`, which records findings in
     /// its log, before the chosen transaction leaves the queue; a pick
     /// the DRAM cannot start is recorded there and not started.
+    ///
+    /// The scheduler is asked on every cycle with a non-empty queue. The
+    /// system's skip engine asks only once the controller's dispatch
+    /// fence, the earliest cycle some queued transaction can start, is
+    /// due: by the [`Scheduler::pick`] contract a pick before it returns
+    /// `None` and changes nothing.
     pub fn tick(
         &mut self,
         now: Cycle,
+        scheduler: &mut dyn Scheduler,
+        dram: &mut Dram<TxnId>,
+        picks: (&mut PickOracle, &mut AuditLog),
+    ) -> Option<DispatchRecord> {
+        self.tick_gated(now, false, scheduler, dram, picks)
+    }
+
+    /// [`MemoryController::tick`] that, when `gate` holds, keeps the
+    /// dispatch fence and asks the scheduler only on a cycle at or past
+    /// it. By the [`Scheduler::pick`] contract (a pick returns `None`
+    /// when nothing can start, and a `None` pick changes no state) a
+    /// fenced cycle's pick is a no-op, so skipping it changes nothing.
+    /// Each refilled transaction lowers the fence to its earliest start;
+    /// every pick, dispatching or not, recomputes it from `now + 1`.
+    pub(crate) fn tick_gated(
+        &mut self,
+        now: Cycle,
+        gate: bool,
         scheduler: &mut dyn Scheduler,
         dram: &mut Dram<TxnId>,
         picks: (&mut PickOracle, &mut AuditLog),
@@ -535,16 +576,33 @@ impl MemoryController {
             match self.fifo.pop_front() {
                 Some(txn) => {
                     scheduler.on_enqueue(now, &txn);
+                    if gate {
+                        self.fence = self.fence.min(dram.earliest_start(now, txn.addr));
+                    }
                     self.queue.push(txn);
                 }
                 None => break,
             }
         }
 
-        if self.queue.is_empty() {
+        if self.queue.is_empty() || (gate && now < self.fence) {
             return None;
         }
+        let dispatched = self.dispatch(now, scheduler, dram, picks);
+        if gate {
+            self.fence = self.next_dispatch_opportunity(now + 1, dram).unwrap_or(Cycle::MAX);
+        }
+        dispatched
+    }
 
+    /// Asks for a pick and starts it when the DRAM can.
+    fn dispatch(
+        &mut self,
+        now: Cycle,
+        scheduler: &mut dyn Scheduler,
+        dram: &mut Dram<TxnId>,
+        picks: (&mut PickOracle, &mut AuditLog),
+    ) -> Option<DispatchRecord> {
         let view = DramView { dram, now };
         let idx = self
             .priority_pick(&view)
@@ -561,6 +619,22 @@ impl MemoryController {
         self.inflight_push(txn, now);
         let timing = dram.last_service().expect("`start` records the service timing");
         Some(DispatchRecord { txn, at: now, timing })
+    }
+
+    /// The dispatch fence as [`MemoryController::tick_gated`] keeps it:
+    /// `None` with an empty queue. After a gated tick it equals
+    /// [`MemoryController::next_dispatch_opportunity`] from the next
+    /// cycle.
+    pub(crate) fn dispatch_fence(&self) -> Option<Cycle> {
+        (self.fence != Cycle::MAX).then_some(self.fence)
+    }
+
+    /// Forgets the dispatch fence: due at once with a non-empty queue,
+    /// never with an empty one. Needed whenever the queue or the DRAM's
+    /// timing may have changed outside a gated tick: a restore, a timing
+    /// change, or ticks under the naive engine, which do not keep it.
+    pub(crate) fn reset_fence(&mut self) {
+        self.fence = if self.queue.is_empty() { Cycle::MAX } else { 0 };
     }
 
     /// Batch bookkeeping for `cycles` skipped quiescent cycles: replays
@@ -779,6 +853,7 @@ impl MemoryController {
         self.queue_occupancy_sum = dec.u64()?;
         self.ticks = dec.u64()?;
         self.fifo_rejections = dec.u64()?;
+        self.reset_fence();
         Ok(())
     }
 
@@ -974,6 +1049,45 @@ mod tests {
         assert!(at > 1, "bank must be fenced after the dispatch");
         assert!(!dram.can_start(at - 1, 64));
         assert!(dram.can_start(at, 64));
+    }
+
+    #[test]
+    fn a_gated_tick_keeps_the_fence_and_dispatches_like_an_ungated_one() {
+        // Bursts of reads and writes over every bank, with a refresh every
+        // 1 200 cycles: a gated controller must dispatch exactly what an
+        // ungated twin does, and after each gated tick its fence must be
+        // the next dispatch opportunity.
+        let cfg = DramConfig { t_refi_ns: 500.0, ..DramConfig::default() };
+        let mut gated = MemoryController::new(&McConfig::default());
+        let mut twin = MemoryController::new(&McConfig::default());
+        let mut dram: Dram<TxnId> = Dram::new(&cfg, 2.4e9);
+        let mut twin_dram: Dram<TxnId> = Dram::new(&cfg, 2.4e9);
+        let mut sched = FcfsScheduler::new();
+        let (mut picks, mut log) = pick_check(&sched);
+        let (mut twin_picks, mut twin_log) = pick_check(&sched);
+        let mut seed = 0x2545_f491_u64;
+        let mut fenced = 0;
+        for now in 0..20_000 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if (seed >> 60) < 5 {
+                let addr = (seed >> 20) % (1 << 22) / 64 * 64;
+                let cmd = if seed >> 59 & 1 == 0 { MemCmd::Read } else { MemCmd::Write };
+                for m in [&mut gated, &mut twin] {
+                    m.try_enqueue(now, CoreId::new(0), addr, cmd);
+                }
+            }
+            gated.drain_completions(now, &mut sched, &mut dram);
+            twin.drain_completions(now, &mut sched, &mut twin_dram);
+            let ticked = gated.tick_gated(now, true, &mut sched, &mut dram, (&mut picks, &mut log));
+            let ungated = twin.tick(now, &mut sched, &mut twin_dram, (&mut twin_picks, &mut twin_log));
+            assert_eq!(ticked, ungated, "the controllers diverged at {now}");
+            assert_eq!(gated.dispatch_fence(), gated.next_dispatch_opportunity(now + 1, &dram));
+            fenced += usize::from(gated.dispatch_fence().is_some_and(|f| f > now + 1));
+        }
+        assert!(log.violations().is_empty(), "{:?}", log.violations());
+        assert!(gated.dispatched() > 500, "only {} dispatches", gated.dispatched());
+        assert!(dram.refreshes() > 10, "only {} refreshes", dram.refreshes());
+        assert!(fenced > 1_000, "the fence was ahead on only {fenced} ticks");
     }
 
     #[test]

@@ -245,6 +245,9 @@ struct CoreUnit {
     /// without asking the shaper. Cleared by LLC feedback to this
     /// shaper instance and by [`System::wake_all`].
     denied_until: Cycle,
+    /// While the core is dormant (`System::dormant`), the first cycle
+    /// its idle replay has not accounted for yet.
+    dormant_from: Cycle,
     stats: CoreStats,
     l1_hit_latency: Cycle,
 }
@@ -364,6 +367,52 @@ impl CoreUnit {
         } else {
             self.shaper.borrow().next_grant_event(now)
         }
+    }
+
+    /// Whether the issue stage would deny the miss-queue head again: its
+    /// last outcome was a denial by the shaper, a throttle or a fault.
+    fn head_denied(&self) -> bool {
+        !self.miss_queue.is_empty()
+            && matches!(
+                self.last_outcome,
+                IssueOutcome::ShaperDenied
+                    | IssueOutcome::ThrottleBlocked
+                    | IssueOutcome::FaultDenied
+            )
+    }
+
+    /// Replays `k` cycles in which the core's pipeline repeats the idle
+    /// `class` instead of running: the class's counters, a stall cycle
+    /// per cycle when `stalled` (the issue stage would have denied the
+    /// head again), and `k` slept core-ticks. The one idle replay: a
+    /// sleeping core's tick (`k = 1`, after its issue stage ran), a
+    /// skipped window, and a dormant core's catch-up.
+    fn replay_idle(&mut self, class: CoreIdleClass, k: Cycle, stalled: bool, slept: &mut u64) {
+        self.core.note_idle_cycles(class, k);
+        if stalled {
+            self.stats.shaper_stall_cycles += k;
+        }
+        *slept += k;
+    }
+
+    /// At the end of a visit at `now`, the cycle before which every
+    /// further visit would repeat this one, or `None` when the next one
+    /// may differ. That holds for a sleeping core with no writeback to
+    /// send whose issue stage would again find no request, or deny its
+    /// head from the cached `denied_until`, until a hit-pipe completion
+    /// or that cycle. Events that end it early wake the core themselves.
+    fn dormant_wake(&self, now: Cycle) -> Option<Cycle> {
+        self.asleep?;
+        if !self.wb_queue.is_empty() {
+            return None;
+        }
+        let issue = match self.last_outcome {
+            IssueOutcome::NoRequest if self.miss_queue.is_empty() => Cycle::MAX,
+            IssueOutcome::ShaperDenied if self.denied_until > now => self.denied_until,
+            _ => return None,
+        };
+        let hit = self.hit_pipe.front().map_or(Cycle::MAX, |&(ready, _)| ready);
+        Some(issue.min(hit))
     }
 
     /// This core's cumulative counters: the scheduler signal table row,
@@ -642,6 +691,7 @@ impl SystemBuilder {
                     last_outcome: IssueOutcome::NoRequest,
                     asleep: None,
                     denied_until: 0,
+                    dormant_from: 0,
                     stats: CoreStats::new(STAT_BINS, STAT_BIN_WIDTH),
                     l1_hit_latency: config.l1.hit_latency,
                 }
@@ -698,6 +748,7 @@ impl SystemBuilder {
             channel_map: ChannelMap::new(&config),
             source_ctl: SourceControl::new(n),
             signals: vec![CoreSignals::default(); n],
+            dormant: vec![0; n],
             rr_offset: 0,
             llc_ports: config.llc_ports,
             auditor,
@@ -742,6 +793,12 @@ pub struct System {
     channel_map: ChannelMap,
     source_ctl: SourceControl,
     signals: Vec<CoreSignals>,
+    /// Under [`Engine::Skip`], each core's wake cycle while it is dormant,
+    /// 0 while it is not: before that cycle a visit would repeat the
+    /// last one (`CoreUnit::dormant_wake`), so the core loop passes the
+    /// core over and its cycles are replayed once, when it wakes or
+    /// something reads it. No core is dormant between run calls.
+    dormant: Vec<Cycle>,
     rr_offset: usize,
     llc_ports: usize,
     /// Invariant auditor + forward-progress watchdog (see [`crate::audit`]).
@@ -938,10 +995,11 @@ impl System {
 
     /// Switches the execution engine at runtime. Safe mid-run: both
     /// engines leave the system in the same settled end-of-cycle state
-    /// after each advance, the skip probe keeps no state of its own, and
-    /// the cached wake cycles the naive engine does not refresh (the
-    /// watchdog deadline, the scheduler hooks) can only be early, which
-    /// costs one visit.
+    /// after each advance (no core is dormant), the skip probe keeps no
+    /// state of its own, the cached wake cycles the naive engine does not
+    /// refresh (the watchdog deadline, the scheduler hooks) can only be
+    /// early, which costs one visit, and the dispatch fences, which the
+    /// naive engine does not keep, are reset at the entry to every call.
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }
@@ -958,26 +1016,102 @@ impl System {
         self.skipped_cycles
     }
 
-    /// Total core-ticks in which a sleeping core replayed its idle class
-    /// instead of running its pipeline (0 in naive mode). A diagnostic,
-    /// like [`System::skipped_cycles`]: slept ticks bump every counter a
-    /// real tick would.
+    /// Total core-cycles in which a core replayed its idle class instead
+    /// of running its pipeline: sleeping and dormant cores' ticks and
+    /// every core's cycles in a skipped window (0 in naive mode). A
+    /// diagnostic, like [`System::skipped_cycles`]: a replayed cycle
+    /// bumps every counter a real tick would.
     pub fn slept_ticks(&self) -> u64 {
         self.slept_ticks
     }
 
-    /// Ends every core's and every shaper's sleep and makes every
-    /// scheduler hook due. The public entry points call it once per
-    /// call: between calls the caller may reconfigure a shaper through
-    /// its handle, freeze a core, inject faults or write the source
-    /// controls, none of which wakes a sleeper by itself.
+    /// Ends every core's and every shaper's sleep, makes every scheduler
+    /// hook due and resets every dispatch fence. The public entry points
+    /// call it once per call: between calls the caller may reconfigure a
+    /// shaper through its handle, freeze a core, inject faults (a DRAM
+    /// timing fault changes bank timing), write the source controls,
+    /// restore a snapshot or switch engines (naive ticks do not keep the
+    /// fences), none of which wakes a sleeper by itself.
     fn wake_all(&mut self) {
+        debug_assert!(self.dormant.iter().all(|&w| w == 0), "run calls end settled");
         for unit in &mut self.cores {
             unit.asleep = None;
             unit.denied_until = 0;
         }
         for ch in &mut self.channels {
             ch.sched_wake = 0;
+            ch.mc.reset_fence();
+        }
+    }
+
+    /// Replays dormant core `idx`'s cycles through `through`: its sleep
+    /// class and, for a denied head, a stall per cycle. Returns whether
+    /// there were any.
+    fn replay_dormant(&mut self, idx: usize, through: Cycle) -> bool {
+        let unit = &mut self.cores[idx];
+        let k = through + 1 - unit.dormant_from;
+        if k == 0 {
+            return false;
+        }
+        let class = unit.asleep.expect("a dormant core sleeps");
+        let stalled = unit.head_denied();
+        unit.replay_idle(class, k, stalled, &mut self.slept_ticks);
+        unit.dormant_from = through + 1;
+        true
+    }
+
+    /// Ends core `idx`'s dormancy before its visit at `now`: replays the
+    /// cycles it was passed over. The visit itself ticks its shaper.
+    #[cold]
+    #[inline(never)]
+    fn wake_dormant(&mut self, idx: usize, now: Cycle) {
+        self.replay_dormant(idx, now - 1);
+        self.dormant[idx] = 0;
+    }
+
+    /// Brings dormant core `idx` to the state a naive run has at the end
+    /// of cycle `through`: replays its cycles and ticks its shaper there
+    /// (a replayed cycle did not tick it). The core stays dormant.
+    #[cold]
+    #[inline(never)]
+    fn catch_up(&mut self, idx: usize, through: Cycle) {
+        if self.replay_dormant(idx, through) {
+            self.cores[idx].shaper.borrow_mut().tick(through);
+        }
+    }
+
+    /// Shaper feedback at `now` reaches dormant core `idx`'s shaper
+    /// instance: the core catches up to `now - 1`, where a naive run's
+    /// last shaper tick left the instance. A denied head wakes, because
+    /// the feedback ends its cached denial; a core with no request stays
+    /// dormant.
+    #[cold]
+    #[inline(never)]
+    fn feedback_to_dormant(&mut self, idx: usize, now: Cycle) {
+        self.catch_up(idx, now - 1);
+        if self.cores[idx].last_outcome == IssueOutcome::ShaperDenied {
+            self.dormant[idx] = 0;
+        }
+    }
+
+    /// [`System::catch_up`] for every dormant core, before something
+    /// reads their counters or shaper state at the end of cycle
+    /// `through`.
+    fn catch_up_all(&mut self, through: Cycle) {
+        for idx in 0..self.cores.len() {
+            if self.dormant[idx] != 0 {
+                self.catch_up(idx, through);
+            }
+        }
+    }
+
+    /// Ends every core's dormancy, caught up to the last executed cycle.
+    /// Every run call ends with it, so snapshots, stats accessors and
+    /// anything the caller does between calls see settled state.
+    fn settle(&mut self) {
+        if self.dormant.iter().any(|&w| w != 0) {
+            self.catch_up_all(self.now - 1);
+            self.dormant.fill(0);
         }
     }
 
@@ -1439,13 +1573,14 @@ impl System {
     /// to the next event. Returns the new `now`.
     pub fn advance(&mut self) -> Cycle {
         self.wake_all();
-        self.advance_bounded(Cycle::MAX)
+        self.advance_bounded(Cycle::MAX);
+        self.settle();
+        self.now
     }
 
-    fn advance_bounded(&mut self, limit: Cycle) -> Cycle {
+    fn advance_bounded(&mut self, limit: Cycle) {
         self.tick();
         self.post_tick_forward(limit);
-        self.now
     }
 
     /// After a real tick, jumps `now` to the probe's target, bounded by
@@ -1471,6 +1606,7 @@ impl System {
         while self.now < end {
             self.advance_bounded(end);
         }
+        self.settle();
     }
 
     /// Runs until every core has retired at least `instructions`
@@ -1498,6 +1634,7 @@ impl System {
                 self.post_tick_forward(end);
             }
         }
+        self.settle();
         if met {
             RunOutcome::Completed { cycles: self.now }
         } else if let Some(report) = self.auditor.stall() {
@@ -1593,26 +1730,37 @@ impl System {
         );
 
         // 3. Deliver fills and shaper notes to cores.
+        let n = self.cores.len();
         for note in notes.drain(..) {
-            let shaper = &self.cores[note.core.index()].shaper;
-            shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
-            self.auditor.shaper_feedback(now, note.core.index(), note.token, note.hit);
+            let core = note.core.index();
             // Feedback (a Method-2 refund) can make a denied request
             // grantable sooner, so every core this instance serves wakes:
-            // all sharers of a §IV-H pool.
-            let instance = Rc::as_ptr(shaper) as *const ();
-            for unit in &mut self.cores {
-                if Rc::as_ptr(&unit.shaper) as *const () == instance {
-                    unit.denied_until = 0;
+            // all sharers of a §IV-H pool. A dormant sharer catches up
+            // first, so the feedback finds the shaper where a naive run's
+            // last tick left it.
+            let instance = Rc::as_ptr(&self.cores[core].shaper) as *const ();
+            for i in 0..n {
+                if Rc::as_ptr(&self.cores[i].shaper) as *const () == instance {
+                    if self.dormant[i] != 0 {
+                        self.feedback_to_dormant(i, now);
+                    }
+                    self.cores[i].denied_until = 0;
                 }
             }
+            let shaper = &self.cores[core].shaper;
+            shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
+            self.auditor.shaper_feedback(now, core, note.token, note.hit);
         }
         // Each delivered fill counts one core fill (watchdog progress).
         let fills_delivered = fills.len() as u64;
         for fill in fills.drain(..) {
-            self.obs.on_core_fill(now, fill.core.index(), fill.line_addr);
-            let unit = &mut self.cores[fill.core.index()];
-            unit.on_fill(now, fill.line_addr);
+            let core = fill.core.index();
+            self.obs.on_core_fill(now, core, fill.line_addr);
+            // A fill wakes the core (`on_fill`), so a dormant one catches up.
+            if self.dormant[core] != 0 {
+                self.wake_dormant(core, now);
+            }
+            self.cores[core].on_fill(now, fill.line_addr);
         }
 
         // 4. Per-core: hit-pipe completions, shaper tick, issue demands and
@@ -1625,12 +1773,30 @@ impl System {
         // When no policy has configured throttles (the common case), skip
         // the per-core control lookup entirely.
         let any_limits = self.source_ctl.any_limits();
-        let n = self.cores.len();
+        // Cores may turn dormant only while no throttle or fault can
+        // change an issue outcome. A dormant core's visit would repeat its
+        // last one while ports remain at its position and, for a denied
+        // head, no FIFO is full; otherwise `NoPorts` or `McBackpressure`
+        // must land on the naive cycle, so it wakes and is visited.
+        let dormancy = sleep && !faults_active && !any_limits;
+        let fifos_free = dormancy && self.channels.iter().all(|ch| ch.mc.fifo_has_room());
         // Watchdog progress, noted where it happens.
         let mut retired = 0u64;
         let mut all_frozen = true;
         for i in 0..n {
             let idx = wrapping_index(self.rr_offset, i, n);
+            let wake = self.dormant[idx];
+            if wake != 0 {
+                if now < wake
+                    && ports_left > 0
+                    && dormancy
+                    && (fifos_free || self.cores[idx].miss_queue.is_empty())
+                {
+                    all_frozen = false;
+                    continue;
+                }
+                self.wake_dormant(idx, now);
+            }
             let throttle = if any_limits {
                 self.source_ctl.throttle(CoreId::new(idx))
             } else {
@@ -1768,8 +1934,7 @@ impl System {
             // Core pipeline. A sleeping core's tick would repeat its last
             // one, which changed nothing but counters: replay those.
             if let Some(class) = unit.asleep {
-                unit.core.note_idle_cycles(class, 1);
-                self.slept_ticks += 1;
+                unit.replay_idle(class, 1, false, &mut self.slept_ticks);
                 all_frozen = false;
             } else {
                 let CoreUnit {
@@ -1803,6 +1968,12 @@ impl System {
                     *asleep = Some(class);
                 }
             }
+            if dormancy {
+                if let Some(wake) = unit.dormant_wake(now).filter(|&w| w > now + 1) {
+                    unit.dormant_from = now + 1;
+                    self.dormant[idx] = wake;
+                }
+            }
         }
         self.rr_offset = wrapping_index(self.rr_offset, 1, n);
 
@@ -1812,7 +1983,7 @@ impl System {
         for (ci, channel) in self.channels.iter_mut().enumerate() {
             let picks = self.auditor.pick_check(ci);
             let scheduler = channel.scheduler.as_mut();
-            if let Some(r) = channel.mc.tick(now, scheduler, &mut channel.dram, picks) {
+            if let Some(r) = channel.mc.tick_gated(now, sleep, scheduler, &mut channel.dram, picks) {
                 let (dram, log) = self.auditor.dram_check();
                 dram.check(r.at, ci, r.txn.addr, r.txn.cmd == MemCmd::Write, &r.timing, log);
                 self.obs.on_dispatch(ci, &r);
@@ -1825,6 +1996,7 @@ impl System {
         //    some hook runs.
         let hook_due = |ch: &Channel| !sleep || now >= ch.sched_wake;
         if self.channels.iter().any(hook_due) {
+            self.catch_up_all(now);
             for (s, unit) in self.signals.iter_mut().zip(&self.cores) {
                 *s = unit.signals();
             }
@@ -1852,6 +2024,7 @@ impl System {
         //    sampling boundaries (real ticks in both modes — boundaries
         //    clamp fast-forward skips), then purge completed timelines.
         if self.obs.sample_due(now) {
+            self.catch_up_all(now);
             self.record_sample(now);
         }
         self.obs.end_tick();
@@ -2011,7 +2184,7 @@ impl System {
             if let Some(c) = ch.dram.next_completion() {
                 wake(c);
             }
-            if let Some(c) = ch.mc.next_dispatch_opportunity(resume, &ch.dram) {
+            if let Some(c) = ch.mc.dispatch_fence() {
                 wake(c);
             }
             if let Some(c) = ch.scheduler.next_event(now_q) {
@@ -2054,23 +2227,22 @@ impl System {
         let mut frozen = std::mem::take(&mut self.frozen_scratch);
         frozen.clear();
         let mut all_frozen = true;
-        for unit in &mut self.cores {
+        for (unit, &dormant) in self.cores.iter_mut().zip(&self.dormant) {
+            // A dormant core replays the window with the rest of its
+            // dormancy, when it catches up; it is not frozen.
+            if dormant != 0 {
+                frozen.push(false);
+                all_frozen = false;
+                continue;
+            }
             let class = unit.idle_class(self.now);
             let is_frozen = class == CoreIdleClass::Frozen;
             frozen.push(is_frozen);
             all_frozen &= is_frozen;
-            unit.core.note_idle_cycles(class, k);
             // Each skipped cycle would have denied the head again, and
             // the issue stage would have counted a stall.
-            let denied = matches!(
-                unit.last_outcome,
-                IssueOutcome::ShaperDenied
-                    | IssueOutcome::ThrottleBlocked
-                    | IssueOutcome::FaultDenied
-            );
-            if denied && !unit.miss_queue.is_empty() {
-                unit.stats.shaper_stall_cycles += k;
-            }
+            let stalled = unit.head_denied();
+            unit.replay_idle(class, k, stalled, &mut self.slept_ticks);
             // A naive run would have ticked the shaper at every skipped
             // cycle, ending on `last`. Time-driven shaper state (credit
             // accrual, replenish boundaries crossed inside the window)
@@ -2229,6 +2401,8 @@ impl System {
         if cached && !self.auditor.watchdog_due(now) {
             return;
         }
+        // The scan and its stall report read stall counts and credits.
+        self.catch_up_all(now);
         if !progressed && self.auditor.global_stall_due(now) {
             let report = self.build_stall_report(now);
             self.auditor.set_stall(report);
@@ -2934,6 +3108,8 @@ mod tests {
             }
             sys.post_tick_forward(20_000);
         }
+        // The end of a run call: dormant cores replay what they skipped.
+        sys.settle();
         naive.run_cycles(20_000);
         assert!(seen.contains(&CoreIdleClass::PortBlockedEmpty), "slept as {seen:?}");
         assert!(seen.contains(&CoreIdleClass::PortBlocked), "slept as {seen:?}");
@@ -2982,6 +3158,7 @@ mod tests {
             }
         }
         assert!(relaxed_skips > 0, "no multi-cycle skip started behind a full FIFO");
+        sys.settle();
         let stats = sys.system_stats();
         assert!(stats.channels[0].fifo_rejections > 0, "the FIFO never rejected a retry");
         assert_eq!(naive.system_stats(), stats);

@@ -17,8 +17,15 @@
 //!   stall, the one idle shape that counts nothing but the cycle;
 //! * component wake cycles: an LLC lookup requeued by a full LLC MSHR
 //!   file, a resume with DRAM completions and LLC lookups in flight (the
-//!   cached cycles are rebuilt, not restored), and a source-control
-//!   write between two calls that a scheduler hook must re-apply.
+//!   cached cycles are rebuilt, not restored), a restore into a system
+//!   that ran on, and a source-control write between two calls that a
+//!   scheduler hook must re-apply;
+//! * the controller's dispatch fence: refreshes inside a fenced window,
+//!   a priority core set between calls, frequent engine flips (naive
+//!   ticks do not keep the fence);
+//! * dormant cores: a denied core that finds the ports gone or the FIFO
+//!   full, a refund reaching a dormant sharer, and sample rows and an
+//!   epoch scheduler reading dormant cores' counters.
 //!
 //! Every comparison is on [`SystemStats`]: every core's full `CoreStats`
 //! (counters plus the L1-miss and memory inter-arrival histograms and the
@@ -29,7 +36,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, FeedbackMethod, MittsShaper};
-use mitts_sched::{baseline_names, make_baseline, CongestionGuard, FrFcfs};
+use mitts_sched::{baseline_names, make_baseline, CongestionGuard, FrFcfs, Fst};
 use mitts_sim::audit::{FaultKind, FaultPlan, RunOutcome};
 use mitts_sim::config::{CacheConfig, SystemConfig};
 use mitts_sim::obs::{RingSink, StallReason, TraceEvent};
@@ -521,6 +528,27 @@ fn mid_run_engine_cycle_matches_naive() {
     assert!(mixed.skipped_cycles() > 0, "mixed run should have skipped in skipping segments");
 }
 
+#[test]
+fn frequent_engine_flips_match_naive() {
+    // Naive ticks do not keep the controller's dispatch fence, so every
+    // run call resets it. Short alternating calls leave transactions
+    // queued by naive ticks behind a fence the last skip call left, often
+    // "never" because its queue was empty then.
+    let benches = [Benchmark::Mcf, Benchmark::Omnetpp];
+    let skip = assert_engines_agree("engine flips", |engine| {
+        let mut sys = build_system(&benches, "FR-FCFS", engine);
+        for (i, len) in [37, 113, 59, 241, 83].iter().cycle().take(160).enumerate() {
+            if engine == Engine::Skip {
+                sys.set_engine(if i % 2 == 0 { Engine::Skip } else { Engine::Naive });
+            }
+            sys.run_cycles(*len);
+        }
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    assert!(skip.skipped_cycles() > 0, "the skip calls never skipped");
+}
+
 /// Runs `run` on both engines and requires equal stats, shaper state and
 /// snapshot bytes; returns the skip engine's system.
 fn assert_engines_agree(what: &str, run: impl Fn(Engine) -> System) -> System {
@@ -774,12 +802,31 @@ fn a_resume_with_dram_and_llc_work_in_flight_matches_an_uninterrupted_run() {
 }
 
 #[test]
+fn a_restore_into_a_system_that_ran_on_matches_a_fresh_resume() {
+    // `restore` rebuilds every cached wake cycle from the restored state,
+    // also in a system whose own run cached later ones: here TCM's hook
+    // cached a shuffle boundary 20 000 cycles past the snapshot's.
+    let benches = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
+    let mut sys = build_system(&benches, "TCM", Engine::Skip);
+    sys.run_cycles(8_000);
+    let snap = sys.snapshot().expect("checkpointable");
+    let mut fresh = system_builder(&benches, "TCM", Engine::Skip)
+        .resume_from(&snap)
+        .expect("resume");
+    fresh.run_cycles(12_000);
+    sys.run_cycles(20_000);
+    sys.restore(&snap).expect("restore");
+    sys.run_cycles(12_000);
+    assert_eq!(fresh.system_stats(), sys.system_stats(), "restored stats diverged");
+    assert!(snapshot_bytes(&fresh) == snapshot_bytes(&sys), "restored snapshot bytes diverged");
+}
+
+#[test]
 fn a_source_control_write_between_calls_is_overridden_like_naive() {
-    // The congestion guard re-applies its issue gap on every tick of its
-    // evaluation interval. A caller that clears the throttles between two
-    // calls must see the guard re-apply the gap on the first tick of the
-    // next call under both engines, although the guard's next event is
-    // its next evaluation.
+    // The congestion guard re-applies its issue gap on every tick while
+    // it holds one. A caller that clears the throttles between two calls
+    // must see the guard re-apply the gap on the first tick of the next
+    // call under both engines.
     let gaps = RefCell::new(Vec::new());
     assert_engines_agree("source-control write", |engine| {
         let mut b = SystemBuilder::new(SystemConfig::multi_program(4))
@@ -799,4 +846,256 @@ fn a_source_control_write_between_calls_is_overridden_like_naive() {
     for gap in gaps.into_inner() {
         assert!(gap.is_some_and(|g| g > 0), "the guard imposed no gap to clear: {gap:?}");
     }
+}
+
+/// Runs `run` on both engines, each with its own ring sink, and requires
+/// what [`assert_engines_agree`] does plus equal trace-event streams.
+/// Returns the skip engine's system and events.
+fn assert_traced_engines_agree(
+    what: &str,
+    run: impl Fn(Engine, Rc<RefCell<RingSink>>) -> System,
+) -> (System, Vec<TraceEvent>) {
+    let sinks = [(); 2].map(|_| Rc::new(RefCell::new(RingSink::new(1 << 20))));
+    let skip = assert_engines_agree(what, |engine| {
+        let sink = &sinks[usize::from(engine == Engine::Skip)];
+        run(engine, Rc::clone(sink))
+    });
+    let [naive, skipped] = sinks.map(|s| {
+        assert_eq!(s.borrow().dropped(), 0, "{what}: ring sink overflowed");
+        s.borrow().to_vec()
+    });
+    assert_eq!(naive, skipped, "{what}: trace events diverged");
+    (skip, skipped)
+}
+
+#[test]
+fn a_dram_refresh_inside_a_fenced_window_matches_naive() {
+    // The controller asks its scheduler only once its dispatch fence,
+    // the earliest start of any queued transaction, is due. That start
+    // already waits out a pending all-bank refresh. With a refresh every
+    // 500 ns (1 200 cycles) a saturated queue waits across many of them.
+    let (skip, events) = assert_traced_engines_agree("refresh", |engine, sink| {
+        let mut cfg = SystemConfig::multi_program(4);
+        cfg.dram.t_refi_ns = 500.0;
+        let mut b = SystemBuilder::new(cfg).engine(engine).trace_sink(Box::new(sink));
+        for i in 0..4 {
+            b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20).with_base(base_for(i))));
+        }
+        let mut sys = b.build();
+        sys.run_cycles(20_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    let cfg = skip.config();
+    let timing = cfg.dram.timing_cycles(cfg.core.freq_hz);
+    let (t_refi, t_rfc) = (timing.t_refi, timing.t_rfc);
+    assert!(skip.system_stats().channels[0].refreshes > 10, "too few refreshes");
+    // Transactions queued before a refresh point and dispatched only after
+    // its tRFC fence waited across the refresh.
+    let enqueued: Vec<(Cycle, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::McEnqueue { at, line, .. } => Some((*at, *line)),
+            _ => None,
+        })
+        .collect();
+    let waited = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::DramDispatch { at, line, .. } => Some((*at, *line)),
+            _ => None,
+        })
+        .filter(|&(at, line)| {
+            let refresh = at / t_refi * t_refi;
+            refresh > 0
+                && at >= refresh + t_rfc
+                && enqueued.iter().any(|&(q, l)| l == line && q < refresh)
+        })
+        .count();
+    assert!(waited > 10, "only {waited} transactions waited across a refresh");
+}
+
+/// Four streaming cores on one channel: the transaction queue stays
+/// full, so most cycles the controller's dispatch fence is ahead.
+fn saturated_channel(engine: Engine) -> System {
+    let mut b = SystemBuilder::new(SystemConfig::multi_program(4))
+        .engine(engine)
+        .sample_every(4_500);
+    for i in 0..4 {
+        b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20).with_base(base_for(i))));
+    }
+    b.build()
+}
+
+#[test]
+fn a_priority_core_set_between_calls_while_the_queue_is_fenced_matches_naive() {
+    // The priority override picks only startable transactions, so the
+    // fence bounds it too; the first pick after the change must land on
+    // the naive cycle and order.
+    let skip = assert_engines_agree("priority core", |engine| {
+        let mut sys = saturated_channel(engine);
+        sys.run_cycles(9_000);
+        sys.set_priority_core(Some(CoreId::new(2)));
+        sys.run_cycles(9_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    let at_cut = skip.samples().iter().find(|r| r.at == 9_000).expect("a row at the cut");
+    assert!(at_cut.channels[0].queue_len > 0, "the queue was empty at the cut");
+}
+
+/// `cores` cores; the last one sits behind a MITTS shaper that grants
+/// two requests per 8 000 cycles, so its head waits denied for thousands
+/// of cycles at a time, while the others run `stream(i)` unshaped.
+fn denied_core_beside_streams(
+    engine: Engine,
+    cfg: SystemConfig,
+    stream: impl Fn(usize) -> StrideTrace,
+    sink: Rc<RefCell<RingSink>>,
+) -> System {
+    let denied = cfg.cores - 1;
+    let shaper = Rc::new(RefCell::new(MittsShaper::new(bin0_config(2, 8_000))));
+    let mut b = SystemBuilder::new(cfg)
+        .engine(engine)
+        .trace_sink(Box::new(sink))
+        .trace(denied, Box::new(Benchmark::Libquantum.profile().trace(base_for(denied), 11)))
+        .shaper(denied, shaper as _);
+    for i in 0..denied {
+        b = b.trace(i, Box::new(stream(i)));
+    }
+    let mut sys = b.build();
+    sys.run_cycles(20_000);
+    assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+    sys
+}
+
+/// Shaper stall episodes of `core` that began for `reason`.
+fn stalls_for(events: &[TraceEvent], core: usize, reason: StallReason) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::StallBegin { core: c, reason: r, .. }
+            if *c == core && *r == reason))
+        .count()
+}
+
+#[test]
+fn a_denied_dormant_core_finds_the_ports_gone_like_naive() {
+    // Seven cores stream over footprints the LLC holds, so their L1
+    // misses hit the LLC, and with 32 L1 MSHRs each they keep four ports
+    // busy. The denied eighth core is passed over while it waits, but on
+    // a cycle where the ports run out before its turn it must report
+    // `NoPorts`.
+    let (skip, events) = assert_traced_engines_agree("ports", |engine, sink| {
+        let mut cfg = SystemConfig::multi_program(8);
+        cfg.llc_ports = 4;
+        cfg.l1.mshrs = 32;
+        let stream = |i| StrideTrace::new(0, 64, 64 << 10).with_base(base_for(i));
+        denied_core_beside_streams(engine, cfg, stream, sink)
+    });
+    assert!(stalls_for(&events, 7, StallReason::Ports) > 0, "the ports never ran out on core 7");
+    assert!(stalls_for(&events, 7, StallReason::Shaper) > 1, "core 7 was not denied");
+    assert!(skip.slept_ticks() > 0, "no core slept");
+}
+
+#[test]
+fn a_denied_dormant_core_meets_a_full_fifo_like_naive() {
+    // Three DRAM-bound streams fill a 4-entry transaction queue and keep
+    // the 2-entry smoothing FIFO in front of it full. The denied fourth
+    // core is passed over while it waits, but on a cycle the FIFO is
+    // full its head must report `McBackpressure`.
+    let (skip, events) = assert_traced_engines_agree("FIFO", |engine, sink| {
+        let mut cfg = SystemConfig::multi_program(4);
+        cfg.mc.txn_queue_depth = 4;
+        cfg.mc.global_fifo_depth = 2;
+        let stream = |i| StrideTrace::new(2, 64, 16 << 20).with_base(base_for(i));
+        denied_core_beside_streams(engine, cfg, stream, sink)
+    });
+    let full = stalls_for(&events, 3, StallReason::Backpressure);
+    assert!(full > 0, "the FIFO was never full on core 3's turn");
+    assert!(stalls_for(&events, 3, StallReason::Shaper) > 1, "core 3 was not denied");
+    assert!(skip.slept_ticks() > 0, "no core slept");
+}
+
+#[test]
+fn a_refund_reaching_a_dormant_sharer_matches_naive() {
+    // Two cores share a Method-2 pool of two credits replenished every
+    // 300 cycles, so replenish boundaries fall while sharers are dormant.
+    // Core 0's lines hit the LLC, and each refund reaches core 1 too,
+    // dormant behind a denied head or with no request: its shaper must
+    // be caught up before the refund lands, and a denied head must wake.
+    let refunds = std::cell::Cell::new(0);
+    let skip = assert_engines_agree("dormant sharer", |engine| {
+        let pool = Rc::new(RefCell::new(
+            MittsShaper::new(bin0_config(2, 300)).with_method(FeedbackMethod::DeductThenRefund),
+        ));
+        let mut cfg = SystemConfig::multi_program(2);
+        cfg.llc = CacheConfig::llc_with_size(1 << 20);
+        let set_stride = (cfg.l1.size_bytes / cfg.l1.ways) as u64;
+        let mut sys = SystemBuilder::new(cfg)
+            .engine(engine)
+            .trace(0, Box::new(StrideTrace::new(40, set_stride, 5 * set_stride)))
+            .trace(1, Box::new(StrideTrace::new(3, 64, 16 << 20).with_base(base_for(1))))
+            .shaper(0, Rc::clone(&pool) as _)
+            .shaper(1, Rc::clone(&pool) as _)
+            .build();
+        sys.run_cycles(20_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        refunds.set(pool.borrow().counters().refunds);
+        sys
+    });
+    assert!(refunds.get() > 50, "LLC hits must refund the pool ({})", refunds.get());
+    let stats = skip.system_stats();
+    assert!(stats.cores.iter().all(|c| c.shaper_stall_cycles > 0), "every sharer must stall");
+    assert!(skip.slept_ticks() > 0, "no core slept");
+}
+
+/// Four bundled workloads, each core behind its own sparse MITTS shaper
+/// (so cores sleep and wait denied), under `scheduler`.
+fn shaped_mix(engine: Engine, scheduler: Box<dyn mitts_sim::mc::Scheduler>) -> SystemBuilder {
+    let benches = [Benchmark::Mcf, Benchmark::Libquantum, Benchmark::Omnetpp, Benchmark::Bzip];
+    let mut cfg = SystemConfig::multi_program(benches.len());
+    cfg.llc = CacheConfig::llc_with_size(256 << 10);
+    let mut b = SystemBuilder::new(cfg).engine(engine).scheduler(scheduler);
+    for (i, &bench) in benches.iter().enumerate() {
+        let mut credits = vec![0u32; BinSpec::paper_default().bins()];
+        credits[2] = 3;
+        credits[9] = 2 + i as u32;
+        let bins = BinConfig::new(BinSpec::paper_default(), credits, 2_500).unwrap();
+        b = b
+            .trace(i, Box::new(bench.profile().trace(base_for(i), 0xF0 + i as u64)))
+            .shaper(i, Rc::new(RefCell::new(MittsShaper::new(bins))) as _);
+    }
+    b
+}
+
+#[test]
+fn sample_rows_read_dormant_cores_like_naive() {
+    // Each row reads every core's counters, stall count and credits,
+    // so dormant cores catch up first.
+    let rows = RefCell::new(Vec::new());
+    let skip = assert_engines_agree("sampled", |engine| {
+        let mut sys = shaped_mix(engine, Box::new(FrFcfs::new())).sample_every(700).build();
+        sys.run_cycles(30_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        rows.borrow_mut().push(sys.samples().to_vec());
+        sys
+    });
+    let rows = rows.into_inner();
+    assert!(rows[0].len() > 20, "too few sample rows");
+    assert_eq!(rows[0], rows[1], "sample rows diverged");
+    assert!(skip.slept_ticks() > 0, "no core slept");
+}
+
+#[test]
+fn an_epoch_scheduler_reads_dormant_cores_like_naive() {
+    // FST's evaluation keeps every core's signal row (cycles and memory
+    // stalls included) in its state and ranks slowdowns from them, so
+    // dormant cores catch up before the signal table is rebuilt.
+    let skip = assert_engines_agree("FST", |engine| {
+        let mut sys = shaped_mix(engine, Box::new(Fst::with_params(4, 3_000, 1.4))).build();
+        sys.run_cycles(30_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    assert!(skip.slept_ticks() > 0, "no core slept");
 }

@@ -259,23 +259,27 @@ impl Scheduler for BusyBankPicker {
     }
 }
 
-#[test]
-fn a_non_startable_pick_is_recorded_and_not_started() {
+/// A 4-core streaming system scheduled by [`BusyBankPicker`] on `engine`,
+/// with the audit log capped at 8 reports, and the picker's bad-pick
+/// count. Core `i`'s stream starts `i * stagger` bytes in.
+fn busy_bank_system(engine: Engine, stagger: u64) -> (System, Rc<Cell<u64>>) {
     let bad_picks = Rc::new(Cell::new(0));
     let mut cfg = SystemConfig::multi_program(4);
     cfg.hardening.audit.max_reports = 8;
     let picker = BusyBankPicker { bad_picks: Rc::clone(&bad_picks) };
-    let mut b = SystemBuilder::new(cfg).scheduler(Box::new(picker));
+    let mut b = SystemBuilder::new(cfg).scheduler(Box::new(picker)).engine(engine);
     for i in 0..4 {
-        b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+        let trace = StrideTrace::new(2, 64, 16 << 20).with_base(i as u64 * stagger);
+        b = b.trace(i, Box::new(trace));
     }
-    let mut sys = b.build();
-    sys.run_cycles(DETECT_BUDGET);
-    let bad = bad_picks.get();
-    assert!(bad > 8, "the run must make more bad picks than the log keeps, made {bad}");
-    // One violation per bad pick, capped by `max_reports`.
+    (b.build(), bad_picks)
+}
+
+/// Every bad pick of `sys` (`bad` of them) was recorded as one
+/// `SchedulerPick` violation, up to the log cap, and none was started:
+/// every checked pick dispatched, except them.
+fn assert_bad_picks_recorded_not_started(sys: &System, bad: u64) {
     let log = sys.audit_log();
-    assert_eq!(log.len(), 8);
     assert!(
         log.iter().all(|v| v.invariant == Invariant::SchedulerPick
             && v.detail.starts_with("channel 0: chosen txn")
@@ -283,9 +287,22 @@ fn a_non_startable_pick_is_recorded_and_not_started() {
         "{log:#?}"
     );
     assert_eq!(log.len() as u64 + sys.auditor().dropped_violations(), bad);
-    // No bad pick was started: every checked pick dispatched, except them.
     let dispatched: u64 = sys.system_stats().channels.iter().map(|c| c.dispatched).sum();
     assert_eq!(sys.auditor().picks_checked(), dispatched + bad);
+}
+
+// The naive engine asks the scheduler on every cycle with a queue, so
+// the picker gets many chances at a busy bank; the skip engine asks only
+// once some queued transaction can start (its twin is below).
+#[test]
+fn a_non_startable_pick_is_recorded_and_not_started() {
+    let (mut sys, bad_picks) = busy_bank_system(Engine::Naive, 0);
+    sys.run_cycles(DETECT_BUDGET);
+    let bad = bad_picks.get();
+    assert!(bad > 8, "the run must make more bad picks than the log keeps, made {bad}");
+    // One violation per bad pick, capped by `max_reports`.
+    assert_eq!(sys.audit_log().len(), 8);
+    assert_bad_picks_recorded_not_started(&sys, bad);
     // The run goes on.
     assert!(sys.stall_report().is_none());
     let before: Vec<u64> = (0..4).map(|i| sys.core_snapshot(i).instructions).collect();
@@ -294,6 +311,20 @@ fn a_non_startable_pick_is_recorded_and_not_started() {
         assert!(sys.core_snapshot(i).instructions > *b, "core {i} must keep retiring");
     }
     assert!(bad_picks.get() > bad, "bad picks continue past the cap");
+}
+
+#[test]
+fn a_non_startable_pick_under_the_skip_engine_is_recorded_and_not_started() {
+    // The dispatch fence keeps the skip engine from asking on cycles where
+    // nothing can start, but a cycle where one transaction can start and
+    // another's bank is busy still gets a bad pick. Streams three rows
+    // apart keep transactions for several banks queued at once.
+    let (mut sys, bad_picks) = busy_bank_system(Engine::Skip, 3 * 8192);
+    sys.run_cycles(DETECT_BUDGET);
+    let bad = bad_picks.get();
+    assert!(bad >= 1, "the skip engine's picker never picked a busy bank");
+    assert_bad_picks_recorded_not_started(&sys, bad);
+    assert!(sys.stall_report().is_none());
 }
 
 // ---------------------------------------------------------------------------
@@ -444,4 +475,80 @@ fn a_core_that_starves_again_after_every_deadline_was_reported_is_reported_again
             assert!(bytes(&naive) == bytes(&skip), "global limit {global}: snapshot bytes");
         }
     }
+}
+
+/// The system's complete checkpoint bytes.
+fn snapshot_bytes(sys: &System) -> Vec<u8> {
+    sys.snapshot().expect("checkpointable system").to_bytes()
+}
+
+/// Every audit finding in full: cycle, invariant, core and detail.
+fn violation_details(sys: &System) -> Vec<(Cycle, Invariant, Option<usize>, String)> {
+    sys.audit_log().iter().map(|v| (v.cycle, v.invariant, v.core, v.detail.clone())).collect()
+}
+
+#[test]
+fn a_dram_timing_fault_injected_between_calls_matches_naive() {
+    // Four streams keep the transaction queue full. A timing fault
+    // installed between two calls changes bank timing outside a tick, and
+    // the next call starts from the new timing on both engines: every
+    // dispatch after it lands on the naive cycle, and so does every DDR3
+    // finding.
+    let run = |engine: Engine| {
+        let mut b = SystemBuilder::new(hardened_config()).engine(engine);
+        for i in 0..4 {
+            b = b.trace(i, Box::new(StrideTrace::new(2, 64, 16 << 20)));
+        }
+        let mut sys = b.build();
+        sys.run_cycles(5_000);
+        let busy: u64 = sys.system_stats().channels.iter().map(|c| c.queue_occupancy_sum).sum();
+        assert!(busy > 5_000, "{engine:?}: the queue was mostly empty");
+        sys.inject_faults(
+            FaultPlan::new().with(FaultKind::ShaveDramTiming { param: DramParam::Trcd, by: 4 }),
+        );
+        sys.run_cycles(DETECT_BUDGET);
+        sys
+    };
+    let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
+    assert!(
+        first_violation(&skip, |v| v.invariant == Invariant::DramTiming).is_some(),
+        "the shaved tRCD was never caught"
+    );
+    assert_eq!(violation_details(&naive), violation_details(&skip), "findings diverged");
+    assert_eq!(naive.system_stats(), skip.system_stats(), "stats diverged");
+    assert!(snapshot_bytes(&naive) == snapshot_bytes(&skip), "snapshot bytes diverged");
+}
+
+#[test]
+fn a_dormant_core_starving_behind_its_shaper_is_reported_like_naive() {
+    // Core 1's shaper grants two requests per 8 000 cycles, so the core
+    // waits on a denied head far past the 2 000-cycle starvation limit
+    // while three compute-bound cores keep the system live. Under the skip
+    // engine it waits dormant; each report must still quote the stall
+    // cycles a naive run had counted by then.
+    let run = |engine: Engine| {
+        let mut credits = vec![0u32; BinSpec::paper_default().bins()];
+        credits[0] = 2;
+        let bins = BinConfig::new(BinSpec::paper_default(), credits, 8_000).unwrap();
+        let mut sys = SystemBuilder::new(hardened_config())
+            .engine(engine)
+            .trace(1, Box::new(StrideTrace::new(2, 64, 16 << 20)))
+            .shaper(1, Rc::new(RefCell::new(MittsShaper::new(bins))) as _)
+            .build();
+        sys.run_cycles(20_000);
+        sys
+    };
+    let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
+    let log = violation_details(&skip);
+    let reports = log
+        .iter()
+        .filter(|(_, inv, core, detail)| {
+            *inv == Invariant::ForwardProgress && *core == Some(1) && detail.contains("stalled")
+        })
+        .count();
+    assert!(reports >= 2, "core 1's starvation was not reported twice: {log:#?}");
+    assert_eq!(violation_details(&naive), log, "findings diverged");
+    assert_eq!(naive.system_stats(), skip.system_stats(), "stats diverged");
+    assert!(snapshot_bytes(&naive) == snapshot_bytes(&skip), "snapshot bytes diverged");
+    assert!(skip.slept_ticks() > 0, "core 1 never slept");
 }

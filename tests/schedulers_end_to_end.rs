@@ -120,3 +120,32 @@ fn fst_actually_throttles_someone_under_asymmetry() {
         "FST throughput collapse: {total_fst} vs {total_fr}"
     );
 }
+
+#[test]
+fn mixed_channel_policies_match_naive() {
+    // Two channels with different source-throttling policies: the
+    // congestion guard on channel 0 re-applies its issue gap on every
+    // tick over whatever FST on channel 1 wrote, so the skip engine must
+    // run each of those ticks, as the naive engine does.
+    use mitts::sched::{CongestionGuard, FrFcfs, Fst};
+    use mitts::sim::system::Engine;
+    let run = |engine: Engine| {
+        let programs = WorkloadId::new(1).programs();
+        let mut cfg = SystemConfig::multi_program(programs.len());
+        cfg.llc = CacheConfig::llc_with_size(1 << 20);
+        cfg.mc.channels = 2;
+        let mut b = SystemBuilder::new(cfg)
+            .engine(engine)
+            .channel_scheduler(0, Box::new(CongestionGuard::new(FrFcfs::new(), 2, 3_000)))
+            .channel_scheduler(1, Box::new(Fst::new(programs.len())));
+        for (i, p) in programs.iter().enumerate() {
+            b = b.trace(i, Box::new(p.profile().trace((i as u64) << 36, 31 + i as u64)));
+        }
+        let mut sys = b.build();
+        sys.run_cycles(400_000);
+        sys.system_stats()
+    };
+    let naive = run(Engine::Naive);
+    assert_eq!(naive, run(Engine::Skip), "mixed per-channel policies diverged");
+    assert!(naive.cores.iter().all(|c| c.counters.instructions > 0));
+}
