@@ -2,6 +2,8 @@
 
 use mitts_sim::mc::{DramView, Transaction};
 use mitts_sim::types::CoreId;
+#[cfg(test)]
+use mitts_sim::{mc::Scheduler, mc::TxnId, types::Cycle, types::MemCmd};
 
 /// FR-FCFS order among the startable transactions in `pending` that
 /// satisfy `filter`: row hits first, oldest first among equals. Returns
@@ -33,15 +35,45 @@ where
         .map(|(i, _)| i)
 }
 
+/// Drives a standalone controller and DRAM pair for cycles `0..cycles`
+/// with `reqs` (address, core, command) enqueued at cycle 0, checking
+/// every pick against the policy the scheduler claims. Returns the ids of
+/// the transactions that completed, in completion order; a request's id
+/// is its position in `reqs`.
+#[cfg(test)]
+pub(crate) fn completion_order(
+    sched: &mut dyn Scheduler,
+    reqs: &[(u64, usize, MemCmd)],
+    cycles: Cycle,
+) -> Vec<TxnId> {
+    use mitts_sim::audit::AuditLog;
+    use mitts_sim::config::{DramConfig, McConfig};
+    use mitts_sim::dram::Dram;
+    use mitts_sim::mc::MemoryController;
+    use mitts_sim::oracle::PickOracle;
+
+    let mut mc = MemoryController::new(&McConfig::default());
+    let mut dram = Dram::new(&DramConfig::default(), 2.4e9);
+    for &(addr, core, cmd) in reqs {
+        mc.try_enqueue(0, CoreId::new(core), addr, cmd).expect("fifo has room");
+    }
+    let mut picks = PickOracle::new(0, sched.conformance_policy());
+    let mut log = AuditLog::new(64);
+    let mut order = Vec::new();
+    for now in 0..cycles {
+        for r in mc.drain_completions(now, sched, &mut dram) {
+            order.push(r.txn.id);
+        }
+        mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
+    }
+    assert!(log.violations().is_empty(), "{:?}", log.violations());
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitts_sim::config::{DramConfig, McConfig};
-    use mitts_sim::dram::Dram;
-    use mitts_sim::audit::AuditLog;
-    use mitts_sim::mc::{MemoryController, Scheduler, TxnId};
-    use mitts_sim::oracle::PickOracle;
-    use mitts_sim::types::{CoreId, MemCmd};
+    use mitts_sim::types::MemCmd::Read;
 
     /// A scheduler wrapper that exposes the helpers directly.
     struct RankedByCore;
@@ -77,30 +109,11 @@ mod tests {
         }
     }
 
-    fn drive(sched: &mut dyn Scheduler, reqs: &[(u64, usize)]) -> Vec<TxnId> {
-        let mut mc = MemoryController::new(&McConfig::default());
-        let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        for &(addr, core) in reqs {
-            mc.try_enqueue(0, CoreId::new(core), addr, MemCmd::Read).unwrap();
-        }
-        // Every pick must also be legal for the policy the scheduler claims.
-        let mut picks = PickOracle::new(0, sched.conformance_policy());
-        let mut log = AuditLog::new(64);
-        let mut order = Vec::new();
-        for now in 0..4_000 {
-            for r in mc.drain_completions(now, sched, &mut dram) {
-                order.push(r.txn.id);
-            }
-            mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
-        }
-        assert!(log.violations().is_empty(), "{:?}", log.violations());
-        order
-    }
-
     #[test]
     fn ranked_pick_prefers_the_better_rank() {
         // Same row so no row-hit interference: core 1's requests go first.
-        let order = drive(&mut RankedByCore, &[(0, 0), (64, 1), (128, 0), (192, 1)]);
+        let reqs = [(0, 0, Read), (64, 1, Read), (128, 0, Read), (192, 1, Read)];
+        let order = completion_order(&mut RankedByCore, &reqs, 4_000);
         assert_eq!(order.len(), 4);
         let pos = |id: TxnId| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(1) < pos(0) && pos(3) < pos(0), "{order:?}");
@@ -108,7 +121,8 @@ mod tests {
 
     #[test]
     fn frfcfs_pick_filter_gates_eligibility() {
-        let order = drive(&mut FilteredFrFcfs, &[(0, 0), (64, 0), (128, 0)]);
+        let reqs = [(0, 0, Read), (64, 0, Read), (128, 0, Read)];
+        let order = completion_order(&mut FilteredFrFcfs, &reqs, 4_000);
         // Even ids (0, 2) beat odd id 1 despite age.
         let pos = |id: TxnId| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(0) < pos(1) && pos(2) < pos(1), "{order:?}");

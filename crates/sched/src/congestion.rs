@@ -229,6 +229,7 @@ impl<S: std::fmt::Debug> std::fmt::Debug for CongestionGuard<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::completion_order;
     use crate::frfcfs::FrFcfs;
     use mitts_sim::types::{CoreId, MemCmd};
 
@@ -332,32 +333,12 @@ mod tests {
     #[test]
     fn delegation_preserves_inner_behaviour() {
         // The wrapper must not change what gets picked.
-        use mitts_sim::config::{DramConfig, McConfig};
-        use mitts_sim::dram::Dram;
-        use mitts_sim::audit::AuditLog;
-        use mitts_sim::mc::{MemoryController, TxnId};
-        use mitts_sim::oracle::PickOracle;
+        let reqs: Vec<_> = (0..6).map(|i| (i * 64, 0, MemCmd::Read)).collect();
         let run = |wrap: bool| {
-            let mut mc = MemoryController::new(&McConfig::default());
-            let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
             let mut plain = FrFcfs::new();
             let mut wrapped = CongestionGuard::with_defaults(FrFcfs::new());
-            let sched: &mut dyn Scheduler =
-                if wrap { &mut wrapped } else { &mut plain };
-            for i in 0..6 {
-                mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
-            }
-            let mut picks = PickOracle::new(0, sched.conformance_policy());
-            let mut log = AuditLog::new(64);
-            let mut order = Vec::new();
-            for now in 0..2_000 {
-                for r in mc.drain_completions(now, sched, &mut dram) {
-                    order.push(r.txn.id);
-                }
-                mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
-            }
-            assert!(log.violations().is_empty(), "{:?}", log.violations());
-            order
+            let sched: &mut dyn Scheduler = if wrap { &mut wrapped } else { &mut plain };
+            completion_order(sched, &reqs, 2_000)
         };
         assert_eq!(run(false), run(true));
     }

@@ -132,11 +132,7 @@ impl Scheduler for FairQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitts_sim::config::{DramConfig, McConfig};
-    use mitts_sim::dram::Dram;
-    use mitts_sim::audit::AuditLog;
-    use mitts_sim::mc::MemoryController;
-    use mitts_sim::oracle::PickOracle;
+    use crate::common::completion_order;
     use mitts_sim::types::MemCmd;
 
     #[test]
@@ -163,23 +159,10 @@ mod tests {
     fn backlogged_thread_does_not_starve_light_thread() {
         // Core 0 floods 16 requests at t=0; core 1 submits one at t=0.
         // Fair queueing must service core 1's request among the first two.
-        let mut fq = FairQueue::new(2);
-        let mut mc = MemoryController::new(&McConfig::default());
-        let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        for i in 0..16 {
-            mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
-        }
-        let light = mc.try_enqueue(0, CoreId::new(1), 8 * 1024 * 4, MemCmd::Read).unwrap();
-        let mut picks = PickOracle::new(0, fq.conformance_policy());
-        let mut log = AuditLog::new(64);
-        let mut order = Vec::new();
-        for now in 0..8_000 {
-            for r in mc.drain_completions(now, &mut fq, &mut dram) {
-                order.push(r.txn.id);
-            }
-            mc.tick(now, &mut fq, &mut dram, (&mut picks, &mut log));
-        }
-        assert!(log.violations().is_empty(), "{:?}", log.violations());
+        let mut reqs: Vec<_> = (0..16).map(|i| (i * 64, 0, MemCmd::Read)).collect();
+        reqs.push((8 * 1024 * 4, 1, MemCmd::Read));
+        let light: TxnId = 16;
+        let order = completion_order(&mut FairQueue::new(2), &reqs, 8_000);
         let pos = order.iter().position(|&x| x == light).unwrap();
         assert!(pos <= 2, "light thread serviced at position {pos}: {order:?}");
     }

@@ -56,38 +56,9 @@ impl Scheduler for FrFcfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitts_sim::config::{DramConfig, McConfig};
-    use mitts_sim::dram::Dram;
-    use mitts_sim::mc::{MemoryController, TxnId};
-    use mitts_sim::audit::AuditLog;
-    use mitts_sim::oracle::PickOracle;
-    use mitts_sim::types::{CoreId, MemCmd};
-
-    /// Drives a controller+DRAM pair until `limit`, returning the order
-    /// in which read transactions completed.
-    fn completion_order(
-        reqs: &[(u64, MemCmd)],
-        sched: &mut dyn Scheduler,
-        limit: Cycle,
-    ) -> Vec<TxnId> {
-        let mut mc = MemoryController::new(&McConfig::default());
-        let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        for &(addr, cmd) in reqs {
-            mc.try_enqueue(0, CoreId::new(0), addr, cmd).expect("fifo has room");
-        }
-        // Every pick must also be legal for the policy the scheduler claims.
-        let mut picks = PickOracle::new(0, sched.conformance_policy());
-        let mut log = AuditLog::new(64);
-        let mut order = Vec::new();
-        for now in 0..limit {
-            for r in mc.drain_completions(now, sched, &mut dram) {
-                order.push(r.txn.id);
-            }
-            mc.tick(now, sched, &mut dram, (&mut picks, &mut log));
-        }
-        assert!(log.violations().is_empty(), "{:?}", log.violations());
-        order
-    }
+    use crate::common::completion_order;
+    use mitts_sim::mc::TxnId;
+    use mitts_sim::types::MemCmd::Read;
 
     #[test]
     fn row_hits_jump_ahead_of_older_conflicts() {
@@ -96,8 +67,8 @@ mod tests {
         // must service txn2 before txn1 despite its younger age.
         let row_conflict = 8 * 1024 * 8; // bank 0, row 1
         let order = completion_order(
-            &[(0, MemCmd::Read), (row_conflict, MemCmd::Read), (64, MemCmd::Read)],
             &mut FrFcfs::new(),
+            &[(0, 0, Read), (row_conflict, 0, Read), (64, 0, Read)],
             3_000,
         );
         assert_eq!(order.len(), 3);
@@ -110,8 +81,8 @@ mod tests {
     fn age_breaks_ties_for_equal_row_status() {
         // All to the same row: pure FCFS order.
         let order = completion_order(
-            &[(0, MemCmd::Read), (64, MemCmd::Read), (128, MemCmd::Read)],
             &mut FrFcfs::new(),
+            &[(0, 0, Read), (64, 0, Read), (128, 0, Read)],
             3_000,
         );
         assert_eq!(order, vec![0, 1, 2]);

@@ -138,11 +138,8 @@ impl Scheduler for MemGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitts_sim::config::{DramConfig, McConfig};
-    use mitts_sim::dram::Dram;
-    use mitts_sim::audit::AuditLog;
-    use mitts_sim::mc::{MemoryController, TxnId};
-    use mitts_sim::oracle::PickOracle;
+    use crate::common::completion_order;
+    use mitts_sim::mc::TxnId;
     use mitts_sim::types::{CoreId, MemCmd};
 
     #[test]
@@ -155,22 +152,10 @@ mod tests {
     fn guaranteed_traffic_preempts_best_effort() {
         // Core 0 has zero budget (pure best effort); core 1 has budget.
         let mut mg = MemGuard::per_core(vec![0, 10], 100_000);
-        let mut mc = MemoryController::new(&McConfig::default());
-        let mut dram: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        for i in 0..4 {
-            mc.try_enqueue(0, CoreId::new(0), i * 64, MemCmd::Read).unwrap();
-        }
-        let vip = mc.try_enqueue(0, CoreId::new(1), 8 * 1024 * 2, MemCmd::Read).unwrap();
-        let mut picks = PickOracle::new(0, mg.conformance_policy());
-        let mut log = AuditLog::new(64);
-        let mut first_done = None;
-        for now in 0..3_000 {
-            for r in mc.drain_completions(now, &mut mg, &mut dram) {
-                first_done.get_or_insert(r.txn.id);
-            }
-            mc.tick(now, &mut mg, &mut dram, (&mut picks, &mut log));
-        }
-        assert!(log.violations().is_empty(), "{:?}", log.violations());
+        let mut reqs: Vec<_> = (0..4).map(|i| (i * 64, 0, MemCmd::Read)).collect();
+        reqs.push((8 * 1024 * 2, 1, MemCmd::Read));
+        let vip: TxnId = 4;
+        let first_done = completion_order(&mut mg, &reqs, 3_000).first().copied();
         assert_eq!(first_done, Some(vip), "in-budget core must be serviced first");
     }
 

@@ -1237,6 +1237,12 @@ impl InvariantAuditor {
         true
     }
 
+    /// The cycle the next threshold scan is due: no watchdog threshold
+    /// can be crossed before it (the skip probe's watchdog clamp).
+    pub(crate) fn watchdog_deadline(&self) -> Cycle {
+        self.watchdog_deadline
+    }
+
     /// Whether a watchdog threshold scan is due at `now`.
     pub(crate) fn watchdog_due(&self, now: Cycle) -> bool {
         now >= self.watchdog_deadline

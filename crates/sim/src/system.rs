@@ -76,7 +76,7 @@ impl ChannelMap {
     }
 }
 
-/// What the demand-issue stage did for a core on its last real tick.
+/// What the demand-issue stage did for a core on its last visit.
 ///
 /// The skip engine needs this to know *why* a miss-queue head is
 /// not moving: a denial that waiting can cure (shaper credits age in,
@@ -84,8 +84,8 @@ impl ChannelMap {
 /// forces per-cycle execution. The shaper's
 /// [`SourceShaper::next_grant_event`] contract ("the earliest cycle a
 /// *currently denied* request could be granted") is only meaningful when
-/// the last tick actually recorded a denial, so the outcome gates which
-/// estimator may be consulted.
+/// the last visit actually recorded a denial, so the outcome gates which
+/// wake cycle may be read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueOutcome {
     /// No miss-queue head existed when the issue stage ran.
@@ -147,12 +147,15 @@ impl IssueOutcome {
 ///
 /// * [`Engine::Naive`] ticks every cycle. The reference for equivalence
 ///   testing and the escape hatch while debugging the skip engine.
-/// * [`Engine::Skip`] (the default): after each real tick, the skip
-///   probe folds every component's next-event estimate to a minimum and
-///   the engine jumps there, replaying the skipped window's counter
-///   updates in batch. Besides fully quiescent windows it skips
-///   a controller backlog stuck behind a full FIFO, replaying the
-///   per-cycle rejection the LLC would have recorded.
+/// * [`Engine::Skip`] (the default): inside a tick, components whose
+///   cached wake cycle is not due are passed over and their cycles
+///   replayed (sleeping and dormant cores, denied shapers, idle DRAM, the
+///   LLC, controllers, scheduler hooks, the watchdog). After each real
+///   tick the skip probe folds the same wake cycles to a minimum and the
+///   engine jumps there, replaying the skipped window's counter updates
+///   in batch. Besides fully quiescent windows it skips a controller
+///   backlog stuck behind a full FIFO, replaying the per-cycle rejection
+///   the LLC would have recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Execute every cycle.
@@ -230,7 +233,8 @@ struct CoreUnit {
     /// Grant timestamps awaiting their fill (auditor conservation check).
     grants: GrantLedger,
     last_issue: Option<Cycle>,
-    /// What the issue stage did on the most recent real tick.
+    /// What the issue stage did on the core's last visit, or what the
+    /// replay of a later passed-over one wrote (`CoreUnit::replay_issue`).
     last_outcome: IssueOutcome,
     /// Under [`Engine::Skip`], the idle class of the core's last tick
     /// when that tick changed nothing but counters: the core sleeps, and
@@ -242,8 +246,9 @@ struct CoreUnit {
     /// grant the miss-queue head: its `next_grant_event` at the last
     /// denial (`Cycle::MAX` when waiting alone never helps, 0 when no
     /// denial is cached). Until then the issue stage answers `Deny`
-    /// without asking the shaper. Cleared by LLC feedback to this
-    /// shaper instance and by [`System::wake_all`].
+    /// without asking the shaper, and the wake rule (`CoreUnit::wake_at`)
+    /// reads it. Cleared by LLC feedback to this shaper instance and by
+    /// [`System::wake_all`].
     denied_until: Cycle,
     /// While the core is dormant (`System::dormant`), the first cycle
     /// its idle replay has not accounted for yet.
@@ -358,61 +363,80 @@ impl CoreUnit {
         CoreIdleClass::Busy
     }
 
-    /// The earliest cycle after `now` at which the shaper could grant a
-    /// denied miss-queue head: the cycle cached at the denial while it
-    /// is still ahead, otherwise the shaper's own estimate.
-    fn next_grant_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.denied_until > now {
-            (self.denied_until != Cycle::MAX).then_some(self.denied_until)
-        } else {
-            self.shaper.borrow().next_grant_event(now)
-        }
-    }
-
-    /// Whether the issue stage would deny the miss-queue head again: its
-    /// last outcome was a denial by the shaper, a throttle or a fault.
-    fn head_denied(&self) -> bool {
-        !self.miss_queue.is_empty()
-            && matches!(
-                self.last_outcome,
-                IssueOutcome::ShaperDenied
-                    | IssueOutcome::ThrottleBlocked
-                    | IssueOutcome::FaultDenied
-            )
-    }
-
     /// Replays `k` cycles in which the core's pipeline repeats the idle
-    /// `class` instead of running: the class's counters, a stall cycle
-    /// per cycle when `stalled` (the issue stage would have denied the
-    /// head again), and `k` slept core-ticks. The one idle replay: a
-    /// sleeping core's tick (`k = 1`, after its issue stage ran), a
-    /// skipped window, and a dormant core's catch-up.
-    fn replay_idle(&mut self, class: CoreIdleClass, k: Cycle, stalled: bool, slept: &mut u64) {
+    /// `class` instead of running: the class's counters and `k` slept
+    /// core-ticks. The one idle replay: a sleeping core's tick (`k = 1`,
+    /// after its issue stage ran), a skipped window, and a dormant core's
+    /// catch-up.
+    fn replay_idle(&mut self, class: CoreIdleClass, k: Cycle, slept: &mut u64) {
         self.core.note_idle_cycles(class, k);
-        if stalled {
-            self.stats.shaper_stall_cycles += k;
-        }
         *slept += k;
     }
 
-    /// At the end of a visit at `now`, the cycle before which every
-    /// further visit would repeat this one, or `None` when the next one
-    /// may differ. That holds for a sleeping core with no writeback to
-    /// send whose issue stage would again find no request, or deny its
-    /// head from the cached `denied_until`, until a hit-pipe completion
-    /// or that cycle. Events that end it early wake the core themselves.
-    fn dormant_wake(&self, now: Cycle) -> Option<Cycle> {
-        self.asleep?;
+    /// Replays `k` issue stages that found LLC ports free but did not run
+    /// (a skipped window, a dormant core's catch-up): each would have
+    /// denied a denied head again and counted a stall, and found no
+    /// request in an empty miss queue, whatever outcome emptied it.
+    fn replay_issue(&mut self, k: Cycle) {
+        if self.miss_queue.is_empty() {
+            self.last_outcome = IssueOutcome::NoRequest;
+        } else if matches!(
+            self.last_outcome,
+            IssueOutcome::ShaperDenied | IssueOutcome::ThrottleBlocked | IssueOutcome::FaultDenied
+        ) {
+            self.stats.shaper_stall_cycles += k;
+        }
+    }
+
+    /// The one wake rule, judged with the state settled before a visit at
+    /// `next`: the first cycle at which a visit can differ from a replay
+    /// of the last one (`Cycle::MAX` when only an event that wakes the
+    /// core itself can end the repeat), or the [`SkipBlocker`] that makes
+    /// the next visit unpredictable. The tick asks it at the end of a
+    /// sleeping core's visit to make the core dormant; the skip probe asks
+    /// it for every core that is not dormant. Both add their own guards.
+    fn wake_at(&self, next: Cycle, ctl: &SourceControl) -> Result<Cycle, SkipBlocker> {
         if !self.wb_queue.is_empty() {
-            return None;
+            return Err(SkipBlocker::CoreWbQueue);
+        }
+        let mut wake = match self.idle_class(next) {
+            CoreIdleClass::Busy => return Err(SkipBlocker::CoreBusy),
+            CoreIdleClass::Frozen => self.core.frozen_until(),
+            // Each waits on a fill (ROB head / L1 MSHR), and every fill
+            // path has a downstream event.
+            CoreIdleClass::MemBlocked
+            | CoreIdleClass::PortBlocked
+            | CoreIdleClass::PortBlockedEmpty => Cycle::MAX,
+        };
+        // The ROB-head load may itself be an L1 hit in flight through the
+        // hit pipe; its completion is a mandatory wake-up.
+        if let Some(&(ready, _)) = self.hit_pipe.front() {
+            wake = wake.min(ready);
+        }
+        if self.miss_queue.is_empty() {
+            return Ok(wake);
         }
         let issue = match self.last_outcome {
-            IssueOutcome::NoRequest if self.miss_queue.is_empty() => Cycle::MAX,
-            IssueOutcome::ShaperDenied if self.denied_until > now => self.denied_until,
-            _ => return None,
+            // The shaper's `next_grant_event` at the denial, cached by the
+            // issue stage (`Cycle::MAX` when waiting alone never helps).
+            IssueOutcome::ShaperDenied => self.denied_until,
+            // An expired gap means the block is the inflight cap, cured
+            // only by a fill (downstream events cover it).
+            IssueOutcome::ThrottleBlocked => {
+                match (ctl.throttle(self.id).min_issue_gap, self.last_issue) {
+                    (Some(gap), Some(last)) if last + gap as Cycle >= next => last + gap as Cycle,
+                    _ => Cycle::MAX,
+                }
+            }
+            // Injected faults never expire; the fault-plan and watchdog
+            // events bound the wait.
+            IssueOutcome::FaultDenied => Cycle::MAX,
+            // Granted / NoRequest / NoPorts / McBackpressure with a
+            // pending head: the next visit would attempt an issue whose
+            // outcome cannot be predicted without mutating the shaper.
+            _ => return Err(SkipBlocker::CoreMissQueueIssue),
         };
-        let hit = self.hit_pipe.front().map_or(Cycle::MAX, |&(ready, _)| ready);
-        Some(issue.min(hit))
+        Ok(wake.min(issue))
     }
 
     /// This core's cumulative counters: the scheduler signal table row,
@@ -767,9 +791,6 @@ impl SystemBuilder {
     }
 }
 
-/// The simulated system. Construct with [`SystemBuilder`]; advance with
-/// [`System::run_cycles`]; read results with [`System::core_stats`] and
-/// friends.
 /// One memory channel: a controller, its DRAM devices, and the channel's
 /// scheduling policy.
 struct Channel {
@@ -778,7 +799,8 @@ struct Channel {
     scheduler: Box<dyn Scheduler>,
     /// The scheduler's `next_event` at its last hook call (`Cycle::MAX`
     /// for `None`): under [`Engine::Skip`] earlier ticks replay the hook
-    /// as one idle cycle. Reset to 0 by `System::wake_all`.
+    /// as one idle cycle, and the probe reads it. Reset to 0 by
+    /// `System::wake_all`.
     sched_wake: Cycle,
 }
 
@@ -795,9 +817,10 @@ pub struct System {
     signals: Vec<CoreSignals>,
     /// Under [`Engine::Skip`], each core's wake cycle while it is dormant,
     /// 0 while it is not: before that cycle a visit would repeat the
-    /// last one (`CoreUnit::dormant_wake`), so the core loop passes the
-    /// core over and its cycles are replayed once, when it wakes or
-    /// something reads it. No core is dormant between run calls.
+    /// last one (`CoreUnit::wake_at`), so the core loop passes the core
+    /// over, the probe reads the cycle here, and the core's cycles are
+    /// replayed once, when it wakes or something reads it. No core is
+    /// dormant between run calls.
     dormant: Vec<Cycle>,
     rr_offset: usize,
     llc_ports: usize,
@@ -1054,8 +1077,8 @@ impl System {
             return false;
         }
         let class = unit.asleep.expect("a dormant core sleeps");
-        let stalled = unit.head_denied();
-        unit.replay_idle(class, k, stalled, &mut self.slept_ticks);
+        unit.replay_issue(k);
+        unit.replay_idle(class, k, &mut self.slept_ticks);
         unit.dormant_from = through + 1;
         true
     }
@@ -1934,7 +1957,7 @@ impl System {
             // Core pipeline. A sleeping core's tick would repeat its last
             // one, which changed nothing but counters: replay those.
             if let Some(class) = unit.asleep {
-                unit.replay_idle(class, 1, false, &mut self.slept_ticks);
+                unit.replay_idle(class, 1, &mut self.slept_ticks);
                 all_frozen = false;
             } else {
                 let CoreUnit {
@@ -1968,8 +1991,9 @@ impl System {
                     *asleep = Some(class);
                 }
             }
-            if dormancy {
-                if let Some(wake) = unit.dormant_wake(now).filter(|&w| w > now + 1) {
+            if dormancy && unit.asleep.is_some() {
+                let wake = unit.wake_at(now + 1, &self.source_ctl).ok();
+                if let Some(wake) = wake.filter(|&w| w > now + 1) {
                     unit.dormant_from = now + 1;
                     self.dormant[idx] = wake;
                 }
@@ -2086,13 +2110,18 @@ impl System {
     /// first [`SkipBlocker`] with same-cycle work that batch replay cannot
     /// account for. [`Engine::Skip`] jumps over `[self.now, target - 1]`.
     ///
-    /// The target is a plain minimum over every component's next-event
-    /// estimate, each clamped to at least `self.now`: an event in the
-    /// past or present simply means "no skip", and so does having no
-    /// pending event at all. Estimates may err early (the wake-up tick
-    /// re-evaluates and may skip again) but never late — the
-    /// one-cycle-granularity invariant: a skip must be indistinguishable,
-    /// counter for counter, from executing that many no-op ticks.
+    /// The target is a plain minimum over cached wake cycles, clamped to
+    /// at least `self.now`: an event in the past or present simply means
+    /// "no skip", and the next audit boundary always bounds it. Each
+    /// core's is the one wake rule (`CoreUnit::wake_at`), read from the
+    /// dormant set for a dormant core; every other component's is the
+    /// field the tick keeps (LLC lookups, DRAM completions, dispatch
+    /// fences, scheduler hooks, the watchdog deadline, audit and sample
+    /// boundaries), so the probe calls no estimator the tick already
+    /// asked. Wakes may err early (the wake-up tick re-evaluates and may
+    /// skip again) but never late — the one-cycle-granularity invariant:
+    /// a skip must be indistinguishable, counter for counter, from
+    /// executing that many no-op ticks.
     ///
     /// A non-empty LLC→controller backlog does not block when its head
     /// faces a full FIFO: each stuck cycle performs exactly one failed
@@ -2104,8 +2133,6 @@ impl System {
     /// The first blocker found, in [`SkipBlocker`] declaration order.
     pub(crate) fn probe(&self) -> Result<Cycle, SkipBlocker> {
         let resume = self.now;
-        let now_q = self.now.saturating_sub(1);
-
         if let Some(head) = self.llc.mc_backlog.front() {
             if self.channels[head.channel].mc.fifo_has_room() {
                 return Err(SkipBlocker::BacklogRetryWouldSucceed);
@@ -2117,95 +2144,24 @@ impl System {
         if self.channels.iter().any(|ch| ch.mc.would_refill_queue()) {
             return Err(SkipBlocker::McWouldRefillQueue);
         }
-
-        let mut next: Option<Cycle> = None;
-        let mut wake = |c: Cycle| next = Some(next.map_or(c, |n| n.min(c)));
-
-        for unit in &self.cores {
-            if !unit.wb_queue.is_empty() {
-                return Err(SkipBlocker::CoreWbQueue);
-            }
-            match unit.idle_class(resume) {
-                // The probe has never skipped the empty-ROB port stall
-                // (only a sleeping core names it), so the skip engine
-                // executes the cycles it executed before cores slept.
-                CoreIdleClass::Busy | CoreIdleClass::PortBlockedEmpty => {
-                    return Err(SkipBlocker::CoreBusy)
-                }
-                CoreIdleClass::Frozen => wake(unit.core.frozen_until()),
-                // Both wait on a fill (ROB head / L1 MSHR), and every
-                // fill path has a downstream event.
-                CoreIdleClass::MemBlocked | CoreIdleClass::PortBlocked => {}
-            }
-            // The ROB-head load may itself be an L1 hit in flight through
-            // the hit pipe; its completion is a mandatory wake-up.
-            if let Some(&(ready, _)) = unit.hit_pipe.front() {
-                wake(ready);
-            }
-            if !unit.miss_queue.is_empty() {
-                match unit.last_outcome {
-                    IssueOutcome::ShaperDenied => {
-                        // Contract: `next_grant_event` bounds when a
-                        // *currently denied* request could be granted;
-                        // `None` means waiting alone never helps (only the
-                        // watchdog can intervene, and it has an event).
-                        if let Some(c) = unit.next_grant_event(now_q) {
-                            wake(c);
-                        }
-                    }
-                    IssueOutcome::ThrottleBlocked => {
-                        let t = self.source_ctl.throttle(unit.id);
-                        if let (Some(gap), Some(last)) = (t.min_issue_gap, unit.last_issue) {
-                            let expiry = last + gap as Cycle;
-                            if expiry >= resume {
-                                wake(expiry);
-                            }
-                            // An expired gap means the block is the
-                            // inflight cap, cured only by a fill
-                            // (downstream events cover it).
-                        }
-                    }
-                    // Injected faults never expire; the fault-plan and
-                    // watchdog events below bound the wait.
-                    IssueOutcome::FaultDenied => {}
-                    // Granted / NoRequest / NoPorts / McBackpressure
-                    // with a pending head: the next tick would attempt an
-                    // issue whose outcome we cannot predict without
-                    // mutating the shaper.
-                    _ => return Err(SkipBlocker::CoreMissQueueIssue),
-                }
-            }
+        let mut next = self.auditor.next_audit().min(self.auditor.watchdog_deadline());
+        for (unit, &dormant) in self.cores.iter().zip(&self.dormant) {
+            let wake = if dormant != 0 { dormant } else { unit.wake_at(resume, &self.source_ctl)? };
+            next = next.min(wake);
         }
-
-        if self.llc.next_ready != Cycle::MAX {
-            wake(self.llc.next_ready);
-        }
+        next = next.min(self.llc.next_ready);
         for ch in &self.channels {
-            if let Some(c) = ch.dram.next_completion() {
-                wake(c);
-            }
-            if let Some(c) = ch.mc.dispatch_fence() {
-                wake(c);
-            }
-            if let Some(c) = ch.scheduler.next_event(now_q) {
-                wake(c);
-            }
+            let dram = ch.dram.next_completion().unwrap_or(Cycle::MAX);
+            let fence = ch.mc.dispatch_fence().unwrap_or(Cycle::MAX);
+            next = next.min(dram).min(fence).min(ch.sched_wake);
         }
         if self.faults.is_active() {
-            if let Some(c) = self.faults.next_event(now_q) {
-                wake(c);
-            }
-        }
-        wake(self.auditor.next_audit());
-        if let Some(c) = self.auditor.next_watchdog_event(now_q) {
-            wake(c);
+            next = next.min(self.faults.next_event(resume.saturating_sub(1)).unwrap_or(Cycle::MAX));
         }
         // Sampling boundaries are real ticks, like audit boundaries: the
         // sampler's rows must be bit-identical to a naive run's.
-        if let Some(c) = self.obs.next_sample_boundary() {
-            wake(c);
-        }
-        Ok(next.map_or(resume, |n| n.max(resume)))
+        next = next.min(self.obs.next_sample_boundary().unwrap_or(Cycle::MAX));
+        Ok(next.max(resume))
     }
 
     /// Names the blocker that keeps the window starting at `now` from
@@ -2227,6 +2183,11 @@ impl System {
         let mut frozen = std::mem::take(&mut self.frozen_scratch);
         frozen.clear();
         let mut all_frozen = true;
+        // Under an injected LLC port stall every issue stage writes
+        // `NoPorts`, which each core's last tick already wrote (the
+        // stall's first cycle is a fault event, so no skip crosses it),
+        // and denies nothing.
+        let ports_stalled = self.faults.is_active() && self.faults.stall_ports(self.now);
         for (unit, &dormant) in self.cores.iter_mut().zip(&self.dormant) {
             // A dormant core replays the window with the rest of its
             // dormancy, when it catches up; it is not frozen.
@@ -2239,10 +2200,10 @@ impl System {
             let is_frozen = class == CoreIdleClass::Frozen;
             frozen.push(is_frozen);
             all_frozen &= is_frozen;
-            // Each skipped cycle would have denied the head again, and
-            // the issue stage would have counted a stall.
-            let stalled = unit.head_denied();
-            unit.replay_idle(class, k, stalled, &mut self.slept_ticks);
+            if !ports_stalled {
+                unit.replay_issue(k);
+            }
+            unit.replay_idle(class, k, &mut self.slept_ticks);
             // A naive run would have ticked the shaper at every skipped
             // cycle, ending on `last`. Time-driven shaper state (credit
             // accrual, replenish boundaries crossed inside the window)

@@ -23,10 +23,12 @@ use std::rc::Rc;
 
 use mitts_core::{BinConfig, BinSpec, MittsShaper};
 use mitts_sched::make_baseline;
+use mitts_sim::audit::{FaultKind, FaultPlan};
 use mitts_sim::config::{CacheConfig, DramConfig, McConfig, SystemConfig};
 use mitts_sim::obs::{MetricsRegistry, RingSink, TraceEvent};
 use mitts_sim::snapshot::{Snapshot, SnapshotError};
 use mitts_sim::system::{Engine, System, SystemBuilder};
+use mitts_sim::trace::StrideTrace;
 use mitts_sim::types::Cycle;
 use mitts_workloads::Benchmark;
 
@@ -379,6 +381,27 @@ fn snapshot_cycle_choice_does_not_matter() {
     }
 }
 
+/// Runs the system `build` makes for `cycles` cycles under each engine
+/// and requires byte-identical snapshots, section by section first so a
+/// divergence names the component.
+fn assert_snapshot_bytes_engine_independent(cycles: Cycle, build: impl Fn(Engine) -> System) {
+    let snap_for = |engine: Engine| {
+        let mut sys = build(engine);
+        sys.run_cycles(cycles);
+        sys.snapshot().unwrap()
+    };
+    let naive = snap_for(Engine::Naive);
+    let skip = snap_for(Engine::Skip);
+    for name in naive.section_names() {
+        assert_eq!(
+            naive.section(name).unwrap(),
+            skip.section(name).unwrap(),
+            "snapshot section {name:?} diverged after {cycles} cycles"
+        );
+    }
+    assert_eq!(naive.to_bytes(), skip.to_bytes(), "snapshot bytes diverged after {cycles} cycles");
+}
+
 #[test]
 fn snapshot_bytes_are_engine_independent() {
     // Nothing engine-specific is serialized (`skipped_cycles` is left
@@ -386,22 +409,35 @@ fn snapshot_bytes_are_engine_independent() {
     // produce byte-identical snapshots under either engine, so archived
     // snapshots stay valid across engine choices (and mid-run flips).
     let benches = [Benchmark::Mcf, Benchmark::Libquantum];
-    let snap_for = |engine: Engine| {
-        let mut rig = build(&benches, "FR-FCFS", engine, true);
-        rig.sys.run_cycles(9_000);
-        rig.sys.snapshot().unwrap()
+    assert_snapshot_bytes_engine_independent(9_000, |engine| {
+        build(&benches, "FR-FCFS", engine, true).sys
+    });
+    // Cores striding a page per access: every miss goes to DRAM, and the
+    // skip engine jumps over most of each wait, often right after the
+    // grant that emptied a miss queue or, with one LLC port for three
+    // cores, after a `NoPorts` cycle. Whatever cycle a run ends on, the
+    // replayed cycles must leave the issue outcome a naive tick writes
+    // there: no request, or `NoPorts` again while an injected fault
+    // stalls the ports.
+    let striding = |engine: Engine, cores: usize, stall_ports: Option<Cycle>| {
+        let mut cfg = SystemConfig::multi_program(cores);
+        cfg.llc = CacheConfig::llc_with_size(256 << 10);
+        cfg.llc_ports = 1;
+        let mut b = SystemBuilder::new(cfg).engine(engine);
+        for i in 0..cores {
+            b = b.trace(i, Box::new(StrideTrace::new(20, 4096, 1 << 30).with_base(base_for(i))));
+        }
+        let mut sys = b.build();
+        if let Some(from) = stall_ports {
+            sys.inject_faults(FaultPlan::new().with(FaultKind::StallLlcPorts { from }));
+        }
+        sys
     };
-    let naive = snap_for(Engine::Naive);
-    let skip = snap_for(Engine::Skip);
-    // Section-by-section first, so a divergence names the component.
-    for name in naive.section_names() {
-        assert_eq!(
-            naive.section(name).unwrap(),
-            skip.section(name).unwrap(),
-            "snapshot section {name:?} diverged"
-        );
+    for cycles in 1..300 {
+        assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 1, None));
+        assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 3, None));
+        assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 3, Some(150)));
     }
-    assert_eq!(naive.to_bytes(), skip.to_bytes(), "snapshot bytes diverged");
 }
 
 #[test]
