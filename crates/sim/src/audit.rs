@@ -935,10 +935,6 @@ pub struct InvariantAuditor {
     last_totals: (u64, u64),
     cores: Vec<CoreProgress>,
     stall: Option<Box<StallReport>>,
-    /// No watchdog threshold can be crossed before this cycle: the
-    /// earliest deadline at the last scan, lowered whenever a reset arms
-    /// a new episode. Derived state, not checkpointed.
-    watchdog_deadline: Cycle,
 }
 
 impl InvariantAuditor {
@@ -974,7 +970,6 @@ impl InvariantAuditor {
                 config.cores
             ],
             stall: None,
-            watchdog_deadline: 0,
         }
     }
 
@@ -1005,13 +1000,11 @@ impl InvariantAuditor {
         self.next_audit
     }
 
-    /// Rebuilds the derived boundaries for a system now at `now` (a
-    /// restore): the first audit boundary at or after `now`, and a
-    /// watchdog scan on the next tick.
+    /// Rebuilds the derived audit boundary for a system now at `now` (a
+    /// restore): the first one at or after `now`.
     pub(crate) fn resync(&mut self, now: Cycle) {
         let k = self.audit.interval.max(1);
         self.next_audit = now.div_ceil(k) * k;
-        self.watchdog_deadline = 0;
     }
 
     /// Starts an audit pass: bumps the pass counter, checks cycle
@@ -1233,19 +1226,28 @@ impl InvariantAuditor {
         self.last_totals.0 += retired;
         self.last_totals.1 += fills;
         self.last_progress_at = now;
-        self.lower_watchdog_deadline(now.saturating_add(self.watchdog.global_stall_cycles));
         true
     }
 
-    /// The cycle the next threshold scan is due: no watchdog threshold
-    /// can be crossed before it (the skip probe's watchdog clamp).
+    /// The first cycle at which a watchdog threshold can be crossed, so
+    /// the next threshold scan is due (the skip probe's watchdog clamp):
+    /// the global stall threshold of the current episode while no stall
+    /// was declared, and the starvation threshold of every core not yet
+    /// reported. Computed from the episode state, so it is exact: each
+    /// reset re-arms its own term, and a scan at the deadline reports the
+    /// episode that reached it, which moves the deadline on (both
+    /// thresholds are positive, see [`SystemConfig::validate`]).
+    /// `Cycle::MAX` when nothing is left to report.
     pub(crate) fn watchdog_deadline(&self) -> Cycle {
-        self.watchdog_deadline
-    }
-
-    /// Whether a watchdog threshold scan is due at `now`.
-    pub(crate) fn watchdog_due(&self, now: Cycle) -> bool {
-        now >= self.watchdog_deadline
+        let global = match self.stall {
+            None => self.last_progress_at.saturating_add(self.watchdog.global_stall_cycles),
+            Some(_) => Cycle::MAX,
+        };
+        self.cores
+            .iter()
+            .filter(|p| !p.starve_reported)
+            .map(|p| p.last_change_at.saturating_add(self.watchdog.core_starve_cycles))
+            .fold(global, Cycle::min)
     }
 
     /// Whether the global stall crosses its threshold at `now`, with no
@@ -1253,16 +1255,6 @@ impl InvariantAuditor {
     /// builds the [`StallReport`].
     pub(crate) fn global_stall_due(&self, now: Cycle) -> bool {
         self.stall.is_none() && now - self.last_progress_at >= self.watchdog.global_stall_cycles
-    }
-
-    /// Ends a threshold scan at `now`: the next one is due at the
-    /// earliest deadline still live.
-    pub(crate) fn watchdog_scanned(&mut self, now: Cycle) {
-        self.watchdog_deadline = self.next_watchdog_event(now).unwrap_or(Cycle::MAX);
-    }
-
-    fn lower_watchdog_deadline(&mut self, deadline: Cycle) {
-        self.watchdog_deadline = self.watchdog_deadline.min(deadline);
     }
 
     /// Cycle of the last observed global progress.
@@ -1277,55 +1269,6 @@ impl InvariantAuditor {
     pub(crate) fn next_audit_boundary(&self, now: Cycle) -> Cycle {
         let k = self.audit.interval.max(1);
         (now / k + 1) * k
-    }
-
-    /// Earliest cycle strictly after `now` at which the watchdog could
-    /// fire if the system stays quiescent: the global-stall deadline plus
-    /// every live core-starvation deadline. Deadlines at or before `now`
-    /// have already been evaluated by a threshold scan and are ignored.
-    pub(crate) fn next_watchdog_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut consider = |c: Cycle| {
-            if c > now {
-                next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-            }
-        };
-        if self.stall.is_none() {
-            consider(self.last_progress_at + self.watchdog.global_stall_cycles);
-        }
-        for p in &self.cores {
-            if !p.starve_reported {
-                consider(p.last_change_at + self.watchdog.core_starve_cycles);
-            }
-        }
-        next
-    }
-
-    /// Batch replay of the watchdog observations for a fast-forwarded
-    /// quiescent window ending at `last_skipped` (inclusive). Quiescent
-    /// cycles change no totals, so the only per-cycle effects to replay
-    /// are the resets frozen time performs: an all-frozen window keeps
-    /// pushing the global progress marker forward, and each frozen core
-    /// keeps resetting its starvation episode.
-    pub(crate) fn replay_skipped(
-        &mut self,
-        last_skipped: Cycle,
-        all_frozen: bool,
-        core_frozen: &[bool],
-    ) {
-        let WatchdogConfig { global_stall_cycles, core_starve_cycles } = self.watchdog;
-        if all_frozen {
-            self.last_progress_at = last_skipped;
-            self.lower_watchdog_deadline(last_skipped.saturating_add(global_stall_cycles));
-        }
-        for (i, &frozen) in core_frozen.iter().enumerate() {
-            if frozen {
-                let p = &mut self.cores[i];
-                p.last_change_at = last_skipped;
-                p.starve_reported = false;
-                self.lower_watchdog_deadline(last_skipped.saturating_add(core_starve_cycles));
-            }
-        }
     }
 
     /// Encodes auditor and watchdog state, including the recorded
@@ -1417,8 +1360,8 @@ impl InvariantAuditor {
     /// exactly once per starvation episode when the core crosses
     /// [`WatchdogConfig::core_starve_cycles`] without retiring (and is not
     /// frozen); the caller records the violation with context. A change
-    /// or a frozen cycle resets the episode and lowers the watchdog's
-    /// scan deadline to the new episode's threshold.
+    /// or a frozen cycle resets the episode, which re-arms its term of
+    /// [`InvariantAuditor::watchdog_deadline`].
     pub(crate) fn observe_core(
         &mut self,
         now: Cycle,
@@ -1434,7 +1377,6 @@ impl InvariantAuditor {
             p.last_instructions = instructions;
             p.last_change_at = now;
             p.starve_reported = false;
-            self.lower_watchdog_deadline(now.saturating_add(self.watchdog.core_starve_cycles));
             return false;
         }
         // A second observation in the cycle of a reset (the threshold
@@ -1621,6 +1563,25 @@ mod tests {
             && a.global_stall_due(now)
     }
 
+    /// Declares a global stall at `at`, as the system does when
+    /// [`InvariantAuditor::global_stall_due`] holds.
+    fn declare_stall(a: &mut InvariantAuditor, at: Cycle) {
+        let stalled_since = a.last_progress_at();
+        a.set_stall(StallReport {
+            detected_at: at,
+            stalled_since,
+            cores: vec![],
+            llc: LlcStallState {
+                mshr_occupancy: 0,
+                mshr_capacity: 1,
+                pending_lookups: 0,
+                mc_backlog: 0,
+                deferred: vec![],
+            },
+            channels: vec![],
+        });
+    }
+
     #[test]
     fn audit_due_follows_interval() {
         let mut cfg = HardeningConfig::default();
@@ -1663,19 +1624,7 @@ mod tests {
             assert!(!observe_global(&mut a, now, 10, 0, true), "cycle {now} too early");
         }
         assert!(observe_global(&mut a, 100, 10, 0, true));
-        a.set_stall(StallReport {
-            detected_at: 100,
-            stalled_since: 0,
-            cores: vec![],
-            llc: LlcStallState {
-                mshr_occupancy: 0,
-                mshr_capacity: 1,
-                pending_lookups: 0,
-                mc_backlog: 0,
-                deferred: vec![],
-            },
-            channels: vec![],
-        });
+        declare_stall(&mut a, 100);
         assert!(!observe_global(&mut a, 101, 10, 0, true), "fires only once");
         assert!(a.stall().is_some());
         assert_eq!(a.violations().len(), 1);
@@ -1805,24 +1754,44 @@ mod tests {
     }
 
     #[test]
-    fn next_watchdog_event_tracks_both_deadlines() {
+    fn watchdog_deadline_tracks_both_deadlines() {
         let mut cfg = HardeningConfig::default();
         cfg.watchdog.global_stall_cycles = 100;
         cfg.watchdog.core_starve_cycles = 500;
         let mut a = auditor(&cfg, 2);
         // Fresh state: global deadline 100 is the earliest.
-        assert_eq!(a.next_watchdog_event(0), Some(100));
+        assert_eq!(a.watchdog_deadline(), 100);
         // Global progress at 90 pushes the global deadline to 190.
         assert!(!observe_global(&mut a, 90, 1, 0, true));
-        assert_eq!(a.next_watchdog_event(90), Some(190));
-        // Deadlines at or before now are ignored.
-        assert_eq!(a.next_watchdog_event(190), Some(500), "core starve next");
+        assert_eq!(a.watchdog_deadline(), 190);
+        // A declared stall stops the global term.
+        declare_stall(&mut a, 190);
+        assert_eq!(a.watchdog_deadline(), 500, "core starve next");
         // A reported starvation episode stops contributing.
         for now in 0..=500 {
             a.observe_core(now, 0, 0, false);
             a.observe_core(now, 1, 0, false);
         }
-        assert_eq!(a.next_watchdog_event(501), None, "all deadlines consumed");
+        assert_eq!(a.watchdog_deadline(), Cycle::MAX, "all deadlines consumed");
+        // A retirement re-arms that core's episode alone.
+        a.observe_core(700, 1, 1, false);
+        assert_eq!(a.watchdog_deadline(), 1_200);
+    }
+
+    #[test]
+    fn progress_re_arms_the_global_deadline_exactly() {
+        // Each new global episode replaces the old one's threshold, which
+        // can no longer be crossed: the deadline is the current
+        // episode's, neither the first one's nor an earlier scan's.
+        let mut cfg = HardeningConfig::default();
+        cfg.watchdog.global_stall_cycles = 100;
+        cfg.watchdog.core_starve_cycles = 10_000;
+        let mut a = auditor(&cfg, 1);
+        for at in [10, 60, 95, 150, 151] {
+            assert!(a.note_global_progress(at, 1, 0, false));
+            assert_eq!(a.last_progress_at(), at);
+            assert_eq!(a.watchdog_deadline(), a.last_progress_at() + 100, "progress at {at}");
+        }
     }
 
     #[test]
@@ -1837,11 +1806,19 @@ mod tests {
             naive.observe_core(now, 0, 7, true);
             naive.observe_core(now, 1, 0, true);
         }
-        // Fast: replay the same window in one call.
+        // Fast: `System::skip_to` makes the observations a frozen tick
+        // makes once, at the window's last cycle.
         let mut fast = auditor(&cfg, 2);
-        fast.replay_skipped(400, true, &[true, true]);
+        fast.observe_core(400, 0, 7, true);
+        fast.observe_core(400, 1, 0, true);
+        assert!(fast.note_global_progress(400, 0, 0, true));
         assert_eq!(fast.last_progress_at(), naive.last_progress_at());
-        assert_eq!(fast.next_watchdog_event(400), naive.next_watchdog_event(400));
+        assert_eq!(fast.watchdog_deadline(), naive.watchdog_deadline());
+        let episodes = |a: &InvariantAuditor| -> Vec<(u64, Cycle, bool)> {
+            let episode = |p: &CoreProgress| (p.last_instructions, p.last_change_at, p.starve_reported);
+            a.cores.iter().map(episode).collect()
+        };
+        assert_eq!(episodes(&fast), episodes(&naive));
     }
 
     #[test]
@@ -1958,9 +1935,9 @@ mod tests {
             prop_assert!(a.audit_due(b), "clamp target must itself be due");
         }
 
-        /// `next_watchdog_event` never overshoots a firing: a quiescent
+        /// `watchdog_deadline` never overshoots a firing: a quiescent
         /// per-cycle observation run fires nothing strictly before the
-        /// estimate, and fires at it.
+        /// deadline, and fires at it.
         #[test]
         fn watchdog_estimate_is_never_late(
             global in 20u64..300,
@@ -1978,7 +1955,8 @@ mod tests {
                 prop_assert!(!a.observe_core(now, 1, now, false));
             }
             let now = progress_until;
-            let est = a.next_watchdog_event(now).expect("fresh watchdog always has deadlines");
+            let est = a.watchdog_deadline();
+            prop_assert!(est < Cycle::MAX, "fresh watchdog always has deadlines");
             prop_assert!(est > now);
             // Quiescent continuation: totals frozen, cores not frozen.
             for c in now + 1..=est {

@@ -42,6 +42,15 @@ pub enum ConfigError {
         /// What is wrong with the organisation.
         detail: String,
     },
+    /// A watchdog threshold
+    /// ([`crate::audit::WatchdogConfig::global_stall_cycles`] or
+    /// [`crate::audit::WatchdogConfig::core_starve_cycles`]) is zero: the
+    /// watchdog would report a stall or a starvation one cycle after
+    /// every reset.
+    ZeroWatchdogThreshold {
+        /// The field's name.
+        threshold: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -58,6 +67,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{cache} geometry invalid: {detail}")
             }
             ConfigError::BadDramGeometry { detail } => write!(f, "DRAM geometry invalid: {detail}"),
+            ConfigError::ZeroWatchdogThreshold { threshold } => {
+                write!(f, "watchdog threshold {threshold} must be at least one cycle")
+            }
         }
     }
 }
@@ -436,6 +448,12 @@ impl SystemConfig {
             .try_sets()
             .map_err(|detail| ConfigError::BadCacheGeometry { cache: "LLC", detail })?;
         self.dram.check_geometry().map_err(|detail| ConfigError::BadDramGeometry { detail })?;
+        if self.hardening.watchdog.global_stall_cycles == 0 {
+            return Err(ConfigError::ZeroWatchdogThreshold { threshold: "global_stall_cycles" });
+        }
+        if self.hardening.watchdog.core_starve_cycles == 0 {
+            return Err(ConfigError::ZeroWatchdogThreshold { threshold: "core_starve_cycles" });
+        }
         Ok(())
     }
 }

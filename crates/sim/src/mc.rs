@@ -456,7 +456,6 @@ pub struct MemoryController {
     completed_reads: u64,
     completed_writes: u64,
     queue_occupancy_sum: u64,
-    ticks: u64,
     fifo_rejections: u64,
     /// Reused by [`MemoryController::drain_completions_into`] so the
     /// per-tick completion drain does not allocate.
@@ -495,7 +494,6 @@ impl MemoryController {
             completed_reads: 0,
             completed_writes: 0,
             queue_occupancy_sum: 0,
-            ticks: 0,
             fifo_rejections: 0,
             completion_scratch: Vec::new(),
             fence: Cycle::MAX,
@@ -569,7 +567,6 @@ impl MemoryController {
         dram: &mut Dram<TxnId>,
         picks: (&mut PickOracle, &mut AuditLog),
     ) -> Option<DispatchRecord> {
-        self.ticks += 1;
         self.queue_occupancy_sum += self.queue.len() as u64;
 
         while self.queue.len() < self.queue_depth {
@@ -640,9 +637,8 @@ impl MemoryController {
     /// Batch bookkeeping for `cycles` skipped quiescent cycles: replays
     /// exactly what per-cycle [`MemoryController::tick`] would have done on
     /// a controller with no FIFO movement and no startable transaction —
-    /// the tick/occupancy statistics bump and nothing else.
+    /// the occupancy statistic bump and nothing else.
     pub fn note_skipped_cycles(&mut self, cycles: u64) {
-        self.ticks += cycles;
         self.queue_occupancy_sum += cycles * self.queue.len() as u64;
     }
 
@@ -771,13 +767,10 @@ impl MemoryController {
         self.fifo_rejections
     }
 
-    /// Ticks observed (real plus skipped), the denominator of the mean
-    /// queue occupancy.
-    pub fn tick_count(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Accumulated queue-occupancy samples over all ticks.
+    /// Accumulated queue-occupancy samples, one per cycle, executed or
+    /// skipped. A system controller is ticked on every cycle, so the
+    /// system clock is the denominator of the mean
+    /// ([`crate::stats::ChannelSystemStats::ticks`]).
     pub fn queue_occupancy_sum(&self) -> u64 {
         self.queue_occupancy_sum
     }
@@ -806,7 +799,6 @@ impl MemoryController {
         enc.u64(self.completed_reads);
         enc.u64(self.completed_writes);
         enc.u64(self.queue_occupancy_sum);
-        enc.u64(self.ticks);
         enc.u64(self.fifo_rejections);
     }
 
@@ -851,7 +843,6 @@ impl MemoryController {
         self.completed_reads = dec.u64()?;
         self.completed_writes = dec.u64()?;
         self.queue_occupancy_sum = dec.u64()?;
-        self.ticks = dec.u64()?;
         self.fifo_rejections = dec.u64()?;
         self.reset_fence();
         Ok(())
@@ -1018,7 +1009,6 @@ mod tests {
         assert_eq!(mc.dispatched(), twin.dispatched());
         assert_eq!(mc.queue_len(), twin.queue_len());
         assert_eq!(mc.queue_occupancy_sum(), twin.queue_occupancy_sum());
-        assert_eq!(mc.tick_count(), twin.tick_count());
     }
 
     #[test]

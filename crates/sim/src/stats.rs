@@ -125,7 +125,9 @@ pub struct ChannelSystemStats {
     pub refreshes: u64,
     /// Data-bus busy cycles.
     pub busy_bus_cycles: u64,
-    /// Controller ticks observed (real plus skipped).
+    /// Cycles the controller was ticked, executed or skipped: the system
+    /// clock, since a system ticks every controller on every cycle. The
+    /// denominator of the mean queue occupancy.
     pub ticks: u64,
     /// Accumulated queue-occupancy samples.
     pub queue_occupancy_sum: u64,

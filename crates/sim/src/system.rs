@@ -153,9 +153,9 @@ impl IssueOutcome {
 ///   LLC, controllers, scheduler hooks, the watchdog). After each real
 ///   tick the skip probe folds the same wake cycles to a minimum and the
 ///   engine jumps there, replaying the skipped window's counter updates
-///   in batch. Besides fully quiescent windows it skips a controller
-///   backlog stuck behind a full FIFO, replaying the per-cycle rejection
-///   the LLC would have recorded.
+///   in batch with each component's own replay. Besides fully quiescent
+///   windows it skips a controller backlog stuck behind a full FIFO,
+///   replaying the per-cycle rejection the LLC would have recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Execute every cycle.
@@ -234,7 +234,7 @@ struct CoreUnit {
     grants: GrantLedger,
     last_issue: Option<Cycle>,
     /// What the issue stage did on the core's last visit, or what the
-    /// replay of a later passed-over one wrote (`CoreUnit::replay_issue`).
+    /// replay of a later passed-over one wrote (`CoreUnit::replay_window`).
     last_outcome: IssueOutcome,
     /// Under [`Engine::Skip`], the idle class of the core's last tick
     /// when that tick changed nothing but counters: the core sleeps, and
@@ -366,26 +366,43 @@ impl CoreUnit {
     /// Replays `k` cycles in which the core's pipeline repeats the idle
     /// `class` instead of running: the class's counters and `k` slept
     /// core-ticks. The one idle replay: a sleeping core's tick (`k = 1`,
-    /// after its issue stage ran), a skipped window, and a dormant core's
-    /// catch-up.
+    /// after its issue stage ran) and every window replay.
     fn replay_idle(&mut self, class: CoreIdleClass, k: Cycle, slept: &mut u64) {
         self.core.note_idle_cycles(class, k);
         *slept += k;
     }
 
-    /// Replays `k` issue stages that found LLC ports free but did not run
-    /// (a skipped window, a dormant core's catch-up): each would have
-    /// denied a denied head again and counted a stall, and found no
-    /// request in an empty miss queue, whatever outcome emptied it.
-    fn replay_issue(&mut self, k: Cycle) {
-        if self.miss_queue.is_empty() {
-            self.last_outcome = IssueOutcome::NoRequest;
-        } else if matches!(
-            self.last_outcome,
-            IssueOutcome::ShaperDenied | IssueOutcome::ThrottleBlocked | IssueOutcome::FaultDenied
-        ) {
-            self.stats.shaper_stall_cycles += k;
+    /// Replays the `k` cycles through `last` in which the core was passed
+    /// over asleep in `class`: the one window replay, for a skipped window
+    /// and a dormant core's catch-up. With the LLC ports free, the issue
+    /// stage denies a denied head again (a stall per cycle) and finds no
+    /// request in an empty miss queue, whatever outcome emptied it. Then
+    /// the idle class for `k` cycles, and one shaper tick at `last`:
+    /// time-driven shaper state (credit accrual, replenish boundaries)
+    /// does not depend on tick cadence, so it reaches what a naive run's
+    /// tick on every cycle reached.
+    fn replay_window(
+        &mut self,
+        class: CoreIdleClass,
+        k: Cycle,
+        last: Cycle,
+        ports_free: bool,
+        slept: &mut u64,
+    ) {
+        if ports_free {
+            if self.miss_queue.is_empty() {
+                self.last_outcome = IssueOutcome::NoRequest;
+            } else if matches!(
+                self.last_outcome,
+                IssueOutcome::ShaperDenied
+                    | IssueOutcome::ThrottleBlocked
+                    | IssueOutcome::FaultDenied
+            ) {
+                self.stats.shaper_stall_cycles += k;
+            }
         }
+        self.replay_idle(class, k, slept);
+        self.shaper.borrow_mut().tick(last);
     }
 
     /// The one wake rule, judged with the state settled before a visit at
@@ -782,7 +799,6 @@ impl SystemBuilder {
             slept_ticks: 0,
             fills_scratch: Vec::new(),
             notes_scratch: Vec::new(),
-            frozen_scratch: Vec::new(),
             resp_scratch: Vec::new(),
             lookups_scratch: Vec::new(),
             obs,
@@ -838,7 +854,6 @@ pub struct System {
     /// Reusable per-tick buffers (the tick hot path must not allocate).
     fills_scratch: Vec<CoreFill>,
     notes_scratch: Vec<ShaperNote>,
-    frozen_scratch: Vec<bool>,
     resp_scratch: Vec<McResponse>,
     lookups_scratch: Vec<LlcLookup>,
     /// Observability: lifecycle tracing + time-series sampling (zero-cost
@@ -1067,40 +1082,28 @@ impl System {
         }
     }
 
-    /// Replays dormant core `idx`'s cycles through `through`: its sleep
-    /// class and, for a denied head, a stall per cycle. Returns whether
-    /// there were any.
-    fn replay_dormant(&mut self, idx: usize, through: Cycle) -> bool {
-        let unit = &mut self.cores[idx];
-        let k = through + 1 - unit.dormant_from;
-        if k == 0 {
-            return false;
-        }
-        let class = unit.asleep.expect("a dormant core sleeps");
-        unit.replay_issue(k);
-        unit.replay_idle(class, k, &mut self.slept_ticks);
-        unit.dormant_from = through + 1;
-        true
-    }
-
-    /// Ends core `idx`'s dormancy before its visit at `now`: replays the
-    /// cycles it was passed over. The visit itself ticks its shaper.
-    #[cold]
-    #[inline(never)]
-    fn wake_dormant(&mut self, idx: usize, now: Cycle) {
-        self.replay_dormant(idx, now - 1);
-        self.dormant[idx] = 0;
-    }
-
     /// Brings dormant core `idx` to the state a naive run has at the end
-    /// of cycle `through`: replays its cycles and ticks its shaper there
-    /// (a replayed cycle did not tick it). The core stays dormant.
+    /// of cycle `through`: replays the cycles it was passed over
+    /// (`CoreUnit::replay_window`). The core stays dormant.
     #[cold]
     #[inline(never)]
     fn catch_up(&mut self, idx: usize, through: Cycle) {
-        if self.replay_dormant(idx, through) {
-            self.cores[idx].shaper.borrow_mut().tick(through);
+        let unit = &mut self.cores[idx];
+        if through >= unit.dormant_from {
+            let class = unit.asleep.expect("a dormant core sleeps");
+            let k = through + 1 - unit.dormant_from;
+            unit.replay_window(class, k, through, true, &mut self.slept_ticks);
+            unit.dormant_from = through + 1;
         }
+    }
+
+    /// Ends core `idx`'s dormancy before its visit at `now`, caught up to
+    /// `now - 1`.
+    #[cold]
+    #[inline(never)]
+    fn wake_dormant(&mut self, idx: usize, now: Cycle) {
+        self.catch_up(idx, now - 1);
+        self.dormant[idx] = 0;
     }
 
     /// Shaper feedback at `now` reaches dormant core `idx`'s shaper
@@ -1111,9 +1114,10 @@ impl System {
     #[cold]
     #[inline(never)]
     fn feedback_to_dormant(&mut self, idx: usize, now: Cycle) {
-        self.catch_up(idx, now - 1);
         if self.cores[idx].last_outcome == IssueOutcome::ShaperDenied {
-            self.dormant[idx] = 0;
+            self.wake_dormant(idx, now);
+        } else {
+            self.catch_up(idx, now - 1);
         }
     }
 
@@ -1582,7 +1586,7 @@ impl System {
                     bytes: ch.dram.bytes_transferred(),
                     refreshes: ch.dram.refreshes(),
                     busy_bus_cycles: ch.dram.busy_bus_cycles(),
-                    ticks: ch.mc.tick_count(),
+                    ticks: self.now,
                     queue_occupancy_sum: ch.mc.queue_occupancy_sum(),
                 })
                 .collect(),
@@ -2116,9 +2120,9 @@ impl System {
     /// core's is the one wake rule (`CoreUnit::wake_at`), read from the
     /// dormant set for a dormant core; every other component's is the
     /// field the tick keeps (LLC lookups, DRAM completions, dispatch
-    /// fences, scheduler hooks, the watchdog deadline, audit and sample
-    /// boundaries), so the probe calls no estimator the tick already
-    /// asked. Wakes may err early (the wake-up tick re-evaluates and may
+    /// fences, scheduler hooks, audit and sample boundaries) or, for the
+    /// watchdog, the deadline its episodes fix, so the probe calls no
+    /// estimator the tick already asked. Wakes may err early (the wake-up tick re-evaluates and may
     /// skip again) but never late — the one-cycle-granularity invariant:
     /// a skip must be indistinguishable, counter for counter, from
     /// executing that many no-op ticks.
@@ -2144,12 +2148,12 @@ impl System {
         if self.channels.iter().any(|ch| ch.mc.would_refill_queue()) {
             return Err(SkipBlocker::McWouldRefillQueue);
         }
-        let mut next = self.auditor.next_audit().min(self.auditor.watchdog_deadline());
+        let mut next = self.auditor.next_audit();
         for (unit, &dormant) in self.cores.iter().zip(&self.dormant) {
             let wake = if dormant != 0 { dormant } else { unit.wake_at(resume, &self.source_ctl)? };
             next = next.min(wake);
         }
-        next = next.min(self.llc.next_ready);
+        next = next.min(self.auditor.watchdog_deadline()).min(self.llc.next_ready);
         for ch in &self.channels {
             let dram = ch.dram.next_completion().unwrap_or(Cycle::MAX);
             let fence = ch.mc.dispatch_fence().unwrap_or(Cycle::MAX);
@@ -2176,41 +2180,37 @@ impl System {
 
     /// Replays the skipped window `[self.now, target - 1]` as batch
     /// bookkeeping — exactly the counter updates `target - self.now`
-    /// no-op ticks would have made — then jumps `now` to `target`.
+    /// no-op ticks would have made — then jumps `now` to `target`. Each
+    /// component replays it with its own code: a core that is not dormant
+    /// its window, the watchdog a frozen tick's observations at `last`.
     fn skip_to(&mut self, target: Cycle) {
         let k = target - self.now;
         let last = target - 1;
-        let mut frozen = std::mem::take(&mut self.frozen_scratch);
-        frozen.clear();
-        let mut all_frozen = true;
         // Under an injected LLC port stall every issue stage writes
         // `NoPorts`, which each core's last tick already wrote (the
         // stall's first cycle is a fault event, so no skip crosses it),
         // and denies nothing.
-        let ports_stalled = self.faults.is_active() && self.faults.stall_ports(self.now);
-        for (unit, &dormant) in self.cores.iter_mut().zip(&self.dormant) {
+        let ports_free = !(self.faults.is_active() && self.faults.stall_ports(self.now));
+        let mut all_frozen = true;
+        for (idx, unit) in self.cores.iter_mut().enumerate() {
             // A dormant core replays the window with the rest of its
             // dormancy, when it catches up; it is not frozen.
-            if dormant != 0 {
-                frozen.push(false);
+            if self.dormant[idx] != 0 {
                 all_frozen = false;
                 continue;
             }
             let class = unit.idle_class(self.now);
-            let is_frozen = class == CoreIdleClass::Frozen;
-            frozen.push(is_frozen);
-            all_frozen &= is_frozen;
-            if !ports_stalled {
-                unit.replay_issue(k);
+            unit.replay_window(class, k, last, ports_free, &mut self.slept_ticks);
+            // Every frozen cycle resets the core's starvation episode;
+            // the window's last one is the reset that remains.
+            let frozen = class == CoreIdleClass::Frozen;
+            if frozen {
+                let instructions = unit.core.counters().instructions;
+                self.auditor.observe_core(last, idx, instructions, true);
             }
-            unit.replay_idle(class, k, &mut self.slept_ticks);
-            // A naive run would have ticked the shaper at every skipped
-            // cycle, ending on `last`. Time-driven shaper state (credit
-            // accrual, replenish boundaries crossed inside the window)
-            // must not depend on tick cadence — snapshot bytes are
-            // engine-independent — so replay the final catch-up tick.
-            unit.shaper.borrow_mut().tick(last);
+            all_frozen &= frozen;
         }
+        self.auditor.note_global_progress(last, 0, 0, all_frozen);
         for shaper in self.llc.shapers.iter().flatten() {
             shaper.borrow_mut().tick(last);
         }
@@ -2226,8 +2226,6 @@ impl System {
             ch.mc.note_skipped_cycles(k);
             ch.scheduler.note_idle_cycles(k);
         }
-        self.auditor.replay_skipped(last, all_frozen, &frozen);
-        self.frozen_scratch = frozen;
         self.skipped_cycles += k;
         self.now = target;
     }
@@ -2348,8 +2346,9 @@ impl System {
     /// One watchdog step: notes this cycle's global progress (`retired`
     /// instructions, `fills` delivered, whether every core was frozen),
     /// then runs the threshold scan — global livelock detection plus
-    /// per-core starvation reporting — when a deadline is due, or every
-    /// cycle when `!cached` (the naive engine).
+    /// per-core starvation reporting — once `now` reaches the auditor's
+    /// `watchdog_deadline`, or every cycle when `!cached` (the naive
+    /// engine).
     fn watchdog_tick(
         &mut self,
         now: Cycle,
@@ -2359,7 +2358,7 @@ impl System {
         cached: bool,
     ) {
         let progressed = self.auditor.note_global_progress(now, retired, fills, all_frozen);
-        if cached && !self.auditor.watchdog_due(now) {
+        if cached && now < self.auditor.watchdog_deadline() {
             return;
         }
         // The scan and its stall report read stall counts and credits.
@@ -2390,9 +2389,6 @@ impl System {
                     detail,
                 });
             }
-        }
-        if cached {
-            self.auditor.watchdog_scanned(now);
         }
     }
 
@@ -2645,6 +2641,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::WatchdogConfig;
     use crate::shaper::StaticRateShaper;
     use crate::trace::StrideTrace;
 
@@ -2785,6 +2782,21 @@ mod tests {
     fn builder_try_new_reports_config_errors() {
         let c = SystemConfig { llc_ports: 0, ..SystemConfig::default() };
         assert_eq!(SystemBuilder::try_new(c).err(), Some(ConfigError::NoLlcPorts));
+        // A zero watchdog threshold would report one cycle after every
+        // reset; one cycle is the smallest legal threshold.
+        let watchdog = |global_stall_cycles, core_starve_cycles| {
+            let mut c = SystemConfig::default();
+            c.hardening.watchdog = WatchdogConfig { global_stall_cycles, core_starve_cycles };
+            SystemBuilder::try_new(c).err()
+        };
+        for (threshold, err) in
+            [("global_stall_cycles", watchdog(0, 1)), ("core_starve_cycles", watchdog(1, 0))]
+        {
+            assert_eq!(err, Some(ConfigError::ZeroWatchdogThreshold { threshold }));
+            let shown = err.unwrap().to_string();
+            assert_eq!(shown, format!("watchdog threshold {threshold} must be at least one cycle"));
+        }
+        assert_eq!(watchdog(1, 1), None);
         assert!(SystemBuilder::try_new(SystemConfig::default()).is_ok());
     }
 

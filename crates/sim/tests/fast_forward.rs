@@ -645,6 +645,32 @@ fn freezing_a_sleeping_core_matches_naive() {
 }
 
 #[test]
+fn a_skipped_frozen_window_resets_the_watchdog_like_naive() {
+    // The starved core is frozen from cycle 5 000 to 6 500 with its head
+    // denied until the replenish at 8 000, so the skip engine jumps over
+    // the frozen cycles between audit boundaries, and the call ends after
+    // the freeze with nothing retired since. Every frozen cycle resets
+    // the core's starvation episode and, with every core frozen, the
+    // global progress marker: a skipped window must leave both where the
+    // naive run's last frozen cycle did. The auditor's snapshot section
+    // holds both.
+    assert_engines_agree("frozen window", |engine| {
+        let shaper = Rc::new(RefCell::new(MittsShaper::new(bin0_config(2, 8_000))));
+        let mut sys = starved_core(engine, shaper);
+        sys.run_cycles(5_000);
+        let skipped = sys.skipped_cycles();
+        sys.freeze_core(0, 1_500);
+        sys.run_cycles(1_600);
+        assert_eq!(sys.core_stats(0).counters.frozen_cycles, 1_500);
+        if engine == Engine::Skip {
+            let frozen_skipped = sys.skipped_cycles() - skipped;
+            assert!(frozen_skipped > 1_000, "only {frozen_skipped} cycles skipped");
+        }
+        sys
+    });
+}
+
+#[test]
 fn a_refund_to_one_sharer_wakes_the_whole_pool() {
     // Three cores share one Method-2 MITTS pool holding a single credit
     // per 400 cycles. Each core cycles five lines that map to one 4-way

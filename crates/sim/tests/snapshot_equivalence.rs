@@ -433,10 +433,24 @@ fn snapshot_bytes_are_engine_independent() {
         }
         sys
     };
+    // The one-core stream behind a MITTS shaper that replenishes more
+    // credits than it can spend every 50 cycles: boundaries pass while
+    // the core waits on its fills with an empty miss queue, dormant or
+    // skipped, so every replayed window must leave the shaper where a
+    // naive run's last tick did.
+    let shaped = |engine: Engine| {
+        let mut credits = vec![0u32; BinSpec::paper_default().bins()];
+        credits[0] = 64;
+        let bins = BinConfig::new(BinSpec::paper_default(), credits, 50).unwrap();
+        let mut sys = striding(engine, 1, None);
+        sys.set_shaper(0, Rc::new(RefCell::new(MittsShaper::new(bins))));
+        sys
+    };
     for cycles in 1..300 {
         assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 1, None));
         assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 3, None));
         assert_snapshot_bytes_engine_independent(cycles, |e| striding(e, 3, Some(150)));
+        assert_snapshot_bytes_engine_independent(cycles, shaped);
     }
 }
 

@@ -27,6 +27,17 @@ cargo build --release
 #   every bundled workload (incl. a shaped MITTS run) under both the
 #   naive and the skip engine.
 cargo test -q --workspace
+# Mutant names gate: the test each patch names after "Caught by:" (the
+# command's last word) must exist, so renaming a test cannot leave a
+# mutant pointing at nothing. Listed from the build the run above made.
+TEST_LIST="$GATE_TMP/tests.txt"
+cargo test -q --workspace -- --list | sed -n 's/: test$//p' > "$TEST_LIST"
+for p in scripts/mutants/*.patch; do
+  caught_by=$(sed -n 's/^Caught by: .* //p' "$p")
+  grep -qxF -- "$caught_by" "$TEST_LIST" \
+    || { echo "mutant $p: its test '$caught_by' does not exist"; exit 1; }
+done
+echo "mutant catalogue: every patch names an existing test"
 # No-debug-assertions gate: the release profile turns debug assertions
 # on, so the run above cannot show that hardening works without them.
 # The auditor, its oracles and the watchdog run in every build; the
