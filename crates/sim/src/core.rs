@@ -86,13 +86,22 @@ impl CoreCounters {
 /// How a core spends a cycle if no external event (a fill, an unfreeze)
 /// reaches it — the classification the skip engine uses to decide
 /// whether a cycle can be skipped or a core can sleep, and which counters
-/// such a cycle must still bump (see [`Core::note_idle_cycles`]).
-/// [`Core::tick`] returns the class of the cycle it just executed.
+/// and state such a cycle must still update (see
+/// [`Core::note_idle_cycles`]). [`Core::tick`] returns the class of the
+/// cycle it just executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreIdleClass {
-    /// The tick would change state (retire, fetch, or issue): not
-    /// skippable.
+    /// The tick would change state in a way only the tick itself can
+    /// compute (issue a memory op, refill from the trace, retire or
+    /// dispatch less than the issue width): not skippable.
     Busy,
+    /// The tick retires the issue width from the retirable head of the
+    /// ROB and dispatches the issue width of the fetch stage's compute
+    /// gap (see [`Core::compute_run`]). Its state change follows from the
+    /// ROB and the fetch stage alone, so a run of such cycles replays in
+    /// batch; but each one changes state, so a core never sleeps in it,
+    /// and [`Core::tick`] reports it as `Busy`.
+    Compute,
     /// Frozen (tuner-overhead injection): the tick only counts the cycle.
     Frozen,
     /// ROB head blocked on a pending load **and** the window is full: the
@@ -200,6 +209,11 @@ impl Core {
         &self.counters
     }
 
+    /// Instructions retired (and dispatched) per cycle at most.
+    pub(crate) fn issue_width(&self) -> u32 {
+        self.issue_width
+    }
+
     /// The cycle the current freeze window ends (0 when never frozen).
     pub fn frozen_until(&self) -> Cycle {
         self.frozen_until
@@ -207,35 +221,101 @@ impl Core {
 
     /// Classifies what a [`Core::tick`] at cycle `at` would do, assuming
     /// no completion arrives first. Anything other than
-    /// [`CoreIdleClass::Busy`] is a pure-bookkeeping cycle that
-    /// [`Core::note_idle_cycles`] can replay in batch.
+    /// [`CoreIdleClass::Busy`] is a cycle that [`Core::note_idle_cycles`]
+    /// can replay in batch: a pure-bookkeeping one, or the first of
+    /// [`Core::compute_run`]'s compute cycles.
     pub fn idle_class(&self, at: Cycle) -> CoreIdleClass {
         if at < self.frozen_until {
             return CoreIdleClass::Frozen;
         }
         match self.rob.front() {
-            Some(RobEntry::Mem { complete: false, .. }) => {
-                if self.rob_occupancy >= self.window_size {
-                    CoreIdleClass::MemBlocked
-                } else {
-                    CoreIdleClass::Busy // dispatch would fetch or issue
-                }
+            Some(RobEntry::Mem { complete: false, .. })
+                if self.rob_occupancy >= self.window_size =>
+            {
+                CoreIdleClass::MemBlocked
             }
-            _ => CoreIdleClass::Busy,
+            _ if self.compute_run(at) > 0 => CoreIdleClass::Compute,
+            _ => CoreIdleClass::Busy, // dispatch would fetch or issue
         }
     }
 
-    /// Replays `cycles` skipped ticks of the given idle class, bumping
-    /// exactly the counters the per-cycle loop would have bumped.
+    /// The number of consecutive cycles from `at` on which a tick, with
+    /// no completion arriving, would retire exactly the issue width `W`
+    /// from the retirable ROB prefix (the compute and completed memory
+    /// entries before the first pending load) and dispatch exactly `W` of
+    /// the fetch stage's compute gap, without offering its memory op or
+    /// refilling from the trace. Dispatch always finds the room: it
+    /// follows a retirement of `W`.
+    ///
+    /// That is `fetch_gap_left / W`, capped at `prefix / W` when a
+    /// pending load sits in the ROB (the dispatched compute queues behind
+    /// it, so the prefix shrinks by `W` a cycle), and 0 when the prefix
+    /// is below `W` or the core is frozen.
+    pub fn compute_run(&self, at: Cycle) -> u64 {
+        let w = self.issue_width;
+        if at < self.frozen_until || self.fetch_gap_left < w {
+            return 0;
+        }
+        // Instructions the run can retire and dispatch, and the prefix.
+        let mut budget = self.fetch_gap_left;
+        let mut prefix = 0u32;
+        for entry in &self.rob {
+            match entry {
+                RobEntry::Compute { remaining } => prefix += remaining,
+                RobEntry::Mem { complete: true, .. } => prefix += 1,
+                RobEntry::Mem { complete: false, .. } => {
+                    budget = budget.min(prefix);
+                    break;
+                }
+            }
+            // A pending load further back can no longer cap the run.
+            if prefix >= budget {
+                break;
+            }
+        }
+        if prefix < w {
+            return 0;
+        }
+        u64::from(budget / w)
+    }
+
+    /// Replays `cycles` skipped ticks of the given idle class, making
+    /// exactly the updates the per-cycle loop would have made: counters
+    /// only, except for [`CoreIdleClass::Compute`], which moves `cycles`
+    /// times the issue width of compute from the fetch stage into the
+    /// back of the ROB and retires as many from its front. Adjacent
+    /// compute runs always merge, so the ROB entry list equals the one
+    /// `cycles` real ticks leave.
     ///
     /// # Panics
     ///
     /// Debug-asserts that `class` is not [`CoreIdleClass::Busy`] (busy
-    /// cycles cannot be replayed — they change state).
+    /// cycles cannot be replayed — only the tick can compute their state
+    /// change) and that a `Compute` replay retires no pending load;
+    /// panics when a `Compute` replay outruns the fetch stage's gap. A
+    /// `Compute` replay must stay within [`Core::compute_run`].
     pub fn note_idle_cycles(&mut self, class: CoreIdleClass, cycles: u64) {
-        debug_assert!(class != CoreIdleClass::Busy, "busy cycles are not skippable");
+        debug_assert!(class != CoreIdleClass::Busy, "busy cycles are not replayable");
         self.counters.cycles += cycles;
         match class {
+            CoreIdleClass::Compute => {
+                let n = u32::try_from(cycles * u64::from(self.issue_width))
+                    .ok()
+                    .filter(|&n| n <= self.fetch_gap_left)
+                    .expect("a compute replay stays within the fetch stage's gap");
+                self.fetch_gap_left -= n;
+                // The first `n` instructions of the window leave and `n`
+                // compute arrive at its back. Retiring the entries already
+                // in the window first keeps the list merged: compute that
+                // enters and leaves within the replay never appears.
+                let old = self.retire_up_to(n);
+                debug_assert!(
+                    old == n || self.rob.is_empty(),
+                    "a compute replay retired past a pending load"
+                );
+                self.counters.instructions += u64::from(n - old);
+                self.push_compute(old);
+            }
             CoreIdleClass::Frozen => self.counters.frozen_cycles += cycles,
             CoreIdleClass::MemBlocked => {
                 self.counters.mem_stall_cycles += cycles;
@@ -408,7 +488,8 @@ impl Core {
     /// window, offering memory accesses to `port`.
     ///
     /// Returns the class of the cycle just executed: `Busy` when the
-    /// tick retired, fetched, dispatched or issued anything, otherwise
+    /// tick retired, fetched, dispatched or issued anything (a
+    /// [`CoreIdleClass::Compute`] cycle included), otherwise
     /// the idle class whose [`Core::note_idle_cycles`] replay bumps
     /// exactly the counters this tick bumped (`Frozen`, `MemBlocked`,
     /// `PortBlocked` or `PortBlockedEmpty`, the last two when `port`
@@ -437,40 +518,54 @@ impl Core {
     /// Retires up to the issue width from the ROB head; returns whether
     /// anything retired.
     fn retire(&mut self) -> bool {
-        let mut budget = self.issue_width;
-        let mut retired_any = false;
-        while budget > 0 {
-            match self.rob.front_mut() {
-                Some(RobEntry::Compute { remaining }) => {
-                    let n = (*remaining).min(budget);
-                    *remaining -= n;
-                    budget -= n;
-                    self.rob_occupancy -= n;
-                    self.counters.instructions += n as u64;
-                    retired_any |= n > 0;
-                    if *remaining == 0 {
-                        self.rob.pop_front();
-                    }
-                }
-                Some(RobEntry::Mem { complete, .. }) => {
-                    if !*complete {
-                        break; // head load still pending
-                    }
-                    self.rob.pop_front();
-                    self.rob_occupancy -= 1;
-                    self.counters.instructions += 1;
-                    budget -= 1;
-                    retired_any = true;
-                }
-                None => break,
-            }
-        }
+        let retired_any = self.retire_up_to(self.issue_width) > 0;
         if !retired_any {
             if let Some(RobEntry::Mem { complete: false, .. }) = self.rob.front() {
                 self.counters.mem_stall_cycles += 1;
             }
         }
         retired_any
+    }
+
+    /// Retires up to `budget` instructions of the retirable ROB prefix,
+    /// stopping at a pending load; returns how many retired.
+    fn retire_up_to(&mut self, budget: u32) -> u32 {
+        let mut left = budget;
+        while left > 0 {
+            match self.rob.front_mut() {
+                Some(RobEntry::Compute { remaining }) => {
+                    let n = (*remaining).min(left);
+                    *remaining -= n;
+                    left -= n;
+                    if *remaining == 0 {
+                        self.rob.pop_front();
+                    }
+                }
+                Some(RobEntry::Mem { complete: true, .. }) => {
+                    self.rob.pop_front();
+                    left -= 1;
+                }
+                // The head load is still pending, or the ROB is empty.
+                Some(RobEntry::Mem { complete: false, .. }) | None => break,
+            }
+        }
+        let retired = budget - left;
+        self.rob_occupancy -= retired;
+        self.counters.instructions += u64::from(retired);
+        retired
+    }
+
+    /// Appends `n` compute instructions to the ROB, merged into a compute
+    /// run at its back.
+    fn push_compute(&mut self, n: u32) {
+        if n == 0 {
+            return;
+        }
+        self.rob_occupancy += n;
+        match self.rob.back_mut() {
+            Some(RobEntry::Compute { remaining }) => *remaining += n,
+            _ => self.rob.push_back(RobEntry::Compute { remaining: n }),
+        }
     }
 
     /// Dispatches up to the issue width into the window; returns whether
@@ -499,12 +594,8 @@ impl Core {
                     break;
                 }
                 self.fetch_gap_left -= n;
-                self.rob_occupancy += n;
                 budget -= n;
-                match self.rob.back_mut() {
-                    Some(RobEntry::Compute { remaining }) => *remaining += n,
-                    _ => self.rob.push_back(RobEntry::Compute { remaining: n }),
-                }
+                self.push_compute(n);
                 continue;
             }
             // The memory access of the current trace op.
@@ -768,6 +859,121 @@ mod tests {
         fast.note_idle_cycles(CoreIdleClass::Frozen, 300);
         assert_eq!(naive.counters(), fast.counters());
         assert_eq!(fast.idle_class(300), CoreIdleClass::Busy);
+    }
+
+    fn state_bytes(core: &Core) -> Vec<u8> {
+        let mut enc = crate::snapshot::Enc::new();
+        core.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    mod compute_runs {
+        use super::*;
+        use crate::rng::Rng;
+        use crate::trace_io::VecTrace;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// From a random ROB state (random gaps, stores, port
+            /// rejections and out-of-order completions), every
+            /// `note_idle_cycles(Compute, k)` with `k <= compute_run`
+            /// leaves the state bytes `k` ticks through an accepting port
+            /// leave, each of those ticks retires and dispatches exactly
+            /// the issue width without offering a memory op, and the
+            /// tick after the run does not.
+            #[test]
+            fn compute_replay_matches_naive_ticks(
+                seed in any::<u64>(),
+                width in 1u32..=8,
+                window_extra in 0u32..160,
+                max_gap in 1u64..240,
+                warmup in 0u64..400,
+            ) {
+                let cfg = CoreConfig {
+                    issue_width: width,
+                    window_size: width + window_extra,
+                    ..CoreConfig::default()
+                };
+                let mut rng = Rng::seeded(seed);
+                let ops: Vec<TraceOp> = (0..1 + rng.below(24))
+                    .map(|i| TraceOp {
+                        gap: rng.below(max_gap) as u32,
+                        addr: i * 64,
+                        write: rng.below(4) == 0,
+                    })
+                    .collect();
+                let mk = || Core::new(&cfg, Box::new(VecTrace::new(ops.clone())));
+                let mut core = mk();
+                let mut pending: Vec<OpId> = Vec::new();
+                for now in 0..warmup {
+                    let accept = rng.below(4) != 0;
+                    core.tick(now, &mut |_, issue: MemIssue| {
+                        if accept && !issue.write {
+                            pending.push(issue.op);
+                        }
+                        accept
+                    });
+                    while !pending.is_empty() && rng.below(3) == 0 {
+                        let i = rng.below(pending.len() as u64) as usize;
+                        core.complete(pending.swap_remove(i));
+                    }
+                }
+                let start = warmup;
+                let run = core.compute_run(start);
+                prop_assert_eq!(
+                    core.idle_class(start) == CoreIdleClass::Compute,
+                    run > 0,
+                    "idle_class disagrees with a run of {}", run
+                );
+                let before = state_bytes(&core);
+                let w = u64::from(width);
+                let mut port = TestPort::new();
+                for k in 1..=run + 1 {
+                    let instructions = core.counters().instructions;
+                    let gap = core.fetch_gap_left;
+                    let occupancy = core.rob_occupancy;
+                    core.tick(start + k - 1, &mut port);
+                    let full = core.counters().instructions == instructions + w
+                        && gap >= width
+                        && core.fetch_gap_left == gap - width
+                        && core.rob_occupancy == occupancy
+                        && port.issued.is_empty();
+                    if k > run {
+                        prop_assert!(!full, "tick {} after a run of {} is a compute tick", k, run);
+                        break;
+                    }
+                    prop_assert!(full, "tick {} of a run of {} is not a compute tick", k, run);
+                    let mut fast = mk();
+                    fast.load_state(&mut crate::snapshot::Dec::new(&before)).unwrap();
+                    fast.note_idle_cycles(CoreIdleClass::Compute, k);
+                    prop_assert!(
+                        state_bytes(&fast) == state_bytes(&core),
+                        "replaying {} of {} compute cycles diverged from ticking them", k, run
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frozen_or_memory_bound_core_has_no_compute_run() {
+        let mut core = core_with(1_000);
+        let mut port = TestPort::new();
+        for now in 0..10 {
+            core.tick(now, &mut port);
+        }
+        assert!(core.compute_run(10) > 0, "a long gap computes");
+        core.freeze_until(20);
+        assert_eq!(core.compute_run(10), 0);
+        assert_eq!(core.idle_class(10), CoreIdleClass::Frozen);
+        assert_eq!(core.idle_class(20), CoreIdleClass::Compute);
+        // Every instruction a load: nothing retires at the issue width.
+        let mut loads = core_with(0);
+        loads.tick(0, &mut port);
+        assert_eq!(loads.compute_run(1), 0);
+        assert_eq!(loads.idle_class(1), CoreIdleClass::Busy);
     }
 
     #[test]

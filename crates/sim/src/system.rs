@@ -154,8 +154,10 @@ impl IssueOutcome {
 ///   tick the skip probe folds the same wake cycles to a minimum and the
 ///   engine jumps there, replaying the skipped window's counter updates
 ///   in batch with each component's own replay. Besides fully quiescent
-///   windows it skips a controller backlog stuck behind a full FIFO,
-///   replaying the per-cycle rejection the LLC would have recorded.
+///   windows it skips cores retiring and dispatching full-width compute
+///   (their ROB and fetch stage move by a computed amount) and a
+///   controller backlog stuck behind a full FIFO, replaying the
+///   per-cycle rejection the LLC would have recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Execute every cycle.
@@ -177,7 +179,11 @@ pub(crate) enum SkipBlocker {
     McWouldRefillQueue,
     /// A core has dirty evictions queued for the LLC.
     CoreWbQueue,
-    /// A core can issue or retire instructions this cycle.
+    /// A core's next tick does work only the tick can compute: it offers
+    /// a memory op, refills its fetch stage from the trace, or retires or
+    /// dispatches less than the issue width. (A core retiring and
+    /// dispatching full-width compute has a computed wake cycle instead,
+    /// [`CoreIdleClass::Compute`].)
     CoreBusy,
     /// A core's miss-queue head would retry an issue whose outcome the
     /// probe cannot predict (it was granted, found no port or no FIFO
@@ -337,7 +343,8 @@ impl CoreUnit {
     }
 
     /// How a tick at `at` would spend the core's cycle, as the skip probe
-    /// classifies it: [`Core::idle_class`] refined with what this unit's
+    /// classifies it (a compute run's first cycle included):
+    /// [`Core::idle_class`] refined with what this unit's
     /// L1 front end would do. A `Busy` core whose only possible action is
     /// re-offering a memory op the port deterministically rejects (line
     /// absent from the L1, no MSHR to merge into, MSHR file full) is
@@ -363,18 +370,19 @@ impl CoreUnit {
         CoreIdleClass::Busy
     }
 
-    /// Replays `k` cycles in which the core's pipeline repeats the idle
-    /// `class` instead of running: the class's counters and `k` slept
-    /// core-ticks. The one idle replay: a sleeping core's tick (`k = 1`,
-    /// after its issue stage ran) and every window replay.
+    /// Replays `k` cycles of the idle `class` instead of running the
+    /// core's pipeline: the class's updates (`Core::note_idle_cycles`)
+    /// and `k` slept core-ticks. The one idle replay: a sleeping core's
+    /// tick (`k = 1`, after its issue stage ran) and every window replay.
     fn replay_idle(&mut self, class: CoreIdleClass, k: Cycle, slept: &mut u64) {
         self.core.note_idle_cycles(class, k);
         *slept += k;
     }
 
     /// Replays the `k` cycles through `last` in which the core was passed
-    /// over asleep in `class`: the one window replay, for a skipped window
-    /// and a dormant core's catch-up. With the LLC ports free, the issue
+    /// over in `class` (asleep, or in a compute run of at least `k`
+    /// cycles): the one window replay, for a skipped window and a dormant
+    /// core's catch-up. With the LLC ports free, the issue
     /// stage denies a denied head again (a stall per cycle) and finds no
     /// request in an empty miss queue, whatever outcome emptied it. Then
     /// the idle class for `k` cycles, and one shaper tick at `last`:
@@ -409,15 +417,36 @@ impl CoreUnit {
     /// `next`: the first cycle at which a visit can differ from a replay
     /// of the last one (`Cycle::MAX` when only an event that wakes the
     /// core itself can end the repeat), or the [`SkipBlocker`] that makes
-    /// the next visit unpredictable. The tick asks it at the end of a
-    /// sleeping core's visit to make the core dormant; the skip probe asks
-    /// it for every core that is not dormant. Both add their own guards.
-    fn wake_at(&self, next: Cycle, ctl: &SourceControl) -> Result<Cycle, SkipBlocker> {
+    /// the next visit unpredictable. A core in a compute run wakes when
+    /// the run ends (`Core::compute_run`), or earlier, so that the tick on
+    /// which its retirement reaches `retire_target` (the running
+    /// `run_until_instructions` target, `u64::MAX` outside one) is a real
+    /// tick. The tick asks it at the end of a sleeping core's visit to
+    /// make the core dormant; the skip probe asks it for every core that
+    /// is not dormant. Both add their own guards.
+    fn wake_at(
+        &self,
+        next: Cycle,
+        ctl: &SourceControl,
+        retire_target: u64,
+    ) -> Result<Cycle, SkipBlocker> {
         if !self.wb_queue.is_empty() {
             return Err(SkipBlocker::CoreWbQueue);
         }
         let mut wake = match self.idle_class(next) {
             CoreIdleClass::Busy => return Err(SkipBlocker::CoreBusy),
+            CoreIdleClass::Compute => {
+                let mut run = self.core.compute_run(next);
+                let retired = self.core.counters().instructions;
+                if retired < retire_target {
+                    // The run's j-th cycle brings the count to
+                    // `retired + j * W`; only the cycles before the one
+                    // reaching the target may be skipped.
+                    let width = u64::from(self.core.issue_width());
+                    run = run.min((retire_target - retired).div_ceil(width) - 1);
+                }
+                next + run
+            }
             CoreIdleClass::Frozen => self.core.frozen_until(),
             // Each waits on a fill (ROB head / L1 MSHR), and every fill
             // path has a downstream event.
@@ -433,24 +462,32 @@ impl CoreUnit {
         if self.miss_queue.is_empty() {
             return Ok(wake);
         }
-        let issue = match self.last_outcome {
+        // The throttle gate of the visit at `next`, under the source
+        // controls as they stand: a scheduler hook may have rewritten them
+        // after the last visit's issue stage. The inflight count changes
+        // only on a grant or a fill, and every fill path has an event.
+        let throttle = ctl.throttle(self.id);
+        let capped = throttle.max_inflight.is_some_and(|cap| self.stats.inflight >= cap);
+        let gap_until = match (throttle.min_issue_gap, self.last_issue) {
+            (Some(gap), Some(last)) => last + gap as Cycle,
+            _ => 0,
+        };
+        let throttled = capped || gap_until > next;
+        let issue = match (self.last_outcome, throttled) {
             // The shaper's `next_grant_event` at the denial, cached by the
             // issue stage (`Cycle::MAX` when waiting alone never helps).
-            IssueOutcome::ShaperDenied => self.denied_until,
-            // An expired gap means the block is the inflight cap, cured
-            // only by a fill (downstream events cover it).
-            IssueOutcome::ThrottleBlocked => {
-                match (ctl.throttle(self.id).min_issue_gap, self.last_issue) {
-                    (Some(gap), Some(last)) if last + gap as Cycle >= next => last + gap as Cycle,
-                    _ => Cycle::MAX,
-                }
-            }
+            (IssueOutcome::ShaperDenied, false) => self.denied_until,
+            // The cap holds until a fill; the gap until it expires.
+            (IssueOutcome::ThrottleBlocked, true) if capped => Cycle::MAX,
+            (IssueOutcome::ThrottleBlocked, true) => gap_until,
             // Injected faults never expire; the fault-plan and watchdog
             // events bound the wait.
-            IssueOutcome::FaultDenied => Cycle::MAX,
+            (IssueOutcome::FaultDenied, false) => Cycle::MAX,
             // Granted / NoRequest / NoPorts / McBackpressure with a
-            // pending head: the next visit would attempt an issue whose
-            // outcome cannot be predicted without mutating the shaper.
+            // pending head, or a gate that opened or closed since the last
+            // visit: the next visit would attempt an issue whose outcome
+            // cannot be predicted without mutating the shaper, or would
+            // write another outcome.
             _ => return Err(SkipBlocker::CoreMissQueueIssue),
         };
         Ok(wake.min(issue))
@@ -1056,9 +1093,9 @@ impl System {
 
     /// Total core-cycles in which a core replayed its idle class instead
     /// of running its pipeline: sleeping and dormant cores' ticks and
-    /// every core's cycles in a skipped window (0 in naive mode). A
-    /// diagnostic, like [`System::skipped_cycles`]: a replayed cycle
-    /// bumps every counter a real tick would.
+    /// every core's cycles in a skipped window, compute runs included (0
+    /// in naive mode). A diagnostic, like [`System::skipped_cycles`]: a
+    /// replayed cycle makes every update a real tick would.
     pub fn slept_ticks(&self) -> u64 {
         self.slept_ticks
     }
@@ -1607,18 +1644,19 @@ impl System {
 
     fn advance_bounded(&mut self, limit: Cycle) {
         self.tick();
-        self.post_tick_forward(limit);
+        self.post_tick_forward(limit, u64::MAX);
     }
 
     /// After a real tick, jumps `now` to the probe's target, bounded by
-    /// `limit` (a `run_cycles` end, or the instruction-run cycle cap).
+    /// `limit` (a `run_cycles` end, or the instruction-run cycle cap) and
+    /// stopping before any core's retirement reaches `retire_target`.
     /// No-op under [`Engine::Naive`] or once the watchdog has declared a
     /// stall (a stalled system is inspected per cycle).
-    fn post_tick_forward(&mut self, limit: Cycle) {
+    fn post_tick_forward(&mut self, limit: Cycle, retire_target: u64) {
         if self.engine == Engine::Naive || self.auditor.stall().is_some() {
             return;
         }
-        if let Ok(target) = self.probe() {
+        if let Ok(target) = self.probe(retire_target) {
             let target = target.min(limit);
             if target > self.now {
                 self.skip_to(target);
@@ -1645,7 +1683,8 @@ impl System {
         self.wake_all();
         let end = self.now + max_cycles;
         let done = |c: &CoreUnit| c.core.counters().instructions >= instructions;
-        // Evaluated once per real tick: a skip retires nothing.
+        // Evaluated once per real tick: a skip may retire compute, but
+        // stops before the cycle on which any core reaches the target.
         let mut met = self.cores.iter().all(done);
         while self.now < end && !met {
             if self.auditor.stall().is_some() {
@@ -1658,7 +1697,7 @@ impl System {
             // last instruction, and a jump here would inflate the reported
             // completion cycle relative to the naive loop.
             if !met {
-                self.post_tick_forward(end);
+                self.post_tick_forward(end, instructions);
             }
         }
         self.settle();
@@ -1996,7 +2035,8 @@ impl System {
                 }
             }
             if dormancy && unit.asleep.is_some() {
-                let wake = unit.wake_at(now + 1, &self.source_ctl).ok();
+                // A sleeping core is in no compute run: no target applies.
+                let wake = unit.wake_at(now + 1, &self.source_ctl, u64::MAX).ok();
                 if let Some(wake) = wake.filter(|&w| w > now + 1) {
                     unit.dormant_from = now + 1;
                     self.dormant[idx] = wake;
@@ -2023,7 +2063,8 @@ impl System {
         //    is one idle cycle, and the signals are refreshed only when
         //    some hook runs.
         let hook_due = |ch: &Channel| !sleep || now >= ch.sched_wake;
-        if self.channels.iter().any(hook_due) {
+        let hooks = self.channels.iter().any(hook_due);
+        if hooks {
             self.catch_up_all(now);
             for (s, unit) in self.signals.iter_mut().zip(&self.cores) {
                 *s = unit.signals();
@@ -2038,6 +2079,13 @@ impl System {
             } else {
                 channel.scheduler.note_idle_cycles(1);
             }
+        }
+        // A throttle a hook wrote gates the next visit's issue, which a
+        // dormant core's cached wake did not see (dormancy needs no
+        // throttles): every dormant core, caught up above, wakes, so the
+        // probe judges it by the wake rule.
+        if hooks && self.source_ctl.any_limits() {
+            self.dormant.fill(0);
         }
 
         // 7. Hardening: invariant audit pass, then the forward-progress
@@ -2113,6 +2161,8 @@ impl System {
     /// component can act — the cycle the next real tick must run — or the
     /// first [`SkipBlocker`] with same-cycle work that batch replay cannot
     /// account for. [`Engine::Skip`] jumps over `[self.now, target - 1]`.
+    /// A core in a compute run acts when the run ends, or on the cycle its
+    /// retirement reaches `retire_target` (see `CoreUnit::wake_at`).
     ///
     /// The target is a plain minimum over cached wake cycles, clamped to
     /// at least `self.now`: an event in the past or present simply means
@@ -2135,7 +2185,7 @@ impl System {
     /// # Errors
     ///
     /// The first blocker found, in [`SkipBlocker`] declaration order.
-    pub(crate) fn probe(&self) -> Result<Cycle, SkipBlocker> {
+    pub(crate) fn probe(&self, retire_target: u64) -> Result<Cycle, SkipBlocker> {
         let resume = self.now;
         if let Some(head) = self.llc.mc_backlog.front() {
             if self.channels[head.channel].mc.fifo_has_room() {
@@ -2150,7 +2200,10 @@ impl System {
         }
         let mut next = self.auditor.next_audit();
         for (unit, &dormant) in self.cores.iter().zip(&self.dormant) {
-            let wake = if dormant != 0 { dormant } else { unit.wake_at(resume, &self.source_ctl)? };
+            let wake = match dormant {
+                0 => unit.wake_at(resume, &self.source_ctl, retire_target)?,
+                wake => wake,
+            };
             next = next.min(wake);
         }
         next = next.min(self.auditor.watchdog_deadline()).min(self.llc.next_ready);
@@ -2175,14 +2228,16 @@ impl System {
     /// skippable. Useful for
     /// understanding why a workload resists skipping.
     pub fn skip_blocker(&self) -> Option<&'static str> {
-        self.probe().err().map(SkipBlocker::name)
+        self.probe(u64::MAX).err().map(SkipBlocker::name)
     }
 
     /// Replays the skipped window `[self.now, target - 1]` as batch
-    /// bookkeeping — exactly the counter updates `target - self.now`
-    /// no-op ticks would have made — then jumps `now` to `target`. Each
-    /// component replays it with its own code: a core that is not dormant
-    /// its window, the watchdog a frozen tick's observations at `last`.
+    /// bookkeeping — exactly the updates `target - self.now` ticks would
+    /// have made, each of which the probe predicted — then jumps
+    /// `now` to `target`. Each component replays it with its own code: a
+    /// core that is not dormant its window (a compute run included), the
+    /// watchdog the observations of the window's last tick at `last`:
+    /// each frozen or retiring core's, and the window's retirement total.
     fn skip_to(&mut self, target: Cycle) {
         let k = target - self.now;
         let last = target - 1;
@@ -2191,6 +2246,7 @@ impl System {
         // stall's first cycle is a fault event, so no skip crosses it),
         // and denies nothing.
         let ports_free = !(self.faults.is_active() && self.faults.stall_ports(self.now));
+        let mut retired = 0u64;
         let mut all_frozen = true;
         for (idx, unit) in self.cores.iter_mut().enumerate() {
             // A dormant core replays the window with the rest of its
@@ -2200,17 +2256,19 @@ impl System {
                 continue;
             }
             let class = unit.idle_class(self.now);
+            let before = unit.core.counters().instructions;
             unit.replay_window(class, k, last, ports_free, &mut self.slept_ticks);
-            // Every frozen cycle resets the core's starvation episode;
-            // the window's last one is the reset that remains.
+            // Every frozen or retiring cycle resets the core's starvation
+            // episode; the window's last one is the reset that remains.
+            let instructions = unit.core.counters().instructions;
             let frozen = class == CoreIdleClass::Frozen;
-            if frozen {
-                let instructions = unit.core.counters().instructions;
-                self.auditor.observe_core(last, idx, instructions, true);
+            if instructions != before || frozen {
+                self.auditor.observe_core(last, idx, instructions, frozen);
             }
+            retired += instructions - before;
             all_frozen &= frozen;
         }
-        self.auditor.note_global_progress(last, 0, 0, all_frozen);
+        self.auditor.note_global_progress(last, retired, 0, all_frozen);
         for shaper in self.llc.shapers.iter().flatten() {
             shaper.borrow_mut().tick(last);
         }
@@ -3079,7 +3137,7 @@ mod tests {
                     }
                 }
             }
-            sys.post_tick_forward(20_000);
+            sys.post_tick_forward(20_000, u64::MAX);
         }
         // The end of a run call: dormant cores replay what they skipped.
         sys.settle();
@@ -3125,7 +3183,7 @@ mod tests {
                 .front()
                 .is_some_and(|head| !sys.channels[head.channel].mc.fifo_has_room());
             let start = sys.now();
-            sys.post_tick_forward(END);
+            sys.post_tick_forward(END, u64::MAX);
             if stuck && sys.now() - start > 1 {
                 relaxed_skips += 1;
             }

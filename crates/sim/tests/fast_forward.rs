@@ -25,7 +25,12 @@
 //!   ticks do not keep the fence);
 //! * dormant cores: a denied core that finds the ports gone or the FIFO
 //!   full, a refund reaching a dormant sharer, and sample rows and an
-//!   epoch scheduler reading dormant cores' counters.
+//!   epoch scheduler reading dormant cores' counters;
+//! * compute runs: several cores retiring and dispatching full-width
+//!   compute, an instruction target reached inside a run, and watchdog
+//!   thresholds shorter than one run;
+//! * throttles a scheduler hook writes: a cap lifted while a head waits
+//!   on it, and a gap given to a dormant denied core.
 //!
 //! Every comparison is on [`SystemStats`]: every core's full `CoreStats`
 //! (counters plus the L1-miss and memory inter-arrival histograms and the
@@ -39,6 +44,9 @@ use mitts_core::{BinConfig, BinSpec, FeedbackMethod, MittsShaper};
 use mitts_sched::{baseline_names, make_baseline, CongestionGuard, FrFcfs, Fst};
 use mitts_sim::audit::{FaultKind, FaultPlan, RunOutcome};
 use mitts_sim::config::{CacheConfig, SystemConfig};
+use mitts_sim::mc::{
+    CoreSignals, CoreThrottle, DramView, Scheduler, SourceControl, Transaction,
+};
 use mitts_sim::obs::{RingSink, StallReason, TraceEvent};
 use mitts_sim::stats::SystemStats;
 use mitts_sim::system::{Engine, System, SystemBuilder};
@@ -549,15 +557,22 @@ fn frequent_engine_flips_match_naive() {
     assert!(skip.skipped_cycles() > 0, "the skip calls never skipped");
 }
 
-/// Runs `run` on both engines and requires equal stats, shaper state and
-/// snapshot bytes; returns the skip engine's system.
-fn assert_engines_agree(what: &str, run: impl Fn(Engine) -> System) -> System {
-    let (naive, skip) = (run(Engine::Naive), run(Engine::Skip));
+/// Runs `run` on both engines and requires equal stats, shaper state,
+/// audit logs and snapshot bytes; returns the skip engine's system.
+fn assert_engines_agree(what: &str, mut run: impl FnMut(Engine) -> System) -> System {
+    let naive = run(Engine::Naive);
+    let skip = run(Engine::Skip);
     assert_eq!(naive.slept_ticks(), 0, "{what}: the naive engine must never sleep");
     assert_eq!(naive.system_stats(), skip.system_stats(), "{what}: stats diverged");
+    assert_eq!(audit_lines(&naive), audit_lines(&skip), "{what}: audit logs diverged");
     assert_eq!(shaper_bytes(&naive), shaper_bytes(&skip), "{what}: shaper state diverged");
     assert!(snapshot_bytes(&naive) == snapshot_bytes(&skip), "{what}: snapshot bytes diverged");
     skip
+}
+
+/// The audit log rendered line by line (`AuditViolation` has no `Eq`).
+fn audit_lines(sys: &System) -> Vec<String> {
+    sys.audit_log().iter().map(ToString::to_string).collect()
 }
 
 /// A MITTS configuration with `credits` in bin 0 only, replenished every
@@ -1123,5 +1138,169 @@ fn an_epoch_scheduler_reads_dormant_cores_like_naive() {
         assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
         sys
     });
+    assert!(skip.slept_ticks() > 0, "no core slept");
+}
+
+/// `cores` striding cores whose memory ops are `gap` instructions apart,
+/// so each spends most cycles in compute runs.
+fn compute_heavy(engine: Engine, cfg: SystemConfig, gaps: &[u32]) -> System {
+    let mut b = SystemBuilder::new(cfg).engine(engine);
+    for (i, &gap) in gaps.iter().enumerate() {
+        b = b.trace(i, Box::new(StrideTrace::new(gap, 64, 16 << 20).with_base(base_for(i))));
+    }
+    b.build()
+}
+
+#[test]
+fn compute_runs_of_many_cores_are_skipped_like_naive() {
+    // Four cores retire and dispatch full-width compute between sparse
+    // memory ops. A skip replays every core's compute run, so a window
+    // ends at the first core's memory op rather than at its next cycle.
+    const CYCLES: Cycle = 60_000;
+    let gaps = [2_000, 2_400, 2_800, 3_200];
+    let skip = assert_engines_agree("compute-heavy", |engine| {
+        let mut sys = compute_heavy(engine, SystemConfig::multi_program(gaps.len()), &gaps);
+        sys.run_cycles(CYCLES);
+        sys
+    });
+    assert!(skip.audit_log().is_empty(), "{:?}", audit_lines(&skip));
+    let instructions = skip.system_stats().cores[0].counters.instructions;
+    assert!(instructions > 2 * CYCLES, "core 0 barely computed ({instructions})");
+    let skipped = skip.skipped_cycles();
+    assert!(2 * skipped > CYCLES, "only {skipped} of {CYCLES} cycles skipped");
+}
+
+#[test]
+fn an_instruction_target_inside_a_compute_run_ends_on_the_naive_cycle() {
+    // Neither target is a multiple of the issue width or a gap boundary,
+    // so each core reaches it in the middle of a compute run; the tick
+    // that gets the last core there must be a real one on both engines.
+    for target in [12_345, 77_777] {
+        let mut outcomes = Vec::new();
+        let skip = assert_engines_agree(&format!("target {target}"), |engine| {
+            let mut sys = compute_heavy(engine, SystemConfig::multi_program(2), &[1_999, 3_001]);
+            outcomes.push(outcome_key(&sys.run_until_instructions(target, 1_000_000)));
+            sys
+        });
+        assert_eq!(outcomes[0], outcomes[1], "target {target}: outcomes diverged");
+        assert_eq!(outcomes[1].0, "completed", "target {target}: {:?}", outcomes[1]);
+        assert!(skip.skipped_cycles() > 0, "target {target}: nothing skipped");
+    }
+}
+
+#[test]
+fn a_compute_run_longer_than_the_watchdog_thresholds_is_no_stall() {
+    // One compute run lasts 2 000 cycles, longer than either watchdog
+    // threshold (both longer than a miss). Every naive tick of the run
+    // retires, so the watchdog never fires; a skip over it must note the
+    // same progress.
+    let skip = assert_engines_agree("short watchdog", |engine| {
+        let mut cfg = SystemConfig::multi_program(2);
+        cfg.hardening.watchdog.global_stall_cycles = 1_200;
+        cfg.hardening.watchdog.core_starve_cycles = 900;
+        let mut sys = compute_heavy(engine, cfg, &[8_000, 8_000]);
+        sys.run_cycles(40_000);
+        assert!(sys.stall_report().is_none(), "{engine:?}: a false global stall");
+        sys
+    });
+    assert!(skip.audit_log().is_empty(), "{:?}", audit_lines(&skip));
+    assert!(skip.skipped_cycles() > 30_000, "only {} cycles skipped", skip.skipped_cycles());
+}
+
+/// FR-FCFS whose hook writes planned throttles: `(cycle, core, throttle)`
+/// takes effect at the end of that cycle, like a source-throttling
+/// policy's epoch.
+struct ThrottlePlan {
+    inner: FrFcfs,
+    plan: Vec<(Cycle, usize, CoreThrottle)>,
+}
+
+impl Scheduler for ThrottlePlan {
+    fn name(&self) -> &str {
+        "throttle-plan"
+    }
+
+    fn pick(&mut self, now: Cycle, pending: &[Transaction], view: &DramView<'_>) -> Option<usize> {
+        self.inner.pick(now, pending, view)
+    }
+
+    fn tick(&mut self, now: Cycle, _signals: &[CoreSignals], ctl: &mut SourceControl) {
+        for &(at, core, throttle) in &self.plan {
+            if at == now {
+                *ctl.throttle_mut(CoreId::new(core)) = throttle;
+            }
+        }
+    }
+
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.plan.iter().map(|&(at, ..)| at).filter(|&at| at > now).min()
+    }
+
+    fn conformance_policy(&self) -> Option<mitts_sim::oracle::PickPolicy> {
+        self.inner.conformance_policy()
+    }
+
+    fn snapshot_kind(&self) -> Option<&'static str> {
+        Some("throttle-plan")
+    }
+
+    fn load_state(
+        &mut self,
+        _dec: &mut mitts_sim::snapshot::Dec<'_>,
+    ) -> Result<(), mitts_sim::snapshot::SnapshotError> {
+        Ok(()) // the plan is configuration
+    }
+}
+
+#[test]
+fn a_throttle_lifted_by_a_hook_beside_a_compute_run_matches_naive() {
+    // Core 0 streams; a hook caps its inflight requests at zero from
+    // cycle 2 000 and lifts the cap at 4 000, when its head is throttle
+    // blocked. Core 1 is in a compute run, so the probe after the lifting
+    // tick finds nothing else to wait for: the throttled head's next
+    // visit grants, and must not be skipped over as if the cap still
+    // held.
+    let cap = CoreThrottle { max_inflight: Some(0), min_issue_gap: None };
+    let (skip, events) = assert_traced_engines_agree("lifted cap", |engine, sink| {
+        let plan = vec![(2_000, 0, cap), (4_000, 0, CoreThrottle::default())];
+        let mut sys = SystemBuilder::new(SystemConfig::multi_program(2))
+            .scheduler(Box::new(ThrottlePlan { inner: FrFcfs, plan }))
+            .engine(engine)
+            .trace_sink(Box::new(sink))
+            .trace(0, Box::new(StrideTrace::new(20, 64, 16 << 20).with_base(base_for(0))))
+            .trace(1, Box::new(StrideTrace::new(40_000, 64, 16 << 20).with_base(base_for(1))))
+            .build();
+        sys.run_cycles(6_000);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    assert!(stalls_for(&events, 0, StallReason::Throttle) > 0, "core 0 was never throttled");
+    assert!(skip.skipped_cycles() > 0, "nothing skipped");
+}
+
+#[test]
+fn a_throttle_written_by_a_hook_reaches_a_dormant_denied_core_like_naive() {
+    // The denied core is dormant until its shaper's replenish at 8 000
+    // when, at 3 000, a hook gives it an issue gap that has not expired.
+    // From the next cycle on its head is throttle blocked rather than
+    // shaper denied, which a naive tick records at once.
+    let gap = CoreThrottle { max_inflight: None, min_issue_gap: Some(20_000) };
+    let (skip, events) = assert_traced_engines_agree("gap on a dormant core", |engine, sink| {
+        let shaper = Rc::new(RefCell::new(MittsShaper::new(bin0_config(2, 8_000))));
+        let mut cfg = SystemConfig::multi_program(2);
+        cfg.llc = CacheConfig::llc_with_size(256 << 10);
+        let mut sys = SystemBuilder::new(cfg)
+            .scheduler(Box::new(ThrottlePlan { inner: FrFcfs, plan: vec![(3_000, 0, gap)] }))
+            .engine(engine)
+            .trace_sink(Box::new(sink))
+            .trace(0, Box::new(Benchmark::Libquantum.profile().trace(base_for(0), 11)))
+            .shaper(0, shaper as _)
+            .trace(1, Box::new(StrideTrace::new(40_000, 64, 16 << 20).with_base(base_for(1))))
+            .build();
+        sys.run_cycles(3_500);
+        assert!(sys.audit_log().is_empty(), "{engine:?} run must audit clean");
+        sys
+    });
+    assert!(stalls_for(&events, 0, StallReason::Throttle) > 0, "core 0 was never throttled");
     assert!(skip.slept_ticks() > 0, "no core slept");
 }

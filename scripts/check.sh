@@ -94,6 +94,20 @@ if par >= 2 and busy < 0.6:
 print(f"pool gate: capacity_x15.pool.busy_frac {busy:.2f} on {par:.0f} CPUs")
 '
 
+# Skip gate: the gaps between a core's memory requests are mostly runs of
+# full-width compute, which the skip engine jumps over, so the two
+# compute-heavy workloads skip at least half their cycles. Both values
+# are exact simulated counts, so the gate cannot flake.
+tail -n 1 "$PERF_LOG" | python3 -c '
+import json, sys
+m = json.load(sys.stdin)["metrics"]
+for w in ("mitts_wl4_x8", "capacity_x15"):
+    frac = m[f"{w}.system.skip_frac"]["value"]
+    if frac < 0.5:
+        sys.exit(f"skip gate: {w}.system.skip_frac {frac:.3f} < 0.5")
+    print(f"skip gate: {w}.system.skip_frac {frac:.3f}")
+'
+
 # Conformance smoke gate: seeded mutation checks (each oracle must catch
 # every component that misstates or breaks its spec), a short fuzz
 # campaign (every fuzzed case also byte-diffed naive vs skip), a workload
