@@ -9,7 +9,18 @@
 //!    [`mitts_sim::fsio::Fs::write_atomic`] (temp file + fsync +
 //!    rename), so a kill mid-write can never leave a truncated artifact;
 //! 3. `finish <name>` is appended only after the artifact is durable,
-//!    carrying the artifact's CRC-32.
+//!    carrying the artifact's CRC-32;
+//! 4. the artifact's temporary files left by other processes
+//!    (`.<name>.txt.tmp.<pid>.<seq>` with another pid) are removed.
+//!
+//! Step 4 is safe because only the lease holder of `<name>` records its
+//! `finish`: a writer of another process does not hold the lease, and
+//! the lease protocol says it never writes `<name>` again. Without it, a
+//! kill (a crash, or a chaos `exit(3)`) landing while another worker is
+//! inside the atomic write orphans that worker's temporary file, which
+//! every later `--resume` would keep. This process's own temporary files
+//! are never removed, so several processes sweeping one state dir stay
+//! correct.
 //!
 //! Recovery ([`Journal::completed`]) trusts an experiment only when the
 //! `finish` record is intact (every journal line carries its own
@@ -205,12 +216,34 @@ impl Journal {
     }
 
     /// Durably writes the result artifact, then records completion with
-    /// the artifact's CRC-32.
+    /// the artifact's CRC-32, then removes the artifact's temporary
+    /// files that other processes left (see the module docs).
     pub fn record_finish(&mut self, name: &str, rendered: &str) -> io::Result<()> {
-        self.fs.write_atomic_str(&self.artifact_path(name), rendered)?;
+        let path = self.artifact_path(name);
+        self.fs.write_atomic_str(&path, rendered)?;
         let crc = crc32(rendered.as_bytes()).to_string();
         self.append("finish", name, &[("artifact_crc", &crc)]);
+        self.remove_orphaned_tmps(&path);
         Ok(())
+    }
+
+    /// Removes the `.<file>.tmp.<pid>.<seq>` siblings of `path` whose pid
+    /// is not this process's: each was left by a writer killed inside
+    /// [`Fs::write_atomic`], and that writer never writes again. This
+    /// process's own are left alone. Best-effort: a leftover that
+    /// survives is tmp litter for `mitts-fsck`.
+    fn remove_orphaned_tmps(&self, path: &Path) {
+        let (Some(dir), Some(file)) = (path.parent(), path.file_name()) else { return };
+        let prefix = format!(".{}.tmp.", file.to_string_lossy());
+        let own = std::process::id().to_string();
+        let Ok(entries) = self.fs.read_dir(dir) else { return };
+        for entry in entries {
+            let name = entry.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
+            let pid = name.strip_prefix(&prefix).and_then(|rest| rest.split('.').next());
+            if pid.is_some_and(|pid| pid != own) {
+                let _ = self.fs.remove_file(&entry);
+            }
+        }
     }
 
     /// Records a failed attempt and why.
@@ -365,6 +398,30 @@ mod tests {
             !j.completed().contains("a"),
             "an artifact failing its finish-record CRC must not be trusted"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finish_removes_temporary_files_other_processes_left() {
+        // A worker killed inside the atomic write of `a` leaves its
+        // temporary file under its own pid; the next lease holder's
+        // finish removes it, but never a temporary file of its own
+        // process, nor one of another artifact.
+        let dir = scratch("orphans");
+        let mut j = Journal::open(&dir, false).unwrap();
+        let results = dir.join("results");
+        let other = std::process::id().wrapping_add(1);
+        let orphan = results.join(format!(".a.txt.tmp.{other}.3"));
+        let own = results.join(format!(".a.txt.tmp.{}.7", std::process::id()));
+        let unrelated = results.join(format!(".ab.txt.tmp.{other}.0"));
+        for path in [&orphan, &own, &unrelated] {
+            std::fs::write(path, "half-written").unwrap();
+        }
+        j.record_finish("a", "table a\n").unwrap();
+        assert!(!orphan.exists(), "another process's orphaned temporary file survived");
+        assert!(own.exists(), "this process's own temporary file was removed");
+        assert!(unrelated.exists(), "another artifact's temporary file was removed");
+        assert!(j.completed().contains("a"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

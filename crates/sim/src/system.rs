@@ -6,6 +6,8 @@
 //! §III-D); all cores share a distributed LLC (modelled as one cache with
 //! a port limit) and a single memory channel behind a smoothing FIFO.
 
+#![deny(clippy::too_many_lines)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -109,32 +111,26 @@ enum IssueOutcome {
 }
 
 impl IssueOutcome {
-    /// Stable wire tag for checkpoints.
+    /// Every outcome, at the index of its stable one-byte checkpoint tag.
+    const SNAPSHOT_TAGS: [IssueOutcome; 7] = [
+        IssueOutcome::NoRequest,
+        IssueOutcome::Granted,
+        IssueOutcome::ShaperDenied,
+        IssueOutcome::ThrottleBlocked,
+        IssueOutcome::FaultDenied,
+        IssueOutcome::NoPorts,
+        IssueOutcome::McBackpressure,
+    ];
+
     fn snapshot_tag(self) -> u8 {
-        match self {
-            IssueOutcome::NoRequest => 0,
-            IssueOutcome::Granted => 1,
-            IssueOutcome::ShaperDenied => 2,
-            IssueOutcome::ThrottleBlocked => 3,
-            IssueOutcome::FaultDenied => 4,
-            IssueOutcome::NoPorts => 5,
-            IssueOutcome::McBackpressure => 6,
-        }
+        Self::SNAPSHOT_TAGS.iter().position(|&o| o == self).expect("every outcome is tagged") as u8
     }
 
     fn from_snapshot_tag(tag: u8) -> Result<Self, SnapshotError> {
-        Ok(match tag {
-            0 => IssueOutcome::NoRequest,
-            1 => IssueOutcome::Granted,
-            2 => IssueOutcome::ShaperDenied,
-            3 => IssueOutcome::ThrottleBlocked,
-            4 => IssueOutcome::FaultDenied,
-            5 => IssueOutcome::NoPorts,
-            6 => IssueOutcome::McBackpressure,
-            t => {
-                return Err(SnapshotError::corrupt(format!("invalid issue-outcome tag {t}")))
-            }
-        })
+        Self::SNAPSHOT_TAGS
+            .get(usize::from(tag))
+            .copied()
+            .ok_or_else(|| SnapshotError::corrupt(format!("invalid issue-outcome tag {tag}")))
     }
 }
 
@@ -223,6 +219,23 @@ fn prefix_mismatch(e: SnapshotError, prefix: &str) -> SnapshotError {
         SnapshotError::Mismatch(reason) => SnapshotError::Mismatch(format!("{prefix}{reason}")),
         other => other,
     }
+}
+
+/// Loads a component's state blob after checking that the snapshot
+/// holds the same kind of component as this system (`what` names it).
+fn load_kind<T>(
+    d: &mut Dec<'_>,
+    what: &str,
+    have: Option<&'static str>,
+    load: impl FnOnce(&mut Dec<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let kind = d.str()?.to_owned();
+    let have = have.unwrap_or("");
+    if kind != have {
+        let reason = format!("{what} is `{have}` but the snapshot holds `{kind}`");
+        return Err(SnapshotError::mismatch(reason));
+    }
+    d.blob(load)
 }
 
 /// One core plus its private memory-side structures.
@@ -591,6 +604,44 @@ struct ShaperNote {
     hit: bool,
 }
 
+/// The watchdog's per-tick inputs: instructions retired and fills
+/// delivered over all cores, and whether every core was frozen. A skip
+/// notes its window's once, at the window's last cycle.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    retired: u64,
+    fills: u64,
+    all_frozen: bool,
+}
+
+impl Progress {
+    /// No progress yet; every core frozen until observed otherwise.
+    fn new() -> Self {
+        Progress { retired: 0, fills: 0, all_frozen: true }
+    }
+
+    /// The one core-progress observation, of core `idx`'s tick or replay
+    /// ending at `at`, which took its retirement from `before` to `after`.
+    /// A retirement or a frozen cycle resets the core's starvation episode
+    /// (nothing else can; a window's last reset is the one that remains).
+    fn observe(
+        &mut self,
+        auditor: &mut InvariantAuditor,
+        at: Cycle,
+        idx: usize,
+        before: u64,
+        after: u64,
+        frozen: bool,
+    ) {
+        if after != before || frozen {
+            let fired = auditor.observe_core(at, idx, after, frozen);
+            debug_assert!(!fired, "a reset never reports starvation");
+        }
+        self.retired += after - before;
+        self.all_frozen &= frozen;
+    }
+}
+
 /// Builder for [`System`]. Cores default to a compute-bound trace, an
 /// [`UnlimitedShaper`], and the FCFS scheduler; override what you need.
 ///
@@ -834,8 +885,8 @@ impl SystemBuilder {
             engine: self.engine,
             skipped_cycles: 0,
             slept_ticks: 0,
-            fills_scratch: Vec::new(),
-            notes_scratch: Vec::new(),
+            fills: Vec::new(),
+            notes: Vec::new(),
             resp_scratch: Vec::new(),
             lookups_scratch: Vec::new(),
             obs,
@@ -888,9 +939,11 @@ pub struct System {
     skipped_cycles: u64,
     /// Total core-ticks replayed by sleeping cores.
     slept_ticks: u64,
+    /// The fills and shaper feedback the DRAM and LLC stages queue for
+    /// the delivery stage of the same tick (empty between ticks).
+    fills: Vec<CoreFill>,
+    notes: Vec<ShaperNote>,
     /// Reusable per-tick buffers (the tick hot path must not allocate).
-    fills_scratch: Vec<CoreFill>,
-    notes_scratch: Vec<ShaperNote>,
     resp_scratch: Vec<McResponse>,
     lookups_scratch: Vec<LlcLookup>,
     /// Observability: lifecycle tracing + time-series sampling (zero-cost
@@ -1206,36 +1259,26 @@ impl System {
         if self.auditor.stall().is_some() {
             return Err(SnapshotError::Stalled);
         }
+        let checkpoints = |what: String, kind: Option<&str>, name: &str| match kind {
+            Some(_) => Ok(()),
+            None => Err(SnapshotError::unsupported(format!("{what} `{name}`"))),
+        };
         for (i, unit) in self.cores.iter().enumerate() {
             if unit.core.trace_snapshot_kind().is_none() {
                 return Err(SnapshotError::unsupported(format!("core {i} trace source")));
             }
             let sh = unit.shaper.borrow();
-            if sh.snapshot_kind().is_none() {
-                return Err(SnapshotError::unsupported(format!(
-                    "core {i} shaper `{}`",
-                    sh.name()
-                )));
-            }
+            checkpoints(format!("core {i} shaper"), sh.snapshot_kind(), sh.name())?;
         }
         for (i, sh) in self.llc.shapers.iter().enumerate() {
             if let Some(sh) = sh {
                 let sh = sh.borrow();
-                if sh.snapshot_kind().is_none() {
-                    return Err(SnapshotError::unsupported(format!(
-                        "core {i} after-LLC shaper `{}`",
-                        sh.name()
-                    )));
-                }
+                checkpoints(format!("core {i} after-LLC shaper"), sh.snapshot_kind(), sh.name())?;
             }
         }
         for (c, ch) in self.channels.iter().enumerate() {
-            if ch.scheduler.snapshot_kind().is_none() {
-                return Err(SnapshotError::unsupported(format!(
-                    "channel {c} scheduler `{}`",
-                    ch.scheduler.name()
-                )));
-            }
+            let sched = &ch.scheduler;
+            checkpoints(format!("channel {c} scheduler"), sched.snapshot_kind(), sched.name())?;
         }
 
         let mut w = SnapshotWriter::new();
@@ -1266,7 +1309,7 @@ impl System {
             // engine-independent. A resumed run restarts the count at 0.
             // The per-core signal table is NOT serialised: it is a
             // reusable scratch buffer refreshed from the live counters
-            // at the start of step 6 of every tick that runs a
+            // by `hook_tick` (stage 6) on every tick that runs a
             // scheduler hook, *before* any scheduler reads it, so its
             // cross-tick contents are never observable. Persisting it
             // would capture engine-dependent staleness (how far back
@@ -1299,19 +1342,12 @@ impl System {
                 "system configuration differs from the one that produced the snapshot",
             ));
         }
-        let cores = d.usize()?;
-        if cores != self.cores.len() {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {cores} cores, this system has {}",
-                self.cores.len()
-            )));
-        }
-        let channels = d.usize()?;
-        if channels != self.channels.len() {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {channels} channels, this system has {}",
-                self.channels.len()
-            )));
+        for (what, have) in [("cores", self.cores.len()), ("channels", self.channels.len())] {
+            let n = d.usize()?;
+            if n != have {
+                let reason = format!("snapshot has {n} {what}, this system has {have}");
+                return Err(SnapshotError::mismatch(reason));
+            }
         }
         let _taken_at = d.u64()?;
         d.finish()?;
@@ -1437,17 +1473,8 @@ impl System {
         for _ in 0..n {
             unit.hit_pipe.push_back((d.u64()?, OpId::new(d.u64()?)));
         }
-        let kind = d.str()?.to_owned();
-        {
-            let mut sh = unit.shaper.borrow_mut();
-            let have = sh.snapshot_kind().unwrap_or("");
-            if kind != have {
-                return Err(SnapshotError::mismatch(format!(
-                    "shaper is `{have}` but the snapshot holds `{kind}`"
-                )));
-            }
-            d.blob(|d| sh.load_state(d))?;
-        }
+        let mut sh = unit.shaper.borrow_mut();
+        load_kind(d, "shaper", sh.snapshot_kind(), |d| sh.load_state(d))?;
         unit.grants.load_state(d)?;
         unit.last_issue = d.opt_u64()?;
         unit.last_outcome = IssueOutcome::from_snapshot_tag(d.u8()?)?;
@@ -1558,15 +1585,9 @@ impl System {
             let present = d.bool()?;
             match (present, sh) {
                 (true, Some(sh)) => {
-                    let kind = d.str()?.to_owned();
                     let mut sh = sh.borrow_mut();
-                    let have = sh.snapshot_kind().unwrap_or("");
-                    if kind != have {
-                        return Err(SnapshotError::mismatch(format!(
-                            "core {i} after-LLC shaper is `{have}` but the snapshot holds `{kind}`"
-                        )));
-                    }
-                    d.blob(|d| sh.load_state(d))?;
+                    let what = format!("core {i} after-LLC shaper");
+                    load_kind(d, &what, sh.snapshot_kind(), |d| sh.load_state(d))?;
                 }
                 (false, None) => {}
                 (true, None) => {
@@ -1594,15 +1615,8 @@ impl System {
     fn load_channel(ch: &mut Channel, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
         ch.mc.load_state(d)?;
         ch.dram.load_state(d, |d| d.u64())?;
-        let kind = d.str()?.to_owned();
-        let have = ch.scheduler.snapshot_kind().unwrap_or("");
-        if kind != have {
-            return Err(SnapshotError::mismatch(format!(
-                "scheduler is `{have}` but the snapshot holds `{kind}`"
-            )));
-        }
-        d.blob(|d| ch.scheduler.load_state(d))?;
-        Ok(())
+        let scheduler = &mut ch.scheduler;
+        load_kind(d, "scheduler", scheduler.snapshot_kind(), |d| scheduler.load_state(d))
     }
 
     /// Every core's [`CoreStats`] and every channel's counters, comparable
@@ -1719,84 +1733,265 @@ impl System {
         }
     }
 
+    /// One real cycle: the stages in pipeline order. Under
+    /// [`Engine::Skip`] a stage passes over a component before its cached
+    /// wake cycle; the naive engine runs every stage of every component.
     fn tick(&mut self) {
         let now = self.now;
-        // Reusable scratch: the hot path must not allocate per tick.
-        let mut fills = std::mem::take(&mut self.fills_scratch);
-        let mut notes = std::mem::take(&mut self.notes_scratch);
-        let faults_active = self.faults.is_active();
-        // Only the skip engine lets components sleep until their cached
-        // wake cycle; the naive engine runs every stage of every
-        // component every cycle.
         let sleep = self.engine == Engine::Skip;
+        // Read once: the DRAM stage may release the last held response.
+        let faults_active = self.faults.is_active();
+        self.dram_tick(now, sleep, faults_active);
+        self.llc_tick(now, sleep);
+        let fills = self.deliver_tick(now);
+        let progress = Progress { fills, ..self.core_tick(now, sleep, faults_active) };
+        self.mc_tick(now, sleep);
+        self.hook_tick(now, sleep);
+        self.hardening_tick(now, progress, sleep);
+        self.obs_tick(now);
+        self.now += 1;
+    }
 
-        // 1. DRAM completions -> LLC fills (per channel).
-        let map = self.channel_map;
-        let nchan = self.channels.len();
+    /// Stage 1, DRAM: due completions drain, and each read response not
+    /// dropped or held by a fault, then each held line released now, is
+    /// delivered. Its probe term is `System::channels_wake`.
+    fn dram_tick(&mut self, now: Cycle, sleep: bool, faults_active: bool) {
         let mut responses = std::mem::take(&mut self.resp_scratch);
-        for ch in 0..nchan {
-            if sleep && self.channels[ch].dram.next_completion().is_none_or(|c| c > now) {
+        for ch in 0..self.channels.len() {
+            let channel = &mut self.channels[ch];
+            if sleep && channel.dram.next_completion().is_none_or(|c| c > now) {
                 continue;
             }
-            responses.clear();
-            {
-                let channel = &mut self.channels[ch];
-                channel.mc.drain_completions_into(
-                    now,
-                    channel.scheduler.as_mut(),
-                    &mut channel.dram,
-                    &mut responses,
-                );
-            }
+            channel.mc.drain_completions_into(
+                now,
+                channel.scheduler.as_mut(),
+                &mut channel.dram,
+                &mut responses,
+            );
             for resp in responses.drain(..) {
                 // Fault injection: a response may be discarded or held.
-                match self.faults.on_response(now, resp.txn.addr) {
-                    ResponseAction::Drop | ResponseAction::Delay(_) => continue,
-                    ResponseAction::Deliver => {}
+                if self.faults.on_response(now, resp.txn.addr) == ResponseAction::Deliver {
+                    self.llc_on_mem_response(now, resp.txn.addr);
                 }
-                self.obs.on_mem_response(now, resp.txn.addr);
-                Self::llc_on_mem_response(
-                    &mut self.llc,
-                    &mut self.channels,
-                    map,
-                    now,
-                    resp.txn.addr,
-                    &mut fills,
-                    &mut self.obs,
-                );
             }
         }
         if faults_active {
             for line in self.faults.due_delayed(now) {
-                self.obs.on_mem_response(now, line);
-                Self::llc_on_mem_response(
-                    &mut self.llc,
-                    &mut self.channels,
-                    map,
-                    now,
-                    line,
-                    &mut fills,
-                    &mut self.obs,
-                );
+                self.llc_on_mem_response(now, line);
+            }
+        }
+        self.resp_scratch = responses;
+    }
+
+    /// The one response-delivery path, for DRAM responses and released
+    /// held lines: fill the LLC and its waiting cores, and write an
+    /// evicted dirty line back to memory.
+    fn llc_on_mem_response(&mut self, now: Cycle, line_addr: Addr) {
+        self.obs.on_mem_response(now, line_addr);
+        let llc = &mut self.llc;
+        if let Some(entry) = llc.mshrs.complete(line_addr) {
+            for &core in &entry.waiters {
+                self.fills.push(CoreFill { core, line_addr });
+            }
+            llc.mshrs.recycle(entry.waiters);
+            if let Some(ev) = llc.cache.fill(line_addr, entry.any_write) {
+                if ev.dirty {
+                    // Evicted dirty LLC line: write back to memory.
+                    let map = self.channel_map;
+                    let req = McBacklogEntry::new(map, CoreId::new(0), ev.line_addr, MemCmd::Write);
+                    self.mc_submit(now, req);
+                }
+            }
+        }
+    }
+
+    /// Attempts the FIFO enqueue of `req` on its channel, emitting the
+    /// `mc_enqueue` trace event on success. All controller enqueues
+    /// funnel through here so the event stream is complete.
+    fn mc_enqueue(&mut self, now: Cycle, req: McBacklogEntry) -> bool {
+        let McBacklogEntry { core, line_addr, cmd, channel } = req;
+        let accepted = self.channels[channel].mc.try_enqueue(now, core, line_addr, cmd).is_some();
+        if accepted {
+            self.obs.on_mc_enqueue(now, channel, core.index(), line_addr, cmd == MemCmd::Write);
+        }
+        accepted
+    }
+
+    /// Sends a new transaction to its controller, or appends it to the
+    /// backlog when its channel's FIFO is full.
+    fn mc_submit(&mut self, now: Cycle, req: McBacklogEntry) {
+        if !self.mc_enqueue(now, req) {
+            self.llc.mc_backlog.push_back(req);
+        }
+    }
+
+    /// Stage 2, the LLC: the controller backlog's retry, the after-LLC
+    /// shaper gate, then the lookups due now (`System::llc_lookup`).
+    fn llc_tick(&mut self, now: Cycle, sleep: bool) {
+        let map = self.channel_map;
+        // Retry transactions that met a full controller FIFO.
+        while let Some(&entry) = self.llc.mc_backlog.front() {
+            if self.mc_enqueue(now, entry) {
+                self.llc.mc_backlog.pop_front();
+            } else {
+                break;
             }
         }
 
-        // 2. LLC: retry MC backlog, then resolve due lookups.
-        Self::llc_tick(
-            &mut self.llc,
-            &mut self.channels,
-            map,
-            &mut self.cores,
-            now,
-            sleep,
-            &mut fills,
-            &mut notes,
-            &mut self.lookups_scratch,
-            &mut self.obs,
-        );
+        // After-LLC shapers: housekeeping, then retry deferred misses
+        // (head-of-line per core). A core whose gate was removed flushes
+        // its backlog unconditionally. Skipped while no core is gated.
+        if self.llc.gated || !sleep {
+            let mut gated = false;
+            for core_idx in 0..self.llc.deferred.len() {
+                let llc = &mut self.llc;
+                let grant_one = match &llc.shapers[core_idx] {
+                    Some(shaper) => {
+                        shaper.borrow_mut().tick(now);
+                        !llc.deferred[core_idx].is_empty()
+                            && shaper.borrow_mut().try_issue(now).is_grant()
+                    }
+                    None => !llc.deferred[core_idx].is_empty(),
+                };
+                if grant_one {
+                    let line = llc.deferred[core_idx].pop_front().expect("checked non-empty");
+                    let req = McBacklogEntry::new(map, CoreId::new(core_idx), line, MemCmd::Read);
+                    self.mc_submit(now, req);
+                }
+                let llc = &self.llc;
+                gated |= llc.shapers[core_idx].is_some() || !llc.deferred[core_idx].is_empty();
+            }
+            self.llc.gated = gated;
+        }
 
-        // 3. Deliver fills and shaper notes to cores.
+        // Resolve due lookups. Partition in place (rotate through the
+        // deque once) so the hot path does not allocate; entries that
+        // cannot make progress (MSHR full) are pushed straight back,
+        // which lands them after the not-yet-due remainder exactly as
+        // the old requeue flush did. With nothing due the rotation
+        // leaves the deque as it was, so the skip engine skips it.
+        if sleep && self.llc.next_ready > now {
+            return;
+        }
+        let mut due = std::mem::take(&mut self.lookups_scratch);
+        let llc = &mut self.llc;
+        let mut next_ready = Cycle::MAX;
+        for _ in 0..llc.lookups.len() {
+            let lk = llc.lookups.pop_front().expect("length-bounded");
+            if lk.ready_at <= now {
+                due.push(lk);
+            } else {
+                next_ready = next_ready.min(lk.ready_at);
+                llc.lookups.push_back(lk);
+            }
+        }
+        llc.next_ready = next_ready;
+        for lk in due.drain(..) {
+            self.llc_lookup(now, lk);
+        }
+        self.lookups_scratch = due;
+    }
+
+    /// Resolves one due LLC lookup: a missing writeback goes to memory;
+    /// a demand hit fills the core, and a miss takes an LLC MSHR.
+    fn llc_lookup(&mut self, now: Cycle, mut lk: LlcLookup) {
+        let map = self.channel_map;
+        match lk.kind {
+            LlcKind::Writeback => {
+                match self.llc.cache.access(lk.line_addr, true) {
+                    AccessResult::Hit => {}
+                    AccessResult::Miss => {
+                        // Write-no-allocate for writebacks: forward to
+                        // memory.
+                        let req = McBacklogEntry::new(map, lk.core, lk.line_addr, MemCmd::Write);
+                        self.mc_submit(now, req);
+                    }
+                }
+            }
+            LlcKind::Demand { token, ref mut notified } => {
+                let llc = &mut self.llc;
+                let stats = &mut self.cores[lk.core.index()].stats;
+                let hit = if *notified {
+                    // Retried after MSHR stall: probe quietly.
+                    llc.cache.probe(lk.line_addr)
+                } else {
+                    let r = llc.cache.access(lk.line_addr, false) == AccessResult::Hit;
+                    if r {
+                        stats.llc_hits += 1;
+                    } else {
+                        stats.llc_misses += 1;
+                        stats.mem_interarrival.record_arrival(now);
+                    }
+                    self.notes.push(ShaperNote { core: lk.core, token, hit: r });
+                    self.obs.on_llc_lookup(now, lk.core.index(), lk.line_addr, r);
+                    *notified = true;
+                    r
+                };
+                if hit {
+                    self.fills.push(CoreFill { core: lk.core, line_addr: lk.line_addr });
+                } else {
+                    match llc.mshrs.allocate(lk.line_addr, now, false, lk.core) {
+                        MshrOutcome::Allocated => {
+                            self.obs.on_llc_mshr_alloc(now, lk.line_addr);
+                            // An after-LLC shaper (Fig. 7 middle
+                            // placement) gates true memory requests
+                            // here; denied requests wait in the
+                            // per-core deferred queue.
+                            let gated = match &llc.shapers[lk.core.index()] {
+                                Some(shaper) => !shaper.borrow_mut().try_issue(now).is_grant(),
+                                None => false,
+                            };
+                            if gated {
+                                llc.deferred[lk.core.index()].push_back(lk.line_addr);
+                            } else {
+                                let req =
+                                    McBacklogEntry::new(map, lk.core, lk.line_addr, MemCmd::Read);
+                                self.mc_submit(now, req);
+                            }
+                        }
+                        MshrOutcome::Merged => {}
+                        MshrOutcome::Full => {
+                            lk.ready_at = now + 1;
+                            llc.push_lookup(lk);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The LLC's probe term: its earliest lookup, or the blocker when a
+    /// backlog retry or the after-LLC gate would move a line. A backlog
+    /// head facing a full FIFO does not block: each stuck cycle makes one
+    /// failed retry (replayed by `System::channels_replay`), and the FIFO
+    /// cannot gain room before a dispatch event fires.
+    fn llc_wake(&self) -> Result<Cycle, SkipBlocker> {
+        if let Some(head) = self.llc.mc_backlog.front() {
+            if self.channels[head.channel].mc.fifo_has_room() {
+                return Err(SkipBlocker::BacklogRetryWouldSucceed);
+            }
+        }
+        if self.llc.deferred.iter().any(|q| !q.is_empty()) {
+            return Err(SkipBlocker::LlcDeferred);
+        }
+        Ok(self.llc.next_ready)
+    }
+
+    /// The LLC's replay of a window ending at `last`: one catch-up tick
+    /// of each after-LLC shaper, as `CoreUnit::replay_window` gives a core's.
+    fn llc_replay(&mut self, last: Cycle) {
+        for shaper in self.llc.shapers.iter().flatten() {
+            shaper.borrow_mut().tick(last);
+        }
+    }
+
+    /// Stage 3, delivery: LLC feedback reaches the shapers, then fills
+    /// reach the cores, each dormant one caught up first. Returns the
+    /// number of fills, the watchdog's fill progress.
+    fn deliver_tick(&mut self, now: Cycle) -> u64 {
         let n = self.cores.len();
+        let mut notes = std::mem::take(&mut self.notes);
+        let mut fills = std::mem::take(&mut self.fills);
         for note in notes.drain(..) {
             let core = note.core.index();
             // Feedback (a Method-2 refund) can make a denied request
@@ -1813,12 +2008,10 @@ impl System {
                     self.cores[i].denied_until = 0;
                 }
             }
-            let shaper = &self.cores[core].shaper;
-            shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
+            self.cores[core].shaper.borrow_mut().on_llc_response(now, note.token, note.hit);
             self.auditor.shaper_feedback(now, core, note.token, note.hit);
         }
-        // Each delivered fill counts one core fill (watchdog progress).
-        let fills_delivered = fills.len() as u64;
+        let delivered = fills.len() as u64;
         for fill in fills.drain(..) {
             let core = fill.core.index();
             self.obs.on_core_fill(now, core, fill.line_addr);
@@ -1828,9 +2021,16 @@ impl System {
             }
             self.cores[core].on_fill(now, fill.line_addr);
         }
+        (self.notes, self.fills) = (notes, fills);
+        delivered
+    }
 
-        // 4. Per-core: hit-pipe completions, shaper tick, issue demands and
-        //    writebacks through the LLC ports, then tick the core itself.
+    /// Stage 4, the cores: visits each core in round-robin port order
+    /// (`System::core_issue`, `System::core_pipeline`), passing over a
+    /// dormant core whose visit would repeat its last, and makes a
+    /// sleeping core dormant until its wake cycle when it may be. Returns
+    /// the cycle's core progress.
+    fn core_tick(&mut self, now: Cycle, sleep: bool, faults_active: bool) -> Progress {
         let mut ports_left = if faults_active && self.faults.stall_ports(now) {
             0
         } else {
@@ -1846,9 +2046,8 @@ impl System {
         // must land on the naive cycle, so it wakes and is visited.
         let dormancy = sleep && !faults_active && !any_limits;
         let fifos_free = dormancy && self.channels.iter().all(|ch| ch.mc.fifo_has_room());
-        // Watchdog progress, noted where it happens.
-        let mut retired = 0u64;
-        let mut all_frozen = true;
+        let mut progress = Progress::new();
+        let n = self.cores.len();
         for i in 0..n {
             let idx = wrapping_index(self.rr_offset, i, n);
             let wake = self.dormant[idx];
@@ -1858,7 +2057,7 @@ impl System {
                     && dormancy
                     && (fifos_free || self.cores[idx].miss_queue.is_empty())
                 {
-                    all_frozen = false;
+                    progress.all_frozen = false;
                     continue;
                 }
                 self.wake_dormant(idx, now);
@@ -1868,172 +2067,9 @@ impl System {
             } else {
                 CoreThrottle::default()
             };
-            // §III-C backpressure: a full smoothing FIFO on the head's
-            // channel stalls the issue stage before the shaper is
-            // consulted — no port is consumed and no credit is spent, so
-            // the FIFO depth bounds how much burstiness the controller
-            // absorbs before the stall reaches the sources.
-            let backpressured = self.cores[idx]
-                .miss_queue
-                .front()
-                .is_some_and(|h| !self.channels[h.channel].mc.fifo_has_room());
+            ports_left = self.core_issue(now, idx, throttle, ports_left, sleep, faults_active);
+            self.core_pipeline(now, idx, sleep, &mut progress);
             let unit = &mut self.cores[idx];
-
-            while let Some(&(ready, op)) = unit.hit_pipe.front() {
-                if ready > now {
-                    break;
-                }
-                unit.hit_pipe.pop_front();
-                unit.core.complete(op);
-                unit.asleep = None;
-            }
-
-            unit.shaper.borrow_mut().tick(now);
-
-            // Demand issue (head of miss queue) through the shaper. The
-            // outcome is recorded so the skip engine knows whether
-            // a stuck head is waiting on something time can cure.
-            let was_stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
-            unit.last_outcome = if ports_left == 0 {
-                IssueOutcome::NoPorts
-            } else if let Some(&head) = unit.miss_queue.front() {
-                let inflight_ok =
-                    throttle.max_inflight.is_none_or(|cap| unit.stats.inflight < cap);
-                let gap_ok = throttle.min_issue_gap.is_none_or(|gap| {
-                    unit.last_issue.is_none_or(|last| now >= last + gap as Cycle)
-                });
-                if backpressured {
-                    IssueOutcome::McBackpressure
-                } else if inflight_ok && gap_ok {
-                    // Fault injection: a zeroed-credit shaper denies
-                    // everything. A sleeping shaper denies until the
-                    // cycle its last denial named: a denial changes no
-                    // shaper state, so asking again would deny again.
-                    let fault_denied = faults_active && self.faults.deny_issue(now, idx);
-                    let decision = if fault_denied || now < unit.denied_until {
-                        ShapeDecision::Deny
-                    } else {
-                        let mut shaper = unit.shaper.borrow_mut();
-                        let decision = shaper.try_issue(now);
-                        if sleep && !decision.is_grant() {
-                            unit.denied_until =
-                                shaper.next_grant_event(now).unwrap_or(Cycle::MAX);
-                        }
-                        decision
-                    };
-                    match decision {
-                        ShapeDecision::Grant(token) => {
-                            unit.miss_queue.pop_front();
-                            unit.stats.inflight += 1;
-                            unit.stats.shaper_grants += 1;
-                            unit.grants.on_grant(now);
-                            unit.last_issue = Some(now);
-                            ports_left -= 1;
-                            self.obs.on_shaper_grant(now, idx, head.line_addr, token);
-                            self.auditor.shaper_grant(now, idx, token, self.rr_offset);
-                            self.llc.push_lookup(LlcLookup {
-                                ready_at: now + self.llc.hit_latency,
-                                core: unit.id,
-                                line_addr: head.line_addr,
-                                kind: LlcKind::Demand { token, notified: false },
-                            });
-                            IssueOutcome::Granted
-                        }
-                        ShapeDecision::Deny => {
-                            unit.stats.shaper_stall_cycles += 1;
-                            if fault_denied {
-                                IssueOutcome::FaultDenied
-                            } else {
-                                if faults_active && self.faults.corrupt_credits(now, idx) {
-                                    // Fault injection: the auditor sees a
-                                    // grant the shaper did not make.
-                                    self.auditor.shaper_grant(now, idx, 0, self.rr_offset);
-                                }
-                                IssueOutcome::ShaperDenied
-                            }
-                        }
-                    }
-                } else {
-                    unit.stats.shaper_stall_cycles += 1;
-                    IssueOutcome::ThrottleBlocked
-                }
-            } else {
-                IssueOutcome::NoRequest
-            };
-            // Shaper stall episodes for the auditor's shaper oracle:
-            // transitions only, which land on the same cycles under both
-            // engines (a grant ends an episode itself).
-            let stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
-            if stalled != was_stalled && unit.last_outcome != IssueOutcome::Granted {
-                self.auditor.shaper_stall(now, idx, stalled);
-            }
-            if self.obs.lifecycle_enabled() {
-                // Throttling-episode tracking: emitted on transitions only,
-                // so skipped quiescent windows (constant outcome) and naive
-                // per-cycle re-evaluation produce the same stream.
-                let reason = match unit.last_outcome {
-                    IssueOutcome::ShaperDenied => Some(StallReason::Shaper),
-                    IssueOutcome::ThrottleBlocked => Some(StallReason::Throttle),
-                    IssueOutcome::FaultDenied => Some(StallReason::Fault),
-                    IssueOutcome::McBackpressure => Some(StallReason::Backpressure),
-                    IssueOutcome::NoPorts if !unit.miss_queue.is_empty() => {
-                        Some(StallReason::Ports)
-                    }
-                    _ => None,
-                };
-                self.obs.on_issue_outcome(now, idx, reason);
-            }
-
-            // Writebacks use leftover port bandwidth.
-            if ports_left > 0 {
-                if let Some(wb) = unit.wb_queue.pop_front() {
-                    ports_left -= 1;
-                    self.llc.push_lookup(LlcLookup {
-                        ready_at: now + self.llc.hit_latency,
-                        core: unit.id,
-                        line_addr: wb,
-                        kind: LlcKind::Writeback,
-                    });
-                }
-            }
-
-            // Core pipeline. A sleeping core's tick would repeat its last
-            // one, which changed nothing but counters: replay those.
-            if let Some(class) = unit.asleep {
-                unit.replay_idle(class, 1, &mut self.slept_ticks);
-                all_frozen = false;
-            } else {
-                let CoreUnit {
-                    core, l1, l1_mshrs, miss_queue, hit_pipe, stats, l1_hit_latency, asleep, ..
-                } = unit;
-                let mut port = L1Front {
-                    l1,
-                    mshrs: l1_mshrs,
-                    miss_queue,
-                    hit_pipe,
-                    stats,
-                    hit_latency: *l1_hit_latency,
-                    obs: &mut self.obs,
-                    core: idx,
-                    channel_map: map,
-                };
-                let before = core.counters().instructions;
-                let class = core.tick(now, &mut port);
-                let instructions = core.counters().instructions;
-                let frozen = class == CoreIdleClass::Frozen;
-                // A retirement or a frozen cycle resets the core's
-                // starvation episode; nothing else can.
-                if instructions != before || frozen {
-                    let fired = self.auditor.observe_core(now, idx, instructions, frozen);
-                    debug_assert!(!fired, "a reset never reports starvation");
-                }
-                retired += instructions - before;
-                all_frozen &= frozen;
-                // A frozen tick is already one comparison; it does not sleep.
-                if sleep && !matches!(class, CoreIdleClass::Busy | CoreIdleClass::Frozen) {
-                    *asleep = Some(class);
-                }
-            }
             if dormancy && unit.asleep.is_some() {
                 // A sleeping core is in no compute run: no target applies.
                 let wake = unit.wake_at(now + 1, &self.source_ctl, u64::MAX).ok();
@@ -2044,10 +2080,233 @@ impl System {
             }
         }
         self.rr_offset = wrapping_index(self.rr_offset, 1, n);
+        progress
+    }
 
-        // 5. Memory controller dispatch (per channel). The auditor's pick
-        //    oracle checks each pick as it is made; the auditor's DDR3
-        //    oracle checks the dispatch, then the observer traces it.
+    /// The issue half of core `idx`'s visit: hit-pipe completions, the
+    /// shaper's tick, the demand issue and a writeback through the LLC
+    /// ports. Returns the ports left.
+    fn core_issue(
+        &mut self,
+        now: Cycle,
+        idx: usize,
+        throttle: CoreThrottle,
+        mut ports_left: usize,
+        sleep: bool,
+        faults_active: bool,
+    ) -> usize {
+        // §III-C backpressure: a full smoothing FIFO on the head's
+        // channel stalls the issue stage before the shaper is
+        // consulted — no port is consumed and no credit is spent, so
+        // the FIFO depth bounds how much burstiness the controller
+        // absorbs before the stall reaches the sources.
+        let backpressured = self.cores[idx]
+            .miss_queue
+            .front()
+            .is_some_and(|h| !self.channels[h.channel].mc.fifo_has_room());
+        let unit = &mut self.cores[idx];
+
+        while let Some(&(ready, op)) = unit.hit_pipe.front() {
+            if ready > now {
+                break;
+            }
+            unit.hit_pipe.pop_front();
+            unit.core.complete(op);
+            unit.asleep = None;
+        }
+
+        unit.shaper.borrow_mut().tick(now);
+
+        // Demand issue (head of miss queue) through the shaper. The
+        // outcome is recorded so the skip engine knows whether
+        // a stuck head is waiting on something time can cure.
+        let was_stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
+        unit.last_outcome = if ports_left == 0 {
+            IssueOutcome::NoPorts
+        } else if let Some(&head) = unit.miss_queue.front() {
+            let inflight_ok = throttle.max_inflight.is_none_or(|cap| unit.stats.inflight < cap);
+            let gap_ok = throttle.min_issue_gap.is_none_or(|gap| {
+                unit.last_issue.is_none_or(|last| now >= last + gap as Cycle)
+            });
+            if backpressured {
+                IssueOutcome::McBackpressure
+            } else if inflight_ok && gap_ok {
+                // Fault injection: a zeroed-credit shaper denies
+                // everything. A sleeping shaper denies until the
+                // cycle its last denial named: a denial changes no
+                // shaper state, so asking again would deny again.
+                let fault_denied = faults_active && self.faults.deny_issue(now, idx);
+                let decision = if fault_denied || now < unit.denied_until {
+                    ShapeDecision::Deny
+                } else {
+                    let mut shaper = unit.shaper.borrow_mut();
+                    let decision = shaper.try_issue(now);
+                    if sleep && !decision.is_grant() {
+                        unit.denied_until = shaper.next_grant_event(now).unwrap_or(Cycle::MAX);
+                    }
+                    decision
+                };
+                match decision {
+                    ShapeDecision::Grant(token) => {
+                        unit.miss_queue.pop_front();
+                        unit.stats.inflight += 1;
+                        unit.stats.shaper_grants += 1;
+                        unit.grants.on_grant(now);
+                        unit.last_issue = Some(now);
+                        ports_left -= 1;
+                        self.obs.on_shaper_grant(now, idx, head.line_addr, token);
+                        self.auditor.shaper_grant(now, idx, token, self.rr_offset);
+                        self.llc.push_lookup(LlcLookup {
+                            ready_at: now + self.llc.hit_latency,
+                            core: unit.id,
+                            line_addr: head.line_addr,
+                            kind: LlcKind::Demand { token, notified: false },
+                        });
+                        IssueOutcome::Granted
+                    }
+                    ShapeDecision::Deny => {
+                        unit.stats.shaper_stall_cycles += 1;
+                        if fault_denied {
+                            IssueOutcome::FaultDenied
+                        } else {
+                            if faults_active && self.faults.corrupt_credits(now, idx) {
+                                // Fault injection: the auditor sees a
+                                // grant the shaper did not make.
+                                self.auditor.shaper_grant(now, idx, 0, self.rr_offset);
+                            }
+                            IssueOutcome::ShaperDenied
+                        }
+                    }
+                }
+            } else {
+                unit.stats.shaper_stall_cycles += 1;
+                IssueOutcome::ThrottleBlocked
+            }
+        } else {
+            IssueOutcome::NoRequest
+        };
+        // Shaper stall episodes for the auditor's shaper oracle:
+        // transitions only, which land on the same cycles under both
+        // engines (a grant ends an episode itself).
+        let stalled = unit.last_outcome == IssueOutcome::ShaperDenied;
+        if stalled != was_stalled && unit.last_outcome != IssueOutcome::Granted {
+            self.auditor.shaper_stall(now, idx, stalled);
+        }
+        if self.obs.lifecycle_enabled() {
+            // Throttling-episode tracking: emitted on transitions only,
+            // so skipped quiescent windows (constant outcome) and naive
+            // per-cycle re-evaluation produce the same stream.
+            let reason = match unit.last_outcome {
+                IssueOutcome::ShaperDenied => Some(StallReason::Shaper),
+                IssueOutcome::ThrottleBlocked => Some(StallReason::Throttle),
+                IssueOutcome::FaultDenied => Some(StallReason::Fault),
+                IssueOutcome::McBackpressure => Some(StallReason::Backpressure),
+                IssueOutcome::NoPorts if !unit.miss_queue.is_empty() => Some(StallReason::Ports),
+                _ => None,
+            };
+            self.obs.on_issue_outcome(now, idx, reason);
+        }
+
+        // Writebacks use leftover port bandwidth.
+        if ports_left > 0 {
+            if let Some(wb) = unit.wb_queue.pop_front() {
+                ports_left -= 1;
+                self.llc.push_lookup(LlcLookup {
+                    ready_at: now + self.llc.hit_latency,
+                    core: unit.id,
+                    line_addr: wb,
+                    kind: LlcKind::Writeback,
+                });
+            }
+        }
+        ports_left
+    }
+
+    /// The pipeline half of core `idx`'s visit: its tick, or a sleeping
+    /// core's one-cycle idle replay, observed into `progress`.
+    fn core_pipeline(&mut self, now: Cycle, idx: usize, sleep: bool, progress: &mut Progress) {
+        let unit = &mut self.cores[idx];
+        // A sleeping core's tick would repeat its last one, which
+        // changed nothing but counters: replay those.
+        if let Some(class) = unit.asleep {
+            unit.replay_idle(class, 1, &mut self.slept_ticks);
+            progress.all_frozen = false;
+        } else {
+            let CoreUnit {
+                core, l1, l1_mshrs, miss_queue, hit_pipe, stats, l1_hit_latency, asleep, ..
+            } = unit;
+            let mut port = L1Front {
+                l1,
+                mshrs: l1_mshrs,
+                miss_queue,
+                hit_pipe,
+                stats,
+                hit_latency: *l1_hit_latency,
+                obs: &mut self.obs,
+                core: idx,
+                channel_map: self.channel_map,
+            };
+            let before = core.counters().instructions;
+            let class = core.tick(now, &mut port);
+            let frozen = class == CoreIdleClass::Frozen;
+            let after = core.counters().instructions;
+            progress.observe(&mut self.auditor, now, idx, before, after, frozen);
+            // A frozen tick is already one comparison; it does not sleep.
+            if sleep && !matches!(class, CoreIdleClass::Busy | CoreIdleClass::Frozen) {
+                *asleep = Some(class);
+            }
+        }
+    }
+
+    /// The cores' probe term: a dormant core's cached wake and the wake
+    /// rule's (`CoreUnit::wake_at`) for every other, or the first blocker.
+    fn cores_wake(&self, retire_target: u64) -> Result<Cycle, SkipBlocker> {
+        let mut next = Cycle::MAX;
+        for (unit, &dormant) in self.cores.iter().zip(&self.dormant) {
+            let wake = match dormant {
+                0 => unit.wake_at(self.now, &self.source_ctl, retire_target)?,
+                wake => wake,
+            };
+            next = next.min(wake);
+        }
+        Ok(next)
+    }
+
+    /// The cores' replay of the `k` cycles through `last`: each core not
+    /// dormant replays them (`CoreUnit::replay_window`) and is observed
+    /// at `last`, and the port order rotates. Returns their progress.
+    fn cores_replay(&mut self, k: Cycle, last: Cycle) -> Progress {
+        // Under an injected LLC port stall every issue stage writes
+        // `NoPorts`, which each core's last tick already wrote (the
+        // stall's first cycle is a fault event, so no skip crosses it),
+        // and denies nothing.
+        let ports_free = !(self.faults.is_active() && self.faults.stall_ports(self.now));
+        let mut progress = Progress::new();
+        for (idx, unit) in self.cores.iter_mut().enumerate() {
+            // A dormant core replays the window with the rest of its
+            // dormancy, when it catches up; it is not frozen.
+            if self.dormant[idx] != 0 {
+                progress.all_frozen = false;
+                continue;
+            }
+            let class = unit.idle_class(self.now);
+            let before = unit.core.counters().instructions;
+            unit.replay_window(class, k, last, ports_free, &mut self.slept_ticks);
+            let frozen = class == CoreIdleClass::Frozen;
+            let after = unit.core.counters().instructions;
+            progress.observe(&mut self.auditor, last, idx, before, after, frozen);
+        }
+        let n = self.cores.len();
+        self.rr_offset = wrapping_index(self.rr_offset, (k % n as u64) as usize, n);
+        progress
+    }
+
+    /// Stage 5, the controllers: each channel's controller refills its
+    /// queue and, once its dispatch fence is due, dispatches. The
+    /// auditor's pick oracle checks each pick as it is made; the
+    /// auditor's DDR3 oracle checks the dispatch, then the observer
+    /// traces it.
+    fn mc_tick(&mut self, now: Cycle, sleep: bool) {
         for (ci, channel) in self.channels.iter_mut().enumerate() {
             let picks = self.auditor.pick_check(ci);
             let scheduler = channel.scheduler.as_mut();
@@ -2057,11 +2316,13 @@ impl System {
                 self.obs.on_dispatch(ci, &r);
             }
         }
+    }
 
-        // 6. Run each scheduler's epoch hook on fresh per-core signals.
-        //    Under the skip engine a hook before its cached `next_event`
-        //    is one idle cycle, and the signals are refreshed only when
-        //    some hook runs.
+    /// Stage 6, the scheduler hooks: each scheduler's epoch hook runs on
+    /// fresh per-core signals. Under the skip engine a hook before its
+    /// cached `next_event` is one idle cycle, and the signals are
+    /// refreshed only when some hook runs.
+    fn hook_tick(&mut self, now: Cycle, sleep: bool) {
         let hook_due = |ch: &Channel| !sleep || now >= ch.sched_wake;
         let hooks = self.channels.iter().any(hook_due);
         if hooks {
@@ -2087,28 +2348,65 @@ impl System {
         if hooks && self.source_ctl.any_limits() {
             self.dormant.fill(0);
         }
+    }
 
-        // 7. Hardening: invariant audit pass, then the forward-progress
-        //    watchdog (both read the settled end-of-cycle state).
+    /// The channels' probe term: their DRAM completions, dispatch fences
+    /// and scheduler hooks, or the blocker of a queue refill.
+    fn channels_wake(&self) -> Result<Cycle, SkipBlocker> {
+        let mut next = Cycle::MAX;
+        for ch in &self.channels {
+            if ch.mc.would_refill_queue() {
+                return Err(SkipBlocker::McWouldRefillQueue);
+            }
+            let dram = ch.dram.next_completion().unwrap_or(Cycle::MAX);
+            let fence = ch.mc.dispatch_fence().unwrap_or(Cycle::MAX);
+            next = next.min(dram).min(fence).min(ch.sched_wake);
+        }
+        Ok(next)
+    }
+
+    /// The channels' replay of `k` cycles: the stuck backlog head's
+    /// rejections, queue occupancy, and scheduler idle cycles.
+    fn channels_replay(&mut self, k: Cycle) {
+        if let Some(head) = self.llc.mc_backlog.front() {
+            self.channels[head.channel].mc.note_rejected_cycles(k);
+        }
+        for ch in &mut self.channels {
+            ch.mc.note_skipped_cycles(k);
+            ch.scheduler.note_idle_cycles(k);
+        }
+    }
+
+    /// Stage 7, hardening: the invariant audit pass when due, then the
+    /// forward-progress watchdog (both read the settled end-of-cycle
+    /// state).
+    fn hardening_tick(&mut self, now: Cycle, progress: Progress, sleep: bool) {
         if self.auditor.audit_due(now) {
             self.audit_pass(now);
         }
-        self.watchdog_tick(now, retired, fills_delivered, all_frozen, sleep);
+        self.watchdog_tick(now, progress, sleep);
         self.obs.sync_hardening(now, &self.auditor);
+    }
 
-        // 8. Observability: sample the settled end-of-cycle state at
-        //    sampling boundaries (real ticks in both modes — boundaries
-        //    clamp fast-forward skips), then purge completed timelines.
+    /// Hardening's probe term: the next audit boundary, the watchdog's
+    /// deadline and the fault plan's next activation or release.
+    fn hardening_wake(&self) -> Cycle {
+        let next = self.auditor.next_audit().min(self.auditor.watchdog_deadline());
+        if !self.faults.is_active() {
+            return next;
+        }
+        next.min(self.faults.next_event(self.now.saturating_sub(1)).unwrap_or(Cycle::MAX))
+    }
+
+    /// Stage 8, observability: samples the settled end-of-cycle state at
+    /// sampling boundaries (real ticks in both modes — boundaries clamp
+    /// fast-forward skips), then purges completed timelines.
+    fn obs_tick(&mut self, now: Cycle) {
         if self.obs.sample_due(now) {
             self.catch_up_all(now);
             self.record_sample(now);
         }
         self.obs.end_tick();
-
-        self.fills_scratch = fills;
-        self.notes_scratch = notes;
-        self.resp_scratch = responses;
-        self.now += 1;
     }
 
     /// Feeds the sampler one boundary's cumulative row (see
@@ -2164,61 +2462,29 @@ impl System {
     /// A core in a compute run acts when the run ends, or on the cycle its
     /// retirement reaches `retire_target` (see `CoreUnit::wake_at`).
     ///
-    /// The target is a plain minimum over cached wake cycles, clamped to
-    /// at least `self.now`: an event in the past or present simply means
-    /// "no skip", and the next audit boundary always bounds it. Each
-    /// core's is the one wake rule (`CoreUnit::wake_at`), read from the
-    /// dormant set for a dormant core; every other component's is the
-    /// field the tick keeps (LLC lookups, DRAM completions, dispatch
-    /// fences, scheduler hooks, audit and sample boundaries) or, for the
-    /// watchdog, the deadline its episodes fix, so the probe calls no
-    /// estimator the tick already asked. Wakes may err early (the wake-up tick re-evaluates and may
+    /// The target is a plain minimum over the components' probe terms,
+    /// each kept beside its stage, clamped to at least `self.now`: an
+    /// event in the past or present simply means "no skip", and the next
+    /// audit boundary always bounds it. Each term reads the wake cycles
+    /// the tick keeps, so the probe calls no estimator the tick already
+    /// asked. Wakes may err early (the wake-up tick re-evaluates and may
     /// skip again) but never late — the one-cycle-granularity invariant:
     /// a skip must be indistinguishable, counter for counter, from
     /// executing that many no-op ticks.
-    ///
-    /// A non-empty LLC→controller backlog does not block when its head
-    /// faces a full FIFO: each stuck cycle performs exactly one failed
-    /// retry (replayed by [`MemoryController::note_rejected_cycles`]) and
-    /// the FIFO cannot gain room before a dispatch event fires.
     ///
     /// # Errors
     ///
     /// The first blocker found, in [`SkipBlocker`] declaration order.
     pub(crate) fn probe(&self, retire_target: u64) -> Result<Cycle, SkipBlocker> {
-        let resume = self.now;
-        if let Some(head) = self.llc.mc_backlog.front() {
-            if self.channels[head.channel].mc.fifo_has_room() {
-                return Err(SkipBlocker::BacklogRetryWouldSucceed);
-            }
-        }
-        if self.llc.deferred.iter().any(|q| !q.is_empty()) {
-            return Err(SkipBlocker::LlcDeferred);
-        }
-        if self.channels.iter().any(|ch| ch.mc.would_refill_queue()) {
-            return Err(SkipBlocker::McWouldRefillQueue);
-        }
-        let mut next = self.auditor.next_audit();
-        for (unit, &dormant) in self.cores.iter().zip(&self.dormant) {
-            let wake = match dormant {
-                0 => unit.wake_at(resume, &self.source_ctl, retire_target)?,
-                wake => wake,
-            };
-            next = next.min(wake);
-        }
-        next = next.min(self.auditor.watchdog_deadline()).min(self.llc.next_ready);
-        for ch in &self.channels {
-            let dram = ch.dram.next_completion().unwrap_or(Cycle::MAX);
-            let fence = ch.mc.dispatch_fence().unwrap_or(Cycle::MAX);
-            next = next.min(dram).min(fence).min(ch.sched_wake);
-        }
-        if self.faults.is_active() {
-            next = next.min(self.faults.next_event(resume.saturating_sub(1)).unwrap_or(Cycle::MAX));
-        }
-        // Sampling boundaries are real ticks, like audit boundaries: the
-        // sampler's rows must be bit-identical to a naive run's.
-        next = next.min(self.obs.next_sample_boundary().unwrap_or(Cycle::MAX));
-        Ok(next.max(resume))
+        let next = self
+            .llc_wake()?
+            .min(self.channels_wake()?)
+            .min(self.cores_wake(retire_target)?)
+            .min(self.hardening_wake())
+            // Sampling boundaries are real ticks, like audit boundaries:
+            // the sampler's rows must be bit-identical to a naive run's.
+            .min(self.obs.next_sample_boundary().unwrap_or(Cycle::MAX));
+        Ok(next.max(self.now))
     }
 
     /// Names the blocker that keeps the window starting at `now` from
@@ -2234,56 +2500,16 @@ impl System {
     /// Replays the skipped window `[self.now, target - 1]` as batch
     /// bookkeeping — exactly the updates `target - self.now` ticks would
     /// have made, each of which the probe predicted — then jumps
-    /// `now` to `target`. Each component replays it with its own code: a
-    /// core that is not dormant its window (a compute run included), the
-    /// watchdog the observations of the window's last tick at `last`:
-    /// each frozen or retiring core's, and the window's retirement total.
+    /// `now` to `target`. Each component replays it with its own code,
+    /// kept beside its stage; the watchdog notes the window's core
+    /// progress once, at its last cycle.
     fn skip_to(&mut self, target: Cycle) {
         let k = target - self.now;
         let last = target - 1;
-        // Under an injected LLC port stall every issue stage writes
-        // `NoPorts`, which each core's last tick already wrote (the
-        // stall's first cycle is a fault event, so no skip crosses it),
-        // and denies nothing.
-        let ports_free = !(self.faults.is_active() && self.faults.stall_ports(self.now));
-        let mut retired = 0u64;
-        let mut all_frozen = true;
-        for (idx, unit) in self.cores.iter_mut().enumerate() {
-            // A dormant core replays the window with the rest of its
-            // dormancy, when it catches up; it is not frozen.
-            if self.dormant[idx] != 0 {
-                all_frozen = false;
-                continue;
-            }
-            let class = unit.idle_class(self.now);
-            let before = unit.core.counters().instructions;
-            unit.replay_window(class, k, last, ports_free, &mut self.slept_ticks);
-            // Every frozen or retiring cycle resets the core's starvation
-            // episode; the window's last one is the reset that remains.
-            let instructions = unit.core.counters().instructions;
-            let frozen = class == CoreIdleClass::Frozen;
-            if instructions != before || frozen {
-                self.auditor.observe_core(last, idx, instructions, frozen);
-            }
-            retired += instructions - before;
-            all_frozen &= frozen;
-        }
-        self.auditor.note_global_progress(last, retired, 0, all_frozen);
-        for shaper in self.llc.shapers.iter().flatten() {
-            shaper.borrow_mut().tick(last);
-        }
-        let n = self.cores.len();
-        self.rr_offset = wrapping_index(self.rr_offset, (k % n as u64) as usize, n);
-        // Backlog relaxation: the probe only skips a non-empty backlog
-        // whose head faces a full FIFO, and that head would have retried
-        // (one rejection) every skipped cycle.
-        if let Some(head) = self.llc.mc_backlog.front() {
-            self.channels[head.channel].mc.note_rejected_cycles(k);
-        }
-        for ch in &mut self.channels {
-            ch.mc.note_skipped_cycles(k);
-            ch.scheduler.note_idle_cycles(k);
-        }
+        let progress = self.cores_replay(k, last);
+        self.auditor.note_global_progress(last, progress.retired, 0, progress.all_frozen);
+        self.llc_replay(last);
+        self.channels_replay(k);
         self.skipped_cycles += k;
         self.now = target;
     }
@@ -2294,6 +2520,8 @@ impl System {
     fn audit_pass(&mut self, now: Cycle) {
         self.auditor.begin_pass(now);
         let cfg = self.auditor.audit_config().clone();
+        let violation =
+            |invariant, core, detail| AuditViolation { cycle: now, invariant, core, detail };
 
         for (i, unit) in self.cores.iter().enumerate() {
             // Conservation: every grant increments `inflight` and pushes a
@@ -2305,50 +2533,37 @@ impl System {
                 || unit.grants.outstanding() != unit.stats.inflight as usize
                 || unit.grants.unmatched_fills() > 0
             {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::GrantFillConservation,
-                    core: Some(i),
-                    detail: format!(
-                        "grants {} != fills {} + inflight {} (ledger {}, unmatched fills {})",
-                        grants,
-                        unit.stats.fills,
-                        unit.stats.inflight,
-                        unit.grants.outstanding(),
-                        unit.grants.unmatched_fills()
-                    ),
-                });
+                let detail = format!(
+                    "grants {} != fills {} + inflight {} (ledger {}, unmatched fills {})",
+                    grants,
+                    unit.stats.fills,
+                    unit.stats.inflight,
+                    unit.grants.outstanding(),
+                    unit.grants.unmatched_fills()
+                );
+                self.auditor.record(violation(Invariant::GrantFillConservation, Some(i), detail));
             }
             if let Some(t0) = unit.grants.oldest() {
                 let age = now.saturating_sub(t0);
                 if age > cfg.max_grant_age {
-                    self.auditor.record(AuditViolation {
-                        cycle: now,
-                        invariant: Invariant::GrantAge,
-                        core: Some(i),
-                        detail: format!(
-                            "oldest grant (cycle {t0}) unfilled for {age} cycles \
-                             (limit {})",
-                            cfg.max_grant_age
-                        ),
-                    });
+                    let detail = format!(
+                        "oldest grant (cycle {t0}) unfilled for {age} cycles (limit {})",
+                        cfg.max_grant_age
+                    );
+                    self.auditor.record(violation(Invariant::GrantAge, Some(i), detail));
                 }
             }
             // L1 MSHR occupancy: one entry per miss still queued or
             // granted-and-outstanding; anything else is a leak.
             let expected = unit.miss_queue.len() + unit.stats.inflight as usize;
             if unit.l1_mshrs.len() != expected {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::MshrLeak,
-                    core: Some(i),
-                    detail: format!(
-                        "L1 MSHR occupancy {} != miss-queue {} + inflight {}",
-                        unit.l1_mshrs.len(),
-                        unit.miss_queue.len(),
-                        unit.stats.inflight
-                    ),
-                });
+                let detail = format!(
+                    "L1 MSHR occupancy {} != miss-queue {} + inflight {}",
+                    unit.l1_mshrs.len(),
+                    unit.miss_queue.len(),
+                    unit.stats.inflight
+                );
+                self.auditor.record(violation(Invariant::MshrLeak, Some(i), detail));
             }
         }
 
@@ -2362,15 +2577,11 @@ impl System {
             }
             let age = now.saturating_sub(entry.allocated_at);
             if age > cfg.max_llc_mshr_age {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::MshrLeak,
-                    core: None,
-                    detail: format!(
-                        "LLC MSHR for line {:#x} outstanding {age} cycles (limit {})",
-                        entry.line_addr, cfg.max_llc_mshr_age
-                    ),
-                });
+                let detail = format!(
+                    "LLC MSHR for line {:#x} outstanding {age} cycles (limit {})",
+                    entry.line_addr, cfg.max_llc_mshr_age
+                );
+                self.auditor.record(violation(Invariant::MshrLeak, None, detail));
             }
         }
 
@@ -2378,43 +2589,28 @@ impl System {
             if let Some(at) = channel.mc.oldest_inflight_dispatch() {
                 let age = now.saturating_sub(at);
                 if age > cfg.max_mc_inflight_age {
-                    self.auditor.record(AuditViolation {
-                        cycle: now,
-                        invariant: Invariant::McInflightAge,
-                        core: None,
-                        detail: format!(
-                            "channel {ci}: transaction dispatched at {at} uncompleted \
-                             for {age} cycles (limit {})",
-                            cfg.max_mc_inflight_age
-                        ),
-                    });
+                    let detail = format!(
+                        "channel {ci}: transaction dispatched at {at} uncompleted for {age} \
+                         cycles (limit {})",
+                        cfg.max_mc_inflight_age
+                    );
+                    self.auditor.record(violation(Invariant::McInflightAge, None, detail));
                 }
             }
             if let Err(e) = channel.dram.check_conservation() {
-                self.auditor.record(AuditViolation {
-                    cycle: now,
-                    invariant: Invariant::DramConservation,
-                    core: None,
-                    detail: format!("channel {ci}: {e}"),
-                });
+                let detail = format!("channel {ci}: {e}");
+                self.auditor.record(violation(Invariant::DramConservation, None, detail));
             }
         }
     }
 
-    /// One watchdog step: notes this cycle's global progress (`retired`
-    /// instructions, `fills` delivered, whether every core was frozen),
-    /// then runs the threshold scan — global livelock detection plus
+    /// One watchdog step: notes this cycle's global `progress`, then
+    /// runs the threshold scan — global livelock detection plus
     /// per-core starvation reporting — once `now` reaches the auditor's
     /// `watchdog_deadline`, or every cycle when `!cached` (the naive
     /// engine).
-    fn watchdog_tick(
-        &mut self,
-        now: Cycle,
-        retired: u64,
-        fills: u64,
-        all_frozen: bool,
-        cached: bool,
-    ) {
+    fn watchdog_tick(&mut self, now: Cycle, progress: Progress, cached: bool) {
+        let Progress { retired, fills, all_frozen } = progress;
         let progressed = self.auditor.note_global_progress(now, retired, fills, all_frozen);
         if cached && now < self.auditor.watchdog_deadline() {
             return;
@@ -2495,203 +2691,6 @@ impl System {
                     dram_inflight: ch.dram.inflight_len(),
                 })
                 .collect(),
-        }
-    }
-
-    /// Attempts the FIFO enqueue of `req` on its channel, emitting the
-    /// `mc_enqueue` trace event on success. All controller enqueues
-    /// funnel through here so the event stream is complete.
-    fn mc_enqueue(
-        channels: &mut [Channel],
-        obs: &mut Observer,
-        now: Cycle,
-        req: McBacklogEntry,
-    ) -> bool {
-        let McBacklogEntry { core, line_addr, cmd, channel } = req;
-        let accepted = channels[channel].mc.try_enqueue(now, core, line_addr, cmd).is_some();
-        if accepted {
-            obs.on_mc_enqueue(now, channel, core.index(), line_addr, cmd == MemCmd::Write);
-        }
-        accepted
-    }
-
-    /// Sends a new transaction to its controller, or appends it to the
-    /// backlog when its channel's FIFO is full.
-    fn mc_submit(
-        backlog: &mut VecDeque<McBacklogEntry>,
-        channels: &mut [Channel],
-        obs: &mut Observer,
-        now: Cycle,
-        req: McBacklogEntry,
-    ) {
-        if !Self::mc_enqueue(channels, obs, now, req) {
-            backlog.push_back(req);
-        }
-    }
-
-    /// Handles a DRAM read completion: fill the LLC, wake LLC MSHR
-    /// waiters, and queue evicted-dirty writebacks back to the controller.
-    fn llc_on_mem_response(
-        llc: &mut LlcUnit,
-        channels: &mut [Channel],
-        map: ChannelMap,
-        now: Cycle,
-        line_addr: Addr,
-        fills: &mut Vec<CoreFill>,
-        obs: &mut Observer,
-    ) {
-        if let Some(entry) = llc.mshrs.complete(line_addr) {
-            for &core in &entry.waiters {
-                fills.push(CoreFill { core, line_addr });
-            }
-            llc.mshrs.recycle(entry.waiters);
-            if let Some(ev) = llc.cache.fill(line_addr, entry.any_write) {
-                if ev.dirty {
-                    // Evicted dirty LLC line: write back to memory.
-                    let req = McBacklogEntry::new(map, CoreId::new(0), ev.line_addr, MemCmd::Write);
-                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
-                }
-            }
-        }
-    }
-
-    // Free function over disjoint `System` fields (split borrows); the
-    // argument list is the price of not borrowing all of `self`.
-    #[allow(clippy::too_many_arguments)]
-    fn llc_tick(
-        llc: &mut LlcUnit,
-        channels: &mut [Channel],
-        map: ChannelMap,
-        cores: &mut [CoreUnit],
-        now: Cycle,
-        sleep: bool,
-        fills: &mut Vec<CoreFill>,
-        notes: &mut Vec<ShaperNote>,
-        due: &mut Vec<LlcLookup>,
-        obs: &mut Observer,
-    ) {
-        // Retry transactions that met a full controller FIFO.
-        while let Some(&entry) = llc.mc_backlog.front() {
-            if Self::mc_enqueue(channels, obs, now, entry) {
-                llc.mc_backlog.pop_front();
-            } else {
-                break;
-            }
-        }
-
-        // After-LLC shapers: housekeeping, then retry deferred misses
-        // (head-of-line per core). A core whose gate was removed flushes
-        // its backlog unconditionally. Skipped while no core is gated.
-        if llc.gated || !sleep {
-            let mut gated = false;
-            for core_idx in 0..llc.deferred.len() {
-                let grant_one = match &llc.shapers[core_idx] {
-                    Some(shaper) => {
-                        shaper.borrow_mut().tick(now);
-                        !llc.deferred[core_idx].is_empty()
-                            && shaper.borrow_mut().try_issue(now).is_grant()
-                    }
-                    None => !llc.deferred[core_idx].is_empty(),
-                };
-                if grant_one {
-                    let line = llc.deferred[core_idx].pop_front().expect("checked non-empty");
-                    let req = McBacklogEntry::new(map, CoreId::new(core_idx), line, MemCmd::Read);
-                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
-                }
-                gated |= llc.shapers[core_idx].is_some() || !llc.deferred[core_idx].is_empty();
-            }
-            llc.gated = gated;
-        }
-
-        // Resolve due lookups. Partition in place (rotate through the
-        // deque once) so the hot path does not allocate; entries that
-        // cannot make progress (MSHR full) are pushed straight back,
-        // which lands them after the not-yet-due remainder exactly as
-        // the old requeue flush did. With nothing due the rotation
-        // leaves the deque as it was, so the skip engine skips it.
-        if sleep && llc.next_ready > now {
-            return;
-        }
-        due.clear();
-        let mut next_ready = Cycle::MAX;
-        for _ in 0..llc.lookups.len() {
-            let lk = llc.lookups.pop_front().expect("length-bounded");
-            if lk.ready_at <= now {
-                due.push(lk);
-            } else {
-                next_ready = next_ready.min(lk.ready_at);
-                llc.lookups.push_back(lk);
-            }
-        }
-        llc.next_ready = next_ready;
-
-        for mut lk in due.drain(..) {
-            match lk.kind {
-                LlcKind::Writeback => {
-                    match llc.cache.access(lk.line_addr, true) {
-                        AccessResult::Hit => {}
-                        AccessResult::Miss => {
-                            // Write-no-allocate for writebacks: forward to
-                            // memory.
-                            let req =
-                                McBacklogEntry::new(map, lk.core, lk.line_addr, MemCmd::Write);
-                            Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
-                        }
-                    }
-                }
-                LlcKind::Demand { token, ref mut notified } => {
-                    let stats = &mut cores[lk.core.index()].stats;
-                    let hit = if *notified {
-                        // Retried after MSHR stall: probe quietly.
-                        llc.cache.probe(lk.line_addr)
-                    } else {
-                        let r = llc.cache.access(lk.line_addr, false) == AccessResult::Hit;
-                        if r {
-                            stats.llc_hits += 1;
-                        } else {
-                            stats.llc_misses += 1;
-                            stats.mem_interarrival.record_arrival(now);
-                        }
-                        notes.push(ShaperNote { core: lk.core, token, hit: r });
-                        obs.on_llc_lookup(now, lk.core.index(), lk.line_addr, r);
-                        *notified = true;
-                        r
-                    };
-                    if hit {
-                        fills.push(CoreFill { core: lk.core, line_addr: lk.line_addr });
-                    } else {
-                        match llc.mshrs.allocate(lk.line_addr, now, false, lk.core) {
-                            MshrOutcome::Allocated => {
-                                obs.on_llc_mshr_alloc(now, lk.line_addr);
-                                // An after-LLC shaper (Fig. 7 middle
-                                // placement) gates true memory requests
-                                // here; denied requests wait in the
-                                // per-core deferred queue.
-                                let gated = match &llc.shapers[lk.core.index()] {
-                                    Some(shaper) => !shaper.borrow_mut().try_issue(now).is_grant(),
-                                    None => false,
-                                };
-                                if gated {
-                                    llc.deferred[lk.core.index()].push_back(lk.line_addr);
-                                } else {
-                                    let req = McBacklogEntry::new(
-                                        map,
-                                        lk.core,
-                                        lk.line_addr,
-                                        MemCmd::Read,
-                                    );
-                                    Self::mc_submit(&mut llc.mc_backlog, channels, obs, now, req);
-                                }
-                            }
-                            MshrOutcome::Merged => {}
-                            MshrOutcome::Full => {
-                                lk.ready_at = now + 1;
-                                llc.push_lookup(lk);
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 }

@@ -312,18 +312,28 @@ fn fault_plans_match_naive() {
     // events the skip engine must honor exactly (a skip over a
     // release cycle would deliver the line late and shift every counter
     // after it), and drops + port stalls change issue outcomes mid-run.
-    let plans: [FaultPlan; 2] = [
-        FaultPlan::new().with(FaultKind::DelayDramResponses { from: 2_000, delay: 13 }),
-        FaultPlan::new()
-            .with(FaultKind::DropDramResponses { from: 3_000, count: 2 })
-            .with(FaultKind::ZeroShaperCredits { from: 6_000, core: 0 }),
+    // The third delays responses from mid-run on. No core turns dormant
+    // while a plan is installed, so before it dormant cores wake on the
+    // fills of DRAM responses, and after it sleeping cores wake on the
+    // held lines the plan releases: one response-delivery path serves
+    // both halves of the run.
+    let cases: [(Cycle, FaultPlan); 3] = [
+        (0, FaultPlan::new().with(FaultKind::DelayDramResponses { from: 2_000, delay: 13 })),
+        (
+            0,
+            FaultPlan::new()
+                .with(FaultKind::DropDramResponses { from: 3_000, count: 2 })
+                .with(FaultKind::ZeroShaperCredits { from: 6_000, core: 0 }),
+        ),
+        (8_000, FaultPlan::new().with(FaultKind::DelayDramResponses { from: 8_000, delay: 29 })),
     ];
-    for plan in plans {
+    for (inject_at, plan) in cases {
         let run = |engine: Engine| {
             let mut sys =
                 build_system(&[Benchmark::Libquantum, Benchmark::Bzip], "FR-FCFS", engine);
+            sys.run_cycles(inject_at);
             sys.inject_faults(plan.clone());
-            sys.run_cycles(20_000);
+            sys.run_cycles(20_000 - inject_at);
             sys
         };
         // Fault runs may log violations (that's what the auditor is
@@ -332,7 +342,7 @@ fn fault_plans_match_naive() {
         assert_eq!(
             run(Engine::Naive).system_stats(),
             run(Engine::Skip).system_stats(),
-            "stats diverged under fault plan {plan:?}"
+            "stats diverged under fault plan {plan:?} injected at cycle {inject_at}"
         );
     }
 }
