@@ -320,10 +320,6 @@ impl Scheduler for Misclaimed {
         self.inner.next_event(now)
     }
 
-    fn note_idle_cycles(&mut self, cycles: Cycle) {
-        self.inner.note_idle_cycles(cycles);
-    }
-
     fn conformance_policy(&self) -> Option<PickPolicy> {
         Some(self.claim)
     }

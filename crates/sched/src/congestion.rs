@@ -26,9 +26,11 @@ pub struct CongestionGuard<S> {
     /// Evaluation interval in cycles.
     interval: Cycle,
     next_eval: Cycle,
-    /// Cycles of congestion observed in the current interval.
+    /// Congested cycles since `window_start`, the first of the current
+    /// window, folded through `since - 1` (`CongestionGuard::fold`).
     congested_samples: u64,
-    samples: u64,
+    since: Cycle,
+    window_start: Cycle,
     /// Current uniform issue gap imposed on every core (0 = none).
     gap: u32,
     /// The gap value most recently written into the source controls, so
@@ -58,7 +60,8 @@ impl<S: Scheduler> CongestionGuard<S> {
             interval,
             next_eval: interval,
             congested_samples: 0,
-            samples: 0,
+            since: 0,
+            window_start: 0,
             gap: 0,
             applied: 0,
             max_gap: 64,
@@ -75,6 +78,19 @@ impl<S: Scheduler> CongestionGuard<S> {
     pub fn current_gap(&self) -> u32 {
         self.gap
     }
+
+    /// Folds the congestion verdict into the samples through cycle
+    /// `until - 1`. Each cycle samples the occupancy left by its
+    /// completions and enqueues, which fold before they change it; an
+    /// evaluation at `E` folds through `E`.
+    fn fold(&mut self, until: Cycle) {
+        if until > self.since {
+            if self.occupancy > self.threshold {
+                self.congested_samples += until - self.since;
+            }
+            self.since = until;
+        }
+    }
 }
 
 impl<S: Scheduler> Scheduler for CongestionGuard<S> {
@@ -83,6 +99,7 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
     }
 
     fn on_enqueue(&mut self, now: Cycle, txn: &Transaction) {
+        self.fold(now);
         self.occupancy += 1;
         self.inner.on_enqueue(now, txn);
     }
@@ -93,38 +110,32 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
     }
 
     fn on_complete(&mut self, now: Cycle, txn: &Transaction, row_hit: bool) {
+        self.fold(now);
         self.occupancy -= 1;
         self.inner.on_complete(now, txn, row_hit);
     }
 
     fn tick(&mut self, now: Cycle, signals: &[CoreSignals], ctl: &mut SourceControl) {
         self.inner.tick(now, signals, ctl);
-        self.samples += 1;
-        if self.occupancy > self.threshold {
-            self.congested_samples += 1;
-        }
-        if now < self.next_eval {
-            // Re-apply our gap on top of whatever the inner policy set.
-            if self.gap > 0 {
-                for i in 0..ctl.cores() {
-                    let t = ctl.throttle_mut(mitts_sim::types::CoreId::new(i));
-                    t.min_issue_gap =
-                        Some(t.min_issue_gap.unwrap_or(0).max(self.gap));
-                }
+        if now >= self.next_eval {
+            self.fold(now + 1);
+            let samples = now + 1 - self.window_start;
+            let congested = self.congested_samples as f64 / samples as f64;
+            self.next_eval = now + self.interval;
+            self.congested_samples = 0;
+            self.window_start = now + 1;
+            if congested > 0.5 {
+                // Proportionally scale down: double the gap (start at 4).
+                self.gap = (self.gap * 2).clamp(4, self.max_gap);
+            } else if congested < 0.1 {
+                // Congestion resolved: back off geometrically.
+                self.gap /= 2;
             }
+        } else if self.gap == 0 {
             return;
         }
-        self.next_eval = now + self.interval;
-        let congested = self.congested_samples as f64 / self.samples.max(1) as f64;
-        self.congested_samples = 0;
-        self.samples = 0;
-        if congested > 0.5 {
-            // Proportionally scale down: double the gap (start at 4).
-            self.gap = (self.gap * 2).clamp(4, self.max_gap);
-        } else if congested < 0.1 {
-            // Congestion resolved: back off geometrically.
-            self.gap /= 2;
-        }
+        // Between evaluations `applied == gap`: the gap is re-applied on
+        // top of whatever the inner policy set.
         for i in 0..ctl.cores() {
             let t = ctl.throttle_mut(mitts_sim::types::CoreId::new(i));
             // Retract our previous override, keeping any larger gap the
@@ -140,8 +151,8 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Per-cycle sampling between evaluations is replayed by
-        // `note_idle_cycles`; the next behavioural change is the earlier
+        // Sampling between evaluations is folded in at the events that
+        // change occupancy; the next behavioural change is the earlier
         // of our evaluation boundary and the inner policy's own event.
         // While a gap is held, every tick re-applies it over whatever else
         // wrote the source controls (another channel's policy, say), so
@@ -151,18 +162,6 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
             Some(inner) => Some(mine.min(inner)),
             None => Some(mine),
         }
-    }
-
-    fn note_idle_cycles(&mut self, cycles: Cycle) {
-        // Occupancy only changes on enqueue/complete, so every skipped
-        // cycle would have sampled the same congestion verdict. No gap is
-        // held (`next_event` makes every tick an event while one is), so
-        // those ticks would re-apply nothing.
-        self.samples += cycles;
-        if self.occupancy > self.threshold {
-            self.congested_samples += cycles;
-        }
-        self.inner.note_idle_cycles(cycles);
     }
 
     fn snapshot_kind(&self) -> Option<&'static str> {
@@ -178,7 +177,8 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
         enc.i64(self.occupancy);
         enc.u64(self.next_eval);
         enc.u64(self.congested_samples);
-        enc.u64(self.samples);
+        enc.u64(self.since);
+        enc.u64(self.window_start);
         enc.u32(self.gap);
         enc.u32(self.applied);
         enc.str(self.inner.snapshot_kind().unwrap_or(""));
@@ -201,7 +201,12 @@ impl<S: Scheduler> Scheduler for CongestionGuard<S> {
         self.occupancy = dec.i64()?;
         self.next_eval = dec.u64()?;
         self.congested_samples = dec.u64()?;
-        self.samples = dec.u64()?;
+        self.since = dec.u64()?;
+        self.window_start = dec.u64()?;
+        // An evaluation at `E >= next_eval` weighs `E + 1 - window_start`.
+        if self.window_start > self.since.min(self.next_eval) {
+            return Err(SnapshotError::corrupt("congestion-guard window starts past its fold"));
+        }
         self.gap = dec.u32()?;
         self.applied = dec.u32()?;
         let inner_kind = dec.str()?;
@@ -297,8 +302,8 @@ mod tests {
 
     #[test]
     fn idle_replay_matches_per_cycle_ticks() {
-        // A guard whose dead cycles are replayed in one batch must reach
-        // the same gap decisions as one ticked cycle by cycle.
+        // A guard ticked only at its wake-up events must reach the same
+        // gap decisions as one ticked cycle by cycle.
         let mut naive = CongestionGuard::new(FrFcfs::new(), 4, 100);
         let mut fast = CongestionGuard::new(FrFcfs::new(), 4, 100);
         let mut ctl_n = SourceControl::new(1);
@@ -312,14 +317,11 @@ mod tests {
             naive.tick(now, &[], &mut ctl_n);
             now += 1;
         }
-        // Fast path: tick only at each wake-up event, replay the gaps.
+        // Fast path: tick only at each wake-up event.
         let mut fnow = 1;
         fast.tick(fnow, &[], &mut ctl_f);
         while fnow < 400 {
             let wake = fast.next_event(fnow).unwrap().min(400);
-            if wake > fnow + 1 {
-                fast.note_idle_cycles(wake - fnow - 1);
-            }
             fast.tick(wake, &[], &mut ctl_f);
             fnow = wake;
         }
@@ -328,6 +330,111 @@ mod tests {
             ctl_n.throttle(CoreId::new(0)).min_issue_gap,
             ctl_f.throttle(CoreId::new(0)).min_issue_gap
         );
+    }
+
+    /// The guard's statistic as a per-cycle count: a tick on every cycle
+    /// samples the occupancy left by that cycle's events, and each
+    /// evaluation judges the samples of its window. The reference for
+    /// the guard's folds.
+    struct PerCycleReference {
+        occupancy: i64,
+        next_eval: Cycle,
+        congested_samples: u64,
+        samples: u64,
+        gap: u32,
+    }
+
+    impl PerCycleReference {
+        const THRESHOLD: i64 = 4;
+        const INTERVAL: Cycle = 50;
+
+        fn tick(&mut self, now: Cycle) {
+            self.samples += 1;
+            if self.occupancy > Self::THRESHOLD {
+                self.congested_samples += 1;
+            }
+            if now < self.next_eval {
+                return;
+            }
+            self.next_eval = now + Self::INTERVAL;
+            let congested = self.congested_samples as f64 / self.samples as f64;
+            (self.congested_samples, self.samples) = (0, 0);
+            if congested > 0.5 {
+                self.gap = (self.gap * 2).clamp(4, 64);
+            } else if congested < 0.1 {
+                self.gap /= 2;
+            }
+        }
+    }
+
+    #[test]
+    fn folded_samples_match_per_cycle_counting() {
+        // Enqueues and completions land on arbitrary cycles, evaluation
+        // cycles included, and walk occupancy across the threshold. The
+        // guard, ticked only at its `next_event`, must take every gap
+        // decision the per-cycle reference takes, on the same cycle.
+        let (mut raised, mut lowered) = (0, 0);
+        for seed in 1..=24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut draw = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let interval = PerCycleReference::INTERVAL;
+            let mut guard = CongestionGuard::new(FrFcfs::new(), 4, interval);
+            let mut reference = PerCycleReference {
+                occupancy: 0,
+                next_eval: interval,
+                congested_samples: 0,
+                samples: 0,
+                gap: 0,
+            };
+            let mut ctl = SourceControl::new(1);
+            let (mut wake, mut id) = (0, 0);
+            for now in 0..3_000 {
+                let on_eval = now % interval == 0;
+                if draw(if on_eval { 2 } else { 6 }) == 0 {
+                    for _ in 0..=draw(3) {
+                        if reference.occupancy < 12 && draw(2) == 0 {
+                            guard.on_enqueue(now, &txn(id));
+                            reference.occupancy += 1;
+                        } else if reference.occupancy > 0 {
+                            guard.on_complete(now, &txn(id), true);
+                            reference.occupancy -= 1;
+                        }
+                        id += 1;
+                    }
+                }
+                let before = reference.gap;
+                reference.tick(now);
+                raised += usize::from(reference.gap > before);
+                lowered += usize::from(reference.gap < before);
+                if now >= wake {
+                    guard.tick(now, &[], &mut ctl);
+                    wake = guard.next_event(now).expect("the guard always has an event");
+                }
+                assert_eq!(guard.current_gap(), reference.gap, "seed {seed}, cycle {now}");
+            }
+        }
+        assert!(raised > 0 && lowered > 0, "raised {raised}, lowered {lowered} times");
+    }
+
+    #[test]
+    fn a_window_starting_past_its_fold_is_refused() {
+        // An evaluation at `E >= next_eval` weighs `E + 1 - window_start`
+        // samples; a restored window starting past that cycle would
+        // underflow, so the restore refuses it.
+        use mitts_sim::snapshot::{Dec, Enc, SnapshotError};
+        let mut bent = CongestionGuard::new(FrFcfs::new(), 4, 100);
+        bent.window_start = 500;
+        let mut enc = Enc::new();
+        bent.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut fresh = CongestionGuard::new(FrFcfs::new(), 4, 100);
+        let got = fresh.load_state(&mut Dec::new(&bytes));
+        assert!(matches!(got, Err(SnapshotError::Corrupt(_))), "{got:?}");
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Twin-run property tests pinning the `Scheduler::next_event` /
-//! `note_idle_cycles` contract for every baseline policy.
+//! Twin-run property tests pinning the `Scheduler::next_event` contract
+//! for every baseline policy.
 //!
 //! The contract (see `Scheduler::next_event` in `mitts_sim::mc`): between
-//! `now` (exclusive) and the returned cycle (exclusive), running `tick`
-//! once per cycle on a quiescent system must be equivalent to a single
-//! `note_idle_cycles` call. The skip engine (`Engine::Skip`) leans on
-//! this to jump over scheduler ticks, so an
-//! estimator that returns a cycle *later* than the policy's first real
-//! behaviour change silently corrupts a run.
+//! `now` (exclusive) and the returned cycle (exclusive), `tick` changes
+//! nothing. The skip engine (`Engine::Skip`) leans on this to jump over
+//! scheduler ticks, so an estimator that returns a cycle *later* than the
+//! policy's first real behaviour change silently corrupts a run.
 //!
 //! Each test drives two clones of the same policy through an identical
 //! randomized history of active bursts (per-cycle ticks with evolving
 //! signals, synthetic enqueue/complete traffic) separated by quiescent
-//! stretches. One twin ticks every quiescent cycle; the other skips them
-//! exactly the way the engines do — jump to `next_event`, replay the gap
-//! with `note_idle_cycles`. At the end the twins' snapshot bytes, source
-//! controls, and forward estimates must be identical.
+//! stretches. One twin ticks every quiescent cycle; the other ticks only
+//! where the engines do, at each `next_event`. At the end the twins'
+//! snapshot bytes, source controls, and forward estimates must be
+//! identical.
 
 use proptest::prelude::*;
 
@@ -72,7 +70,7 @@ fn bump(signals: &mut [CoreSignals], c: Cycle) {
 }
 
 /// Runs `sched` through `segs`; `skip` selects the quiescent-stretch
-/// strategy (per-cycle ticking vs `next_event` + `note_idle_cycles`).
+/// strategy (per-cycle ticking vs ticking only at `next_event`).
 /// Returns the final cycle so callers can probe forward estimates.
 fn drive(
     sched: &mut Box<dyn Scheduler>,
@@ -104,13 +102,7 @@ fn drive(
         let end = c + seg.idle;
         while c < end {
             sched.tick(c, &signals, ctl);
-            let t = sched.next_event(c).map_or(end, |t| t.min(end));
-            if skip && t > c + 1 {
-                sched.note_idle_cycles(t - c - 1);
-                c = t;
-            } else {
-                c += 1;
-            }
+            c = if skip { sched.next_event(c).map_or(end, |t| t.min(end)) } else { c + 1 };
         }
         for (k, t) in held.into_iter().enumerate() {
             sched.on_complete(c, &t, k % 2 == 0);

@@ -720,6 +720,19 @@ impl ActiveFaults {
         t
     }
 
+    /// Whether the plan holds a fault that acts in the issue stage: on the
+    /// LLC ports or on a shaper's decisions, from its `from` cycle on.
+    pub(crate) fn acts_on_issue(&self) -> bool {
+        self.plan.faults.iter().any(|f| {
+            matches!(
+                f,
+                FaultKind::StallLlcPorts { .. }
+                    | FaultKind::ZeroShaperCredits { .. }
+                    | FaultKind::CorruptShaperCredits { .. }
+            )
+        })
+    }
+
     /// Whether the LLC ports are faulted shut at `now`.
     pub(crate) fn stall_ports(&self, now: Cycle) -> bool {
         self.plan

@@ -285,18 +285,16 @@ pub trait Scheduler {
 
     /// Periodic hook with fresh per-core signals; source-throttling
     /// policies write `ctl`. The naive engine calls it every cycle. The
-    /// skip engine calls it on the cycle its last [`Scheduler::next_event`]
-    /// named (and on the first cycle of every run call) and replays each
-    /// cycle before that as `note_idle_cycles(1)`, so a policy must keep
-    /// the contract stated there.
+    /// skip engine calls it only on the cycle its last
+    /// [`Scheduler::next_event`] named (and on the first cycle of every
+    /// run call), so a policy must keep the contract stated there.
     fn tick(&mut self, _now: Cycle, _signals: &[CoreSignals], _ctl: &mut SourceControl) {}
 
     /// Earliest cycle strictly after `now` at which this policy's
     /// per-cycle behaviour ([`Scheduler::tick`] or a stateful
-    /// [`Scheduler::pick`]) does something that an idle-cycle replay via
-    /// [`Scheduler::note_idle_cycles`] cannot reproduce. `None` means the
-    /// policy is purely event-driven (it only reacts to
-    /// enqueue/pick/complete) and its `tick` never needs to run.
+    /// [`Scheduler::pick`]) changes anything. `None` means the policy is
+    /// purely event-driven (it only reacts to enqueue/pick/complete) and
+    /// its `tick` never needs to run.
     ///
     /// The default is the conservative `Some(now + 1)`: a policy that has
     /// not been audited for skip-safety is ticked every cycle and never
@@ -304,10 +302,10 @@ pub trait Scheduler {
     /// contract, which the skip engine relies on both when it skips and
     /// when it caches the answer after a tick:
     ///
-    /// - before the returned cycle, `tick(now', ..)` must equal
-    ///   `note_idle_cycles(1)` at every `now'`, even on cycles with
-    ///   enqueues, picks and completions (it may read state those
-    ///   change, as long as the replay reads it the same way);
+    /// - before the returned cycle, `tick(now', ..)` changes nothing at
+    ///   every `now'`, even on cycles with enqueues, picks and
+    ///   completions. A per-cycle statistic is kept as a time integral
+    ///   folded in at those events, never bumped by `tick`;
     /// - `on_enqueue`, `pick` and `on_complete` must never make the
     ///   answer earlier;
     /// - `pick` must be side-effect-free when it would return `None`;
@@ -320,10 +318,10 @@ pub trait Scheduler {
         Some(now + 1)
     }
 
-    /// Batch replay of `cycles` quiescent cycles that the fast-forward
-    /// engine skipped instead of calling [`Scheduler::tick`] per cycle.
-    /// Policies that sample per-cycle state (occupancy counters, epoch
-    /// accumulators) reproduce those updates here.
+    /// A no-op that nothing calls: before [`Scheduler::next_event`] a
+    /// tick changes nothing, so the skip engine replays no scheduler
+    /// cycles.
+    #[deprecated(note = "the skip engine replays no scheduler cycles; this is a no-op")]
     fn note_idle_cycles(&mut self, _cycles: Cycle) {}
 
     /// The queue-ordering discipline this policy promises to follow. The
@@ -455,7 +453,10 @@ pub struct MemoryController {
     dispatched: u64,
     completed_reads: u64,
     completed_writes: u64,
+    /// Queue-length samples, one per cycle before its refill, folded
+    /// through `occupancy_since - 1` (`MemoryController::fold_occupancy`).
     queue_occupancy_sum: u64,
+    occupancy_since: Cycle,
     fifo_rejections: u64,
     /// Reused by [`MemoryController::drain_completions_into`] so the
     /// per-tick completion drain does not allocate.
@@ -494,6 +495,7 @@ impl MemoryController {
             completed_reads: 0,
             completed_writes: 0,
             queue_occupancy_sum: 0,
+            occupancy_since: 0,
             fifo_rejections: 0,
             completion_scratch: Vec::new(),
             fence: Cycle::MAX,
@@ -567,8 +569,6 @@ impl MemoryController {
         dram: &mut Dram<TxnId>,
         picks: (&mut PickOracle, &mut AuditLog),
     ) -> Option<DispatchRecord> {
-        self.queue_occupancy_sum += self.queue.len() as u64;
-
         while self.queue.len() < self.queue_depth {
             match self.fifo.pop_front() {
                 Some(txn) => {
@@ -576,6 +576,7 @@ impl MemoryController {
                     if gate {
                         self.fence = self.fence.min(dram.earliest_start(now, txn.addr));
                     }
+                    self.fold_occupancy(now);
                     self.queue.push(txn);
                 }
                 None => break,
@@ -610,6 +611,7 @@ impl MemoryController {
         if !dram.can_start(now, txn.addr) {
             return None;
         }
+        self.fold_occupancy(now);
         self.queue.swap_remove(idx);
         dram.start(now, txn.addr, txn.cmd, txn.id);
         self.dispatched += 1;
@@ -634,12 +636,12 @@ impl MemoryController {
         self.fence = if self.queue.is_empty() { Cycle::MAX } else { 0 };
     }
 
-    /// Batch bookkeeping for `cycles` skipped quiescent cycles: replays
-    /// exactly what per-cycle [`MemoryController::tick`] would have done on
-    /// a controller with no FIFO movement and no startable transaction —
-    /// the occupancy statistic bump and nothing else.
-    pub fn note_skipped_cycles(&mut self, cycles: u64) {
-        self.queue_occupancy_sum += cycles * self.queue.len() as u64;
+    /// Folds the queue length into the occupancy integral through cycle
+    /// `now`, just before the tick of `now` changes the queue: that
+    /// tick's sample, taken before its refill, saw the old length.
+    fn fold_occupancy(&mut self, now: Cycle) {
+        self.queue_occupancy_sum += self.queue.len() as u64 * (now + 1 - self.occupancy_since);
+        self.occupancy_since = now + 1;
     }
 
     /// Replays `cycles` skipped cycles' worth of FIFO rejections. The
@@ -767,19 +769,21 @@ impl MemoryController {
         self.fifo_rejections
     }
 
-    /// Accumulated queue-occupancy samples, one per cycle, executed or
-    /// skipped. A system controller is ticked on every cycle, so the
-    /// system clock is the denominator of the mean
+    /// Accumulated queue-occupancy samples, one per cycle before `now`
+    /// (the first cycle not yet ticked), ticked or not: each is the queue
+    /// length before that cycle's refill. The system clock is therefore
+    /// the denominator of the mean
     /// ([`crate::stats::ChannelSystemStats::ticks`]).
-    pub fn queue_occupancy_sum(&self) -> u64 {
-        self.queue_occupancy_sum
+    pub fn queue_occupancy_sum(&self, now: Cycle) -> u64 {
+        self.queue_occupancy_sum + self.queue.len() as u64 * (now - self.occupancy_since)
     }
 
     /// Encodes the complete controller state: FIFO, scheduling queue (in
     /// exact order — `pick` indices and `swap_remove` make order
     /// architecturally significant), in-flight book, id allocator,
-    /// priority override, and statistics (checkpoint support).
-    pub fn save_state(&self, enc: &mut crate::snapshot::Enc) {
+    /// priority override, and statistics, the occupancy integral folded
+    /// through `now - 1` (checkpoint support).
+    pub fn save_state(&self, enc: &mut crate::snapshot::Enc, now: Cycle) {
         enc.usize(self.fifo.len());
         for t in &self.fifo {
             enc_txn(enc, t);
@@ -798,14 +802,16 @@ impl MemoryController {
         enc.u64(self.dispatched);
         enc.u64(self.completed_reads);
         enc.u64(self.completed_writes);
-        enc.u64(self.queue_occupancy_sum);
+        enc.u64(self.queue_occupancy_sum(now));
         enc.u64(self.fifo_rejections);
     }
 
-    /// Restores state written by [`MemoryController::save_state`].
+    /// Restores state written by [`MemoryController::save_state`] at
+    /// `now`.
     pub fn load_state(
         &mut self,
         dec: &mut crate::snapshot::Dec<'_>,
+        now: Cycle,
     ) -> Result<(), crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let fifo_n = dec.usize()?;
@@ -843,6 +849,7 @@ impl MemoryController {
         self.completed_reads = dec.u64()?;
         self.completed_writes = dec.u64()?;
         self.queue_occupancy_sum = dec.u64()?;
+        self.occupancy_since = now;
         self.fifo_rejections = dec.u64()?;
         self.reset_fence();
         Ok(())
@@ -985,30 +992,31 @@ mod tests {
     }
 
     #[test]
-    fn skipped_cycles_replay_tick_statistics() {
+    fn occupancy_integral_matches_per_cycle_samples() {
+        // The reference counts the statistic as its definition reads: the
+        // queue length before every tick. Bursts of traffic make ticks
+        // refill and dispatch, often both on one cycle, and leave
+        // stretches where neither happens.
         let (mut mc, mut dram, mut sched) = setup();
-        let mut twin = MemoryController::new(&McConfig::default());
-        // Park one non-startable transaction in each queue, so per-cycle
-        // ticks only accumulate statistics (bank 0 busy after dispatch).
-        for m in [&mut mc, &mut twin] {
-            m.try_enqueue(0, CoreId::new(0), 0, MemCmd::Read, ).unwrap();
-            m.try_enqueue(0, CoreId::new(0), 8 * 1024 * 8, MemCmd::Read).unwrap();
-        }
         let (mut picks, mut log) = pick_check(&sched);
-        mc.tick(0, &mut sched, &mut dram, (&mut picks, &mut log));
-        let mut dram2: Dram<TxnId> = Dram::new(&DramConfig::default(), 2.4e9);
-        twin.tick(0, &mut sched, &mut dram2, (&mut picks, &mut log));
-        // Naive: tick the first controller through the dead window.
-        for now in 1..=10 {
-            mc.tick(now, &mut sched, &mut dram, (&mut picks, &mut log));
+        let (mut reference, mut refill_and_dispatch) = (0u64, 0);
+        for now in 0..4_000 {
+            if now % 97 < 12 {
+                let addr = (now * 0x9E37_79B9 % (1 << 24)) & !63;
+                mc.try_enqueue(now, CoreId::new(0), addr, MemCmd::Read);
+            }
+            mc.drain_completions(now, &mut sched, &mut dram);
+            reference += mc.queue_len() as u64;
+            let fifo = mc.fifo_len();
+            let dispatched = mc.tick(now, &mut sched, &mut dram, (&mut picks, &mut log)).is_some();
+            refill_and_dispatch += usize::from(dispatched && mc.fifo_len() < fifo);
+            assert_eq!(mc.queue_occupancy_sum(now + 1), reference, "after the tick of {now}");
         }
         assert!(log.violations().is_empty(), "{:?}", log.violations());
-        // Fast-forward: replay the same window in one call. Bank 0 is busy
-        // well past cycle 10, so no dispatch happens in either run.
-        twin.note_skipped_cycles(10);
-        assert_eq!(mc.dispatched(), twin.dispatched());
-        assert_eq!(mc.queue_len(), twin.queue_len());
-        assert_eq!(mc.queue_occupancy_sum(), twin.queue_occupancy_sum());
+        assert!(refill_and_dispatch > 0, "no tick both refilled and dispatched");
+        // A read long after the last tick counts the untouched cycles.
+        let idle = mc.queue_len() as u64 * 500;
+        assert_eq!(mc.queue_occupancy_sum(4_500), reference + idle);
     }
 
     #[test]

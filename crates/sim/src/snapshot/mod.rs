@@ -37,7 +37,7 @@ pub use codec::{crc32, Dec, Enc};
 /// Magic bytes identifying a MITTS snapshot file.
 pub const MAGIC: &[u8; 8] = b"MITTSNAP";
 /// Current snapshot format version. Bumped on any layout change.
-pub const FORMAT_VERSION: u32 = 12;
+pub const FORMAT_VERSION: u32 = 13;
 
 /// Error produced when building, encoding, or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -902,8 +902,8 @@ struct Channel {
     dram: Dram<TxnId>,
     scheduler: Box<dyn Scheduler>,
     /// The scheduler's `next_event` at its last hook call (`Cycle::MAX`
-    /// for `None`): under [`Engine::Skip`] earlier ticks replay the hook
-    /// as one idle cycle, and the probe reads it. Reset to 0 by
+    /// for `None`): under [`Engine::Skip`] earlier ticks do not call the
+    /// hook, and the probe reads it. Reset to 0 by
     /// `System::wake_all`.
     sched_wake: Cycle,
 }
@@ -926,6 +926,8 @@ pub struct System {
     /// replayed once, when it wakes or something reads it. No core is
     /// dormant between run calls.
     dormant: Vec<Cycle>,
+    /// The core that gets the first LLC port this cycle: `now mod cores`,
+    /// kept by wrapping adds so the cycle loop divides nothing.
     rr_offset: usize,
     llc_ports: usize,
     /// Invariant auditor + forward-progress watchdog (see [`crate::audit`]).
@@ -1293,7 +1295,7 @@ impl System {
         }
         w.section("llc", |e| self.save_llc(e));
         for (c, ch) in self.channels.iter().enumerate() {
-            w.section(&format!("chan{c}"), |e| Self::save_channel(ch, e));
+            w.section(&format!("chan{c}"), |e| Self::save_channel(ch, self.now, e));
         }
         w.section("audit", |e| {
             self.auditor.save_state(e);
@@ -1301,12 +1303,12 @@ impl System {
         });
         w.section("obs", |e| self.obs.save_state(e));
         w.section("sys", |e| {
-            e.u64(self.now);
-            e.usize(self.rr_offset);
-            // `skipped_cycles` is an execution diagnostic (how the run
-            // was *driven*, not what the machine did) and differs by
-            // engine, so it is excluded to keep snapshot bytes
-            // engine-independent. A resumed run restarts the count at 0.
+            // The clock is the meta section's, and the round-robin port
+            // offset is `now mod cores`. `skipped_cycles` is an execution
+            // diagnostic (how the run was *driven*, not what the machine
+            // did) and differs by engine, so it is excluded to keep
+            // snapshot bytes engine-independent. A resumed run restarts
+            // the count at 0.
             // The per-core signal table is NOT serialised: it is a
             // reusable scratch buffer refreshed from the live counters
             // by `hook_tick` (stage 6) on every tick that runs a
@@ -1349,7 +1351,7 @@ impl System {
                 return Err(SnapshotError::mismatch(reason));
             }
         }
-        let _taken_at = d.u64()?;
+        let now = d.u64()?;
         d.finish()?;
 
         let map = self.channel_map;
@@ -1366,7 +1368,7 @@ impl System {
         }
         for (c, ch) in self.channels.iter_mut().enumerate() {
             let mut d = Dec::new(snapshot.section(&format!("chan{c}"))?);
-            Self::load_channel(ch, &mut d)
+            Self::load_channel(ch, now, &mut d)
                 .map_err(|e| prefix_mismatch(e, &format!("channel {c}: ")))?;
             d.finish()?;
         }
@@ -1384,14 +1386,8 @@ impl System {
         }
         {
             let mut d = Dec::new(snapshot.section("sys")?);
-            self.now = d.u64()?;
-            self.rr_offset = d.usize()?;
-            if self.rr_offset >= self.cores.len() {
-                return Err(SnapshotError::corrupt(format!(
-                    "round-robin offset {} out of range",
-                    self.rr_offset
-                )));
-            }
+            self.now = now;
+            self.rr_offset = (now % self.cores.len() as u64) as usize;
             self.skipped_cycles = 0;
             self.slept_ticks = 0;
             // Signal-table scratch: refreshed before first use on the
@@ -1605,15 +1601,15 @@ impl System {
         Ok(())
     }
 
-    fn save_channel(ch: &Channel, e: &mut Enc) {
-        ch.mc.save_state(e);
+    fn save_channel(ch: &Channel, now: Cycle, e: &mut Enc) {
+        ch.mc.save_state(e, now);
         ch.dram.save_state(e, |e, &t| e.u64(t));
         e.str(ch.scheduler.snapshot_kind().unwrap_or(""));
         e.blob(|e| ch.scheduler.save_state(e));
     }
 
-    fn load_channel(ch: &mut Channel, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
-        ch.mc.load_state(d)?;
+    fn load_channel(ch: &mut Channel, now: Cycle, d: &mut Dec<'_>) -> Result<(), SnapshotError> {
+        ch.mc.load_state(d, now)?;
         ch.dram.load_state(d, |d| d.u64())?;
         let scheduler = &mut ch.scheduler;
         load_kind(d, "scheduler", scheduler.snapshot_kind(), |d| scheduler.load_state(d))
@@ -1638,7 +1634,7 @@ impl System {
                     refreshes: ch.dram.refreshes(),
                     busy_bus_cycles: ch.dram.busy_bus_cycles(),
                     ticks: self.now,
-                    queue_occupancy_sum: ch.mc.queue_occupancy_sum(),
+                    queue_occupancy_sum: ch.mc.queue_occupancy_sum(self.now),
                 })
                 .collect(),
             audit_passes: self.auditor.passes(),
@@ -1963,7 +1959,7 @@ impl System {
     /// The LLC's probe term: its earliest lookup, or the blocker when a
     /// backlog retry or the after-LLC gate would move a line. A backlog
     /// head facing a full FIFO does not block: each stuck cycle makes one
-    /// failed retry (replayed by `System::channels_replay`), and the FIFO
+    /// failed retry (replayed by `System::llc_replay`), and the FIFO
     /// cannot gain room before a dispatch event fires.
     fn llc_wake(&self) -> Result<Cycle, SkipBlocker> {
         if let Some(head) = self.llc.mc_backlog.front() {
@@ -1977,9 +1973,13 @@ impl System {
         Ok(self.llc.next_ready)
     }
 
-    /// The LLC's replay of a window ending at `last`: one catch-up tick
-    /// of each after-LLC shaper, as `CoreUnit::replay_window` gives a core's.
-    fn llc_replay(&mut self, last: Cycle) {
+    /// The LLC's replay of the `k` cycles through `last`: the stuck
+    /// backlog head's failed retry on each, and one catch-up tick of each
+    /// after-LLC shaper, as `CoreUnit::replay_window` gives a core's.
+    fn llc_replay(&mut self, k: Cycle, last: Cycle) {
+        if let Some(head) = self.llc.mc_backlog.front() {
+            self.channels[head.channel].mc.note_rejected_cycles(k);
+        }
         for shaper in self.llc.shapers.iter().flatten() {
             shaper.borrow_mut().tick(last);
         }
@@ -2039,12 +2039,14 @@ impl System {
         // When no policy has configured throttles (the common case), skip
         // the per-core control lookup entirely.
         let any_limits = self.source_ctl.any_limits();
-        // Cores may turn dormant only while no throttle or fault can
-        // change an issue outcome. A dormant core's visit would repeat its
-        // last one while ports remain at its position and, for a denied
-        // head, no FIFO is full; otherwise `NoPorts` or `McBackpressure`
-        // must land on the naive cycle, so it wakes and is visited.
-        let dormancy = sleep && !faults_active && !any_limits;
+        // Cores may turn dormant only while no throttle or issue-stage
+        // fault can change an issue outcome; a fault that acts on DRAM
+        // responses reaches a core only as a fill, which wakes it. A
+        // dormant core's visit would repeat its last one while ports
+        // remain at its position and, for a denied head, no FIFO is full;
+        // otherwise `NoPorts` or `McBackpressure` must land on the naive
+        // cycle, so it wakes and is visited.
+        let dormancy = sleep && !any_limits && !(faults_active && self.faults.acts_on_issue());
         let fifos_free = dormancy && self.channels.iter().all(|ch| ch.mc.fifo_has_room());
         let mut progress = Progress::new();
         let n = self.cores.len();
@@ -2320,8 +2322,8 @@ impl System {
 
     /// Stage 6, the scheduler hooks: each scheduler's epoch hook runs on
     /// fresh per-core signals. Under the skip engine a hook before its
-    /// cached `next_event` is one idle cycle, and the signals are
-    /// refreshed only when some hook runs.
+    /// cached `next_event` would change nothing and is not called, and
+    /// the signals are refreshed only when some hook runs.
     fn hook_tick(&mut self, now: Cycle, sleep: bool) {
         let hook_due = |ch: &Channel| !sleep || now >= ch.sched_wake;
         let hooks = self.channels.iter().any(hook_due);
@@ -2337,8 +2339,6 @@ impl System {
                 if sleep {
                     channel.sched_wake = channel.scheduler.next_event(now).unwrap_or(Cycle::MAX);
                 }
-            } else {
-                channel.scheduler.note_idle_cycles(1);
             }
         }
         // A throttle a hook wrote gates the next visit's issue, which a
@@ -2363,18 +2363,6 @@ impl System {
             next = next.min(dram).min(fence).min(ch.sched_wake);
         }
         Ok(next)
-    }
-
-    /// The channels' replay of `k` cycles: the stuck backlog head's
-    /// rejections, queue occupancy, and scheduler idle cycles.
-    fn channels_replay(&mut self, k: Cycle) {
-        if let Some(head) = self.llc.mc_backlog.front() {
-            self.channels[head.channel].mc.note_rejected_cycles(k);
-        }
-        for ch in &mut self.channels {
-            ch.mc.note_skipped_cycles(k);
-            ch.scheduler.note_idle_cycles(k);
-        }
     }
 
     /// Stage 7, hardening: the invariant audit pass when due, then the
@@ -2500,18 +2488,20 @@ impl System {
     /// Replays the skipped window `[self.now, target - 1]` as batch
     /// bookkeeping — exactly the updates `target - self.now` ticks would
     /// have made, each of which the probe predicted — then jumps
-    /// `now` to `target`. Each component replays it with its own code,
-    /// kept beside its stage; the watchdog notes the window's core
-    /// progress once, at its last cycle.
+    /// `now` to `target`. The cores and the LLC replay it with their own
+    /// code, kept beside their stages; the watchdog notes the window's
+    /// core progress once, at its last cycle. The channels replay
+    /// nothing: their per-cycle statistics are time integrals, folded
+    /// at the events that change them.
     fn skip_to(&mut self, target: Cycle) {
         let k = target - self.now;
         let last = target - 1;
         let progress = self.cores_replay(k, last);
         self.auditor.note_global_progress(last, progress.retired, 0, progress.all_frozen);
-        self.llc_replay(last);
-        self.channels_replay(k);
+        self.llc_replay(k, last);
         self.skipped_cycles += k;
         self.now = target;
+        debug_assert_eq!(self.rr_offset as u64, self.now % self.cores.len() as u64);
     }
 
     /// One invariant-audit pass: conservation laws across cores, LLC,
@@ -2698,7 +2688,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::WatchdogConfig;
+    use crate::audit::{FaultKind, WatchdogConfig};
     use crate::shaper::StaticRateShaper;
     use crate::trace::StrideTrace;
 
@@ -3146,6 +3136,52 @@ mod tests {
         assert!(sys.slept_ticks() > 0);
         assert_eq!(naive.slept_ticks(), 0);
         assert!(naive.cores.iter().all(|u| u.asleep.is_none()));
+        assert_eq!(naive.system_stats(), sys.system_stats());
+    }
+
+    #[test]
+    fn dram_side_fault_plans_keep_the_dormant_set() {
+        // A fault that acts only on DRAM responses reaches a core as a
+        // fill, which wakes it. So streams waiting on their fills behind
+        // one L1 MSHR keep turning dormant while a delay plan holds their
+        // lines, and after the plan is cleared with lines still held, and
+        // each released line wakes its dormant core.
+        let build = |engine: Engine| {
+            let mut cfg = SystemConfig::multi_program(2);
+            cfg.l1.mshrs = 1;
+            SystemBuilder::new(cfg)
+                .trace(0, Box::new(StrideTrace::new(2, 4096, 16 << 20)))
+                .trace(1, Box::new(StrideTrace::new(5, 64, 16 << 20).with_base(1 << 32)))
+                .engine(engine)
+                .build()
+        };
+        // `run_cycles`, counting the cores dormant after each real tick.
+        let run_to = |sys: &mut System, end: Cycle| {
+            sys.wake_all();
+            let mut dormant = 0;
+            while sys.now < end {
+                sys.tick();
+                dormant += sys.dormant.iter().filter(|&&w| w != 0).count();
+                sys.post_tick_forward(end, u64::MAX);
+            }
+            sys.settle();
+            dormant
+        };
+        let delay = FaultPlan::new().with(FaultKind::DelayDramResponses { from: 0, delay: 400 });
+        let mut naive = build(Engine::Naive);
+        let mut sys = build(Engine::Skip);
+        for s in [&mut naive, &mut sys] {
+            run_to(s, 2_000);
+            s.inject_faults(delay.clone());
+        }
+        run_to(&mut naive, 6_000);
+        assert!(run_to(&mut sys, 6_000) > 0, "no core turned dormant under a delay plan");
+        for s in [&mut naive, &mut sys] {
+            s.inject_faults(FaultPlan::new());
+            assert!(s.faults.is_active(), "the cleared plan left no line held");
+        }
+        run_to(&mut naive, 6_300);
+        assert!(run_to(&mut sys, 6_300) > 0, "no core turned dormant while lines were held");
         assert_eq!(naive.system_stats(), sys.system_stats());
     }
 

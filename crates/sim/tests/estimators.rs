@@ -12,7 +12,7 @@
 //!
 //! Estimators that are `pub(crate)` (fault plans, audit boundaries, the
 //! watchdog) are pinned by unit proptests inside `crates/sim/src/audit.rs`;
-//! scheduler `next_event`/`note_idle_cycles` twins are pinned in
+//! scheduler `next_event` twins are pinned in
 //! `crates/sched/tests/estimators.rs`; the MITTS shaper's own bound has a
 //! dedicated unit test in `crates/core/src/shaper.rs`.
 

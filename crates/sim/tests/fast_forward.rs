@@ -312,11 +312,11 @@ fn fault_plans_match_naive() {
     // events the skip engine must honor exactly (a skip over a
     // release cycle would deliver the line late and shift every counter
     // after it), and drops + port stalls change issue outcomes mid-run.
-    // The third delays responses from mid-run on. No core turns dormant
-    // while a plan is installed, so before it dormant cores wake on the
-    // fills of DRAM responses, and after it sleeping cores wake on the
-    // held lines the plan releases: one response-delivery path serves
-    // both halves of the run.
+    // The third delays responses from mid-run on. Only a plan that acts
+    // in the issue stage (here the zeroed credits) keeps cores from
+    // turning dormant, so under the delay plans dormant cores wake on the
+    // fills of DRAM responses and of the held lines the plan releases:
+    // one response-delivery path serves both.
     let cases: [(Cycle, FaultPlan); 3] = [
         (0, FaultPlan::new().with(FaultKind::DelayDramResponses { from: 2_000, delay: 13 })),
         (

@@ -409,9 +409,13 @@ fn snapshot_bytes_are_engine_independent() {
     // produce byte-identical snapshots under either engine, so archived
     // snapshots stay valid across engine choices (and mid-run flips).
     let benches = [Benchmark::Mcf, Benchmark::Libquantum];
-    assert_snapshot_bytes_engine_independent(9_000, |engine| {
-        build(&benches, "FR-FCFS", engine, true).sys
-    });
+    // The congestion guard's samples are folded at the controller events
+    // both engines see, never replayed, so its payload matches too.
+    for scheduler in ["FR-FCFS", "FR-FCFS+CG"] {
+        assert_snapshot_bytes_engine_independent(9_000, |engine| {
+            build(&benches, scheduler, engine, true).sys
+        });
+    }
     // Cores striding a page per access: every miss goes to DRAM, and the
     // skip engine jumps over most of each wait, often right after the
     // grant that emptied a miss queue or, with one LLC port for three
